@@ -192,12 +192,13 @@ func syntheticBatch(riders, drivers, fanout int) *sim.Context {
 func BenchmarkAblationReposition(b *testing.B) { benchExperiment(b, "ablation-reposition") }
 
 // BenchmarkBatchCosts prices one 200-driver x 200-order batch on the
-// road network through both query paths. Each iteration uses a fresh
-// coster so the comparison is a cold batch for both; the extra
-// "settled/op" metric counts Dijkstra-settled nodes — the
-// shortest-path work the batch path saves by deduplicating snapped
-// sources and truncating each tree at the batch's targets (the
-// committed BENCH_dispatch.json baseline shows the ratio).
+// road network through both query paths. Each iteration prices on a
+// fresh coster, built outside the timer, so both are cold batches
+// whatever -benchtime says; the extra "settled/op" metric counts
+// Dijkstra-settled nodes — the shortest-path work the batch path saves
+// by deduplicating snapped sources and stopping each tree at the
+// batch's targets (the committed BENCH_dispatch.json baseline shows the
+// ratio).
 func BenchmarkBatchCosts(b *testing.B) {
 	g := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: 1})
 	box := NYCBBox
@@ -220,7 +221,9 @@ func BenchmarkBatchCosts(b *testing.B) {
 		b.ReportAllocs()
 		var settled int64
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
 			c := roadnet.NewGraphCoster(g)
+			b.StartTimer()
 			c.Costs(drivers, orders)
 			settled += c.Stats().SettledNodes
 		}
@@ -230,7 +233,9 @@ func BenchmarkBatchCosts(b *testing.B) {
 		b.ReportAllocs()
 		var settled int64
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
 			c := roadnet.NewGraphCoster(g)
+			b.StartTimer()
 			for _, d := range drivers {
 				for _, o := range orders {
 					c.Cost(d, o)
@@ -423,28 +428,32 @@ func BenchmarkScenarioDispatch(b *testing.B) {
 // BenchmarkDispatchCycle runs one hour of full engine batch cycles —
 // order admission, candidate pruning, batched pickup costing, IRG
 // assignment, commitment — over a 28K-order day at 200 drivers, under
-// both the closed-form and the road-network coster.
+// both the closed-form and the road-network coster. Each iteration gets
+// its own coster, built outside the timer, so the road network's tree
+// cache starts cold every time and -benchtime 1x measures what 5x does.
 func BenchmarkDispatchCycle(b *testing.B) {
 	city := workload.NewCity(workload.CityConfig{OrdersPerDay: 28000, Seed: 31})
 	rng := rand.New(rand.NewSource(3))
 	orders := city.GenerateDay(0, rng)
 	starts := city.InitialDrivers(200, orders, rng)
 
-	run := func(b *testing.B, coster roadnet.Coster) {
+	run := func(b *testing.B, newCoster func() roadnet.Coster) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cfg := sim.Config{Grid: city.Grid(), Coster: coster, Delta: 3, TC: 1200, Horizon: 3600}
+			b.StopTimer()
+			cfg := sim.Config{Grid: city.Grid(), Coster: newCoster(), Delta: 3, TC: 1200, Horizon: 3600}
+			b.StartTimer()
 			e := sim.New(cfg, orders, starts)
 			if _, err := e.Run(context.Background(), &dispatch.IRG{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("GreatCircle", func(b *testing.B) { run(b, nil) })
+	b.Run("GreatCircle", func(b *testing.B) { run(b, func() roadnet.Coster { return nil }) })
 	b.Run("RoadNetwork", func(b *testing.B) {
 		g := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: 1})
-		run(b, roadnet.NewGraphCoster(g))
+		run(b, func() roadnet.Coster { return roadnet.NewGraphCoster(g) })
 	})
 }
 

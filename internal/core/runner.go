@@ -402,11 +402,14 @@ func registerCosterMetrics(reg *obs.Registry, cs ...roadnet.Coster) {
 		return sum
 	}
 	reg.CounterFunc("mrvd_coster_trees_total",
-		"Full shortest-path trees computed by single-pair Cost queries.",
+		"Dijkstra runs issued by single-pair Cost queries, each completing its source's tree.",
 		func() int64 { return total().Trees })
 	reg.CounterFunc("mrvd_coster_partial_trees_total",
-		"Dijkstra runs issued by batched Costs queries (truncated or promoted).",
+		"Dijkstra runs issued by batched Costs queries, each stopping once the batch's targets are settled.",
 		func() int64 { return total().PartialTrees })
+	reg.CounterFunc("mrvd_coster_resumed_total",
+		"Dijkstra runs that continued a cached tree from its frontier instead of starting at the source.",
+		func() int64 { return total().Resumed })
 	reg.CounterFunc("mrvd_coster_settled_nodes_total",
 		"Nodes finalized across all Dijkstra runs.",
 		func() int64 { return total().SettledNodes })
@@ -414,7 +417,7 @@ func registerCosterMetrics(reg *obs.Registry, cs ...roadnet.Coster) {
 		"Coster queries answered from the shortest-path tree cache.",
 		func() int64 { return total().CacheHits })
 	reg.CounterFunc("mrvd_coster_cache_misses_total",
-		"Coster queries that had to compute a tree (full or truncated).",
+		"Coster queries that had to run Dijkstra (from the source or from a cached frontier).",
 		func() int64 { s := total(); return s.Trees + s.PartialTrees })
 	reg.CounterFunc("mrvd_coster_evictions_total",
 		"Tree-cache entries displaced by the clock sweep.",

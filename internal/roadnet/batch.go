@@ -42,7 +42,7 @@ type PerSourceAmortized interface {
 }
 
 // AmortizesPerSource implements PerSourceAmortized: graph costers pay
-// one truncated Dijkstra per unique source, which every target shares.
+// one Dijkstra run per unique source, which every target shares.
 func (c *GraphCoster) AmortizesPerSource() bool { return true }
 
 // AmortizesPerSource implements PerSourceAmortized: the closed form has
@@ -103,6 +103,7 @@ func (c *GreatCircleCoster) Costs(sources, targets []geo.Point) [][]float64 {
 type costerCounters struct {
 	trees     atomic.Int64
 	partials  atomic.Int64
+	resumed   atomic.Int64
 	settled   atomic.Int64
 	cacheHits atomic.Int64
 	evictions atomic.Int64
@@ -110,18 +111,20 @@ type costerCounters struct {
 
 // CosterStats snapshots a GraphCoster's cumulative query counters.
 type CosterStats struct {
-	// Trees counts full shortest-path trees computed by single-pair
-	// Cost queries.
+	// Trees counts Dijkstra runs issued by single-pair Cost queries,
+	// each of which leaves its source with a complete tree.
 	Trees int64
 	// PartialTrees counts Dijkstra runs issued by batched Costs
-	// queries: truncated for first-seen sources, full when promoting a
-	// hot source whose cached tree fell short.
+	// queries, each of which stops once the batch's target nodes are
+	// settled.
 	PartialTrees int64
+	// Resumed counts the runs, of either kind, that continued a cached
+	// tree from its frontier instead of starting at the source.
+	Resumed int64
 	// SettledNodes totals nodes finalized across all Dijkstra runs —
 	// the unit of shortest-path work the per-pair and batch query paths
-	// share, and what BenchmarkBatchCosts compares. A full tree settles
-	// every reachable node; a truncated batch run stops as soon as the
-	// batch's target nodes are settled.
+	// share, and what BenchmarkBatchCosts compares. A complete tree
+	// settles every reachable node once, however many runs built it.
 	SettledNodes int64
 	// CacheHits counts queries answered from the tree cache.
 	CacheHits int64
@@ -135,6 +138,7 @@ type CosterStats struct {
 func (s *CosterStats) Add(o CosterStats) {
 	s.Trees += o.Trees
 	s.PartialTrees += o.PartialTrees
+	s.Resumed += o.Resumed
 	s.SettledNodes += o.SettledNodes
 	s.CacheHits += o.CacheHits
 	s.Evictions += o.Evictions
@@ -145,6 +149,7 @@ func (c *GraphCoster) Stats() CosterStats {
 	return CosterStats{
 		Trees:        c.stats.trees.Load(),
 		PartialTrees: c.stats.partials.Load(),
+		Resumed:      c.stats.resumed.Load(),
 		SettledNodes: c.stats.settled.Load(),
 		CacheHits:    c.stats.cacheHits.Load(),
 		Evictions:    c.stats.evictions.Load(),
@@ -155,30 +160,28 @@ func (c *GraphCoster) Stats() CosterStats {
 func (c *GraphCoster) ResetStats() {
 	c.stats.trees.Store(0)
 	c.stats.partials.Store(0)
+	c.stats.resumed.Store(0)
 	c.stats.settled.Store(0)
 	c.stats.cacheHits.Store(0)
 	c.stats.evictions.Store(0)
 }
 
 // Costs implements BatchCoster. Every endpoint is snapped exactly once,
-// snapped source nodes are deduplicated, and one truncated Dijkstra runs
-// per unique unserved source on a parallel worker pool. The query path
-// acquires the coster's mutex twice — once to consult the tree cache up
-// front, once to publish new trees — rather than once per pair, so
-// workers never contend on a lock.
+// snapped source nodes are deduplicated, and one Dijkstra run per
+// unique source the cache does not cover is fanned over a worker pool.
+// The query path acquires the coster's mutex twice — once to consult
+// the tree cache up front, once to publish new trees — rather than once
+// per pair, so workers never contend on a lock.
 //
-// Each truncated run settles the graph only until the batch's target
-// nodes are finalized, which on clustered city workloads is a small
-// fraction of the full tree a per-pair Cost query would expand (Stats
-// reports both in SettledNodes). Truncation never changes settled
-// values, so the matrix is bitwise-identical to per-pair queries.
-//
-// Trees are cached with their coverage horizon, so consecutive batches
-// reuse them: a stationary driver's tree from the last batch serves
-// this one as long as its targets stay inside the settled horizon. A
-// cached tree that proves insufficient is recomputed as a full tree —
-// the source is demonstrably hot, so one full expansion buys every
-// future batch a guaranteed hit.
+// Each run extends its source's tree only until the batch's target
+// nodes are settled, which on clustered city workloads is a small
+// fraction of the full tree (Stats reports the work in SettledNodes).
+// A first-seen source starts from nothing; a cached tree whose horizon
+// falls short of this batch's targets is continued from its frontier,
+// on a copy, so the nodes it already settled are never settled again
+// and callers still reading the published tree are not disturbed.
+// Stopping early never changes settled values, so the matrix is
+// bitwise-identical to per-pair queries.
 func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
 	nT := len(targets)
 	out := newCostMatrix(len(sources), nT)
@@ -203,92 +206,83 @@ func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
 			tgtUniq = append(tgtUniq, n)
 		}
 	}
-	uniqueTargets := len(tgtUniq)
 
 	// Deduplicate source nodes in first-appearance order: co-located
-	// drivers share one Dijkstra.
-	rowOf := make(map[NodeID]int, len(sources))
+	// drivers share one Dijkstra. rowOf maps a node to its index in
+	// uniq, plus one.
+	rowOf := make([]int32, c.g.NumNodes())
 	var uniq []NodeID
 	for _, n := range srcNode {
-		if n == InvalidNode {
-			continue
-		}
-		if _, ok := rowOf[n]; !ok {
-			rowOf[n] = len(uniq)
+		if n != InvalidNode && rowOf[n] == 0 {
 			uniq = append(uniq, n)
+			rowOf[n] = int32(len(uniq))
 		}
 	}
 
-	// covered reports whether a cached tree's horizon reaches every
-	// unique target node of this batch: only then are its values final
-	// for every cell the matrix will read. It runs under the coster's
-	// mutex, hence the deduplicated scan.
-	covered := func(tree []float64, horizon float64) bool {
-		for _, n := range tgtUniq {
-			if !(tree[n] <= horizon) {
-				return false
-			}
-		}
-		return true
+	// First lock acquisition: serve sources from cached trees whose
+	// horizon reaches every unique target node of this batch — only
+	// then are their values final for every cell the matrix will read.
+	// The rest are queued with the tree to continue (none for a
+	// first-seen source) and the number of targets it leaves uncovered.
+	type run struct {
+		u         int
+		from      spTree
+		uncovered int
 	}
-
-	// First lock acquisition: serve sources from cached trees — full
-	// ones from single-pair queries, or earlier batches' partial trees
-	// whose horizon covers this batch's targets.
-	trees := make([][]float64, len(uniq))
-	horizons := make([]float64, len(uniq))
-	var missing []int
-	promote := make(map[int]bool)
+	trees := make([]spTree, len(uniq))
+	var missing []run
+	var resumed int64
 	c.mu.Lock()
 	for u, n := range uniq {
-		if t, hz, ok := c.cache.get(n); ok && covered(t, hz) {
-			trees[u] = t
-		} else {
-			missing = append(missing, u)
-			// A cached-but-insufficient tree marks a hot source: spend
-			// one full expansion now so every future batch hits.
-			promote[u] = ok
+		t, ok := c.cache.get(n)
+		uncovered := len(tgtUniq)
+		if ok {
+			uncovered = 0
+			for _, tn := range tgtUniq {
+				if !(t.dist[tn] <= t.horizon) {
+					uncovered++
+				}
+			}
+			if uncovered == 0 {
+				trees[u] = t
+				continue
+			}
+			resumed++
 		}
+		missing = append(missing, run{u: u, from: t, uncovered: uncovered})
 	}
 	c.mu.Unlock()
 	c.stats.cacheHits.Add(int64(len(uniq) - len(missing)))
 
-	// Dijkstras for the rest — truncated for first-seen sources, full
-	// for promoted ones — fanned over a worker pool. The needed mask is
-	// shared read-only; each worker owns its dist slice.
 	if len(missing) > 0 {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(missing) {
-			workers = len(missing)
-		}
+		// The needed mask is shared read-only; each run owns its
+		// slices. The calling goroutine is one of the workers, so a
+		// single missing source (or GOMAXPROCS 1) spawns nothing.
 		var next, settledTotal atomic.Int64
+		work := func() {
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(missing) {
+					return
+				}
+				m := missing[k]
+				t, settled := c.g.extend(uniq[m.u], m.from, needed, m.uncovered)
+				trees[m.u] = t
+				settledTotal.Add(int64(settled))
+			}
+		}
 		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
+		for w := min(runtime.GOMAXPROCS(0), len(missing)); w > 1; w-- {
+			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(missing) {
-						return
-					}
-					u := missing[k]
-					var tree []float64
-					var settled int
-					var horizon float64
-					if promote[u] {
-						tree, settled, horizon = c.g.dijkstraFrom(uniq[u], nil, 0)
-					} else {
-						tree, settled, horizon = c.g.dijkstraFrom(uniq[u], needed, uniqueTargets)
-					}
-					trees[u] = tree
-					horizons[u] = horizon
-					settledTotal.Add(int64(settled))
-				}
+				work()
 			}()
 		}
+		work()
 		wg.Wait()
 		c.stats.partials.Add(int64(len(missing)))
+		c.stats.resumed.Add(resumed)
 		c.stats.settled.Add(settledTotal.Load())
 
 		// Second lock acquisition: publish the new trees so the next
@@ -296,8 +290,8 @@ func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
 		// them.
 		c.mu.Lock()
 		var evictions int64
-		for _, u := range missing {
-			if c.cache.put(uniq[u], trees[u], horizons[u], c.CacheSize) {
+		for _, m := range missing {
+			if c.cache.put(uniq[m.u], trees[m.u], c.CacheSize) {
 				evictions++
 			}
 		}
@@ -316,7 +310,7 @@ func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
 			}
 			continue
 		}
-		tree := trees[rowOf[srcNode[i]]]
+		tree := trees[rowOf[srcNode[i]]-1].dist
 		for j := 0; j < nT; j++ {
 			if tgtNode[j] == InvalidNode {
 				row[j] = math.Inf(1)

@@ -150,8 +150,8 @@ func TestBatchCostsFewerComputations(t *testing.T) {
 
 // TestBatchCostsCrossBatchReuse verifies the warm-path contract: a
 // repeated batch is served entirely from cached trees, a target beyond
-// a cached tree's horizon promotes the source to a full tree, and from
-// then on every batch hits.
+// a cached tree's horizon extends the tree to it, and from then on
+// every batch inside the new horizon hits.
 func TestBatchCostsCrossBatchReuse(t *testing.T) {
 	g := GenerateGridNetwork(GridNetworkConfig{Rows: 24, Cols: 24, Seed: 31, DropFraction: 0})
 	c := NewGraphCoster(g)
@@ -187,22 +187,23 @@ func TestBatchCostsCrossBatchReuse(t *testing.T) {
 		}
 	}
 
-	// A far corner target exceeds the cached horizons: the sources are
-	// promoted to full trees...
+	// A far corner target exceeds the cached horizons: the sources'
+	// trees are extended, not rebuilt...
 	far := []geo.Point{{Lng: box.MinLng, Lat: box.MinLat}}
 	farBatch := c.Costs(sources, far)
 	st3 := c.Stats()
-	if st3.PartialTrees == st2.PartialTrees {
-		t.Fatal("insufficient cached trees were not recomputed")
+	if runs := st3.PartialTrees - st2.PartialTrees; runs == 0 || st3.Resumed-st2.Resumed != runs {
+		t.Fatalf("insufficient cached trees were not extended: %+v -> %+v", st2, st3)
 	}
 	if wantFar := c.Cost(sources[0], far[0]); farBatch[0][0] != wantFar {
-		t.Fatalf("promoted cell = %v, want %v", farBatch[0][0], wantFar)
+		t.Fatalf("extended cell = %v, want %v", farBatch[0][0], wantFar)
 	}
-	// ...after which any target mix is a pure cache hit.
+	// ...after which the old targets and the new one are a pure cache
+	// hit.
 	c.Costs(sources, append(append([]geo.Point{}, targets...), far...))
 	st4 := c.Stats()
 	if st4.PartialTrees != st3.PartialTrees || st4.SettledNodes != st3.SettledNodes {
-		t.Fatalf("post-promotion batch recomputed: %+v -> %+v", st3, st4)
+		t.Fatalf("post-extension batch recomputed: %+v -> %+v", st3, st4)
 	}
 }
 
@@ -235,38 +236,123 @@ func TestBatchCostsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestExtensionLeavesPublishedTreeAlone pins copy-on-extend: a tree
+// handed out by the cache reads the same after its entry is extended,
+// because another goroutine may still be assembling a matrix from it.
+func TestExtensionLeavesPublishedTreeAlone(t *testing.T) {
+	g := GenerateGridNetwork(GridNetworkConfig{Rows: 24, Cols: 24, Seed: 31, DropFraction: 0})
+	c := NewGraphCoster(g)
+	src, near, far := g.Point(300), g.Point(301), g.Point(0)
+	c.Costs([]geo.Point{src}, []geo.Point{near})
+	held, ok := c.cache.get(300)
+	if !ok || math.IsInf(held.horizon, 1) {
+		t.Fatalf("expected a partial cached tree, got %+v (ok=%v)", held.horizon, ok)
+	}
+	dist := append([]float64(nil), held.dist...)
+	frontier := append([]pqItem(nil), held.frontier...)
+
+	c.Costs([]geo.Point{src}, []geo.Point{far})
+	now, _ := c.cache.get(300)
+	if st := c.Stats(); st.Resumed != 1 || !(now.horizon > held.horizon) {
+		t.Fatalf("entry was not extended: horizon %v -> %v, stats %+v", held.horizon, now.horizon, st)
+	}
+	for v := range dist {
+		if held.dist[v] != dist[v] {
+			t.Fatalf("published dist[%d] changed from %v to %v", v, dist[v], held.dist[v])
+		}
+	}
+	for k := range frontier {
+		if held.frontier[k] != frontier[k] {
+			t.Fatalf("published frontier[%d] changed from %+v to %+v", k, frontier[k], held.frontier[k])
+		}
+	}
+}
+
+// TestConcurrentExtensionMatchesSerial has several goroutines price
+// the same few sources against different targets at once, through both
+// query paths, so one cache entry is read, extended and republished
+// concurrently. Every cell must equal a serial reference coster's.
+// Meant to run under -race -count=10.
+func TestConcurrentExtensionMatchesSerial(t *testing.T) {
+	g := GenerateGridNetwork(GridNetworkConfig{Rows: 20, Cols: 20, Seed: 19})
+	rng := rand.New(rand.NewSource(23))
+	sources := randomPoints(6, geo.NYCBBox, rng)
+	targets := randomPoints(64, geo.NYCBBox, rng)
+	ref := NewGraphCoster(g)
+	want := ref.Costs(sources, targets)
+
+	c := NewGraphCoster(g)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for iter := 0; iter < 30; iter++ {
+				// A window of targets: windows overlap across goroutines
+				// and reach different distances from the shared sources.
+				lo := rng.Intn(len(targets) - 4)
+				hi := lo + 1 + rng.Intn(4)
+				if w%2 == 0 {
+					mat := c.Costs(sources, targets[lo:hi])
+					for i := range mat {
+						for j, got := range mat[i] {
+							if got != want[i][lo+j] {
+								t.Errorf("Costs[%d][%d] = %v, serial reference %v", i, lo+j, got, want[i][lo+j])
+								return
+							}
+						}
+					}
+				} else {
+					i := rng.Intn(len(sources))
+					if got := c.Cost(sources[i], targets[lo]); got != want[i][lo] {
+						t.Errorf("Cost(%d,%d) = %v, serial reference %v", i, lo, got, want[i][lo])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // TestTreeCacheClockEviction pins the second-chance policy: referenced
 // entries survive a sweep, unreferenced ones are evicted first.
 func TestTreeCacheClockEviction(t *testing.T) {
-	full := math.Inf(1)
 	tc := newTreeCache()
-	tree := func(v float64) []float64 { return []float64{v} }
-	tc.put(1, tree(1), full, 2)
-	tc.put(2, tree(2), full, 2)
+	tree := func(v float64) spTree { return spTree{dist: []float64{v}, horizon: math.Inf(1)} }
+	tc.put(1, tree(1), 2)
+	tc.put(2, tree(2), 2)
 	// Touch node 1 so its reference bit is set; the insert below clears
 	// it in passing and evicts the never-referenced node 2 instead.
-	if _, _, ok := tc.get(1); !ok {
+	if _, ok := tc.get(1); !ok {
 		t.Fatal("node 1 missing")
 	}
-	tc.put(3, tree(3), full, 2)
+	tc.put(3, tree(3), 2)
 	if _, ok := tc.index[2]; ok {
 		t.Error("unreferenced node 2 should have been evicted before referenced node 1")
 	}
-	if _, _, ok := tc.get(1); !ok {
+	if _, ok := tc.get(1); !ok {
 		t.Error("referenced node 1 evicted despite its second chance")
 	}
 	// Capacity respected throughout.
 	if len(tc.slots) != 2 || len(tc.index) != 2 {
 		t.Errorf("cache holds %d slots / %d index entries, want 2", len(tc.slots), len(tc.index))
 	}
+	// Re-inserting a resident source keeps whichever tree reaches
+	// further, so a slow caller cannot undo a faster one's extension.
+	tc.put(3, spTree{dist: []float64{30}, horizon: 5}, 2)
+	if got, _ := tc.get(3); got.dist[0] != 3 {
+		t.Errorf("a tree with horizon 5 replaced a complete one: %+v", got)
+	}
 	// A hot entry re-referenced on every round stays resident under
 	// sustained one-shot insert pressure (scan resistance).
 	tc2 := newTreeCache()
-	tc2.put(100, tree(100), full, 3)
+	tc2.put(100, tree(100), 3)
 	for n := NodeID(0); n < 50; n++ {
-		if _, _, ok := tc2.get(100); !ok {
+		if _, ok := tc2.get(100); !ok {
 			t.Fatalf("hot entry evicted after %d cold inserts", n)
 		}
-		tc2.put(n, tree(float64(n)), full, 3)
+		tc2.put(n, tree(float64(n)), 3)
 	}
 }

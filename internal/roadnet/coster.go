@@ -63,14 +63,17 @@ func (c *GreatCircleCoster) Cost(a, b geo.Point) float64 {
 // GraphCoster computes travel time as a shortest path on a road network,
 // snapping endpoints to their nearest graph nodes via a bucketed index.
 // Shortest-path trees are memoized up to CacheSize sources under clock
-// (second-chance) eviction: single-pair Cost queries insert full trees,
-// batched Costs queries insert truncated trees tagged with their
-// coverage horizon, and both paths serve any cached tree whose horizon
-// reaches the queried targets — so a stationary driver's tree from one
-// batch prices the next, and re-queried sources survive cache pressure
-// while one-shot scans evict themselves. It is safe for concurrent use,
-// so one coster can back a parallel Sweep, and it implements
-// BatchCoster for many-to-many pricing (see Costs).
+// (second-chance) eviction, each with its coverage horizon and the
+// queue its run stopped with. A query whose targets lie inside a cached
+// tree's horizon is a hit; one that reaches beyond extends the tree —
+// the same Dijkstra run continued on a copy, then republished — rather
+// than starting over: batched Costs queries extend until the batch's
+// targets are covered, single-pair Cost queries until the tree is
+// complete. So a stationary driver's tree from one batch prices the
+// next, and re-queried sources survive cache pressure while one-shot
+// scans evict themselves. It is safe for concurrent use, so one coster
+// can back a parallel Sweep, and it implements BatchCoster for
+// many-to-many pricing (see Costs).
 type GraphCoster struct {
 	g     *Graph
 	snap  *snapIndex
@@ -107,27 +110,29 @@ func (c *GraphCoster) Cost(a, b geo.Point) float64 {
 		return math.Inf(1)
 	}
 	c.mu.Lock()
-	tree, horizon, ok := c.cache.get(na)
+	t, ok := c.cache.get(na)
 	c.mu.Unlock()
-	if ok && tree[nb] <= horizon {
+	if ok && t.dist[nb] <= t.horizon {
 		c.stats.cacheHits.Add(1)
 	} else {
-		// Miss, or a batch-cached partial tree that doesn't reach nb.
-		// Compute a full tree outside the lock: trees are deterministic,
-		// so a racing duplicate computation is wasted work, not wrong
-		// work.
+		// Miss, or a cached tree that doesn't reach nb: complete it
+		// outside the lock. Trees are deterministic, so a racing
+		// duplicate computation is wasted work, not wrong work.
 		var settled int
-		tree, settled, horizon = c.g.dijkstraFrom(na, nil, 0)
+		t, settled = c.g.extend(na, t, nil, 0)
 		c.stats.trees.Add(1)
+		if ok {
+			c.stats.resumed.Add(1)
+		}
 		c.stats.settled.Add(int64(settled))
 		c.mu.Lock()
-		evicted := c.cache.put(na, tree, horizon, c.CacheSize)
+		evicted := c.cache.put(na, t, c.CacheSize)
 		c.mu.Unlock()
 		if evicted {
 			c.stats.evictions.Add(1)
 		}
 	}
-	d := tree[nb]
+	d := t.dist[nb]
 	if math.IsInf(d, 1) {
 		return d
 	}
@@ -151,41 +156,44 @@ type treeCache struct {
 	hand  int
 }
 
-// treeSlot is one cached tree plus its exact-coverage horizon: entries
-// with dist <= horizon are final shortest-path values (+Inf for full
-// trees, the break distance for truncated batch trees). Callers must
-// check coverage before trusting a distance.
+// treeSlot is one cached tree. Callers must check a distance against
+// the tree's horizon before trusting it. A slot holds at most one
+// float64 per node plus the tree's frontier — one queue entry per
+// tentative distance the run improved and has not yet settled, at most
+// one per arc — and a complete tree has no frontier.
 type treeSlot struct {
-	node    NodeID
-	tree    []float64
-	horizon float64
-	ref     bool
+	node NodeID
+	spTree
+	ref bool
 }
 
 func newTreeCache() *treeCache {
 	return &treeCache{index: make(map[NodeID]int)}
 }
 
-// get returns the cached tree and horizon for n, marking the entry
-// referenced.
-func (tc *treeCache) get(n NodeID) ([]float64, float64, bool) {
+// get returns the cached tree for n, marking the entry referenced.
+func (tc *treeCache) get(n NodeID) (spTree, bool) {
 	i, ok := tc.index[n]
 	if !ok {
-		return nil, 0, false
+		return spTree{}, false
 	}
 	tc.slots[i].ref = true
-	return tc.slots[i].tree, tc.slots[i].horizon, true
+	return tc.slots[i].spTree, true
 }
 
 // put inserts a tree, evicting by second chance once capacity entries
 // exist. New entries start unreferenced: a source only earns its
 // reference bit by being queried again, so a scan of one-shot sources
 // evicts itself under pressure while the re-queried hot set survives.
-// It reports whether an existing entry was evicted to make room.
-func (tc *treeCache) put(n NodeID, tree []float64, horizon float64, capacity int) (evicted bool) {
+// A tree for a source already present replaces the entry only when it
+// reaches further: two callers may extend one entry at once, and the
+// lesser result must not undo the greater. It reports whether an
+// existing entry was evicted to make room.
+func (tc *treeCache) put(n NodeID, t spTree, capacity int) (evicted bool) {
 	if i, ok := tc.index[n]; ok {
-		tc.slots[i].tree = tree
-		tc.slots[i].horizon = horizon
+		if t.horizon > tc.slots[i].horizon {
+			tc.slots[i].spTree = t
+		}
 		tc.slots[i].ref = true
 		return false
 	}
@@ -194,7 +202,7 @@ func (tc *treeCache) put(n NodeID, tree []float64, horizon float64, capacity int
 	}
 	if len(tc.slots) < capacity {
 		tc.index[n] = len(tc.slots)
-		tc.slots = append(tc.slots, treeSlot{node: n, tree: tree, horizon: horizon})
+		tc.slots = append(tc.slots, treeSlot{node: n, spTree: t})
 		return false
 	}
 	for {
@@ -208,7 +216,7 @@ func (tc *treeCache) put(n NodeID, tree []float64, horizon float64, capacity int
 			continue
 		}
 		delete(tc.index, s.node)
-		*s = treeSlot{node: n, tree: tree, horizon: horizon}
+		*s = treeSlot{node: n, spTree: t}
 		tc.index[n] = tc.hand
 		tc.hand++
 		return true

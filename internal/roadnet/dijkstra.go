@@ -1,8 +1,8 @@
 package roadnet
 
 import (
-	"container/heap"
 	"math"
+	"sync"
 )
 
 // pqItem is one entry of the Dijkstra priority queue.
@@ -11,151 +11,187 @@ type pqItem struct {
 	dist float64
 }
 
-type priorityQueue []pqItem
+// minHeap is a binary min-heap of pqItems keyed on dist. Push and pop
+// work on the concrete element type, so nothing is boxed and, once the
+// backing array has grown, nothing is allocated.
+type minHeap []pqItem
 
-func (q priorityQueue) Len() int           { return len(q) }
-func (q priorityQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q priorityQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *priorityQueue) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *priorityQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+func (h *minHeap) push(it pqItem) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if q[p].dist <= it.dist {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = it
+	*h = q
 }
 
-// ShortestPath returns the minimum travel cost from src to dst in seconds
-// and whether dst is reachable. It runs a lazy-deletion binary-heap
-// Dijkstra with early exit at dst.
-func (g *Graph) ShortestPath(src, dst NodeID) (float64, bool) {
-	if src == dst {
-		return 0, true
+// pop removes and returns a minimum item. The heap must not be empty.
+func (h *minHeap) pop() pqItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	// Sift last down from the root. Which child is smaller is a coin
+	// toss the branch predictor loses, so where both exist the choice
+	// is written as an index increment the compiler makes branch-free.
+	i, c := 0, 1
+	for c+1 < n {
+		k := 0
+		if q[c+1].dist < q[c].dist {
+			k = 1
+		}
+		c += k
+		child := q[c]
+		if child.dist >= last.dist {
+			break
+		}
+		q[i] = child
+		i = c
+		c = 2*c + 1
 	}
-	if src < 0 || dst < 0 || int(src) >= g.NumNodes() || int(dst) >= g.NumNodes() {
-		return 0, false
+	if c < n && q[c].dist < last.dist { // a lone left child at the bottom
+		q[i] = q[c]
+		i = c
 	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
+// heapPool recycles queue backing arrays across runs: a run borrows
+// one, and whatever outlives the run (a tree's frontier) is copied out.
+var heapPool = sync.Pool{New: func() any { return new(minHeap) }}
+
+// spTree is a resumable single-source shortest-path result. Every dist
+// entry <= horizon is final and its node settled; every other entry is
+// tentative or +Inf, and frontier holds the queue the run stopped with
+// (all keys > horizon), so extend can carry on where it left off. A
+// drained run has horizon +Inf and no frontier: every entry is final,
+// including the +Inf of unreachable nodes. Published trees are never
+// written again — extend works on copies.
+type spTree struct {
+	dist     []float64
+	frontier []pqItem
+	horizon  float64
+}
+
+// dijkstra is the one Dijkstra loop (lazy deletion: a stale queue entry
+// is skipped when popped). It advances the run held in dist and pq
+// until remaining nodes marked in needed have been settled — or, with
+// a nil mask, until the queue drains — and records tree parents in
+// prev when that is non-nil.
+//
+// The stop is taken after the last needed node's arcs are relaxed and
+// after every other node at the same distance is settled too. So on
+// return the settled set is exactly {v : dist[v] <= horizon}, whatever
+// order ties popped in, and the queue is the run's complete unsettled
+// state: a later call with the same dist and pq is this run continued,
+// which is why resumed distances equal a single run's bitwise. A
+// drained queue reports horizon +Inf.
+//
+// settled counts finalized nodes, the unit of shortest-path work
+// GraphCoster.Stats reports.
+func (g *Graph) dijkstra(dist []float64, prev []NodeID, pq *minHeap, needed []bool, remaining int) (settled int, horizon float64) {
+	horizon = math.Inf(1)
+	h := *pq
+	for len(h) > 0 && h[0].dist <= horizon {
+		item := h.pop()
+		if item.dist > dist[item.node] {
+			continue // stale entry
+		}
+		settled++
+		if needed != nil && needed[item.node] {
+			if remaining--; remaining == 0 {
+				horizon = item.dist
+			}
+		}
+		for _, e := range g.arcs(item.node) {
+			if nd := item.dist + e.cost; nd < dist[e.to] {
+				dist[e.to] = nd
+				if prev != nil {
+					prev[e.to] = item.node
+				}
+				h.push(pqItem{node: e.to, dist: nd})
+			}
+		}
+	}
+	*pq = h
+	if len(h) == 0 {
+		horizon = math.Inf(1)
+	}
+	return settled, horizon
+}
+
+// start returns the state of a run from src before its first pop: all
+// distances +Inf but src's, and src queued in pq. An out-of-range src
+// leaves the queue empty.
+func (g *Graph) start(src NodeID, pq *minHeap) []float64 {
 	dist := make([]float64, g.NumNodes())
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	dist[src] = 0
-	pq := priorityQueue{{node: src, dist: 0}}
-	for len(pq) > 0 {
-		item := heap.Pop(&pq).(pqItem)
-		if item.dist > dist[item.node] {
-			continue // stale entry
-		}
-		if item.node == dst {
-			return item.dist, true
-		}
-		for _, e := range g.arcs(item.node) {
-			nd := item.dist + e.cost
-			if nd < dist[e.to] {
-				dist[e.to] = nd
-				heap.Push(&pq, pqItem{node: e.to, dist: nd})
-			}
-		}
+	*pq = (*pq)[:0]
+	if src >= 0 && int(src) < len(dist) {
+		dist[src] = 0
+		pq.push(pqItem{node: src})
 	}
-	return 0, false
+	return dist
+}
+
+// extend continues t, src's tree so far (the zero spTree when nothing
+// has been computed yet), until remaining more nodes marked in needed
+// are settled, or until the queue drains when needed is nil. Callers
+// count as remaining only marked nodes t does not cover. t is left
+// untouched; the result lives in fresh slices.
+func (g *Graph) extend(src NodeID, t spTree, needed []bool, remaining int) (next spTree, settled int) {
+	pq := heapPool.Get().(*minHeap)
+	defer heapPool.Put(pq)
+	var dist []float64
+	if t.dist == nil {
+		dist = g.start(src, pq)
+	} else {
+		dist = append([]float64(nil), t.dist...)
+		*pq = append((*pq)[:0], t.frontier...)
+	}
+	settled, horizon := g.dijkstra(dist, nil, pq, needed, remaining)
+	return spTree{dist: dist, frontier: append([]pqItem(nil), *pq...), horizon: horizon}, settled
 }
 
 // ShortestPathTree computes distances from src to every node, returning
 // +Inf for unreachable ones. Used to precompute region-to-region travel
 // matrices.
 func (g *Graph) ShortestPathTree(src NodeID) []float64 {
-	dist, _, _ := g.dijkstraFrom(src, nil, 0)
-	return dist
+	t, _ := g.extend(src, spTree{}, nil, 0)
+	return t.dist
 }
 
-// dijkstraFrom is the shared Dijkstra core. With a nil needed mask it
-// expands the full tree. With a mask it runs truncated: the scan stops
-// as soon as the remaining marked nodes have all been settled, so dist
-// entries are exact for every settled node (which includes every
-// reachable marked node) and tentative or +Inf elsewhere. Truncation
-// never changes settled values — the run is identical to a full tree up
-// to the early exit — so batch queries answered from partial trees are
-// bitwise-equal to full-tree answers.
-//
-// settled counts finalized nodes: the unit of shortest-path work
-// GraphCoster.Stats reports. horizon is the exact-coverage bound of the
-// returned slice: every entry with dist <= horizon equals its final
-// shortest-path value (pops are non-decreasing, so nodes finalized
-// before the early exit lie at or below the distance it fired at, and
-// an unsettled node's tentative value can only tie the bound when it is
-// already final). A run that drained the queue — full tree, or a
-// truncated run whose targets exhausted the reachable graph — reports
-// +Inf: every entry is final, including the +Inf of unreachable nodes.
-func (g *Graph) dijkstraFrom(src NodeID, needed []bool, remaining int) (dist []float64, settled int, horizon float64) {
-	horizon = math.Inf(1)
-	dist = make([]float64, g.NumNodes())
-	for i := range dist {
-		dist[i] = math.Inf(1)
+// ShortestPath returns the minimum travel cost from src to dst in seconds
+// and whether dst is reachable, stopping the search once dst is settled.
+func (g *Graph) ShortestPath(src, dst NodeID) (float64, bool) {
+	if src == dst {
+		return 0, true
 	}
-	if src < 0 || int(src) >= g.NumNodes() {
-		return dist, 0, horizon
+	dist, _ := g.searchTo(src, dst, false)
+	if dist == nil || math.IsInf(dist[dst], 1) {
+		return 0, false
 	}
-	dist[src] = 0
-	pq := priorityQueue{{node: src, dist: 0}}
-	for len(pq) > 0 {
-		item := heap.Pop(&pq).(pqItem)
-		if item.dist > dist[item.node] {
-			continue // stale entry
-		}
-		settled++
-		if needed != nil && needed[item.node] {
-			remaining--
-			if remaining <= 0 {
-				horizon = item.dist
-				break
-			}
-		}
-		for _, e := range g.arcs(item.node) {
-			nd := item.dist + e.cost
-			if nd < dist[e.to] {
-				dist[e.to] = nd
-				heap.Push(&pq, pqItem{node: e.to, dist: nd})
-			}
-		}
-	}
-	return dist, settled, horizon
+	return dist[dst], true
 }
 
 // Route returns the node sequence of a shortest src->dst path, inclusive
 // of both endpoints, and whether one exists.
 func (g *Graph) Route(src, dst NodeID) ([]NodeID, bool) {
-	if src < 0 || dst < 0 || int(src) >= g.NumNodes() || int(dst) >= g.NumNodes() {
-		return nil, false
-	}
-	if src == dst {
-		return []NodeID{src}, true
-	}
-	dist := make([]float64, g.NumNodes())
-	prev := make([]NodeID, g.NumNodes())
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = InvalidNode
-	}
-	dist[src] = 0
-	pq := priorityQueue{{node: src, dist: 0}}
-	for len(pq) > 0 {
-		item := heap.Pop(&pq).(pqItem)
-		if item.dist > dist[item.node] {
-			continue
-		}
-		if item.node == dst {
-			break
-		}
-		for _, e := range g.arcs(item.node) {
-			nd := item.dist + e.cost
-			if nd < dist[e.to] {
-				dist[e.to] = nd
-				prev[e.to] = item.node
-				heap.Push(&pq, pqItem{node: e.to, dist: nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
+	dist, prev := g.searchTo(src, dst, true)
+	if dist == nil || math.IsInf(dist[dst], 1) {
 		return nil, false
 	}
 	var path []NodeID
@@ -167,4 +203,27 @@ func (g *Graph) Route(src, dst NodeID) ([]NodeID, bool) {
 		path[i], path[j] = path[j], path[i]
 	}
 	return path, true
+}
+
+// searchTo runs Dijkstra from src until dst is settled, returning the
+// distances and, when asked, the tree parents (InvalidNode for src and
+// unreached nodes). Out-of-range endpoints return nil.
+func (g *Graph) searchTo(src, dst NodeID, withPrev bool) (dist []float64, prev []NodeID) {
+	n := g.NumNodes()
+	if src < 0 || dst < 0 || int(src) >= n || int(dst) >= n {
+		return nil, nil
+	}
+	if withPrev {
+		prev = make([]NodeID, n)
+		for i := range prev {
+			prev[i] = InvalidNode
+		}
+	}
+	needed := make([]bool, n)
+	needed[dst] = true
+	pq := heapPool.Get().(*minHeap)
+	defer heapPool.Put(pq)
+	dist = g.start(src, pq)
+	g.dijkstra(dist, prev, pq, needed, 1)
+	return dist, prev
 }

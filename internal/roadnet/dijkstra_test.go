@@ -1,0 +1,211 @@
+package roadnet
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"mrvd/internal/geo"
+)
+
+// TestMinHeapMatchesSort drives the heap with random interleaved pushes
+// and pops over a small key range, so duplicate keys are the norm:
+// every pop must return the smallest key queued, and the final drain
+// must come out in the order a sort of what is left would give.
+func TestMinHeapMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		var h minHeap
+		var queued []float64 // kept sorted
+		pop := func() {
+			it := h.pop()
+			if it.dist != float64(it.node) {
+				t.Fatalf("trial %d: item %+v lost its payload", trial, it)
+			}
+			if it.dist != queued[0] {
+				t.Fatalf("trial %d: popped %v, smallest queued is %v", trial, it.dist, queued[0])
+			}
+			queued = queued[1:]
+		}
+		for op := 0; op < 400; op++ {
+			if len(h) > 0 && rng.Intn(3) == 0 {
+				pop()
+				continue
+			}
+			k := rng.Intn(20)
+			h.push(pqItem{node: NodeID(k), dist: float64(k)})
+			queued = append(queued, float64(k))
+			sort.Float64s(queued)
+		}
+		for len(queued) > 0 {
+			pop()
+		}
+		if len(h) != 0 {
+			t.Fatalf("trial %d: %d items left after draining everything pushed", trial, len(h))
+		}
+	}
+}
+
+// raceDetector is set by race_test.go when the build has -race.
+var raceDetector bool
+
+// TestDijkstraAllocations pins the allocation-free core: heap pushes
+// and pops allocate nothing once the backing array has grown, and a
+// full tree on the default 48x48 grid allocates its dist slice and
+// little else (the interface-boxed queue allocated 6,773 objects).
+func TestDijkstraAllocations(t *testing.T) {
+	h := make(minHeap, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		for k := 0; k < 64; k++ {
+			h.push(pqItem{node: NodeID(k), dist: float64((k * 37) % 64)})
+		}
+		for len(h) > 0 {
+			h.pop()
+		}
+	}); n != 0 {
+		t.Errorf("64 pushes + 64 pops allocated %v objects, want 0", n)
+	}
+
+	if raceDetector {
+		return
+	}
+	g := GenerateGridNetwork(GridNetworkConfig{Seed: 1})
+	g.ShortestPathTree(0) // grow the pooled queue
+	if n := testing.AllocsPerRun(20, func() { g.ShortestPathTree(1000) }); n > 2 {
+		t.Errorf("ShortestPathTree allocated %v objects, want <= 2", n)
+	}
+}
+
+// twoIslands builds a graph of two components with no arc between
+// them, so every run from one leaves the other at +Inf.
+func twoIslands(seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := NewBuilder()
+	for i := 0; i < 40; i++ {
+		b.AddNode(geo.Point{Lng: float64(i), Lat: float64(i % 7)})
+	}
+	island := func(lo, hi int) {
+		for v := lo + 1; v < hi; v++ {
+			b.AddEdge(NodeID(v), NodeID(lo+rng.Intn(v-lo)), 1+rng.Float64()*9)
+		}
+		for k := 0; k < hi-lo; k++ {
+			// Small integer costs make equal-distance ties common.
+			b.AddArc(NodeID(lo+rng.Intn(hi-lo)), NodeID(lo+rng.Intn(hi-lo)), float64(rng.Intn(4)))
+		}
+	}
+	island(0, 25)
+	island(25, 40)
+	return b.Build()
+}
+
+// TestExtendEquivalence is the resumable-tree property: however a tree
+// is grown — any sequence of target sets, each extension continuing
+// the last — every entry within its horizon is bitwise the full tree's,
+// the horizon separates settled from queued exactly, the tree it grew
+// from is left as it was, and draining it yields the full tree on every
+// entry, +Inf included.
+func TestExtendEquivalence(t *testing.T) {
+	graphs := []*Graph{twoIslands(1), twoIslands(2)}
+	for seed := int64(1); seed <= 4; seed++ {
+		graphs = append(graphs, GenerateGridNetwork(GridNetworkConfig{
+			Rows: 8 + int(seed)*3, Cols: 20 - int(seed)*2, Seed: seed, DropFraction: 0.1,
+		}))
+	}
+	rng := rand.New(rand.NewSource(9))
+	for gi, g := range graphs {
+		n := g.NumNodes()
+		for trial := 0; trial < 20; trial++ {
+			src := NodeID(rng.Intn(n))
+			full := g.ShortestPathTree(src)
+			var tree spTree
+			totalSettled := 0
+			for step := 0; step < 6 && !math.IsInf(tree.horizon, 1); step++ {
+				needed := make([]bool, n)
+				uncovered := 0
+				for k := 1 + rng.Intn(5); k > 0; k-- {
+					v := rng.Intn(n)
+					if !needed[v] {
+						needed[v] = true
+						if tree.dist == nil || !(tree.dist[v] <= tree.horizon) {
+							uncovered++
+						}
+					}
+				}
+				if uncovered == 0 {
+					continue
+				}
+				before := spTree{
+					dist:     append([]float64(nil), tree.dist...),
+					frontier: append([]pqItem(nil), tree.frontier...),
+				}
+				next, settled := g.extend(src, tree, needed, uncovered)
+				totalSettled += settled
+				for v := range before.dist {
+					if tree.dist[v] != before.dist[v] {
+						t.Fatalf("graph %d: extend wrote dist[%d] of the tree it continued", gi, v)
+					}
+				}
+				for k := range before.frontier {
+					if tree.frontier[k] != before.frontier[k] {
+						t.Fatalf("graph %d: extend wrote frontier[%d] of the tree it continued", gi, k)
+					}
+				}
+				tree = next
+
+				unreachable := false
+				inside := 0
+				for v := 0; v < n; v++ {
+					if tree.dist[v] <= tree.horizon {
+						inside++
+						if tree.dist[v] != full[v] {
+							t.Fatalf("graph %d src %d step %d: dist[%d] = %v within horizon %v, full tree has %v",
+								gi, src, step, v, tree.dist[v], tree.horizon, full[v])
+						}
+					}
+					if needed[v] {
+						if math.IsInf(full[v], 1) {
+							unreachable = true
+						} else if !(tree.dist[v] <= tree.horizon) {
+							t.Fatalf("graph %d src %d step %d: target %d not covered by horizon %v", gi, src, step, v, tree.horizon)
+						}
+					}
+				}
+				if !math.IsInf(tree.horizon, 1) {
+					if inside != totalSettled {
+						t.Fatalf("graph %d src %d step %d: %d entries within the horizon, %d nodes settled",
+							gi, src, step, inside, totalSettled)
+					}
+					for _, it := range tree.frontier {
+						if !(it.dist > tree.horizon) {
+							t.Fatalf("graph %d src %d step %d: frontier holds key %v at horizon %v", gi, src, step, it.dist, tree.horizon)
+						}
+					}
+				} else if len(tree.frontier) != 0 {
+					t.Fatalf("graph %d src %d: drained tree kept %d frontier entries", gi, src, len(tree.frontier))
+				}
+				if unreachable && !math.IsInf(tree.horizon, 1) {
+					t.Fatalf("graph %d src %d step %d: an unreachable target, yet horizon = %v", gi, src, step, tree.horizon)
+				}
+			}
+
+			drained, settled := g.extend(src, tree, nil, 0)
+			totalSettled += settled
+			if !math.IsInf(drained.horizon, 1) || len(drained.frontier) != 0 {
+				t.Fatalf("graph %d src %d: drained to horizon %v with %d queued", gi, src, drained.horizon, len(drained.frontier))
+			}
+			reached := 0
+			for v := 0; v < n; v++ {
+				if drained.dist[v] != full[v] {
+					t.Fatalf("graph %d src %d: drained dist[%d] = %v, full tree has %v", gi, src, v, drained.dist[v], full[v])
+				}
+				if !math.IsInf(full[v], 1) {
+					reached++
+				}
+			}
+			if totalSettled != reached {
+				t.Fatalf("graph %d src %d: %d nodes settled over all extensions, %d are reachable", gi, src, totalSettled, reached)
+			}
+		}
+	}
+}

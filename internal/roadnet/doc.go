@@ -1,7 +1,7 @@
 // Package roadnet implements the road-network substrate the paper's
 // problem definition is stated on: a weighted graph G = <V, E> where each
-// edge carries a travel cost, plus single-source shortest paths
-// (binary-heap Dijkstra), nearest-node snapping for arbitrary lat/lng
+// edge carries a travel cost, plus single-source shortest paths (one
+// Dijkstra loop over a typed binary heap), nearest-node snapping for arbitrary lat/lng
 // coordinates, and a synthetic Manhattan-style grid network generator for
 // cities where no real map is shipped.
 //
@@ -12,10 +12,11 @@
 //
 // The hot path is batched: BatchCoster prices a whole sources×targets
 // matrix in one call, which GraphCoster serves by snapping every
-// endpoint once, deduplicating source nodes, and running one truncated
-// Dijkstra per unique uncached source on a parallel worker pool —
-// bitwise-identical to per-pair Cost queries, with several times less
-// shortest-path work (see GraphCoster.Stats and BENCH_dispatch.json).
-// Single-pair Cost remains the compatibility shim, memoizing full trees
-// under clock (second-chance) eviction.
+// endpoint once, deduplicating source nodes, and extending each unique
+// source's cached shortest-path tree just far enough to cover the
+// batch's targets, on a parallel worker pool — bitwise-identical to
+// per-pair Cost queries, with several times less shortest-path work
+// (see GraphCoster.Stats and BENCH_dispatch.json). Single-pair Cost
+// remains the compatibility shim, completing its source's tree. Trees
+// are memoized under clock (second-chance) eviction.
 package roadnet

@@ -24,9 +24,6 @@ type Graph struct {
 	pts     []geo.Point
 	offsets []int32 // len = numNodes+1; edges of node v are edges[offsets[v]:offsets[v+1]]
 	edges   []edge
-
-	// maxSpeed memoizes the fastest street speed for AStar's heuristic.
-	maxSpeed float64
 }
 
 // Builder accumulates nodes and arcs and then freezes them into a Graph.

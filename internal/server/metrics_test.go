@@ -132,6 +132,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if n := count("mrvd_coster_settled_nodes_total"); n <= 0 {
 		t.Errorf("no settled nodes recorded")
 	}
+	// Runs that continued a cached tree are a subset of all runs, and
+	// the /v1/stats coster block reports the same counter.
+	resumed := count("mrvd_coster_resumed_total")
+	if runs := count("mrvd_coster_trees_total") + count("mrvd_coster_partial_trees_total"); resumed > runs {
+		t.Errorf("resumed runs = %v, more than the %v runs issued", resumed, runs)
+	}
+	var stats statsResponse
+	getJSON(t, ts, "/v1/stats", &stats)
+	if stats.Coster == nil || float64(stats.Coster.Resumed) != resumed {
+		t.Errorf("/v1/stats coster = %+v, want Resumed = %v", stats.Coster, resumed)
+	}
 	// Gateway latency: one submit→terminal sample per resolved order.
 	if n := count("mrvd_submit_terminal_seconds"); n != orders {
 		t.Errorf("latency samples = %v, want %d", n, orders)

@@ -92,8 +92,9 @@ func TestEngineCandidateCap(t *testing.T) {
 // (settled nodes) must stay within a few percent of warm per-pair
 // costing, whose cached full trees served stationary drivers before
 // the batch engine existed. (Without horizon-cached batch trees this
-// ratio was ~3x.) The small allowance covers hot sources that pay a
-// truncated run before being promoted to a full tree.
+// ratio was ~3x.) Batch trees are extended, never rebuilt, so the batch
+// path cannot settle a node twice for one cache entry; the allowance
+// covers entries evicted and started over.
 func TestEngineBatchCostingWarmWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	orders, drivers := randomScenario(rng)
