@@ -15,7 +15,6 @@ import (
 	"mrvd/internal/pool"
 	"mrvd/internal/queueing"
 	"mrvd/internal/roadnet"
-	"mrvd/internal/shard"
 	"mrvd/internal/sim"
 	"mrvd/internal/trace"
 	"mrvd/internal/workload"
@@ -64,7 +63,7 @@ func BenchmarkFig11OrderHistogram(b *testing.B)  { benchExperiment(b, "fig11") }
 func BenchmarkFig12DriverHistogram(b *testing.B) { benchExperiment(b, "fig12") }
 func BenchmarkFig13ServedOrders(b *testing.B)    { benchExperiment(b, "fig13") }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md) ---
+// --- Ablation benchmarks (the design-choice ablations of internal/experiments) ---
 
 func BenchmarkAblationReneging(b *testing.B) { benchExperiment(b, "ablation-reneging") }
 func BenchmarkAblationLSSeed(b *testing.B)   { benchExperiment(b, "ablation-lsseed") }
@@ -245,118 +244,6 @@ func BenchmarkBatchCosts(b *testing.B) {
 		}
 		b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 	})
-}
-
-// BenchmarkServeSubmit measures the in-process serving hot path: one
-// ServeHandle.Submit plus the await of its terminal outcome against a
-// live free-running engine — the submit-to-assignment round trip the
-// HTTP gateway adds its network edge on top of (see
-// internal/server.BenchmarkGatewayThroughput and BENCH_serve.json).
-func BenchmarkServeSubmit(b *testing.B) {
-	svc, err := NewService(
-		WithCity(NewCity(CityConfig{OrdersPerDay: 2000, Seed: 17})),
-		WithFleet(256),
-		WithBatchInterval(3),
-		WithHorizon(1e12), // never reached: the deferred cancel ends the session
-		WithPrediction(PredictNone, nil),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	starts := make([]Point, 256)
-	for i := range starts {
-		starts[i] = Point{Lng: -73.98 + float64(i%16)*1e-3, Lat: 40.74 + float64(i/16)*1e-3}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	h, err := svc.Start(ctx, "NEAR", starts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := h.Clock()
-		_, ch, err := h.Submit(Order{
-			PostTime: now,
-			Pickup:   Point{Lng: -73.97, Lat: 40.75},
-			Dropoff:  Point{Lng: -73.95, Lat: 40.77},
-			Deadline: now + 1e9,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		<-ch
-	}
-}
-
-// BenchmarkShardedDispatch measures city-scale dispatch throughput on
-// the partitioned multi-engine runtime at 1/2/4/8 shards: the 7-8am
-// peak hour of a heavy day (150K orders/day, 4000 drivers, 20s
-// batches, 16-nearest candidate cap) replayed end to end. Two
-// throughput metrics per shard count: orders/sec is wall-clock (flat
-// on a single core, where the engines interleave); dispatch-orders/sec
-// divides by the dispatch critical path — each round's slowest shard,
-// i.e. what parallel hardware realizes, since shards dispatch
-// concurrently and each scans only its own fleet slice for its own
-// riders. The committed BENCH_shard.json baseline tracks the 4-shard
-// speedup (the load harness reproduces the same scaling over HTTP:
-// mrvd-serve -shards N + mrvd-load).
-func BenchmarkShardedDispatch(b *testing.B) {
-	city := workload.NewCity(workload.CityConfig{OrdersPerDay: 150000, Seed: 31})
-	rng := rand.New(rand.NewSource(9))
-	day := city.GenerateDay(0, rng)
-	// Rebase the 7-8am peak to t=0: the interesting load is the morning
-	// rush, not the midnight lull a [0, 1h) horizon would replay.
-	const peakStart, horizon = 25200.0, 3600.0
-	var orders []trace.Order
-	for _, o := range day {
-		if o.PostTime >= peakStart && o.PostTime < peakStart+horizon {
-			o.PostTime -= peakStart
-			o.Deadline -= peakStart
-			orders = append(orders, o)
-		}
-	}
-	starts := city.InitialDrivers(4000, day, rng)
-	admitted := len(orders)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("Shards%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			dispatchSec := 0.0
-			for i := 0; i < b.N; i++ {
-				cfg := shard.Config{
-					Sim: sim.Config{
-						Grid: city.Grid(), Delta: 20, TC: 1200, Horizon: horizon,
-						CandidateCap: 16,
-					},
-					Shards:  shards,
-					Weights: shard.OrderWeights(city.Grid(), orders),
-				}
-				rt, err := shard.New(cfg, sim.NewSliceSource(orders), starts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				m, err := rt.Run(context.Background(), func(int) (sim.Dispatcher, error) {
-					return &dispatch.IRG{}, nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Aggregated BatchSeconds holds each round's slowest
-				// shard — summed, the dispatch layer's critical path.
-				for _, s := range m.BatchSeconds {
-					dispatchSec += s
-				}
-			}
-			n := float64(b.N)
-			b.ReportMetric(float64(admitted)*n/b.Elapsed().Seconds(), "orders/sec")
-			// The dispatch-layer ceiling: orders the critical path can
-			// decide per second. Shards dispatch concurrently, so this
-			// is the throughput parallel hardware realizes; the wall
-			// metric above is what one core realizes.
-			b.ReportMetric(float64(admitted)*n/dispatchSec, "dispatch-orders/sec")
-		})
-	}
 }
 
 // BenchmarkScenarioDispatch measures the disruption layer's cost: one

@@ -7,8 +7,7 @@
 //	mrvd-bench -list
 //
 // Each experiment prints a plain-text table with the same rows/series
-// the paper reports; see EXPERIMENTS.md for the committed results and
-// their interpretation.
+// the paper reports.
 package main
 
 import (

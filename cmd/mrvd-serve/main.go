@@ -9,7 +9,7 @@
 //
 //	mrvd-serve [-addr :8080] [-alg LS] [-drivers 100] [-orders 28000]
 //	           [-delta 3] [-pace 1] [-horizon 86400] [-max-pending 1024]
-//	           [-patience 300] [-road] [-seed 1] [-shards 0] [-borrow]
+//	           [-patience 300] [-road] [-seed 1] [-shards 1] [-borrow]
 //	           [-cancel-rate 0] [-decline-prob 0] [-decline-cooldown 0]
 //	           [-travel-noise 0] [-scenario-seed 0]
 //	           [-pool-capacity 0] [-pool-detour 0]
@@ -45,10 +45,10 @@
 // stops, and pickup/dropoff events stream as they complete.
 // -pool-detour bounds each rider's detour in seconds (0 = 300s).
 //
-// -shards N serves the session on the partitioned multi-engine runtime
-// (N lockstep engines, each owning a contiguous band of the city and
-// the drivers starting there); GET /v1/stats then carries a per-shard
-// breakdown. -borrow admits frontier orders to a neighbouring shard
+// -shards N (default 1, values below 1 rejected) sets how many lockstep
+// engines the session runs on, each owning a contiguous band of the
+// city and the drivers starting there; GET /v1/stats carries one entry
+// per shard. -borrow admits frontier orders to a neighbouring shard
 // when the owner has no driver in reach (default: strict ownership).
 //
 // By default the engine is paced to real time (-pace 1), so engine
@@ -87,8 +87,8 @@ func main() {
 		patience   = flag.Float64("patience", 300, "default pickup patience (engine seconds)")
 		road       = flag.Bool("road", false, "price travel on the synthetic road network instead of closed-form")
 		seed       = flag.Int64("seed", 1, "instance seed")
-		shards     = flag.Int("shards", 0, "partitioned engines (0 = single unsharded engine)")
-		borrow     = flag.Bool("borrow", false, "candidate-borrow frontier policy for sharded sessions")
+		shards     = flag.Int("shards", 1, "lockstep dispatch engines the city is partitioned across")
+		borrow     = flag.Bool("borrow", false, "candidate-borrow frontier policy between shards")
 
 		cancelRate   = flag.Float64("cancel-rate", 0, "scenario: probability a waiting rider abandons before its deadline")
 		declineProb  = flag.Float64("decline-prob", 0, "scenario: probability a driver declines a committed assignment")
@@ -127,8 +127,8 @@ func main() {
 	if *patience <= 0 {
 		flagErrs = append(flagErrs, fmt.Errorf("-patience must be positive, got %v", *patience))
 	}
-	if *shards < 0 {
-		flagErrs = append(flagErrs, fmt.Errorf("-shards must be >= 0, got %d", *shards))
+	if *shards < 1 {
+		flagErrs = append(flagErrs, fmt.Errorf("-shards must be >= 1, got %d", *shards))
 	}
 	if *poolCap < 0 {
 		flagErrs = append(flagErrs, fmt.Errorf("-pool-capacity must be >= 0, got %d", *poolCap))
@@ -156,6 +156,7 @@ func main() {
 		mrvd.WithHorizon(*horizon),
 		mrvd.WithSeed(*seed),
 		mrvd.WithPrediction(mrvd.PredictNone, nil),
+		mrvd.WithShards(*shards),
 	}
 	if *pace > 0 {
 		opts = append(opts, mrvd.WithPace(*pace))
@@ -173,20 +174,13 @@ func main() {
 	if *poolCap >= 2 {
 		opts = append(opts, mrvd.WithPooling(*poolCap, *poolDetour))
 	}
-	if *shards > 0 {
-		opts = append(opts, mrvd.WithShards(*shards))
-		if *borrow {
-			opts = append(opts, mrvd.WithBoundaryPolicy(mrvd.CandidateBorrow))
-		}
+	if *borrow {
+		opts = append(opts, mrvd.WithBoundaryPolicy(mrvd.CandidateBorrow))
 	}
 	if *road {
-		if *shards > 0 {
-			// One coster per shard over a shared network: identical
-			// prices, uncontended caches, per-shard cache counters.
-			opts = append(opts, mrvd.WithShardCosters(mrvd.GraphCosters(*seed)))
-		} else {
-			opts = append(opts, mrvd.WithCoster(mrvd.GraphCoster(*seed)))
-		}
+		// One coster per shard over a shared network: identical prices,
+		// uncontended caches, per-shard cache counters.
+		opts = append(opts, mrvd.WithShardCosters(mrvd.GraphCosters(*seed)))
 	}
 	var reg *mrvd.MetricsRegistry
 	if *metricsOn {
@@ -245,16 +239,12 @@ func main() {
 		_ = hs.Shutdown(shutdownCtx)
 	}()
 
-	runtime := "single engine"
-	if *shards > 0 {
-		policy := "strict"
-		if *borrow {
-			policy = "borrow"
-		}
-		runtime = fmt.Sprintf("%d shards/%s", *shards, policy)
+	policy := "strict"
+	if *borrow {
+		policy = "borrow"
 	}
-	fmt.Printf("mrvd-serve: %s dispatch on %s (fleet %d, delta %.1fs, pace %.1fx, max-pending %d, %s)\n",
-		*alg, *addr, *drivers, *delta, *pace, *maxPending, runtime)
+	fmt.Printf("mrvd-serve: %s dispatch on %s (fleet %d, delta %.1fs, pace %.1fx, max-pending %d, shards %d/%s)\n",
+		*alg, *addr, *drivers, *delta, *pace, *maxPending, *shards, policy)
 	if scenario.Enabled() {
 		fmt.Printf("  disruptions: cancel-rate %.2f, decline-prob %.2f, travel-noise %.2f (seed %d)\n",
 			scenario.CancelRate, scenario.DeclineProb, scenario.TravelNoise, scenario.Seed)

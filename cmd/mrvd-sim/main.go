@@ -42,6 +42,7 @@ import (
 	"strings"
 
 	"mrvd"
+	"mrvd/internal/core"
 	"mrvd/internal/predict"
 )
 
@@ -198,11 +199,7 @@ func main() {
 		if base != nil {
 			runner.ShareFrom(base)
 		}
-		d, err := mrvd.NewDispatcher(alg, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		m, err := runner.Run(ctx, d, mode, model)
+		m, err := runner.Run(ctx, core.ShardDispatchers(alg, *seed, runner.Options().Shards), mode, model)
 		if err != nil {
 			// The run is dying anyway — flush the tracer first so a
 			// retained span write error is reported alongside, not lost.

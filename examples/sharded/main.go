@@ -4,8 +4,8 @@
 // that starts there; a router admits every order to the shard owning
 // its pickup region, and per-shard events and metrics aggregate back
 // into one city-wide stream. The table shows how dispatch throughput
-// scales while the served/revenue quality stays close to the unsharded
-// engine — and the live session at the end submits orders through a
+// scales while the served/revenue quality stays close to the 1-shard
+// run — and the live session at the end submits orders through a
 // sharded ServeHandle, the same path the HTTP gateway uses.
 package main
 
@@ -66,7 +66,7 @@ func main() {
 	// --- Part 2: a live sharded session ----------------------------
 	// Orders submitted through the handle route to the shard owning
 	// their pickup region; outcomes come back per order, exactly as in
-	// an unsharded session. CandidateBorrow lets frontier riders use a
+	// a 1-shard session. CandidateBorrow lets frontier riders use a
 	// neighbouring shard's idle drivers.
 	svc, err := mrvd.NewService(
 		mrvd.WithCity(city),

@@ -88,20 +88,21 @@ type Options struct {
 	// detour-bounded insertions alongside solo pairs. The zero value
 	// keeps the engine byte-identical to a pooling-free run.
 	Pooling pool.Config
-	// Shards, when >= 1, runs on the partitioned multi-engine runtime
-	// (internal/shard): the grid's regions are split across Shards
-	// lockstep engines, each owning the fleet slice starting in its
-	// territory. 0 (the default) runs the single unsharded engine.
-	// Shards == 1 is contractually identical to unsharded.
+	// Shards is the engine count of the session runtime (internal/shard,
+	// default 1): the grid's regions are split across Shards lockstep
+	// engines, each owning the fleet slice starting in its territory.
+	// Every run goes through that runtime; one shard is a single engine
+	// over the whole city, byte-identical to the bare sim.Engine loop.
+	// Values below 1 are rejected when the session is built.
 	Shards int
-	// Borrow selects the CandidateBorrow frontier policy for sharded
-	// runs: orders whose owner shard has no available driver in reach
-	// may be admitted by a neighbouring shard that does. The default
-	// keeps strict region ownership.
+	// Borrow selects the CandidateBorrow frontier policy: orders whose
+	// owner shard has no available driver in reach may be admitted by a
+	// neighbouring shard that does. The default keeps strict region
+	// ownership; with one shard there is no frontier.
 	Borrow bool
-	// ShardCosters optionally builds one coster per shard for sharded
-	// runs — e.g. a road-network coster per shard so tree caches don't
-	// contend. All instances must price identically. Nil shares Coster.
+	// ShardCosters optionally builds one coster per shard — e.g. a
+	// road-network coster per shard so tree caches don't contend. All
+	// instances must price identically. Nil shares Coster.
 	ShardCosters func(shard int) roadnet.Coster
 	// Obs wires the observability layer (metrics registry and order
 	// tracer, see sim.ObsConfig) into every engine the runner builds.
@@ -136,6 +137,9 @@ func (o Options) withDefaults() Options {
 	if o.SlotSeconds <= 0 {
 		o.SlotSeconds = 1800
 	}
+	if o.Shards == 0 {
+		o.Shards = 1
+	}
 	return o
 }
 
@@ -163,25 +167,18 @@ func NewRunner(opts Options) *Runner {
 	return NewRunnerWithOrders(opts, orders, starts)
 }
 
-// NewRunnerForTrace builds a runner replaying an external trace, with
-// driver starts sampled from the trace's pickups using the options'
-// seed when starts is nil. It is the one place that start-sampling
-// recipe lives, so Run, Serve and Sweep position the same fleet for
-// the same (trace, seed, fleet).
-func NewRunnerForTrace(opts Options, orders []trace.Order, starts []geo.Point) *Runner {
+// NewRunnerWithOrders builds a runner over an externally supplied trace
+// (e.g., a converted TLC extract). A nil starts samples the fleet's
+// start positions from the trace's pickups with the options' seed — the
+// one place that recipe lives, so Run, Serve and Sweep position the same
+// fleet for the same (trace, seed, fleet). The city still provides the
+// grid and the oracle/trained predictions.
+func NewRunnerWithOrders(opts Options, orders []trace.Order, starts []geo.Point) *Runner {
 	opts = opts.withDefaults()
 	if starts == nil {
 		rng := rand.New(rand.NewSource(opts.Seed))
 		starts = opts.City.InitialDrivers(opts.NumDrivers, orders, rng)
 	}
-	return NewRunnerWithOrders(opts, orders, starts)
-}
-
-// NewRunnerWithOrders builds a runner over an externally supplied trace
-// (e.g., a converted TLC extract) and explicit driver start positions.
-// The city still provides the grid and the oracle/trained predictions.
-func NewRunnerWithOrders(opts Options, orders []trace.Order, starts []geo.Point) *Runner {
-	opts = opts.withDefaults()
 	return &Runner{
 		opts:       opts,
 		orders:     orders,
@@ -424,27 +421,27 @@ func registerCosterMetrics(reg *obs.Registry, cs ...roadnet.Coster) {
 		func() int64 { return total().Evictions })
 }
 
-// Run executes one algorithm over the instance and returns its metrics.
-// model is only consulted in PredictModel mode. The context cancels the
-// run between batches (the run returns the context's error, wrapped).
-func (r *Runner) Run(ctx context.Context, d sim.Dispatcher, mode PredictionMode, model predict.Predictor) (*sim.Metrics, error) {
+// session is the one place a run is assembled: it turns an order source,
+// fleet start positions (nil = the instance's own), a prediction mode
+// and the stop rule — the horizon, or earlier once src is exhausted and
+// every rider and driver is done — into the 1..N-shard runtime that
+// executes it. The partition is demand-weighted: by the trace's pickup
+// counts when the instance has one, else by the city's expected
+// intensities — equal-area stripes would leave one shard with most of
+// a hotspot city's load.
+func (r *Runner) session(src sim.OrderSource, starts []geo.Point, mode PredictionMode, model predict.Predictor, stopWhenDrained bool) (*shard.Runtime, error) {
 	fn, err := r.predictFn(mode, model)
 	if err != nil {
 		return nil, err
 	}
-	return sim.New(r.simConfig(fn), r.orders, r.starts).Run(ctx, d)
-}
-
-// shardConfig assembles the partitioned-runtime configuration for one
-// sharded run. The partition is demand-weighted: by the trace's pickup
-// counts when the instance has one, else by the city's expected
-// intensities — equal-area stripes would leave one shard with most of
-// a hotspot city's load.
-func (r *Runner) shardConfig(fn func(now, tc float64) []int) shard.Config {
+	if starts == nil {
+		starts = r.starts
+	}
 	cfg := shard.Config{
 		Sim:    r.simConfig(fn),
 		Shards: r.opts.Shards,
 	}
+	cfg.Sim.StopWhenDrained = stopWhenDrained
 	grid := r.opts.City.Grid()
 	if len(r.orders) > 0 {
 		cfg.Weights = shard.OrderWeights(grid, r.orders)
@@ -467,47 +464,38 @@ func (r *Runner) shardConfig(fn func(now, tc float64) []int) shard.Config {
 		}
 		registerCosterMetrics(r.opts.Obs.Registry, cfg.Costers...)
 	}
-	return cfg
-}
-
-// RunSharded executes one algorithm over the instance on the
-// partitioned multi-engine runtime with opts.Shards shards. The
-// aggregated metrics cover the whole city; a 1-shard run reproduces
-// Run exactly (see internal/shard).
-func (r *Runner) RunSharded(ctx context.Context, algorithm string, mode PredictionMode, model predict.Predictor) (*sim.Metrics, error) {
-	fn, err := r.predictFn(mode, model)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := shard.New(r.shardConfig(fn), sim.NewSliceSource(r.orders), r.starts)
-	if err != nil {
-		return nil, err
-	}
-	return rt.Run(ctx, ShardDispatchers(algorithm, r.opts.Seed, r.opts.Shards))
-}
-
-// ShardSession builds — but does not run — a sharded runtime over a
-// live order source, with drain-stop semantics matching RunSource.
-// It is the serving path's seam: the caller runs the returned runtime
-// and can expose its per-shard Stats while the session is live.
-func (r *Runner) ShardSession(src sim.OrderSource, starts []geo.Point, mode PredictionMode, model predict.Predictor) (*shard.Runtime, error) {
-	fn, err := r.predictFn(mode, model)
-	if err != nil {
-		return nil, err
-	}
-	if starts == nil {
-		starts = r.starts
-	}
-	cfg := r.shardConfig(fn)
-	cfg.Sim.StopWhenDrained = true
 	return shard.New(cfg, src, starts)
 }
 
-// ShardDispatchers returns the per-shard dispatcher factory for a
-// sharded run: every shard gets a fresh instance (dispatchers are
+// Run replays the instance's trace to the horizon and returns the
+// city-wide metrics. newDispatcher builds each shard's dispatcher
+// (ShardDispatchers for a named algorithm; dispatchers are stateful, so
+// every shard needs its own); model is only consulted in PredictModel
+// mode. The context cancels the run between batches (the run returns
+// the context's error, wrapped).
+func (r *Runner) Run(ctx context.Context, newDispatcher func(shard int) (sim.Dispatcher, error), mode PredictionMode, model predict.Predictor) (*sim.Metrics, error) {
+	rt, err := r.session(sim.NewSliceSource(r.orders), nil, mode, model, false)
+	if err != nil {
+		return nil, err
+	}
+	return rt.Run(ctx, newDispatcher)
+}
+
+// ShardSession builds — but does not run — the runtime over a live
+// order source: the run ends at the horizon, when its context is
+// canceled, or — once src is exhausted — when no rider waits and no
+// driver is busy. It is the serving path's seam: the caller runs the
+// returned runtime and can expose its per-shard Stats while the session
+// is live.
+func (r *Runner) ShardSession(src sim.OrderSource, starts []geo.Point, mode PredictionMode, model predict.Predictor) (*shard.Runtime, error) {
+	return r.session(src, starts, mode, model, true)
+}
+
+// ShardDispatchers returns the per-shard dispatcher factory for a named
+// algorithm: every shard gets a fresh instance (dispatchers are
 // stateful), and stochastic dispatchers get decorrelated per-shard
 // seeds forked with stats.SplitSeed. A 1-shard run keeps the parent
-// seed so it reproduces the unsharded run exactly.
+// seed so it reproduces the bare engine exactly.
 func ShardDispatchers(algorithm string, seed int64, shards int) func(shard int) (sim.Dispatcher, error) {
 	return func(i int) (sim.Dispatcher, error) {
 		s := seed
@@ -518,12 +506,12 @@ func ShardDispatchers(algorithm string, seed int64, shards int) func(shard int) 
 	}
 }
 
-// RunSource executes one algorithm over a streaming order source (e.g.
-// a live sim.ChannelSource fed by Submit) instead of the runner's
-// materialized trace, with the instance's grid, coster, timing and
-// prediction configuration. The run ends at the horizon, when ctx is
-// canceled, or — once src is exhausted — when no rider waits and no
-// driver is busy.
+// RunSource is the bare-engine reference: one sim.Engine.Run over src
+// with the instance's grid, coster, timing and prediction configuration
+// and ShardSession's stop rule, no runtime around it. No product path
+// calls it — TestWithShardsOneShardParity and bench/ run it next to a
+// 1-shard ShardSession to check, and price, the runtime against the
+// engine alone. Options.Shards, Borrow and ShardCosters do not apply.
 func (r *Runner) RunSource(ctx context.Context, d sim.Dispatcher, mode PredictionMode, model predict.Predictor, src sim.OrderSource, starts []geo.Point) (*sim.Metrics, error) {
 	fn, err := r.predictFn(mode, model)
 	if err != nil {

@@ -42,11 +42,7 @@ func TestRunnerDefaultsApplied(t *testing.T) {
 func TestRunnerRunAllAlgorithmsNoPrediction(t *testing.T) {
 	r := NewRunner(testOptions())
 	for _, name := range AlgorithmNames() {
-		d, err := NewDispatcher(name, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := r.Run(context.Background(), d, PredictNone, nil)
+		m, err := r.Run(context.Background(), ShardDispatchers(name, 7, 1), PredictNone, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -64,13 +60,12 @@ func TestRunnerOracleBeatsOrMatchesNoPrediction(t *testing.T) {
 	// should not hurt revenue (statistically it helps, but at this small
 	// scale assert non-catastrophic: within 5% below, typically above).
 	r := NewRunner(testOptions())
-	d1, _ := NewDispatcher("IRG", 0)
-	none, err := r.Run(context.Background(), d1, PredictNone, nil)
+	irg := ShardDispatchers("IRG", 0, 1)
+	none, err := r.Run(context.Background(), irg, PredictNone, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _ := NewDispatcher("IRG", 0)
-	oracle, err := r.Run(context.Background(), d2, PredictOracle, nil)
+	oracle, err := r.Run(context.Background(), irg, PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +77,7 @@ func TestRunnerOracleBeatsOrMatchesNoPrediction(t *testing.T) {
 
 func TestRunnerModelPrediction(t *testing.T) {
 	r := NewRunner(testOptions())
-	d, _ := NewDispatcher("IRG", 0)
-	m, err := r.Run(context.Background(), d, PredictModel, predict.HA{})
+	m, err := r.Run(context.Background(), ShardDispatchers("IRG", 0, 1), PredictModel, predict.HA{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +92,7 @@ func TestRunnerModelPrediction(t *testing.T) {
 
 func TestRunnerModelPredictionRequiresModel(t *testing.T) {
 	r := NewRunner(testOptions())
-	d, _ := NewDispatcher("IRG", 0)
-	if _, err := r.Run(context.Background(), d, PredictModel, nil); err == nil {
+	if _, err := r.Run(context.Background(), ShardDispatchers("IRG", 0, 1), PredictModel, nil); err == nil {
 		t.Error("PredictModel without a model accepted")
 	}
 }
@@ -150,13 +143,12 @@ func TestRunnerDeterministicInstances(t *testing.T) {
 			t.Fatal("same options, different orders")
 		}
 	}
-	da, _ := NewDispatcher("LS", 0)
-	db, _ := NewDispatcher("LS", 0)
-	ma, err := a.Run(context.Background(), da, PredictOracle, nil)
+	ls := ShardDispatchers("LS", 0, 1)
+	ma, err := a.Run(context.Background(), ls, PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := b.Run(context.Background(), db, PredictOracle, nil)
+	mb, err := b.Run(context.Background(), ls, PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +163,8 @@ func TestRunnerShareFromPreservesResults(t *testing.T) {
 	// must not change outcomes: a shared-history run equals a fresh one.
 	opts := testOptions()
 	fresh := NewRunner(opts)
-	d1, _ := NewDispatcher("IRG", 0)
-	want, err := fresh.Run(context.Background(), d1, PredictModel, predict.HA{})
+	irg := ShardDispatchers("IRG", 0, 1)
+	want, err := fresh.Run(context.Background(), irg, PredictModel, predict.HA{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +173,7 @@ func TestRunnerShareFromPreservesResults(t *testing.T) {
 	base.History()
 	shared := NewRunner(opts)
 	shared.ShareFrom(base)
-	d2, _ := NewDispatcher("IRG", 0)
-	got, err := shared.Run(context.Background(), d2, PredictModel, predict.HA{})
+	got, err := shared.Run(context.Background(), irg, PredictModel, predict.HA{})
 	if err != nil {
 		t.Fatal(err)
 	}

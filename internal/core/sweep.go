@@ -165,7 +165,7 @@ func Sweep(ctx context.Context, base Options, spec SweepSpec) ([]SweepResult, er
 				defer func() { <-sem }()
 				o := cellOptions(SweepPoint{Seed: k.seed, Fleet: k.fleet})
 				if spec.Orders != nil {
-					*dst = *NewRunnerForTrace(o, spec.Orders, spec.Starts)
+					*dst = *NewRunnerWithOrders(o, spec.Orders, spec.Starts)
 				} else {
 					*dst = *NewRunner(o)
 				}
@@ -236,16 +236,10 @@ func Sweep(ctx context.Context, base Options, spec SweepSpec) ([]SweepResult, er
 						runner.ShareFrom(sb.runner)
 						model = sb.model
 					}
-					if base.Shards > 0 {
-						// Shard-aware cells: each runs the partitioned
-						// runtime (its shards step on their own
-						// goroutines, inside this worker's slot).
-						res.Metrics, res.Err = runner.RunSharded(ctx, j.point.Algorithm, spec.Mode, model)
-					} else if d, err := NewDispatcher(j.point.Algorithm, j.point.Seed); err != nil {
-						res.Err = err
-					} else {
-						res.Metrics, res.Err = runner.Run(ctx, d, spec.Mode, model)
-					}
+					// A multi-shard cell steps its shards on their own
+					// goroutines, inside this worker's slot.
+					res.Metrics, res.Err = runner.Run(ctx,
+						ShardDispatchers(j.point.Algorithm, j.point.Seed, base.Shards), spec.Mode, model)
 				}
 				results[j.idx] = res
 			}

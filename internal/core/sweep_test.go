@@ -68,8 +68,7 @@ func TestSweepMatchesDirectRun(t *testing.T) {
 	o := opts
 	o.Seed = 3
 	o.NumDrivers = 25
-	d, _ := NewDispatcher("IRG", 3)
-	want, err := NewRunner(o).Run(context.Background(), d, PredictOracle, nil)
+	want, err := NewRunner(o).Run(context.Background(), ShardDispatchers("IRG", 3, 1), PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +133,7 @@ func TestSweepExternalTrace(t *testing.T) {
 	o.NumDrivers = 15
 	rng := rand.New(rand.NewSource(5))
 	starts := o.WithDefaults().City.InitialDrivers(15, orders, rng)
-	d, _ := NewDispatcher("NEAR", 5)
-	want, err := NewRunnerWithOrders(o, orders, starts).Run(context.Background(), d, PredictOracle, nil)
+	want, err := NewRunnerWithOrders(o, orders, starts).Run(context.Background(), ShardDispatchers("NEAR", 5, 1), PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

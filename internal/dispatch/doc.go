@@ -14,7 +14,8 @@
 //   - RAND: random valid assignment.
 //   - POLAR: the predicted-distribution blueprint baseline (Tong et al.,
 //     VLDB 2017), reimplemented as a region-level expected assignment
-//     guiding per-batch matching; see DESIGN.md for the substitutions.
+//     guiding per-batch matching; the POLAR type documents the
+//     substitutions.
 //   - UPPER: the paper's revenue upper bound — the most expensive orders
 //     served while ignoring pickup distances.
 //

@@ -11,9 +11,9 @@ import (
 // (VLDB 2017): an offline "blueprint" assignment between the predicted
 // per-region driver supply and rider demand of the scheduling window,
 // used online to bias each batch's matching toward blueprint-consistent
-// region pairs. See DESIGN.md for the documented simplifications (the
-// blueprint is a greedy transportation solution over region pairs; the
-// original solves a flow on a finer grid).
+// region pairs. Simplifications: the blueprint is a greedy
+// transportation solution over region pairs; the original solves a flow
+// on a finer grid.
 type POLAR struct {
 	// GuidanceBonus is the score boost a pair receives when the
 	// blueprint routes supply from the driver's region to the rider's

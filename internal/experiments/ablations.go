@@ -32,7 +32,7 @@ func (c Config) runDirect(ctx context.Context, opts core.Options, mk func(seed i
 		o := opts
 		o.Seed = seed
 		runner := core.NewRunner(o)
-		m, rerr := runner.Run(ctx, mk(seed), mode, nil)
+		m, rerr := runner.Run(ctx, func(int) (sim.Dispatcher, error) { return mk(seed), nil }, mode, nil)
 		if rerr != nil {
 			return 0, 0, 0, rerr
 		}

@@ -12,7 +12,7 @@ func tinyConfig() Config { return Config{Scale: 0.02, Seeds: 1} }
 
 func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the paper's evaluation must have a
-	// registered regenerator, plus the DESIGN.md ablations.
+	// registered regenerator, plus the design-choice ablations.
 	want := []string{
 		"table3", "table4", "table6", "table7", "table8",
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",

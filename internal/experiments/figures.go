@@ -82,15 +82,11 @@ func sweep(ctx context.Context, cfg Config, w io.Writer, paramName string, value
 				if ok {
 					runner.ShareFrom(base)
 				}
-				d, err := core.NewDispatcher(s.alg, seed)
-				if err != nil {
-					return err
-				}
 				var model predict.Predictor
 				if s.model != nil {
 					model = s.model(seed)
 				}
-				m, err := runner.Run(ctx, d, s.mode, model)
+				m, err := runner.Run(ctx, core.ShardDispatchers(s.alg, seed, runner.Options().Shards), s.mode, model)
 				if err != nil {
 					return fmt.Errorf("%s %s=%s seed %d: %w", s.label, paramName, values[vi], seed, err)
 				}
@@ -302,11 +298,7 @@ func runFig6(ctx context.Context, cfg Config, w io.Writer) error {
 	perRegion := make([]agg, grid.NumRegions())
 	for seed := int64(1); seed <= int64(cfg.Seeds); seed++ {
 		runner := core.NewRunner(core.Options{City: city, NumDrivers: cfg.Drivers(3000), Seed: seed})
-		d, err := core.NewDispatcher("IRG", seed)
-		if err != nil {
-			return err
-		}
-		m, err := runner.Run(ctx, d, core.PredictOracle, nil)
+		m, err := runner.Run(ctx, core.ShardDispatchers("IRG", seed, runner.Options().Shards), core.PredictOracle, nil)
 		if err != nil {
 			return err
 		}

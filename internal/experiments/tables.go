@@ -37,11 +37,7 @@ func runTable3(ctx context.Context, cfg Config, w io.Writer) error {
 			runner := core.NewRunner(core.Options{
 				City: city, NumDrivers: cfg.Drivers(paperN), Seed: seed,
 			})
-			d, err := core.NewDispatcher("IRG", seed)
-			if err != nil {
-				return err
-			}
-			m, err := runner.Run(ctx, d, core.PredictOracle, nil)
+			m, err := runner.Run(ctx, core.ShardDispatchers("IRG", seed, runner.Options().Shards), core.PredictOracle, nil)
 			if err != nil {
 				return err
 			}
@@ -114,11 +110,7 @@ func runTable4(ctx context.Context, cfg Config, w io.Writer) error {
 			for _, alg := range algs {
 				runner := core.NewRunner(base.Options())
 				runner.ShareFrom(base)
-				d, err := core.NewDispatcher(alg, seed)
-				if err != nil {
-					return err
-				}
-				m, err := runner.Run(ctx, d, col.mode, col.model)
+				m, err := runner.Run(ctx, core.ShardDispatchers(alg, seed, runner.Options().Shards), col.mode, col.model)
 				if err != nil {
 					return err
 				}

@@ -554,9 +554,9 @@ func sortStrings(s []string) {
 //     riders across 30 windows ⇒ degraded — demand is outrunning the
 //     fleet.
 //   - shard round-time imbalance: the slowest shard's mean round time
-//     above 3x the all-shard mean ⇒ degraded. Evaluates only on
-//     sharded sessions (an unsharded run has no per-shard samples and
-//     the rule stays ok).
+//     above 3x the all-shard mean ⇒ degraded. Evaluates only with
+//     two or more shards (a 1-shard session has one sample, nothing
+//     to be imbalanced against, and the rule stays ok).
 //
 // Thresholds are deliberately loose defaults for a paced real-time
 // session; pass a custom set to CollectorConfig.Rules to tighten.

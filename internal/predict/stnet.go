@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// STNet is the DeepST substitute documented in DESIGN.md: it uses
+// STNet is the repo's DeepST substitute: it uses
 // DeepST's feature design — closeness, period and trend lag stacks fused
 // with day-of-week, slot-of-day and weather metadata — in a globally
 // fitted ridge model, then corrects each region with its training-set

@@ -13,8 +13,7 @@ import (
 // BenchmarkGatewayThroughput measures the HTTP submit path end to end:
 // concurrent clients POST orders (fire-and-forget) against a live
 // gateway over loopback while the free-running engine dispatches them.
-// ns/op is the wall cost of one accepted submission — its inverse is
-// the committed orders/sec headline in BENCH_serve.json.
+// ns/op is the wall cost of one accepted submission.
 func BenchmarkGatewayThroughput(b *testing.B) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -301,12 +301,23 @@ func orderViewResponse(v sim.OrderView) orderResponse {
 
 // --- handlers ---
 
+// maxOrderBytes caps a POST /v1/orders body. An order is four
+// coordinates and a patience — well under 1 KB even at full float64
+// precision — so anything larger is not an order, and is refused before
+// the decoder buffers it.
+const maxOrderBytes = 4 << 10
+
 // handleSubmit admits one order: admission control against the pending
 // bound, engine-clock stamping, registration in the state store, and —
 // with ?wait=true — a long-poll for the terminal outcome.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req orderRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxOrderBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "order body exceeds %d bytes", maxOrderBytes)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decode order: %v", err)
 		return
 	}
@@ -511,11 +522,11 @@ type statsResponse struct {
 	// Coster is the travel-cost cache counters for backends that expose
 	// them (the road-network coster does); null otherwise.
 	Coster *roadnet.CosterStats `json:"coster,omitempty"`
-	// Shards is the per-shard breakdown of a sharded session — one
-	// entry per shard with its territory, fleet slice, queue depths,
-	// dispatch batch timings, borrow counters and (with per-shard
-	// costers) travel-cost cache counters. Omitted when the session
-	// runs the single unsharded engine.
+	// Shards is the session's per-shard breakdown — one entry per
+	// shard (a single one covering the whole city by default) with its
+	// territory, fleet slice, queue depths, dispatch batch timings,
+	// borrow counters and (with per-shard costers) travel-cost cache
+	// counters.
 	Shards []mrvd.ShardStats `json:"shards,omitempty"`
 }
 
@@ -534,7 +545,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Done = true
 	default:
 	}
-	if s.svc.Options().ShardCosters != nil && len(resp.Shards) > 0 {
+	if s.svc.Options().ShardCosters != nil {
 		// Per-shard costers: the top-level view is their sum. The base
 		// Coster is unused in this mode (each shard prices on its own
 		// instance), so asserting only on it — the old behaviour — left

@@ -164,6 +164,36 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestGatewaySubmitBodyLimit: POST /v1/orders reads at most
+// maxOrderBytes — an oversized body is refused with 413 instead of being
+// buffered, and the largest order a client can legitimately send (every
+// number at full float64 precision, pretty-printed) still fits.
+func TestGatewaySubmitBodyLimit(t *testing.T) {
+	_, ts, _ := newTestServer(t, 5, 0, Config{Algorithm: "NEAR"})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/orders", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	valid := `{
+		"pickup":  {"lng": -73.97012345678901234, "lat": 40.75012345678901234},
+		"dropoff": {"lng": -73.95098765432109876, "lat": 40.77098765432109876},
+		"patience_seconds": 1.7976931348623157e+308
+	}`
+	if got := post(valid); got != http.StatusAccepted {
+		t.Errorf("maximal valid order (%d bytes): status %d, want 202", len(valid), got)
+	}
+	// The same order with its closing brace pushed past the cap.
+	oversized := strings.TrimSuffix(valid, "}") + strings.Repeat(" ", maxOrderBytes) + "}"
+	if got := post(oversized); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: status %d, want 413", len(oversized), got)
+	}
+}
+
 // TestGatewayBackpressure pins the admission-control contract: with the
 // engine paced (a batch only every 3 wall-seconds) and a small pending
 // bound, a burst of submissions overflows the queue and overflow gets

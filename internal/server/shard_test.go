@@ -11,8 +11,8 @@ import (
 	"mrvd"
 )
 
-// TestStatsShardBreakdown: a gateway over a sharded session serves the
-// per-shard breakdown on /v1/stats; an unsharded gateway omits it.
+// TestStatsShardBreakdown: a gateway over a 4-shard session serves the
+// per-shard breakdown on /v1/stats.
 func TestStatsShardBreakdown(t *testing.T) {
 	svc, err := mrvd.NewService(
 		mrvd.WithCity(mrvd.NewCity(mrvd.CityConfig{OrdersPerDay: 2000, Seed: 17})),
@@ -78,7 +78,10 @@ func TestStatsShardBreakdown(t *testing.T) {
 	}
 }
 
-func TestStatsNoShardsUnsharded(t *testing.T) {
+// TestStatsDefaultOneShard: without WithShards the session is one shard,
+// and /v1/stats reports it as a single entry holding the whole fleet and
+// every region.
+func TestStatsDefaultOneShard(t *testing.T) {
 	_, ts, _ := newTestServer(t, 8, 0, Config{})
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -89,7 +92,7 @@ func TestStatsNoShardsUnsharded(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Shards != nil {
-		t.Fatalf("unsharded gateway reports shards: %v", stats.Shards)
+	if len(stats.Shards) != 1 || stats.Shards[0].Drivers != 8 || stats.Shards[0].Regions != 256 {
+		t.Fatalf("default gateway reports shards %+v, want one entry with 8 drivers and 256 regions", stats.Shards)
 	}
 }

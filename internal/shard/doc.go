@@ -1,8 +1,9 @@
-// Package shard is the partitioned multi-engine dispatch runtime: it
+// Package shard is the session runtime every run goes through: it
 // splits a city grid's regions across N independent sim.Engine
 // instances — each owning a disjoint region set and the slice of the
 // fleet that starts there — and steps them in lockstep batch rounds on
-// parallel goroutines.
+// parallel goroutines. N is 1 by default: one engine over the whole
+// city, stepped inline.
 //
 // The pieces compose bottom-up:
 //
@@ -23,9 +24,11 @@
 //     shard owning the territory they stand in (fleet ownership
 //     follows position — without it drivers strand wherever their
 //     last dropoff crossed a frontier), and merges per-shard Metrics
-//     into one aggregate identical in shape to an unsharded run's.
+//     into one aggregate identical in shape to a single engine's.
 //
-// A 1-shard Runtime is contractually equivalent to an unsharded
-// sim.Engine run: same admissions, same events in the same order, same
-// deterministic Metrics projection (see TestShardedOneShardParity).
+// A 1-shard Runtime is contractually equivalent to a bare
+// sim.Engine.Run: same admissions, same events in the same order, same
+// deterministic Metrics projection (see TestOneShardParity and its
+// scenario and pooling siblings). That equality is why no product path
+// runs an engine without the runtime.
 package shard

@@ -45,8 +45,8 @@ func NewPartition(grid *geo.Grid, n int) (*Partition, error) {
 //
 // Weighting is what makes sharding effective on hotspot-concentrated
 // cities: equal-area stripes put one shard on 50% of the demand and
-// another on 1%, so the hot shard's batches stay as large as the
-// unsharded engine's and nothing is gained.
+// another on 1%, so the hot shard's batches stay as large as a single
+// engine's and nothing is gained.
 func NewWeightedPartition(grid *geo.Grid, n int, weights []float64) (*Partition, error) {
 	if grid == nil {
 		return nil, fmt.Errorf("shard: nil grid")

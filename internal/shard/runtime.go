@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -95,8 +94,13 @@ type Runtime struct {
 	engines []*sim.Engine
 	feeds   []*feedSource
 	costers []roadnet.Coster
+	// cancelSrc is the city-wide source's cancellation feed, nil when it
+	// has none.
+	cancelSrc sim.CancelableSource
 	// routed records which shard admitted each order — the address book
-	// rider-initiated cancels are routed by. Coordinator-only state.
+	// rider-initiated cancels are routed by. Coordinator-only state, and
+	// only built for cancelable sources over two or more shards: a
+	// 1-shard runtime has one possible addressee and keeps no book.
 	routed map[trace.OrderID]ID
 	// pendingCancels holds cancels for orders the city-wide source has
 	// not released yet; retried in FIFO order every round. srcDone
@@ -132,7 +136,7 @@ type Runtime struct {
 
 // New partitions the grid, splits the fleet by start region, and builds
 // one engine per shard. src supplies the city-wide order stream —
-// anything an unsharded engine accepts (a SliceSource trace, a live
+// anything a bare engine accepts (a SliceSource trace, a live
 // ChannelSource) — and is polled only from Run's coordinator goroutine.
 func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) {
 	if src == nil {
@@ -180,8 +184,11 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		}
 	}
 
-	if _, ok := src.(sim.CancelableSource); ok {
-		rt.routed = make(map[trace.OrderID]ID)
+	if cs, ok := src.(sim.CancelableSource); ok {
+		rt.cancelSrc = cs
+		if cfg.Shards > 1 {
+			rt.routed = make(map[trace.OrderID]ID)
+		}
 	}
 
 	if r := cfg.Sim.Obs.Registry; r != nil {
@@ -219,7 +226,7 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		if cfg.Shards > 1 && ecfg.Scenario.Enabled() {
 			// Decorrelate the per-shard disruption streams. A 1-shard
 			// runtime keeps the parent seed so it reproduces the
-			// unsharded engine's draws — and hence its events — exactly.
+			// bare engine's draws — and hence its events — exactly.
 			ecfg.Scenario.Seed = stats.SplitSeed(cfg.Sim.Scenario.Seed, s)
 		}
 		rt.costers[s] = ecfg.Coster
@@ -248,7 +255,8 @@ func (rt *Runtime) Partition() *Partition { return rt.part }
 // parallel, synthesizes one city-wide BatchStart, then steps every
 // engine's dispatch phase in parallel. newDispatcher builds shard i's
 // dispatcher — one instance per shard, since dispatchers are stateful.
-// The context cancels between rounds, exactly like Engine.Run. A
+// The rounds tick on sim.RunBatches, the clock Engine.Run uses, so
+// cancellation, pacing and the free-run yield are the same code. A
 // runtime is single-use.
 func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.Dispatcher, error)) (*sim.Metrics, error) {
 	n := rt.cfg.Shards
@@ -268,31 +276,9 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 	rt.startWorkers()
 	defer rt.stopWorkers()
 
-	cfg := rt.cfg.Sim
 	errs := make([]error, n)
 	round := 0
-	wallStart := time.Now() //mrvdlint:ignore wallclock PaceFactor paces simulated rounds against the real wall clock by design
-	for now := 0.0; now < cfg.Horizon; now += cfg.Delta {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("shard: run stopped at t=%.0fs: %w", now, err)
-		}
-		if cfg.PaceFactor > 0 {
-			target := wallStart.Add(time.Duration(now / cfg.PaceFactor * float64(time.Second)))
-			if wait := time.Until(target); wait > 0 {
-				t := time.NewTimer(wait)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return nil, fmt.Errorf("shard: run stopped at t=%.0fs: %w", now, ctx.Err())
-				case <-t.C:
-				}
-			}
-		} else {
-			// Same courtesy yield as a free-running engine: keep live
-			// submitters schedulable at GOMAXPROCS=1.
-			runtime.Gosched()
-		}
-
+	err := sim.RunBatches(ctx, rt.cfg.Sim, func(now float64) (bool, error) {
 		// Route this round's newly posted orders. The router may probe
 		// shard supply (CandidateBorrow); engines are quiescent between
 		// rounds, so the probes are race-free.
@@ -325,12 +311,12 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 		rt.rehomeFleet()
 
 		waiting, available := rt.snapshotCounts()
-		if cfg.StopWhenDrained && done && rt.allDrained() {
-			break
+		if rt.cfg.Sim.StopWhenDrained && done && rt.allDrained() {
+			return true, nil
 		}
 		if rt.downstream != nil {
 			// One city-wide batch boundary per round, in the same
-			// admission→renege→BatchStart→dispatch position an unsharded
+			// admission→renege→BatchStart→dispatch position a bare
 			// engine fires it.
 			rt.obsMu.Lock()
 			rt.downstream.OnBatchStart(sim.BatchStartEvent{
@@ -351,10 +337,14 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 		})
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				return false, err
 			}
 		}
 		round++
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	ms := make([]*sim.Metrics, n)
@@ -368,7 +358,7 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 // lockstep loop runs thousands of two-phase rounds; reusing workers
 // keeps the per-round cost to two channel hops instead of goroutine
 // spawns. A 1-shard runtime skips workers entirely and steps inline —
-// it must not pay any overhead the unsharded engine doesn't.
+// it must not pay any overhead the bare engine doesn't.
 func (rt *Runtime) startWorkers() {
 	if len(rt.engines) == 1 {
 		return
@@ -413,10 +403,20 @@ func (rt *Runtime) parallel(f func(i int)) {
 // order will be routed first); the admitting shard's engine drops
 // cancels for already-terminal orders.
 func (rt *Runtime) routeCancels() {
-	if rt.routed == nil {
+	if rt.cancelSrc == nil {
 		return
 	}
-	ids := rt.src.(sim.CancelableSource).PollCancels()
+	ids := rt.cancelSrc.PollCancels()
+	if rt.routed == nil {
+		// One shard: its engine is the only possible addressee, and it
+		// already retries ids it has not admitted yet and drops them once
+		// its feed is done — no per-order book to keep (or to leak over a
+		// long live session).
+		for _, id := range ids {
+			rt.feeds[0].pushCancel(id)
+		}
+		return
+	}
 	if len(rt.pendingCancels) > 0 {
 		ids = append(rt.pendingCancels, ids...)
 		rt.pendingCancels = nil

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mrvd/internal/dispatch"
 	"mrvd/internal/geo"
+	"mrvd/internal/obs"
 	"mrvd/internal/pool"
 	"mrvd/internal/sim"
 	"mrvd/internal/trace"
@@ -57,186 +59,313 @@ func (l *eventLog) OnDroppedOff(e sim.DroppedOffEvent) {
 	l.entries = append(l.entries, fmt.Sprintf("dropoff o=%d d=%d t=%.0f shared=%v", e.Order, e.Driver, e.Now, e.Shared))
 }
 
-// TestOneShardParity is the contract check the issue demands: a 1-shard
-// runtime must reproduce the unsharded engine exactly — same metrics
-// projection, same idle ledger, same event stream in the same order.
+// parityCase is one configuration a 1-shard runtime must reproduce from
+// the bare engine. Every piece that holds per-run state — the source,
+// the dispatcher, an obs registry — is built fresh for each side.
+type parityCase struct {
+	name string
+	// orders/starts override the shared generated instance.
+	orders []trace.Order
+	starts []geo.Point
+	// cfg builds the run's config (without the Observer, which the
+	// harness installs).
+	cfg func() sim.Config
+	// source builds the order source; nil replays orders as a SliceSource.
+	source func(orders []trace.Order) sim.OrderSource
+	// dispatcher builds the dispatcher; nil is IRG.
+	dispatcher func() sim.Dispatcher
+	// active fails the case when the reference run did not exercise the
+	// feature the case exists for.
+	active func(t *testing.T, ref *sim.Metrics, events []string)
+}
+
+// checkOneShardParity runs the case on the bare engine (sim.Engine.Run,
+// the reference) and on a 1-shard runtime and requires the same Summary,
+// idle and travel ledgers, batch count and event stream in the same
+// order. It returns the runtime, the reference metrics and the runtime's
+// event stream for case-specific assertions.
+func checkOneShardParity(t *testing.T, c parityCase) (*Runtime, *sim.Metrics, []string) {
+	t.Helper()
+	source := c.source
+	if source == nil {
+		source = func(orders []trace.Order) sim.OrderSource { return sim.NewSliceSource(orders) }
+	}
+	dispatcher := c.dispatcher
+	if dispatcher == nil {
+		dispatcher = func() sim.Dispatcher { return &dispatch.IRG{} }
+	}
+
+	refCfg, refLog := c.cfg(), &eventLog{}
+	refCfg.Observer = refLog
+	ref, err := sim.NewWithSource(refCfg, source(c.orders), c.starts).Run(context.Background(), dispatcher())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.active != nil {
+		c.active(t, ref, refLog.entries)
+	}
+
+	rtCfg, rtLog := c.cfg(), &eventLog{}
+	rtCfg.Observer = rtLog
+	rt, err := New(Config{Sim: rtCfg, Shards: 1}, source(c.orders), c.starts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rt.Run(context.Background(), func(int) (sim.Dispatcher, error) { return dispatcher(), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if ref.Summary() != got.Summary() {
+		t.Fatalf("summaries differ:\n  engine:  %+v\n  1-shard: %+v", ref.Summary(), got.Summary())
+	}
+	// Sprint, not DeepEqual: open ledger entries carry NaN estimates.
+	if fmt.Sprint(ref.IdleRecords) != fmt.Sprint(got.IdleRecords) {
+		t.Fatalf("idle ledgers differ: %d vs %d records", len(ref.IdleRecords), len(got.IdleRecords))
+	}
+	if !reflect.DeepEqual(ref.TravelRecords, got.TravelRecords) {
+		t.Fatalf("travel-error ledgers differ: %d vs %d records", len(ref.TravelRecords), len(got.TravelRecords))
+	}
+	if len(ref.BatchSeconds) != len(got.BatchSeconds) {
+		t.Fatalf("batch counts differ: %d vs %d", len(ref.BatchSeconds), len(got.BatchSeconds))
+	}
+	if len(rtLog.entries) != len(refLog.entries) {
+		t.Fatalf("event stream lengths differ: %d vs %d", len(refLog.entries), len(rtLog.entries))
+	}
+	for i := range refLog.entries {
+		if refLog.entries[i] != rtLog.entries[i] {
+			t.Fatalf("event streams diverge at %d:\n  engine:  %s\n  1-shard: %s", i, refLog.entries[i], rtLog.entries[i])
+		}
+	}
+	return rt, ref, rtLog.entries
+}
+
+// countPrefix counts the events of one kind in an eventLog stream.
+func countPrefix(events []string, prefix string) int {
+	n := 0
+	for _, e := range events {
+		if strings.HasPrefix(e, prefix) {
+			n++
+		}
+	}
+	return n
+}
+
+// scriptedCancels is a deterministic CancelableSource: a trace replay
+// that also releases each scripted cancel request at the first batch at
+// or after its time.
+type scriptedCancels struct {
+	*sim.SliceSource
+	now     float64
+	pending []scriptedCancel // sorted by at
+}
+
+type scriptedCancel struct {
+	at float64
+	id trace.OrderID
+}
+
+func (s *scriptedCancels) Poll(now float64) ([]trace.Order, bool) {
+	s.now = now
+	return s.SliceSource.Poll(now)
+}
+
+func (s *scriptedCancels) PollCancels() []trace.OrderID {
+	var ids []trace.OrderID
+	for len(s.pending) > 0 && s.pending[0].at <= s.now {
+		ids = append(ids, s.pending[0].id)
+		s.pending = s.pending[1:]
+	}
+	return ids
+}
+
+// TestOneShardParity is the contract every session rests on — and the
+// licence for there being no second, engine-only product path: a 1-shard
+// runtime must reproduce the bare engine exactly — same metrics
+// projection, same ledgers, same event stream in the same order — under
+// every engine feature a session can turn on. (Scenarios and pooling
+// have their own tests below, on the same harness.)
 func TestOneShardParity(t *testing.T) {
 	orders, starts, grid := testInstance(t, 1500, 40)
-	cfg := sim.Config{Grid: grid, Delta: 3, TC: 1200, Horizon: 4 * 3600}
-
-	baseCfg := cfg
-	baseLog := &eventLog{}
-	baseCfg.Observer = baseLog
-	base, err := sim.New(baseCfg, orders, starts).Run(context.Background(), &dispatch.IRG{})
-	if err != nil {
-		t.Fatal(err)
+	base := func() sim.Config {
+		return sim.Config{Grid: grid, Delta: 3, TC: 1200, Horizon: 4 * 3600}
+	}
+	// A hand-built instance whose explicit cancels have known fates: one
+	// driver, so B and C must wait behind A's trip.
+	grid4 := geo.NewGrid(geo.BBox{MinLng: 0, MinLat: 0, MaxLng: 0.04, MaxLat: 0.04}, 4, 4)
+	here, there := geo.Point{Lng: 0.01, Lat: 0.01}, geo.Point{Lng: 0.03, Lat: 0.03}
+	cancelOrders := []trace.Order{
+		{ID: 1, PostTime: 0, Deadline: 300, Pickup: here, Dropoff: there},   // A: assigned at t=0
+		{ID: 2, PostTime: 3, Deadline: 900, Pickup: here, Dropoff: there},   // B: waits behind A
+		{ID: 3, PostTime: 60, Deadline: 900, Pickup: here, Dropoff: there},  // C: canceled before it posts
+		{ID: 4, PostTime: 90, Deadline: 3000, Pickup: there, Dropoff: here}, // D: served once A's trip ends
 	}
 
-	shardCfg := cfg
-	shardLog := &eventLog{}
-	shardCfg.Observer = shardLog
-	rt, err := New(Config{Sim: shardCfg, Shards: 1}, sim.NewSliceSource(orders), starts)
-	if err != nil {
-		t.Fatal(err)
+	var reg *obs.Registry // the obs case's latest registry
+	cases := []parityCase{
+		{name: "plain", orders: orders, starts: starts, cfg: base,
+			active: func(t *testing.T, ref *sim.Metrics, _ []string) {
+				if ref.TotalOrders != len(orders) || ref.Served == 0 {
+					t.Fatalf("reference run: %+v, want the full trace sized and some served", ref.Summary())
+				}
+			}},
+		{name: "shifts", orders: orders, starts: starts,
+			cfg: func() sim.Config {
+				cfg := base()
+				cfg.Shifts = make([]sim.Shift, len(starts))
+				for i := range cfg.Shifts {
+					switch i % 3 {
+					case 1: // joins an hour in
+						cfg.Shifts[i] = sim.Shift{JoinAt: 3600}
+					case 2: // leaves after two hours
+						cfg.Shifts[i] = sim.Shift{LeaveAt: 2 * 3600}
+					}
+				}
+				return cfg
+			},
+			active: func(t *testing.T, _ *sim.Metrics, events []string) {
+				// 13 of the 40 drivers have not joined at t=0.
+				if !strings.HasSuffix(events[0], " a=27") {
+					t.Fatalf("first batch %q, want 27 available drivers", events[0])
+				}
+			}},
+		{name: "repositioner", orders: orders, starts: starts,
+			cfg: func() sim.Config {
+				cfg := base()
+				cfg.Horizon = 3600
+				cfg.Repositioner = &dispatch.QueueReposition{}
+				cfg.RepositionAfter = 120
+				return cfg
+			},
+			active: func(t *testing.T, _ *sim.Metrics, events []string) {
+				if countPrefix(events, "repos") == 0 {
+					t.Fatal("reference run repositioned nobody")
+				}
+			}},
+		{name: "drained closing source", orders: orders[:200], starts: starts,
+			cfg: func() sim.Config {
+				cfg := base()
+				cfg.Horizon = 30 * 24 * 3600
+				cfg.StopWhenDrained = true
+				return cfg
+			},
+			source: func(orders []trace.Order) sim.OrderSource {
+				src := sim.NewChannelSource()
+				for _, o := range orders {
+					if err := src.Submit(o); err != nil {
+						t.Fatal(err)
+					}
+				}
+				src.Close()
+				return src
+			},
+			active: func(t *testing.T, ref *sim.Metrics, _ []string) {
+				if ref.TotalOrders != 200 || float64(ref.Batches)*3 >= 30*24*3600 {
+					t.Fatalf("reference run did not stop on drain: %+v", ref.Summary())
+				}
+			}},
+		{name: "explicit cancels", orders: cancelOrders, starts: []geo.Point{here},
+			cfg: func() sim.Config {
+				return sim.Config{Grid: grid4, Delta: 3, TC: 600, Horizon: 3600, StopWhenDrained: true}
+			},
+			source: func(orders []trace.Order) sim.OrderSource {
+				return &scriptedCancels{SliceSource: sim.NewSliceSource(orders), pending: []scriptedCancel{
+					{at: 9, id: 2},  // B while it waits
+					{at: 12, id: 1}, // A after its assignment: dropped
+					{at: 30, id: 3}, // C before admission: held until t=60
+					{at: 33, id: 9}, // an id that never arrives: dropped at done
+				}}
+			},
+			dispatcher: func() sim.Dispatcher { return dispatch.NEAR{} },
+			active: func(t *testing.T, ref *sim.Metrics, events []string) {
+				want := []string{"cancel o=2 t=9 explicit=true", "cancel o=3 t=60 explicit=true"}
+				var got []string
+				for _, e := range events {
+					if strings.HasPrefix(e, "cancel") {
+						got = append(got, e)
+					}
+				}
+				if !reflect.DeepEqual(got, want) || ref.Served != 2 {
+					t.Fatalf("reference run canceled %v and served %d, want %v and 2 (A, D)", got, ref.Served, want)
+				}
+			}},
+		{name: "obs registry", orders: orders, starts: starts,
+			cfg: func() sim.Config {
+				cfg := base()
+				reg = obs.NewRegistry()
+				cfg.Obs = sim.ObsConfig{Registry: reg}
+				return cfg
+			},
+			active: func(t *testing.T, ref *sim.Metrics, _ []string) {
+				if n := reg.Counter("mrvd_orders_admitted_total", "").Value(); n == 0 {
+					t.Fatal("reference run's registry counted no admissions")
+				}
+			}},
 	}
-	sharded, err := rt.Run(context.Background(), func(int) (sim.Dispatcher, error) {
-		return &dispatch.IRG{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if base.Summary() != sharded.Summary() {
-		t.Fatalf("summaries differ:\n  unsharded: %+v\n  1-shard:   %+v", base.Summary(), sharded.Summary())
-	}
-	if !reflect.DeepEqual(base.IdleRecords, sharded.IdleRecords) {
-		t.Fatalf("idle ledgers differ: %d vs %d records", len(base.IdleRecords), len(sharded.IdleRecords))
-	}
-	if len(base.BatchSeconds) != len(sharded.BatchSeconds) {
-		t.Fatalf("batch counts differ: %d vs %d", len(base.BatchSeconds), len(sharded.BatchSeconds))
-	}
-	if !reflect.DeepEqual(baseLog.entries, shardLog.entries) {
-		for i := range baseLog.entries {
-			if i >= len(shardLog.entries) || baseLog.entries[i] != shardLog.entries[i] {
-				t.Fatalf("event streams diverge at %d:\n  unsharded: %s\n  1-shard:   %s",
-					i, baseLog.entries[i], shardLog.entries[i])
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rt, _, _ := checkOneShardParity(t, c)
+			// One shard forwards cancels to its only engine: no per-order
+			// address book for a long live session to grow.
+			if rt.routed != nil || rt.pendingCancels != nil {
+				t.Fatalf("1-shard runtime kept cancel routing state: %d routed, %d pending", len(rt.routed), len(rt.pendingCancels))
 			}
-		}
-		t.Fatalf("event stream lengths differ: %d vs %d", len(baseLog.entries), len(shardLog.entries))
-	}
-	if sharded.TotalOrders != len(orders) {
-		t.Fatalf("TotalOrders = %d, want the full trace %d", sharded.TotalOrders, len(orders))
+		})
 	}
 }
 
 // TestOneShardScenarioParity extends the parity contract to the
 // disruption layer: with scenarios enabled (cancellations, declines,
-// travel noise) a 1-shard runtime must still reproduce the unsharded
-// engine event for event — the scenario RNG stream, the cancel/decline
-// draws and the noise perturbations all line up because a 1-shard
-// runtime keeps the parent scenario seed.
+// travel noise) a 1-shard runtime must still reproduce the bare engine
+// event for event — the scenario RNG stream, the cancel/decline draws
+// and the noise perturbations all line up because a 1-shard runtime
+// keeps the parent scenario seed.
 func TestOneShardScenarioParity(t *testing.T) {
 	orders, starts, grid := testInstance(t, 1500, 40)
-	scenario := sim.ScenarioConfig{
-		CancelRate:  0.2,
-		DeclineProb: 0.15,
-		TravelNoise: 0.25,
-		Seed:        7,
-	}
-	cfg := sim.Config{Grid: grid, Delta: 3, TC: 1200, Horizon: 4 * 3600, Scenario: scenario}
-
-	baseCfg := cfg
-	baseLog := &eventLog{}
-	baseCfg.Observer = baseLog
-	base, err := sim.New(baseCfg, orders, starts).Run(context.Background(), &dispatch.IRG{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Canceled == 0 || base.Declines == 0 || len(base.TravelRecords) == 0 {
-		t.Fatalf("scenario inactive in the reference run: %+v", base.Summary())
-	}
-
-	shardCfg := cfg
-	shardLog := &eventLog{}
-	shardCfg.Observer = shardLog
-	rt, err := New(Config{Sim: shardCfg, Shards: 1}, sim.NewSliceSource(orders), starts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := rt.Run(context.Background(), func(int) (sim.Dispatcher, error) {
-		return &dispatch.IRG{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if base.Summary() != sharded.Summary() {
-		t.Fatalf("1-shard scenario run diverges:\n  unsharded: %+v\n  1-shard:   %+v",
-			base.Summary(), sharded.Summary())
-	}
-	if !reflect.DeepEqual(base.TravelRecords, sharded.TravelRecords) {
-		t.Fatalf("travel-error ledgers differ: %d vs %d records",
-			len(base.TravelRecords), len(sharded.TravelRecords))
-	}
-	if !reflect.DeepEqual(baseLog.entries, shardLog.entries) {
-		for i := range baseLog.entries {
-			if i >= len(shardLog.entries) || baseLog.entries[i] != shardLog.entries[i] {
-				t.Fatalf("scenario event streams diverge at %d:\n  unsharded: %s\n  1-shard:   %s",
-					i, baseLog.entries[i], shardLog.entries[i])
+	checkOneShardParity(t, parityCase{
+		orders: orders, starts: starts,
+		cfg: func() sim.Config {
+			return sim.Config{Grid: grid, Delta: 3, TC: 1200, Horizon: 4 * 3600,
+				Scenario: sim.ScenarioConfig{CancelRate: 0.2, DeclineProb: 0.15, TravelNoise: 0.25, Seed: 7}}
+		},
+		active: func(t *testing.T, ref *sim.Metrics, _ []string) {
+			if ref.Canceled == 0 || ref.Declines == 0 || len(ref.TravelRecords) == 0 {
+				t.Fatalf("scenario inactive in the reference run: %+v", ref.Summary())
 			}
-		}
-		t.Fatalf("scenario event stream lengths differ: %d vs %d", len(baseLog.entries), len(shardLog.entries))
-	}
+		},
+	})
 }
 
 // TestOneShardPoolingParity extends the 1-shard parity contract to the
 // pooling subsystem: with shared rides enabled and a pooling-aware
-// dispatcher, a 1-shard runtime reproduces the unsharded engine event
-// for event — including the pickup/dropoff stop stream — and its shard
+// dispatcher, a 1-shard runtime reproduces the bare engine event for
+// event — including the pickup/dropoff stop stream — and its shard
 // stats account for every pooled counter.
 func TestOneShardPoolingParity(t *testing.T) {
 	orders, starts, grid := testInstance(t, 2500, 25)
-	cfg := sim.Config{
-		Grid: grid, Delta: 3, TC: 1200, Horizon: 4 * 3600,
-		Pooling: pool.Config{Capacity: 3, MaxDetourSeconds: 400},
-	}
-
-	baseCfg := cfg
-	baseLog := &eventLog{}
-	baseCfg.Observer = baseLog
-	base, err := sim.New(baseCfg, orders, starts).Run(context.Background(), dispatch.POOL{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.SharedServed == 0 {
-		t.Fatalf("pooling inactive in the reference run: %+v", base.Summary())
-	}
-
-	shardCfg := cfg
-	shardLog := &eventLog{}
-	shardCfg.Observer = shardLog
-	rt, err := New(Config{Sim: shardCfg, Shards: 1}, sim.NewSliceSource(orders), starts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := rt.Run(context.Background(), func(int) (sim.Dispatcher, error) {
-		return dispatch.POOL{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if base.Summary() != sharded.Summary() {
-		t.Fatalf("1-shard pooled run diverges:\n  unsharded: %+v\n  1-shard:   %+v",
-			base.Summary(), sharded.Summary())
-	}
-	if !reflect.DeepEqual(baseLog.entries, shardLog.entries) {
-		for i := range baseLog.entries {
-			if i >= len(shardLog.entries) || baseLog.entries[i] != shardLog.entries[i] {
-				t.Fatalf("pooled event streams diverge at %d:\n  unsharded: %s\n  1-shard:   %s",
-					i, baseLog.entries[i], shardLog.entries[i])
+	rt, ref, events := checkOneShardParity(t, parityCase{
+		orders: orders, starts: starts,
+		cfg: func() sim.Config {
+			return sim.Config{Grid: grid, Delta: 3, TC: 1200, Horizon: 4 * 3600,
+				Pooling: pool.Config{Capacity: 3, MaxDetourSeconds: 400}}
+		},
+		dispatcher: func() sim.Dispatcher { return dispatch.POOL{} },
+		active: func(t *testing.T, ref *sim.Metrics, _ []string) {
+			if ref.SharedServed == 0 {
+				t.Fatalf("pooling inactive in the reference run: %+v", ref.Summary())
 			}
-		}
-		t.Fatalf("pooled event stream lengths differ: %d vs %d", len(baseLog.entries), len(shardLog.entries))
-	}
+		},
+	})
 	stats := rt.Stats()
 	if len(stats) != 1 {
 		t.Fatalf("1-shard runtime reports %d stats rows", len(stats))
 	}
-	if stats[0].SharedServed != base.SharedServed {
-		t.Fatalf("shard stats count %d shared trips, metrics say %d", stats[0].SharedServed, base.SharedServed)
+	if stats[0].SharedServed != ref.SharedServed {
+		t.Fatalf("shard stats count %d shared trips, metrics say %d", stats[0].SharedServed, ref.SharedServed)
 	}
 	// Every stop event the observer saw is tallied: each completed
 	// shared or solo trip crosses exactly one pickup and one dropoff.
-	pickups, dropoffs := 0, 0
-	for _, line := range shardLog.entries {
-		switch {
-		case len(line) > 6 && line[:6] == "pickup":
-			pickups++
-		case len(line) > 7 && line[:7] == "dropoff":
-			dropoffs++
-		}
-	}
+	pickups, dropoffs := countPrefix(events, "pickup"), countPrefix(events, "dropoff")
 	if stats[0].PickedUp != pickups || stats[0].DroppedOff != dropoffs {
 		t.Fatalf("shard stats (%d picked up, %d dropped off) disagree with the stream (%d, %d)",
 			stats[0].PickedUp, stats[0].DroppedOff, pickups, dropoffs)
@@ -292,7 +421,7 @@ func TestShardedScenarioDeterministicAndCounted(t *testing.T) {
 // deadline equals its routing time has a zero patience radius, stays
 // with the owner shard under either policy, and is still served when
 // the owner has a driver exactly at the pickup — the same
-// dispatchability the unsharded engine guarantees at Deadline == now.
+// dispatchability a bare engine guarantees at Deadline == now.
 func TestRouterDeadlineBoundaryStaysHome(t *testing.T) {
 	grid := geo.NewGrid(geo.BBox{MinLng: 0, MinLat: 0, MaxLng: 0.04, MaxLat: 0.04}, 4, 4)
 	pickup := geo.Point{Lng: 0.005, Lat: 0.0175} // shard 0 frontier row

@@ -296,47 +296,66 @@ func NewWithSource(cfg Config, src OrderSource, driverStarts []geo.Point) *Engin
 // canceled or deadline-exceeded run returns the context's error (wrapped
 // — test with errors.Is) and no metrics. An engine is single-use.
 //
-// Run is the self-driving composition of the stepping API below: Begin,
-// then per batch StepAdmit + StepDispatch, then Finish. Callers that
-// need to interleave several engines in lockstep — the sharded runtime
-// in internal/shard — drive the steps directly instead.
+// Run is the bare-engine reference, not a product path: every session
+// (Service.Run/Serve/Start, core.Sweep, the CLIs) runs on shard.Runtime,
+// which steps 1..N engines through the same Begin / StepAdmit /
+// StepDispatch / Finish calls under the same RunBatches clock. The
+// 1-shard parity tests in internal/shard and bench/'s peak_shard2 check
+// compare the runtime against this loop.
 func (e *Engine) Run(ctx context.Context, d Dispatcher) (*Metrics, error) {
 	if err := e.Begin(); err != nil {
 		return nil, err
 	}
-	wallStart := time.Now() //mrvdlint:ignore wallclock PaceFactor paces simulated time against the real wall clock by design
-	for now := 0.0; now < e.cfg.Horizon; now += e.cfg.Delta {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sim: run stopped at t=%.0fs: %w", now, err)
+	err := RunBatches(ctx, e.cfg, func(now float64) (bool, error) {
+		e.StepAdmit(now)
+		if e.cfg.StopWhenDrained && e.Drained() {
+			return true, nil
 		}
-		if e.cfg.PaceFactor > 0 {
-			target := wallStart.Add(time.Duration(now / e.cfg.PaceFactor * float64(time.Second)))
+		return false, e.StepDispatch(now, d)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e.Finish(), nil
+}
+
+// RunBatches is the batch clock every run shares: for now = 0, Delta,
+// 2*Delta, ... below Horizon it checks ctx, paces against the wall clock
+// (or yields, when free-running) and calls step(now). step returns
+// done=true to end the run before the horizon; its error, or the
+// context's (wrapped — test with errors.Is), ends it immediately. cfg's
+// timing must already be resolved (Config.WithDefaults): a zero Delta
+// would never advance.
+func RunBatches(ctx context.Context, cfg Config, step func(now float64) (done bool, err error)) error {
+	wallStart := time.Now() //mrvdlint:ignore wallclock PaceFactor paces simulated time against the real wall clock by design
+	for now := 0.0; now < cfg.Horizon; now += cfg.Delta {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("sim: run stopped at t=%.0fs: %w", now, err)
+		}
+		if cfg.PaceFactor > 0 {
+			target := wallStart.Add(time.Duration(now / cfg.PaceFactor * float64(time.Second)))
 			if wait := time.Until(target); wait > 0 {
 				t := time.NewTimer(wait)
 				select {
 				case <-ctx.Done():
 					t.Stop()
-					return nil, fmt.Errorf("sim: run stopped at t=%.0fs: %w", now, ctx.Err())
+					return fmt.Errorf("sim: run stopped at t=%.0fs: %w", now, ctx.Err())
 				case <-t.C:
 				}
 			}
 		} else {
-			// A free-running engine is a tight CPU loop. Yield between
+			// A free-running loop is a tight CPU loop. Yield between
 			// batches so concurrent producers — ChannelSource submitters,
 			// the HTTP gateway's handlers — get scheduled promptly even
 			// at GOMAXPROCS=1, where they would otherwise only run on
 			// ~20ms preemptions.
 			runtime.Gosched()
 		}
-		e.StepAdmit(now)
-		if e.cfg.StopWhenDrained && e.Drained() {
-			break
-		}
-		if err := e.StepDispatch(now, d); err != nil {
-			return nil, err
+		if done, err := step(now); err != nil || done {
+			return err
 		}
 	}
-	return e.Finish(), nil
+	return nil
 }
 
 // Begin arms the engine for stepping: it claims the single run and seeds

@@ -20,8 +20,8 @@ type ObsConfig struct {
 	Registry *obs.Registry
 	// Tracer receives order-lifecycle spans; nil records nothing.
 	Tracer *obs.Tracer
-	// Shard attributes this engine's spans in a sharded runtime
-	// (0 for the unsharded engine).
+	// Shard attributes this engine's spans to its shard of the session
+	// runtime (0 with one shard, and for a bare engine).
 	Shard int
 }
 

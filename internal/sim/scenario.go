@@ -23,8 +23,8 @@ type CancelModel interface {
 // value disables all three and leaves the engine byte-identical to a
 // scenario-free run — same Summary, same idle ledger, same event
 // stream. All stochastic draws come from one RNG seeded with Seed, so
-// scenario runs are exactly reproducible, and a 1-shard sharded run
-// reproduces the unsharded engine event for event.
+// scenario runs are exactly reproducible, and a 1-shard runtime
+// reproduces the bare engine event for event.
 type ScenarioConfig struct {
 	// CancelRate is the probability a waiting rider abandons its order
 	// before the deadline (rider-initiated cancellation). Cancellation

@@ -291,20 +291,23 @@ func TestEngineRunContextCancellationMidRun(t *testing.T) {
 	}
 }
 
-func TestEngineRunPacedAgainstWallClock(t *testing.T) {
-	cfg := simpleConfig()
-	cfg.Delta = 5
-	cfg.Horizon = 50
-	cfg.PaceFactor = 100 // 10 batches x 0.05s wall each
-	e := New(cfg, nil, []geo.Point{center()})
+// The pacing tests drive RunBatches itself — the one clock Engine.Run
+// and shard.Runtime.Run both tick on — rather than either caller.
+
+func TestRunBatchesPacedAgainstWallClock(t *testing.T) {
+	cfg := Config{Delta: 5, Horizon: 50, PaceFactor: 100} // 10 batches x 0.05s wall each
+	var times []float64
 	start := time.Now()
-	m, err := e.Run(context.Background(), noop{})
+	err := RunBatches(context.Background(), cfg, func(now float64) (bool, error) {
+		times = append(times, now)
+		return false, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	if m.Batches != 10 {
-		t.Fatalf("batches = %d, want 10", m.Batches)
+	if len(times) != 10 || times[0] != 0 || times[9] != 45 {
+		t.Fatalf("stepped at %v, want 0, 5, ..., 45", times)
 	}
 	// 45 simulated seconds of pacing at 100x => >= ~450ms of wall time
 	// (generous lower bound for timer slop).
@@ -313,16 +316,21 @@ func TestEngineRunPacedAgainstWallClock(t *testing.T) {
 	}
 }
 
-func TestEngineRunPacingHonorsCancellation(t *testing.T) {
-	cfg := simpleConfig()
-	cfg.PaceFactor = 0.001 // one batch ~= 50 minutes of wall time
-	e := New(cfg, nil, []geo.Point{center()})
+func TestRunBatchesPacingHonorsCancellation(t *testing.T) {
+	cfg := Config{Delta: 3, Horizon: 3600, PaceFactor: 0.001} // one batch ~= 50 minutes of wall time
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
+	steps := 0
 	start := time.Now()
-	_, err := e.Run(ctx, noop{})
+	err := RunBatches(ctx, cfg, func(float64) (bool, error) {
+		steps++
+		return false, nil
+	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if steps != 1 {
+		t.Errorf("stepped %d times, want only the unpaced t=0 batch", steps)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("cancellation during pacing wait took %v", elapsed)

@@ -24,12 +24,12 @@
 // serve session in the background and returns a ServeHandle whose
 // Submit routes each order's terminal Outcome back to the caller — the
 // seam the HTTP gateway (internal/server, cmd/mrvd-serve) builds on.
-// WithShards(n) scales the runtime out: the city's regions partition
-// across n lockstep dispatch engines (internal/shard) with a router
-// admitting each order to the shard owning its pickup region, a
-// configurable frontier policy (WithBoundaryPolicy), and per-shard
-// stats on the gateway's /v1/stats; WithShards(1) is contractually
-// identical to the unsharded engine. WithScenario(cfg) turns on the
+// Every session runs on one runtime (internal/shard): a router admits
+// each order to the shard owning its pickup region and 1..n lockstep
+// dispatch engines serve their slices of the city — one engine by
+// default, WithShards(n) to scale out, with a configurable frontier
+// policy (WithBoundaryPolicy) and per-shard stats on the gateway's
+// /v1/stats. WithScenario(cfg) turns on the
 // disruption layer — stochastic rider cancellations, driver declines
 // with cooldown, and noisy realized travel times with an
 // estimate-vs-realized error ledger — while riders can always cancel
@@ -284,13 +284,12 @@ const (
 
 // Framework types.
 type (
-	// Options configures a Runner (and, via WithOptions, a Service).
+	// Options is the configuration a Service's With* options fill in
+	// (see Service.Options).
 	Options = core.Options
-	// Runner owns one problem instance and executes algorithms on it.
-	//
-	// Deprecated: new code should use Service, which adds streaming
-	// sources, cancellation and parallel sweeps; Runner remains for the
-	// lower-level history-sharing workflow.
+	// Runner owns one materialized problem instance — trace, fleet
+	// starts, history and trained predictors — for the lower-level
+	// history-sharing workflow; get one from Service.Runner.
 	Runner = core.Runner
 	// PredictionMode selects the demand-forecast source.
 	PredictionMode = core.PredictionMode
@@ -321,12 +320,6 @@ func NewNYCGrid() *Grid { return geo.NewNYCGrid() }
 
 // NewGrid builds a rows x cols grid over a bounding box.
 func NewGrid(box BBox, rows, cols int) *Grid { return geo.NewGrid(box, rows, cols) }
-
-// NewRunner materializes a problem instance from options.
-//
-// Deprecated: use NewService with functional options; Service.Runner
-// exposes the underlying instance when the lower-level API is needed.
-func NewRunner(opts Options) *Runner { return core.NewRunner(opts) }
 
 // NewSliceSource wraps a fixed trace in the OrderSource interface,
 // validated and sorted by post time.

@@ -30,17 +30,13 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 	}
 }
 
-func TestPublicAPIDeprecatedRunnerFlow(t *testing.T) {
-	// The pre-v2 Runner entry point keeps working (with a context).
+func TestPublicAPIRunnerFlow(t *testing.T) {
+	// Service.Runner hands out the materialized instance; it runs a
+	// caller-built dispatcher, not only a named one.
 	city := NewCity(CityConfig{OrdersPerDay: 2000, Seed: 1})
-	runner := NewRunner(Options{
-		City: city, NumDrivers: 20, Delta: 10, Horizon: 2 * 3600,
-	})
-	ls, err := NewDispatcher("LS", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := runner.Run(context.Background(), ls, PredictOracle, nil)
+	svc := mustService(t, WithCity(city), WithFleet(20), WithBatchInterval(10), WithHorizon(2*3600))
+	m, err := svc.Runner().Run(context.Background(),
+		func(int) (Dispatcher, error) { return NewLS(), nil }, PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +110,7 @@ func TestPublicAPIPredictors(t *testing.T) {
 
 func TestPublicAPITraceRoundTrip(t *testing.T) {
 	city := NewCity(CityConfig{OrdersPerDay: 500, Seed: 2})
-	runner := NewRunner(Options{City: city, NumDrivers: 5, Horizon: 600})
-	orders := runner.Orders()
+	orders := mustService(t, WithCity(city), WithFleet(5), WithHorizon(600)).Runner().Orders()
 	var buf bytes.Buffer
 	if err := WriteOrdersCSV(&buf, orders); err != nil {
 		t.Fatal(err)

@@ -186,10 +186,9 @@ func WithPace(factor float64) Option {
 // DeclineCooldown), and seeded travel-time noise (TravelNoise) whose
 // estimate-vs-realized gap lands in Metrics.TravelRecords. The zero
 // config is exactly equivalent to omitting the option — the engine
-// stays byte-identical to a scenario-free run — and a 1-shard sharded
-// run with scenarios enabled reproduces the unsharded engine event for
-// event. Explicit cancels (ServeHandle.Cancel, the gateway's DELETE
-// /v1/orders/{id}) work with or without this option.
+// stays byte-identical to a scenario-free run. Explicit cancels
+// (ServeHandle.Cancel, the gateway's DELETE /v1/orders/{id}) work with
+// or without this option.
 func WithScenario(sc ScenarioConfig) Option {
 	return func(s *Service) {
 		if sc.CancelRate < 0 || sc.CancelRate > 1 || math.IsNaN(sc.CancelRate) {
@@ -251,14 +250,15 @@ func WithCandidateCap(k int) Option {
 	}
 }
 
-// WithShards partitions the city across n independent dispatch engines
-// stepped in lockstep on parallel goroutines: each shard owns a
-// disjoint, contiguous set of grid regions and the slice of the fleet
-// that starts there, a router admits every order to the shard owning
-// its pickup region, and events plus metrics aggregate back into one
-// coherent city-wide stream. WithShards(1) is contractually identical
-// to the unsharded engine; omitting the option keeps the single-engine
-// runtime. Shared per-run hooks (Coster, PredictRiders, Repositioner,
+// WithShards sets how many dispatch engines the session runs on (default
+// 1). Every run is a source → router → n engines → aggregated stream
+// pipeline: each shard owns a disjoint, contiguous set of grid regions
+// and the slice of the fleet that starts there, the router admits every
+// order to the shard owning its pickup region, the engines step in
+// lockstep on parallel goroutines, and events plus metrics aggregate
+// back into one coherent city-wide stream. With one shard that is a
+// single engine over the whole city. n < 1 is rejected. For n > 1,
+// shared per-run hooks (Coster, PredictRiders, Repositioner,
 // Observer-reachable state) must be safe for concurrent use — the
 // built-ins are — and the Observer sees a serialized stream with
 // driver ids in the global fleet numbering.
@@ -273,11 +273,11 @@ func WithShards(n int) Option {
 }
 
 // WithBoundaryPolicy selects what happens to riders whose patience
-// radius crosses a shard frontier in a sharded run: StrictOwnership
-// (the default) always admits an order to the shard owning its pickup
-// region; CandidateBorrow lets a frontier order be admitted by a
-// neighbouring shard with available drivers in reach when the owner
-// has none. No effect without WithShards.
+// radius crosses a shard frontier: StrictOwnership (the default) always
+// admits an order to the shard owning its pickup region;
+// CandidateBorrow lets a frontier order be admitted by a neighbouring
+// shard with available drivers in reach when the owner has none. One
+// shard has no frontier, so the policy only matters with WithShards(n > 1).
 func WithBoundaryPolicy(p BoundaryPolicy) Option {
 	return func(s *Service) {
 		switch p {
@@ -291,12 +291,11 @@ func WithBoundaryPolicy(p BoundaryPolicy) Option {
 	}
 }
 
-// WithShardCosters gives each shard of a sharded run its own coster
-// instance — e.g. one road-network coster per shard, so their tree
-// caches don't contend and /v1/stats can report per-shard cache
-// counters (see GraphCosters). Every instance must price identically
-// or shards would disagree about travel times. No effect without
-// WithShards.
+// WithShardCosters gives each shard its own coster instance — e.g. one
+// road-network coster per shard, so their tree caches don't contend and
+// /v1/stats can report per-shard cache counters (see GraphCosters).
+// Every instance must price identically or shards would disagree about
+// travel times. It replaces WithCoster for the session's engines.
 func WithShardCosters(f func(shard int) Coster) Option {
 	return func(s *Service) {
 		if f == nil {
@@ -378,12 +377,6 @@ func WithOrders(orders []Order, starts []Point) Option {
 	}
 }
 
-// WithOptions overlays a full core options struct — an escape hatch for
-// callers migrating from the Runner API. Later With options still apply
-// on top. The struct is taken verbatim (zero fields mean defaults), so
-// it bypasses per-option validation.
-func WithOptions(opts Options) Option { return func(s *Service) { s.opts = opts } }
-
 // NewService builds a Service; zero options give the quickstart default:
 // a scaled NYC-like city, 100 drivers, the paper's batch timing and
 // oracle demand forecasts. Invalid option arguments (non-positive fleet,
@@ -412,31 +405,33 @@ func (s *Service) newRunner(seed int64) *Runner {
 	opts := s.opts
 	opts.Seed = seed
 	if s.orders != nil {
-		return core.NewRunnerForTrace(opts, s.orders, s.starts)
+		return core.NewRunnerWithOrders(opts, s.orders, s.starts)
 	}
 	return core.NewRunner(opts)
 }
 
+// dispatchers returns the per-shard dispatcher factory for a named
+// algorithm, failing on an unknown name before any instance is built.
+func (s *Service) dispatchers(algorithm string) (func(shard int) (Dispatcher, error), error) {
+	if _, err := core.NewDispatcher(algorithm, s.opts.Seed); err != nil {
+		return nil, err
+	}
+	return core.ShardDispatchers(algorithm, s.opts.Seed, s.opts.Shards), nil
+}
+
 // Run simulates one full trace — generated from the city, or the
-// WithOrders replay — under the named algorithm and returns its metrics.
-// The context cancels the run between batches. With WithShards the
-// trace runs on the partitioned multi-engine runtime and the returned
-// metrics aggregate every shard.
+// WithOrders replay — under the named algorithm and returns its metrics,
+// aggregated over the session's shards. The context cancels the run
+// between batches.
 func (s *Service) Run(ctx context.Context, algorithm string) (*Metrics, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	if s.opts.Shards > 0 {
-		if _, err := core.NewDispatcher(algorithm, s.opts.Seed); err != nil {
-			return nil, err
-		}
-		return s.newRunner(s.opts.Seed).RunSharded(ctx, algorithm, s.mode, s.model)
-	}
-	d, err := core.NewDispatcher(algorithm, s.opts.Seed)
+	newDispatcher, err := s.dispatchers(algorithm)
 	if err != nil {
 		return nil, err
 	}
-	return s.newRunner(s.opts.Seed).Run(ctx, d, s.mode, s.model)
+	return s.newRunner(s.opts.Seed).Run(ctx, newDispatcher, s.mode, s.model)
 }
 
 // Runner exposes the materialized problem instance for callers that need
@@ -456,32 +451,31 @@ func (s *Service) Serve(ctx context.Context, algorithm string, src OrderSource, 
 	if src == nil {
 		return nil, fmt.Errorf("mrvd: Serve requires an OrderSource")
 	}
-	if s.opts.Shards > 0 {
-		if _, err := core.NewDispatcher(algorithm, s.opts.Seed); err != nil {
-			return nil, err
-		}
-		rt, err := s.serveRunner(starts).ShardSession(src, starts, s.mode, s.model)
-		if err != nil {
-			return nil, err
-		}
-		return rt.Run(ctx, core.ShardDispatchers(algorithm, s.opts.Seed, s.opts.Shards))
-	}
-	d, err := core.NewDispatcher(algorithm, s.opts.Seed)
+	rt, newDispatcher, err := s.liveSession(algorithm, src, starts)
 	if err != nil {
 		return nil, err
 	}
-	return s.serveRunner(starts).RunSource(ctx, d, s.mode, s.model, src, starts)
+	return rt.Run(ctx, newDispatcher)
 }
 
-// serveRunner materializes the instance a live serve session runs on.
-func (s *Service) serveRunner(starts []Point) *Runner {
+// liveSession builds — without running — the runtime and per-shard
+// dispatcher factory of a Serve or Start session over src.
+func (s *Service) liveSession(algorithm string, src OrderSource, starts []Point) (*shard.Runtime, func(shard int) (Dispatcher, error), error) {
+	newDispatcher, err := s.dispatchers(algorithm)
+	if err != nil {
+		return nil, nil, err
+	}
+	var runner *Runner
 	if starts != nil && s.orders == nil {
 		// With an explicit fleet there is no reason to materialize a
 		// synthetic day trace the streaming run would never read.
-		return core.NewRunnerWithOrders(s.opts, nil, starts)
+		runner = core.NewRunnerWithOrders(s.opts, nil, starts)
+	} else {
+		// A nil starts falls through to the runner's own sampled fleet.
+		runner = s.newRunner(s.opts.Seed)
 	}
-	// A nil starts falls through to the runner's own sampled fleet.
-	return s.newRunner(s.opts.Seed)
+	rt, err := runner.ShardSession(src, starts, s.mode, s.model)
+	return rt, newDispatcher, err
 }
 
 // SweepSpec re-exports the grid description of core.Sweep.
@@ -607,8 +601,7 @@ type ServeHandle struct {
 	limit   int
 	waiters map[OrderID]chan Outcome
 
-	// shardStats reads the live per-shard counters of a sharded
-	// session; nil for unsharded sessions.
+	// shardStats reads the session runtime's live per-shard counters.
 	shardStats func() []shard.Stats
 
 	// Written once by the serve goroutine before done closes.
@@ -636,11 +629,6 @@ func (s *Service) Start(ctx context.Context, algorithm string, starts []Point, o
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	// Fail fast on an unknown algorithm: the serve goroutine would only
-	// surface it through Result, long after the caller wired a gateway.
-	if _, err := core.NewDispatcher(algorithm, s.opts.Seed); err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	h := &ServeHandle{
 		src:     NewChannelSource(),
@@ -656,25 +644,18 @@ func (s *Service) Start(ctx context.Context, algorithm string, starts []Point, o
 	}
 	run := *s
 	run.opts.Observer = obs
-	if run.opts.Shards > 0 {
-		// Build the sharded session synchronously so the handle can
-		// expose per-shard stats while it runs; only the lockstep loop
-		// itself goes to the background goroutine.
-		rt, err := run.serveRunner(starts).ShardSession(h.src, starts, run.mode, run.model)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		h.shardStats = rt.Stats
-		go func() {
-			m, err := rt.Run(ctx, core.ShardDispatchers(algorithm, run.opts.Seed, run.opts.Shards))
-			h.finish(m, err)
-			cancel()
-		}()
-		return h, nil
+	// Build the session synchronously: a bad algorithm or configuration
+	// fails here rather than through Result, long after the caller wired
+	// a gateway, and the handle can expose per-shard stats while the
+	// session runs. Only the batch loop goes to the background goroutine.
+	rt, newDispatcher, err := run.liveSession(algorithm, h.src, starts)
+	if err != nil {
+		cancel()
+		return nil, err
 	}
+	h.shardStats = rt.Stats
 	go func() {
-		m, err := run.Serve(ctx, algorithm, h.src, starts)
+		m, err := rt.Run(ctx, newDispatcher)
 		h.finish(m, err)
 		cancel()
 	}()
@@ -841,16 +822,11 @@ func (h *ServeHandle) SetInFlightLimit(n int) {
 // released into the engine.
 func (h *ServeHandle) Pending() int { return h.src.Pending() }
 
-// ShardStats returns the live per-shard counters of a sharded session
-// (one entry per shard: territory, fleet slice, queue depths, batch
-// timings, borrow counts), or nil when the session runs unsharded.
-// Safe for concurrent use while the session runs.
-func (h *ServeHandle) ShardStats() []ShardStats {
-	if h.shardStats == nil {
-		return nil
-	}
-	return h.shardStats()
-}
+// ShardStats returns the session's live per-shard counters: one entry
+// per shard (territory, fleet slice, queue depths, batch timings, borrow
+// counts) — a single entry covering the whole city by default. Safe for
+// concurrent use while the session runs.
+func (h *ServeHandle) ShardStats() []ShardStats { return h.shardStats() }
 
 // Close marks the order stream complete: already-submitted orders are
 // still dispatched, further Submit calls fail, and the session ends

@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
+var shardTestCity = NewCity(CityConfig{OrdersPerDay: 1500, Seed: 17})
+
 func shardTestService(t *testing.T, opts ...Option) *Service {
 	t.Helper()
 	base := []Option{
-		WithCity(NewCity(CityConfig{OrdersPerDay: 1500, Seed: 17})),
+		WithCity(shardTestCity),
 		WithFleet(40),
 		WithHorizon(4 * 3600),
 		WithPrediction(PredictNone, nil),
@@ -20,20 +22,29 @@ func shardTestService(t *testing.T, opts ...Option) *Service {
 	return svc
 }
 
-// TestWithShardsOneShardParity: the public API contract — WithShards(1)
-// produces the same deterministic metrics as the unsharded service.
+// TestWithShardsOneShardParity: the public API contract — the default
+// (1-shard) Service.Run produces the same deterministic metrics as the
+// bare-engine reference, Runner.RunSource, over the same instance. The
+// 4 h horizon cuts the day trace short, so the reference's drain stop
+// never fires and both run the same batches.
 func TestWithShardsOneShardParity(t *testing.T) {
-	base, err := shardTestService(t).Run(context.Background(), "LS")
+	svc := shardTestService(t)
+	got, err := svc.Run(context.Background(), "LS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := shardTestService(t, WithShards(1)).Run(context.Background(), "LS")
+	ref := svc.Runner()
+	ls, err := NewDispatcher("LS", svc.Options().Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Summary() != sharded.Summary() {
-		t.Fatalf("WithShards(1) diverges from unsharded:\n  unsharded: %+v\n  sharded:   %+v",
-			base.Summary(), sharded.Summary())
+	want, err := ref.RunSource(context.Background(), ls, PredictNone, nil, NewSliceSource(ref.Orders()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Summary() != want.Summary() {
+		t.Fatalf("Service.Run diverges from the bare engine:\n  engine:  %+v\n  service: %+v",
+			want.Summary(), got.Summary())
 	}
 }
 
@@ -142,13 +153,15 @@ func TestStartShardedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Unsharded sessions report no shard stats.
+	// The default session is one shard holding the whole fleet and city.
 	h2, err := shardTestService(t).Start(ctx, "NEAR", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h2.ShardStats(); got != nil {
-		t.Fatalf("unsharded session reports shard stats: %v", got)
+	got := h2.ShardStats()
+	if len(got) != 1 || got[0].Drivers != 40 || got[0].Regions != shardTestCity.Grid().NumRegions() {
+		t.Fatalf("default session shard stats = %+v, want one shard with 40 drivers and all %d regions",
+			got, shardTestCity.Grid().NumRegions())
 	}
 	h2.Stop()
 	_, _ = h2.Result()

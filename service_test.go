@@ -70,11 +70,6 @@ func TestServiceOptionsApply(t *testing.T) {
 	if o.Observer == nil {
 		t.Error("observer option not applied")
 	}
-	// WithOptions overlays wholesale; later options still win.
-	svc2 := mustService(t, WithOptions(o), WithFleet(7))
-	if got := svc2.Options(); got.NumDrivers != 7 || got.Delta != 7 {
-		t.Errorf("WithOptions overlay broken: %+v", got)
-	}
 }
 
 func TestServiceOptionValidation(t *testing.T) {
@@ -255,16 +250,16 @@ func TestServiceObserverSeesRun(t *testing.T) {
 
 // startTestService builds a small live-serve service: free-running
 // engine, generous horizon, a fleet parked around the city center.
-func startTestService(t *testing.T, fleet int) (*Service, []Point) {
+func startTestService(t *testing.T, fleet int, extra ...Option) (*Service, []Point) {
 	t.Helper()
 	city := NewCity(CityConfig{OrdersPerDay: 1000, Seed: 6})
-	svc := mustService(t,
+	svc := mustService(t, append([]Option{
 		WithCity(city),
 		WithFleet(fleet),
 		WithBatchInterval(3),
-		WithHorizon(30*24*3600),
+		WithHorizon(30 * 24 * 3600),
 		WithPrediction(PredictNone, nil),
-	)
+	}, extra...)...)
 	c := city.Grid().Bounds().Center()
 	starts := make([]Point, fleet)
 	for i := range starts {
@@ -420,10 +415,9 @@ func TestServeHandleConcurrentSubmit(t *testing.T) {
 // order to OutcomeCanceled and leaks no goroutines.
 func TestServeHandleCancellationResolvesWaiters(t *testing.T) {
 	before := runtime.NumGoroutine()
-	svc, starts := startTestService(t, 4)
 	// Pace the engine hard (1 simulated second per wall second, 3s
 	// batches) so submitted orders are still in flight when we cancel.
-	paced := mustService(t, WithOptions(svc.Options()), WithPace(1))
+	paced, starts := startTestService(t, 4, WithPace(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	h, err := paced.Start(ctx, "NEAR", starts)
 	if err != nil {
@@ -474,8 +468,7 @@ func TestServeHandleCancellationResolvesWaiters(t *testing.T) {
 // beyond the limit fail with ErrQueueFull and in-flight never
 // overshoots.
 func TestServeHandleInFlightLimit(t *testing.T) {
-	svc, starts := startTestService(t, 4)
-	paced := mustService(t, WithOptions(svc.Options()), WithPace(1))
+	paced, starts := startTestService(t, 4, WithPace(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	h, err := paced.Start(ctx, "NEAR", starts)
