@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mrvd/internal/dispatch"
-	"mrvd/internal/experiments"
 	"mrvd/internal/matching"
 	"mrvd/internal/obs"
 	"mrvd/internal/pool"
@@ -19,56 +18,6 @@ import (
 	"mrvd/internal/trace"
 	"mrvd/internal/workload"
 )
-
-// benchConfig is the scale used by the per-table/figure benchmarks: 5%
-// of the paper's volume with a single problem instance, so the full
-// bench suite completes on a laptop. cmd/mrvd-bench regenerates the same
-// artifacts at the committed 0.25 (or full 1.0) scale.
-func benchConfig() experiments.Config {
-	return experiments.Config{Scale: 0.05, Seeds: 1}
-}
-
-// benchExperiment runs one registered paper artifact per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.Lookup(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(context.Background(), benchConfig(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- One benchmark per paper table ---
-
-func BenchmarkTable3IdleTimeEstimation(b *testing.B) { benchExperiment(b, "table3") }
-func BenchmarkTable4PredictionEffects(b *testing.B)  { benchExperiment(b, "table4") }
-func BenchmarkTable6PredictorAccuracy(b *testing.B)  { benchExperiment(b, "table6") }
-func BenchmarkTable7OrderPoissonTests(b *testing.B)  { benchExperiment(b, "table7") }
-func BenchmarkTable8DriverPoissonTests(b *testing.B) { benchExperiment(b, "table8") }
-
-// --- One benchmark per paper figure ---
-
-func BenchmarkFig5PickupDensity(b *testing.B)    { benchExperiment(b, "fig5") }
-func BenchmarkFig6IdleTimeMap(b *testing.B)      { benchExperiment(b, "fig6") }
-func BenchmarkFig7NumDrivers(b *testing.B)       { benchExperiment(b, "fig7") }
-func BenchmarkFig8BatchInterval(b *testing.B)    { benchExperiment(b, "fig8") }
-func BenchmarkFig9TimeWindow(b *testing.B)       { benchExperiment(b, "fig9") }
-func BenchmarkFig10BaseWaitingTime(b *testing.B) { benchExperiment(b, "fig10") }
-func BenchmarkFig11OrderHistogram(b *testing.B)  { benchExperiment(b, "fig11") }
-func BenchmarkFig12DriverHistogram(b *testing.B) { benchExperiment(b, "fig12") }
-func BenchmarkFig13ServedOrders(b *testing.B)    { benchExperiment(b, "fig13") }
-
-// --- Ablation benchmarks (the design-choice ablations of internal/experiments) ---
-
-func BenchmarkAblationReneging(b *testing.B) { benchExperiment(b, "ablation-reneging") }
-func BenchmarkAblationLSSeed(b *testing.B)   { benchExperiment(b, "ablation-lsseed") }
-func BenchmarkAblationCoster(b *testing.B)   { benchExperiment(b, "ablation-coster") }
-func BenchmarkAblationMuUpdate(b *testing.B) { benchExperiment(b, "ablation-muupdate") }
 
 // --- Microbenchmarks of the hot substrates ---
 
@@ -187,8 +136,6 @@ func syntheticBatch(riders, drivers, fanout int) *sim.Context {
 	}
 	return ctx
 }
-
-func BenchmarkAblationReposition(b *testing.B) { benchExperiment(b, "ablation-reposition") }
 
 // BenchmarkBatchCosts prices one 200-driver x 200-order batch on the
 // road network through both query paths. Each iteration prices on a

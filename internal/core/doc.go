@@ -7,7 +7,14 @@
 // from a trained model, the realized history, or the noiseless oracle.
 // Every run is a 1..N-shard session (package shard) assembled in one
 // place, Runner.session; runs are context-aware (cancellation between
-// batches), can consume streaming order sources (ShardSession), and
-// Sweep executes whole (algorithm × seed × fleet) grids on a parallel
-// worker pool with per-seed history sharing and deterministic results.
+// batches) and can consume streaming order sources (ShardSession).
+//
+// Sweep is the one grid executor: a (layer × seed × fleet × series)
+// grid, where a series is a labelled dispatcher with its own forecast
+// source and a layer any overlay of Options, runs on one bounded
+// worker pool with each problem instance built once, each (city, seed)
+// history built once and each predictor trained once per (city, seed,
+// name), and deterministic results in grid order. Service.Sweep and the
+// experiment presets (package experiments, via experiments/matrix) are
+// its two callers.
 package core

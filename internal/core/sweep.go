@@ -3,38 +3,105 @@ package core
 import (
 	"context"
 	"fmt"
-	"mrvd/internal/geo"
 	"runtime"
 	"sync"
 
+	"mrvd/internal/geo"
 	"mrvd/internal/predict"
 	"mrvd/internal/roadnet"
 	"mrvd/internal/sim"
+	"mrvd/internal/stats"
 	"mrvd/internal/trace"
+	"mrvd/internal/workload"
 )
 
-// SweepSpec describes an (algorithm × seed × fleet-size) experiment grid.
-// The zero value of Seeds and Fleets falls back to the base options'
-// seed and fleet, so a spec with only Algorithms set compares dispatchers
-// on one instance.
+// SweepSeries is one row of a sweep grid: a labelled dispatcher with its
+// own demand-forecast source. It is what lets one grid hold the paper's
+// IRG-P (IRG fed by a trained model) next to IRG-R (IRG fed by the
+// oracle), or LS seeded by RAND next to LS seeded by IRG.
+type SweepSeries struct {
+	// Label names the series in results (SweepPoint.Algorithm); empty
+	// defaults to Algorithm.
+	Label string
+	// Algorithm is a dispatcher name accepted by NewDispatcher. Ignored
+	// when New is set.
+	Algorithm string
+	// New, when set, builds the series' dispatcher directly — the
+	// variants the name factory cannot express. It is called once per
+	// shard of every cell with that cell's (shard-split) seed and must
+	// return a fresh instance each time.
+	New func(seed int64) sim.Dispatcher
+	// Mode and Model select this series' forecast source. In
+	// PredictModel mode Model receives the cell's instance seed and must
+	// return a fresh untrained predictor; it is trained once per (city,
+	// seed, predictor name) and then shared read-only by every cell of
+	// the grid with that key, whatever its layer, fleet or series.
+	Mode  PredictionMode
+	Model func(seed int64) predict.Predictor
+}
+
+func (s SweepSeries) label() string {
+	if s.Label != "" {
+		return s.Label
+	}
+	return s.Algorithm
+}
+
+// dispatchers is the series' per-shard dispatcher factory, with
+// ShardDispatchers' seeding rule.
+func (s SweepSeries) dispatchers(seed int64, shards int) func(shard int) (sim.Dispatcher, error) {
+	if s.New == nil {
+		return ShardDispatchers(s.Algorithm, seed, shards)
+	}
+	return func(i int) (sim.Dispatcher, error) {
+		if shards > 1 {
+			return s.New(stats.SplitSeed(seed, i)), nil
+		}
+		return s.New(seed), nil
+	}
+}
+
+// SweepLayer is one named overlay of the base options: every (series,
+// seed, fleet) combination runs once under each layer.
+type SweepLayer struct {
+	Name string
+	// Apply edits a copy of the base options — batch interval, window,
+	// city, coster, scenario, pooling, repositioner... It runs once per
+	// (seed, fleet) instance, so stateful values it installs are not
+	// shared across instances. Seed and NumDrivers are overwritten from
+	// the grid axes afterwards; nil leaves the base untouched.
+	Apply func(*Options)
+}
+
+// SweepSpec describes a (layer × seed × fleet-size × series) experiment
+// grid. The zero value of Seeds and Fleets falls back to the base
+// options' seed and fleet and the zero Layers to the base options alone,
+// so a spec with only Algorithms set compares dispatchers on one
+// instance.
 type SweepSpec struct {
-	// Algorithms are dispatcher names accepted by NewDispatcher.
+	// Algorithms are dispatcher names accepted by NewDispatcher; each is
+	// a series labelled by its name that forecasts from Mode and Model.
 	Algorithms []string
+	// Series are further rows, after the Algorithms, each with its own
+	// label, dispatcher and forecast source.
+	Series []SweepSeries
+	// Layers are the option overlays; empty runs the base options.
+	Layers []SweepLayer
 	// Seeds are instance seeds; each seed is one generated problem
-	// instance shared by every algorithm and fleet size.
+	// instance shared by every series of a (layer, fleet).
 	Seeds []int64
-	// Fleets are driver counts (Options.NumDrivers values).
+	// Fleets are driver counts (Options.NumDrivers values), each >= 1.
 	Fleets []int
 	// Workers bounds the parallel runs; 0 means GOMAXPROCS, 1 runs the
 	// grid sequentially. Results are identical either way: each point is
 	// an independent deterministic simulation, and results are returned
 	// in grid order regardless of completion order.
 	Workers int
-	// Mode and Model select the demand-forecast source for every point.
-	// In PredictModel mode Model must be a factory returning a fresh
-	// untrained predictor: one instance is trained per seed (training
-	// mutates the model) and then shared read-only across that seed's
-	// points.
+	// Mode and Model select the demand-forecast source of the Algorithms
+	// rows. In PredictModel mode Model must be a factory returning a
+	// fresh untrained predictor: one instance is trained per seed
+	// (training mutates the model) and then shared read-only across that
+	// seed's points.
 	Mode  PredictionMode
 	Model func() predict.Predictor
 	// Orders, when set, replays this fixed external trace for every
@@ -59,15 +126,35 @@ func (s SweepSpec) withDefaults(base Options) SweepSpec {
 			s.Fleets = []int{base.withDefaults().NumDrivers}
 		}
 	}
+	if len(s.Layers) == 0 {
+		s.Layers = []SweepLayer{{}}
+	}
 	if s.Workers <= 0 {
 		s.Workers = runtime.GOMAXPROCS(0)
 	}
 	return s
 }
 
+// rows returns the grid's series: the Algorithms under the spec's
+// forecast source, then the explicit Series.
+func (s SweepSpec) rows() []SweepSeries {
+	rows := make([]SweepSeries, 0, len(s.Algorithms)+len(s.Series))
+	for _, alg := range s.Algorithms {
+		row := SweepSeries{Algorithm: alg, Mode: s.Mode}
+		if s.Model != nil {
+			row.Model = func(int64) predict.Predictor { return s.Model() }
+		}
+		rows = append(rows, row)
+	}
+	return append(rows, s.Series...)
+}
+
 // SweepPoint identifies one cell of the grid.
 type SweepPoint struct {
+	// Algorithm is the cell's series label — the dispatcher name unless
+	// the series sets its own.
 	Algorithm string
+	Layer     string
 	Seed      int64
 	Fleet     int
 }
@@ -80,184 +167,215 @@ type SweepResult struct {
 	Err     error
 }
 
-// Sweep executes every (algorithm, seed, fleet) combination of the spec
-// over the base options on a bounded worker pool. Each (seed, fleet)
-// problem instance — trace, fleet starts, oracle intensities — is
-// materialized once and shared read-only by that instance's algorithm
-// cells, and in PredictModel mode each seed additionally shares one
-// built history and trained predictor via ShareFrom, so sweeps never
-// regenerate a day trace or months of history per cell.
+// forEach runs fn(0) … fn(n-1) on at most workers goroutines and waits
+// for all of them — the sweep's one worker pool.
+func forEach(workers, n int, fn func(i int)) {
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+}
+
+// Sweep executes every (layer, seed, fleet, series) combination of the
+// spec over the base options on a bounded worker pool. It is the one
+// place grids materialize problem instances and share prediction state:
+// each (layer, seed, fleet) instance — trace, fleet starts, oracle
+// intensities — is built once and shared read-only by that instance's
+// series cells, and each (city, seed) builds one history on which every
+// distinct predictor a PredictModel series asks for is trained once and
+// shared via ShareFrom — across layers too, so sweeping the batch
+// interval or the fleet never regenerates months of history or retrains
+// a model per cell.
 //
-// Results come back in grid order — seeds outermost, then fleets, then
-// algorithms — independent of scheduling, and each cell's Metrics are
-// identical to a sequential run of that cell (see sim.Metrics.Summary
-// for the determinism contract; wall-clock BatchSeconds vary). Canceling
-// ctx stops in-flight runs and returns the context error; per-cell
-// failures land in SweepResult.Err without aborting other cells.
+// Results come back in grid order — layers outermost, then seeds, then
+// fleets, then series — independent of scheduling, and each cell's
+// Metrics are identical to a sequential run of that cell (see
+// sim.Metrics.Summary for the determinism contract; wall-clock
+// BatchSeconds vary). Canceling ctx stops in-flight runs and returns the
+// context error; per-cell failures land in SweepResult.Err without
+// aborting other cells.
 func Sweep(ctx context.Context, base Options, spec SweepSpec) ([]SweepResult, error) {
 	spec = spec.withDefaults(base)
-	for _, alg := range spec.Algorithms {
-		if _, err := NewDispatcher(alg, 0); err != nil {
-			return nil, err
-		}
-	}
-	if len(spec.Algorithms) == 0 {
+	rows := spec.rows()
+	if len(rows) == 0 {
 		return nil, fmt.Errorf("core: sweep needs at least one algorithm")
 	}
-	// Every cell of the grid runs one shared coster instance: resolve
-	// the nil default here rather than per cell inside sim.Config.
-	// (The default is stateless, so this only pins down the sharing
-	// contract; a user-supplied coster — e.g. a road network, whose
-	// snap index and tree cache then warm across the grid — is shared
-	// by construction through base.Coster. Costers must be safe for
-	// concurrent use; both built-ins are.)
+	for _, row := range rows {
+		if row.New == nil {
+			if _, err := NewDispatcher(row.Algorithm, 0); err != nil {
+				return nil, err
+			}
+		}
+		if row.Mode == PredictModel && row.Model == nil {
+			return nil, fmt.Errorf("core: PredictModel sweep requires a model factory (series %q)", row.label())
+		}
+	}
+	for _, fleet := range spec.Fleets {
+		if fleet < 1 {
+			return nil, fmt.Errorf("core: sweep fleet %d: fleet sizes must be >= 1", fleet)
+		}
+		if spec.Starts != nil && fleet != len(spec.Starts) {
+			return nil, fmt.Errorf("core: sweep fleet %d != %d pinned starts", fleet, len(spec.Starts))
+		}
+	}
+	if spec.Starts != nil && spec.Orders == nil {
+		return nil, fmt.Errorf("core: sweep Starts requires Orders")
+	}
+	// Every cell of the grid shares one city and one coster instance
+	// unless a layer swaps them: resolve the nil defaults here rather
+	// than per cell. (The city's identity keys the shared histories; the
+	// default coster is stateless, so that only pins down the sharing
+	// contract — a user-supplied coster, e.g. a road network whose snap
+	// index and tree cache then warm across the grid, is shared by
+	// construction. Costers must be safe for concurrent use; both
+	// built-ins are.)
+	if base.City == nil {
+		base.City = base.withDefaults().City
+	}
 	if base.Coster == nil {
 		base.Coster = roadnet.NewDefaultCoster()
 	}
-	if spec.Mode == PredictModel && spec.Model == nil {
-		return nil, fmt.Errorf("core: PredictModel sweep requires a model factory")
+
+	// Materialize each (layer, seed, fleet) instance once, concurrently.
+	// The instance runner is never Run directly; cells fork it.
+	type instKey struct {
+		layer int
+		seed  int64
+		fleet int
 	}
-	if spec.Starts != nil {
-		if spec.Orders == nil {
-			return nil, fmt.Errorf("core: sweep Starts requires Orders")
-		}
-		for _, fleet := range spec.Fleets {
-			if fleet != len(spec.Starts) {
-				return nil, fmt.Errorf("core: sweep fleet %d != %d pinned starts", fleet, len(spec.Starts))
+	var keys []instKey
+	instances := make(map[instKey]*Runner)
+	for li := range spec.Layers {
+		for _, seed := range spec.Seeds {
+			for _, fleet := range spec.Fleets {
+				k := instKey{li, seed, fleet}
+				if _, ok := instances[k]; !ok {
+					instances[k] = &Runner{}
+					keys = append(keys, k)
+				}
 			}
 		}
 	}
-
-	cellOptions := func(p SweepPoint) Options {
+	forEach(spec.Workers, len(keys), func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		k := keys[i]
 		o := base
-		o.Seed = p.Seed
-		o.NumDrivers = p.Fleet
+		if apply := spec.Layers[k.layer].Apply; apply != nil {
+			apply(&o)
+		}
+		o.Seed = k.seed
+		o.NumDrivers = k.fleet
 		// Per-run hooks don't carry into sweep cells: a shared Observer
 		// would be invoked from every worker goroutine at once with no
 		// cell identity, and pacing is a live-serving concern that would
 		// throttle each cell to wall-clock speed.
 		o.Observer = nil
 		o.PaceFactor = 0
-		return o
-	}
-
-	// Materialize each (seed, fleet) instance once, concurrently. The
-	// instance runner is never Run directly; cells fork it.
-	type instKey struct {
-		seed  int64
-		fleet int
-	}
-	instances := make(map[instKey]*Runner, len(spec.Seeds)*len(spec.Fleets))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, spec.Workers)
-	for _, seed := range spec.Seeds {
-		for _, fleet := range spec.Fleets {
-			k := instKey{seed, fleet}
-			if _, ok := instances[k]; ok || ctx.Err() != nil {
-				continue
-			}
-			r := &Runner{}
-			instances[k] = r
-			wg.Add(1)
-			go func(k instKey, dst *Runner) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				o := cellOptions(SweepPoint{Seed: k.seed, Fleet: k.fleet})
-				if spec.Orders != nil {
-					*dst = *NewRunnerWithOrders(o, spec.Orders, spec.Starts)
-				} else {
-					*dst = *NewRunner(o)
-				}
-			}(k, r)
+		if spec.Orders != nil {
+			*instances[k] = *NewRunnerWithOrders(o, spec.Orders, spec.Starts)
+		} else {
+			*instances[k] = *NewRunner(o)
 		}
-	}
-	wg.Wait()
+	})
 
-	// In PredictModel mode, build one history and trained predictor per
-	// seed on that seed's first instance; the other modes never touch
-	// history (the oracle reads precomputed intensities).
-	type seedBase struct {
+	// Build one history per (city, seed) — on the first instance that
+	// has them — and train on it every predictor the PredictModel series
+	// name, one group per worker; the other modes never touch history
+	// (the oracle reads precomputed intensities).
+	type histKey struct {
+		city        *workload.City
+		trainDays   int
+		slotSeconds float64
+		seed        int64
+	}
+	type trained struct {
 		runner *Runner
-		model  predict.Predictor
-		err    error
+		models []predict.Predictor // per series; nil outside PredictModel
+		errs   []error
 	}
-	bases := make(map[int64]*seedBase, len(spec.Seeds))
-	if spec.Mode == PredictModel && ctx.Err() == nil {
-		for _, seed := range spec.Seeds {
-			if _, ok := bases[seed]; ok {
-				continue
+	histOf := func(r *Runner) histKey {
+		return histKey{r.opts.City, r.opts.TrainDays, r.opts.SlotSeconds, r.opts.Seed}
+	}
+	var groups []*trained
+	shared := make(map[histKey]*trained)
+	usesModel := false
+	for _, row := range rows {
+		usesModel = usesModel || row.Mode == PredictModel
+	}
+	if usesModel && ctx.Err() == nil {
+		for _, k := range keys {
+			hk := histOf(instances[k])
+			if _, ok := shared[hk]; !ok {
+				g := &trained{runner: instances[k], models: make([]predict.Predictor, len(rows)), errs: make([]error, len(rows))}
+				shared[hk] = g
+				groups = append(groups, g)
 			}
-			sb := &seedBase{runner: instances[instKey{seed, spec.Fleets[0]}]}
-			bases[seed] = sb
-			wg.Add(1)
-			go func(sb *seedBase) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				sb.model, sb.err = sb.runner.TrainedPredictor(spec.Model())
-			}(sb)
 		}
-		wg.Wait()
+		forEach(spec.Workers, len(groups), func(i int) {
+			g := groups[i]
+			for ri, row := range rows {
+				if row.Mode == PredictModel && ctx.Err() == nil {
+					// Cached by predictor name: rows naming the same
+					// model get the one trained instance.
+					g.models[ri], g.errs[ri] = g.runner.TrainedPredictor(row.Model(g.runner.opts.Seed))
+				}
+			}
+		})
 	}
 
 	type job struct {
-		idx   int
-		point SweepPoint
+		inst instKey
+		row  int
 	}
 	var jobs []job
-	for _, seed := range spec.Seeds {
-		for _, fleet := range spec.Fleets {
-			for _, alg := range spec.Algorithms {
-				jobs = append(jobs, job{idx: len(jobs), point: SweepPoint{Algorithm: alg, Seed: seed, Fleet: fleet}})
+	for li := range spec.Layers {
+		for _, seed := range spec.Seeds {
+			for _, fleet := range spec.Fleets {
+				for ri := range rows {
+					jobs = append(jobs, job{instKey{li, seed, fleet}, ri})
+				}
 			}
 		}
 	}
 	results := make([]SweepResult, len(jobs))
-
-	jobCh := make(chan job)
-	var workers sync.WaitGroup
-	for w := 0; w < spec.Workers; w++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for j := range jobCh {
-				res := SweepResult{SweepPoint: j.point}
-				sb := bases[j.point.Seed]
-				switch {
-				case ctx.Err() != nil:
-					res.Err = ctx.Err()
-				case sb != nil && sb.err != nil:
-					res.Err = sb.err
-				default:
-					runner := instances[instKey{j.point.Seed, j.point.Fleet}].fork()
-					var model predict.Predictor
-					if sb != nil {
-						runner.ShareFrom(sb.runner)
-						model = sb.model
-					}
-					// A multi-shard cell steps its shards on their own
-					// goroutines, inside this worker's slot.
-					res.Metrics, res.Err = runner.Run(ctx,
-						ShardDispatchers(j.point.Algorithm, j.point.Seed, base.Shards), spec.Mode, model)
-				}
-				results[j.idx] = res
-			}
-		}()
-	}
-	for _, j := range jobs {
-		select {
-		case jobCh <- j:
-		case <-ctx.Done():
-			// Mark unscheduled cells canceled; in-flight runs notice the
-			// cancellation at their next batch.
-			results[j.idx] = SweepResult{SweepPoint: j.point, Err: ctx.Err()}
+	forEach(spec.Workers, len(jobs), func(i int) {
+		j, row := jobs[i], rows[jobs[i].row]
+		res := SweepResult{SweepPoint: SweepPoint{
+			Algorithm: row.label(), Layer: spec.Layers[j.inst.layer].Name, Seed: j.inst.seed, Fleet: j.inst.fleet,
+		}}
+		defer func() { results[i] = res }()
+		// Unstarted cells are marked canceled; in-flight runs notice the
+		// cancellation at their next batch.
+		if res.Err = ctx.Err(); res.Err != nil {
+			return
 		}
-	}
-	close(jobCh)
-	workers.Wait()
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, nil
+		runner := instances[j.inst].fork()
+		var model predict.Predictor
+		if row.Mode == PredictModel {
+			g := shared[histOf(runner)]
+			if res.Err = g.errs[j.row]; res.Err != nil {
+				return
+			}
+			runner.ShareFrom(g.runner)
+			model = g.models[j.row]
+		}
+		// A multi-shard cell steps its shards on their own goroutines,
+		// inside this worker's slot.
+		res.Metrics, res.Err = runner.Run(ctx, row.dispatchers(j.inst.seed, runner.opts.Shards), row.Mode, model)
+	})
+	return results, ctx.Err()
 }

@@ -5,11 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
+	"mrvd/internal/dispatch"
+	"mrvd/internal/geo"
 	"mrvd/internal/predict"
 	"mrvd/internal/sim"
+	"mrvd/internal/workload"
 )
 
 func sweepSpec(workers int) SweepSpec {
@@ -79,20 +83,66 @@ func TestSweepMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// countingHA is the historical-average predictor under a chosen name,
+// recording every Train call.
+type countingHA struct {
+	predict.HA
+	name   string
+	trains *trainLog
+}
+
+type trainLog struct {
+	mu    sync.Mutex
+	calls map[string]int // "name/history pointer" -> Train calls
+}
+
+func (c countingHA) Name() string { return c.name }
+
+func (c countingHA) Train(h *predict.History, trainDays int) error {
+	c.trains.mu.Lock()
+	c.trains.calls[fmt.Sprintf("%s/%p", c.name, h)]++
+	c.trains.mu.Unlock()
+	return c.HA.Train(h, trainDays)
+}
+
+// TestSweepPredictModelSharesTraining: over a 3-layer, 2-seed grid with
+// two model-fed series, a model-fed series naming the first one's
+// predictor again and an oracle series, each (city, seed, predictor
+// name) trains exactly once on one shared history — not once per layer,
+// fleet or cell — and a layer that swaps the city trains again.
 func TestSweepPredictModelSharesTraining(t *testing.T) {
 	opts := testOptions()
 	opts.Horizon = 3600
+	log := &trainLog{calls: map[string]int{}}
+	model := func(name string) func(int64) predict.Predictor {
+		return func(int64) predict.Predictor { return countingHA{name: name, trains: log} }
+	}
+	otherCity := workload.NewCity(workload.CityConfig{Grid: geo.NewGrid(geo.NYCBBox, 4, 4), OrdersPerDay: 5000, Seed: 10})
 	spec := SweepSpec{
-		Algorithms: []string{"IRG", "NEAR"},
-		Seeds:      []int64{1},
-		Fleets:     []int{20},
-		Workers:    2,
-		Mode:       PredictModel,
-		Model:      func() predict.Predictor { return predict.HA{} },
+		Series: []SweepSeries{
+			{Label: "IRG-A", Algorithm: "IRG", Mode: PredictModel, Model: model("A")},
+			{Label: "POLAR-B", Algorithm: "POLAR", Mode: PredictModel, Model: model("B")},
+			{Label: "LS-A", Algorithm: "LS", Mode: PredictModel, Model: model("A")},
+			{Label: "IRG-R", Algorithm: "IRG", Mode: PredictOracle},
+		},
+		Layers: []SweepLayer{
+			{Name: "base"},
+			{Name: "delta20", Apply: func(o *Options) { o.Delta = 20 }},
+			{Name: "tc600", Apply: func(o *Options) { o.TC = 600 }},
+		},
+		Seeds:   []int64{1, 2},
+		Fleets:  []int{20, 30},
+		Workers: 3,
 	}
 	res, err := Sweep(context.Background(), opts, spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res) != 3*2*2*4 {
+		t.Fatalf("%d results, want 48", len(res))
+	}
+	if first, last := res[0].SweepPoint, res[len(res)-1].SweepPoint; first != (SweepPoint{"IRG-A", "base", 1, 20}) || last != (SweepPoint{"IRG-R", "tc600", 2, 30}) {
+		t.Errorf("grid order: first %+v, last %+v", first, last)
 	}
 	for _, r := range res {
 		if r.Err != nil {
@@ -101,6 +151,54 @@ func TestSweepPredictModelSharesTraining(t *testing.T) {
 		if r.Metrics.Served+r.Metrics.Reneged == 0 {
 			t.Errorf("%+v: no outcomes", r.SweepPoint)
 		}
+	}
+	// 2 seeds x {A, B}: four (history, name) keys, each trained once.
+	if len(log.calls) != 4 {
+		t.Errorf("trained %d (name, history) pairs, want 4: %v", len(log.calls), log.calls)
+	}
+	for k, n := range log.calls {
+		if n != 1 {
+			t.Errorf("%s trained %d times, want 1", k, n)
+		}
+	}
+
+	// A second city is a second history: its layer trains again, the
+	// base layer's training is still shared.
+	log.calls = map[string]int{}
+	spec.Layers = []SweepLayer{{Name: "base"}, {Name: "city2", Apply: func(o *Options) { o.City = otherCity }}}
+	spec.Seeds, spec.Fleets = []int64{1}, []int{20}
+	if _, err := Sweep(context.Background(), opts, spec); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.calls) != 4 {
+		t.Errorf("two cities trained %d (name, history) pairs, want 4: %v", len(log.calls), log.calls)
+	}
+}
+
+// TestSweepSeriesDispatcherFactory: a series built from a concrete
+// dispatcher factory runs like the named algorithm it reconstructs, and
+// results carry the series label.
+func TestSweepSeriesDispatcherFactory(t *testing.T) {
+	opts := testOptions()
+	opts.Horizon = 2 * 3600
+	res, err := Sweep(context.Background(), opts, SweepSpec{
+		Algorithms: []string{"RAND"},
+		Series: []SweepSeries{{Label: "RAND (factory)", Mode: PredictOracle,
+			New: func(seed int64) sim.Dispatcher { return &dispatch.RAND{Seed: seed} }}},
+		Seeds: []int64{4},
+		Mode:  PredictOracle,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 || res[0].Err != nil || res[1].Err != nil {
+		t.Fatalf("sweep: %+v", res)
+	}
+	if res[0].Algorithm != "RAND" || res[1].Algorithm != "RAND (factory)" {
+		t.Errorf("labels %q, %q", res[0].Algorithm, res[1].Algorithm)
+	}
+	if a, b := fmt.Sprintf("%+v", res[0].Metrics.Summary()), fmt.Sprintf("%+v", res[1].Metrics.Summary()); a != b {
+		t.Errorf("factory series diverged from the named algorithm:\n%s\n%s", a, b)
 	}
 }
 
@@ -183,6 +281,15 @@ func TestSweepValidation(t *testing.T) {
 	}
 	if _, err := Sweep(context.Background(), testOptions(), SweepSpec{Algorithms: []string{"IRG"}, Mode: PredictModel}); err == nil {
 		t.Error("PredictModel without model factory accepted")
+	}
+	if _, err := Sweep(context.Background(), testOptions(), SweepSpec{Series: []SweepSeries{{Algorithm: "IRG", Mode: PredictModel}}}); err == nil {
+		t.Error("PredictModel series without model factory accepted")
+	}
+	// A fleet below 1 used to run the default fleet under the wrong label.
+	for _, fleets := range [][]int{{0, 40}, {-3}} {
+		if _, err := Sweep(context.Background(), testOptions(), SweepSpec{Algorithms: []string{"NEAR"}, Fleets: fleets}); err == nil {
+			t.Errorf("fleets %v accepted", fleets)
+		}
 	}
 }
 

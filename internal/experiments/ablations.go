@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +8,7 @@ import (
 
 	"mrvd/internal/core"
 	"mrvd/internal/dispatch"
+	"mrvd/internal/experiments/matrix"
 	"mrvd/internal/queueing"
 	"mrvd/internal/roadnet"
 	"mrvd/internal/sim"
@@ -16,171 +16,146 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "ablation-reneging", Title: "Reneging exponent beta: effect on IRG revenue and idle-estimate accuracy", Run: runAblationReneging})
-	register(Experiment{ID: "ablation-lsseed", Title: "LS seeded by IRG vs seeded by RAND", Run: runAblationLSSeed})
-	register(Experiment{ID: "ablation-coster", Title: "Great-circle coster vs road-network shortest paths", Run: runAblationCoster})
-	register(Experiment{ID: "ablation-muupdate", Title: "IRG with vs without the mu feedback of Algorithm 2 line 11", Run: runAblationMuUpdate})
-	register(Experiment{ID: "ablation-reposition", Title: "IRG with vs without queue-guided idle-driver repositioning (framework extension)", Run: runAblationReposition})
+	register(ablation("ablation-reneging", "Reneging exponent beta: effect on IRG revenue and idle-estimate accuracy",
+		"beta\trevenue\tserved\tidle-estimate MAE (s)", renegingGrid, idleMAEColumn))
+	register(ablation("ablation-lsseed", "LS seeded by IRG vs seeded by RAND",
+		"LS seed\trevenue\tserved", lsSeedGrid, nil))
+	register(ablation("ablation-coster", "Great-circle coster vs road-network shortest paths",
+		"coster\tIRG revenue\tserved\tavg batch (µs)", costerGrid, func(trials []matrix.TrialResult) string {
+			return fmt.Sprintf("%.3g", mean(trials, batchMicros))
+		}))
+	register(ablation("ablation-muupdate", "IRG with vs without the mu feedback of Algorithm 2 line 11",
+		"IRG variant\trevenue\tserved", muUpdateGrid, nil))
+	register(ablation("ablation-reposition", "IRG with vs without queue-guided idle-driver repositioning (framework extension)",
+		"repositioning\trevenue\tserved", repositionGrid, nil))
 }
 
-// runDirect executes a concrete dispatcher (not the name factory) over
-// the configured instance seeds and returns mean revenue, served count,
-// and mean idle-estimate absolute error where estimates exist.
-func (c Config) runDirect(ctx context.Context, opts core.Options, mk func(seed int64) sim.Dispatcher, mode core.PredictionMode) (revenue, served, idleMAE float64, err error) {
-	var rev, srv, mae stats.Summary
-	for seed := int64(1); seed <= int64(c.Seeds); seed++ {
-		o := opts
-		o.Seed = seed
-		runner := core.NewRunner(o)
-		m, rerr := runner.Run(ctx, func(int) (sim.Dispatcher, error) { return mk(seed), nil }, mode, nil)
-		if rerr != nil {
-			return 0, 0, 0, rerr
-		}
-		rev.Add(m.Revenue)
-		srv.Add(float64(m.Served))
-		for _, rec := range m.IdleRecords {
-			// Drivers that rejoin with no estimator installed, or in a
-			// region the model assigns unbounded wait, carry NaN/Inf
-			// estimates; they have no defined error.
-			if math.IsNaN(rec.Estimate) || math.IsInf(rec.Estimate, 0) {
-				continue
+// ablation builds a design-choice preset: a grid whose rows — its series
+// when it has several, else its layers — each print mean revenue and
+// served count at the 1K fleet under the oracle, plus an optional extra
+// column.
+func ablation(id, title, header string, grid func(Params) matrix.Config, extra func([]matrix.TrialResult) string) Preset {
+	return Preset{
+		ID: id, Title: title,
+		Grids: func(p Params) []matrix.Config {
+			cfg := grid(p)
+			cfg.Name = id
+			cfg.Seeds = p.seedList()
+			cfg.KeepMetrics = extra != nil
+			return []matrix.Config{cfg}
+		},
+		Render: func(w io.Writer, _ Params, res []*matrix.Result) error {
+			tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+			fmt.Fprintln(tw, header)
+			for _, c := range res[0].Cells {
+				label := c.Algorithm
+				if len(res[0].Algorithms) == 1 {
+					label = c.Scenario
+				}
+				fmt.Fprintf(tw, "%s\t%.4g\t%.0f", label, mean(c.Trials, revenueMetric), mean(c.Trials, servedMetric))
+				if extra != nil {
+					fmt.Fprintf(tw, "\t%s", extra(c.Trials))
+				}
+				fmt.Fprintln(tw)
 			}
-			mae.Add(math.Abs(rec.Estimate - rec.Realized))
-		}
+			return tw.Flush()
+		},
 	}
-	return rev.Mean(), srv.Mean(), mae.Mean(), nil
 }
 
-func runAblationReneging(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "beta\trevenue\tserved\tidle-estimate MAE (s)\n")
+// idleMAEColumn is the mean absolute idle-estimate error over every
+// defined estimate of the cell.
+func idleMAEColumn(trials []matrix.TrialResult) string {
+	var mae stats.Summary
+	for _, t := range trials {
+		for _, rec := range t.Metrics.IdleRecords {
+			if finite(rec.Estimate) {
+				mae.Add(math.Abs(rec.Estimate - rec.Realized))
+			}
+		}
+	}
+	return fmt.Sprintf("%.2f", mae.Mean())
+}
+
+// ablationBase is the ablations' shared setting: the default city at the
+// 1K fleet.
+func ablationBase(p Params) matrix.Config {
+	return matrix.Config{
+		Base:    core.Options{City: p.city(120), NumDrivers: p.drivers(1000)},
+		Workers: p.Workers,
+	}
+}
+
+func renegingGrid(p Params) matrix.Config {
+	cfg := ablationBase(p)
 	for _, beta := range []float64{0, 0.02, 0.05, 0.1, 0.2} {
-		model := queueing.New(queueing.Config{Beta: beta})
-		rev, served, mae, err := cfg.runDirect(ctx,
-			core.Options{City: city, NumDrivers: cfg.Drivers(1000)},
-			func(int64) sim.Dispatcher { return &dispatch.IRG{Model: model} },
-			core.PredictOracle)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%.2f\t%.4g\t%.0f\t%.2f\n", beta, rev, served, mae)
+		cfg.Series = append(cfg.Series, core.SweepSeries{
+			Label: fmt.Sprintf("%.2f", beta),
+			New: func(int64) sim.Dispatcher {
+				return &dispatch.IRG{Model: queueing.New(queueing.Config{Beta: beta})}
+			},
+			Mode: core.PredictOracle,
+		})
 	}
-	return tw.Flush()
+	return cfg
 }
 
-func runAblationLSSeed(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "LS seed\trevenue\tserved\n")
-	seeds := []struct {
-		label string
-		mk    func(seed int64) sim.Dispatcher
-	}{
-		{"IRG (paper)", func(int64) sim.Dispatcher { return &dispatch.LS{} }},
-		{"RAND", func(seed int64) sim.Dispatcher {
+func lsSeedGrid(p Params) matrix.Config {
+	cfg := ablationBase(p)
+	cfg.Series = []core.SweepSeries{
+		{Label: "IRG (paper)", Algorithm: "LS", Mode: core.PredictOracle},
+		{Label: "RAND", Mode: core.PredictOracle, New: func(seed int64) sim.Dispatcher {
 			return &dispatch.LS{Seed: &dispatch.RAND{Seed: seed}}
 		}},
-		{"NEAR", func(int64) sim.Dispatcher {
+		{Label: "NEAR", Mode: core.PredictOracle, New: func(int64) sim.Dispatcher {
 			return &dispatch.LS{Seed: dispatch.NEAR{}}
 		}},
 	}
-	for _, s := range seeds {
-		rev, served, _, err := cfg.runDirect(ctx,
-			core.Options{City: city, NumDrivers: cfg.Drivers(1000)}, s.mk, core.PredictOracle)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%s\t%.4g\t%.0f\n", s.label, rev, served)
-	}
-	return tw.Flush()
+	return cfg
 }
 
-func runAblationCoster(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
+func costerGrid(p Params) matrix.Config {
 	// The graph coster runs Dijkstra per query; keep this ablation small
-	// regardless of the configured scale.
-	small := cfg
-	if small.Scale > 0.05 {
-		small.Scale = 0.05
-	}
-	city := small.city(120)
-	network := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: small.CitySeed})
-	costers := []struct {
-		label string
-		c     roadnet.Coster
+	// regardless of the configured scale, with fewer batches.
+	p.Scale = min(p.Scale, 0.05)
+	cfg := ablationBase(p)
+	cfg.Base.Delta = 10
+	cfg.Workers = p.timedWorkers()
+	cfg.Algorithms, cfg.Mode = []string{"IRG"}, core.PredictOracle
+	network := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: p.CitySeed})
+	for _, c := range []struct {
+		label  string
+		coster roadnet.Coster
 	}{
 		{"manhattan@11m/s (default)", roadnet.NewDefaultCoster()},
 		{"euclid x1.3 detour", &roadnet.GreatCircleCoster{SpeedMPS: roadnet.DefaultSpeedMPS, DetourFactor: 1.3}},
 		{"road-network dijkstra", roadnet.NewGraphCoster(network)},
+	} {
+		cfg.Scenarios = append(cfg.Scenarios, matrix.Scenario{Name: c.label,
+			Apply: func(o *core.Options) { o.Coster = c.coster }})
 	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "coster\tIRG revenue\tserved\tavg batch (s)\n")
-	for _, c := range costers {
-		rev, served, batch, err := small.runPoint(ctx, core.Options{
-			City: city, NumDrivers: small.Drivers(1000), Coster: c.c,
-			Delta: 10, // fewer batches: Dijkstra-backed costs are slow
-		}, "IRG", core.PredictOracle, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%s\t%.4g\t%.0f\t%.4f\n", c.label, rev, served, batch)
-	}
-	return tw.Flush()
+	return cfg
 }
 
-func runAblationMuUpdate(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "IRG variant\trevenue\tserved\n")
-	variants := []struct {
-		label string
-		mk    func(seed int64) sim.Dispatcher
-	}{
-		{"mu update on (Alg. 2 line 11)", func(int64) sim.Dispatcher { return &dispatch.IRG{} }},
-		{"mu update off (frozen scores)", func(int64) sim.Dispatcher { return &dispatch.IRG{DisableMuUpdate: true} }},
+func muUpdateGrid(p Params) matrix.Config {
+	cfg := ablationBase(p)
+	cfg.Series = []core.SweepSeries{
+		{Label: "mu update on (Alg. 2 line 11)", Algorithm: "IRG", Mode: core.PredictOracle},
+		{Label: "mu update off (frozen scores)", Mode: core.PredictOracle, New: func(int64) sim.Dispatcher {
+			return &dispatch.IRG{DisableMuUpdate: true}
+		}},
 	}
-	for _, v := range variants {
-		rev, served, _, err := cfg.runDirect(ctx,
-			core.Options{City: city, NumDrivers: cfg.Drivers(1000)}, v.mk, core.PredictOracle)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%s\t%.4g\t%.0f\n", v.label, rev, served)
-	}
-	return tw.Flush()
+	return cfg
 }
 
-func runAblationReposition(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "repositioning\trevenue\tserved\n")
-	variants := []struct {
-		label string
-		opts  func() core.Options
-	}{
-		{"off (paper base)", func() core.Options {
-			return core.Options{City: city, NumDrivers: cfg.Drivers(1000)}
-		}},
-		{"queue-guided (extension)", func() core.Options {
-			return core.Options{
-				City: city, NumDrivers: cfg.Drivers(1000),
-				Repositioner: &dispatch.QueueReposition{}, RepositionAfter: 240,
-			}
+func repositionGrid(p Params) matrix.Config {
+	cfg := ablationBase(p)
+	cfg.Algorithms, cfg.Mode = []string{"IRG"}, core.PredictOracle
+	cfg.Scenarios = []matrix.Scenario{
+		{Name: "off (paper base)"},
+		{Name: "queue-guided (extension)", Apply: func(o *core.Options) {
+			o.Repositioner, o.RepositionAfter = &dispatch.QueueReposition{}, 240
 		}},
 	}
-	for _, v := range variants {
-		rev, served, _, err := cfg.runDirect(ctx,
-			v.opts(),
-			func(int64) sim.Dispatcher { return &dispatch.IRG{} }, core.PredictOracle)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%s\t%.4g\t%.0f\n", v.label, rev, served)
-	}
-	return tw.Flush()
+	return cfg
 }

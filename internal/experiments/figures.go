@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -9,252 +8,212 @@ import (
 	"text/tabwriter"
 
 	"mrvd/internal/core"
+	"mrvd/internal/experiments/matrix"
 	"mrvd/internal/geo"
 	"mrvd/internal/predict"
-	"mrvd/internal/sim"
 	"mrvd/internal/stats"
-	"mrvd/internal/workload"
 )
 
 func init() {
-	register(Experiment{ID: "fig5", Title: "Spatial distribution of pickups, 8:00-8:45 AM (ASCII density)", Run: runFig5})
-	register(Experiment{ID: "fig6", Title: "Predicted vs real idle time per region", Run: runFig6})
-	register(Experiment{ID: "fig7", Title: "Effect of the number of drivers n (total revenue, batch time)", Run: runFig7})
-	register(Experiment{ID: "fig8", Title: "Effect of the batch interval Delta (total revenue, batch time)", Run: runFig8})
-	register(Experiment{ID: "fig9", Title: "Effect of the time window t_c (total revenue, batch time)", Run: runFig9})
-	register(Experiment{ID: "fig10", Title: "Effect of the base waiting time tau (total revenue, batch time)", Run: runFig10})
-	register(Experiment{ID: "fig11", Title: "Observed vs expected order-count histogram (chi-square data)", Run: runFig11})
-	register(Experiment{ID: "fig12", Title: "Observed vs expected driver-count histogram (chi-square data)", Run: runFig12})
-	register(Experiment{ID: "fig13", Title: "Total served orders: SHORT vs RAND/NEAR/POLAR across n, t_c, Delta, tau", Run: runFig13})
-}
-
-// series is one plotted line of Figures 7-10.
-type series struct {
-	label string
-	alg   string
-	mode  core.PredictionMode
-	model func(seed int64) predict.Predictor // nil unless mode == PredictModel
+	register(Preset{ID: "fig5", Title: "Spatial distribution of pickups, 8:00-8:45 AM (ASCII density)", Render: renderFig5})
+	register(Preset{ID: "fig6", Title: "Predicted vs real idle time per region", Grids: fig6Grid, Render: renderFig6})
+	register(figure("fig7", "Effect of the number of drivers n (total revenue, batch time)",
+		"total revenue", revenueMetric, paperSeries(true), nPanel))
+	register(figure("fig8", "Effect of the batch interval Delta (total revenue, batch time)",
+		"total revenue", revenueMetric, paperSeries(false), deltaPanel))
+	register(figure("fig9", "Effect of the time window t_c (total revenue, batch time)",
+		"total revenue", revenueMetric, paperSeries(false), tcPanel))
+	register(figure("fig10", "Effect of the base waiting time tau (total revenue, batch time)",
+		"total revenue", revenueMetric, paperSeries(false), tauPanel))
+	register(Preset{ID: "fig11", Title: "Observed vs expected order-count histogram (chi-square data)", Render: renderFig11})
+	register(Preset{ID: "fig12", Title: "Observed vs expected driver-count histogram (chi-square data)", Render: renderFig12})
+	register(figure("fig13", "Total served orders: SHORT vs RAND/NEAR/POLAR across n, t_c, Delta, tau",
+		"served orders", servedMetric, []core.SweepSeries{
+			{Algorithm: "RAND"},
+			{Algorithm: "NEAR"},
+			{Algorithm: "POLAR", Mode: core.PredictOracle},
+			{Algorithm: "SHORT", Mode: core.PredictOracle},
+		}, nPanel, tcPanel, deltaPanel, tauPanel))
 }
 
 // paperSeries returns the paper's plotted lines in legend order. The -P
-// variants use STNet (the DeepST substitute); -R uses real demand.
-func paperSeries(includeUpper bool) []series {
+// variants forecast with STNet (the DeepST substitute); -R uses real
+// demand.
+func paperSeries(includeUpper bool) []core.SweepSeries {
 	stnet := func(int64) predict.Predictor { return &predict.STNet{} }
-	s := []series{
-		{label: "RAND", alg: "RAND", mode: core.PredictNone},
-		{label: "LTG", alg: "LTG", mode: core.PredictNone},
-		{label: "NEAR", alg: "NEAR", mode: core.PredictNone},
-		{label: "POLAR", alg: "POLAR", mode: core.PredictModel, model: stnet},
-		{label: "IRG-P", alg: "IRG", mode: core.PredictModel, model: stnet},
-		{label: "IRG-R", alg: "IRG", mode: core.PredictOracle},
-		{label: "LS-P", alg: "LS", mode: core.PredictModel, model: stnet},
-		{label: "LS-R", alg: "LS", mode: core.PredictOracle},
+	s := []core.SweepSeries{
+		{Algorithm: "RAND"},
+		{Algorithm: "LTG"},
+		{Algorithm: "NEAR"},
+		{Algorithm: "POLAR", Mode: core.PredictModel, Model: stnet},
+		{Label: "IRG-P", Algorithm: "IRG", Mode: core.PredictModel, Model: stnet},
+		{Label: "IRG-R", Algorithm: "IRG", Mode: core.PredictOracle},
+		{Label: "LS-P", Algorithm: "LS", Mode: core.PredictModel, Model: stnet},
+		{Label: "LS-R", Algorithm: "LS", Mode: core.PredictOracle},
 	}
 	if includeUpper {
-		s = append(s, series{label: "UPPER", alg: "UPPER", mode: core.PredictNone})
+		s = append(s, core.SweepSeries{Algorithm: "UPPER"})
 	}
 	return s
 }
 
-// sweep runs a set of series over parameter values, printing one revenue
-// table and one batch-time table with a column per value. makeOpts must
-// produce fully-specified options for (value, seed); runners sharing a
-// city and seed share history and trained predictors.
-func sweep(ctx context.Context, cfg Config, w io.Writer, paramName string, values []string, makeOpts func(vi int, seed int64) core.Options, ss []series, metric func(*sim.Metrics) float64, metricName string) error {
-	cfg = cfg.withDefaults()
-	results := make([][]float64, len(ss)) // [series][value]
-	batch := make([][]float64, len(ss))
-	for i := range ss {
-		results[i] = make([]float64, len(values))
-		batch[i] = make([]float64, len(values))
+// panel is one plotted parameter sweep of Figures 7-10 and 13: a column
+// per parameter value — a fleet size, or a layer at the 1K fleet — and
+// a row per series.
+type panel struct {
+	param, title string
+	fleets       []int             // paper fleet sizes
+	layers       []matrix.Scenario // nil: the base layer
+}
+
+// baseLayer is the name matrix gives the layer of a grid without any.
+const baseLayer = "base"
+
+func nPanel(Params) panel {
+	return panel{param: "n", title: "number of drivers n", fleets: []int{1000, 2000, 3000, 4000, 5000}}
+}
+
+func deltaPanel(Params) panel {
+	pn := panel{param: "Delta", title: "batch interval Delta", fleets: []int{1000}}
+	for _, d := range []float64{3, 5, 10, 20, 30} {
+		pn.layers = append(pn.layers, matrix.Scenario{Name: fmt.Sprintf("%gs", d),
+			Apply: func(o *core.Options) { o.Delta = d }})
 	}
-	type hkey struct {
-		city *workload.City
-		seed int64
+	return pn
+}
+
+func tcPanel(Params) panel {
+	pn := panel{param: "t_c", title: "time window t_c", fleets: []int{1000}}
+	for _, minutes := range []float64{5, 10, 15, 20, 40, 60, 80, 100} {
+		pn.layers = append(pn.layers, matrix.Scenario{Name: fmt.Sprintf("%gm", minutes),
+			Apply: func(o *core.Options) { o.TC = minutes * 60 }})
 	}
-	hcache := map[hkey]*core.Runner{}
-	for vi := range values {
-		for seed := int64(1); seed <= int64(cfg.Seeds); seed++ {
-			opts := makeOpts(vi, seed)
-			base, ok := hcache[hkey{opts.City, seed}]
-			for si, s := range ss {
-				runner := core.NewRunner(opts)
-				if ok {
-					runner.ShareFrom(base)
+	return pn
+}
+
+func tauPanel(p Params) panel {
+	pn := panel{param: "tau", title: "base waiting time tau", fleets: []int{1000}}
+	for _, tau := range []float64{60, 120, 180, 240, 300} {
+		city := p.city(tau) // tau changes order deadlines, hence the city
+		pn.layers = append(pn.layers, matrix.Scenario{Name: fmt.Sprintf("%gs", tau),
+			Apply: func(o *core.Options) { o.City = city }})
+	}
+	return pn
+}
+
+// columns lists the panel's column labels and the (layer, fleet) each
+// one reads.
+func (pn panel) columns(p Params) (labels []string, keys []matrix.CellKey) {
+	if pn.layers == nil {
+		for _, n := range pn.fleets {
+			labels = append(labels, fmt.Sprintf("%dK", n/1000))
+			keys = append(keys, matrix.CellKey{Scenario: baseLayer, Fleet: p.drivers(n)})
+		}
+		return labels, keys
+	}
+	for _, l := range pn.layers {
+		labels = append(labels, l.Name)
+		keys = append(keys, matrix.CellKey{Scenario: l.Name, Fleet: p.drivers(pn.fleets[0])})
+	}
+	return labels, keys
+}
+
+// figure builds a Figure 7-10/13 preset: one grid per panel, rendered as
+// one metric table and one batch-time table with a column per value
+// (under an "(a) ..." heading when the figure has several panels).
+func figure(id, title, metricName string, metric func(matrix.TrialResult) float64, series []core.SweepSeries, panels ...func(Params) panel) Preset {
+	return Preset{
+		ID: id, Title: title,
+		Grids: func(p Params) []matrix.Config {
+			var grids []matrix.Config
+			for _, build := range panels {
+				pn := build(p)
+				grids = append(grids, matrix.Config{
+					Name:        id + "-" + pn.param,
+					Base:        core.Options{City: p.city(120)},
+					Series:      series,
+					Scenarios:   pn.layers,
+					Fleets:      p.fleets(pn.fleets...),
+					Seeds:       p.seedList(),
+					Workers:     p.timedWorkers(),
+					KeepMetrics: true,
+				})
+			}
+			return grids
+		},
+		Render: func(w io.Writer, p Params, res []*matrix.Result) error {
+			for i, build := range panels {
+				pn := build(p)
+				if i > 0 {
+					fmt.Fprintln(w)
 				}
-				var model predict.Predictor
-				if s.model != nil {
-					model = s.model(seed)
+				if len(panels) > 1 {
+					fmt.Fprintf(w, "(%c) %s vs %s\n", 'a'+i, metricName, pn.title)
 				}
-				m, err := runner.Run(ctx, core.ShardDispatchers(s.alg, seed, runner.Options().Shards), s.mode, model)
-				if err != nil {
-					return fmt.Errorf("%s %s=%s seed %d: %w", s.label, paramName, values[vi], seed, err)
-				}
-				results[si][vi] += metric(m) / float64(cfg.Seeds)
-				batch[si][vi] += m.AvgBatchSeconds() / float64(cfg.Seeds)
-				// Keep the history/trained models for subsequent series
-				// and values with the same city+seed.
-				if !ok {
-					base = runner
-					hcache[hkey{opts.City, seed}] = base
-					ok = true
-				} else {
-					base.ShareFrom(runner)
+				labels, keys := pn.columns(p)
+				tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+				seriesTable(tw, res[i], fmt.Sprintf("%s (%s)", metricName, pn.param), labels, keys, "%.4g", metric)
+				fmt.Fprintln(tw)
+				seriesTable(tw, res[i], fmt.Sprintf("batch time µs (%s)", pn.param), labels, keys, "%.3g", batchMicros)
+				if err := tw.Flush(); err != nil {
+					return err
 				}
 			}
-		}
+			return nil
+		},
 	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "%s (%s)", metricName, paramName)
-	for _, v := range values {
-		fmt.Fprintf(tw, "\t%s", v)
-	}
-	fmt.Fprintln(tw)
-	for si, s := range ss {
-		fmt.Fprintf(tw, "%s", s.label)
-		for vi := range values {
-			fmt.Fprintf(tw, "\t%.4g", results[si][vi])
-		}
-		fmt.Fprintln(tw)
+}
+
+// seriesTable writes one table of a grid: a row per series, a column per
+// key, each cell the metric's mean over the cell's trials.
+func seriesTable(tw io.Writer, res *matrix.Result, corner string, labels []string, keys []matrix.CellKey, format string, metric func(matrix.TrialResult) float64) {
+	fmt.Fprint(tw, corner)
+	for _, l := range labels {
+		fmt.Fprintf(tw, "\t%s", l)
 	}
 	fmt.Fprintln(tw)
-	fmt.Fprintf(tw, "batch time ms (%s)", paramName)
-	for _, v := range values {
-		fmt.Fprintf(tw, "\t%s", v)
-	}
-	fmt.Fprintln(tw)
-	for si, s := range ss {
-		fmt.Fprintf(tw, "%s", s.label)
-		for vi := range values {
-			fmt.Fprintf(tw, "\t%.3f", 1000*batch[si][vi])
+	for _, series := range res.Algorithms {
+		fmt.Fprint(tw, series)
+		for _, k := range keys {
+			k.Algorithm = series
+			fmt.Fprintf(tw, "\t"+format, mean(cell(res, k), metric))
 		}
 		fmt.Fprintln(tw)
 	}
-	return tw.Flush()
 }
 
-func revenueMetric(m *sim.Metrics) float64 { return m.Revenue }
-func servedMetric(m *sim.Metrics) float64  { return float64(m.Served) }
-
-func runFig7(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
-	paperNs := []int{1000, 2000, 3000, 4000, 5000}
-	labels := make([]string, len(paperNs))
-	for i, n := range paperNs {
-		labels[i] = fmt.Sprintf("%dK", n/1000)
+// cell returns a grid cell the preset's own grid description put there.
+func cell(res *matrix.Result, k matrix.CellKey) []matrix.TrialResult {
+	c := res.Cell(k)
+	if c == nil {
+		panic(fmt.Sprintf("experiments: grid %s has no cell %s", res.Name, k))
 	}
-	return sweep(ctx, cfg, w, "n", labels, func(vi int, seed int64) core.Options {
-		return core.Options{City: city, NumDrivers: cfg.Drivers(paperNs[vi]), Seed: seed}
-	}, paperSeries(true), revenueMetric, "total revenue")
+	return c.Trials
 }
 
-func runFig8(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
-	deltas := []float64{3, 5, 10, 20, 30}
-	labels := make([]string, len(deltas))
-	for i, d := range deltas {
-		labels[i] = fmt.Sprintf("%gs", d)
+// mean averages a trial metric over a cell's instances.
+func mean(trials []matrix.TrialResult, metric func(matrix.TrialResult) float64) float64 {
+	sum := 0.0
+	for _, t := range trials {
+		sum += metric(t)
 	}
-	return sweep(ctx, cfg, w, "Delta", labels, func(vi int, seed int64) core.Options {
-		return core.Options{City: city, NumDrivers: cfg.Drivers(1000), Delta: deltas[vi], Seed: seed}
-	}, paperSeries(false), revenueMetric, "total revenue")
+	return sum / float64(len(trials))
 }
 
-func runFig9(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
-	tcs := []float64{5, 10, 15, 20, 40, 60, 80, 100} // minutes
-	labels := make([]string, len(tcs))
-	for i, tc := range tcs {
-		labels[i] = fmt.Sprintf("%gm", tc)
-	}
-	return sweep(ctx, cfg, w, "t_c", labels, func(vi int, seed int64) core.Options {
-		return core.Options{City: city, NumDrivers: cfg.Drivers(1000), TC: tcs[vi] * 60, Seed: seed}
-	}, paperSeries(false), revenueMetric, "total revenue")
-}
+func revenueMetric(t matrix.TrialResult) float64 { return t.Summary.Revenue }
+func servedMetric(t matrix.TrialResult) float64  { return float64(t.Summary.Served) }
 
-func runFig10(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	taus := []float64{60, 120, 180, 240, 300}
-	labels := make([]string, len(taus))
-	cities := make([]*workload.City, len(taus))
-	for i, tau := range taus {
-		labels[i] = fmt.Sprintf("%gs", tau)
-		cities[i] = cfg.city(tau) // tau changes order deadlines, hence the city
-	}
-	return sweep(ctx, cfg, w, "tau", labels, func(vi int, seed int64) core.Options {
-		return core.Options{City: cities[vi], NumDrivers: cfg.Drivers(1000), Seed: seed}
-	}, paperSeries(false), revenueMetric, "total revenue")
-}
-
-func runFig13(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	ss := []series{
-		{label: "RAND", alg: "RAND", mode: core.PredictNone},
-		{label: "NEAR", alg: "NEAR", mode: core.PredictNone},
-		{label: "POLAR", alg: "POLAR", mode: core.PredictOracle},
-		{label: "SHORT", alg: "SHORT", mode: core.PredictOracle},
-	}
-	city := cfg.city(120)
-
-	fmt.Fprintln(w, "(a) served orders vs number of drivers n")
-	paperNs := []int{1000, 2000, 3000, 4000, 5000}
-	nLabels := make([]string, len(paperNs))
-	for i, n := range paperNs {
-		nLabels[i] = fmt.Sprintf("%dK", n/1000)
-	}
-	if err := sweep(ctx, cfg, w, "n", nLabels, func(vi int, seed int64) core.Options {
-		return core.Options{City: city, NumDrivers: cfg.Drivers(paperNs[vi]), Seed: seed}
-	}, ss, servedMetric, "served orders"); err != nil {
-		return err
-	}
-
-	fmt.Fprintln(w, "\n(b) served orders vs time window t_c")
-	tcs := []float64{5, 10, 15, 20, 40, 60, 80, 100}
-	tcLabels := make([]string, len(tcs))
-	for i, tc := range tcs {
-		tcLabels[i] = fmt.Sprintf("%gm", tc)
-	}
-	if err := sweep(ctx, cfg, w, "t_c", tcLabels, func(vi int, seed int64) core.Options {
-		return core.Options{City: city, NumDrivers: cfg.Drivers(1000), TC: tcs[vi] * 60, Seed: seed}
-	}, ss, servedMetric, "served orders"); err != nil {
-		return err
-	}
-
-	fmt.Fprintln(w, "\n(c) served orders vs batch interval Delta")
-	deltas := []float64{3, 5, 10, 20, 30}
-	dLabels := make([]string, len(deltas))
-	for i, d := range deltas {
-		dLabels[i] = fmt.Sprintf("%gs", d)
-	}
-	if err := sweep(ctx, cfg, w, "Delta", dLabels, func(vi int, seed int64) core.Options {
-		return core.Options{City: city, NumDrivers: cfg.Drivers(1000), Delta: deltas[vi], Seed: seed}
-	}, ss, servedMetric, "served orders"); err != nil {
-		return err
-	}
-
-	fmt.Fprintln(w, "\n(d) served orders vs base waiting time tau")
-	taus := []float64{60, 120, 180, 240, 300}
-	tLabels := make([]string, len(taus))
-	cities := make([]*workload.City, len(taus))
-	for i, tau := range taus {
-		tLabels[i] = fmt.Sprintf("%gs", tau)
-		cities[i] = cfg.city(tau)
-	}
-	return sweep(ctx, cfg, w, "tau", tLabels, func(vi int, seed int64) core.Options {
-		return core.Options{City: cities[vi], NumDrivers: cfg.Drivers(1000), Seed: seed}
-	}, ss, servedMetric, "served orders")
-}
+// batchMicros is the wall-clock column: mean dispatcher time per batch
+// in microseconds (the per-batch times of a scaled-down city are far
+// below a millisecond). Needs Config.KeepMetrics.
+func batchMicros(t matrix.TrialResult) float64 { return 1e6 * t.Metrics.AvgBatchSeconds() }
 
 // densityRamp maps a normalized density to an ASCII shade.
 const densityRamp = " .:-=+*#%@"
 
-func runFig5(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
-	rng := rand.New(rand.NewSource(cfg.CitySeed))
+func renderFig5(w io.Writer, p Params, _ []*matrix.Result) error {
+	city := p.city(120)
+	rng := rand.New(rand.NewSource(p.CitySeed))
 	orders := city.GenerateDay(0, rng)
 	grid := city.Grid()
 	counts := make([]int, grid.NumRegions())
@@ -287,23 +246,28 @@ func runFig5(ctx context.Context, cfg Config, w io.Writer) error {
 	return nil
 }
 
-func runFig6(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
+func fig6Grid(p Params) []matrix.Config {
+	return []matrix.Config{{
+		Name:        "fig6",
+		Base:        core.Options{City: p.city(120), NumDrivers: p.drivers(3000)},
+		Algorithms:  []string{"IRG"},
+		Mode:        core.PredictOracle,
+		Seeds:       p.seedList(),
+		Workers:     p.Workers,
+		KeepMetrics: true,
+	}}
+}
+
+func renderFig6(w io.Writer, p Params, res []*matrix.Result) error {
 	type agg struct {
 		est, real float64
 		n         int
 	}
-	grid := city.Grid()
+	grid := p.city(120).Grid()
 	perRegion := make([]agg, grid.NumRegions())
-	for seed := int64(1); seed <= int64(cfg.Seeds); seed++ {
-		runner := core.NewRunner(core.Options{City: city, NumDrivers: cfg.Drivers(3000), Seed: seed})
-		m, err := runner.Run(ctx, core.ShardDispatchers("IRG", seed, runner.Options().Shards), core.PredictOracle, nil)
-		if err != nil {
-			return err
-		}
-		for _, rec := range m.IdleRecords {
-			if math.IsNaN(rec.Estimate) || math.IsInf(rec.Estimate, 0) {
+	for _, t := range res[0].Cells[0].Trials {
+		for _, rec := range t.Metrics.IdleRecords {
+			if !finite(rec.Estimate) {
 				continue
 			}
 			a := &perRegion[rec.Region]
@@ -357,14 +321,13 @@ func correlation(a, b []float64) float64 {
 	return cov / math.Sqrt(va*vb)
 }
 
-// runHistogram renders Figures 11/12: observed vs expected per-minute
+// renderHistogram renders Figures 11/12: observed vs expected per-minute
 // count distributions in the two test regions at 7 and 8 AM.
-func runHistogram(ctx context.Context, cfg Config, w io.Writer, dropoffs bool) error {
-	cfg = cfg.withDefaults()
-	cfg.Scale = 1.0 // sampling only, no simulation; match the paper's volume
-	city := cfg.city(120)
-	r1, r2 := chiSquareRegions(cfg)
-	rng := rand.New(rand.NewSource(cfg.CitySeed + 9))
+func renderHistogram(w io.Writer, p Params, dropoffs bool) error {
+	p.Scale = 1.0 // sampling only, no simulation; match the paper's volume
+	city := p.city(120)
+	r1, r2 := chiSquareRegions(city)
+	rng := rand.New(rand.NewSource(p.CitySeed + 9))
 	for _, cell := range []struct {
 		label  string
 		region int
@@ -390,11 +353,11 @@ func runHistogram(ctx context.Context, cfg Config, w io.Writer, dropoffs bool) e
 	return nil
 }
 
-func runFig11(ctx context.Context, cfg Config, w io.Writer) error {
-	return runHistogram(ctx, cfg, w, false)
+func renderFig11(w io.Writer, p Params, _ []*matrix.Result) error {
+	return renderHistogram(w, p, false)
 }
-func runFig12(ctx context.Context, cfg Config, w io.Writer) error {
-	return runHistogram(ctx, cfg, w, true)
+func renderFig12(w io.Writer, p Params, _ []*matrix.Result) error {
+	return renderHistogram(w, p, true)
 }
 
 // statsHistogram buckets samples with an adaptive bin width (the paper

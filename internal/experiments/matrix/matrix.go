@@ -1,19 +1,20 @@
-// Package matrix runs experiment matrices: an (algorithm × scenario ×
-// fleet × seed) grid of full dispatch simulations, aggregated into
-// per-cell trial statistics (mean ± Student-t CI, min/max/median via
-// internal/stats.Estimator) and seed-for-seed paired algorithm
-// comparisons (paired mean difference with CI plus an exact sign
-// test). It is the reproduction's answer to the paper's "every data
-// point is averaged over 10 problem instances" methodology, extended
-// with the uncertainty the paper leaves implicit — and it is how the
-// PR-5 disruption knobs and the PR-6 pooling mode become swept,
-// publishable robustness results instead of one-off runs.
+// Package matrix runs experiment matrices: a (series × layer × fleet ×
+// seed) grid of full dispatch simulations, aggregated into per-cell
+// trial statistics (mean ± Student-t CI, min/max/median via
+// internal/stats.Estimator) and seed-for-seed paired comparisons
+// (paired mean difference with CI plus an exact sign test). It is the
+// reproduction's answer to the paper's "every data point is averaged
+// over 10 problem instances" methodology, extended with the
+// uncertainty the paper leaves implicit. A series is a labelled
+// dispatcher with its own forecast source; a layer is any overlay of
+// the base options — the disruption knobs, pooling, the batch
+// interval, a different city or coster.
 //
-// The grid executes on core.Sweep: each scenario layer is one sweep,
-// so every (seed, fleet) problem instance is materialized once and
-// shared read-only across that instance's algorithm cells, and cells
-// run in parallel on a bounded worker pool. Results are deterministic:
-// the same Config produces byte-identical reports at any worker count.
+// The whole grid is one core.Sweep call, which owns instances,
+// history/predictor sharing and the worker pool; this package only
+// describes grids and aggregates their per-trial records. Results are
+// deterministic: the same Config produces byte-identical reports at
+// any worker count.
 package matrix
 
 import (
@@ -29,15 +30,20 @@ import (
 	"mrvd/internal/trace"
 )
 
-// Scenario is one disruption/pooling layer of the matrix: a named
-// combination of the PR-5 scenario knobs and the PR-6 pooling config,
-// applied to every (algorithm, fleet, seed) cell in the layer. The
-// zero-valued layers ("no disruptions, no pooling") are valid and are
-// how baselines enter the same report as the stressed cells.
+// Scenario is one layer of the matrix: a named overlay of the base
+// options applied to every (series, fleet, seed) cell in the layer —
+// the disruption knobs, the pooling config, and through Apply anything
+// else core.Options holds. The zero-valued layers ("no disruptions, no
+// pooling") are valid and are how baselines enter the same report as
+// the stressed cells.
 type Scenario struct {
 	Name     string
 	Scenario sim.ScenarioConfig
 	Pooling  pool.Config
+	// Apply optionally edits the layer's options further (batch
+	// interval, window, city, coster, repositioner...); see
+	// core.SweepLayer.Apply.
+	Apply func(*core.Options)
 }
 
 // CellKey identifies one aggregated cell of the matrix.
@@ -59,10 +65,15 @@ type Config struct {
 	// coster...). Seed, NumDrivers, Scenario and Pooling are overwritten
 	// per cell from the grid axes.
 	Base core.Options
-	// Algorithms are dispatcher names accepted by core.NewDispatcher.
+	// Algorithms are dispatcher names accepted by core.NewDispatcher,
+	// forecasting from Mode and Model.
 	Algorithms []string
-	// Scenarios are the disruption/pooling layers; empty defaults to a
-	// single zero-valued "base" layer.
+	// Series are further rows after the Algorithms, each with its own
+	// label, dispatcher and forecast source (core.SweepSeries). A cell's
+	// CellKey.Algorithm is its series label.
+	Series []core.SweepSeries
+	// Scenarios are the layers; empty defaults to a single zero-valued
+	// "base" layer.
 	Scenarios []Scenario
 	// Fleets are driver counts; empty defaults to the base fleet.
 	Fleets []int
@@ -72,11 +83,15 @@ type Config struct {
 	// Workers bounds parallel cell execution (0 = GOMAXPROCS). Reports
 	// are byte-identical at any worker count.
 	Workers int
-	// Mode and Model select the demand-forecast source, as in
-	// core.SweepSpec (Model instances are trained once per seed and
+	// Mode and Model select the Algorithms' demand-forecast source, as
+	// in core.SweepSpec (Model instances are trained once per seed and
 	// shared across that seed's cells).
 	Mode  core.PredictionMode
 	Model func() predict.Predictor
+	// KeepMetrics retains every trial's full *sim.Metrics — the idle
+	// ledger and per-batch wall times, megabytes per trial on a paper-
+	// scale day — for renderers that need more than the Summary.
+	KeepMetrics bool
 	// Confidence is the two-sided CI level for cell aggregates and
 	// paired comparisons (default 0.95).
 	Confidence float64
@@ -99,6 +114,18 @@ type Comparison struct {
 	B     CellKey `json:"b"`
 }
 
+// labels lists the row labels: the Algorithms, then each series' label.
+func (c Config) labels() []string {
+	out := append([]string(nil), c.Algorithms...)
+	for _, s := range c.Series {
+		if s.Label == "" {
+			s.Label = s.Algorithm
+		}
+		out = append(out, s.Label)
+	}
+	return out
+}
+
 func (c Config) withDefaults() Config {
 	if c.Name == "" {
 		c.Name = "matrix"
@@ -116,12 +143,13 @@ func (c Config) withDefaults() Config {
 		c.Confidence = 0.95
 	}
 	if len(c.Comparisons) == 0 {
+		labels := c.labels()
 		for _, sc := range c.Scenarios {
 			for _, fleet := range c.Fleets {
-				for i := 0; i < len(c.Algorithms); i++ {
-					for j := i + 1; j < len(c.Algorithms); j++ {
-						a := CellKey{c.Algorithms[i], sc.Name, fleet}
-						b := CellKey{c.Algorithms[j], sc.Name, fleet}
+				for i := 0; i < len(labels); i++ {
+					for j := i + 1; j < len(labels); j++ {
+						a := CellKey{labels[i], sc.Name, fleet}
+						b := CellKey{labels[j], sc.Name, fleet}
 						c.Comparisons = append(c.Comparisons, Comparison{
 							Label: fmt.Sprintf("%s vs %s @ %s/fleet=%d", a.Algorithm, b.Algorithm, sc.Name, fleet),
 							A:     a, B: b,
@@ -136,11 +164,14 @@ func (c Config) withDefaults() Config {
 
 // TrialResult is one completed (cell, seed) simulation: the run's
 // deterministic Summary projection. Two executions of the same config
-// produce identical TrialResults in identical order.
+// produce identical TrialResults in identical order (Metrics, only set
+// under Config.KeepMetrics, carries wall-clock fields and stays out of
+// the reports).
 type TrialResult struct {
 	CellKey
-	Seed    int64       `json:"seed"`
-	Summary sim.Summary `json:"summary"`
+	Seed    int64        `json:"seed"`
+	Summary sim.Summary  `json:"summary"`
+	Metrics *sim.Metrics `json:"-"`
 }
 
 // Trial-level derived metrics.
@@ -261,18 +292,27 @@ func (r *Result) Cell(k CellKey) *CellResult {
 	return nil
 }
 
-// Run executes the matrix. Each scenario layer is one core.Sweep over
-// (algorithm × seed × fleet), so problem instances are shared across
-// algorithms and cells run in parallel; the layers run back to back.
-// Any failed cell fails the whole matrix — a partially filled grid
-// cannot be paired.
+// Run executes the matrix as one core.Sweep over (layer × seed × fleet ×
+// series), so problem instances are shared across series, histories and
+// trained predictors across layers, and cells run in parallel. Any
+// failed cell fails the whole matrix — a partially filled grid cannot be
+// paired.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Algorithms) == 0 {
+	labels := cfg.labels()
+	if len(labels) == 0 {
 		return nil, fmt.Errorf("matrix: config needs at least one algorithm")
 	}
 	seen := map[string]bool{}
-	for _, sc := range cfg.Scenarios {
+	for _, l := range labels {
+		if seen[l] {
+			return nil, fmt.Errorf("matrix: duplicate series %q", l)
+		}
+		seen[l] = true
+	}
+	seen = map[string]bool{}
+	layers := make([]core.SweepLayer, len(cfg.Scenarios))
+	for i, sc := range cfg.Scenarios {
 		if sc.Name == "" {
 			return nil, fmt.Errorf("matrix: scenario with empty name")
 		}
@@ -280,44 +320,47 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("matrix: duplicate scenario %q", sc.Name)
 		}
 		seen[sc.Name] = true
+		layers[i] = core.SweepLayer{Name: sc.Name, Apply: func(o *core.Options) {
+			o.Scenario = sc.Scenario
+			o.Pooling = sc.Pooling
+			if sc.Apply != nil {
+				sc.Apply(o)
+			}
+		}}
 	}
 
+	results, err := core.Sweep(ctx, cfg.Base, core.SweepSpec{
+		Algorithms: cfg.Algorithms,
+		Series:     cfg.Series,
+		Layers:     layers,
+		Seeds:      cfg.Seeds,
+		Fleets:     cfg.Fleets,
+		Workers:    cfg.Workers,
+		Mode:       cfg.Mode,
+		Model:      cfg.Model,
+		Orders:     cfg.Orders,
+		Starts:     cfg.Starts,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("matrix: %w", err)
+	}
 	type trialKey struct {
 		CellKey
 		seed int64
 	}
-	trials := make(map[trialKey]sim.Summary)
-	for _, sc := range cfg.Scenarios {
-		base := cfg.Base
-		base.Scenario = sc.Scenario
-		base.Pooling = sc.Pooling
-		results, err := core.Sweep(ctx, base, core.SweepSpec{
-			Algorithms: cfg.Algorithms,
-			Seeds:      cfg.Seeds,
-			Fleets:     cfg.Fleets,
-			Workers:    cfg.Workers,
-			Mode:       cfg.Mode,
-			Model:      cfg.Model,
-			Orders:     cfg.Orders,
-			Starts:     cfg.Starts,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("matrix: scenario %q: %w", sc.Name, err)
+	trials := make(map[trialKey]*sim.Metrics, len(results))
+	for _, r := range results {
+		if r.Err != nil {
+			return nil, fmt.Errorf("matrix: cell %s/%s fleet=%d seed=%d: %w",
+				r.Algorithm, r.Layer, r.Fleet, r.Seed, r.Err)
 		}
-		for _, r := range results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("matrix: cell %s/%s fleet=%d seed=%d: %w",
-					r.Algorithm, sc.Name, r.Fleet, r.Seed, r.Err)
-			}
-			k := trialKey{CellKey{r.Algorithm, sc.Name, r.Fleet}, r.Seed}
-			trials[k] = r.Metrics.Summary()
-		}
+		trials[trialKey{CellKey{r.Algorithm, r.Layer, r.Fleet}, r.Seed}] = r.Metrics
 	}
 
 	res := &Result{
 		Name:       cfg.Name,
 		Confidence: cfg.Confidence,
-		Algorithms: cfg.Algorithms,
+		Algorithms: labels,
 		Fleets:     cfg.Fleets,
 		Seeds:      cfg.Seeds,
 	}
@@ -326,14 +369,18 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	for _, sc := range cfg.Scenarios {
 		for _, fleet := range cfg.Fleets {
-			for _, alg := range cfg.Algorithms {
-				cell := CellResult{CellKey: CellKey{alg, sc.Name, fleet}}
+			for _, label := range labels {
+				cell := CellResult{CellKey: CellKey{label, sc.Name, fleet}}
 				for _, seed := range cfg.Seeds {
-					s, ok := trials[trialKey{cell.CellKey, seed}]
+					m, ok := trials[trialKey{cell.CellKey, seed}]
 					if !ok {
 						return nil, fmt.Errorf("matrix: missing trial %s seed=%d", cell.CellKey, seed)
 					}
-					cell.Trials = append(cell.Trials, TrialResult{CellKey: cell.CellKey, Seed: seed, Summary: s})
+					t := TrialResult{CellKey: cell.CellKey, Seed: seed, Summary: m.Summary()}
+					if cfg.KeepMetrics {
+						t.Metrics = m
+					}
+					cell.Trials = append(cell.Trials, t)
 				}
 				cell.Stats = aggregateCell(cell.Trials, cfg.Confidence)
 				res.Cells = append(res.Cells, cell)

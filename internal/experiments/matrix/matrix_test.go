@@ -183,6 +183,48 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMatrixSeriesAndOverlays: rows can be labelled series with their
+// own forecast source next to the plain algorithms, a layer can overlay
+// any option, and KeepMetrics retains each trial's full metrics.
+func TestMatrixSeriesAndOverlays(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.Algorithms = []string{"NEAR"}
+	cfg.Series = []core.SweepSeries{
+		{Label: "IRG-R", Algorithm: "IRG", Mode: core.PredictOracle},
+		{Label: "IRG-0", Algorithm: "IRG"},
+	}
+	cfg.Scenarios = []Scenario{
+		{Name: "d10"},
+		{Name: "d30", Apply: func(o *core.Options) { o.Delta = 30 }},
+	}
+	cfg.KeepMetrics = true
+	res := runMatrix(t, cfg)
+	if !reflect.DeepEqual(res.Algorithms, []string{"NEAR", "IRG-R", "IRG-0"}) || len(res.Cells) != 6 {
+		t.Fatalf("rows %v, %d cells", res.Algorithms, len(res.Cells))
+	}
+	if len(res.Comparisons) != 2*3 {
+		t.Errorf("%d default comparisons, want every pair of rows per layer", len(res.Comparisons))
+	}
+	for _, c := range res.Cells {
+		wantBatches := 2 * 3600 / 10
+		if c.Scenario == "d30" {
+			wantBatches = 2 * 3600 / 30
+		}
+		for _, tr := range c.Trials {
+			if tr.Summary.Batches != wantBatches {
+				t.Errorf("cell %v ran %d batches, want %d", c.CellKey, tr.Summary.Batches, wantBatches)
+			}
+			if tr.Metrics == nil || tr.Metrics.Summary() != tr.Summary || len(tr.Metrics.BatchSeconds) != wantBatches {
+				t.Errorf("cell %v trial %d lost its metrics", c.CellKey, tr.Seed)
+			}
+		}
+	}
+	cfg.Series[1].Label = "IRG-R"
+	if _, err := Run(context.Background(), cfg); err == nil {
+		t.Error("duplicate series labels should error")
+	}
+}
+
 func TestMatrixConfigValidation(t *testing.T) {
 	ctx := context.Background()
 	if _, err := Run(ctx, Config{}); err == nil {
@@ -207,33 +249,5 @@ func TestMatrixConfigValidation(t *testing.T) {
 	alg.Algorithms = []string{"NOPE"}
 	if _, err := Run(ctx, alg); err == nil {
 		t.Error("unknown algorithm should error")
-	}
-}
-
-// TestPresetsBuild: every preset resolves to a runnable config with a
-// non-empty grid and at least one comparison (the disruption ramp's
-// default pairs include IRG vs LS per layer).
-func TestPresetsBuild(t *testing.T) {
-	for _, name := range PresetNames() {
-		cfg, err := Preset(name, Params{Scale: 0.01, Seeds: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg = cfg.withDefaults()
-		if cfg.Name != name {
-			t.Errorf("preset %q config named %q", name, cfg.Name)
-		}
-		if len(cfg.Algorithms) == 0 || len(cfg.Scenarios) == 0 || len(cfg.Seeds) != 2 {
-			t.Errorf("preset %q degenerate: %+v", name, cfg)
-		}
-		if len(cfg.Comparisons) == 0 {
-			t.Errorf("preset %q has no comparisons", name)
-		}
-	}
-	if _, err := Preset("nope", Params{}); err == nil {
-		t.Error("unknown preset should error")
-	}
-	if PresetTitle("disruptions") == "" {
-		t.Error("preset title missing")
 	}
 }

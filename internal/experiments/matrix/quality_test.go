@@ -2,11 +2,14 @@ package matrix
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"mrvd/internal/core"
 	"mrvd/internal/geo"
 	"mrvd/internal/pool"
+	"mrvd/internal/trace"
 	"mrvd/internal/workload"
 )
 
@@ -70,7 +73,7 @@ func TestQualityIRGServesAtLeastRAND(t *testing.T) {
 // actually pool some of them. Losing this ordering means insertion
 // search or plan accounting regressed.
 func TestQualityPooledServesAtLeastSolo(t *testing.T) {
-	orders, starts := SaturatedPeak(40, 4, 7)
+	orders, starts := saturatedPeak(40, 4, 7)
 	cfg := Config{
 		Name: "quality-pooling",
 		Base: core.Options{
@@ -121,4 +124,37 @@ func TestQualityPooledServesAtLeastSolo(t *testing.T) {
 	t.Logf("saturated peak: solo served %.0f, cap2 served %.0f (shared rate %.2f, mean detour %.1fs)",
 		solo.Stats.ServeRate.Mean*float64(len(orders)), cap2.Stats.ServeRate.Mean*float64(len(orders)),
 		cap2.Stats.SharedRate.Mean, cap2.Stats.MeanDetourSeconds.Mean)
+}
+
+// saturatedPeak builds the corridor-burst fixture the pooling quality
+// guard pins: nOrders riders along one eastbound corridor posted
+// within the first minute, nDrivers drivers spaced along it — far more
+// demand than solo dispatch can serve before deadlines pass, so pooled
+// capacity is the only way to raise throughput. Returns the trace and
+// pinned fleet starts for a Config.Orders/Starts replay.
+func saturatedPeak(nOrders, nDrivers int, seed int64) ([]trace.Order, []geo.Point) {
+	p0 := geo.NYCBBox.Center()
+	offset := func(p geo.Point, meters float64) geo.Point {
+		dLng := meters / (geo.EarthRadiusMeters * math.Cos(p.Lat*math.Pi/180)) * 180 / math.Pi
+		return geo.Point{Lng: p.Lng + dLng, Lat: p.Lat}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	orders := make([]trace.Order, nOrders)
+	for i := range orders {
+		start := rng.Float64() * 3000
+		length := 1000 + rng.Float64()*3000
+		post := rng.Float64() * 60
+		orders[i] = trace.Order{
+			ID:       trace.OrderID(i),
+			PostTime: post,
+			Pickup:   offset(p0, start),
+			Dropoff:  offset(p0, start+length),
+			Deadline: post + 240 + rng.Float64()*120,
+		}
+	}
+	starts := make([]geo.Point, nDrivers)
+	for i := range starts {
+		starts[i] = offset(p0, float64(i)*3000/float64(nDrivers))
+	}
+	return orders, starts
 }

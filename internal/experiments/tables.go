@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +8,7 @@ import (
 	"text/tabwriter"
 
 	"mrvd/internal/core"
+	"mrvd/internal/experiments/matrix"
 	"mrvd/internal/geo"
 	"mrvd/internal/predict"
 	"mrvd/internal/stats"
@@ -16,37 +16,45 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "table3", Title: "Results of the estimated idle time (MAE, RMSE%, real RMSE) vs fleet size", Run: runTable3})
-	register(Experiment{ID: "table4", Title: "Effect of prediction methods on total revenue (IRG/LS/POLAR x HA/LR/GBRT/STNet/Real)", Run: runTable4})
-	register(Experiment{ID: "table6", Title: "Accuracy of demand prediction methods (RMSE%, real RMSE)", Run: runTable6})
-	register(Experiment{ID: "table7", Title: "Chi-square tests: order counts are Poisson", Run: runTable7})
-	register(Experiment{ID: "table8", Title: "Chi-square tests: rejoined-driver counts are Poisson", Run: runTable8})
+	register(Preset{ID: "table3", Title: "Results of the estimated idle time (MAE, RMSE%, real RMSE) vs fleet size", Grids: table3Grid, Render: renderTable3})
+	register(Preset{ID: "table4", Title: "Effect of prediction methods on total revenue (IRG/LS/POLAR x HA/LR/GBRT/STNet/Real)", Grids: table4Grid, Render: renderTable4})
+	register(Preset{ID: "table6", Title: "Accuracy of demand prediction methods (RMSE%, real RMSE)", Render: renderTable6})
+	register(Preset{ID: "table7", Title: "Chi-square tests: order counts are Poisson", Render: renderTable7})
+	register(Preset{ID: "table8", Title: "Chi-square tests: rejoined-driver counts are Poisson", Render: renderTable8})
 }
 
 // table3DriverSteps mirrors the paper's 1K-8K sweep.
 var table3DriverSteps = []int{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000}
 
-func runTable3(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
+func table3Grid(p Params) []matrix.Config {
+	return []matrix.Config{{
+		Name:        "table3",
+		Base:        core.Options{City: p.city(120)},
+		Algorithms:  []string{"IRG"},
+		Mode:        core.PredictOracle,
+		Fleets:      p.fleets(table3DriverSteps...),
+		Seeds:       p.seedList(),
+		Workers:     p.Workers,
+		KeepMetrics: true,
+	}}
+}
+
+// finite reports whether an idle estimate is defined: drivers that
+// rejoin with no estimator installed, or in a region the model assigns
+// unbounded wait, carry NaN/Inf estimates and have no defined error.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+func renderTable3(w io.Writer, p Params, res []*matrix.Result) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "#Drivers\tMAE (s)\tRMSE (%%)\tReal RMSE (s)\trecords\n")
 	for _, paperN := range table3DriverSteps {
 		var est, real []float64
-		for seed := int64(1); seed <= int64(cfg.Seeds); seed++ {
-			runner := core.NewRunner(core.Options{
-				City: city, NumDrivers: cfg.Drivers(paperN), Seed: seed,
-			})
-			m, err := runner.Run(ctx, core.ShardDispatchers("IRG", seed, runner.Options().Shards), core.PredictOracle, nil)
-			if err != nil {
-				return err
-			}
-			for _, rec := range m.IdleRecords {
-				if math.IsNaN(rec.Estimate) || math.IsInf(rec.Estimate, 0) {
-					continue
+		for _, t := range cell(res[0], matrix.CellKey{Algorithm: "IRG", Scenario: baseLayer, Fleet: p.drivers(paperN)}) {
+			for _, rec := range t.Metrics.IdleRecords {
+				if finite(rec.Estimate) {
+					est = append(est, rec.Estimate)
+					real = append(real, rec.Realized)
 				}
-				est = append(est, rec.Estimate)
-				real = append(real, rec.Realized)
 			}
 		}
 		if len(est) == 0 {
@@ -70,80 +78,69 @@ func runTable3(ctx context.Context, cfg Config, w io.Writer) error {
 	return tw.Flush()
 }
 
-// table4Predictors builds the prediction sources of Table 4 in paper
-// order; the nil predictor with PredictOracle is the "Real" column.
-func table4Predictors(seed int64) []struct {
-	label string
-	mode  core.PredictionMode
-	model predict.Predictor
-} {
-	return []struct {
+// Table 4 crosses three dispatchers with five forecast sources: a
+// series per (dispatcher, source), each source trained once per seed.
+var (
+	table4Algorithms = []string{"IRG", "LS", "POLAR"}
+	// table4Sources are the forecast sources in paper order; the nil
+	// model is the oracle, the "Real" column.
+	table4Sources = []struct {
 		label string
-		mode  core.PredictionMode
-		model predict.Predictor
+		model func(seed int64) predict.Predictor
 	}{
-		{"HA", core.PredictModel, predict.HA{}},
-		{"LR", core.PredictModel, &predict.LR{}},
-		{"GBRT", core.PredictModel, &predict.GBRT{Seed: seed}},
-		{"STNet(DeepST)", core.PredictModel, &predict.STNet{}},
-		{"Real", core.PredictOracle, nil},
+		{"HA", func(int64) predict.Predictor { return predict.HA{} }},
+		{"LR", func(int64) predict.Predictor { return &predict.LR{} }},
+		{"GBRT", func(seed int64) predict.Predictor { return &predict.GBRT{Seed: seed} }},
+		{"STNet(DeepST)", func(int64) predict.Predictor { return &predict.STNet{} }},
+		{"Real", nil},
 	}
-}
+)
 
-func runTable4(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
-	algs := []string{"IRG", "LS", "POLAR"}
-	cols := table4Predictors(0)
-	// revenue[alg][predictor] accumulated over seeds.
-	revenue := make(map[string][]float64)
-	for _, a := range algs {
-		revenue[a] = make([]float64, len(cols))
+func table4Grid(p Params) []matrix.Config {
+	cfg := matrix.Config{
+		Name:    "table4",
+		Base:    core.Options{City: p.city(120), NumDrivers: p.drivers(1000)},
+		Seeds:   p.seedList(),
+		Workers: p.Workers,
 	}
-	for seed := int64(1); seed <= int64(cfg.Seeds); seed++ {
-		// One runner per seed: history and trained predictors are shared
-		// across every cell of the table.
-		base := core.NewRunner(core.Options{
-			City: city, NumDrivers: cfg.Drivers(1000), Seed: seed,
-		})
-		for ci, col := range table4Predictors(seed) {
-			for _, alg := range algs {
-				runner := core.NewRunner(base.Options())
-				runner.ShareFrom(base)
-				m, err := runner.Run(ctx, core.ShardDispatchers(alg, seed, runner.Options().Shards), col.mode, col.model)
-				if err != nil {
-					return err
-				}
-				revenue[alg][ci] += m.Revenue / float64(cfg.Seeds)
-				base.ShareFrom(runner) // keep newly trained models
+	for _, alg := range table4Algorithms {
+		for _, src := range table4Sources {
+			s := core.SweepSeries{Label: alg + "/" + src.label, Algorithm: alg, Mode: core.PredictOracle}
+			if src.model != nil {
+				s.Mode, s.Model = core.PredictModel, src.model
 			}
+			cfg.Series = append(cfg.Series, s)
 		}
 	}
+	return []matrix.Config{cfg}
+}
+
+func renderTable4(w io.Writer, p Params, res []*matrix.Result) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "algorithm")
-	for _, c := range cols {
-		fmt.Fprintf(tw, "\t%s", c.label)
+	for _, src := range table4Sources {
+		fmt.Fprintf(tw, "\t%s", src.label)
 	}
 	fmt.Fprintln(tw)
-	for _, a := range algs {
-		fmt.Fprintf(tw, "%s", a)
-		for ci := range cols {
-			fmt.Fprintf(tw, "\t%.4g", revenue[a][ci])
+	for _, alg := range table4Algorithms {
+		fmt.Fprintf(tw, "%s", alg)
+		for _, src := range table4Sources {
+			k := matrix.CellKey{Algorithm: alg + "/" + src.label, Scenario: baseLayer, Fleet: p.drivers(1000)}
+			fmt.Fprintf(tw, "\t%.4g", mean(cell(res[0], k), revenueMetric))
 		}
 		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
 }
 
-func runTable6(ctx context.Context, cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	city := cfg.city(120)
+func renderTable6(w io.Writer, p Params, _ []*matrix.Result) error {
+	city := p.city(120)
 	days := predict.MinLookbackDays + 28
 	evalDays := 7
-	h := predict.GenerateHistory(city, days, 1800, cfg.CitySeed+77)
+	h := predict.GenerateHistory(city, days, 1800, p.CitySeed+77)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "model\tRMSE (%%)\tReal RMSE\tMAE\n")
-	for _, m := range predict.All(cfg.CitySeed) {
+	for _, m := range predict.All(p.CitySeed) {
 		if err := m.Train(h, days-evalDays); err != nil {
 			return fmt.Errorf("train %s: %w", m.Name(), err)
 		}
@@ -158,8 +155,7 @@ func runTable6(ctx context.Context, cfg Config, w io.Writer) error {
 
 // chiSquareRegions picks the two Appendix B test regions: the busiest
 // region (a Manhattan-core analogue) and a mid-traffic one.
-func chiSquareRegions(cfg Config) (region1, region2 int) {
-	city := cfg.city(120)
+func chiSquareRegions(city *workload.City) (region1, region2 int) {
 	grid := city.Grid()
 	best, second := 0, 0
 	bestV, secondV := -1.0, -1.0
@@ -176,16 +172,15 @@ func chiSquareRegions(cfg Config) (region1, region2 int) {
 	return best, second
 }
 
-// runChiSquareTable runs Appendix B's test protocol: 210 per-minute
+// renderChiSquareTable runs Appendix B's test protocol: 210 per-minute
 // samples (21 weekdays x 10 minutes) per (region, hour) cell.
-func runChiSquareTable(cfg Config, w io.Writer, sampler func(city *workload.City, day, startMinute, minutes, region int, rng *rand.Rand) []int) error {
-	cfg = cfg.withDefaults()
+func renderChiSquareTable(w io.Writer, p Params, sampler func(city *workload.City, day, startMinute, minutes, region int, rng *rand.Rand) []int) error {
 	// No simulation is involved, so always sample at the paper's full
 	// order volume: scaled-down per-minute counts are too sparse to bin.
-	cfg.Scale = 1.0
-	city := cfg.city(120)
-	r1, r2 := chiSquareRegions(cfg)
-	rng := rand.New(rand.NewSource(cfg.CitySeed + 5))
+	p.Scale = 1.0
+	city := p.city(120)
+	r1, r2 := chiSquareRegions(city)
+	rng := rand.New(rand.NewSource(p.CitySeed + 5))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "region\ttime slot\tr\tk\tchi2_{r-1}(0.05)\tverdict\n")
 	for _, cell := range []struct {
@@ -218,14 +213,14 @@ func runChiSquareTable(cfg Config, w io.Writer, sampler func(city *workload.City
 	return tw.Flush()
 }
 
-func runTable7(ctx context.Context, cfg Config, w io.Writer) error {
-	return runChiSquareTable(cfg, w, func(c *workload.City, day, start, minutes, region int, rng *rand.Rand) []int {
+func renderTable7(w io.Writer, p Params, _ []*matrix.Result) error {
+	return renderChiSquareTable(w, p, func(c *workload.City, day, start, minutes, region int, rng *rand.Rand) []int {
 		return c.PerMinuteCounts(day, start, minutes, region, rng)
 	})
 }
 
-func runTable8(ctx context.Context, cfg Config, w io.Writer) error {
-	return runChiSquareTable(cfg, w, func(c *workload.City, day, start, minutes, region int, rng *rand.Rand) []int {
+func renderTable8(w io.Writer, p Params, _ []*matrix.Result) error {
+	return renderChiSquareTable(w, p, func(c *workload.City, day, start, minutes, region int, rng *rand.Rand) []int {
 		return c.PerMinuteDropoffCounts(day, start, minutes, region, rng)
 	})
 }

@@ -19,8 +19,11 @@
 // The Service API is streaming and context-aware: orders can arrive
 // live through a ChannelSource (svc.Serve), runs cancel through their
 // context, per-event observers subscribe with WithObserver, and
-// svc.Sweep executes (algorithm × seed × fleet) grids on a parallel
-// worker pool with deterministic results. Service.Start runs a live
+// svc.Sweep executes (algorithm × seed × fleet) grids — optionally with
+// labelled SweepSeries rows that carry their own dispatcher and
+// forecast source — on a parallel worker pool with deterministic
+// results; it is the one executor every experiment in the repo runs
+// on. Service.Start runs a live
 // serve session in the background and returns a ServeHandle whose
 // Submit routes each order's terminal Outcome back to the caller — the
 // seam the HTTP gateway (internal/server, cmd/mrvd-serve) builds on.
@@ -45,8 +48,10 @@
 //
 // See examples/ for runnable scenarios (examples/livedispatch streams
 // orders into a running engine, examples/httpserve drives the HTTP
-// gateway end to end) and cmd/mrvd-bench for the harness regenerating
-// every table and figure of the paper.
+// gateway end to end) and cmd/mrvd-exp for the experiment presets: one
+// Sweep per grid, each preset a grid plus a renderer — the paper's
+// tables, figures and ablations, and the disruption, pooling and fleet
+// matrices with trial statistics.
 package mrvd
 
 import (

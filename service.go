@@ -481,6 +481,10 @@ func (s *Service) liveSession(algorithm string, src OrderSource, starts []Point)
 // SweepSpec re-exports the grid description of core.Sweep.
 type SweepSpec = core.SweepSpec
 
+// SweepSeries is one labelled row of a sweep grid: a dispatcher (by name
+// or concrete factory) with its own demand-forecast source.
+type SweepSeries = core.SweepSeries
+
 // SweepPoint identifies one sweep cell.
 type SweepPoint = core.SweepPoint
 
@@ -488,8 +492,9 @@ type SweepPoint = core.SweepPoint
 type SweepResult = core.SweepResult
 
 // Sweep runs every (algorithm × seed × fleet-size) combination of the
-// spec in parallel on a bounded worker pool, reusing per-seed history
-// and trained predictors across cells. Results are in grid order and
+// spec — plus its SweepSeries rows and option layers, if any — in
+// parallel on a bounded worker pool, reusing per-seed history and
+// trained predictors across cells. Results are in grid order and
 // deterministic: a parallel sweep's Metrics.Summary values are identical
 // to a sequential (Workers: 1) sweep's.
 //
