@@ -43,7 +43,12 @@ type Config struct {
 	Weights []float64
 }
 
-// Stats is one shard's live snapshot, updated every lockstep round.
+// Stats is one shard's live snapshot. Admission counts are published
+// when the round's orders are routed (before any engine steps), fleet
+// and queue counts at the barrier after the admit phase, and the
+// lifecycle tallies — copies of the engine's own Metrics, not a second
+// count — at that barrier, after each dispatch step, and ahead of every
+// event forwarded: whoever saw an order's outcome finds it counted here.
 type Stats struct {
 	Shard           int `json:"shard"`
 	Regions         int `json:"regions"`
@@ -112,8 +117,8 @@ type Runtime struct {
 	// driver index — the remap the event aggregator applies.
 	global [][]sim.DriverID
 
-	// downstream is the city-wide observer; obsMu serializes the
-	// per-shard event fan-in so it sees one coherent stream.
+	// downstream is the city-wide observer (nil: engines construct no
+	// events); obsMu serializes the per-shard fan-in into one stream.
 	downstream sim.Observer
 	obsMu      sync.Mutex
 
@@ -122,8 +127,12 @@ type Runtime struct {
 	work  []chan func(int)
 	phase sync.WaitGroup
 
+	// stats is the published view. coord holds the columns only the
+	// coordinator writes (Admitted, BorrowedIn, Drivers, RehomedIn,
+	// Waiting, Available), lock-free until publish copies them over.
 	statsMu    sync.Mutex
 	stats      []Stats
+	coord      []Stats
 	batchSumMS []float64
 
 	// Per-shard registry instruments, pre-resolved so the round loop
@@ -165,6 +174,7 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		global:     make([][]sim.DriverID, cfg.Shards),
 		downstream: cfg.Sim.Observer,
 		stats:      make([]Stats, cfg.Shards),
+		coord:      make([]Stats, cfg.Shards),
 		batchSumMS: make([]float64, cfg.Shards),
 	}
 	if sized, ok := src.(sim.SizedSource); ok {
@@ -215,7 +225,9 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 	probes := make([]SupplyProbe, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
 		ecfg := cfg.Sim
-		ecfg.Observer = &tap{rt: rt, shard: ID(s)}
+		if rt.downstream != nil {
+			ecfg.Observer = &tap{rt: rt, shard: ID(s)}
+		}
 		ecfg.PaceFactor = 0          // the coordinator paces the rounds
 		ecfg.StopWhenDrained = false // the coordinator decides drain city-wide
 		ecfg.Shifts = shardShifts[s]
@@ -233,6 +245,7 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		rt.feeds[s] = &feedSource{}
 		rt.engines[s] = sim.NewWithSource(ecfg, rt.feeds[s], shardStarts[s])
 		probes[s] = rt.engines[s]
+		rt.coord[s].Drivers = len(shardStarts[s])
 		rt.stats[s] = Stats{
 			Shard:           s,
 			Regions:         len(part.Regions(ID(s))),
@@ -289,16 +302,15 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 			if rt.routed != nil {
 				rt.routed[o.ID] = s
 			}
-			rt.statsMu.Lock()
-			rt.stats[s].Admitted++
+			rt.coord[s].Admitted++
 			if borrowed {
-				rt.stats[s].BorrowedIn++
-			}
-			rt.statsMu.Unlock()
-			if borrowed && rt.obsBorrowed != nil {
-				rt.obsBorrowed[s].Inc()
+				rt.coord[s].BorrowedIn++
+				if rt.obsBorrowed != nil {
+					rt.obsBorrowed[s].Inc()
+				}
 			}
 		}
+		rt.publish()
 		if done {
 			rt.srcDone = true
 			for _, f := range rt.feeds {
@@ -466,11 +478,9 @@ func (rt *Runtime) rehomeFleet() {
 			// The new local id is always the next slot, so the global
 			// mapping grows in lockstep with the receiving engine.
 			rt.global[mv.to] = append(rt.global[mv.to], rt.global[i][mv.id])
-			rt.statsMu.Lock()
-			rt.stats[i].Drivers--
-			rt.stats[mv.to].Drivers++
-			rt.stats[mv.to].RehomedIn++
-			rt.statsMu.Unlock()
+			rt.coord[i].Drivers--
+			rt.coord[mv.to].Drivers++
+			rt.coord[mv.to].RehomedIn++
 			if rt.obsRehomed != nil {
 				rt.obsRehomed[mv.to].Inc()
 			}
@@ -478,19 +488,31 @@ func (rt *Runtime) rehomeFleet() {
 	}
 }
 
-// snapshotCounts refreshes each shard's waiting/available stats at the
-// round barrier and returns the city-wide sums.
+// snapshotCounts refreshes every shard's row — tallies, re-homed fleet,
+// waiting/available — at the barrier after the admit phase (the last
+// step of a run that ends drained) and returns the city-wide sums.
 func (rt *Runtime) snapshotCounts() (waiting, available int) {
+	for i, e := range rt.engines {
+		rt.tally(i)
+		c := &rt.coord[i]
+		c.Waiting, c.Available = e.Counts()
+		waiting += c.Waiting
+		available += c.Available
+	}
+	rt.publish()
+	return waiting, available
+}
+
+// publish copies the coordinator's columns into the stats under one
+// lock acquisition: readers never wait on routing or the re-homing scan.
+func (rt *Runtime) publish() {
 	rt.statsMu.Lock()
 	defer rt.statsMu.Unlock()
-	for i, e := range rt.engines {
-		w, a := e.Counts()
-		rt.stats[i].Waiting = w
-		rt.stats[i].Available = a
-		waiting += w
-		available += a
+	for i := range rt.coord {
+		c, s := &rt.coord[i], &rt.stats[i]
+		s.Admitted, s.BorrowedIn, s.Drivers, s.RehomedIn = c.Admitted, c.BorrowedIn, c.Drivers, c.RehomedIn
+		s.Waiting, s.Available = c.Waiting, c.Available
 	}
-	return waiting, available
 }
 
 // allDrained reports whether every engine is drained (call only between
@@ -504,12 +526,26 @@ func (rt *Runtime) allDrained() bool {
 	return true
 }
 
-// recordBatch folds one shard's dispatch wall time into its stats.
+// tally copies shard i's lifecycle counters from its engine's own
+// metrics. The caller owns the engine: its worker during or right after
+// a step, or the coordinator between phases.
+func (rt *Runtime) tally(i int) {
+	m := rt.engines[i].Tally()
+	rt.statsMu.Lock()
+	defer rt.statsMu.Unlock()
+	s := &rt.stats[i]
+	s.Served, s.Reneged, s.Canceled, s.Declined = m.Served, m.Reneged, m.Canceled, m.Declines
+	s.SharedServed, s.PickedUp, s.DroppedOff = m.SharedServed, m.PickedUp, m.DroppedOff
+}
+
+// recordBatch folds one shard's dispatch step — its wall time and the
+// lifecycle tallies it moved — into the shard's stats.
 func (rt *Runtime) recordBatch(i int, d time.Duration) {
 	ms := d.Seconds() * 1000
 	if rt.obsRound != nil {
 		rt.obsRound[i].Observe(d.Seconds())
 	}
+	rt.tally(i)
 	rt.statsMu.Lock()
 	defer rt.statsMu.Unlock()
 	s := &rt.stats[i]
@@ -564,6 +600,8 @@ func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 		agg.PickupSeconds += m.PickupSeconds
 		agg.SharedServed += m.SharedServed
 		agg.DetourSeconds += m.DetourSeconds
+		agg.PickedUp += m.PickedUp
+		agg.DroppedOff += m.DroppedOff
 		if m.Batches > rounds {
 			rounds = m.Batches
 		}
@@ -593,111 +631,64 @@ func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 	return agg
 }
 
-// tap is the per-shard observer: it forwards engine events to the
-// runtime's downstream observer with driver ids remapped to the global
-// fleet numbering, serialized across shards. Per-shard BatchStart
-// events are absorbed — the coordinator synthesizes the city-wide one.
+// tap is the per-shard observer, installed only when the session has a
+// downstream observer: it forwards engine events to it with driver ids
+// remapped to the global fleet numbering, serialized across shards. It
+// counts nothing, but first publishes its engine's tallies (it runs on
+// the worker that owns the engine). Per-shard BatchStart events are
+// absorbed — the coordinator synthesizes the city-wide one.
 type tap struct {
 	rt    *Runtime
 	shard ID
 }
 
+// enter publishes the shard's tallies and takes the fan-in lock.
+func (t *tap) enter() sim.Observer {
+	t.rt.tally(int(t.shard))
+	t.rt.obsMu.Lock()
+	return t.rt.downstream
+}
+
 func (t *tap) OnBatchStart(sim.BatchStartEvent) {}
 
 func (t *tap) OnAssigned(e sim.AssignedEvent) {
-	rt := t.rt
-	rt.statsMu.Lock()
-	rt.stats[t.shard].Served++
-	rt.statsMu.Unlock()
-	if rt.downstream == nil {
-		return
-	}
-	e.Driver = rt.global[t.shard][e.Driver]
-	rt.obsMu.Lock()
-	rt.downstream.OnAssigned(e)
-	rt.obsMu.Unlock()
+	e.Driver = t.rt.global[t.shard][e.Driver]
+	t.enter().OnAssigned(e)
+	t.rt.obsMu.Unlock()
 }
 
 func (t *tap) OnExpired(e sim.ExpiredEvent) {
-	rt := t.rt
-	rt.statsMu.Lock()
-	rt.stats[t.shard].Reneged++
-	rt.statsMu.Unlock()
-	if rt.downstream == nil {
-		return
-	}
-	rt.obsMu.Lock()
-	rt.downstream.OnExpired(e)
-	rt.obsMu.Unlock()
+	t.enter().OnExpired(e)
+	t.rt.obsMu.Unlock()
 }
 
 func (t *tap) OnCanceled(e sim.CanceledEvent) {
-	rt := t.rt
-	rt.statsMu.Lock()
-	rt.stats[t.shard].Canceled++
-	rt.statsMu.Unlock()
-	if rt.downstream == nil {
-		return
-	}
-	rt.obsMu.Lock()
-	rt.downstream.OnCanceled(e)
-	rt.obsMu.Unlock()
+	t.enter().OnCanceled(e)
+	t.rt.obsMu.Unlock()
 }
 
 func (t *tap) OnDeclined(e sim.DeclinedEvent) {
-	rt := t.rt
-	rt.statsMu.Lock()
-	rt.stats[t.shard].Declined++
-	rt.statsMu.Unlock()
-	if rt.downstream == nil {
-		return
-	}
-	e.Driver = rt.global[t.shard][e.Driver]
-	rt.obsMu.Lock()
-	rt.downstream.OnDeclined(e)
-	rt.obsMu.Unlock()
+	e.Driver = t.rt.global[t.shard][e.Driver]
+	t.enter().OnDeclined(e)
+	t.rt.obsMu.Unlock()
 }
 
 func (t *tap) OnPickedUp(e sim.PickedUpEvent) {
-	rt := t.rt
-	rt.statsMu.Lock()
-	rt.stats[t.shard].PickedUp++
-	rt.statsMu.Unlock()
-	if rt.downstream == nil {
-		return
-	}
-	e.Driver = rt.global[t.shard][e.Driver]
-	rt.obsMu.Lock()
-	rt.downstream.OnPickedUp(e)
-	rt.obsMu.Unlock()
+	e.Driver = t.rt.global[t.shard][e.Driver]
+	t.enter().OnPickedUp(e)
+	t.rt.obsMu.Unlock()
 }
 
 func (t *tap) OnDroppedOff(e sim.DroppedOffEvent) {
-	rt := t.rt
-	rt.statsMu.Lock()
-	rt.stats[t.shard].DroppedOff++
-	if e.Shared {
-		rt.stats[t.shard].SharedServed++
-	}
-	rt.statsMu.Unlock()
-	if rt.downstream == nil {
-		return
-	}
-	e.Driver = rt.global[t.shard][e.Driver]
-	rt.obsMu.Lock()
-	rt.downstream.OnDroppedOff(e)
-	rt.obsMu.Unlock()
+	e.Driver = t.rt.global[t.shard][e.Driver]
+	t.enter().OnDroppedOff(e)
+	t.rt.obsMu.Unlock()
 }
 
 func (t *tap) OnRepositioned(e sim.RepositionedEvent) {
-	rt := t.rt
-	if rt.downstream == nil {
-		return
-	}
-	e.Driver = rt.global[t.shard][e.Driver]
-	rt.obsMu.Lock()
-	rt.downstream.OnRepositioned(e)
-	rt.obsMu.Unlock()
+	e.Driver = t.rt.global[t.shard][e.Driver]
+	t.enter().OnRepositioned(e)
+	t.rt.obsMu.Unlock()
 }
 
 // feedSource is the runtime-owned per-shard order queue: the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -413,6 +414,87 @@ func TestShardedScenarioDeterministicAndCounted(t *testing.T) {
 	if canceled != m1.Canceled || declined != m1.Declines {
 		t.Fatalf("shard stats (%d canceled, %d declined) disagree with metrics (%d, %d)",
 			canceled, declined, m1.Canceled, m1.Declines)
+	}
+}
+
+// TestShardStatsMatchMetrics pins that shard stats are the engines' own
+// tallies, not a second count beside the stream: for 1 and 2 shards,
+// with and without a session observer (the tap is only installed with
+// one), every lifecycle counter summed over Stats equals the run's
+// aggregated Metrics — including Served after pooled pre-pickup cancels,
+// which roll the commit's accounting back (a counting tap never did).
+func TestShardStatsMatchMetrics(t *testing.T) {
+	scenOrders, scenStarts, grid := testInstance(t, 1500, 40)
+	poolOrders, poolStarts, _ := testInstance(t, 2500, 25)
+	cases := []struct {
+		name       string
+		cfg        sim.Config
+		starts     []geo.Point
+		source     func() sim.OrderSource
+		dispatcher sim.Dispatcher
+		active     func(m *sim.Metrics) bool
+	}{
+		{name: "scenario",
+			cfg: sim.Config{Grid: grid, Delta: 3, TC: 1200, Horizon: 3 * 3600,
+				Scenario: sim.ScenarioConfig{CancelRate: 0.3, DeclineProb: 0.2, Seed: 11}},
+			starts:     scenStarts,
+			source:     func() sim.OrderSource { return sim.NewSliceSource(scenOrders) },
+			dispatcher: dispatch.NEAR{},
+			active:     func(m *sim.Metrics) bool { return m.Canceled > 0 && m.Declines > 0 && m.Reneged > 0 }},
+		{name: "pooled cancels",
+			cfg: sim.Config{Grid: grid, Delta: 3, TC: 1200, Horizon: 4 * 3600,
+				Pooling: pool.Config{Capacity: 3, MaxDetourSeconds: 400}},
+			starts: poolStarts,
+			source: func() sim.OrderSource {
+				// Every order cancels 20 s after posting: still waiting,
+				// or committed to a plan but not yet picked up.
+				src := &scriptedCancels{SliceSource: sim.NewSliceSource(poolOrders)}
+				for _, o := range poolOrders {
+					src.pending = append(src.pending, scriptedCancel{at: o.PostTime + 20, id: o.ID})
+				}
+				sort.SliceStable(src.pending, func(i, j int) bool { return src.pending[i].at < src.pending[j].at })
+				return src
+			},
+			dispatcher: dispatch.POOL{},
+			active:     func(m *sim.Metrics) bool { return m.Canceled > m.Served && m.PickedUp > 0 && m.DroppedOff > 0 }},
+	}
+	for _, c := range cases {
+		for _, shards := range []int{1, 2} {
+			for _, observed := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%d shards/observed=%v", c.name, shards, observed), func(t *testing.T) {
+					cfg := c.cfg
+					if observed {
+						cfg.Observer = &eventLog{}
+					}
+					rt, err := New(Config{Sim: cfg, Shards: shards}, c.source(), c.starts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := rt.Run(context.Background(), func(int) (sim.Dispatcher, error) { return c.dispatcher, nil })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !c.active(m) {
+						t.Fatalf("case inactive: %+v picked=%d dropped=%d", m.Summary(), m.PickedUp, m.DroppedOff)
+					}
+					var sum Stats
+					for _, s := range rt.Stats() {
+						sum.Served += s.Served
+						sum.Reneged += s.Reneged
+						sum.Canceled += s.Canceled
+						sum.Declined += s.Declined
+						sum.SharedServed += s.SharedServed
+						sum.PickedUp += s.PickedUp
+						sum.DroppedOff += s.DroppedOff
+					}
+					got := [7]int{sum.Served, sum.Reneged, sum.Canceled, sum.Declined, sum.SharedServed, sum.PickedUp, sum.DroppedOff}
+					want := [7]int{m.Served, m.Reneged, m.Canceled, m.Declines, m.SharedServed, m.PickedUp, m.DroppedOff}
+					if got != want {
+						t.Fatalf("summed shard stats {served reneged canceled declined shared picked dropped} = %v, metrics say %v", got, want)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -20,7 +20,12 @@
 // Orders reach the engine through the OrderSource interface: SliceSource
 // replays a fixed trace (the experiment setup) and ChannelSource accepts
 // live Submit-driven ingestion from concurrent producers. Runs take a
-// context.Context for cancellation and deadlines, and an optional
-// Observer streams lifecycle events (batch starts, assignments,
-// expiries, repositions) as they happen.
+// context.Context for cancellation and deadlines.
+//
+// Lifecycle facts (batch starts, assignments, pooled stops, cancels,
+// expiries, declines, repositions) leave the engine one way, as Observer
+// events: Config.Observer, the ObsConfig counters and spans (composed in
+// front of it) and StateStore are folds over that stream; only wall-clock
+// data (phase timings, the admission stamp) reaches the obs layer
+// directly. Metrics is the engine's own tally, which shard.Stats copies.
 package sim

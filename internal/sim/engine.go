@@ -88,9 +88,9 @@ type Config struct {
 	Pooling pool.Config
 	// Obs wires the optional observability layer: a metrics registry
 	// receiving phase timings and lifecycle counters, and/or a tracer
-	// emitting one span per terminal order. The zero value disables
-	// both; enabled, only wall-clock data outside Summary is touched,
-	// so determinism contracts hold either way.
+	// emitting one span per terminal order, both fed by the Observer
+	// stream. The zero value disables both; enabled, only wall-clock
+	// data outside Summary is touched, so determinism contracts hold.
 	Obs ObsConfig
 	// PaceFactor paces the batch loop against the wall clock: the
 	// simulation advances at most PaceFactor simulated seconds per wall
@@ -206,9 +206,12 @@ type Engine struct {
 	// nil test.
 	ps *poolState
 	// obs is the observability machinery, nil unless Config.Obs wires
-	// a registry or tracer — the uninstrumented path pays one nil
-	// check per hook site.
+	// a registry or tracer; its direct calls (wall-clock and search
+	// tallies only) are no-ops on the nil receiver.
 	obs *obsState
+	// observer is the one stream every emit site fires: obs in front of
+	// Config.Observer, either alone, or nil (no event is constructed).
+	observer Observer
 	// cancelSrc is the order source's cancellation feed when it has one
 	// (ChannelSource, the shard runtime's feedSource); nil otherwise.
 	cancelSrc CancelableSource
@@ -262,8 +265,13 @@ func NewWithSource(cfg Config, src OrderSource, driverStarts []geo.Point) *Engin
 	if cfg.Pooling.Enabled() {
 		e.ps = newPoolState(cfg.Pooling)
 	}
+	e.observer = cfg.Observer
 	if cfg.Obs.Enabled() {
 		e.obs = newObsState(cfg.Obs)
+		e.observer = e.obs
+		if cfg.Observer != nil {
+			e.observer = Observers{e.obs, cfg.Observer}
+		}
 	}
 	if cs, ok := src.(CancelableSource); ok {
 		e.cancelSrc = cs
@@ -373,15 +381,7 @@ func (e *Engine) Begin() error {
 		if e.drivers[i].State != Available {
 			continue
 		}
-		region, _ := e.idx.RegionOf(int32(i))
-		e.metrics.IdleRecords = append(e.metrics.IdleRecords, IdleRecord{
-			Driver:   DriverID(i),
-			Region:   region,
-			RejoinAt: 0,
-			Estimate: math.NaN(),
-			Realized: math.NaN(),
-		})
-		e.openIdle[DriverID(i)] = len(e.metrics.IdleRecords) - 1
+		e.openLedger(DriverID(i), 0)
 	}
 	return nil
 }
@@ -395,35 +395,24 @@ func (e *Engine) Begin() error {
 // same engine goroutine — by StepDispatch for the same now, unless the
 // run is ending.
 func (e *Engine) StepAdmit(now float64) {
-	var t0 time.Time
-	if e.obs != nil {
-		t0 = time.Now() //mrvdlint:ignore wallclock obs phase histogram measures real admit cost, not simulated time
-	}
+	e.obs.start()
 	e.admitOrders(now)
 	e.rejoinDrivers(now)
 	e.processShifts(now)
 	e.processCancels(now)
 	e.renegeExpired(now)
-	if e.obs != nil {
-		e.obs.phase("admit", time.Since(t0).Seconds()) //mrvdlint:ignore wallclock obs phase histogram measures real admit cost, not simulated time
-	}
+	e.obs.lap(phaseAdmit)
 }
 
 // StepDispatch runs the dispatch phase of the batch at time now: batch
 // context construction, the OnBatchStart hook, idle-estimate capture,
 // the dispatcher's assignment and its commitment, and repositioning.
 func (e *Engine) StepDispatch(now float64, d Dispatcher) error {
-	var t0 time.Time
-	if e.obs != nil {
-		t0 = time.Now() //mrvdlint:ignore wallclock obs phase histogram measures real context-build cost, not simulated time
-	}
+	e.obs.start()
 	bctx := e.buildContext(now)
-	if e.obs != nil {
-		e.obs.phase("build", time.Since(t0).Seconds()) //mrvdlint:ignore wallclock obs phase histogram measures real context-build cost, not simulated time
-		e.obs.round(len(bctx.Riders), len(bctx.Drivers))
-	}
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.OnBatchStart(BatchStartEvent{
+	e.obs.lap(phaseBuild)
+	if e.observer != nil {
+		e.observer.OnBatchStart(BatchStartEvent{
 			Now:       now,
 			Batch:     e.metrics.Batches,
 			Waiting:   len(bctx.Riders),
@@ -447,18 +436,13 @@ func (e *Engine) StepDispatch(now float64, d Dispatcher) error {
 	dispatchSeconds := time.Since(start).Seconds() //mrvdlint:ignore wallclock Metrics.BatchSeconds is the dispatcher's real critical-path wall time by design
 	e.metrics.BatchSeconds = append(e.metrics.BatchSeconds, dispatchSeconds)
 	e.metrics.Batches++
-	if e.obs != nil {
-		e.obs.phase("dispatch", dispatchSeconds)
-		t0 = time.Now() //mrvdlint:ignore wallclock obs phase histogram measures real apply cost, not simulated time
-	}
+	e.obs.observe(phaseDispatch, dispatchSeconds)
 
 	if err := e.apply(now, bctx, assignments); err != nil {
 		return err
 	}
 	e.reposition(now, bctx)
-	if e.obs != nil {
-		e.obs.phase("apply", time.Since(t0).Seconds()) //mrvdlint:ignore wallclock obs phase histogram measures real apply cost, not simulated time
-	}
+	e.obs.lap(phaseApply)
 	return nil
 }
 
@@ -482,6 +466,17 @@ func (e *Engine) Finish() *Metrics {
 // event across shards.
 func (e *Engine) Counts() (waiting, available int) {
 	return len(e.waiting), e.idx.Len()
+}
+
+// Tally reports the lifecycle counters so far, as a Metrics value that
+// carries nothing else — what a lockstep coordinator copies into its
+// live per-shard stats.
+func (e *Engine) Tally() Metrics {
+	m := &e.metrics
+	return Metrics{
+		Served: m.Served, Reneged: m.Reneged, Canceled: m.Canceled, Declines: m.Declines,
+		SharedServed: m.SharedServed, PickedUp: m.PickedUp, DroppedOff: m.DroppedOff,
+	}
 }
 
 // AvailableWithin counts available drivers within radiusMeters of p — a
@@ -540,15 +535,7 @@ func (e *Engine) AddDriver(p geo.Point, freeAt float64, shift Shift) DriverID {
 		e.shifts = append(e.shifts, shift)
 	}
 	e.idx.Insert(int32(id), p)
-	region, _ := e.idx.RegionOf(int32(id))
-	e.metrics.IdleRecords = append(e.metrics.IdleRecords, IdleRecord{
-		Driver:   id,
-		Region:   region,
-		RejoinAt: freeAt,
-		Estimate: math.NaN(),
-		Realized: math.NaN(),
-	})
-	e.openIdle[id] = len(e.metrics.IdleRecords) - 1
+	e.openLedger(id, freeAt)
 	return id
 }
 
@@ -626,9 +613,7 @@ func (e *Engine) admitOrders(now float64) {
 		if e.byID != nil {
 			e.byID[o.ID] = r
 		}
-		if e.obs != nil {
-			e.obs.admit(o, now)
-		}
+		e.obs.admit(o, now)
 		if !e.sized {
 			e.metrics.TotalOrders++
 		}
@@ -701,16 +686,13 @@ func (e *Engine) compactWaiting() {
 	e.waiting = kept
 }
 
-// cancelRider commits one rider-initiated cancellation; the caller
-// compacts the waiting set.
+// cancelRider commits one rider-initiated cancellation; for a rider
+// still waiting, the caller compacts the waiting set.
 func (e *Engine) cancelRider(now float64, r *Rider, explicit bool) {
 	r.Status = CanceledStatus
 	e.metrics.Canceled++
-	if e.obs != nil {
-		e.obs.canceled(r.Order.ID, now)
-	}
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.OnCanceled(CanceledEvent{Now: now, Rider: r, Explicit: explicit})
+	if e.observer != nil {
+		e.observer.OnCanceled(CanceledEvent{Now: now, Rider: r, Explicit: explicit})
 	}
 }
 
@@ -727,25 +709,38 @@ func (e *Engine) rejoinDrivers(now float64) {
 				continue
 			}
 		}
-		drv := &e.drivers[c.driver]
-		if e.shifts != nil {
-			if la := e.shifts[c.driver].LeaveAt; la > 0 && c.freeAt >= la {
-				drv.State = Offline
-				continue
-			}
-		}
-		drv.State = Available
-		e.idx.Insert(int32(c.driver), drv.Pos)
-		region, _ := e.idx.RegionOf(int32(c.driver))
-		e.metrics.IdleRecords = append(e.metrics.IdleRecords, IdleRecord{
-			Driver:   c.driver,
-			Region:   region,
-			RejoinAt: c.freeAt,
-			Estimate: math.NaN(),
-			Realized: math.NaN(),
-		})
-		e.openIdle[c.driver] = len(e.metrics.IdleRecords) - 1
+		e.rejoin(c.driver, c.freeAt)
 	}
+}
+
+// rejoin returns a driver whose work completed at freeAt to the
+// available pool and opens its idle-ledger entry — unless its shift
+// ended meanwhile, in which case it goes offline instead.
+func (e *Engine) rejoin(id DriverID, freeAt float64) {
+	drv := &e.drivers[id]
+	if e.shifts != nil {
+		if la := e.shifts[id].LeaveAt; la > 0 && freeAt >= la {
+			drv.State = Offline
+			return
+		}
+	}
+	drv.State = Available
+	e.idx.Insert(int32(id), drv.Pos)
+	e.openLedger(id, freeAt)
+}
+
+// openLedger starts an idle-ledger entry for an available, indexed
+// driver that (re)joined the pool at time at.
+func (e *Engine) openLedger(id DriverID, at float64) {
+	region, _ := e.idx.RegionOf(int32(id))
+	e.metrics.IdleRecords = append(e.metrics.IdleRecords, IdleRecord{
+		Driver:   id,
+		Region:   region,
+		RejoinAt: at,
+		Estimate: math.NaN(),
+		Realized: math.NaN(),
+	})
+	e.openIdle[id] = len(e.metrics.IdleRecords) - 1
 }
 
 // renegeExpired drops waiting riders whose deadline has passed: no
@@ -756,11 +751,8 @@ func (e *Engine) renegeExpired(now float64) {
 		if r.Order.Deadline < now {
 			r.Status = RenegedStatus
 			e.metrics.Reneged++
-			if e.obs != nil {
-				e.obs.reneged(r.Order.ID, now)
-			}
-			if e.cfg.Observer != nil {
-				e.cfg.Observer.OnExpired(ExpiredEvent{Now: now, Rider: r})
+			if e.observer != nil {
+				e.observer.OnExpired(ExpiredEvent{Now: now, Rider: r})
 			}
 			continue
 		}
@@ -1032,17 +1024,8 @@ func (e *Engine) apply(now float64, ctx *Context, assignments []Assignment) erro
 			// of the whole-trip completion.
 			e.startPlan(rider, drv.ID, now+realPickup, freeAt, realTrip, realPickup)
 			stops = 2
-			if e.obs != nil {
-				// The span stays open: pickup and dropoff realize as the
-				// plan's stops complete.
-				e.obs.commit(rider.Order.ID, now, drv.ID, false)
-			}
 		} else {
 			heap.Push(&e.busy, completion{freeAt: freeAt, driver: drv.ID})
-			if e.obs != nil {
-				// A solo commit realizes its whole trip now.
-				e.obs.servedSolo(now, rider.Order.ID, drv.ID, rider.PickedAt, freeAt)
-			}
 		}
 
 		e.insertFutureRejoin(rider.DestRegion, freeAt)
@@ -1052,8 +1035,8 @@ func (e *Engine) apply(now float64, ctx *Context, assignments []Assignment) erro
 		e.metrics.Served++
 		changed = true
 
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.OnAssigned(AssignedEvent{
+		if e.observer != nil {
+			e.observer.OnAssigned(AssignedEvent{
 				Now:          now,
 				Rider:        rider,
 				Driver:       drv.ID,
@@ -1092,8 +1075,8 @@ func (e *Engine) declineAssignment(now float64, rider *Rider, id DriverID) {
 	heap.Push(&e.busy, completion{freeAt: retryAt, driver: id})
 	e.insertFutureRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(d.Pos)), retryAt)
 	e.metrics.Declines++
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.OnDeclined(DeclinedEvent{Now: now, Rider: rider, Driver: id, RetryAt: retryAt})
+	if e.observer != nil {
+		e.observer.OnDeclined(DeclinedEvent{Now: now, Rider: rider, Driver: id, RetryAt: retryAt})
 	}
 }
 
@@ -1155,15 +1138,7 @@ func (e *Engine) processShifts(now float64) {
 				d.State = Available
 				d.FreeAt = now
 				e.idx.Insert(int32(i), d.Pos)
-				region, _ := e.idx.RegionOf(int32(i))
-				e.metrics.IdleRecords = append(e.metrics.IdleRecords, IdleRecord{
-					Driver:   DriverID(i),
-					Region:   region,
-					RejoinAt: now,
-					Estimate: math.NaN(),
-					Realized: math.NaN(),
-				})
-				e.openIdle[DriverID(i)] = len(e.metrics.IdleRecords) - 1
+				e.openLedger(DriverID(i), now)
 			}
 		case Available:
 			if sh.LeaveAt > 0 && now >= sh.LeaveAt {
@@ -1210,8 +1185,8 @@ func (e *Engine) reposition(now float64, ctx *Context) {
 		e.idx.Remove(int32(i))
 		heap.Push(&e.busy, completion{freeAt: d.FreeAt, driver: DriverID(i)})
 		e.insertFutureRejoin(e.cfg.Grid.Region(target), d.FreeAt)
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.OnRepositioned(RepositionedEvent{
+		if e.observer != nil {
+			e.observer.OnRepositioned(RepositionedEvent{
 				Now: now, Driver: DriverID(i), From: from, To: target,
 				Cost: cost, ArriveAt: d.FreeAt,
 			})

@@ -8,17 +8,18 @@ import (
 	"mrvd/internal/trace"
 )
 
-// ObsConfig wires the optional observability layer into an engine:
-// a metrics registry receiving dispatch-phase timings and lifecycle
-// counters, and/or a tracer emitting one JSON span per terminal
-// order. The zero value disables both and keeps the engine
-// byte-identical to an uninstrumented run — the enabled path touches
-// only wall-clock data that never feeds a Summary, so determinism
-// contracts (Sweep, 1-shard parity) are unaffected either way.
+// ObsConfig wires the optional observability layer into an engine: a
+// metrics registry and/or a tracer emitting one JSON span per terminal
+// order, both folds over the engine's Observer stream plus the
+// wall-clock timings no event carries. The zero value disables both;
+// enabled, only wall-clock data that never feeds a Summary is touched,
+// so determinism contracts (Sweep, 1-shard parity) hold either way.
 type ObsConfig struct {
 	// Registry collects counters and histograms; nil records nothing.
 	Registry *obs.Registry
-	// Tracer receives order-lifecycle spans; nil records nothing.
+	// Tracer receives order-lifecycle spans; nil records nothing. A
+	// tracer without a Registry still pays the counter updates, against
+	// a private registry nobody reads.
 	Tracer *obs.Tracer
 	// Shard attributes this engine's spans to its shard of the session
 	// runtime (0 with one shard, and for a bare engine).
@@ -28,20 +29,33 @@ type ObsConfig struct {
 // Enabled reports whether any observability sink is configured.
 func (c ObsConfig) Enabled() bool { return c.Registry != nil || c.Tracer != nil }
 
-// obsState is the engine's observability machinery, nil when
-// ObsConfig is zero-valued — the uninstrumented path pays one nil
-// check per hook site.
+// phase names one of a batch round's four wall-clock phases.
+type phase int
+
+const (
+	phaseAdmit phase = iota
+	phaseBuild
+	phaseDispatch
+	phaseApply
+	numPhases
+)
+
+// obsState is the engine's observability machinery, nil when ObsConfig
+// is zero-valued. It is an Observer — counters, gauges and span drafts
+// are folds over the events every subscriber sees — and it runs first,
+// so a user observer reading the tracer inside a callback finds that
+// event's span already written. The engine calls it directly only for
+// what no event carries (phase stopwatch, admission stamp, pooled-search
+// tallies), through methods that are no-ops on a nil receiver.
 type obsState struct {
+	// The zero ObserverFuncs supplies the no-op OnDeclined/OnRepositioned.
+	ObserverFuncs
 	cfg ObsConfig
 
-	// Registry-backed instruments, all resolved to concrete children at
-	// construction so the per-round and per-order hot paths touch only
-	// lock-free atomics, never the registry's family locks; nil when no
-	// registry is configured.
-	phaseAdmit     *obs.Histogram
-	phaseBuild     *obs.Histogram
-	phaseDispatch  *obs.Histogram
-	phaseApply     *obs.Histogram
+	// Instruments, resolved to concrete children at construction so the
+	// hot paths touch only lock-free atomics, never the registry's family
+	// locks — of a private registry when none is configured, never nil.
+	phases         [numPhases]*obs.Histogram
 	admitted       *obs.Counter
 	termServed     *obs.Counter
 	termCanceled   *obs.Counter
@@ -51,6 +65,9 @@ type obsState struct {
 	poolCommitted  *obs.Counter
 	queueDepth     *obs.Gauge
 	driversAvail   *obs.Gauge
+
+	// lapStart is the phase stopwatch's mark.
+	lapStart time.Time
 
 	// spans holds the in-flight order drafts; nil when no tracer is
 	// configured.
@@ -68,74 +85,75 @@ type spanDraft struct {
 
 func newObsState(cfg ObsConfig) *obsState {
 	s := &obsState{cfg: cfg}
-	if r := cfg.Registry; r != nil {
-		phases := r.HistogramVec("mrvd_dispatch_phase_seconds",
-			"Wall time of one engine batch round, broken into admit, build (context + coster matrix), dispatch (the dispatcher's Assign) and apply phases.",
-			obs.DefBuckets, "phase")
-		s.phaseAdmit = phases.With("admit")
-		s.phaseBuild = phases.With("build")
-		s.phaseDispatch = phases.With("dispatch")
-		s.phaseApply = phases.With("apply")
-		s.admitted = r.Counter("mrvd_orders_admitted_total",
-			"Orders admitted from the source into the waiting set.")
-		terminal := r.CounterVec("mrvd_orders_terminal_total",
-			"Orders that reached a terminal state, by outcome (served, canceled, reneged).",
-			"outcome")
-		s.termServed = terminal.With(obs.OutcomeServed)
-		s.termCanceled = terminal.With(obs.OutcomeCanceled)
-		s.termReneged = terminal.With(obs.OutcomeReneged)
-		s.poolCandidates = r.Counter("mrvd_pool_candidates_total",
-			"Pooled insertion candidates evaluated (route plans priced per waiting rider).")
-		s.poolFeasible = r.Counter("mrvd_pool_feasible_total",
-			"Pooled insertion candidates that were feasible under capacity and detour bounds.")
-		s.poolCommitted = r.Counter("mrvd_pool_committed_total",
-			"Pooled insertions committed by the dispatcher.")
-		shard := strconv.Itoa(cfg.Shard)
-		s.queueDepth = r.GaugeVec("mrvd_queue_depth",
-			"Waiting riders entering the current batch round, by shard.",
-			"shard").With(shard)
-		s.driversAvail = r.GaugeVec("mrvd_drivers_available",
-			"Available drivers entering the current batch round, by shard.",
-			"shard").With(shard)
+	r := cfg.Registry
+	if r == nil {
+		r = obs.NewRegistry()
 	}
+	phases := r.HistogramVec("mrvd_dispatch_phase_seconds",
+		"Wall time of one engine batch round, broken into admit, build (context + coster matrix), dispatch (the dispatcher's Assign) and apply phases.",
+		obs.DefBuckets, "phase")
+	s.phases[phaseAdmit] = phases.With("admit")
+	s.phases[phaseBuild] = phases.With("build")
+	s.phases[phaseDispatch] = phases.With("dispatch")
+	s.phases[phaseApply] = phases.With("apply")
+	s.admitted = r.Counter("mrvd_orders_admitted_total",
+		"Orders admitted from the source into the waiting set.")
+	terminal := r.CounterVec("mrvd_orders_terminal_total",
+		"Orders that reached a terminal state, by outcome (served, canceled, reneged).",
+		"outcome")
+	s.termServed = terminal.With(obs.OutcomeServed)
+	s.termCanceled = terminal.With(obs.OutcomeCanceled)
+	s.termReneged = terminal.With(obs.OutcomeReneged)
+	s.poolCandidates = r.Counter("mrvd_pool_candidates_total",
+		"Pooled insertion candidates evaluated (route plans priced per waiting rider).")
+	s.poolFeasible = r.Counter("mrvd_pool_feasible_total",
+		"Pooled insertion candidates that were feasible under capacity and detour bounds.")
+	s.poolCommitted = r.Counter("mrvd_pool_committed_total",
+		"Pooled insertions committed by the dispatcher.")
+	shard := strconv.Itoa(cfg.Shard)
+	s.queueDepth = r.GaugeVec("mrvd_queue_depth",
+		"Waiting riders entering the current batch round, by shard.",
+		"shard").With(shard)
+	s.driversAvail = r.GaugeVec("mrvd_drivers_available",
+		"Available drivers entering the current batch round, by shard.",
+		"shard").With(shard)
 	if cfg.Tracer != nil {
 		s.spans = make(map[trace.OrderID]*spanDraft)
 	}
 	return s
 }
 
-// phase records one batch phase's wall duration.
-func (s *obsState) phase(name string, seconds float64) {
-	var h *obs.Histogram
-	switch name {
-	case "admit":
-		h = s.phaseAdmit
-	case "build":
-		h = s.phaseBuild
-	case "dispatch":
-		h = s.phaseDispatch
-	case "apply":
-		h = s.phaseApply
-	}
-	if h != nil {
-		h.Observe(seconds)
+// start marks the beginning of a timed phase.
+func (s *obsState) start() {
+	if s != nil {
+		s.lapStart = time.Now() //mrvdlint:ignore wallclock obs phase histograms measure real batch-phase cost, not simulated time
 	}
 }
 
-// round records the batch round's queue/fleet gauges — the time-series
-// layer's raw material for queue-growth trend rules.
-func (s *obsState) round(waiting, available int) {
-	if s.queueDepth != nil {
-		s.queueDepth.Set(float64(waiting))
-		s.driversAvail.Set(float64(available))
+// lap records the wall time since the last mark as phase p.
+func (s *obsState) lap(p phase) {
+	if s != nil {
+		s.phases[p].Observe(time.Since(s.lapStart).Seconds()) //mrvdlint:ignore wallclock obs phase histograms measure real batch-phase cost, not simulated time
 	}
 }
 
-// admit records one order's admission.
+// observe records a phase the engine timed itself (the dispatcher's
+// Assign, which Metrics.BatchSeconds needs with or without obs) and
+// marks the start of the phase that follows.
+func (s *obsState) observe(p phase, seconds float64) {
+	if s != nil {
+		s.phases[p].Observe(seconds)
+		s.start()
+	}
+}
+
+// admit stamps one order's admission — Observer has no admission event
+// — and starts its span's wall clock.
 func (s *obsState) admit(o trace.Order, now float64) {
-	if s.admitted != nil {
-		s.admitted.Inc()
+	if s == nil {
+		return
 	}
+	s.admitted.Inc()
 	if s.spans != nil {
 		s.spans[o.ID] = &spanDraft{
 			span: obs.Span{
@@ -150,96 +168,81 @@ func (s *obsState) admit(o trace.Order, now float64) {
 	}
 }
 
-// commit records a pooled (or plan-backed) assignment whose span
-// stays open until the dropoff stop completes.
-func (s *obsState) commit(id trace.OrderID, now float64, driver DriverID, shared bool) {
-	if s.spans == nil {
-		return
+// poolSearch records one batch's insertion-search tallies.
+func (s *obsState) poolSearch(candidates, feasible int) {
+	if s != nil {
+		s.poolCandidates.Add(int64(candidates))
+		s.poolFeasible.Add(int64(feasible))
 	}
+}
+
+// OnBatchStart sets the batch round's queue/fleet gauges — the
+// time-series layer's raw material for queue-growth trend rules.
+func (s *obsState) OnBatchStart(e BatchStartEvent) {
+	s.queueDepth.Set(float64(e.Waiting))
+	s.driversAvail.Set(float64(e.Available))
+}
+
+// OnAssigned records a commitment. A solo trip (no route plan) realizes
+// its pickup and dropoff times at commit, so its served span is emitted
+// in one shot; a plan-backed commit keeps the draft open until the
+// dropoff stop completes.
+func (s *obsState) OnAssigned(e AssignedEvent) {
+	if e.Shared {
+		s.poolCommitted.Inc()
+	}
+	id, solo := e.Rider.Order.ID, e.Stops == 0
 	if d, ok := s.spans[id]; ok {
-		d.span.CommitAt = now
-		d.span.Driver = int64(driver)
-		d.span.Shared = shared
+		d.span.CommitAt = e.Now
+		d.span.Driver = int64(e.Driver)
+		d.span.Shared = e.Shared
 		d.committed = true
+		if solo {
+			d.span.PickupAt = e.Rider.PickedAt
+			d.picked = true
+			d.span.DropoffAt = e.FreeAt
+		}
+	}
+	if solo {
+		s.end(s.termServed, id, obs.OutcomeServed, e.FreeAt)
 	}
 }
 
-// servedSolo emits a served span in one shot: a solo commitment
-// realizes its pickup and dropoff times at commit.
-func (s *obsState) servedSolo(now float64, id trace.OrderID, driver DriverID, pickedAt, freeAt float64) {
-	if s.termServed != nil {
-		s.termServed.Inc()
-	}
-	if s.spans == nil {
-		return
-	}
-	d, ok := s.spans[id]
-	if !ok {
-		return
-	}
-	d.span.CommitAt = now
-	d.span.Driver = int64(driver)
-	d.committed = true
-	d.span.PickupAt = pickedAt
-	d.picked = true
-	d.span.DropoffAt = freeAt
-	s.emit(id, d, obs.OutcomeServed, freeAt)
-}
-
-// pickedUp records a pooled pickup stop completing.
-func (s *obsState) pickedUp(id trace.OrderID, now float64) {
-	if s.spans == nil {
-		return
-	}
-	if d, ok := s.spans[id]; ok {
-		d.span.PickupAt = now
+// OnPickedUp records a pooled pickup stop completing.
+func (s *obsState) OnPickedUp(e PickedUpEvent) {
+	if d, ok := s.spans[e.Order]; ok {
+		d.span.PickupAt = e.At
 		d.picked = true
 	}
 }
 
-// droppedOff emits a pooled rider's served span at its dropoff stop.
-func (s *obsState) droppedOff(id trace.OrderID, now float64) {
-	if s.termServed != nil {
-		s.termServed.Inc()
+// OnDroppedOff emits a pooled rider's served span at its dropoff stop.
+func (s *obsState) OnDroppedOff(e DroppedOffEvent) {
+	if d, ok := s.spans[e.Order]; ok {
+		d.span.DropoffAt = e.At
 	}
-	if s.spans == nil {
-		return
-	}
-	if d, ok := s.spans[id]; ok {
-		d.span.DropoffAt = now
-		s.emit(id, d, obs.OutcomeServed, now)
-	}
+	s.end(s.termServed, e.Order, obs.OutcomeServed, e.At)
 }
 
-// canceled emits a canceled span (stochastic or explicit rider
+// OnCanceled emits a canceled span (stochastic or explicit rider
 // cancel, including a pooled cancel off an active plan).
-func (s *obsState) canceled(id trace.OrderID, now float64) {
-	if s.termCanceled != nil {
-		s.termCanceled.Inc()
-	}
-	if s.spans == nil {
-		return
-	}
-	if d, ok := s.spans[id]; ok {
-		s.emit(id, d, obs.OutcomeCanceled, now)
-	}
+func (s *obsState) OnCanceled(e CanceledEvent) {
+	s.end(s.termCanceled, e.Rider.Order.ID, obs.OutcomeCanceled, e.Now)
 }
 
-// reneged emits a reneged span (deadline expired unassigned).
-func (s *obsState) reneged(id trace.OrderID, now float64) {
-	if s.termReneged != nil {
-		s.termReneged.Inc()
-	}
-	if s.spans == nil {
-		return
-	}
-	if d, ok := s.spans[id]; ok {
-		s.emit(id, d, obs.OutcomeReneged, now)
-	}
+// OnExpired emits a reneged span (deadline expired unassigned).
+func (s *obsState) OnExpired(e ExpiredEvent) {
+	s.end(s.termReneged, e.Rider.Order.ID, obs.OutcomeReneged, e.Now)
 }
 
-// emit finalizes durations and writes the span.
-func (s *obsState) emit(id trace.OrderID, d *spanDraft, outcome string, endAt float64) {
+// end counts one terminal outcome and, when the order has a draft,
+// finalizes its durations and writes the span.
+func (s *obsState) end(outcomes *obs.Counter, id trace.OrderID, outcome string, endAt float64) {
+	outcomes.Inc()
+	d, ok := s.spans[id]
+	if !ok {
+		return
+	}
 	sp := d.span
 	sp.Outcome = outcome
 	sp.EndAt = endAt
@@ -257,19 +260,4 @@ func (s *obsState) emit(id trace.OrderID, d *spanDraft, outcome string, endAt fl
 	sp.WallMS = float64(time.Since(d.wallStart).Nanoseconds()) / 1e6 //mrvdlint:ignore wallclock WallMS is the span schema's one documented wall-clock field
 	s.cfg.Tracer.Emit(sp)
 	delete(s.spans, id)
-}
-
-// poolSearch records one batch's insertion-search tallies.
-func (s *obsState) poolSearch(candidates, feasible int) {
-	if s.poolCandidates != nil {
-		s.poolCandidates.Add(int64(candidates))
-		s.poolFeasible.Add(int64(feasible))
-	}
-}
-
-// poolCommit records one committed insertion.
-func (s *obsState) poolCommit() {
-	if s.poolCommitted != nil {
-		s.poolCommitted.Inc()
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -58,6 +59,14 @@ func TestEngineObsOneSpanPerTerminalOrder(t *testing.T) {
 	tr := obs.NewTracer(&buf)
 	cfg := simpleConfig()
 	cfg.Obs = ObsConfig{Registry: reg, Tracer: tr}
+	// Obs runs first on the stream, as its direct hooks did: by the time
+	// a user observer hears of a solo commitment, the order's span is
+	// already written.
+	cfg.Observer = ObserverFuncs{Assigned: func(e AssignedEvent) {
+		if line := fmt.Sprintf(`{"order":%d,"outcome":"served"`, e.Rider.Order.ID); !strings.Contains(buf.String(), line) {
+			t.Errorf("OnAssigned for order %d ran before its span was emitted", e.Rider.Order.ID)
+		}
+	}}
 
 	orders, starts := obsOrders()
 	m, err := New(cfg, orders, starts).Run(context.Background(), takeAll{})

@@ -3,7 +3,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"math"
 
 	"mrvd/internal/geo"
 	"mrvd/internal/pool"
@@ -92,11 +91,9 @@ func (e *Engine) advancePlan(now float64, id DriverID, p *pool.Plan) {
 			if pr, ok := e.ps.riders[st.Order]; ok {
 				pr.r.PickedAt = st.ETA
 			}
-			if e.obs != nil {
-				e.obs.pickedUp(st.Order, st.ETA)
-			}
-			if e.cfg.Observer != nil {
-				e.cfg.Observer.OnPickedUp(PickedUpEvent{
+			e.metrics.PickedUp++
+			if e.observer != nil {
+				e.observer.OnPickedUp(PickedUpEvent{
 					Now: now, At: st.ETA, Order: st.Order, Driver: id,
 					Onboard: p.Onboard, Remaining: len(p.Stops),
 				})
@@ -113,11 +110,9 @@ func (e *Engine) advancePlan(now float64, id DriverID, p *pool.Plan) {
 				e.metrics.SharedServed++
 				e.metrics.DetourSeconds += detour
 			}
-			if e.obs != nil {
-				e.obs.droppedOff(st.Order, st.ETA)
-			}
-			if e.cfg.Observer != nil {
-				e.cfg.Observer.OnDroppedOff(DroppedOffEvent{
+			e.metrics.DroppedOff++
+			if e.observer != nil {
+				e.observer.OnDroppedOff(DroppedOffEvent{
 					Now: now, At: st.ETA, Order: st.Order, Driver: id,
 					Shared: shared, DetourSeconds: detour,
 					Onboard: p.Onboard, Remaining: len(p.Stops),
@@ -130,24 +125,7 @@ func (e *Engine) advancePlan(now float64, id DriverID, p *pool.Plan) {
 		return
 	}
 	delete(e.ps.plans, id)
-	drv := &e.drivers[id]
-	if e.shifts != nil {
-		if la := e.shifts[id].LeaveAt; la > 0 && freeAt >= la {
-			drv.State = Offline
-			return
-		}
-	}
-	drv.State = Available
-	e.idx.Insert(int32(id), drv.Pos)
-	region, _ := e.idx.RegionOf(int32(id))
-	e.metrics.IdleRecords = append(e.metrics.IdleRecords, IdleRecord{
-		Driver:   id,
-		Region:   region,
-		RejoinAt: freeAt,
-		Estimate: math.NaN(),
-		Realized: math.NaN(),
-	})
-	e.openIdle[id] = len(e.metrics.IdleRecords) - 1
+	e.rejoin(id, freeAt)
 }
 
 // cancelPooled applies an explicit cancellation of a rider already
@@ -186,14 +164,7 @@ func (e *Engine) cancelPooled(now float64, r *Rider) {
 	e.removeFutureRejoin(oldRegion, oldEnd)
 	e.insertFutureRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(pos)), end)
 
-	r.Status = CanceledStatus
-	e.metrics.Canceled++
-	if e.obs != nil {
-		e.obs.canceled(r.Order.ID, now)
-	}
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.OnCanceled(CanceledEvent{Now: now, Rider: r, Explicit: true})
-	}
+	e.cancelRider(now, r, true)
 }
 
 // applyPooled validates and commits one shared-ride insertion.
@@ -237,8 +208,8 @@ func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedR map[
 		retryAt := now + e.scen.cooldown()
 		e.ps.noInsertUntil[opt.Driver] = retryAt
 		e.metrics.Declines++
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.OnDeclined(DeclinedEvent{Now: now, Rider: rider, Driver: opt.Driver, RetryAt: retryAt})
+		if e.observer != nil {
+			e.observer.OnDeclined(DeclinedEvent{Now: now, Rider: rider, Driver: opt.Driver, RetryAt: retryAt})
 		}
 		return false, nil
 	}
@@ -288,13 +259,9 @@ func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedR map[
 	e.metrics.Revenue += rider.TripCost
 	e.metrics.PickupSeconds += wait
 	e.metrics.Served++
-	if e.obs != nil {
-		e.obs.poolCommit()
-		e.obs.commit(rider.Order.ID, now, opt.Driver, true)
-	}
 
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.OnAssigned(AssignedEvent{
+	if e.observer != nil {
+		e.observer.OnAssigned(AssignedEvent{
 			Now:           now,
 			Rider:         rider,
 			Driver:        opt.Driver,
@@ -469,7 +436,5 @@ func (e *Engine) buildPoolOptions(now float64, ctx *Context) {
 			found++
 		}
 	}
-	if e.obs != nil {
-		e.obs.poolSearch(evaluated, feasible)
-	}
+	e.obs.poolSearch(evaluated, feasible)
 }

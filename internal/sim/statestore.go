@@ -95,7 +95,8 @@ type StoreStats struct {
 	Repositioned int `json:"repositioned"`
 	// Batch cycle wall-clock timings (milliseconds): the gap between
 	// consecutive batch starts, i.e. dispatch work plus pacing sleep.
-	// The percentiles are nearest-rank over every gap seen so far.
+	// Avg and Max run over the whole session; the percentiles are
+	// nearest-rank over the last 4,096 batches.
 	AvgBatchGapMS float64 `json:"avg_batch_gap_ms"`
 	MaxBatchGapMS float64 `json:"max_batch_gap_ms"`
 	BatchGapP50MS float64 `json:"batch_gap_p50_ms"`
@@ -129,9 +130,11 @@ type StateStore struct {
 	drivers map[DriverID]*DriverView
 	stats   StoreStats
 
+	// gapsMS rings the last gapWindow of the session's gapCount batch
+	// gaps: uptime neither grows the store nor slows Stats.
 	gapCount      int
 	gapSumMS      float64
-	gapsMS        []float64
+	gapsMS        [gapWindow]float64
 	lastBatchWall time.Time
 
 	// now supplies the wall clock for batch-gap timings. It defaults
@@ -139,6 +142,9 @@ type StateStore struct {
 	// depend on real time.
 	now func() time.Time
 }
+
+// gapWindow is how many recent batch gaps the percentiles cover.
+const gapWindow = 4096
 
 // NewStateStore returns an empty store. fleet pre-populates that many
 // driver views (ids 0..fleet-1) so GET /v1/drivers lists the whole
@@ -210,9 +216,9 @@ func (s *StateStore) OnBatchStart(e BatchStartEvent) {
 	s.stats.Available = e.Available
 	if !s.lastBatchWall.IsZero() {
 		gap := now.Sub(s.lastBatchWall).Seconds() * 1000
+		s.gapsMS[s.gapCount%gapWindow] = gap
 		s.gapCount++
 		s.gapSumMS += gap
-		s.gapsMS = append(s.gapsMS, gap)
 		s.stats.AvgBatchGapMS = s.gapSumMS / float64(s.gapCount)
 		if gap > s.stats.MaxBatchGapMS {
 			s.stats.MaxBatchGapMS = gap
@@ -401,11 +407,11 @@ func (s *StateStore) Drivers() []DriverView {
 }
 
 // Stats returns a snapshot of the engine counters, with nearest-rank
-// batch-gap percentiles computed over the gaps seen so far.
+// batch-gap percentiles computed over the last gapWindow gaps.
 func (s *StateStore) Stats() StoreStats {
 	s.mu.RLock()
 	st := s.stats
-	gaps := append([]float64(nil), s.gapsMS...)
+	gaps := append([]float64(nil), s.gapsMS[:min(s.gapCount, gapWindow)]...)
 	s.mu.RUnlock()
 	if len(gaps) > 0 {
 		sort.Float64s(gaps)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -92,6 +93,39 @@ func TestStateStoreBatchGapsWithInjectedClock(t *testing.T) {
 	if st.BatchGapP50MS != 20 || st.BatchGapP95MS != 30 || st.BatchGapP99MS != 30 {
 		t.Errorf("gap percentiles = %v/%v/%v, want 20/30/30",
 			st.BatchGapP50MS, st.BatchGapP95MS, st.BatchGapP99MS)
+	}
+
+	// A long session: the percentiles cover only the last gapWindow
+	// batches, Avg/Max the whole run, and the ring stops growing. One
+	// 1 s outlier, then enough 5 ms gaps to fill the window and wrap.
+	batch := len(gaps) + 1
+	tick := func(g time.Duration) {
+		wall = wall.Add(g)
+		s.OnBatchStart(BatchStartEvent{Now: float64(batch) * 2, Batch: batch})
+		batch++
+	}
+	tick(time.Second)
+	for i := 0; i < gapWindow; i++ {
+		tick(5 * time.Millisecond)
+	}
+	for i := 0; i < gapWindow/2; i++ {
+		tick(7 * time.Millisecond)
+	}
+	// The backing store is a fixed array, so it cannot grow with uptime;
+	// what needs checking is that the session outran it and wrapped.
+	if s.gapCount <= gapWindow {
+		t.Fatalf("%d gaps recorded, want more than the %d-slot ring holds", s.gapCount, gapWindow)
+	}
+	st = s.Stats()
+	// The window holds 2,048 gaps of 5 ms and 2,048 of 7 ms; the early
+	// 10-30 ms gaps and the 1 s outlier have been overwritten.
+	if st.BatchGapP50MS != 5 || st.BatchGapP95MS != 7 || st.BatchGapP99MS != 7 {
+		t.Errorf("windowed gap percentiles = %v/%v/%v, want 5/7/7",
+			st.BatchGapP50MS, st.BatchGapP95MS, st.BatchGapP99MS)
+	}
+	total := 60.0 + 1000 + 5*gapWindow + 7*gapWindow/2
+	if want := total / float64(s.gapCount); st.MaxBatchGapMS != 1000 || math.Abs(st.AvgBatchGapMS-want) > 1e-9 {
+		t.Errorf("whole-session gap avg/max = %v/%v, want %v/1000", st.AvgBatchGapMS, st.MaxBatchGapMS, want)
 	}
 }
 

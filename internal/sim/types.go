@@ -185,6 +185,10 @@ type Metrics struct {
 	// estimate. Both stay zero with pooling disabled.
 	SharedServed  int
 	DetourSeconds float64
+	// PickedUp and DroppedOff count pooled route-plan stop completions;
+	// zero with pooling disabled, and not part of Summary.
+	PickedUp   int
+	DroppedOff int
 }
 
 // Summary is the deterministic projection of Metrics: every field a
