@@ -17,8 +17,8 @@ import (
 type IRG struct {
 	// Model is the queueing model; nil defaults to queueing.NewDefault().
 	Model *queueing.Model
-	// DisableMuUpdate turns off the line-11 feedback (ablation:
-	// BenchmarkAblationMuUpdate). Scores are then fixed at batch start.
+	// DisableMuUpdate turns off the line-11 feedback (ablation: the
+	// ablation-muupdate preset). Scores are then fixed at batch start.
 	DisableMuUpdate bool
 
 	est estimateCache

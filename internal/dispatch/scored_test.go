@@ -40,8 +40,9 @@ func bruteGreedy(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []sim.
 	}
 }
 
-// randomScoredContext fabricates a random batch for the greedy tests.
-func randomScoredContext(rng *rand.Rand) *sim.Context {
+// randomScoredContext fabricates a random batch of the given size, each
+// rider-driver pair valid with probability one half.
+func randomScoredContext(rng *rand.Rand, riders, drivers int) *sim.Context {
 	grid := geo.NewGrid(geo.NYCBBox, 4, 4)
 	n := grid.NumRegions()
 	ctx := &sim.Context{
@@ -55,8 +56,6 @@ func randomScoredContext(rng *rand.Rand) *sim.Context {
 		ctx.PredictedRiders[k] = rng.Intn(25)
 		ctx.PredictedDrivers[k] = rng.Intn(10)
 	}
-	riders := 5 + rng.Intn(20)
-	drivers := 2 + rng.Intn(10)
 	for r := 0; r < riders; r++ {
 		ctx.Riders = append(ctx.Riders, &sim.Rider{
 			TripCost:   100 + rng.Float64()*1500,
@@ -95,7 +94,7 @@ func TestLazyGreedyMatchesBruteForceReference(t *testing.T) {
 		"cost+ET":    func(p sim.Pair, et float64) float64 { return p.TripCost + et },
 	}
 	for trial := 0; trial < 25; trial++ {
-		ctx := randomScoredContext(rng)
+		ctx := randomScoredContext(rng, 5+rng.Intn(20), 2+rng.Intn(10))
 		for name, score := range scores {
 			lazy := greedyByScore(ctx, buildAnalyzer(model, ctx), score)
 			brute := bruteGreedy(ctx, buildAnalyzer(model, ctx), score)

@@ -13,12 +13,11 @@ import (
 	"mrvd/internal/workload"
 )
 
-// Quality-regression guards. The BENCH_*.json baselines pin speed;
-// these cells pin dispatch *quality*: orderings the paper's results
-// and the pooling subsystem's reason-to-exist both imply. A change
-// that silently degrades IRG below random dispatch, or makes pooled
-// capacity lose to solo on a saturated burst, fails `go test ./...`
-// here — not just a benchmark regeneration nobody reran.
+// Quality-regression guards. bench/ pins speed; these cells pin
+// dispatch *quality*: orderings the paper's results and the pooling
+// subsystem's reason-to-exist both imply. A change that silently
+// degrades IRG below random dispatch, or makes pooled capacity lose to
+// solo on a saturated burst, fails `go test ./...` here.
 
 // TestQualityIRGServesAtLeastRAND: on a small fixed full-day cell
 // (every run deterministic, so this is a pin, not a flake), the

@@ -225,7 +225,8 @@ type histSeries struct {
 // It is one goroutine reading the registry's lock-free instruments on
 // a ticker: hot dispatch paths never see it, and an engine run with a
 // collector attached stays byte-identical to an uninstrumented one
-// (BenchmarkTimeseriesDispatch pins both claims).
+// (the root package's TestPeakHourOverheads pins the parity under a
+// 1 ms interval).
 //
 // Tick is exported so tests (and callers without a ticker) can drive
 // collection deterministically; Start/Stop run the ticker goroutine.

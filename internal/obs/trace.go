@@ -51,8 +51,8 @@ const (
 // concurrent use (sharded engines share one tracer); the first write
 // error is retained and later emits become no-ops. Spans are encoded
 // by hand into a buffer reused across emits — reflection-based JSON
-// encoding dominated the enabled-tracing overhead in
-// BenchmarkObsDispatch, and an order-lifecycle span is a closed shape.
+// encoding dominated the enabled-tracing overhead (bench/'s
+// obs.spans_ratio), and an order-lifecycle span is a closed shape.
 type Tracer struct {
 	mu  sync.Mutex
 	w   io.Writer

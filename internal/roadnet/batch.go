@@ -123,8 +123,9 @@ type CosterStats struct {
 	Resumed int64
 	// SettledNodes totals nodes finalized across all Dijkstra runs —
 	// the unit of shortest-path work the per-pair and batch query paths
-	// share, and what BenchmarkBatchCosts compares. A complete tree
-	// settles every reachable node once, however many runs built it.
+	// share, and what TestBatchCostsFewerComputations compares. A
+	// complete tree settles every reachable node once, however many
+	// runs built it.
 	SettledNodes int64
 	// CacheHits counts queries answered from the tree cache.
 	CacheHits int64

@@ -16,7 +16,8 @@
 // source's cached shortest-path tree just far enough to cover the
 // batch's targets, on a parallel worker pool — bitwise-identical to
 // per-pair Cost queries, with several times less shortest-path work
-// (see GraphCoster.Stats and BENCH_dispatch.json). Single-pair Cost
+// (see GraphCoster.Stats, TestBatchCostsFewerComputations and bench/'s
+// roadnet.settled_per_order). Single-pair Cost
 // remains the compatibility shim, completing its source's tree. Trees
 // are memoized under clock (second-chance) eviction.
 package roadnet
