@@ -101,7 +101,7 @@ func main() {
 		}
 		out := <-outcome
 		fmt.Printf("  order %d: %s (driver %d, pickup %.0fs)\n",
-			out.Order, out.Status, out.Driver, out.PickupCost)
+			out.ID, out.State, out.Driver, out.PickupCost)
 	}
 	for i, s := range h.ShardStats() {
 		fmt.Printf("  shard %d: regions=%d drivers=%d admitted=%d borrowed=%d served=%d\n",

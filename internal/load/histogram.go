@@ -1,10 +1,11 @@
 package load
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"time"
+
+	"mrvd/internal/stats"
 )
 
 // Histogram collects raw latency samples and reports exact quantiles —
@@ -51,17 +52,7 @@ func (h *Histogram) Summary() LatencySummary {
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	// Nearest-rank quantiles: the p-quantile is the ceil(p*n)-th
-	// smallest sample. Flooring an interpolated index here would bias
-	// p95/p99 low whenever p*(n-1) is fractional — at n=10 the old
-	// int(p*(n-1)) indexing reported the 9th sample as p95.
-	q := func(p float64) float64 {
-		i := int(math.Ceil(p*float64(len(samples)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return ms(samples[i])
-	}
+	q := func(p float64) float64 { return ms(stats.NearestRank(samples, p)) }
 	return LatencySummary{
 		Count:  len(samples),
 		MeanMS: ms(sum) / float64(len(samples)),

@@ -19,6 +19,14 @@ import (
 // The contract is strict equivalence: Costs(S, T)[i][j] must equal
 // Cost(S[i], T[j]) bitwise for every pair, so swapping the per-pair path
 // for the batch path never changes dispatch results, only their cost.
+//
+// Implementing it is the pricing policy: the engine hands a BatchCoster
+// the full dense matrix of every batch, and prices a plain Coster only
+// in the cells it reads. Implement it when one Costs call amortizes
+// per-source work across targets (a shortest-path tree per unique
+// source) or per-call overhead across cells (one RPC to a routing
+// service); a closed form, O(1) per cell, has nothing to amortize and
+// stays a plain Coster — as GreatCircleCoster does.
 type BatchCoster interface {
 	Coster
 	// Costs returns the len(sources) x len(targets) travel-time matrix
@@ -27,74 +35,12 @@ type BatchCoster interface {
 	Costs(sources, targets []geo.Point) [][]float64
 }
 
-// PerSourceAmortized is an optional BatchCoster capability: it reports
-// whether one dense Costs call is worth more than pricing individual
-// cells on demand. True means Costs amortizes per-source work across
-// targets (a shortest-path tree per unique source) or per-call overhead
-// across cells (one RPC to a routing service), so callers should hand
-// it the full dense matrix — and the engine treats BatchCosters that
-// don't implement the interface as true for the same reason. False
-// opts out: a closed form is O(1) per cell with nothing to amortize,
-// so pricing only the cells actually read is strictly cheaper.
-type PerSourceAmortized interface {
-	BatchCoster
-	AmortizesPerSource() bool
-}
-
-// AmortizesPerSource implements PerSourceAmortized: graph costers pay
-// one Dijkstra run per unique source, which every target shares.
-func (c *GraphCoster) AmortizesPerSource() bool { return true }
-
-// AmortizesPerSource implements PerSourceAmortized: the closed form has
-// no per-source work to amortize, so batch callers do better pricing
-// exactly the cells they read than filling a dense matrix.
-func (c *GreatCircleCoster) AmortizesPerSource() bool { return false }
-
-// AsBatchCoster returns c's native batch implementation when it has one,
-// and otherwise adapts c with a per-pair loop, so callers can consume
-// the batch API unconditionally while plain Costers keep working as
-// compatibility shims.
-func AsBatchCoster(c Coster) BatchCoster {
-	if b, ok := c.(BatchCoster); ok {
-		return b
-	}
-	return pairwiseBatch{c}
-}
-
-// pairwiseBatch is the fallback BatchCoster over a single-pair Coster.
-type pairwiseBatch struct{ Coster }
-
-func (p pairwiseBatch) Costs(sources, targets []geo.Point) [][]float64 {
-	out := newCostMatrix(len(sources), len(targets))
-	for i, s := range sources {
-		for j, t := range targets {
-			out[i][j] = p.Coster.Cost(s, t)
-		}
-	}
-	return out
-}
-
 // newCostMatrix allocates a dense rows x cols matrix backed by one slab.
 func newCostMatrix(rows, cols int) [][]float64 {
 	out := make([][]float64, rows)
 	cells := make([]float64, rows*cols)
 	for i := range out {
 		out[i] = cells[i*cols : (i+1)*cols : (i+1)*cols]
-	}
-	return out
-}
-
-// Costs implements BatchCoster. The closed form is evaluated cell by
-// cell through Cost itself, so the matrix is trivially bitwise-identical
-// to per-pair queries; the win is one slab allocation and no interface
-// dispatch in callers' inner loops.
-func (c *GreatCircleCoster) Costs(sources, targets []geo.Point) [][]float64 {
-	out := newCostMatrix(len(sources), len(targets))
-	for i, s := range sources {
-		row := out[i]
-		for j, t := range targets {
-			row[j] = c.Cost(s, t)
-		}
 	}
 	return out
 }

@@ -23,7 +23,7 @@ func randomPoints(n int, box geo.BBox, rng *rand.Rand) []geo.Point {
 
 // TestBatchCostsEquivalence is the BatchCoster contract property:
 // Costs(S, T)[i][j] == Cost(S[i], T[j]) bitwise, over random graphs and
-// random endpoints, for both the graph-backed and closed-form costers.
+// random endpoints.
 // Bitwise equality (not tolerance) is what lets the engine swap the
 // per-pair path for the batch path without changing dispatch results.
 func TestBatchCostsEquivalence(t *testing.T) {
@@ -33,38 +33,25 @@ func TestBatchCostsEquivalence(t *testing.T) {
 			Rows: 6 + rng.Intn(12), Cols: 6 + rng.Intn(12),
 			Seed: rng.Int63(), DropFraction: 0.1,
 		})
-		costers := []BatchCoster{
-			NewGraphCoster(g),
-			&GreatCircleCoster{SpeedMPS: 9, UseManhattan: true},
-			&GreatCircleCoster{SpeedMPS: 7, DetourFactor: 1.3},
-			AsBatchCoster(plainCoster{NewGraphCoster(g)}),
-		}
+		var c BatchCoster = NewGraphCoster(g)
 		sources := randomPoints(1+rng.Intn(30), geo.NYCBBox, rng)
 		targets := randomPoints(1+rng.Intn(30), geo.NYCBBox, rng)
-		for _, c := range costers {
-			mat := c.Costs(sources, targets)
-			if len(mat) != len(sources) {
-				t.Fatalf("trial %d: %d rows, want %d", trial, len(mat), len(sources))
+		mat := c.Costs(sources, targets)
+		if len(mat) != len(sources) {
+			t.Fatalf("trial %d: %d rows, want %d", trial, len(mat), len(sources))
+		}
+		for i, row := range mat {
+			if len(row) != len(targets) {
+				t.Fatalf("trial %d: row %d has %d cols, want %d", trial, i, len(row), len(targets))
 			}
-			for i, row := range mat {
-				if len(row) != len(targets) {
-					t.Fatalf("trial %d: row %d has %d cols, want %d", trial, i, len(row), len(targets))
-				}
-				for j := range row {
-					if want := c.Cost(sources[i], targets[j]); row[j] != want {
-						t.Fatalf("trial %d: Costs[%d][%d] = %v, Cost = %v", trial, i, j, row[j], want)
-					}
+			for j := range row {
+				if want := c.Cost(sources[i], targets[j]); row[j] != want {
+					t.Fatalf("trial %d: Costs[%d][%d] = %v, Cost = %v", trial, i, j, row[j], want)
 				}
 			}
 		}
 	}
 }
-
-// plainCoster hides a coster's batch implementation so AsBatchCoster
-// exercises the per-pair fallback.
-type plainCoster struct{ c Coster }
-
-func (p plainCoster) Cost(a, b geo.Point) float64 { return p.c.Cost(a, b) }
 
 // TestBatchCostsEdgeCases covers empty inputs and the empty graph.
 func TestBatchCostsEdgeCases(t *testing.T) {

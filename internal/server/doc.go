@@ -5,13 +5,21 @@
 //
 //	POST /v1/orders        submit an order; ?wait=true long-polls for its
 //	                       terminal outcome. A full pending queue returns
-//	                       429 (admission control / backpressure).
-//	GET  /v1/orders/{id}   one order's live view (pending/assigned/expired)
+//	                       429 (admission control / backpressure), a
+//	                       pickup or dropoff outside the city grid 400.
+//	GET  /v1/orders/{id}   one order's live view (pending, assigned,
+//	                       expired, canceled_by_rider, or canceled when
+//	                       the session ended first)
+//	DELETE /v1/orders/{id} rider-initiated cancel; 409 once terminal
 //	GET  /v1/orders        every known order, sorted by id
 //	GET  /v1/drivers       per-driver views (served, busy, position)
 //	GET  /v1/events        dispatch events streamed as Server-Sent Events
 //	GET  /v1/stats         engine counters, batch timings, coster cache stats
 //	GET  /healthz          liveness (503 once the serve session has ended)
+//
+// Every order lives in the session's one ledger (ServeHandle.Store, a
+// sim.StateStore): the long-poll's answer is the ledger's view of the
+// order at the moment it turned terminal, so reads after it agree.
 //
 // The gateway stamps each order's PostTime off the engine clock (the
 // latest batch boundary), so request patience counts engine seconds

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mrvd"
@@ -49,6 +54,44 @@ func newTestServerWithService(t testing.TB, svc *mrvd.Service, cfg Config) (*Ser
 		ts.Close()
 	})
 	return srv, ts, cancel
+}
+
+// TestSubmitLatencyCostsNoGoroutine: with Config.Metrics set, the
+// submit→terminal latency is observed where the ledger resolves the
+// order, so an accepted order holds no goroutine while it waits.
+func TestSubmitLatencyCostsNoGoroutine(t *testing.T) {
+	const orders = 500
+	reg := mrvd.NewMetricsRegistry()
+	// Paced at real time: every order is still in flight when the
+	// goroutines are counted. The handler is called directly so no HTTP
+	// connection goroutines blur the count.
+	srv, _, cancel := newTestServerWithService(t, newObsTestService(t, 4, mrvd.WithPace(1)),
+		Config{Algorithm: "NEAR", Metrics: reg, MaxPending: orders})
+	body, _ := json.Marshal(orderRequest{
+		Pickup:  pointJSON{Lng: -73.97, Lat: 40.75},
+		Dropoff: pointJSON{Lng: -73.95, Lat: 40.77},
+	})
+	before := runtime.NumGoroutine()
+	for i := 0; i < orders; i++ {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/orders", bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d in-flight orders hold %d goroutines", orders, after-before)
+	}
+	// Every order is still timed, whatever resolves it — here the stop.
+	cancel()
+	<-srv.Handle().Done()
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("mrvd_submit_terminal_seconds_count %d\n", orders); !strings.Contains(text.String(), want) {
+		t.Errorf("exposition lacks %q", want)
+	}
 }
 
 func scrapeMetrics(t *testing.T, url string) map[string]*obs.ParsedFamily {

@@ -80,20 +80,17 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is an HTTP/JSON gateway over a live dispatch session: it owns
-// the session's ServeHandle, a StateStore folding engine events into
-// queryable views, and an SSE hub. Build with New; it implements
+// the session's ServeHandle — whose order ledger (store) backs every
+// read endpoint — and an SSE hub. Build with New; it implements
 // http.Handler and is safe for concurrent use.
 type Server struct {
 	cfg    Config
 	svc    *mrvd.Service
 	handle *mrvd.ServeHandle
-	store  *sim.StateStore
+	store  *sim.StateStore // handle.Store()
 	hub    *hub
 	mux    *http.ServeMux
 	began  time.Time
-	// latHist is the submit→terminal wall-clock latency histogram,
-	// nil unless Config.Metrics is set.
-	latHist *obs.Histogram
 	// collector is the windowed time-series collector, nil unless
 	// Config.Collect (with Metrics) is set.
 	collector *obs.Collector
@@ -109,21 +106,21 @@ func New(ctx context.Context, svc *mrvd.Service, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		svc:   svc,
-		store: sim.NewStateStore(cfg.Fleet),
 		hub:   newHub(),
 		began: time.Now(),
 	}
-	if cfg.Metrics != nil {
-		s.latHist = cfg.Metrics.Histogram("mrvd_submit_terminal_seconds",
-			"Wall-clock latency from gateway submit to the order's terminal outcome.",
-			obs.LatencyBuckets)
-	}
-	handle, err := svc.Start(ctx, cfg.Algorithm, cfg.Starts, s.store, s.hub.observer())
+	handle, err := svc.Start(ctx, cfg.Algorithm, cfg.Starts, s.hub.observer())
 	if err != nil {
 		return nil, err
 	}
-	handle.SetInFlightLimit(cfg.MaxPending)
-	s.handle = handle
+	s.handle, s.store = handle, handle.Store()
+	s.store.SeedFleet(cfg.Fleet)
+	s.store.SetInFlightLimit(cfg.MaxPending)
+	if cfg.Metrics != nil {
+		s.store.TimeOrders(cfg.Metrics.Histogram("mrvd_submit_terminal_seconds",
+			"Wall-clock latency from gateway submit to the order's terminal outcome.",
+			obs.LatencyBuckets))
+	}
 	if cfg.Collect && cfg.Metrics != nil {
 		rules := cfg.Rules
 		if rules == nil {
@@ -184,6 +181,16 @@ func (s *Server) Store() *sim.StateStore { return s.store }
 // Collector exposes the time-series collector (nil unless
 // Config.Collect is set) — tests drive its Tick deterministically.
 func (s *Server) Collector() *obs.Collector { return s.collector }
+
+// ended reports whether the serve session has finished.
+func (s *Server) ended() bool {
+	select {
+	case <-s.handle.Done():
+		return true
+	default:
+		return false
+	}
+}
 
 // Drain closes the order stream: already-accepted orders still
 // dispatch, new submissions fail, and the session exits once drained.
@@ -307,9 +314,9 @@ func orderViewResponse(v sim.OrderView) orderResponse {
 // the decoder buffers it.
 const maxOrderBytes = 4 << 10
 
-// handleSubmit admits one order: admission control against the pending
-// bound, engine-clock stamping, registration in the state store, and —
-// with ?wait=true — a long-poll for the terminal outcome.
+// handleSubmit admits one order: coordinate validation, engine-clock
+// stamping, booking in the session ledger (which enforces the pending
+// bound), and — with ?wait=true — a long-poll for the terminal outcome.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req orderRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxOrderBytes)).Decode(&req); err != nil {
@@ -332,6 +339,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Pickup:   mrvd.Point{Lng: req.Pickup.Lng, Lat: req.Pickup.Lat},
 		Dropoff:  mrvd.Point{Lng: req.Dropoff.Lng, Lat: req.Dropoff.Lat},
 	}
+	// The engine clamps an off-grid point into an edge region, where the
+	// order would sit unreachable until it expires; a missing field
+	// decodes to (0,0) and lands here too.
+	if box := s.handle.Bounds(); !box.Contains(o.Pickup) || !box.Contains(o.Dropoff) {
+		writeError(w, http.StatusBadRequest, "pickup %v or dropoff %v outside the service area (lng %v..%v, lat %v..%v)",
+			o.Pickup, o.Dropoff, box.MinLng, box.MaxLng, box.MinLat, box.MaxLat)
+		return
+	}
 	accepted := time.Now()
 	id, outcome, err := s.handle.Submit(o)
 	switch {
@@ -352,59 +367,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "submit: %v", err)
 		return
 	}
-	o.ID = id
-	s.store.TrackSubmitted(o)
-	if s.latHist != nil {
-		// Relay the outcome through a watcher that stamps the latency
-		// histogram: every submitted order receives exactly one Outcome
-		// (finish cancels stragglers), so the goroutine never leaks, and
-		// the wait path below consumes the relay unchanged.
-		inner := outcome
-		relay := make(chan mrvd.Outcome, 1)
-		go func() {
-			out, ok := <-inner
-			s.latHist.Observe(time.Since(accepted).Seconds())
-			if ok {
-				relay <- out
-			}
-			close(relay)
-		}()
-		outcome = relay
-	}
 
-	if r.URL.Query().Get("wait") != "true" {
-		resp := orderViewResponse(sim.OrderView{
-			ID: id, State: sim.OrderPending,
-			PostTime: o.PostTime, Deadline: o.Deadline,
-			Pickup: o.Pickup, Dropoff: o.Dropoff,
-		})
-		writeJSON(w, http.StatusAccepted, resp)
-		return
+	if r.URL.Query().Get("wait") == "true" {
+		timer := time.NewTimer(s.cfg.MaxWait)
+		defer timer.Stop()
+		select {
+		case out := <-outcome:
+			resp := orderViewResponse(out)
+			resp.WaitMS = time.Since(accepted).Seconds() * 1000
+			writeJSON(w, http.StatusOK, resp)
+			return
+		case <-timer.C:
+			// Wait bound hit; the client can poll GET /v1/orders/{id}.
+		case <-r.Context().Done():
+			return // client went away; the order stays in the system
+		}
 	}
-
-	timer := time.NewTimer(s.cfg.MaxWait)
-	defer timer.Stop()
-	select {
-	case out := <-outcome:
-		// Observers run before the outcome wakes us (see Service.Start),
-		// so the store's view of this order is already terminal — one
-		// mapping serves the long-poll and the read API identically.
-		v, _ := s.store.Order(id)
-		resp := orderViewResponse(v)
-		// A canceled session is the one outcome the store (which only
-		// folds engine events) does not carry.
-		resp.Status = out.Status.String()
-		resp.WaitMS = time.Since(accepted).Seconds() * 1000
-		writeJSON(w, http.StatusOK, resp)
-	case <-timer.C:
-		// Wait bound hit; hand back the (tracked, hence always
-		// present) pending view — the client can poll
-		// GET /v1/orders/{id}.
-		v, _ := s.store.Order(id)
-		writeJSON(w, http.StatusAccepted, orderViewResponse(v))
-	case <-r.Context().Done():
-		// Client went away; the order stays in the system.
-	}
+	v, _ := s.store.Order(id)
+	writeJSON(w, http.StatusAccepted, orderViewResponse(v))
 }
 
 func (s *Server) handleOrder(w http.ResponseWriter, r *http.Request) {
@@ -432,25 +412,22 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad order id %q", r.PathValue("id"))
 		return
 	}
-	switch err := s.handle.Cancel(trace.OrderID(id)); {
-	case errors.Is(err, mrvd.ErrServeFinished):
+	cancelErr := s.handle.Cancel(trace.OrderID(id))
+	if errors.Is(cancelErr, mrvd.ErrServeFinished) {
 		writeError(w, http.StatusServiceUnavailable, "serve session ended")
 		return
-	case errors.Is(err, mrvd.ErrUnknownOrder):
-		// Distinguish "already terminal" (the view exists) from "never
-		// seen" for the client's benefit; both refuse the cancel.
-		if v, ok := s.store.Order(trace.OrderID(id)); ok && v.State != sim.OrderPending {
-			writeJSON(w, http.StatusConflict, orderViewResponse(v))
-			return
-		}
-		writeError(w, http.StatusNotFound, "order %d unknown", id)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "cancel: %v", err)
-		return
 	}
-	v, _ := s.store.Order(trace.OrderID(id))
-	writeJSON(w, http.StatusAccepted, orderViewResponse(v))
+	v, ok := s.store.Order(trace.OrderID(id))
+	switch {
+	case !ok:
+		writeError(w, http.StatusNotFound, "order %d unknown", id)
+	case cancelErr != nil:
+		// Known but no longer in flight: the cancel is refused with the
+		// order's terminal view.
+		writeJSON(w, http.StatusConflict, orderViewResponse(v))
+	default:
+		writeJSON(w, http.StatusAccepted, orderViewResponse(v))
+	}
 }
 
 func (s *Server) handleOrders(w http.ResponseWriter, r *http.Request) {
@@ -483,7 +460,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "streaming unsupported")
 		return
 	}
-	sub := s.hub.subscribe()
+	// The hub closes just after the session ends; checking the session
+	// too keeps a subscription arriving in between from getting a 200
+	// and an immediately closed stream.
+	var sub chan []byte
+	if !s.ended() {
+		sub = s.hub.subscribe()
+	}
 	if sub == nil {
 		writeError(w, http.StatusServiceUnavailable, "serve session ended")
 		return
@@ -539,11 +522,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PendingRelease: s.handle.Pending(),
 		MaxPending:     s.cfg.MaxPending,
 		Shards:         s.handle.ShardStats(),
-	}
-	select {
-	case <-s.handle.Done():
-		resp.Done = true
-	default:
+		Done:           s.ended(),
 	}
 	if s.svc.Options().ShardCosters != nil {
 		// Per-shard costers: the top-level view is their sum. The base
@@ -588,11 +567,9 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 // degraded 429, unhealthy (or session over) 503 — so a plain HTTP
 // check sees trouble without parsing the body.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	select {
-	case <-s.handle.Done():
+	if s.ended() {
 		writeError(w, http.StatusServiceUnavailable, "serve session ended")
 		return
-	default:
 	}
 	if s.collector == nil {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})

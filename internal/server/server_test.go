@@ -147,7 +147,7 @@ func TestGatewaySubmitAsync(t *testing.T) {
 }
 
 func TestGatewayRejectsBadRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, 5, 0, Config{Algorithm: "NEAR"})
+	srv, ts, _ := newTestServer(t, 5, 0, Config{Algorithm: "NEAR"})
 	resp, err := ts.Client().Post(ts.URL+"/v1/orders", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +155,25 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
+	}
+	// Finite coordinates outside the city grid — an empty object decodes
+	// to (0,0) twice — are refused before the ledger books anything.
+	for name, body := range map[string]string{
+		"empty object":     `{}`,
+		"pickup at origin": `{"pickup":{"lng":0,"lat":0},"dropoff":{"lng":-73.95,"lat":40.77}}`,
+		"off-grid dropoff": `{"pickup":{"lng":-73.97,"lat":40.75},"dropoff":{"lng":-73.95,"lat":41.5}}`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/orders", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if st := srv.Store().Stats(); st.Submitted != 0 || len(srv.Store().Orders()) != 0 {
+		t.Errorf("rejected orders reached the ledger: %+v", st)
 	}
 	if got := getJSON(t, ts, "/v1/orders/999999", nil); got.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown order: status %d, want 404", got.StatusCode)
@@ -390,6 +409,38 @@ func TestGatewayHealthAndShutdown(t *testing.T) {
 	// SSE subscriptions are refused once the hub closed.
 	if got := getJSON(t, ts, "/v1/events", nil); got.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("events after shutdown: %d, want 503", got.StatusCode)
+	}
+}
+
+// TestGatewayStopReadsCanceled: an order still pending when the session
+// is stopped turns "canceled" in the one ledger, so its long-poll and a
+// later GET tell the same story.
+func TestGatewayStopReadsCanceled(t *testing.T) {
+	// Paced at real time with 3 s batches: nothing dispatches between
+	// the submit and the stop.
+	srv, ts, cancel := newTestServer(t, 4, 1, Config{Algorithm: "NEAR"})
+	polled := make(chan orderResponse, 1)
+	go func() {
+		_, or := postOrder(t, ts, true, 1e6)
+		polled <- or
+	}()
+	for deadline := time.Now().Add(10 * time.Second); srv.Handle().InFlight() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("order never booked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	or := <-polled
+	if or.Status != "canceled" {
+		t.Fatalf("long-poll of a stopped session ended %q, want canceled", or.Status)
+	}
+	var view orderResponse
+	if got := getJSON(t, ts, fmt.Sprintf("/v1/orders/%d", or.ID), &view); got.StatusCode != http.StatusOK {
+		t.Fatalf("GET order status %d", got.StatusCode)
+	}
+	if view.Status != "canceled" {
+		t.Errorf("stopped order reads %q, its long-poll said canceled", view.Status)
 	}
 }
 

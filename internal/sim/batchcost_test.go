@@ -11,7 +11,7 @@ import (
 )
 
 // pairOnlyCoster hides a coster's BatchCoster implementation, forcing
-// the engine through the per-pair compatibility loop.
+// the engine through lazy per-pair pricing.
 type pairOnlyCoster struct{ c roadnet.Coster }
 
 func (p pairOnlyCoster) Cost(a, b geo.Point) float64 { return p.c.Cost(a, b) }
@@ -121,9 +121,9 @@ func TestEngineBatchCostingWarmWork(t *testing.T) {
 	}
 }
 
-// countingBatchCoster is a custom BatchCoster without the
-// PerSourceAmortized opt-out — the documented contract is one dense
-// Costs call per batch (think: a remote routing service batching RPCs).
+// countingBatchCoster is a custom BatchCoster — the documented contract
+// is one dense Costs call per batch (think: a remote routing service
+// batching RPCs).
 type countingBatchCoster struct {
 	roadnet.Coster
 	batchCalls int

@@ -22,10 +22,8 @@ type Config struct {
 	Grid *geo.Grid
 	// Coster prices travel; nil defaults to roadnet.NewDefaultCoster().
 	// Costers that implement roadnet.BatchCoster are priced one
-	// many-to-many matrix per batch unless they opt out through
-	// roadnet.PerSourceAmortized; plain Costers keep working through a
-	// per-pair compatibility loop. See buildContext for the exact
-	// dense-versus-lazy pricing rules.
+	// many-to-many matrix per batch; plain Costers are priced cell by
+	// cell. See buildContext for the exact dense-versus-lazy rules.
 	Coster roadnet.Coster
 	// Delta is the batch interval in seconds (default 3, Table 2).
 	Delta float64
@@ -175,15 +173,11 @@ type Engine struct {
 	cfg     Config
 	src     OrderSource
 	srcDone bool
-	// batch is the many-to-many view of cfg.Coster: native when the
-	// coster implements roadnet.BatchCoster, a per-pair compatibility
-	// loop otherwise. denseBatch records the construction-time pricing
-	// policy: one dense Costs call per batch for native BatchCosters
-	// (unless they opt out via roadnet.PerSourceAmortized), lazy
-	// cell-by-cell pricing otherwise.
-	batch      roadnet.BatchCoster
-	denseBatch bool
-	drivers    []Driver
+	// dense is cfg.Coster when it implements roadnet.BatchCoster — one
+	// dense Costs call per batch — and nil for plain Costers, which are
+	// priced lazily, cell by cell.
+	dense   roadnet.BatchCoster
+	drivers []Driver
 
 	idx     *geo.Index // available drivers
 	busy    completionHeap
@@ -248,17 +242,11 @@ func NewWithSource(cfg Config, src OrderSource, driverStarts []geo.Point) *Engin
 	e := &Engine{
 		cfg:          cfg,
 		src:          src,
-		batch:        roadnet.AsBatchCoster(cfg.Coster),
 		idx:          geo.NewIndex(cfg.Grid),
 		futureRejoin: make([][]float64, cfg.Grid.NumRegions()),
 		openIdle:     make(map[DriverID]int),
 	}
-	if _, native := cfg.Coster.(roadnet.BatchCoster); native {
-		e.denseBatch = true
-		if a, ok := cfg.Coster.(roadnet.PerSourceAmortized); ok {
-			e.denseBatch = a.AmortizesPerSource()
-		}
-	}
+	e.dense, _ = cfg.Coster.(roadnet.BatchCoster)
 	if cfg.Scenario.Enabled() {
 		e.scen = newScenarioState(cfg.Scenario)
 	}
@@ -562,7 +550,7 @@ func (e *Engine) admitOrders(now float64) {
 		}
 	}
 	var trips []float64
-	if e.denseBatch {
+	if e.dense != nil {
 		// Only the matrix diagonal is read, so the wave is chunked:
 		// Costs is dense, and one call over a huge backlog wave (a
 		// replay's first batch can admit the whole queue) would build
@@ -584,7 +572,7 @@ func (e *Engine) admitOrders(now float64) {
 				pickups = append(pickups, o.Pickup)
 				dropoffs = append(dropoffs, o.Dropoff)
 			}
-			matrix := e.batch.Costs(pickups, dropoffs)
+			matrix := e.dense.Costs(pickups, dropoffs)
 			for i := range matrix {
 				trips[lo+i] = matrix[i][i]
 			}
@@ -834,18 +822,18 @@ func (e *Engine) buildContext(now float64) *Context {
 		}
 	}
 
-	// Price the matrix. Dense mode (see denseBatch) issues the one
+	// Price the matrix. Dense mode (see Engine.dense) issues the one
 	// Costs call per batch the API documents — that is what lets a
 	// graph coster amortize one truncated Dijkstra per unique source,
-	// or a remote coster batch its round-trips. Lazy mode (closed
-	// forms, per-pair shims: O(1) per cell, nothing to amortize) prices
+	// or a remote coster batch its round-trips. Lazy mode (plain
+	// Costers — closed forms, O(1) per cell, nothing to amortize) prices
 	// in the pair loop below exactly the cells it reads, with rows
 	// allocated on first touch; CostMatrix reports unpriced cells as
 	// uncovered. Either way the priced values are bitwise-identical to
 	// per-pair Coster queries.
 	var costs [][]float64
-	if e.denseBatch {
-		costs = e.batch.Costs(sources, targets)
+	if e.dense != nil {
+		costs = e.dense.Costs(sources, targets)
 	} else {
 		costs = make([][]float64, len(sources))
 	}

@@ -364,7 +364,7 @@ func (e *Engine) buildPoolOptions(now float64, ctx *Context) {
 	// only. Lazy costers skip the prefill and price per cell on demand
 	// — values are bitwise-identical either way (the BatchCoster
 	// contract).
-	if e.denseBatch {
+	if e.dense != nil {
 		planUsed := make([]bool, len(plans))
 		var stopPts, riderPts []geo.Point
 		stopSeen := make(map[geo.Point]bool)
@@ -396,8 +396,8 @@ func (e *Engine) buildPoolOptions(now float64, ctx *Context) {
 			}
 		}
 		if len(stopPts) > 0 && len(riderPts) > 0 {
-			fromStops := e.batch.Costs(stopPts, riderPts)
-			fromRiders := e.batch.Costs(riderPts, stopPts)
+			fromStops := e.dense.Costs(stopPts, riderPts)
+			fromRiders := e.dense.Costs(riderPts, stopPts)
 			for i, sp := range stopPts {
 				for j, rp := range riderPts {
 					memo[legKey{sp, rp}] = fromStops[i][j]

@@ -1,32 +1,46 @@
 package sim
 
 import (
-	"math"
+	"errors"
 	"sort"
 	"sync"
 	"time"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/obs"
+	"mrvd/internal/stats"
 	"mrvd/internal/trace"
 )
 
-// OrderState is an order's lifecycle phase as seen by a StateStore.
+// OrderState is an order's lifecycle phase as booked by a StateStore;
+// the strings are the HTTP API's order statuses.
 type OrderState string
 
-// Order states. An order is pending from submission until the engine
-// commits a terminal event for it.
+// Order states. An order is pending from registration until the engine
+// commits a terminal event for it or the session ends.
 const (
 	OrderPending  OrderState = "pending"
 	OrderAssigned OrderState = "assigned"
 	OrderExpired  OrderState = "expired"
 	// OrderCanceled marks a rider-initiated cancellation (patience
-	// hazard or explicit DELETE); the string matches the serve layer's
-	// OutcomeCanceledByRider so long-polls and reads agree.
+	// hazard or explicit DELETE).
 	OrderCanceled OrderState = "canceled_by_rider"
+	// OrderSessionEnded marks an order still pending when its session
+	// ended (context cancellation, horizon, or drain).
+	OrderSessionEnded OrderState = "canceled"
 )
 
-// OrderView is the queryable per-order state a StateStore folds out of
-// engine events — what GET /v1/orders/{id} serves.
+// Register error conditions.
+var (
+	// ErrSessionEnded: Close ran; the ledger books no further orders.
+	ErrSessionEnded = errors.New("mrvd: serve session finished")
+	// ErrInFlightLimit: the SetInFlightLimit bound is reached.
+	ErrInFlightLimit = errors.New("mrvd: in-flight order limit reached")
+)
+
+// OrderView is one order's entry in a StateStore — what GET
+// /v1/orders/{id} serves, and, once terminal, the outcome delivered to
+// the order's submitter. Times are engine seconds.
 type OrderView struct {
 	ID       trace.OrderID `json:"id"`
 	State    OrderState    `json:"state"`
@@ -114,21 +128,32 @@ type StoreStats struct {
 	DetourSeconds  float64 `json:"detour_seconds"`
 }
 
-// StateStore is an Observer that folds engine events into queryable
-// per-order and per-driver views — the live state behind the HTTP
-// gateway's read endpoints. Event callbacks run inline on the engine
-// goroutine and only copy scalars under a short critical section;
-// readers get snapshot copies and never see engine-owned pointers.
+// StateStore is a live session's order ledger and state views: it books
+// every submitted order (Register), folds the session's engine events
+// into per-order and per-driver views as an Observer, and hands each
+// order's terminal view to its submitter — the live state behind the
+// HTTP gateway. Event callbacks run inline on the engine goroutine and
+// only copy scalars under a short critical section; readers get
+// snapshot copies and never see engine-owned pointers.
 //
-// Orders enter the store either through TrackSubmitted (the gateway
-// registers each accepted submission so it is queryable while still
-// pending) or lazily at their first terminal event; the two paths merge,
-// so event/track ordering races are harmless.
+// The critical section that turns an order terminal also resolves its
+// waiter, so a submitter woken by an outcome reads that same outcome
+// from Order, and an order is in exactly one state everywhere.
 type StateStore struct {
 	mu      sync.RWMutex
-	orders  map[trace.OrderID]*OrderView
+	orders  map[trace.OrderID]*orderEntry
 	drivers map[DriverID]*DriverView
 	stats   StoreStats
+
+	// Orders get ids 0..nextID-1 in registration order; inFlight counts
+	// the pending ones against limit (0 = unbounded).
+	nextID   trace.OrderID
+	inFlight int
+	limit    int
+	closed   bool
+	// latency, when set, observes each order's wall-clock seconds from
+	// Register to its terminal state.
+	latency *obs.Histogram
 
 	// gapsMS rings the last gapWindow of the session's gapCount batch
 	// gaps: uptime neither grows the store nor slows Stats.
@@ -137,61 +162,149 @@ type StateStore struct {
 	gapsMS        [gapWindow]float64
 	lastBatchWall time.Time
 
-	// now supplies the wall clock for batch-gap timings. It defaults
-	// to time.Now; SetClock injects a fake so store-view tests don't
-	// depend on real time.
+	// now supplies the wall clock for batch-gap and order-latency
+	// timings. It defaults to time.Now; SetClock injects a fake so
+	// store tests don't depend on real time.
 	now func() time.Time
+}
+
+// orderEntry is one booked order: its view plus, while pending, the
+// waiter its terminal view is delivered to.
+type orderEntry struct {
+	OrderView
+	done     chan OrderView
+	accepted time.Time // wall time of Register; set only when latency is timed
 }
 
 // gapWindow is how many recent batch gaps the percentiles cover.
 const gapWindow = 4096
 
-// NewStateStore returns an empty store. fleet pre-populates that many
-// driver views (ids 0..fleet-1) so GET /v1/drivers lists the whole
-// fleet before any event mentions it; 0 learns drivers from events.
-func NewStateStore(fleet int) *StateStore {
-	s := &StateStore{
-		orders:  make(map[trace.OrderID]*OrderView),
+// NewStateStore returns an empty store.
+func NewStateStore() *StateStore {
+	return &StateStore{
+		orders:  make(map[trace.OrderID]*orderEntry),
 		drivers: make(map[DriverID]*DriverView),
 		now:     time.Now, //mrvdlint:ignore wallclock injectable default; batch-gap timings measure real gateway pacing, not simulated time
 	}
-	for i := 0; i < fleet; i++ {
-		s.drivers[DriverID(i)] = &DriverView{ID: DriverID(i)}
-	}
-	return s
 }
 
 // SetClock overrides the wall-clock source behind the batch-gap
-// timings (AvgBatchGapMS and friends). Tests inject a deterministic
-// clock; production code keeps the default. Call it before the engine
-// starts delivering events.
+// timings (AvgBatchGapMS and friends) and the order latency histogram.
+// Tests inject a deterministic clock; production code keeps the
+// default. Call it before the engine starts delivering events.
 func (s *StateStore) SetClock(now func() time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.now = now
 }
 
-// TrackSubmitted registers a submitted order so it is queryable while
-// pending. It merges rather than overwrites: an order whose terminal
-// event already arrived keeps its terminal state.
-func (s *StateStore) TrackSubmitted(o trace.Order) {
+// SeedFleet creates the driver views 0..fleet-1 so Drivers lists the
+// whole fleet before any event mentions it; drivers never seeded are
+// learned from events.
+func (s *StateStore) SeedFleet(fleet int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.order(o.ID)
-	v.PostTime, v.Deadline = o.PostTime, o.Deadline
-	v.Pickup, v.Dropoff = o.Pickup, o.Dropoff
-	s.stats.Submitted++
+	for i := 0; i < fleet; i++ {
+		s.driver(DriverID(i))
+	}
 }
 
-// order returns the view for id, creating a pending one if needed.
-// Callers hold s.mu.
-func (s *StateStore) order(id trace.OrderID) *OrderView {
-	v, ok := s.orders[id]
-	if !ok {
-		v = &OrderView{ID: id, State: OrderPending}
-		s.orders[id] = v
+// TimeOrders observes every order's wall-clock seconds from Register
+// to its terminal state into h, on the store's clock.
+func (s *StateStore) TimeOrders(h *obs.Histogram) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.latency = h
+}
+
+// SetInFlightLimit bounds how many registered orders may be pending at
+// once; Register fails with ErrInFlightLimit beyond it. 0 (the
+// default) is unbounded.
+func (s *StateStore) SetInFlightLimit(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.limit = n
+}
+
+// Clock returns the engine time of the latest batch (0 before the
+// first) — cheaper than Stats for callers that only stamp orders.
+func (s *StateStore) Clock() float64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.stats.Clock
+}
+
+// InFlight reports how many registered orders are still pending.
+func (s *StateStore) InFlight() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.inFlight
+}
+
+// Register books one submitted order: it assigns the next id, submits
+// the order to src (the session's source) and, if src accepts it,
+// records the pending view together with the waiter that will receive
+// the order's terminal view — a single-use channel, closed after the
+// one send. The in-flight bound, the booking and the submission share
+// one critical section, so the bound holds exactly under concurrent
+// submitters, no event for the order can precede its entry, and an
+// order src refuses leaves no trace.
+func (s *StateStore) Register(o trace.Order, src *ChannelSource) (trace.OrderID, <-chan OrderView, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
+		return 0, nil, ErrSessionEnded
+	case s.limit > 0 && s.inFlight >= s.limit:
+		return 0, nil, ErrInFlightLimit
 	}
-	return v
+	o.ID = s.nextID
+	if err := src.Submit(o); err != nil {
+		return 0, nil, err
+	}
+	e := &orderEntry{
+		OrderView: OrderView{
+			ID: o.ID, State: OrderPending,
+			PostTime: o.PostTime, Deadline: o.Deadline,
+			Pickup: o.Pickup, Dropoff: o.Dropoff,
+		},
+		done: make(chan OrderView, 1),
+	}
+	if s.latency != nil {
+		e.accepted = s.now()
+	}
+	s.orders[o.ID] = e
+	s.nextID++
+	s.inFlight++
+	s.stats.Submitted++
+	return o.ID, e.done, nil
+}
+
+// resolve delivers a pending entry's now-terminal view to its waiter.
+// Callers hold s.mu and have just moved e out of OrderPending.
+func (s *StateStore) resolve(e *orderEntry) {
+	if s.latency != nil {
+		s.latency.Observe(s.now().Sub(e.accepted).Seconds())
+	}
+	e.done <- e.OrderView // buffered: never blocks the engine goroutine
+	close(e.done)
+	e.done = nil
+	s.inFlight--
+}
+
+// Close ends the session's books: every order still pending turns
+// OrderSessionEnded and resolves its waiter, in id order, and Register
+// fails from here on.
+func (s *StateStore) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	for id := trace.OrderID(0); id < s.nextID; id++ {
+		if e := s.orders[id]; e.State == OrderPending {
+			e.State = OrderSessionEnded
+			s.resolve(e)
+		}
+	}
 }
 
 // driver returns the view for id, creating one if needed. Callers hold
@@ -238,11 +351,8 @@ func (s *StateStore) OnBatchStart(e BatchStartEvent) {
 func (s *StateStore) OnAssigned(e AssignedEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.order(e.Rider.Order.ID)
-	if v.State == OrderPending { // events are authoritative; never downgrade
+	if v := s.orders[e.Rider.Order.ID]; v != nil && v.State == OrderPending {
 		v.State = OrderAssigned
-		v.PostTime, v.Deadline = e.Rider.Order.PostTime, e.Rider.Order.Deadline
-		v.Pickup, v.Dropoff = e.Rider.Order.Pickup, e.Rider.Order.Dropoff
 		v.Driver = e.Driver
 		v.AssignedAt = e.Now
 		v.PickedAt = e.Rider.PickedAt
@@ -257,6 +367,7 @@ func (s *StateStore) OnAssigned(e AssignedEvent) {
 		if e.Shared {
 			s.stats.SharedAssigned++
 		}
+		s.resolve(v)
 	}
 	d := s.driver(e.Driver)
 	d.Served++
@@ -271,13 +382,11 @@ func (s *StateStore) OnAssigned(e AssignedEvent) {
 func (s *StateStore) OnExpired(e ExpiredEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.order(e.Rider.Order.ID)
-	if v.State == OrderPending {
+	if v := s.orders[e.Rider.Order.ID]; v != nil && v.State == OrderPending {
 		v.State = OrderExpired
-		v.PostTime, v.Deadline = e.Rider.Order.PostTime, e.Rider.Order.Deadline
-		v.Pickup, v.Dropoff = e.Rider.Order.Pickup, e.Rider.Order.Dropoff
 		v.ExpiredAt = e.Now
 		s.stats.Expired++
+		s.resolve(v)
 	}
 }
 
@@ -285,17 +394,20 @@ func (s *StateStore) OnExpired(e ExpiredEvent) {
 func (s *StateStore) OnCanceled(e CanceledEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.order(e.Rider.Order.ID)
+	v := s.orders[e.Rider.Order.ID]
+	if v == nil {
+		return
+	}
 	switch v.State {
 	case OrderPending:
 		v.State = OrderCanceled
-		v.PostTime, v.Deadline = e.Rider.Order.PostTime, e.Rider.Order.Deadline
-		v.Pickup, v.Dropoff = e.Rider.Order.Pickup, e.Rider.Order.Dropoff
 		v.CanceledAt = e.Now
 		s.stats.Canceled++
+		s.resolve(v)
 	case OrderAssigned:
 		// Pooling lets an assigned rider cancel off an active plan
-		// before pickup; the assignment's accounting unwinds with it.
+		// before pickup; the assignment's accounting unwinds with it
+		// (the waiter already received the assignment).
 		v.State = OrderCanceled
 		v.CanceledAt = e.Now
 		s.stats.Canceled++
@@ -315,8 +427,9 @@ func (s *StateStore) OnCanceled(e CanceledEvent) {
 func (s *StateStore) OnDeclined(e DeclinedEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.order(e.Rider.Order.ID)
-	v.Declines++
+	if v := s.orders[e.Rider.Order.ID]; v != nil {
+		v.Declines++
+	}
 	d := s.driver(e.Driver)
 	d.Declines++
 	d.Busy = true
@@ -357,8 +470,7 @@ func (s *StateStore) OnPickedUp(e PickedUpEvent) {
 func (s *StateStore) OnDroppedOff(e DroppedOffEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.order(e.Order)
-	if v.State == OrderAssigned {
+	if v := s.orders[e.Order]; v != nil && v.State == OrderAssigned {
 		v.DetourSeconds = e.DetourSeconds
 	}
 	d := s.driver(e.Driver)
@@ -379,18 +491,17 @@ func (s *StateStore) Order(id trace.OrderID) (OrderView, bool) {
 	if !ok {
 		return OrderView{}, false
 	}
-	return *v, true
+	return v.OrderView, true
 }
 
-// Orders returns snapshots of every known order, sorted by id.
+// Orders returns snapshots of every booked order, in id order.
 func (s *StateStore) Orders() []OrderView {
 	s.mu.RLock()
-	out := make([]OrderView, 0, len(s.orders))
-	for _, v := range s.orders {
-		out = append(out, *v)
+	defer s.mu.RUnlock()
+	out := make([]OrderView, 0, s.nextID)
+	for id := trace.OrderID(0); id < s.nextID; id++ {
+		out = append(out, s.orders[id].OrderView)
 	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -413,18 +524,9 @@ func (s *StateStore) Stats() StoreStats {
 	st := s.stats
 	gaps := append([]float64(nil), s.gapsMS[:min(s.gapCount, gapWindow)]...)
 	s.mu.RUnlock()
-	if len(gaps) > 0 {
-		sort.Float64s(gaps)
-		q := func(p float64) float64 {
-			i := int(math.Ceil(p*float64(len(gaps)))) - 1
-			if i < 0 {
-				i = 0
-			}
-			return gaps[i]
-		}
-		st.BatchGapP50MS = q(0.50)
-		st.BatchGapP95MS = q(0.95)
-		st.BatchGapP99MS = q(0.99)
-	}
+	sort.Float64s(gaps)
+	st.BatchGapP50MS = stats.NearestRank(gaps, 0.50)
+	st.BatchGapP95MS = stats.NearestRank(gaps, 0.95)
+	st.BatchGapP99MS = stats.NearestRank(gaps, 0.99)
 	return st
 }

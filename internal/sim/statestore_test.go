@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/obs"
 	"mrvd/internal/trace"
 )
 
@@ -18,10 +21,28 @@ func storeOrder(id int) trace.Order {
 	}
 }
 
+// seededStore returns a store listing a fleet of the given size.
+func seededStore(fleet int) *StateStore {
+	s := NewStateStore()
+	s.SeedFleet(fleet)
+	return s
+}
+
+// register books o — whose ID must be the next the ledger issues — into
+// a throwaway source, and returns its waiter.
+func register(t *testing.T, s *StateStore, o trace.Order) <-chan OrderView {
+	t.Helper()
+	id, ch, err := s.Register(o, NewChannelSource())
+	if err != nil || id != o.ID {
+		t.Fatalf("Register = id %d, %v; want id %d", id, err, o.ID)
+	}
+	return ch
+}
+
 func TestStateStoreFoldsOrderLifecycle(t *testing.T) {
-	s := NewStateStore(3)
+	s := seededStore(3)
 	o := storeOrder(0)
-	s.TrackSubmitted(o)
+	waiter := register(t, s, o)
 
 	v, ok := s.Order(0)
 	if !ok || v.State != OrderPending {
@@ -36,6 +57,17 @@ func TestStateStoreFoldsOrderLifecycle(t *testing.T) {
 	v, _ = s.Order(0)
 	if v.State != OrderAssigned || v.Driver != 2 || v.AssignedAt != 6 || v.Revenue != 100 {
 		t.Fatalf("assigned view = %+v", v)
+	}
+	// The fold that turned the order terminal resolved its waiter with
+	// that same view, once.
+	if out, ok := <-waiter; !ok || out != v {
+		t.Fatalf("waiter got %+v (ok=%v), want the ledger view %+v", out, ok, v)
+	}
+	if _, ok := <-waiter; ok {
+		t.Fatal("waiter resolved twice")
+	}
+	if s.InFlight() != 0 {
+		t.Errorf("in-flight %d after the terminal event", s.InFlight())
 	}
 	// A later expiry event for the same order must not downgrade it.
 	s.OnExpired(ExpiredEvent{Now: 9, Rider: rider})
@@ -71,7 +103,7 @@ func TestStateStoreFoldsOrderLifecycle(t *testing.T) {
 func TestStateStoreBatchGapsWithInjectedClock(t *testing.T) {
 	// Batch-gap stats are wall-clock timings; with an injected clock
 	// they are exactly computable instead of scheduler-dependent.
-	s := NewStateStore(0)
+	s := NewStateStore()
 	wall := time.Unix(1000, 0)
 	s.SetClock(func() time.Time { return wall })
 
@@ -129,35 +161,87 @@ func TestStateStoreBatchGapsWithInjectedClock(t *testing.T) {
 	}
 }
 
-func TestStateStoreEventBeforeTrackMerges(t *testing.T) {
-	// The gateway Submit/Track race: the engine can commit an outcome
-	// before TrackSubmitted runs. The terminal event wins either way.
-	s := NewStateStore(0)
-	o := storeOrder(7)
-	s.OnExpired(ExpiredEvent{Now: 33, Rider: &Rider{Order: o}})
-	s.TrackSubmitted(o)
-	v, ok := s.Order(7)
-	if !ok || v.State != OrderExpired || v.ExpiredAt != 33 {
-		t.Fatalf("view = %+v, ok=%v", v, ok)
+// TestStateStoreRegisterIsAtomic pins the booking rules: ids are dense
+// in registration order, the in-flight bound is exact, an order the
+// source refuses leaves no trace, and Close sweeps what is still
+// pending to "canceled" — waiter and view alike — and ends the books.
+func TestStateStoreRegisterIsAtomic(t *testing.T) {
+	s := NewStateStore()
+	wall := time.Unix(1000, 0)
+	s.SetClock(func() time.Time { return wall })
+	reg := obs.NewRegistry()
+	lat := reg.Histogram("test_order_seconds", "", obs.LatencyBuckets)
+	s.TimeOrders(lat)
+	s.SetInFlightLimit(2)
+
+	closed := NewChannelSource()
+	closed.Close()
+	if _, _, err := s.Register(storeOrder(0), closed); !errors.Is(err, ErrSourceClosed) {
+		t.Fatalf("refused order: err = %v", err)
 	}
-	if v.PostTime != o.PostTime {
-		t.Errorf("track-after-event did not merge submit data: %+v", v)
+	if _, ok := s.Order(0); ok || s.InFlight() != 0 || s.Stats().Submitted != 0 {
+		t.Fatalf("refused order left a trace: in-flight %d, stats %+v", s.InFlight(), s.Stats())
 	}
-	if st := s.Stats(); st.Submitted != 1 || st.Expired != 1 {
-		t.Errorf("stats = %+v", st)
+
+	src := NewChannelSource()
+	var waiters [2]<-chan OrderView
+	for i := range waiters {
+		id, ch, err := s.Register(storeOrder(7), src) // the caller's ID is overwritten
+		if err != nil || id != trace.OrderID(i) {
+			t.Fatalf("Register #%d = id %d, %v", i, id, err)
+		}
+		waiters[i] = ch
+	}
+	if got, _ := src.Poll(1e9); len(got) != 2 || got[0].ID != 0 || got[1].ID != 1 {
+		t.Fatalf("source holds %+v, want ids 0 and 1", got)
+	}
+	if _, _, err := s.Register(storeOrder(2), src); !errors.Is(err, ErrInFlightLimit) {
+		t.Fatalf("third order past a bound of 2: err = %v", err)
+	}
+
+	wall = wall.Add(250 * time.Millisecond)
+	s.OnExpired(ExpiredEvent{Now: 33, Rider: &Rider{Order: storeOrder(0)}})
+	if out := <-waiters[0]; out.State != OrderExpired || out.ExpiredAt != 33 {
+		t.Fatalf("expired outcome = %+v", out)
+	}
+	// An event for an order the ledger never booked books nothing.
+	s.OnExpired(ExpiredEvent{Now: 34, Rider: &Rider{Order: storeOrder(99)}})
+	if _, ok := s.Order(99); ok {
+		t.Fatal("an event created an order entry")
+	}
+
+	wall = wall.Add(750 * time.Millisecond)
+	s.Close()
+	out, ok := <-waiters[1]
+	if v, _ := s.Order(1); !ok || out.State != OrderSessionEnded || v != out {
+		t.Fatalf("swept outcome %+v (ok=%v), ledger view %+v", out, ok, v)
+	}
+	if _, _, err := s.Register(storeOrder(2), src); !errors.Is(err, ErrSessionEnded) {
+		t.Fatalf("Register after Close: err = %v", err)
+	}
+	if st := s.Stats(); st.Submitted != 2 || st.Expired != 1 || st.Canceled != 0 || s.InFlight() != 0 {
+		t.Fatalf("stats = %+v, in-flight %d", st, s.InFlight())
+	}
+	// Both orders were timed on the injected clock: 0.25 s and 1 s.
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "test_order_seconds_count 2") || !strings.Contains(b.String(), "test_order_seconds_sum 1.25") {
+		t.Fatalf("latency histogram:\n%s", b.String())
 	}
 }
 
 func TestStateStoreCancelAndDeclineFold(t *testing.T) {
-	s := NewStateStore(2)
-	o := storeOrder(3)
-	s.TrackSubmitted(o)
+	s := seededStore(2)
+	o := storeOrder(0)
+	register(t, s, o)
 	rider := &Rider{Order: o}
 
 	// A decline is non-terminal: the order stays pending with the
 	// decline on its record, and the driver cools down busy-in-place.
 	s.OnDeclined(DeclinedEvent{Now: 12, Rider: rider, Driver: 1, RetryAt: 72})
-	v, _ := s.Order(3)
+	v, _ := s.Order(0)
 	if v.State != OrderPending || v.Declines != 1 {
 		t.Fatalf("declined view = %+v", v)
 	}
@@ -169,12 +253,12 @@ func TestStateStoreCancelAndDeclineFold(t *testing.T) {
 	// The rider then cancels: terminal, and a later expiry must not
 	// downgrade it.
 	s.OnCanceled(CanceledEvent{Now: 30, Rider: rider, Explicit: true})
-	v, _ = s.Order(3)
+	v, _ = s.Order(0)
 	if v.State != OrderCanceled || v.CanceledAt != 30 {
 		t.Fatalf("canceled view = %+v", v)
 	}
 	s.OnExpired(ExpiredEvent{Now: 33, Rider: rider})
-	if v, _ = s.Order(3); v.State != OrderCanceled {
+	if v, _ = s.Order(0); v.State != OrderCanceled {
 		t.Fatalf("cancel downgraded to %v", v.State)
 	}
 	if st := s.Stats(); st.Canceled != 1 || st.Declined != 1 || st.Expired != 0 {
@@ -183,7 +267,7 @@ func TestStateStoreCancelAndDeclineFold(t *testing.T) {
 }
 
 func TestStateStoreRepositionFolds(t *testing.T) {
-	s := NewStateStore(1)
+	s := seededStore(1)
 	s.OnRepositioned(RepositionedEvent{
 		Now: 10, Driver: 0,
 		From: geo.Point{Lng: -74, Lat: 40.7}, To: geo.Point{Lng: -73.9, Lat: 40.8},
@@ -205,7 +289,7 @@ func TestStateStoreRepositionFolds(t *testing.T) {
 // store while an event stream mutates it — the gateway's actual access
 // pattern; the race detector patrols this test.
 func TestStateStoreConcurrentReadsDuringEvents(t *testing.T) {
-	s := NewStateStore(8)
+	s := seededStore(8)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -227,7 +311,7 @@ func TestStateStoreConcurrentReadsDuringEvents(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		o := storeOrder(i)
-		s.TrackSubmitted(o)
+		register(t, s, o)
 		s.OnBatchStart(BatchStartEvent{Now: float64(i), Batch: i})
 		if i%2 == 0 {
 			s.OnAssigned(AssignedEvent{Now: float64(i), Rider: &Rider{Order: o}, Driver: DriverID(i % 8), FreeAt: float64(i + 50)})

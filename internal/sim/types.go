@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/stats"
 	"mrvd/internal/trace"
 )
 
@@ -279,20 +280,9 @@ func (m *Metrics) AvgBatchSeconds() float64 {
 // 1) of the per-batch dispatcher wall times, 0 without batches. It
 // sorts a copy, so BatchSeconds keeps its batch order.
 func (m *Metrics) BatchSecondsQuantile(p float64) float64 {
-	n := len(m.BatchSeconds)
-	if n == 0 {
-		return 0
-	}
 	s := append([]float64(nil), m.BatchSeconds...)
 	sort.Float64s(s)
-	i := int(math.Ceil(p*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return s[i]
+	return stats.NearestRank(s, p)
 }
 
 // MaxBatchSeconds returns the worst-case dispatcher wall time.

@@ -50,25 +50,27 @@ func (e *Estimator) AddAll(xs []float64) {
 // Samples returns the retained observations in insertion order.
 func (e *Estimator) Samples() []float64 { return e.samples }
 
-// Quantile returns the nearest-rank p-quantile: the ceil(p*n)-th
-// smallest sample (0 when empty). Nearest-rank matches internal/load's
-// latency histogram — an interpolated or floored index would bias tail
-// quantiles low at the small n of a seeded experiment cell.
-func (e *Estimator) Quantile(p float64) float64 {
-	n := len(e.samples)
+// NearestRank returns the nearest-rank p-quantile of an ascending
+// slice: its ceil(p*n)-th smallest element, clamped to the first and
+// last (the zero value when empty). Every nearest-rank quantile in the
+// repository — trial cells, batch times, batch gaps, load latencies —
+// is this index; an interpolated or floored one would bias tail
+// quantiles low at small n.
+func NearestRank[E any](sorted []E, p float64) E {
+	n := len(sorted)
 	if n == 0 {
-		return 0
+		var zero E
+		return zero
 	}
+	return sorted[min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)]
+}
+
+// Quantile returns the nearest-rank p-quantile of the samples (0 when
+// empty); see NearestRank.
+func (e *Estimator) Quantile(p float64) float64 {
 	sorted := append([]float64(nil), e.samples...)
 	sort.Float64s(sorted)
-	i := int(math.Ceil(p*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return sorted[i]
+	return NearestRank(sorted, p)
 }
 
 // MeanCI returns the two-sided Student-t confidence interval for the

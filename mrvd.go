@@ -113,16 +113,11 @@ type (
 	// Coster prices travel between two points in seconds.
 	Coster = roadnet.Coster
 	// BatchCoster is a Coster with many-to-many matrix pricing; custom
-	// costers that implement it are priced in one Costs call per batch
-	// instead of per-pair Cost queries, unless they opt out through
-	// PerSourceAmortized (the closed-form built-in does — its per-cell
-	// cost is too cheap to batch; the graph-backed one batches).
+	// costers that implement it are priced in one dense Costs call per
+	// batch, plain Costers only in the cells the engine reads. The
+	// graph-backed built-in batches; the closed-form one, too cheap per
+	// cell to batch, is a plain Coster.
 	BatchCoster = roadnet.BatchCoster
-	// PerSourceAmortized lets a BatchCoster state whether dense batch
-	// pricing pays off: return false from AmortizesPerSource to have
-	// the engine price only the cells it reads, true (or omit the
-	// interface) to receive the full dense Costs call.
-	PerSourceAmortized = roadnet.PerSourceAmortized
 	// Repositioner proposes cruise targets for long-idle drivers.
 	Repositioner = sim.Repositioner
 )

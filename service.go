@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"mrvd/internal/core"
 	"mrvd/internal/shard"
@@ -111,8 +109,7 @@ func WithHorizon(seconds float64) Option {
 // urban speed). For Sweep, the coster is shared across parallel runs and
 // must be safe for concurrent use; DefaultCoster and GraphCoster are.
 // Costers implementing BatchCoster are priced one many-to-many matrix
-// per batch (unless they opt out via PerSourceAmortized); plain
-// Costers go through a per-pair compatibility loop.
+// per batch; plain Costers are priced cell by cell.
 func WithCoster(c Coster) Option {
 	return func(s *Service) {
 		if c == nil {
@@ -516,95 +513,56 @@ func (s *Service) Sweep(ctx context.Context, spec SweepSpec) ([]SweepResult, err
 	return core.Sweep(ctx, s.opts, spec)
 }
 
-// OutcomeStatus is the terminal state of an order submitted through a
-// ServeHandle.
-type OutcomeStatus uint8
+// Outcome is the terminal result of one submitted order — the dispatch
+// decision a production platform would push back to the rider's device:
+// the session ledger's view of the order (ServeHandle.Store) at the
+// moment it turned terminal. Times are engine seconds.
+type Outcome = sim.OrderView
 
-// Outcome statuses.
+// OutcomeStatus is an order's state in the session ledger.
+type OutcomeStatus = sim.OrderState
+
+// Terminal outcome statuses (Outcome.State).
 const (
 	// OutcomeAssigned: a driver was dispatched to the order.
-	OutcomeAssigned OutcomeStatus = iota + 1
+	OutcomeAssigned = sim.OrderAssigned
 	// OutcomeExpired: the rider reneged past its pickup deadline.
-	OutcomeExpired
+	OutcomeExpired = sim.OrderExpired
 	// OutcomeCanceled: the serve session ended (context cancellation,
 	// horizon, or drain) before the order reached a terminal state.
-	OutcomeCanceled
+	OutcomeCanceled = sim.OrderSessionEnded
 	// OutcomeCanceledByRider: the rider canceled the order before
 	// assignment — an explicit ServeHandle.Cancel / DELETE
 	// /v1/orders/{id}, or the scenario's stochastic patience model.
-	OutcomeCanceledByRider
+	OutcomeCanceledByRider = sim.OrderCanceled
 )
-
-// String names the status for logs and JSON payloads.
-func (s OutcomeStatus) String() string {
-	switch s {
-	case OutcomeAssigned:
-		return "assigned"
-	case OutcomeExpired:
-		return "expired"
-	case OutcomeCanceled:
-		return "canceled"
-	case OutcomeCanceledByRider:
-		return "canceled_by_rider"
-	default:
-		return "pending"
-	}
-}
-
-// Outcome is the terminal result of one submitted order: the dispatch
-// decision a production platform would push back to the rider's device.
-// Times are engine seconds.
-type Outcome struct {
-	Order  OrderID
-	Status OutcomeStatus
-	// Assigned-only fields.
-	Driver     DriverID
-	AssignedAt float64 // batch time of the assignment
-	PickedAt   float64 // when the driver reaches the pickup
-	FreeAt     float64 // when the trip completes
-	PickupCost float64 // deadhead seconds to the pickup
-	Revenue    float64 // trip cost, the order's revenue at alpha=1
-	// Shared marks a pooled insertion into another trip's route plan;
-	// DetourSeconds is its planned detour beyond the direct trip
-	// (assigned-only, zero for solo trips and with pooling off).
-	Shared        bool
-	DetourSeconds float64
-	// ExpiredAt is the batch time the rider reneged (expired-only).
-	ExpiredAt float64
-	// CanceledAt is the batch time a rider-initiated cancellation was
-	// applied (canceled_by_rider only).
-	CanceledAt float64
-}
 
 // Submit error conditions a caller dispatches on (errors.Is).
 var (
 	// ErrServeFinished: the serve session has ended; no further orders
 	// are accepted.
-	ErrServeFinished = errors.New("mrvd: serve session finished")
+	ErrServeFinished = sim.ErrSessionEnded
 	// ErrQueueFull: the session's in-flight limit is reached; the
 	// caller should shed load (the HTTP gateway answers 429).
-	ErrQueueFull = errors.New("mrvd: in-flight order limit reached")
+	ErrQueueFull = sim.ErrInFlightLimit
 	// ErrUnknownOrder: Cancel named an order this session does not have
 	// in flight — never submitted, or already resolved.
 	ErrUnknownOrder = errors.New("mrvd: order unknown or already resolved")
 )
 
 // ServeHandle is a live serve session started with Service.Start. It
-// owns the session's ChannelSource and routes engine events back to
-// per-order waiters, so callers — the HTTP gateway above all — can
-// await each order's outcome instead of only the run's final Metrics.
-// All methods are safe for concurrent use.
+// owns the session's ChannelSource and its order ledger (Store), which
+// books every submitted order and hands each one's terminal view back
+// to its submitter, so callers — the HTTP gateway above all — can await
+// each order's outcome instead of only the run's final Metrics. All
+// methods are safe for concurrent use.
 type ServeHandle struct {
 	src    *ChannelSource
+	store  *sim.StateStore
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	clockBits atomic.Uint64 // engine time of the latest batch
-
-	mu      sync.Mutex
-	nextID  OrderID
-	limit   int
-	waiters map[OrderID]chan Outcome
+	bounds BBox // the session city's grid extent
 
 	// shardStats reads the session runtime's live per-shard counters.
 	shardStats func() []shard.Stats
@@ -618,13 +576,10 @@ type ServeHandle struct {
 // handle: the engine runs Serve on an internal ChannelSource in a
 // background goroutine while producers feed it through handle.Submit.
 // starts positions the fleet the way Serve does (nil samples from the
-// instance). Extra observers — a state store, an event broadcaster —
-// are subscribed for this session only and run before the handle's own
-// outcome routing (then the service-level WithObserver), so by the
-// time an awaited Outcome wakes its submitter every session observer
-// has already folded the event — a client that long-polled an
-// assignment reads its own write from the state store. Like every
-// observer they run inline on the engine goroutine and must be fast.
+// instance). Extra observers — an event broadcaster, say — are
+// subscribed for this session only, after the session's ledger and
+// before the service-level WithObserver. Like every observer they run
+// inline on the engine goroutine and must be fast.
 //
 // The session ends when ctx is canceled, the horizon is reached, or —
 // after Close — the submitted stream drains; Result blocks for the
@@ -636,14 +591,12 @@ func (s *Service) Start(ctx context.Context, algorithm string, starts []Point, o
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	h := &ServeHandle{
-		src:     NewChannelSource(),
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		waiters: make(map[OrderID]chan Outcome),
+		src:    NewChannelSource(),
+		store:  sim.NewStateStore(),
+		cancel: cancel,
+		done:   make(chan struct{}),
 	}
-	obs := make(Observers, 0, len(observers)+2)
-	obs = append(obs, observers...)
-	obs = append(obs, h.observer())
+	obs := append(Observers{h.store}, observers...)
 	if s.opts.Observer != nil {
 		obs = append(obs, s.opts.Observer)
 	}
@@ -659,118 +612,40 @@ func (s *Service) Start(ctx context.Context, algorithm string, starts []Point, o
 		return nil, err
 	}
 	h.shardStats = rt.Stats
+	h.bounds = rt.Partition().Grid().Bounds()
 	go func() {
-		m, err := rt.Run(ctx, newDispatcher)
-		h.finish(m, err)
+		h.metrics, h.err = rt.Run(ctx, newDispatcher)
+		// Closing the ledger resolves every order still in flight as
+		// OutcomeCanceled before Done reports the session finished.
+		h.store.Close()
+		close(h.done)
 		cancel()
 	}()
 	return h, nil
 }
 
-// observer routes engine events into the handle: the batch clock for
-// Clock, assignment and expiry events to their order's waiter.
-func (h *ServeHandle) observer() Observer {
-	return ObserverFuncs{
-		BatchStart: func(e BatchStartEvent) {
-			h.clockBits.Store(math.Float64bits(e.Now))
-		},
-		Assigned: func(e AssignedEvent) {
-			h.resolve(e.Rider.Order.ID, Outcome{
-				Order:         e.Rider.Order.ID,
-				Status:        OutcomeAssigned,
-				Driver:        e.Driver,
-				AssignedAt:    e.Now,
-				PickedAt:      e.Rider.PickedAt,
-				FreeAt:        e.FreeAt,
-				PickupCost:    e.PickupCost,
-				Revenue:       e.Revenue,
-				Shared:        e.Shared,
-				DetourSeconds: e.DetourSeconds,
-			})
-		},
-		Expired: func(e ExpiredEvent) {
-			h.resolve(e.Rider.Order.ID, Outcome{
-				Order:     e.Rider.Order.ID,
-				Status:    OutcomeExpired,
-				ExpiredAt: e.Now,
-			})
-		},
-		Canceled: func(e CanceledEvent) {
-			h.resolve(e.Rider.Order.ID, Outcome{
-				Order:      e.Rider.Order.ID,
-				Status:     OutcomeCanceledByRider,
-				CanceledAt: e.Now,
-			})
-		},
-	}
-}
-
-func (h *ServeHandle) resolve(id OrderID, out Outcome) {
-	h.mu.Lock()
-	ch := h.waiters[id]
-	delete(h.waiters, id)
-	h.mu.Unlock()
-	if ch != nil {
-		ch <- out // buffered; never blocks the engine goroutine
-		close(ch)
-	}
-}
-
-// finish publishes the session result and cancels every waiter still
-// in flight. It runs on the serve goroutine, once.
-func (h *ServeHandle) finish(m *Metrics, err error) {
-	h.mu.Lock()
-	h.metrics, h.err = m, err
-	ws := h.waiters
-	h.waiters = nil // Submit fails from here on
-	h.mu.Unlock()
-	for id, ch := range ws {
-		ch <- Outcome{Order: id, Status: OutcomeCanceled}
-		close(ch)
-	}
-	close(h.done)
-}
+// Store exposes the session's order ledger and live state views: every
+// submitted order from pending to its one terminal state, per-driver
+// views, and the engine counters. An order's entry already equals its
+// Outcome when the channel Submit returned delivers it.
+func (h *ServeHandle) Store() *sim.StateStore { return h.store }
 
 // Submit enqueues one order for dispatch and returns the session-unique
 // id assigned to it plus a single-use channel that receives the order's
-// terminal Outcome (assigned, expired, or canceled when the session
-// ends first) and is then closed. The submitted order's ID field is
-// overwritten with the assigned id; PostTime and Deadline are taken
-// verbatim — live producers should stamp PostTime at or near Clock so
-// the order's patience starts from the engine's present, not its past.
+// terminal Outcome (assigned, expired, canceled by the rider, or
+// canceled when the session ends first) and is then closed. The
+// submitted order's ID field is overwritten with the assigned id;
+// PostTime and Deadline are taken verbatim — live producers should
+// stamp PostTime at or near Clock so the order's patience starts from
+// the engine's present, not its past.
 func (h *ServeHandle) Submit(o Order) (OrderID, <-chan Outcome, error) {
-	h.mu.Lock()
-	if h.waiters == nil {
-		h.mu.Unlock()
-		return 0, nil, ErrServeFinished
+	id, outcome, err := h.store.Register(o, h.src)
+	// A Close-d source while the session drains is the session going
+	// away, not the order's fault — surface it as such.
+	if errors.Is(err, sim.ErrSourceClosed) {
+		err = ErrServeFinished
 	}
-	// The bound check and the registration share one critical section,
-	// so the in-flight limit holds exactly under concurrent Submit —
-	// a check-then-act against InFlight() would overshoot.
-	if h.limit > 0 && len(h.waiters) >= h.limit {
-		h.mu.Unlock()
-		return 0, nil, ErrQueueFull
-	}
-	id := h.nextID
-	h.nextID++
-	o.ID = id
-	ch := make(chan Outcome, 1)
-	h.waiters[id] = ch
-	h.mu.Unlock()
-	if err := h.src.Submit(o); err != nil {
-		h.mu.Lock()
-		if h.waiters != nil {
-			delete(h.waiters, id)
-		}
-		h.mu.Unlock()
-		// A Close-d source while the session drains is the session
-		// going away, not the order's fault — surface it as such.
-		if errors.Is(err, sim.ErrSourceClosed) {
-			return 0, nil, ErrServeFinished
-		}
-		return 0, nil, err
-	}
-	return id, ch, nil
+	return id, outcome, err
 }
 
 // Cancel requests a rider-initiated cancellation of an in-flight order.
@@ -783,16 +658,14 @@ func (h *ServeHandle) Submit(o Order) (OrderID, <-chan Outcome, error) {
 // never issued or already resolved, ErrServeFinished after the session
 // ends.
 func (h *ServeHandle) Cancel(id OrderID) error {
-	h.mu.Lock()
-	if h.waiters == nil {
-		h.mu.Unlock()
+	select {
+	case <-h.done:
 		return ErrServeFinished
+	default:
 	}
-	if _, ok := h.waiters[id]; !ok {
-		h.mu.Unlock()
+	if v, ok := h.store.Order(id); !ok || v.State != sim.OrderPending {
 		return ErrUnknownOrder
 	}
-	h.mu.Unlock()
 	h.src.Cancel(id)
 	return nil
 }
@@ -801,27 +674,22 @@ func (h *ServeHandle) Cancel(id OrderID) error {
 // gateway should put on incoming orders' PostTime so their patience
 // starts at the engine's present regardless of pacing. Before the
 // first batch it is 0.
-func (h *ServeHandle) Clock() float64 {
-	return math.Float64frombits(h.clockBits.Load())
-}
+func (h *ServeHandle) Clock() float64 { return h.store.Clock() }
+
+// Bounds returns the extent of the session city's grid. The engine
+// clamps a point outside it into an edge region, so ingestion edges
+// should refuse such orders rather than book them.
+func (h *ServeHandle) Bounds() BBox { return h.bounds }
 
 // InFlight reports how many submitted orders have not reached a
 // terminal outcome yet. After the session ends it reports 0.
-func (h *ServeHandle) InFlight() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.waiters)
-}
+func (h *ServeHandle) InFlight() int { return h.store.InFlight() }
 
 // SetInFlightLimit bounds how many submitted orders may await an
 // outcome at once: Submit fails with ErrQueueFull beyond it — the
 // admission-control lever behind the gateway's 429s. 0 (the default)
 // is unbounded.
-func (h *ServeHandle) SetInFlightLimit(n int) {
-	h.mu.Lock()
-	h.limit = n
-	h.mu.Unlock()
-}
+func (h *ServeHandle) SetInFlightLimit(n int) { h.store.SetInFlightLimit(n) }
 
 // Pending reports how many submitted orders the source has not yet
 // released into the engine.

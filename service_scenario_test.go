@@ -129,11 +129,11 @@ func TestServeHandleCancelResolvesOutcome(t *testing.T) {
 	}
 	select {
 	case out := <-ch:
-		if out.Status != OutcomeCanceledByRider {
-			t.Fatalf("order %d status %v, want canceled_by_rider", id, out.Status)
+		if out.State != OutcomeCanceledByRider {
+			t.Fatalf("order %d status %v, want canceled_by_rider", id, out.State)
 		}
-		if out.Status.String() != "canceled_by_rider" {
-			t.Fatalf("status string %q", out.Status.String())
+		if v, ok := h.Store().Order(id); !ok || v != out {
+			t.Fatalf("ledger view %+v (known=%v) differs from the delivered outcome %+v", v, ok, out)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancel outcome never arrived")
@@ -186,8 +186,8 @@ func TestServeHandleCancelSharded(t *testing.T) {
 	}
 	select {
 	case out := <-ch:
-		if out.Status != OutcomeCanceledByRider {
-			t.Fatalf("sharded cancel outcome %v, want canceled_by_rider", out.Status)
+		if out.State != OutcomeCanceledByRider {
+			t.Fatalf("sharded cancel outcome %v, want canceled_by_rider", out.State)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("sharded cancel outcome never arrived")

@@ -129,8 +129,8 @@ func TestStartShardedSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := <-outcome
-		if out.Status != OutcomeAssigned && out.Status != OutcomeExpired {
-			t.Fatalf("order %d: unexpected outcome %v", i, out.Status)
+		if out.State != OutcomeAssigned && out.State != OutcomeExpired {
+			t.Fatalf("order %d: unexpected outcome %v", i, out.State)
 		}
 	}
 	stats := h.ShardStats()

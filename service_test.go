@@ -300,11 +300,11 @@ func TestServeHandleSubmitAwaitsOutcome(t *testing.T) {
 		ids[id] = true
 		select {
 		case out := <-ch:
-			if out.Order != id {
-				t.Fatalf("outcome for order %d, want %d", out.Order, id)
+			if out.ID != id {
+				t.Fatalf("outcome for order %d, want %d", out.ID, id)
 			}
-			if out.Status != OutcomeAssigned {
-				t.Fatalf("order %d status %v, want assigned", id, out.Status)
+			if out.State != OutcomeAssigned {
+				t.Fatalf("order %d status %v, want assigned", id, out.State)
 			}
 			if out.Revenue <= 0 || out.FreeAt < out.AssignedAt {
 				t.Fatalf("implausible outcome %+v", out)
@@ -352,8 +352,8 @@ func TestServeHandleExpiredOutcome(t *testing.T) {
 	}
 	select {
 	case out := <-ch:
-		if out.Status != OutcomeExpired {
-			t.Fatalf("order %d status %v, want expired", id, out.Status)
+		if out.State != OutcomeExpired {
+			t.Fatalf("order %d status %v, want expired", id, out.State)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("outcome never arrived")
@@ -362,8 +362,11 @@ func TestServeHandleExpiredOutcome(t *testing.T) {
 	<-h.Done()
 }
 
-// TestServeHandleConcurrentSubmit exercises the ChannelSource edge the
-// gateway depends on: many goroutines submitting into a live Serve.
+// TestServeHandleConcurrentSubmit exercises the edge the gateway depends
+// on — many goroutines submitting into, canceling in and reading from a
+// live session — and the ledger's contract under it: every submitted id
+// resolves exactly once, and at the moment its waiter wakes the
+// ledger's view of the order is the delivered Outcome.
 func TestServeHandleConcurrentSubmit(t *testing.T) {
 	svc, starts := startTestService(t, 60)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -371,6 +374,27 @@ func TestServeHandleConcurrentSubmit(t *testing.T) {
 	h, err := svc.Start(ctx, "NEAR", starts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	stopReaders := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stopReaders:
+					return
+				default:
+				}
+				for _, v := range h.Store().Orders() {
+					if got, ok := h.Store().Order(v.ID); !ok || (v.State != "pending" && got != v) {
+						t.Errorf("order %d read %+v after listing terminal as %+v", v.ID, got, v)
+						return
+					}
+				}
+			}
+		}()
 	}
 	const workers, perWorker = 16, 25
 	var wg sync.WaitGroup
@@ -380,29 +404,47 @@ func TestServeHandleConcurrentSubmit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				_, ch, err := submitAt(h, 1e6)
+				id, ch, err := submitAt(h, 1e6)
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
 				}
-				outcomes <- <-ch
+				if i%3 == 0 {
+					// The cancel races the assignment; either may win.
+					if err := h.Cancel(id); err != nil && !errors.Is(err, ErrUnknownOrder) {
+						t.Errorf("cancel %d: %v", id, err)
+					}
+				}
+				out := <-ch
+				if v, ok := h.Store().Order(id); !ok || v != out || out.ID != id {
+					t.Errorf("order %d woke with %+v, ledger reads %+v (known=%v)", id, out, v, ok)
+				}
+				if _, again := <-ch; again {
+					t.Errorf("order %d resolved twice", id)
+				}
+				outcomes <- out
 			}
 		}()
 	}
 	wg.Wait()
+	close(stopReaders)
+	readers.Wait()
 	close(outcomes)
 	seen := make(map[OrderID]bool)
 	for out := range outcomes {
-		if seen[out.Order] {
-			t.Fatalf("order %d resolved twice", out.Order)
+		if seen[out.ID] {
+			t.Fatalf("order %d resolved twice", out.ID)
 		}
-		seen[out.Order] = true
-		if out.Status != OutcomeAssigned && out.Status != OutcomeExpired {
-			t.Fatalf("order %d non-terminal status %v", out.Order, out.Status)
+		seen[out.ID] = true
+		if out.State != OutcomeAssigned && out.State != OutcomeExpired && out.State != OutcomeCanceledByRider {
+			t.Fatalf("order %d non-terminal status %v", out.ID, out.State)
 		}
 	}
 	if len(seen) != workers*perWorker {
 		t.Fatalf("resolved %d orders, want %d", len(seen), workers*perWorker)
+	}
+	if st := h.Store().Stats(); st.Submitted != len(seen) || st.Assigned+st.Expired+st.Canceled != len(seen) || h.InFlight() != 0 {
+		t.Fatalf("books do not balance: %+v, in flight %d", st, h.InFlight())
 	}
 	h.Close()
 	if _, err := h.Result(); err != nil {
@@ -439,12 +481,12 @@ func TestServeHandleCancellationResolvesWaiters(t *testing.T) {
 	for _, ch := range chans {
 		select {
 		case out := <-ch:
-			if out.Status == OutcomeCanceled {
+			if out.State == OutcomeCanceled {
 				terminal++
-			} else if out.Status == OutcomeAssigned || out.Status == OutcomeExpired {
+			} else if out.State == OutcomeAssigned || out.State == OutcomeExpired {
 				terminal++ // a batch may have resolved it before the cancel
 			} else {
-				t.Fatalf("unexpected status %v", out.Status)
+				t.Fatalf("unexpected status %v", out.State)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("waiter never resolved after cancel")
