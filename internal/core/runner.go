@@ -263,33 +263,25 @@ func (r *Runner) TrainedPredictor(m predict.Predictor) (predict.Predictor, error
 
 // windowCounts converts per-slot forecasts into expected counts for the
 // window [now, now+tc], weighting each slot by its fractional overlap.
-func windowCounts(now, tc, slotSeconds float64, numSlots int, slotCount func(slot, region int) float64, numRegions int) []int {
+// slotRow returns one slot's forecast for every region; it is called
+// once per overlapping slot, not once per cell.
+func windowCounts(now, tc, slotSeconds float64, numSlots int, slotRow func(slot int) []float64, numRegions int) []int {
 	out := make([]int, numRegions)
 	acc := make([]float64, numRegions)
 	end := now + tc
 	firstSlot := int(now / slotSeconds)
 	lastSlot := int(end / slotSeconds)
 	for s := firstSlot; s <= lastSlot; s++ {
-		slot := s
-		if slot >= numSlots {
-			slot = numSlots - 1
-		}
 		slotStart := float64(s) * slotSeconds
-		slotEnd := slotStart + slotSeconds
-		lo := now
-		if slotStart > lo {
-			lo = slotStart
-		}
-		hi := end
-		if slotEnd < hi {
-			hi = slotEnd
-		}
+		lo := max(now, slotStart)
+		hi := min(end, slotStart+slotSeconds)
 		if hi <= lo {
 			continue
 		}
 		frac := (hi - lo) / slotSeconds
-		for k := 0; k < numRegions; k++ {
-			acc[k] += frac * slotCount(slot, k)
+		row := slotRow(min(s, numSlots-1))
+		for k := range acc {
+			acc[k] += frac * row[k]
 		}
 	}
 	for k := range out {
@@ -308,7 +300,7 @@ func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(n
 	case PredictOracle:
 		return func(now, tc float64) []int {
 			return windowCounts(now, tc, r.opts.SlotSeconds, len(r.expected),
-				func(slot, region int) float64 { return r.expected[slot][region] }, n)
+				func(slot int) []float64 { return r.expected[slot] }, n)
 		}, nil
 	case PredictModel:
 		if model == nil {
@@ -325,8 +317,9 @@ func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(n
 		// calls the shared callback concurrently.
 		var mu sync.Mutex
 		cache := make(map[int][]float64)
-		slotCount := func(slot, region int) float64 {
+		slotRow := func(slot int) []float64 {
 			mu.Lock()
+			defer mu.Unlock()
 			row, ok := cache[slot]
 			if !ok {
 				row = make([]float64, n)
@@ -335,11 +328,10 @@ func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(n
 				}
 				cache[slot] = row
 			}
-			mu.Unlock()
-			return row[region]
+			return row
 		}
 		return func(now, tc float64) []int {
-			return windowCounts(now, tc, r.opts.SlotSeconds, h.SlotsPerDay, slotCount, n)
+			return windowCounts(now, tc, r.opts.SlotSeconds, h.SlotsPerDay, slotRow, n)
 		}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown prediction mode %d", mode)

@@ -1,9 +1,9 @@
 package dispatch
 
 import (
-	"sort"
-
+	"cmp"
 	"math"
+	"slices"
 
 	"mrvd/internal/geo"
 	"mrvd/internal/queueing"
@@ -21,7 +21,8 @@ type IRG struct {
 	// ablation-muupdate preset). Scores are then fixed at batch start.
 	DisableMuUpdate bool
 
-	est estimateCache
+	an      batchAnalyzer
+	scratch greedy
 }
 
 // Name implements sim.Dispatcher.
@@ -36,13 +37,13 @@ func (g *IRG) model() *queueing.Model {
 
 // Assign implements sim.Dispatcher.
 func (g *IRG) Assign(ctx *sim.Context) []sim.Assignment {
-	a := buildAnalyzer(g.model(), ctx)
+	a := g.an.working(g.model(), ctx)
 	if g.DisableMuUpdate {
 		return frozenGreedy(ctx, a, func(p sim.Pair, et float64) float64 {
 			return queueing.IdleRatio(p.TripCost, et)
 		})
 	}
-	return greedyByScore(ctx, a, func(p sim.Pair, et float64) float64 {
+	return g.scratch.run(ctx, a, func(p sim.Pair, et float64) float64 {
 		return queueing.IdleRatio(p.TripCost, et)
 	})
 }
@@ -55,25 +56,7 @@ func (g *IRG) Assign(ctx *sim.Context) []sim.Assignment {
 // ET(lambda, mu), which averages over states the driver is not in. The
 // marginal remains what the idle-ratio ranking uses (Eq. 17).
 func (g *IRG) EstimateIdle(ctx *sim.Context, region geo.RegionID) float64 {
-	return conditionalIdleEstimate(g.est.analyzer(g.model(), ctx), ctx, region)
-}
-
-// estimateCache memoizes the pre-dispatch analyzer the engine's
-// estimate sweep reads: every rejoined driver of a batch queries the
-// same unmutated batch snapshot, so one analyzer per Context serves
-// them all instead of one per driver. Dispatchers are per-run (and,
-// sharded, per-shard) instances, so the cache needs no locking.
-type estimateCache struct {
-	ctx *sim.Context
-	a   *queueing.Analyzer
-}
-
-func (c *estimateCache) analyzer(model *queueing.Model, ctx *sim.Context) *queueing.Analyzer {
-	if c.ctx != ctx {
-		c.a = buildAnalyzer(model, ctx)
-		c.ctx = ctx
-	}
-	return c.a
+	return conditionalIdleEstimate(g.an.snapshot(g.model(), ctx), ctx, region)
 }
 
 // conditionalIdleEstimate evaluates T(n) for a driver arriving in region
@@ -108,6 +91,9 @@ func conditionalIdleEstimate(a *queueing.Analyzer, ctx *sim.Context, region geo.
 type SHORT struct {
 	// Model is the queueing model; nil defaults to queueing.NewDefault().
 	Model *queueing.Model
+
+	an      batchAnalyzer
+	scratch greedy
 }
 
 // Name implements sim.Dispatcher.
@@ -118,8 +104,8 @@ func (s *SHORT) Assign(ctx *sim.Context) []sim.Assignment {
 	if s.Model == nil {
 		s.Model = queueing.NewDefault()
 	}
-	a := buildAnalyzer(s.Model, ctx)
-	return greedyByScore(ctx, a, func(p sim.Pair, et float64) float64 {
+	a := s.an.working(s.Model, ctx)
+	return s.scratch.run(ctx, a, func(p sim.Pair, et float64) float64 {
 		return p.TripCost + et
 	})
 }
@@ -135,11 +121,11 @@ func frozenGreedy(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []sim
 	for i, p := range ctx.Pairs {
 		items[i] = scored{score: score(p, a.ExpectedIdleTime(int(p.DestRegion))), idx: int32(i)}
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].score != items[j].score {
-			return items[i].score < items[j].score
+	slices.SortFunc(items, func(x, y scored) int {
+		if c := cmp.Compare(x.score, y.score); c != 0 {
+			return c
 		}
-		return items[i].idx < items[j].idx
+		return cmp.Compare(x.idx, y.idx)
 	})
 	usedR := make([]bool, len(ctx.Riders))
 	usedD := make([]bool, len(ctx.Drivers))

@@ -1,7 +1,8 @@
 package dispatch
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mrvd/internal/geo"
 	"mrvd/internal/queueing"
@@ -35,7 +36,8 @@ type LS struct {
 	// Default 16.
 	MaxIterations int
 
-	est estimateCache
+	an batchAnalyzer
+	st lsState // reused across batches
 }
 
 // Name implements sim.Dispatcher.
@@ -53,7 +55,8 @@ func (l *LS) init() {
 	}
 }
 
-// lsState carries the mutable search state across move types.
+// lsState carries the mutable search state across move types. Its
+// slices are the dispatcher's scratch, reused across batches.
 type lsState struct {
 	ctx           *sim.Context
 	a             *queueing.Analyzer
@@ -61,6 +64,23 @@ type lsState struct {
 	riderDriver   []int32 // rider -> driver or -1
 	pairsByDriver [][]sim.Pair
 	pairsByRider  [][]sim.Pair
+	cands         []lsCand
+}
+
+// lsCand is one direct-fill candidate.
+type lsCand struct {
+	ir   float64
+	r, d int32
+}
+
+// emptyGroups returns n empty groups, keeping the arrays behind the ones
+// g already holds.
+func emptyGroups(g [][]sim.Pair, n int) [][]sim.Pair {
+	g = slices.Grow(g[:0], n)[:n]
+	for i := range g {
+		g[i] = g[i][:0]
+	}
+	return g
 }
 
 func (s *lsState) assign(r, d int32) {
@@ -85,20 +105,18 @@ func (l *LS) Assign(ctx *sim.Context) []sim.Assignment {
 	l.init()
 	seed := l.Seed.Assign(ctx)
 
-	s := &lsState{
-		ctx:           ctx,
-		a:             buildAnalyzer(l.Model, ctx),
-		assignedRider: make([]int32, len(ctx.Drivers)),
-		riderDriver:   make([]int32, len(ctx.Riders)),
-		pairsByDriver: make([][]sim.Pair, len(ctx.Drivers)),
-		pairsByRider:  make([][]sim.Pair, len(ctx.Riders)),
-	}
+	s := &l.st
+	s.ctx, s.a = ctx, l.an.working(l.Model, ctx)
+	nd, nr := len(ctx.Drivers), len(ctx.Riders)
+	s.assignedRider = slices.Grow(s.assignedRider[:0], nd)[:nd]
+	s.riderDriver = slices.Grow(s.riderDriver[:0], nr)[:nr]
 	for i := range s.assignedRider {
 		s.assignedRider[i] = -1
 	}
 	for i := range s.riderDriver {
 		s.riderDriver[i] = -1
 	}
+	s.pairsByDriver, s.pairsByRider = emptyGroups(s.pairsByDriver, nd), emptyGroups(s.pairsByRider, nr)
 	for _, p := range ctx.Pairs {
 		s.pairsByDriver[p.D] = append(s.pairsByDriver[p.D], p)
 		s.pairsByRider[p.R] = append(s.pairsByRider[p.R], p)
@@ -128,11 +146,7 @@ func (l *LS) Assign(ctx *sim.Context) []sim.Assignment {
 // directFills assigns unassigned riders to idle valid drivers, lowest
 // idle ratio first.
 func (s *lsState) directFills() bool {
-	type cand struct {
-		ir   float64
-		r, d int32
-	}
-	var cands []cand
+	cands := s.cands[:0]
 	for r := range s.ctx.Riders {
 		if s.riderDriver[r] != -1 {
 			continue
@@ -142,17 +156,12 @@ func (s *lsState) directFills() bool {
 				continue
 			}
 			ir := s.a.IdleRatio(p.TripCost, int(p.DestRegion))
-			cands = append(cands, cand{ir: ir, r: p.R, d: p.D})
+			cands = append(cands, lsCand{ir: ir, r: p.R, d: p.D})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].ir != cands[j].ir {
-			return cands[i].ir < cands[j].ir
-		}
-		if cands[i].r != cands[j].r {
-			return cands[i].r < cands[j].r
-		}
-		return cands[i].d < cands[j].d
+	s.cands = cands
+	slices.SortFunc(cands, func(a, b lsCand) int {
+		return cmp.Or(cmp.Compare(a.ir, b.ir), cmp.Compare(a.r, b.r), cmp.Compare(a.d, b.d))
 	})
 	changed := false
 	for _, c := range cands {
@@ -239,5 +248,5 @@ func (s *lsState) augmentingChains() bool {
 // T(n) of Section 4.2 (see IRG.EstimateIdle).
 func (l *LS) EstimateIdle(ctx *sim.Context, region geo.RegionID) float64 {
 	l.init()
-	return conditionalIdleEstimate(l.est.analyzer(l.Model, ctx), ctx, region)
+	return conditionalIdleEstimate(l.an.snapshot(l.Model, ctx), ctx, region)
 }

@@ -2,26 +2,62 @@ package dispatch
 
 import (
 	"container/heap"
+	"slices"
 
 	"mrvd/internal/queueing"
 	"mrvd/internal/sim"
 )
 
-// buildAnalyzer snapshots a batch context into a queueing analyzer with
-// the region states of Algorithm 1 lines 3-6.
+// batchAnalyzer is a dispatcher's one queueing analyzer, reset per batch
+// to the region states of Algorithm 1 lines 3-6. The engine's estimate
+// sweep and the dispatcher's Assign read the same unmutated snapshot, so
+// they share one reset, keyed on the *sim.Context the engine allocates
+// fresh every batch. Dispatchers are per-run, per-shard: no locking.
+type batchAnalyzer struct {
+	ctx    *sim.Context // the batch a holds unmutated, nil otherwise
+	a      *queueing.Analyzer
+	model  *queueing.Model // what a was built with, with tc and len(states)
+	tc     float64
+	states []queueing.RegionState
+}
+
+// buildAnalyzer snapshots a batch context into a fresh analyzer, for
+// callers with no per-run instance to keep one on (a Repositioner is
+// shared by every shard's engine).
 func buildAnalyzer(model *queueing.Model, ctx *sim.Context) *queueing.Analyzer {
+	return new(batchAnalyzer).working(model, ctx)
+}
+
+// snapshot returns the analyzer holding ctx's region states with no
+// commitment applied — for readers that leave it that way.
+func (b *batchAnalyzer) snapshot(model *queueing.Model, ctx *sim.Context) *queueing.Analyzer {
+	if b.ctx == ctx {
+		return b.a
+	}
 	n := ctx.Grid.NumRegions()
-	a := queueing.NewAnalyzer(model, n, ctx.TC)
-	states := make([]queueing.RegionState, n)
-	for k := 0; k < n; k++ {
-		states[k] = queueing.RegionState{
+	if b.a == nil || b.model != model || b.tc != ctx.TC || len(b.states) != n {
+		b.a, b.model, b.tc = queueing.NewAnalyzer(model, n, ctx.TC), model, ctx.TC
+		b.states = make([]queueing.RegionState, n)
+	}
+	for k := range b.states {
+		b.states[k] = queueing.RegionState{
 			Waiting:          ctx.WaitingPerRegion[k],
 			Available:        ctx.AvailablePerRegion[k],
 			PredictedRiders:  ctx.PredictedRiders[k],
 			PredictedDrivers: ctx.PredictedDrivers[k],
 		}
 	}
-	a.Reset(states)
+	b.a.Reset(b.states)
+	b.ctx = ctx
+	return b.a
+}
+
+// working returns the same analyzer for a caller that will commit
+// destinations into it (Assign): the snapshot is forgotten, so a later
+// reader of the same batch gets a fresh reset, not the mutated state.
+func (b *batchAnalyzer) working(model *queueing.Model, ctx *sim.Context) *queueing.Analyzer {
+	a := b.snapshot(model, ctx)
+	b.ctx = nil
 	return a
 }
 
@@ -55,7 +91,16 @@ func (h *scoredHeap) Pop() any {
 	return it
 }
 
-// greedyByScore runs the exact greedy shared by IRG and SHORT:
+// greedy is the scratch of the exact greedy shared by IRG and SHORT,
+// owned by the dispatcher instance and reused across batches.
+type greedy struct {
+	versions      []int32
+	pairsByRegion [][]int32
+	heap          scoredHeap
+	usedR, usedD  []bool
+}
+
+// run executes the greedy:
 // repeatedly take the minimum-score valid pair, commit it, and bump the
 // destination region's mu (Algorithm 2 line 11).
 //
@@ -70,58 +115,66 @@ func (h *scoredHeap) Pop() any {
 // and entries whose region version is stale are discarded on pop. The
 // heap thus always holds a current-score entry for every viable pair,
 // so the popped current-version minimum is the true greedy choice.
-func greedyByScore(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []sim.Assignment {
-	versions := make([]int32, ctx.Grid.NumRegions())
+func (g *greedy) run(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []sim.Assignment {
+	n := ctx.Grid.NumRegions()
+	g.versions = slices.Grow(g.versions[:0], n)[:n]
+	clear(g.versions)
 	// pairsByRegion indexes pairs by destination for the commit-time
 	// rescoring sweep.
-	pairsByRegion := make([][]int32, ctx.Grid.NumRegions())
+	g.pairsByRegion = slices.Grow(g.pairsByRegion[:0], n)[:n]
+	for k := range g.pairsByRegion {
+		g.pairsByRegion[k] = g.pairsByRegion[k][:0]
+	}
 	for i, p := range ctx.Pairs {
-		pairsByRegion[p.DestRegion] = append(pairsByRegion[p.DestRegion], int32(i))
+		g.pairsByRegion[p.DestRegion] = append(g.pairsByRegion[p.DestRegion], int32(i))
 	}
 
-	h := make(scoredHeap, 0, len(ctx.Pairs))
+	h := g.heap[:0]
 	for i, p := range ctx.Pairs {
 		h = append(h, scoredItem{
 			score:   score(p, a.ExpectedIdleTime(int(p.DestRegion))),
 			pairIdx: int32(i),
-			version: versions[p.DestRegion],
+			version: g.versions[p.DestRegion],
 		})
 	}
 	heap.Init(&h)
 
-	usedR := make([]bool, len(ctx.Riders))
-	usedD := make([]bool, len(ctx.Drivers))
+	g.usedR = slices.Grow(g.usedR[:0], len(ctx.Riders))[:len(ctx.Riders)]
+	g.usedD = slices.Grow(g.usedD[:0], len(ctx.Drivers))[:len(ctx.Drivers)]
+	clear(g.usedR)
+	clear(g.usedD)
 	var out []sim.Assignment
 	for h.Len() > 0 {
 		it := heap.Pop(&h).(scoredItem)
 		p := ctx.Pairs[it.pairIdx]
-		if usedR[p.R] || usedD[p.D] {
+		if g.usedR[p.R] || g.usedD[p.D] {
 			continue
 		}
-		if it.version != versions[p.DestRegion] {
+		if it.version != g.versions[p.DestRegion] {
 			// Superseded: a fresh entry was pushed when the region was
 			// last committed to.
 			continue
 		}
-		usedR[p.R] = true
-		usedD[p.D] = true
+		g.usedR[p.R] = true
+		g.usedD[p.D] = true
 		out = append(out, sim.Assignment{R: p.R, D: p.D})
 		region := int(p.DestRegion)
 		a.CommitDestination(region)
-		versions[p.DestRegion]++
+		g.versions[p.DestRegion]++
 		// Rescore the region's remaining pairs under the new ET.
 		et := a.ExpectedIdleTime(region)
-		for _, pi := range pairsByRegion[p.DestRegion] {
+		for _, pi := range g.pairsByRegion[p.DestRegion] {
 			rp := ctx.Pairs[pi]
-			if usedR[rp.R] || usedD[rp.D] {
+			if g.usedR[rp.R] || g.usedD[rp.D] {
 				continue
 			}
 			heap.Push(&h, scoredItem{
 				score:   score(rp, et),
 				pairIdx: pi,
-				version: versions[p.DestRegion],
+				version: g.versions[p.DestRegion],
 			})
 		}
 	}
+	g.heap = h
 	return out
 }

@@ -96,7 +96,7 @@ func TestLazyGreedyMatchesBruteForceReference(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		ctx := randomScoredContext(rng, 5+rng.Intn(20), 2+rng.Intn(10))
 		for name, score := range scores {
-			lazy := greedyByScore(ctx, buildAnalyzer(model, ctx), score)
+			lazy := new(greedy).run(ctx, buildAnalyzer(model, ctx), score)
 			brute := bruteGreedy(ctx, buildAnalyzer(model, ctx), score)
 			if len(lazy) != len(brute) {
 				t.Fatalf("trial %d %s: lazy %d pairs, brute %d", trial, name, len(lazy), len(brute))

@@ -123,8 +123,26 @@ func (g *Grid) Neighbors(id RegionID) []RegionID {
 // circle of the given radius (meters) around p, including p's own region.
 // The dispatcher uses it to bound candidate-driver search.
 func (g *Grid) RegionsWithin(p Point, radiusMeters float64) []RegionID {
-	if radiusMeters < 0 {
+	minRow, maxRow, minCol, maxCol, ok := g.cellSpan(p, radiusMeters)
+	if !ok {
 		return nil
+	}
+	out := make([]RegionID, 0, (maxRow-minRow+1)*(maxCol-minCol+1))
+	for row := minRow; row <= maxRow; row++ {
+		for col := minCol; col <= maxCol; col++ {
+			out = append(out, RegionID(row*g.cols+col))
+		}
+	}
+	return out
+}
+
+// cellSpan returns the inclusive row and column ranges RegionsWithin
+// enumerates (row-major), so the index's queries can walk the same cells
+// in the same order without materializing them. ok is false for a
+// negative radius.
+func (g *Grid) cellSpan(p Point, radiusMeters float64) (minRow, maxRow, minCol, maxCol int, ok bool) {
+	if radiusMeters < 0 {
+		return 0, 0, 0, 0, false
 	}
 	// Convert the radius into degree spans at p's latitude.
 	latSpan := radiusMeters / EarthRadiusMeters * 180 / math.Pi
@@ -134,27 +152,9 @@ func (g *Grid) RegionsWithin(p Point, radiusMeters float64) []RegionID {
 	}
 	lngSpan := latSpan / cosLat
 	clamped := g.box.Clamp(p)
-	minCol := int((clamped.Lng - lngSpan - g.box.MinLng) / g.cellW)
-	maxCol := int((clamped.Lng + lngSpan - g.box.MinLng) / g.cellW)
-	minRow := int((clamped.Lat - latSpan - g.box.MinLat) / g.cellH)
-	maxRow := int((clamped.Lat + latSpan - g.box.MinLat) / g.cellH)
-	if minCol < 0 {
-		minCol = 0
-	}
-	if minRow < 0 {
-		minRow = 0
-	}
-	if maxCol >= g.cols {
-		maxCol = g.cols - 1
-	}
-	if maxRow >= g.rows {
-		maxRow = g.rows - 1
-	}
-	out := make([]RegionID, 0, (maxRow-minRow+1)*(maxCol-minCol+1))
-	for row := minRow; row <= maxRow; row++ {
-		for col := minCol; col <= maxCol; col++ {
-			out = append(out, RegionID(row*g.cols+col))
-		}
-	}
-	return out
+	minCol = max(int((clamped.Lng-lngSpan-g.box.MinLng)/g.cellW), 0)
+	maxCol = min(int((clamped.Lng+lngSpan-g.box.MinLng)/g.cellW), g.cols-1)
+	minRow = max(int((clamped.Lat-latSpan-g.box.MinLat)/g.cellH), 0)
+	maxRow = min(int((clamped.Lat+latSpan-g.box.MinLat)/g.cellH), g.rows-1)
+	return minRow, maxRow, minCol, maxCol, true
 }

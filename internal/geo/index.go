@@ -1,6 +1,9 @@
 package geo
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Index is a grid-bucketed spatial index over densely numbered items
 // (driver indices in the simulator). It supports insert, remove, move,
@@ -146,22 +149,27 @@ type Neighbor struct {
 // then id (for determinism). It scans only the grid cells intersecting
 // the query circle.
 func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
-	var out []Neighbor
-	for _, r := range ix.grid.RegionsWithin(p, radiusMeters) {
-		for _, id := range ix.buckets[r] {
-			d := Equirect(p, ix.pos[id])
-			if d <= radiusMeters {
-				out = append(out, Neighbor{ID: id, Distance: d})
+	return ix.AppendWithin(nil, p, radiusMeters)
+}
+
+// AppendWithin appends Within's result to dst and returns the extended
+// slice — the form for callers that query every batch and keep the
+// buffer. Only the appended tail is sorted.
+func (ix *Index) AppendWithin(dst []Neighbor, p Point, radiusMeters float64) []Neighbor {
+	base := len(dst)
+	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, radiusMeters)
+	for row := minRow; ok && row <= maxRow; row++ {
+		for col := minCol; col <= maxCol; col++ {
+			for _, id := range ix.buckets[row*ix.grid.cols+col] {
+				d := Equirect(p, ix.pos[id])
+				if d <= radiusMeters {
+					dst = append(dst, Neighbor{ID: id, Distance: d})
+				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	slices.SortFunc(dst[base:], nearCmp)
+	return dst
 }
 
 // CountWithin counts the items within radiusMeters of p without
@@ -169,10 +177,13 @@ func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
 // callers that only need supply depth (the shard router's borrow probe).
 func (ix *Index) CountWithin(p Point, radiusMeters float64) int {
 	n := 0
-	for _, r := range ix.grid.RegionsWithin(p, radiusMeters) {
-		for _, id := range ix.buckets[r] {
-			if Equirect(p, ix.pos[id]) <= radiusMeters {
-				n++
+	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, radiusMeters)
+	for row := minRow; ok && row <= maxRow; row++ {
+		for col := minCol; col <= maxCol; col++ {
+			for _, id := range ix.buckets[row*ix.grid.cols+col] {
+				if Equirect(p, ix.pos[id]) <= radiusMeters {
+					n++
+				}
 			}
 		}
 	}
@@ -186,42 +197,55 @@ func (ix *Index) CountWithin(p Point, radiusMeters float64) int {
 // candidates in radius and the dispatcher caps at a dozen. The result
 // is identical to Within(p, radius)[:k].
 func (ix *Index) Nearest(p Point, k int, radiusMeters float64) []Neighbor {
+	return ix.AppendNearest(nil, p, k, radiusMeters)
+}
+
+// AppendNearest appends Nearest's result to dst and returns the
+// extended slice; the heap lives in dst's spare capacity.
+func (ix *Index) AppendNearest(dst []Neighbor, p Point, k int, radiusMeters float64) []Neighbor {
 	if k <= 0 {
-		return nil
+		return dst
 	}
-	h := make(nearHeap, 0, k)
-	for _, r := range ix.grid.RegionsWithin(p, radiusMeters) {
-		for _, id := range ix.buckets[r] {
-			d := Equirect(p, ix.pos[id])
-			if d > radiusMeters {
-				continue
-			}
-			nb := Neighbor{ID: id, Distance: d}
-			if len(h) < k {
-				h.push(nb)
-			} else if nearLess(nb, h[0]) {
-				h.replaceTop(nb)
+	base := len(dst)
+	dst = slices.Grow(dst, k)
+	h := nearHeap(dst[base : base : base+k])
+	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, radiusMeters)
+	for row := minRow; ok && row <= maxRow; row++ {
+		for col := minCol; col <= maxCol; col++ {
+			for _, id := range ix.buckets[row*ix.grid.cols+col] {
+				d := Equirect(p, ix.pos[id])
+				if d > radiusMeters {
+					continue
+				}
+				nb := Neighbor{ID: id, Distance: d}
+				if len(h) < k {
+					h.push(nb)
+				} else if nearLess(nb, h[0]) {
+					h.replaceTop(nb)
+				}
 			}
 		}
 	}
 	// Drain the max-heap back-to-front for ascending order.
-	out := []Neighbor(h)
+	dst = dst[:base+len(h)]
 	for n := len(h) - 1; n > 0; n-- {
-		out[0], out[n] = out[n], out[0]
+		h[0], h[n] = h[n], h[0]
 		h = h[:n]
 		h.siftDown(0)
 	}
-	return out
+	return dst
 }
 
-// nearLess orders neighbours by distance then id — the same total
-// order Within sorts by.
-func nearLess(a, b Neighbor) bool {
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
+// nearCmp orders neighbours by distance then id — the one total order
+// Within sorts by and Nearest's heap selects by.
+func nearCmp(a, b Neighbor) int {
+	if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
+		return c
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
+
+func nearLess(a, b Neighbor) bool { return nearCmp(a, b) < 0 }
 
 // nearHeap is a bounded max-heap on nearLess: the root is the worst of
 // the k best seen so far.

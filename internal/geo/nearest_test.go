@@ -19,13 +19,28 @@ func TestNearestMatchesWithinTruncation(t *testing.T) {
 			Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
 		})
 	}
+	// buf is reused across queries the way the engine reuses its arena:
+	// the append-into forms must leave what is already in it alone and
+	// append exactly what the allocating forms return.
+	sentinel := Neighbor{ID: -1, Distance: -1}
+	buf := []Neighbor{sentinel}
+	appended := func(what string, trial int, want []Neighbor) {
+		t.Helper()
+		if buf[0] != sentinel || len(buf)-1 != len(want) || len(want) > 0 && !reflect.DeepEqual(buf[1:], want) {
+			t.Fatalf("trial %d: %s into a used buffer = %v, want the sentinel then %v", trial, what, buf, want)
+		}
+	}
 	for trial := 0; trial < 50; trial++ {
 		p := Point{
 			Lng: box.MinLng + rng.Float64()*(box.MaxLng-box.MinLng),
 			Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
 		}
 		radius := rng.Float64() * 8000
+		buf = ix.AppendWithin(buf[:1], p, radius)
+		appended("AppendWithin", trial, ix.Within(p, radius))
 		for _, k := range []int{0, 1, 5, 12, 100, 1000} {
+			buf = ix.AppendNearest(buf[:1], p, k, radius)
+			appended("AppendNearest", trial, ix.Nearest(p, k, radius))
 			want := ix.Within(p, radius)
 			if len(want) > k {
 				want = want[:k]

@@ -61,36 +61,36 @@ func TestTimeseriesEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Subscribe right before the collected window: the free-running
-	// engine streams batch events continuously, and an early subscriber
-	// with a full buffer would have the window push dropped.
+	// Subscribe right before the collected window and drain from the
+	// start: the free-running engine streams batch events continuously,
+	// and a subscriber whose 256-slot buffer filled while the tick was
+	// still evaluating would have the window push dropped.
 	sub := srv.hub.subscribe()
 	defer srv.hub.unsubscribe(sub)
+	window := make(chan []byte, 1)
+	go func() {
+		for payload := range sub {
+			if bytes.Contains(payload, []byte(`"type":"window"`)) {
+				window <- payload
+				return
+			}
+		}
+	}()
 
 	col.Tick(time.Unix(4600, 0)) // the window carrying all the load
 
 	// The tick pushed a "window" event to the live SSE hub.
-	deadline := time.After(2 * time.Second)
-	var sawWindow bool
-	for !sawWindow {
-		select {
-		case payload, ok := <-sub:
-			if !ok {
-				t.Fatal("hub closed before a window event arrived")
-			}
-			if bytes.Contains(payload, []byte(`"type":"window"`)) {
-				sawWindow = true
-				var snap obs.WindowSnapshot
-				if err := json.Unmarshal(payload, &snap); err != nil {
-					t.Fatalf("window event does not decode: %v", err)
-				}
-				if snap.State != obs.StateOK {
-					t.Errorf("window state = %q, want ok", snap.State)
-				}
-			}
-		case <-deadline:
-			t.Fatal("no window SSE event within deadline")
+	select {
+	case payload := <-window:
+		var snap obs.WindowSnapshot
+		if err := json.Unmarshal(payload, &snap); err != nil {
+			t.Fatalf("window event does not decode: %v", err)
 		}
+		if snap.State != obs.StateOK {
+			t.Errorf("window state = %q, want ok", snap.State)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no window SSE event within deadline")
 	}
 
 	var dump obs.TimeSeries

@@ -269,8 +269,8 @@ func (rt *Runtime) Partition() *Partition { return rt.part }
 // engine's dispatch phase in parallel. newDispatcher builds shard i's
 // dispatcher — one instance per shard, since dispatchers are stateful.
 // The rounds tick on sim.RunBatches, the clock Engine.Run uses, so
-// cancellation, pacing and the free-run yield are the same code. A
-// runtime is single-use.
+// cancellation and pacing are the same code (a live source yields the
+// processor in its Poll, once per round). A runtime is single-use.
 func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.Dispatcher, error)) (*sim.Metrics, error) {
 	n := rt.cfg.Shards
 	dispatchers := make([]sim.Dispatcher, n)
@@ -319,7 +319,7 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 		}
 		rt.routeCancels()
 
-		rt.parallel(func(i int) { rt.engines[i].StepAdmit(now) })
+		rt.parallel(len(ready), func(i int) { rt.engines[i].StepAdmit(now) })
 		rt.rehomeFleet()
 
 		waiting, available := rt.snapshotCounts()
@@ -340,7 +340,7 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 			rt.obsMu.Unlock()
 		}
 
-		rt.parallel(func(i int) {
+		rt.parallel(waiting, func(i int) {
 			start := time.Now() //mrvdlint:ignore wallclock per-shard round timing measures the real dispatch critical path, not simulated time
 			if err := rt.engines[i].StepDispatch(now, dispatchers[i]); err != nil && errs[i] == nil {
 				errs[i] = err
@@ -366,10 +366,10 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 	return rt.aggregate(ms), nil
 }
 
-// startWorkers launches one persistent goroutine per shard. The
-// lockstep loop runs thousands of two-phase rounds; reusing workers
-// keeps the per-round cost to two channel hops instead of goroutine
-// spawns. A 1-shard runtime skips workers entirely and steps inline —
+// startWorkers launches one persistent goroutine per shard, parked
+// until a phase is big enough for them (see workerFloor). The lockstep
+// loop runs thousands of two-phase rounds; reusing workers keeps such a
+// phase's cost to two channel hops instead of goroutine spawns. A 1-shard runtime skips workers entirely and steps inline —
 // it must not pay any overhead the bare engine doesn't.
 func (rt *Runtime) startWorkers() {
 	if len(rt.engines) == 1 {
@@ -395,11 +395,30 @@ func (rt *Runtime) stopWorkers() {
 	rt.work = nil
 }
 
+// workerFloor is the phase size — orders routed this round for the admit
+// phase, riders waiting city-wide for the dispatch phase — below which
+// the coordinator steps every shard itself. A phase handed to the
+// workers pays two cross-thread wake-ups, a few microseconds each on
+// bare metal and ~65 on a shared 2-vCPU VM (a futex wake plus an idle
+// vCPU's resume), and how long they take is the machine's business, not
+// the program's; a waiting rider is ~2 us of candidate search and
+// scoring. Below a few hundred riders the wake-ups cost more than the
+// second core returns and their latency is what a round takes:
+// peak_shard2 (112 riders a round) makes 3,100 voluntary context
+// switches per replay through the workers and 120 without, replays a
+// tenth faster, and its runs spread half as widely. Which goroutine
+// steps a shard changes nothing an engine can see. A variable so a test
+// can force either path.
+var workerFloor = 256
+
 // parallel runs f(i) for every shard and waits for all of them — the
-// barrier between lockstep phases.
-func (rt *Runtime) parallel(f func(i int)) {
-	if len(rt.engines) == 1 {
-		f(0)
+// barrier between lockstep phases. size is the phase's item count (see
+// workerFloor).
+func (rt *Runtime) parallel(size int, f func(i int)) {
+	if len(rt.engines) == 1 || size < workerFloor {
+		for i := range rt.engines {
+			f(i)
+		}
 		return
 	}
 	rt.phase.Add(len(rt.work))
@@ -527,8 +546,8 @@ func (rt *Runtime) allDrained() bool {
 }
 
 // tally copies shard i's lifecycle counters from its engine's own
-// metrics. The caller owns the engine: its worker during or right after
-// a step, or the coordinator between phases.
+// metrics. The caller owns the engine: the goroutine stepping it, during
+// or right after a step, or the coordinator between phases.
 func (rt *Runtime) tally(i int) {
 	m := rt.engines[i].Tally()
 	rt.statsMu.Lock()
@@ -635,7 +654,7 @@ func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 // downstream observer: it forwards engine events to it with driver ids
 // remapped to the global fleet numbering, serialized across shards. It
 // counts nothing, but first publishes its engine's tallies (it runs on
-// the worker that owns the engine). Per-shard BatchStart events are
+// the goroutine stepping the engine). Per-shard BatchStart events are
 // absorbed — the coordinator synthesizes the city-wide one.
 type tap struct {
 	rt    *Runtime

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -585,10 +586,14 @@ func TestShardedConservation(t *testing.T) {
 }
 
 // TestShardedDeterminism: the same instance at the same shard count
-// produces identical deterministic metrics run-to-run.
+// produces identical deterministic metrics run-to-run, whether the
+// workers step the shards (floor 0: every phase, what -race needs to
+// see), the coordinator does (no phase) or the default floor decides.
 func TestShardedDeterminism(t *testing.T) {
 	orders, starts, grid := testInstance(t, 1200, 32)
-	run := func() (*sim.Metrics, []Stats) {
+	run := func(floor int) (*sim.Metrics, []Stats) {
+		defer func(old int) { workerFloor = old }(workerFloor)
+		workerFloor = floor
 		cfg := sim.Config{Grid: grid, Delta: 3, TC: 1200, Horizon: 3 * 3600}
 		rt, err := New(Config{Sim: cfg, Shards: 4}, sim.NewSliceSource(orders), starts)
 		if err != nil {
@@ -602,17 +607,19 @@ func TestShardedDeterminism(t *testing.T) {
 		}
 		return m, rt.Stats()
 	}
-	m1, s1 := run()
-	m2, s2 := run()
-	if m1.Summary() != m2.Summary() {
-		t.Fatalf("4-shard runs differ:\n  first:  %+v\n  second: %+v", m1.Summary(), m2.Summary())
-	}
-	if !reflect.DeepEqual(m1.IdleRecords, m2.IdleRecords) {
-		t.Fatal("4-shard idle ledgers differ between identical runs")
-	}
-	for i := range s1 {
-		if s1[i].Admitted != s2[i].Admitted || s1[i].Served != s2[i].Served || s1[i].Reneged != s2[i].Reneged {
-			t.Fatalf("shard %d counters differ between identical runs: %+v vs %+v", i, s1[i], s2[i])
+	m1, s1 := run(workerFloor)
+	for _, floor := range []int{0, 0, math.MaxInt} {
+		m2, s2 := run(floor)
+		if m1.Summary() != m2.Summary() {
+			t.Fatalf("4-shard runs differ (floor %d):\n  first:  %+v\n  second: %+v", floor, m1.Summary(), m2.Summary())
+		}
+		if !reflect.DeepEqual(m1.IdleRecords, m2.IdleRecords) {
+			t.Fatalf("4-shard idle ledgers differ between identical runs (floor %d)", floor)
+		}
+		for i := range s1 {
+			if s1[i].Admitted != s2[i].Admitted || s1[i].Served != s2[i].Served || s1[i].Reneged != s2[i].Reneged {
+				t.Fatalf("shard %d counters differ between identical runs (floor %d): %+v vs %+v", i, floor, s1[i], s2[i])
+			}
 		}
 	}
 }

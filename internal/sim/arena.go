@@ -1,0 +1,73 @@
+package sim
+
+import (
+	"math"
+
+	"mrvd/internal/geo"
+)
+
+// batchArena is an engine's per-batch scratch, reused across batches:
+// the backing arrays of everything a Context carries and of apply's
+// double-booking marks. A steady-state batch allocates only its Context
+// header — which is why a Context is valid only until the call it was
+// passed to returns.
+type batchArena struct {
+	// driverSlot maps a driver id to its slot in Context.Drivers. Every
+	// available driver is re-stamped each batch and candidates only come
+	// from the index of available drivers, so a stale cell is never read.
+	driverSlot []int32
+
+	waitingPerRegion, availablePerRegion, predictedDrivers []int
+	// noRiders is the all-zero forecast of an engine without
+	// PredictRiders; nothing writes it.
+	noRiders []int
+
+	drivers      []*Driver
+	driverRegion []geo.RegionID
+	riders       []*Rider
+	riderRegion  []geo.RegionID
+
+	// cand holds every waiting rider's candidate drivers back to back;
+	// rider wi's are cand[candEnd[wi-1]:candEnd[wi]].
+	cand    []geo.Neighbor
+	candEnd []int
+	// targets (rider pickups) and sources (unique candidate drivers'
+	// positions) are the cost matrix's columns and rows; driverRow maps
+	// a driver slot to its row, -1 when it is nobody's candidate.
+	targets, sources []geo.Point
+	driverRow        []int32
+	// rows are the lazily priced cost rows of a plain Coster, nil until
+	// first touched and then carved from slab.
+	rows  [][]float64
+	slab  []float64
+	pairs []Pair
+
+	// usedR and usedD mark what apply committed this batch: a cell equal
+	// to stamp is taken, so bumping stamp clears both.
+	usedR, usedD []int
+	stamp        int
+}
+
+func newBatchArena(numRegions int) batchArena {
+	return batchArena{
+		waitingPerRegion:   make([]int, numRegions),
+		availablePerRegion: make([]int, numRegions),
+		predictedDrivers:   make([]int, numRegions),
+		noRiders:           make([]int, numRegions),
+	}
+}
+
+// costRow carves one NaN-filled (unpriced) cost row of the given width
+// from the slab. A full slab is replaced, not grown in place: rows
+// already handed out this batch keep pointing into the old one.
+func (a *batchArena) costRow(width int) []float64 {
+	if len(a.slab)+width > cap(a.slab) {
+		a.slab = make([]float64, 0, max(2*cap(a.slab), 16*width))
+	}
+	row := a.slab[len(a.slab) : len(a.slab)+width]
+	a.slab = a.slab[:len(a.slab)+width]
+	for j := range row {
+		row[j] = math.NaN()
+	}
+	return row
+}

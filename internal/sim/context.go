@@ -43,6 +43,13 @@ func (m *CostMatrix) Cost(d, r int32) (float64, bool) {
 // riders, available drivers, precomputed valid pairs, per-region counts,
 // and the demand-supply predictions for the scheduling window
 // [Now, Now+TC].
+//
+// Lifetime: the engine allocates the Context itself fresh every batch
+// (a *Context identifies its batch, so per-batch caches may key on it)
+// but every slice it carries, and PickupCosts' rows, live in the
+// engine's batch arena and are overwritten by the next batch. A Context
+// and everything reachable from it are valid only until the call it was
+// passed to returns; copy what must outlive that.
 type Context struct {
 	Now  float64
 	TC   float64 // scheduling window length t_c in seconds
@@ -102,7 +109,9 @@ type PoolOption struct {
 }
 
 // Dispatcher decides, for one batch, which valid pairs to serve
-// (Algorithm 1 line 7).
+// (Algorithm 1 line 7). It must not retain ctx or any slice reachable
+// from it past the return of Assign (see Context); the returned
+// assignments are read before the next batch begins.
 type Dispatcher interface {
 	// Name identifies the algorithm in experiment tables.
 	Name() string

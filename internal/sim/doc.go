@@ -12,6 +12,14 @@
 // pickup leg plus the trip; riders not picked before their deadline
 // renege.
 //
+// The engine reuses one per-batch arena for everything a Context
+// carries; only the Context header is fresh memory each batch. A
+// *Context and every slice reachable from it are therefore valid only
+// until the Dispatcher, IdleEstimating or Repositioner call they were
+// passed to returns — copy what must outlive it. The header being fresh
+// is a contract too: dispatchers may key per-batch caches on the
+// pointer.
+//
 // The engine keeps a per-driver idle ledger (idle time between rejoining
 // the platform and the next assignment — the quantity Section 4's
 // queueing model estimates) and per-batch wall-clock timings, which feed

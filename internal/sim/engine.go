@@ -1,12 +1,13 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -103,7 +104,8 @@ type Config struct {
 // Repositioner proposes cruise targets for idle drivers. Returning
 // ok=false leaves the driver in place. The driver travels to the target
 // (unassignable while cruising) and its open idle-ledger entry keeps
-// running — repositioning is not service.
+// running — repositioning is not service. Like a Dispatcher, it must
+// not retain ctx past the call (see Context).
 type Repositioner interface {
 	Target(ctx *Context, driver *Driver, region geo.RegionID) (geo.Point, bool)
 }
@@ -142,7 +144,8 @@ func (c Config) withDefaults() Config {
 // IdleEstimating is an optional Dispatcher extension: dispatchers that
 // maintain a queueing model report their per-region idle-time estimate,
 // which the engine pairs with realized idle times in the ledger
-// (Table 3's data).
+// (Table 3's data). The engine asks before Assign, with the same ctx;
+// it must not be retained past the call (see Context).
 type IdleEstimating interface {
 	EstimateIdle(ctx *Context, region geo.RegionID) float64
 }
@@ -190,6 +193,13 @@ type Engine struct {
 
 	// openIdle maps a rejoined driver to its pending ledger entry.
 	openIdle map[DriverID]int
+	// unestimated lists, in opening order, the ledger entries opened
+	// since the last estimate sweep (plus any whose estimate came back
+	// NaN) — what StepDispatch visits instead of every idle driver.
+	unestimated []int
+
+	// arena is the per-batch scratch buildContext and apply reuse.
+	arena batchArena
 
 	// scen is the disruption machinery, nil when Config.Scenario is
 	// zero-valued — the scenario-free path pays no draws and no checks
@@ -245,6 +255,7 @@ func NewWithSource(cfg Config, src OrderSource, driverStarts []geo.Point) *Engin
 		idx:          geo.NewIndex(cfg.Grid),
 		futureRejoin: make([][]float64, cfg.Grid.NumRegions()),
 		openIdle:     make(map[DriverID]int),
+		arena:        newBatchArena(cfg.Grid.NumRegions()),
 	}
 	e.dense, _ = cfg.Coster.(roadnet.BatchCoster)
 	if cfg.Scenario.Enabled() {
@@ -317,7 +328,9 @@ func (e *Engine) Run(ctx context.Context, d Dispatcher) (*Metrics, error) {
 
 // RunBatches is the batch clock every run shares: for now = 0, Delta,
 // 2*Delta, ... below Horizon it checks ctx, paces against the wall clock
-// (or yields, when free-running) and calls step(now). step returns
+// when PaceFactor is set, and calls step(now). It never yields the
+// processor: a free-running live session yields in ChannelSource.Poll,
+// and a replay has no producer to yield to. step returns
 // done=true to end the run before the horizon; its error, or the
 // context's (wrapped — test with errors.Is), ends it immediately. cfg's
 // timing must already be resolved (Config.WithDefaults): a zero Delta
@@ -339,13 +352,6 @@ func RunBatches(ctx context.Context, cfg Config, step func(now float64) (done bo
 				case <-t.C:
 				}
 			}
-		} else {
-			// A free-running loop is a tight CPU loop. Yield between
-			// batches so concurrent producers — ChannelSource submitters,
-			// the HTTP gateway's handlers — get scheduled promptly even
-			// at GOMAXPROCS=1, where they would otherwise only run on
-			// ~20ms preemptions.
-			runtime.Gosched()
 		}
 		if done, err := step(now); err != nil || done {
 			return err
@@ -407,14 +413,20 @@ func (e *Engine) StepDispatch(now float64, d Dispatcher) error {
 			Available: len(bctx.Drivers),
 		})
 	}
-	// Capture idle estimates for drivers that rejoined since the
-	// last batch (their ledger entries are still estimate-free).
+	// Capture idle estimates for the ledger entries opened since the
+	// last sweep that are still open (a driver re-homed, retired or
+	// sent cruising meanwhile left a censored entry nobody reads).
+	pending := e.unestimated
+	e.unestimated = e.unestimated[:0]
 	if estimator, ok := d.(IdleEstimating); ok {
-		//mrvdlint:ignore maporder disjoint per-record writes and EstimateIdle is pure in (bctx, region), so visit order cannot matter
-		for id, rec := range e.openIdle {
-			if math.IsNaN(e.metrics.IdleRecords[rec].Estimate) {
-				region, _ := e.idx.RegionOf(int32(id))
-				e.metrics.IdleRecords[rec].Estimate = estimator.EstimateIdle(bctx, region)
+		for _, rec := range pending {
+			r := &e.metrics.IdleRecords[rec]
+			if open, ok := e.openIdle[r.Driver]; !ok || open != rec {
+				continue
+			}
+			r.Estimate = estimator.EstimateIdle(bctx, r.Region)
+			if math.IsNaN(r.Estimate) {
+				e.unestimated = append(e.unestimated, rec) // retried next batch
 			}
 		}
 	}
@@ -729,6 +741,7 @@ func (e *Engine) openLedger(id DriverID, at float64) {
 		Realized: math.NaN(),
 	})
 	e.openIdle[id] = len(e.metrics.IdleRecords) - 1
+	e.unestimated = append(e.unestimated, len(e.metrics.IdleRecords)-1)
 }
 
 // renegeExpired drops waiting riders whose deadline has passed: no
@@ -751,35 +764,34 @@ func (e *Engine) renegeExpired(now float64) {
 
 // buildContext snapshots the batch state, prices the batch's
 // driver-to-pickup cost matrix in one BatchCoster call, and precomputes
-// valid pairs as matrix lookups.
+// valid pairs as matrix lookups. Every slice is the arena's; the header
+// (Context plus CostMatrix, one object) must stay fresh — dispatchers
+// key per-batch caches on the *Context they were handed.
 func (e *Engine) buildContext(now float64) *Context {
 	grid := e.cfg.Grid
-	n := grid.NumRegions()
-	ctx := &Context{
-		Now:                now,
-		TC:                 e.cfg.TC,
-		Grid:               grid,
-		Coster:             e.cfg.Coster,
-		WaitingPerRegion:   make([]int, n),
-		AvailablePerRegion: make([]int, n),
-		PredictedDrivers:   e.countFutureRejoins(now),
-	}
+	a := &e.arena
+	frame := &struct {
+		ctx   Context
+		costs CostMatrix
+	}{}
+	clear(a.waitingPerRegion)
+	clear(a.availablePerRegion)
+	e.countFutureRejoins(now, a.predictedDrivers)
+	predictedRiders := a.noRiders
 	if e.cfg.PredictRiders != nil {
-		ctx.PredictedRiders = e.cfg.PredictRiders(now, e.cfg.TC)
-	} else {
-		ctx.PredictedRiders = make([]int, n)
+		predictedRiders = e.cfg.PredictRiders(now, e.cfg.TC)
 	}
 
 	// Available drivers, in id order for determinism.
-	driverSlot := make(map[int32]int32)
+	a.driverSlot = slices.Grow(a.driverSlot[:0], len(e.drivers))[:len(e.drivers)]
+	a.drivers, a.driverRegion = a.drivers[:0], a.driverRegion[:0]
 	for id := range e.drivers {
 		if e.drivers[id].State == Available {
-			d := &e.drivers[id]
-			driverSlot[int32(id)] = int32(len(ctx.Drivers))
-			ctx.Drivers = append(ctx.Drivers, d)
+			a.driverSlot[id] = int32(len(a.drivers))
+			a.drivers = append(a.drivers, &e.drivers[id])
 			region, _ := e.idx.RegionOf(int32(id))
-			ctx.DriverRegion = append(ctx.DriverRegion, region)
-			ctx.AvailablePerRegion[region]++
+			a.driverRegion = append(a.driverRegion, region)
+			a.availablePerRegion[region]++
 		}
 	}
 
@@ -788,37 +800,36 @@ func (e *Engine) buildContext(now float64) *Context {
 	// rider's remaining patience allows, optionally pre-filtered to the
 	// CandidateCap nearest — and are priced below in one many-to-many
 	// batch instead of per-pair Coster calls.
-	cand := make([][]geo.Neighbor, len(e.waiting))
-	targets := make([]geo.Point, len(e.waiting))
-	for wi, r := range e.waiting {
-		ctx.Riders = append(ctx.Riders, r)
+	a.riders, a.riderRegion = a.riders[:0], a.riderRegion[:0]
+	a.cand, a.candEnd, a.targets = a.cand[:0], a.candEnd[:0], a.targets[:0]
+	for _, r := range e.waiting {
+		a.riders = append(a.riders, r)
 		pickupRegion := grid.Region(grid.Bounds().Clamp(r.Order.Pickup))
-		ctx.RiderRegion = append(ctx.RiderRegion, pickupRegion)
-		ctx.WaitingPerRegion[pickupRegion]++
+		a.riderRegion = append(a.riderRegion, pickupRegion)
+		a.waitingPerRegion[pickupRegion]++
 
 		slack := r.Order.Deadline - now
 		radius := slack * e.cfg.RadiusSpeedMPS
 		if e.cfg.CandidateCap > 0 {
-			cand[wi] = e.idx.Nearest(r.Order.Pickup, e.cfg.CandidateCap, radius)
+			a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, e.cfg.CandidateCap, radius)
 		} else {
-			cand[wi] = e.idx.Within(r.Order.Pickup, radius)
+			a.cand = e.idx.AppendWithin(a.cand, r.Order.Pickup, radius)
 		}
-		targets[wi] = r.Order.Pickup
+		a.candEnd = append(a.candEnd, len(a.cand))
+		a.targets = append(a.targets, r.Order.Pickup)
 	}
 
 	// The batch's unique candidate drivers, in first-appearance order,
 	// form the cost matrix's source rows.
-	driverRow := make([]int32, len(ctx.Drivers))
-	for i := range driverRow {
-		driverRow[i] = -1
+	a.driverRow = slices.Grow(a.driverRow[:0], len(a.drivers))[:len(a.drivers)]
+	for i := range a.driverRow {
+		a.driverRow[i] = -1
 	}
-	var sources []geo.Point
-	for _, ns := range cand {
-		for _, nb := range ns {
-			if slot := driverSlot[nb.ID]; driverRow[slot] == -1 {
-				driverRow[slot] = int32(len(sources))
-				sources = append(sources, ctx.Drivers[slot].Pos)
-			}
+	a.sources = a.sources[:0]
+	for _, nb := range a.cand {
+		if slot := a.driverSlot[nb.ID]; a.driverRow[slot] == -1 {
+			a.driverRow[slot] = int32(len(a.sources))
+			a.sources = append(a.sources, a.drivers[slot].Pos)
 		}
 	}
 
@@ -828,46 +839,48 @@ func (e *Engine) buildContext(now float64) *Context {
 	// or a remote coster batch its round-trips. Lazy mode (plain
 	// Costers — closed forms, O(1) per cell, nothing to amortize) prices
 	// in the pair loop below exactly the cells it reads, with rows
-	// allocated on first touch; CostMatrix reports unpriced cells as
-	// uncovered. Either way the priced values are bitwise-identical to
-	// per-pair Coster queries.
+	// carved from the arena's slab on first touch; CostMatrix reports
+	// unpriced cells as uncovered. Either way the priced values are
+	// bitwise-identical to per-pair Coster queries.
 	var costs [][]float64
 	if e.dense != nil {
-		costs = e.dense.Costs(sources, targets)
+		costs = e.dense.Costs(a.sources, a.targets)
 	} else {
-		costs = make([][]float64, len(sources))
+		a.rows = slices.Grow(a.rows[:0], len(a.sources))[:len(a.sources)]
+		clear(a.rows)
+		a.slab = a.slab[:0]
+		costs = a.rows
 	}
-	ctx.PickupCosts = &CostMatrix{rows: costs, driverRow: driverRow}
+	frame.costs = CostMatrix{rows: costs, driverRow: a.driverRow}
 
 	// Valid pairs (Definition 3) become matrix lookups: a candidate is
 	// kept while the driver can reach the pickup before the deadline,
 	// up to MaxCandidatesPerRider feasible pairs per rider. Lazily
 	// priced cells preserve the per-pair path's work profile — pricing
 	// stops with the cap, not at the radius.
+	a.pairs = a.pairs[:0]
+	lo := 0
 	for wi, r := range e.waiting {
 		found := 0
-		for _, nb := range cand[wi] {
+		for _, nb := range a.cand[lo:a.candEnd[wi]] {
 			if found >= e.cfg.MaxCandidatesPerRider {
 				break
 			}
-			slot := driverSlot[nb.ID]
-			row := costs[driverRow[slot]]
+			slot := a.driverSlot[nb.ID]
+			row := costs[a.driverRow[slot]]
 			if row == nil {
-				row = make([]float64, len(targets))
-				for j := range row {
-					row[j] = math.NaN()
-				}
-				costs[driverRow[slot]] = row
+				row = a.costRow(len(a.targets))
+				costs[a.driverRow[slot]] = row
 			}
 			pc := row[wi]
 			if math.IsNaN(pc) {
-				pc = e.cfg.Coster.Cost(e.drivers[nb.ID].Pos, targets[wi])
+				pc = e.cfg.Coster.Cost(e.drivers[nb.ID].Pos, a.targets[wi])
 				row[wi] = pc
 			}
 			if now+pc > r.Order.Deadline {
 				continue
 			}
-			ctx.Pairs = append(ctx.Pairs, Pair{
+			a.pairs = append(a.pairs, Pair{
 				R:          int32(wi),
 				D:          slot,
 				PickupCost: pc,
@@ -876,26 +889,42 @@ func (e *Engine) buildContext(now float64) *Context {
 			})
 			found++
 		}
+		lo = a.candEnd[wi]
 	}
 	// Pairs are naturally grouped by rider; sort each rider's group by
 	// pickup cost (Within already yields distance order, but the coster
 	// may disagree with straight-line distance).
-	sort.SliceStable(ctx.Pairs, func(i, j int) bool {
-		if ctx.Pairs[i].R != ctx.Pairs[j].R {
-			return ctx.Pairs[i].R < ctx.Pairs[j].R
+	slices.SortStableFunc(a.pairs, func(x, y Pair) int {
+		if x.R != y.R {
+			return cmp.Compare(x.R, y.R)
 		}
-		return ctx.Pairs[i].PickupCost < ctx.Pairs[j].PickupCost
+		return cmp.Compare(x.PickupCost, y.PickupCost)
 	})
-	if e.ps != nil {
-		e.buildPoolOptions(now, ctx)
+	frame.ctx = Context{
+		Now:                now,
+		TC:                 e.cfg.TC,
+		Grid:               grid,
+		Coster:             e.cfg.Coster,
+		PickupCosts:        &frame.costs,
+		Riders:             a.riders,
+		Drivers:            a.drivers,
+		Pairs:              a.pairs,
+		WaitingPerRegion:   a.waitingPerRegion,
+		AvailablePerRegion: a.availablePerRegion,
+		PredictedRiders:    predictedRiders,
+		PredictedDrivers:   a.predictedDrivers,
+		RiderRegion:        a.riderRegion,
+		DriverRegion:       a.driverRegion,
 	}
-	return ctx
+	if e.ps != nil {
+		e.buildPoolOptions(now, &frame.ctx)
+	}
+	return &frame.ctx
 }
 
-// countFutureRejoins returns, per region, how many busy drivers will
-// complete there within (now, now+tc].
-func (e *Engine) countFutureRejoins(now float64) []int {
-	out := make([]int, len(e.futureRejoin))
+// countFutureRejoins writes into out, per region, how many busy drivers
+// will complete there within (now, now+tc].
+func (e *Engine) countFutureRejoins(now float64, out []int) {
 	for k, times := range e.futureRejoin {
 		// Prune completions already in the past.
 		i := sort.SearchFloat64s(times, now)
@@ -905,13 +934,14 @@ func (e *Engine) countFutureRejoins(now float64) []int {
 		}
 		out[k] = sort.SearchFloat64s(times, now+e.cfg.TC)
 	}
-	return out
 }
 
 // apply validates and commits a batch's assignments.
 func (e *Engine) apply(now float64, ctx *Context, assignments []Assignment) error {
-	usedR := make(map[int32]bool, len(assignments))
-	usedD := make(map[int32]bool, len(assignments))
+	ar := &e.arena
+	ar.stamp++
+	ar.usedR = slices.Grow(ar.usedR[:0], len(ctx.Riders))[:len(ctx.Riders)]
+	ar.usedD = slices.Grow(ar.usedD[:0], len(ctx.Drivers))[:len(ctx.Drivers)]
 	var usedPool map[DriverID]bool
 	changed := false
 	for _, a := range assignments {
@@ -919,7 +949,7 @@ func (e *Engine) apply(now float64, ctx *Context, assignments []Assignment) erro
 			if usedPool == nil {
 				usedPool = make(map[DriverID]bool)
 			}
-			didChange, err := e.applyPooled(now, ctx, a, usedR, usedPool)
+			didChange, err := e.applyPooled(now, ctx, a, usedPool)
 			if err != nil {
 				return err
 			}
@@ -929,14 +959,14 @@ func (e *Engine) apply(now float64, ctx *Context, assignments []Assignment) erro
 		if a.R < 0 || int(a.R) >= len(ctx.Riders) || a.D < 0 || int(a.D) >= len(ctx.Drivers) {
 			return fmt.Errorf("sim: assignment (%d,%d) out of range", a.R, a.D)
 		}
-		if usedR[a.R] {
+		if ar.usedR[a.R] == ar.stamp {
 			return fmt.Errorf("sim: rider %d assigned twice", a.R)
 		}
-		if usedD[a.D] {
+		if ar.usedD[a.D] == ar.stamp {
 			return fmt.Errorf("sim: driver %d assigned twice", a.D)
 		}
-		usedR[a.R] = true
-		usedD[a.D] = true
+		ar.usedR[a.R] = ar.stamp
+		ar.usedD[a.D] = ar.stamp
 
 		rider := ctx.Riders[a.R]
 		drv := ctx.Drivers[a.D]

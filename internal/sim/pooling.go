@@ -168,7 +168,7 @@ func (e *Engine) cancelPooled(now float64, r *Rider) {
 }
 
 // applyPooled validates and commits one shared-ride insertion.
-func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedR map[int32]bool, usedPool map[DriverID]bool) (bool, error) {
+func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedPool map[DriverID]bool) (bool, error) {
 	if e.ps == nil {
 		return false, fmt.Errorf("sim: pooled assignment without pooling enabled")
 	}
@@ -179,7 +179,7 @@ func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedR map[
 	if opt.R != a.R {
 		return false, fmt.Errorf("sim: pooled assignment rider %d does not match option rider %d", a.R, opt.R)
 	}
-	if usedR[a.R] {
+	if e.arena.usedR[a.R] == e.arena.stamp {
 		return false, fmt.Errorf("sim: rider %d assigned twice", a.R)
 	}
 	if usedPool[opt.Driver] {
@@ -188,7 +188,7 @@ func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedR map[
 		// stale times.
 		return false, fmt.Errorf("sim: driver %d's plan spliced twice in one batch", opt.Driver)
 	}
-	usedR[a.R] = true
+	e.arena.usedR[a.R] = e.arena.stamp
 	usedPool[opt.Driver] = true
 	rider := ctx.Riders[a.R]
 	if rider.Status != WaitingStatus {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"mrvd/internal/trace"
@@ -167,7 +168,14 @@ func (c *ChannelSource) Pending() int {
 
 // Poll implements OrderSource: it releases every buffered order posted
 // at or before now, in (PostTime, submission) order.
+//
+// It first yields the processor: a free-running session is a tight
+// loop that polls once per batch, and without the yield its producers
+// (Submit callers, the HTTP gateway's handlers) would, at GOMAXPROCS=1,
+// only run on ~10 ms preemptions. A SliceSource replay has no producer
+// and pays no yield.
 func (c *ChannelSource) Poll(now float64) ([]trace.Order, bool) {
+	runtime.Gosched()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var ready []trace.Order

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -344,4 +345,45 @@ func TestEngineRunDeadlineAlreadyExpired(t *testing.T) {
 	if _, err := e.Run(ctx, noop{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// TestChannelSourceYieldsToProducers: a free-running session is a tight
+// loop, and ChannelSource.Poll is where it yields the processor. On one
+// P, a submitter goroutine started while the engine runs must get to
+// Submit, and its order be admitted, within a few batches; without the
+// yield it waits for the scheduler's ~10 ms preemption, thousands of
+// empty batches later. Batches are counted by the Observer, no clock.
+func TestChannelSourceYieldsToProducers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+
+	src := NewChannelSource()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const startAt = 8 // batch whose start launches the submitter
+	admittedAt := -1
+	cfg := Config{Delta: 1, Horizon: 1e9}
+	cfg.Observer = ObserverFuncs{BatchStart: func(e BatchStartEvent) {
+		switch {
+		case e.Batch == startAt:
+			go func() {
+				if err := src.Submit(mkOrder(1, 0, 1e9)); err != nil {
+					t.Error(err)
+				}
+			}()
+		case e.Waiting > 0 && admittedAt < 0:
+			admittedAt = e.Batch
+			cancel()
+		case e.Batch > startAt+1<<20:
+			cancel() // give up rather than spin to the horizon
+		}
+	}}
+	_, err := NewWithSource(cfg, src, nil).Run(ctx, noop{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run ended with %v, want the observer's cancellation", err)
+	}
+	if admittedAt < 0 || admittedAt-startAt > 64 {
+		t.Fatalf("order admitted at batch %d, submitter started at batch %d: want within 64 batches", admittedAt, startAt)
+	}
+	t.Logf("submitter started at batch %d, order admitted at batch %d", startAt, admittedAt)
 }

@@ -1,0 +1,118 @@
+package mrvd
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"mrvd/internal/core"
+	"mrvd/internal/dispatch"
+	"mrvd/internal/pool"
+	"mrvd/internal/predict"
+	"mrvd/internal/sim"
+)
+
+// pinned is what one replay must reproduce to the bit: the Summary plus
+// three ledger figures the Summary does not carry — the sum of the
+// finite idle estimates, how many estimates were +Inf, and the length
+// of the travel-error ledger.
+type pinned struct {
+	Summary       sim.Summary
+	EstimateSum   float64
+	InfEstimates  int
+	TravelRecords int
+}
+
+func pin(m *sim.Metrics) pinned {
+	p := pinned{Summary: m.Summary(), TravelRecords: len(m.TravelRecords)}
+	for _, rec := range m.IdleRecords {
+		switch {
+		case math.IsInf(rec.Estimate, 1):
+			p.InfEstimates++
+		case !math.IsNaN(rec.Estimate):
+			p.EstimateSum += rec.Estimate
+		}
+	}
+	return p
+}
+
+// TestPinnedOutputs compares replays of the peak-hour fixture against
+// constants recorded at the parent of PR 21 (commit f5dc6e9, before the
+// engine's batch arena, the dense driver-slot table and the shared
+// per-batch analyzer). The parity tests (1-shard, scenario-off,
+// pooling-off, obs-off) compare two runs of the same code and cannot
+// see a change both sides share — a recycled Context serving last
+// batch's analyzer, a reordered candidate list; these constants can.
+// A PR that means to change dispatch outcomes updates them and says so.
+func TestPinnedOutputs(t *testing.T) {
+	city, orders, starts := peakHourFixture()
+	base := core.Options{
+		City: city, NumDrivers: len(starts), Delta: 20, TC: 1200,
+		Horizon: peakHourHorizon, CandidateCap: 16, Seed: 9,
+	}
+	with := func(edit func(*core.Options)) core.Options {
+		o := base
+		edit(&o)
+		return o
+	}
+	variants := []struct {
+		name string
+		// bare replays on sim.Engine.Run with the overheads test's
+		// config; the others run the product path, a shard.Runtime.
+		bare bool
+		opts core.Options
+		mode core.PredictionMode
+		algs []string
+	}{
+		{name: "overheads-fixture", bare: true, opts: base,
+			algs: []string{"IRG", "LS", "SHORT", "POLAR"}},
+		{name: "two-shard-oracle", mode: core.PredictOracle,
+			opts: with(func(o *core.Options) { o.Shards, o.Delta = 2, 5 }),
+			algs: []string{"IRG", "LS", "SHORT", "POLAR"}},
+		{name: "pooling", mode: core.PredictNone,
+			opts: with(func(o *core.Options) { o.Pooling = pool.Config{Capacity: 2, MaxDetourSeconds: 300} }),
+			algs: []string{"IRG", "LS", "SHORT", "POLAR", "POOL"}},
+		{name: "scenario-on", mode: core.PredictNone,
+			opts: with(func(o *core.Options) {
+				o.Scenario = sim.ScenarioConfig{CancelRate: 0.1, DeclineProb: 0.05, TravelNoise: 0.2, Seed: 42}
+			}),
+			algs: []string{"IRG", "LS", "SHORT", "POLAR"}},
+		{name: "cap0-great-circle-model", mode: core.PredictModel,
+			opts: with(func(o *core.Options) { o.CandidateCap, o.Delta = 0, 3 }),
+			algs: []string{"IRG", "LS", "SHORT", "POLAR"}},
+		{name: "reposition", mode: core.PredictOracle,
+			opts: with(func(o *core.Options) {
+				o.Repositioner, o.RepositionAfter = &dispatch.QueueReposition{}, 120
+			}),
+			algs: []string{"IRG", "LS"}},
+	}
+	for _, v := range variants {
+		for _, alg := range v.algs {
+			t.Run(v.name+"/"+alg, func(t *testing.T) {
+				var m *sim.Metrics
+				var err error
+				if v.bare {
+					var d sim.Dispatcher
+					if d, err = core.NewDispatcher(alg, base.Seed); err != nil {
+						t.Fatal(err)
+					}
+					cfg := sim.Config{
+						Grid: city.Grid(), Delta: v.opts.Delta, TC: v.opts.TC,
+						Horizon: v.opts.Horizon, CandidateCap: v.opts.CandidateCap,
+					}
+					m, err = sim.New(cfg, orders, starts).Run(context.Background(), d)
+				} else {
+					r := core.NewRunnerWithOrders(v.opts, orders, starts)
+					m, err = r.Run(context.Background(),
+						core.ShardDispatchers(alg, v.opts.Seed, r.Options().Shards), v.mode, predict.HA{})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := pin(m), pinnedAtParent[v.name][alg]; got != want {
+					t.Errorf("replay no longer reproduces the pinned output:\n  got:  %#v\n  want: %#v", got, want)
+				}
+			})
+		}
+	}
+}
