@@ -178,9 +178,7 @@ func main() {
 		opts = append(opts, mrvd.WithBoundaryPolicy(mrvd.CandidateBorrow))
 	}
 	if *road {
-		// One coster per shard over a shared network: identical prices,
-		// uncontended caches, per-shard cache counters.
-		opts = append(opts, mrvd.WithShardCosters(mrvd.GraphCosters(*seed)))
+		opts = append(opts, mrvd.WithCoster(mrvd.GraphCoster(*seed)))
 	}
 	var reg *mrvd.MetricsRegistry
 	if *metricsOn {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"mrvd/internal/dispatch"
 	"mrvd/internal/geo"
@@ -90,7 +89,8 @@ type Options struct {
 	Pooling pool.Config
 	// Shards is the engine count of the session runtime (internal/shard,
 	// default 1): the grid's regions are split across Shards lockstep
-	// engines, each owning the fleet slice starting in its territory.
+	// engines, each owning the fleet slice starting in its territory and
+	// all stepped by the one goroutine that runs the session.
 	// Every run goes through that runtime; one shard is a single engine
 	// over the whole city, byte-identical to the bare sim.Engine loop.
 	// Values below 1 are rejected when the session is built.
@@ -100,10 +100,6 @@ type Options struct {
 	// neighbouring shard that does. The default keeps strict region
 	// ownership; with one shard there is no frontier.
 	Borrow bool
-	// ShardCosters optionally builds one coster per shard — e.g. a
-	// road-network coster per shard so tree caches don't contend. All
-	// instances must price identically. Nil shares Coster.
-	ShardCosters func(shard int) roadnet.Coster
 	// Obs wires the observability layer (metrics registry and order
 	// tracer, see sim.ObsConfig) into every engine the runner builds.
 	// The zero value keeps runs byte-identical to an uninstrumented
@@ -312,14 +308,10 @@ func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(n
 		}
 		h := r.ensureHistory()
 		testDay := r.opts.TrainDays
-		// Memoize per-slot forecasts: the callback fires every batch.
-		// The mutex matters for sharded runs, where every shard's engine
-		// calls the shared callback concurrently.
-		var mu sync.Mutex
+		// Memoize per-slot forecasts: the callback fires every batch, on
+		// the session's one goroutine (each session builds its own).
 		cache := make(map[int][]float64)
 		slotRow := func(slot int) []float64 {
-			mu.Lock()
-			defer mu.Unlock()
 			row, ok := cache[slot]
 			if !ok {
 				row = make([]float64, n)
@@ -363,33 +355,21 @@ func (r *Runner) simConfig(fn func(now, tc float64) []int) sim.Config {
 // implements; anything exposing it gets its counters published.
 type costerStatser interface{ Stats() roadnet.CosterStats }
 
-// registerCosterMetrics publishes the aggregate query counters of every
-// stats-capable coster in cs as counter functions on reg. The closures
-// are evaluated at gather time, so /metrics always reads the live
-// counters; re-registering (each simConfig call, or shardConfig
-// swapping in per-shard costers) replaces the closure so the newest
-// session's costers win. Costers without counters register nothing —
-// the closed-form coster has no cache to observe.
-func registerCosterMetrics(reg *obs.Registry, cs ...roadnet.Coster) {
+// registerCosterMetrics publishes a stats-capable coster's query
+// counters as counter functions on reg. The closures are evaluated at
+// gather time, so /metrics always reads the live counters;
+// re-registering (each simConfig call) replaces the closure so the
+// newest session's coster wins. A coster without counters registers
+// nothing — the closed-form coster has no cache to observe.
+func registerCosterMetrics(reg *obs.Registry, c roadnet.Coster) {
 	if reg == nil {
 		return
 	}
-	var withStats []costerStatser
-	for _, c := range cs {
-		if s, ok := c.(costerStatser); ok {
-			withStats = append(withStats, s)
-		}
-	}
-	if len(withStats) == 0 {
+	s, ok := c.(costerStatser)
+	if !ok {
 		return
 	}
-	total := func() roadnet.CosterStats {
-		var sum roadnet.CosterStats
-		for _, s := range withStats {
-			sum.Add(s.Stats())
-		}
-		return sum
-	}
+	total := s.Stats
 	reg.CounterFunc("mrvd_coster_trees_total",
 		"Dijkstra runs issued by single-pair Cost queries, each completing its source's tree.",
 		func() int64 { return total().Trees })
@@ -449,13 +429,6 @@ func (r *Runner) session(src sim.OrderSource, starts []geo.Point, mode Predictio
 	if r.opts.Borrow {
 		cfg.Policy = shard.CandidateBorrow
 	}
-	if r.opts.ShardCosters != nil {
-		cfg.Costers = make([]roadnet.Coster, r.opts.Shards)
-		for i := range cfg.Costers {
-			cfg.Costers[i] = r.opts.ShardCosters(i)
-		}
-		registerCosterMetrics(r.opts.Obs.Registry, cfg.Costers...)
-	}
 	return shard.New(cfg, src, starts)
 }
 
@@ -503,7 +476,7 @@ func ShardDispatchers(algorithm string, seed int64, shards int) func(shard int) 
 // and ShardSession's stop rule, no runtime around it. No product path
 // calls it — TestWithShardsOneShardParity and bench/ run it next to a
 // 1-shard ShardSession to check, and price, the runtime against the
-// engine alone. Options.Shards, Borrow and ShardCosters do not apply.
+// engine alone. Options.Shards and Borrow do not apply.
 func (r *Runner) RunSource(ctx context.Context, d sim.Dispatcher, mode PredictionMode, model predict.Predictor, src sim.OrderSource, starts []geo.Point) (*sim.Metrics, error) {
 	fn, err := r.predictFn(mode, model)
 	if err != nil {

@@ -48,7 +48,7 @@ const (
 )
 
 // Tracer serializes Spans as JSON lines to a writer. Emit is safe for
-// concurrent use (sharded engines share one tracer); the first write
+// concurrent use (concurrent sessions share one tracer); the first write
 // error is retained and later emits become no-ops. Spans are encoded
 // by hand into a buffer reused across emits — reflection-based JSON
 // encoding dominated the enabled-tracing overhead (bench/'s

@@ -80,17 +80,6 @@ type CosterStats struct {
 	Evictions int64
 }
 
-// Add accumulates o into s — how a sharded runtime's per-shard coster
-// counters aggregate into one city-wide view.
-func (s *CosterStats) Add(o CosterStats) {
-	s.Trees += o.Trees
-	s.PartialTrees += o.PartialTrees
-	s.Resumed += o.Resumed
-	s.SettledNodes += o.SettledNodes
-	s.CacheHits += o.CacheHits
-	s.Evictions += o.Evictions
-}
-
 // Stats snapshots the coster's cumulative counters.
 func (c *GraphCoster) Stats() CosterStats {
 	return CosterStats{

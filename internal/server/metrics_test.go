@@ -13,6 +13,7 @@ import (
 
 	"mrvd"
 	"mrvd/internal/obs"
+	"mrvd/internal/roadnet"
 )
 
 // newObsTestService is newTestService plus arbitrary extra options —
@@ -219,14 +220,16 @@ func TestMetricsEndpointAbsentWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestStatsAggregatesShardCosters pins the satellite bugfix: with
-// per-shard road-network costers the top-level /v1/stats coster block
-// is the sum over shards, not the unused base coster's zeros.
-func TestStatsAggregatesShardCosters(t *testing.T) {
+// TestStatsShardedRoadCosterOnce: a road-priced session at 2 shards
+// prices every shard through one coster, and /v1/stats reports its
+// non-zero counters exactly once — one top-level coster block, read
+// from the coster itself, and none under shards[i].
+func TestStatsShardedRoadCosterOnce(t *testing.T) {
 	reg := mrvd.NewMetricsRegistry()
+	coster := mrvd.GraphCoster(7)
 	svc := newObsTestService(t, 16,
 		mrvd.WithShards(2),
-		mrvd.WithShardCosters(mrvd.GraphCosters(7)),
+		mrvd.WithCoster(coster),
 		mrvd.WithObservability(reg, nil),
 	)
 	_, ts, cancel := newTestServerWithService(t, svc, Config{
@@ -241,8 +244,15 @@ func TestStatsAggregatesShardCosters(t *testing.T) {
 		}
 	}
 
+	var raw json.RawMessage
+	getJSON(t, ts, "/v1/stats", &raw)
+	if n := bytes.Count(raw, []byte(`"coster":`)); n != 1 {
+		t.Errorf("/v1/stats carries %d coster blocks, want 1:\n%s", n, raw)
+	}
 	var stats statsResponse
-	getJSON(t, ts, "/v1/stats", &stats)
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		t.Fatal(err)
+	}
 	if len(stats.Shards) != 2 {
 		t.Fatalf("shards = %d, want 2", len(stats.Shards))
 	}
@@ -250,16 +260,12 @@ func TestStatsAggregatesShardCosters(t *testing.T) {
 		t.Fatal("top-level coster stats missing in sharded mode")
 	}
 	if stats.Coster.Trees+stats.Coster.PartialTrees == 0 {
-		t.Error("aggregated coster did no pricing work")
+		t.Error("coster did no pricing work")
 	}
-	var sum int64
-	for _, sh := range stats.Shards {
-		if sh.Coster != nil {
-			sum += sh.Coster.Trees + sh.Coster.PartialTrees
-		}
-	}
-	if got := stats.Coster.Trees + stats.Coster.PartialTrees; got != sum {
-		t.Errorf("aggregate trees = %d, want sum over shards %d", got, sum)
+	// Every waited-for order is assigned, so no batch prices anything
+	// between the two reads.
+	if own := coster.(*roadnet.GraphCoster).Stats(); *stats.Coster != own {
+		t.Errorf("/v1/stats coster = %+v, the coster's own counters are %+v", *stats.Coster, own)
 	}
 
 	// Sharded instrumentation surfaces per-shard round timings.

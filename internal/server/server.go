@@ -507,9 +507,8 @@ type statsResponse struct {
 	Coster *roadnet.CosterStats `json:"coster,omitempty"`
 	// Shards is the session's per-shard breakdown — one entry per
 	// shard (a single one covering the whole city by default) with its
-	// territory, fleet slice, queue depths, dispatch batch timings,
-	// borrow counters and (with per-shard costers) travel-cost cache
-	// counters.
+	// territory, fleet slice, queue depths, dispatch batch timings and
+	// borrow counters.
 	Shards []mrvd.ShardStats `json:"shards,omitempty"`
 }
 
@@ -524,25 +523,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:         s.handle.ShardStats(),
 		Done:           s.ended(),
 	}
-	if s.svc.Options().ShardCosters != nil {
-		// Per-shard costers: the top-level view is their sum. The base
-		// Coster is unused in this mode (each shard prices on its own
-		// instance), so asserting only on it — the old behaviour — left
-		// Coster null or all-zero while the shards did all the work.
-		var agg roadnet.CosterStats
-		var have bool
-		for i := range resp.Shards {
-			if c := resp.Shards[i].Coster; c != nil {
-				agg.Add(*c)
-				have = true
-			}
-		}
-		if have {
-			resp.Coster = &agg
-		}
-	} else if c, ok := s.svc.Options().Coster.(interface{ Stats() roadnet.CosterStats }); ok {
-		// One coster instance, possibly shared across shards: read it
-		// once (summing the shard views would multiply-count it).
+	if c, ok := s.svc.Options().Coster.(interface{ Stats() roadnet.CosterStats }); ok {
+		// One coster prices every shard: read it once.
 		st := c.Stats()
 		resp.Coster = &st
 	}

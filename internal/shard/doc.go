@@ -1,9 +1,11 @@
 // Package shard is the session runtime every run goes through: it
 // splits a city grid's regions across N independent sim.Engine
 // instances — each owning a disjoint region set and the slice of the
-// fleet that starts there — and steps them in lockstep batch rounds on
-// parallel goroutines. N is 1 by default: one engine over the whole
-// city, stepped inline.
+// fleet that starts there — and steps them one after another, in
+// lockstep batch rounds, on the one goroutine that runs the session.
+// N is 1 by default: one engine over the whole city. Partitioning
+// changes what a dispatcher can see (a rider's candidates are its
+// shard's drivers), not how many cores a round uses.
 //
 // The pieces compose bottom-up:
 //
@@ -17,8 +19,8 @@
 //     keeps the order home, CandidateBorrow probes neighbouring shards'
 //     available supply at batch-build time and routes the order to a
 //     reachable shard when the owner has no feasible driver.
-//   - Runtime owns the engines, drives the lockstep rounds, fans
-//     per-shard Observer events back into one coherent stream (driver
+//   - Runtime owns the engines, drives the lockstep rounds, forwards
+//     per-shard Observer events as one city-wide stream (driver
 //     ids remapped to the global fleet numbering, one synthesized
 //     city-wide BatchStart per round), re-homes idle drivers to the
 //     shard owning the territory they stand in (fleet ownership

@@ -35,14 +35,14 @@ func (p BoundaryPolicy) String() string {
 
 // SupplyProbe answers how many available drivers a shard currently has
 // within a radius of a point. The runtime implements it over each
-// engine's spatial index; probes are only consulted between lockstep
-// rounds, when no engine is stepping.
+// engine's spatial index; probes are consulted while routing, at the
+// top of a round.
 type SupplyProbe interface {
 	AvailableWithin(p geo.Point, radiusMeters float64) int
 }
 
 // Router admits live orders to shards. It is not safe for concurrent
-// use; the runtime routes on its coordinator goroutine between rounds.
+// use; the runtime routes on the goroutine that runs the session.
 type Router struct {
 	part   *Partition
 	policy BoundaryPolicy

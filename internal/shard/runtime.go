@@ -9,7 +9,6 @@ import (
 
 	"mrvd/internal/geo"
 	"mrvd/internal/obs"
-	"mrvd/internal/roadnet"
 	"mrvd/internal/sim"
 	"mrvd/internal/stats"
 	"mrvd/internal/trace"
@@ -19,22 +18,14 @@ import (
 type Config struct {
 	// Sim is the per-engine template: grid, coster, batch timing,
 	// horizon, prediction callback, repositioner, observer and pacing
-	// all mean what they mean for one sim.Engine. The Observer receives
-	// the aggregated city-wide stream (serialized across shards; driver
-	// ids are global fleet ids). Anything shared across shards — the
-	// Coster, PredictRiders, the Repositioner — must be safe for
-	// concurrent use, since shards step in parallel.
+	// all mean what they mean for one sim.Engine, and every shard's
+	// engine shares them. The Observer receives the aggregated city-wide
+	// stream (driver ids are global fleet ids).
 	Sim sim.Config
 	// Shards is the engine count (required, >= 1).
 	Shards int
 	// Policy is the frontier boundary policy (default StrictOwnership).
 	Policy BoundaryPolicy
-	// Costers optionally gives each shard its own coster instance
-	// (len == Shards) — e.g. one road-network coster per shard so tree
-	// caches don't contend and /v1/stats can report per-shard cache
-	// counters. All instances must price identically or shards would
-	// disagree about travel times. Nil shares Sim.Coster.
-	Costers []roadnet.Coster
 	// Weights optionally balances the partition by expected per-region
 	// load instead of region count (see NewWeightedPartition) — use
 	// OrderWeights over the trace, or a demand model's intensities.
@@ -45,9 +36,9 @@ type Config struct {
 
 // Stats is one shard's live snapshot. Admission counts are published
 // when the round's orders are routed (before any engine steps), fleet
-// and queue counts at the barrier after the admit phase, and the
+// and queue counts after the admit steps and re-homing, and the
 // lifecycle tallies — copies of the engine's own Metrics, not a second
-// count — at that barrier, after each dispatch step, and ahead of every
+// count — at that point, after each dispatch step, and ahead of every
 // event forwarded: whoever saw an order's outcome finds it counted here.
 type Stats struct {
 	Shard           int `json:"shard"`
@@ -81,14 +72,12 @@ type Stats struct {
 	AvgBatchMS  float64 `json:"avg_batch_ms"`
 	MaxBatchMS  float64 `json:"max_batch_ms"`
 	LastBatchMS float64 `json:"last_batch_ms"`
-	// Coster carries the shard's travel-cost cache counters when its
-	// coster exposes them (per-shard Costers only).
-	Coster *roadnet.CosterStats `json:"coster,omitempty"`
 }
 
 // Runtime drives N sim.Engines over a partitioned city in lockstep
-// batch rounds. Build with New, execute once with Run; Stats may be
-// called concurrently with Run from other goroutines.
+// batch rounds, all on the goroutine that calls Run. Build with New,
+// execute once with Run; Stats may be called concurrently with Run from
+// other goroutines.
 type Runtime struct {
 	cfg    Config
 	part   *Partition
@@ -98,14 +87,13 @@ type Runtime struct {
 
 	engines []*sim.Engine
 	feeds   []*feedSource
-	costers []roadnet.Coster
 	// cancelSrc is the city-wide source's cancellation feed, nil when it
 	// has none.
 	cancelSrc sim.CancelableSource
 	// routed records which shard admitted each order — the address book
-	// rider-initiated cancels are routed by. Coordinator-only state, and
-	// only built for cancelable sources over two or more shards: a
-	// 1-shard runtime has one possible addressee and keeps no book.
+	// rider-initiated cancels are routed by. Only built for cancelable
+	// sources over two or more shards: a 1-shard runtime has one
+	// possible addressee and keeps no book.
 	routed map[trace.OrderID]ID
 	// pendingCancels holds cancels for orders the city-wide source has
 	// not released yet; retried in FIFO order every round. srcDone
@@ -118,18 +106,13 @@ type Runtime struct {
 	global [][]sim.DriverID
 
 	// downstream is the city-wide observer (nil: engines construct no
-	// events); obsMu serializes the per-shard fan-in into one stream.
+	// events).
 	downstream sim.Observer
-	obsMu      sync.Mutex
 
-	// work feeds the persistent per-shard workers; phase is the
-	// barrier both lockstep phases wait on.
-	work  []chan func(int)
-	phase sync.WaitGroup
-
-	// stats is the published view. coord holds the columns only the
-	// coordinator writes (Admitted, BorrowedIn, Drivers, RehomedIn,
-	// Waiting, Available), lock-free until publish copies them over.
+	// stats is the published view, the one thing other goroutines read.
+	// coord holds the columns routing and re-homing write (Admitted,
+	// BorrowedIn, Drivers, RehomedIn, Waiting, Available), lock-free
+	// until publish copies them over.
 	statsMu    sync.Mutex
 	stats      []Stats
 	coord      []Stats
@@ -146,13 +129,10 @@ type Runtime struct {
 // New partitions the grid, splits the fleet by start region, and builds
 // one engine per shard. src supplies the city-wide order stream —
 // anything a bare engine accepts (a SliceSource trace, a live
-// ChannelSource) — and is polled only from Run's coordinator goroutine.
+// ChannelSource) — and is polled only from the goroutine that calls Run.
 func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) {
 	if src == nil {
 		return nil, fmt.Errorf("shard: nil order source")
-	}
-	if cfg.Costers != nil && len(cfg.Costers) != cfg.Shards {
-		return nil, fmt.Errorf("shard: %d costers for %d shards", len(cfg.Costers), cfg.Shards)
 	}
 	cfg.Sim = cfg.Sim.WithDefaults()
 	part, err := NewWeightedPartition(cfg.Sim.Grid, cfg.Shards, cfg.Weights)
@@ -170,7 +150,6 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		sized:      -1,
 		engines:    make([]*sim.Engine, cfg.Shards),
 		feeds:      make([]*feedSource, cfg.Shards),
-		costers:    make([]roadnet.Coster, cfg.Shards),
 		global:     make([][]sim.DriverID, cfg.Shards),
 		downstream: cfg.Sim.Observer,
 		stats:      make([]Stats, cfg.Shards),
@@ -228,20 +207,16 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		if rt.downstream != nil {
 			ecfg.Observer = &tap{rt: rt, shard: ID(s)}
 		}
-		ecfg.PaceFactor = 0          // the coordinator paces the rounds
-		ecfg.StopWhenDrained = false // the coordinator decides drain city-wide
+		ecfg.PaceFactor = 0          // Run paces the rounds
+		ecfg.StopWhenDrained = false // Run decides drain city-wide
 		ecfg.Shifts = shardShifts[s]
 		ecfg.Obs.Shard = s
-		if cfg.Costers != nil {
-			ecfg.Coster = cfg.Costers[s]
-		}
 		if cfg.Shards > 1 && ecfg.Scenario.Enabled() {
 			// Decorrelate the per-shard disruption streams. A 1-shard
 			// runtime keeps the parent seed so it reproduces the
 			// bare engine's draws — and hence its events — exactly.
 			ecfg.Scenario.Seed = stats.SplitSeed(cfg.Sim.Scenario.Seed, s)
 		}
-		rt.costers[s] = ecfg.Coster
 		rt.feeds[s] = &feedSource{}
 		rt.engines[s] = sim.NewWithSource(ecfg, rt.feeds[s], shardStarts[s])
 		probes[s] = rt.engines[s]
@@ -263,10 +238,11 @@ func (rt *Runtime) NumShards() int { return rt.cfg.Shards }
 // Partition exposes the region-to-shard assignment.
 func (rt *Runtime) Partition() *Partition { return rt.part }
 
-// Run executes the lockstep batch loop: each round routes newly posted
-// orders to their shards, steps every engine's admission phase in
-// parallel, synthesizes one city-wide BatchStart, then steps every
-// engine's dispatch phase in parallel. newDispatcher builds shard i's
+// Run executes the lockstep batch loop on the calling goroutine: each
+// round routes newly posted orders to their shards, steps every
+// engine's admission phase (shard 0..N-1), re-homes the fleet,
+// synthesizes one city-wide BatchStart, then steps every engine's
+// dispatch phase (shard 0..N-1). newDispatcher builds shard i's
 // dispatcher — one instance per shard, since dispatchers are stateful.
 // The rounds tick on sim.RunBatches, the clock Engine.Run uses, so
 // cancellation and pacing are the same code (a live source yields the
@@ -286,15 +262,11 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 			return nil, err
 		}
 	}
-	rt.startWorkers()
-	defer rt.stopWorkers()
 
-	errs := make([]error, n)
 	round := 0
 	err := sim.RunBatches(ctx, rt.cfg.Sim, func(now float64) (bool, error) {
 		// Route this round's newly posted orders. The router may probe
-		// shard supply (CandidateBorrow); engines are quiescent between
-		// rounds, so the probes are race-free.
+		// shard supply (CandidateBorrow).
 		ready, done := rt.src.Poll(now)
 		for _, o := range ready {
 			s, borrowed := rt.router.Route(o, now)
@@ -319,7 +291,9 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 		}
 		rt.routeCancels()
 
-		rt.parallel(len(ready), func(i int) { rt.engines[i].StepAdmit(now) })
+		for _, e := range rt.engines {
+			e.StepAdmit(now)
+		}
 		rt.rehomeFleet()
 
 		waiting, available := rt.snapshotCounts()
@@ -330,24 +304,18 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 			// One city-wide batch boundary per round, in the same
 			// admission→renege→BatchStart→dispatch position a bare
 			// engine fires it.
-			rt.obsMu.Lock()
 			rt.downstream.OnBatchStart(sim.BatchStartEvent{
 				Now:       now,
 				Batch:     round,
 				Waiting:   waiting,
 				Available: available,
 			})
-			rt.obsMu.Unlock()
 		}
 
-		rt.parallel(waiting, func(i int) {
-			start := time.Now() //mrvdlint:ignore wallclock per-shard round timing measures the real dispatch critical path, not simulated time
-			if err := rt.engines[i].StepDispatch(now, dispatchers[i]); err != nil && errs[i] == nil {
-				errs[i] = err
-			}
-			rt.recordBatch(i, time.Since(start)) //mrvdlint:ignore wallclock per-shard round timing measures the real dispatch critical path, not simulated time
-		})
-		for _, err := range errs {
+		for i, e := range rt.engines {
+			start := time.Now() //mrvdlint:ignore wallclock per-shard round timing measures real dispatch time, not simulated time
+			err := e.StepDispatch(now, dispatchers[i])
+			rt.recordBatch(i, time.Since(start)) //mrvdlint:ignore wallclock per-shard round timing measures real dispatch time, not simulated time
 			if err != nil {
 				return false, err
 			}
@@ -364,68 +332,6 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 		ms[i] = e.Finish()
 	}
 	return rt.aggregate(ms), nil
-}
-
-// startWorkers launches one persistent goroutine per shard, parked
-// until a phase is big enough for them (see workerFloor). The lockstep
-// loop runs thousands of two-phase rounds; reusing workers keeps such a
-// phase's cost to two channel hops instead of goroutine spawns. A 1-shard runtime skips workers entirely and steps inline —
-// it must not pay any overhead the bare engine doesn't.
-func (rt *Runtime) startWorkers() {
-	if len(rt.engines) == 1 {
-		return
-	}
-	rt.work = make([]chan func(int), len(rt.engines))
-	for i := range rt.engines {
-		ch := make(chan func(int), 1)
-		rt.work[i] = ch
-		go func(i int, ch chan func(int)) {
-			for f := range ch {
-				f(i)
-				rt.phase.Done()
-			}
-		}(i, ch)
-	}
-}
-
-func (rt *Runtime) stopWorkers() {
-	for _, ch := range rt.work {
-		close(ch)
-	}
-	rt.work = nil
-}
-
-// workerFloor is the phase size — orders routed this round for the admit
-// phase, riders waiting city-wide for the dispatch phase — below which
-// the coordinator steps every shard itself. A phase handed to the
-// workers pays two cross-thread wake-ups, a few microseconds each on
-// bare metal and ~65 on a shared 2-vCPU VM (a futex wake plus an idle
-// vCPU's resume), and how long they take is the machine's business, not
-// the program's; a waiting rider is ~2 us of candidate search and
-// scoring. Below a few hundred riders the wake-ups cost more than the
-// second core returns and their latency is what a round takes:
-// peak_shard2 (112 riders a round) makes 3,100 voluntary context
-// switches per replay through the workers and 120 without, replays a
-// tenth faster, and its runs spread half as widely. Which goroutine
-// steps a shard changes nothing an engine can see. A variable so a test
-// can force either path.
-var workerFloor = 256
-
-// parallel runs f(i) for every shard and waits for all of them — the
-// barrier between lockstep phases. size is the phase's item count (see
-// workerFloor).
-func (rt *Runtime) parallel(size int, f func(i int)) {
-	if len(rt.engines) == 1 || size < workerFloor {
-		for i := range rt.engines {
-			f(i)
-		}
-		return
-	}
-	rt.phase.Add(len(rt.work))
-	for _, ch := range rt.work {
-		ch <- f
-	}
-	rt.phase.Wait()
 }
 
 // routeCancels forwards rider-initiated cancellation requests from the
@@ -467,11 +373,10 @@ func (rt *Runtime) routeCancels() {
 // owned by another shard to that shard's engine — fleet ownership
 // follows position. Without it drivers strand: a trip whose dropoff
 // lands across a frontier leaves the driver in an engine that will
-// never receive orders near it. Runs on the coordinator between the
-// admit and dispatch barriers, so a driver freed this round is
-// assignable by its new shard in the same round. The scan order
-// (shards ascending, local ids ascending) keeps re-homing — and hence
-// the whole run — deterministic.
+// never receive orders near it. Runs between the admit and dispatch
+// steps, so a driver freed this round is assignable by its new shard in
+// the same round. The scan order (shards ascending, local ids
+// ascending) keeps re-homing — and hence the whole run — deterministic.
 func (rt *Runtime) rehomeFleet() {
 	if len(rt.engines) == 1 {
 		return
@@ -508,7 +413,7 @@ func (rt *Runtime) rehomeFleet() {
 }
 
 // snapshotCounts refreshes every shard's row — tallies, re-homed fleet,
-// waiting/available — at the barrier after the admit phase (the last
+// waiting/available — after the admit steps and re-homing (the last
 // step of a run that ends drained) and returns the city-wide sums.
 func (rt *Runtime) snapshotCounts() (waiting, available int) {
 	for i, e := range rt.engines {
@@ -522,8 +427,8 @@ func (rt *Runtime) snapshotCounts() (waiting, available int) {
 	return waiting, available
 }
 
-// publish copies the coordinator's columns into the stats under one
-// lock acquisition: readers never wait on routing or the re-homing scan.
+// publish copies the coord columns into the stats under one lock
+// acquisition: readers never wait on routing or the re-homing scan.
 func (rt *Runtime) publish() {
 	rt.statsMu.Lock()
 	defer rt.statsMu.Unlock()
@@ -546,8 +451,7 @@ func (rt *Runtime) allDrained() bool {
 }
 
 // tally copies shard i's lifecycle counters from its engine's own
-// metrics. The caller owns the engine: the goroutine stepping it, during
-// or right after a step, or the coordinator between phases.
+// metrics.
 func (rt *Runtime) tally(i int) {
 	m := rt.engines[i].Tally()
 	rt.statsMu.Lock()
@@ -577,28 +481,22 @@ func (rt *Runtime) recordBatch(i int, d time.Duration) {
 	}
 }
 
-// Stats returns a snapshot of every shard's live counters, including
-// per-shard coster cache stats when the shard's coster exposes them.
-// Safe for concurrent use with Run.
+// Stats returns a snapshot of every shard's live counters. Safe for
+// concurrent use with Run.
 func (rt *Runtime) Stats() []Stats {
 	rt.statsMu.Lock()
+	defer rt.statsMu.Unlock()
 	out := make([]Stats, len(rt.stats))
 	copy(out, rt.stats)
-	rt.statsMu.Unlock()
-	for i := range out {
-		if c, ok := rt.costers[i].(interface{ Stats() roadnet.CosterStats }); ok {
-			st := c.Stats()
-			out[i].Coster = &st
-		}
-	}
 	return out
 }
 
 // aggregate merges per-shard metrics into one city-wide Metrics whose
 // deterministic projection (Summary) matches what a single engine over
-// the union would report. BatchSeconds takes each round's slowest shard
-// — the parallel critical path. IdleRecords concatenate shard-major
-// with driver ids remapped to the global fleet numbering.
+// the union would report. BatchSeconds sums each round over the shards:
+// they are stepped one after another, so a round takes what its shards
+// take together. IdleRecords concatenate shard-major with driver ids
+// remapped to the global fleet numbering.
 func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 	if len(ms) == 1 {
 		m := ms[0]
@@ -629,9 +527,7 @@ func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 	agg.BatchSeconds = make([]float64, rounds)
 	for _, m := range ms {
 		for r, s := range m.BatchSeconds {
-			if s > agg.BatchSeconds[r] {
-				agg.BatchSeconds[r] = s
-			}
+			agg.BatchSeconds[r] += s
 		}
 	}
 	for i, m := range ms {
@@ -652,19 +548,17 @@ func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 
 // tap is the per-shard observer, installed only when the session has a
 // downstream observer: it forwards engine events to it with driver ids
-// remapped to the global fleet numbering, serialized across shards. It
-// counts nothing, but first publishes its engine's tallies (it runs on
-// the goroutine stepping the engine). Per-shard BatchStart events are
-// absorbed — the coordinator synthesizes the city-wide one.
+// remapped to the global fleet numbering. It counts nothing, but first
+// publishes its engine's tallies. Per-shard BatchStart events are
+// absorbed — Run synthesizes the city-wide one.
 type tap struct {
 	rt    *Runtime
 	shard ID
 }
 
-// enter publishes the shard's tallies and takes the fan-in lock.
+// enter publishes the shard's tallies and returns the city-wide observer.
 func (t *tap) enter() sim.Observer {
 	t.rt.tally(int(t.shard))
-	t.rt.obsMu.Lock()
 	return t.rt.downstream
 }
 
@@ -673,48 +567,35 @@ func (t *tap) OnBatchStart(sim.BatchStartEvent) {}
 func (t *tap) OnAssigned(e sim.AssignedEvent) {
 	e.Driver = t.rt.global[t.shard][e.Driver]
 	t.enter().OnAssigned(e)
-	t.rt.obsMu.Unlock()
 }
 
-func (t *tap) OnExpired(e sim.ExpiredEvent) {
-	t.enter().OnExpired(e)
-	t.rt.obsMu.Unlock()
-}
+func (t *tap) OnExpired(e sim.ExpiredEvent) { t.enter().OnExpired(e) }
 
-func (t *tap) OnCanceled(e sim.CanceledEvent) {
-	t.enter().OnCanceled(e)
-	t.rt.obsMu.Unlock()
-}
+func (t *tap) OnCanceled(e sim.CanceledEvent) { t.enter().OnCanceled(e) }
 
 func (t *tap) OnDeclined(e sim.DeclinedEvent) {
 	e.Driver = t.rt.global[t.shard][e.Driver]
 	t.enter().OnDeclined(e)
-	t.rt.obsMu.Unlock()
 }
 
 func (t *tap) OnPickedUp(e sim.PickedUpEvent) {
 	e.Driver = t.rt.global[t.shard][e.Driver]
 	t.enter().OnPickedUp(e)
-	t.rt.obsMu.Unlock()
 }
 
 func (t *tap) OnDroppedOff(e sim.DroppedOffEvent) {
 	e.Driver = t.rt.global[t.shard][e.Driver]
 	t.enter().OnDroppedOff(e)
-	t.rt.obsMu.Unlock()
 }
 
 func (t *tap) OnRepositioned(e sim.RepositionedEvent) {
 	e.Driver = t.rt.global[t.shard][e.Driver]
 	t.enter().OnRepositioned(e)
-	t.rt.obsMu.Unlock()
 }
 
-// feedSource is the runtime-owned per-shard order queue: the
-// coordinator pushes routed orders between rounds, the shard's engine
-// drains them at its next StepAdmit. The lockstep barriers provide the
-// happens-before edges, so no locking is needed — pushes and polls
-// never overlap.
+// feedSource is the runtime-owned per-shard order queue: Run pushes
+// routed orders at the top of a round, the shard's engine drains them
+// at its StepAdmit.
 type feedSource struct {
 	staged  []trace.Order
 	cancels []trace.OrderID
@@ -726,7 +607,7 @@ func (f *feedSource) pushCancel(id trace.OrderID) { f.cancels = append(f.cancels
 func (f *feedSource) markDone()                   { f.done = true }
 
 // Poll implements sim.OrderSource: everything staged is already due
-// (the coordinator routes only orders the city-wide source released).
+// (only orders the city-wide source released are routed).
 // The backing array is recycled for the next round's pushes — sound
 // because admitOrders copies each order into its Rider before the next
 // route phase can overwrite the slice.
@@ -736,9 +617,8 @@ func (f *feedSource) Poll(float64) ([]trace.Order, bool) {
 	return ready, f.done
 }
 
-// PollCancels implements sim.CancelableSource under the same barrier
-// discipline: the coordinator pushes routed cancels between rounds, the
-// shard's engine drains them at its next StepAdmit.
+// PollCancels implements sim.CancelableSource the same way: routed
+// cancels are pushed at the top of a round and drained at StepAdmit.
 func (f *feedSource) PollCancels() []trace.OrderID {
 	ids := f.cancels
 	f.cancels = f.cancels[:0]

@@ -3,9 +3,9 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -14,6 +14,7 @@ import (
 	"mrvd/internal/geo"
 	"mrvd/internal/obs"
 	"mrvd/internal/pool"
+	"mrvd/internal/roadnet"
 	"mrvd/internal/sim"
 	"mrvd/internal/trace"
 	"mrvd/internal/workload"
@@ -583,17 +584,27 @@ func TestShardedConservation(t *testing.T) {
 	if m.TotalOrders != len(orders) {
 		t.Fatalf("TotalOrders = %d, want sized total %d", m.TotalOrders, len(orders))
 	}
+	// Shards are stepped one after another, so a round's dispatch time
+	// is the sum over its shards — at least each shard's own.
+	sums := make([]float64, len(m.BatchSeconds))
+	for i, e := range rt.engines {
+		for r, sec := range e.Finish().BatchSeconds {
+			sums[r] += sec
+			if m.BatchSeconds[r] < sec {
+				t.Fatalf("round %d: aggregated %.9fs is below shard %d's own %.9fs", r, m.BatchSeconds[r], i, sec)
+			}
+		}
+	}
+	if !reflect.DeepEqual(m.BatchSeconds, sums) {
+		t.Fatal("aggregated BatchSeconds is not the per-round sum over shards")
+	}
 }
 
 // TestShardedDeterminism: the same instance at the same shard count
-// produces identical deterministic metrics run-to-run, whether the
-// workers step the shards (floor 0: every phase, what -race needs to
-// see), the coordinator does (no phase) or the default floor decides.
+// produces identical deterministic metrics run-to-run.
 func TestShardedDeterminism(t *testing.T) {
 	orders, starts, grid := testInstance(t, 1200, 32)
-	run := func(floor int) (*sim.Metrics, []Stats) {
-		defer func(old int) { workerFloor = old }(workerFloor)
-		workerFloor = floor
+	run := func() (*sim.Metrics, []Stats) {
 		cfg := sim.Config{Grid: grid, Delta: 3, TC: 1200, Horizon: 3 * 3600}
 		rt, err := New(Config{Sim: cfg, Shards: 4}, sim.NewSliceSource(orders), starts)
 		if err != nil {
@@ -607,20 +618,109 @@ func TestShardedDeterminism(t *testing.T) {
 		}
 		return m, rt.Stats()
 	}
-	m1, s1 := run(workerFloor)
-	for _, floor := range []int{0, 0, math.MaxInt} {
-		m2, s2 := run(floor)
-		if m1.Summary() != m2.Summary() {
-			t.Fatalf("4-shard runs differ (floor %d):\n  first:  %+v\n  second: %+v", floor, m1.Summary(), m2.Summary())
+	m1, s1 := run()
+	m2, s2 := run()
+	if m1.Summary() != m2.Summary() {
+		t.Fatalf("4-shard runs differ:\n  first:  %+v\n  second: %+v", m1.Summary(), m2.Summary())
+	}
+	if !reflect.DeepEqual(m1.IdleRecords, m2.IdleRecords) {
+		t.Fatal("4-shard idle ledgers differ between identical runs")
+	}
+	for i := range s1 {
+		if s1[i].Admitted != s2[i].Admitted || s1[i].Served != s2[i].Served || s1[i].Reneged != s2[i].Reneged {
+			t.Fatalf("shard %d counters differ between identical runs: %+v vs %+v", i, s1[i], s2[i])
 		}
-		if !reflect.DeepEqual(m1.IdleRecords, m2.IdleRecords) {
-			t.Fatalf("4-shard idle ledgers differ between identical runs (floor %d)", floor)
+	}
+}
+
+// countingCoster, countingRepositioner and goroutineWatch are session
+// hooks that mutate plain fields with no synchronisation: were two
+// shards ever stepped at once, -race would report them.
+type countingCoster struct {
+	roadnet.Coster
+	calls int
+}
+
+func (c *countingCoster) Cost(a, b geo.Point) float64 {
+	c.calls++
+	return c.Coster.Cost(a, b)
+}
+
+type countingRepositioner struct {
+	sim.Repositioner
+	calls int
+}
+
+func (r *countingRepositioner) Target(ctx *sim.Context, d *sim.Driver, region geo.RegionID) (geo.Point, bool) {
+	r.calls++
+	return r.Repositioner.Target(ctx, d, region)
+}
+
+// goroutineWatch logs every event (eventLog appends to a plain slice)
+// and, at every batch boundary, checks the process still runs no more
+// goroutines than it did before Run.
+type goroutineWatch struct {
+	eventLog
+	t          *testing.T
+	budget     int
+	maxWaiting int
+}
+
+func (w *goroutineWatch) OnBatchStart(e sim.BatchStartEvent) {
+	w.eventLog.OnBatchStart(e)
+	w.maxWaiting = max(w.maxWaiting, e.Waiting)
+	if n := runtime.NumGoroutine(); n > w.budget {
+		w.t.Errorf("batch %d: %d goroutines, %d before Run", e.Batch, n, w.budget)
+	}
+}
+
+// TestRuntimeHooksNeedNoLocks: a session is one goroutine, so nothing it
+// calls needs to be safe for concurrent use. A 4-shard run with rounds
+// of 300+ waiting riders (above the 256 at which PR 21's runtime handed
+// a phase to per-shard workers) drives a Coster, a PredictRiders, a
+// Repositioner and an Observer that all write unsynchronised state, and
+// never adds a goroutine. Not parallel: NumGoroutine is process-wide.
+func TestRuntimeHooksNeedNoLocks(t *testing.T) {
+	day, starts, grid := testInstance(t, 400000, 400)
+	const peakStart, horizon = 8 * 3600.0, 600.0
+	var orders []trace.Order
+	for _, o := range day {
+		if o.PostTime >= peakStart && o.PostTime < peakStart+horizon {
+			o.PostTime -= peakStart
+			o.Deadline -= peakStart
+			orders = append(orders, o)
 		}
-		for i := range s1 {
-			if s1[i].Admitted != s2[i].Admitted || s1[i].Served != s2[i].Served || s1[i].Reneged != s2[i].Reneged {
-				t.Fatalf("shard %d counters differ between identical runs (floor %d): %+v vs %+v", i, floor, s1[i], s2[i])
-			}
-		}
+	}
+
+	coster := &countingCoster{Coster: roadnet.NewDefaultCoster()}
+	repos := &countingRepositioner{Repositioner: &dispatch.QueueReposition{}}
+	watch := &goroutineWatch{t: t, budget: runtime.NumGoroutine()}
+	forecasts := 0
+	cfg := sim.Config{
+		Grid: grid, Coster: coster, Delta: 5, TC: 1200, Horizon: horizon, CandidateCap: 16,
+		PredictRiders: func(now, tc float64) []int {
+			forecasts++
+			return make([]int, grid.NumRegions())
+		},
+		Repositioner: repos, RepositionAfter: 60,
+		Observer: watch,
+	}
+	rt, err := New(Config{Sim: cfg, Shards: 4, Policy: CandidateBorrow}, sim.NewSliceSource(orders), starts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := rt.Run(context.Background(), func(int) (sim.Dispatcher, error) {
+		return &dispatch.LS{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if watch.maxWaiting < 300 {
+		t.Fatalf("largest round had %d riders waiting; the instance must reach 300", watch.maxWaiting)
+	}
+	if m.Served == 0 || coster.calls == 0 || forecasts == 0 || repos.calls == 0 || len(watch.entries) == 0 {
+		t.Fatalf("a hook never ran: served=%d coster=%d forecasts=%d repositioner=%d events=%d",
+			m.Served, coster.calls, forecasts, repos.calls, len(watch.entries))
 	}
 }
 

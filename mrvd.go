@@ -29,10 +29,10 @@
 // seam the HTTP gateway (internal/server, cmd/mrvd-serve) builds on.
 // Every session runs on one runtime (internal/shard): a router admits
 // each order to the shard owning its pickup region and 1..n lockstep
-// dispatch engines serve their slices of the city — one engine by
-// default, WithShards(n) to scale out, with a configurable frontier
-// policy (WithBoundaryPolicy) and per-shard stats on the gateway's
-// /v1/stats. WithScenario(cfg) turns on the
+// dispatch engines serve their slices of the city, all stepped by the
+// session's one goroutine — one engine by default, WithShards(n) to
+// partition the city, with a configurable frontier policy
+// (WithBoundaryPolicy) and per-shard stats on the gateway's /v1/stats. WithScenario(cfg) turns on the
 // disruption layer — stochastic rider cancellations, driver declines
 // with cooldown, and noisy realized travel times with an
 // estimate-vs-realized error ledger — while riders can always cancel
@@ -369,16 +369,6 @@ func DefaultCoster() Coster { return roadnet.NewDefaultCoster() }
 func GraphCoster(seed int64) Coster {
 	g := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: seed})
 	return roadnet.NewGraphCoster(g)
-}
-
-// GraphCosters returns a per-shard coster factory over one shared
-// synthetic road network: every shard prices travel on the same graph
-// (so costs agree across shards) through its own coster instance (so
-// snap indexes and tree caches don't contend, and /v1/stats reports
-// per-shard cache counters). Pass it to WithShardCosters.
-func GraphCosters(seed int64) func(shard int) Coster {
-	g := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: seed})
-	return func(int) Coster { return roadnet.NewGraphCoster(g) }
 }
 
 // WriteOrdersCSV and ReadOrdersCSV expose the trace format so real data

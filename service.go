@@ -106,8 +106,9 @@ func WithHorizon(seconds float64) Option {
 }
 
 // WithCoster sets the travel-cost backend (default Manhattan distance at
-// urban speed). For Sweep, the coster is shared across parallel runs and
-// must be safe for concurrent use; DefaultCoster and GraphCoster are.
+// urban speed); every shard of a session prices through it. For Sweep,
+// the coster is shared across parallel runs and must be safe for
+// concurrent use; DefaultCoster and GraphCoster are.
 // Costers implementing BatchCoster are priced one many-to-many matrix
 // per batch; plain Costers are priced cell by cell.
 func WithCoster(c Coster) Option {
@@ -251,14 +252,14 @@ func WithCandidateCap(k int) Option {
 // 1). Every run is a source → router → n engines → aggregated stream
 // pipeline: each shard owns a disjoint, contiguous set of grid regions
 // and the slice of the fleet that starts there, the router admits every
-// order to the shard owning its pickup region, the engines step in
-// lockstep on parallel goroutines, and events plus metrics aggregate
-// back into one coherent city-wide stream. With one shard that is a
-// single engine over the whole city. n < 1 is rejected. For n > 1,
-// shared per-run hooks (Coster, PredictRiders, Repositioner,
-// Observer-reachable state) must be safe for concurrent use — the
-// built-ins are — and the Observer sees a serialized stream with
-// driver ids in the global fleet numbering.
+// order to the shard owning its pickup region, the session's one
+// goroutine steps the engines one after another in lockstep rounds, and
+// events plus metrics aggregate back into one city-wide stream. With
+// one shard that is a single engine over the whole city. n < 1 is
+// rejected. Sharding partitions what a dispatcher sees; it does not use
+// more cores, and no per-run hook (Coster, PredictRiders, Repositioner,
+// Observer) is ever called from two goroutines of one session. The
+// Observer sees driver ids in the global fleet numbering.
 func WithShards(n int) Option {
 	return func(s *Service) {
 		if n < 1 {
@@ -288,21 +289,6 @@ func WithBoundaryPolicy(p BoundaryPolicy) Option {
 	}
 }
 
-// WithShardCosters gives each shard its own coster instance — e.g. one
-// road-network coster per shard, so their tree caches don't contend and
-// /v1/stats can report per-shard cache counters (see GraphCosters).
-// Every instance must price identically or shards would disagree about
-// travel times. It replaces WithCoster for the session's engines.
-func WithShardCosters(f func(shard int) Coster) Option {
-	return func(s *Service) {
-		if f == nil {
-			s.failf("WithShardCosters: nil factory (omit the option instead)")
-			return
-		}
-		s.opts.ShardCosters = f
-	}
-}
-
 // WithObservability wires the metrics registry and/or order-lifecycle
 // tracer into every run and serve session of the service: dispatch
 // phase timings, terminal-outcome counters, pool search counters and
@@ -312,7 +298,7 @@ func WithShardCosters(f func(shard int) Coster) Option {
 // other. Unlike WithObserver this layer is engine-internal and adds
 // only a nil check per hook when disabled — omitting the option keeps
 // runs byte-identical to an uninstrumented build. The registry and
-// tracer are safe to share across shards and concurrent sessions.
+// tracer are safe to share across concurrent sessions and sweep cells.
 func WithObservability(reg *MetricsRegistry, tracer *SpanTracer) Option {
 	return func(s *Service) {
 		if reg == nil && tracer == nil {

@@ -73,9 +73,6 @@ func TestWithShardsValidation(t *testing.T) {
 	if _, err := NewService(WithBoundaryPolicy(BoundaryPolicy(99))); err == nil {
 		t.Fatal("unknown boundary policy accepted")
 	}
-	if _, err := NewService(WithShardCosters(nil)); err == nil {
-		t.Fatal("nil shard-coster factory accepted")
-	}
 	if _, err := NewService(WithCandidateCap(-1)); err == nil {
 		t.Fatal("negative candidate cap accepted")
 	}
