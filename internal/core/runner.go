@@ -260,10 +260,10 @@ func (r *Runner) TrainedPredictor(m predict.Predictor) (predict.Predictor, error
 // windowCounts converts per-slot forecasts into expected counts for the
 // window [now, now+tc], weighting each slot by its fractional overlap.
 // slotRow returns one slot's forecast for every region; it is called
-// once per overlapping slot, not once per cell.
-func windowCounts(now, tc, slotSeconds float64, numSlots int, slotRow func(slot int) []float64, numRegions int) []int {
-	out := make([]int, numRegions)
-	acc := make([]float64, numRegions)
+// once per overlapping slot, not once per cell. The counts are written
+// to out, through acc, one cell per region each.
+func windowCounts(now, tc, slotSeconds float64, numSlots int, slotRow func(slot int) []float64, out []int, acc []float64) []int {
+	clear(acc)
 	end := now + tc
 	firstSlot := int(now / slotSeconds)
 	lastSlot := int(end / slotSeconds)
@@ -287,6 +287,9 @@ func windowCounts(now, tc, slotSeconds float64, numSlots int, slotRow func(slot 
 }
 
 // predictFn builds the simulator's PredictRiders callback for a mode.
+// Each callback owns the buffer it returns and overwrites it on the next
+// call: a session is one goroutine and a Context's PredictedRiders is
+// dead once its batch is dispatched (see sim.Context).
 func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(now, tc float64) []int, error) {
 	grid := r.opts.City.Grid()
 	n := grid.NumRegions()
@@ -294,9 +297,10 @@ func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(n
 	case PredictNone:
 		return nil, nil
 	case PredictOracle:
+		out, acc := make([]int, n), make([]float64, n)
 		return func(now, tc float64) []int {
 			return windowCounts(now, tc, r.opts.SlotSeconds, len(r.expected),
-				func(slot int) []float64 { return r.expected[slot] }, n)
+				func(slot int) []float64 { return r.expected[slot] }, out, acc)
 		}, nil
 	case PredictModel:
 		if model == nil {
@@ -322,8 +326,9 @@ func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(n
 			}
 			return row
 		}
+		out, acc := make([]int, n), make([]float64, n)
 		return func(now, tc float64) []int {
-			return windowCounts(now, tc, r.opts.SlotSeconds, h.SlotsPerDay, slotRow, n)
+			return windowCounts(now, tc, r.opts.SlotSeconds, h.SlotsPerDay, slotRow, out, acc)
 		}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown prediction mode %d", mode)

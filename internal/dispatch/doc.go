@@ -22,9 +22,9 @@
 // All dispatchers are deterministic given their seed and reusable across
 // batches and runs.
 //
-// Dispatchers never price travel themselves: the engine computes each
-// batch's driver×rider pickup-cost matrix up front through
-// roadnet.BatchCoster, and every sim.Pair carries its matrix-backed
+// Dispatchers never price travel themselves: the engine prices each
+// batch's candidate (driver, rider) pairs up front through one
+// roadnet.PairCoster call, and every sim.Pair carries its matrix-backed
 // PickupCost and TripCost. What-if costs beyond the precomputed pairs
 // go through sim.Context.PickupCost (a matrix lookup with a Coster
 // fallback) or a whole Context.PickupCosts.Row slice — never per-pair

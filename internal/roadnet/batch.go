@@ -3,6 +3,7 @@ package roadnet
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,13 +21,16 @@ import (
 // Cost(S[i], T[j]) bitwise for every pair, so swapping the per-pair path
 // for the batch path never changes dispatch results, only their cost.
 //
-// Implementing it is the pricing policy: the engine hands a BatchCoster
-// the full dense matrix of every batch, and prices a plain Coster only
-// in the cells it reads. Implement it when one Costs call amortizes
-// per-source work across targets (a shortest-path tree per unique
-// source) or per-call overhead across cells (one RPC to a routing
-// service); a closed form, O(1) per cell, has nothing to amortize and
-// stays a plain Coster — as GreatCircleCoster does.
+// Implementing it is the pricing policy: the engine prices a
+// BatchCoster in one call per batch (the candidate pairs, through
+// CostPairs when the coster is a PairCoster and picked out of one dense
+// Costs matrix otherwise), one per admission wave and two per pooling
+// search, and prices a plain Coster cell by cell as it reads them.
+// Implement it when one call amortizes per-source work across targets
+// (a shortest-path tree per unique source) or per-call overhead across
+// cells (one RPC to a routing service); a closed form, O(1) per cell,
+// has nothing to amortize and stays a plain Coster — as
+// GreatCircleCoster does.
 type BatchCoster interface {
 	Coster
 	// Costs returns the len(sources) x len(targets) travel-time matrix
@@ -35,14 +39,28 @@ type BatchCoster interface {
 	Costs(sources, targets []geo.Point) [][]float64
 }
 
-// newCostMatrix allocates a dense rows x cols matrix backed by one slab.
-func newCostMatrix(rows, cols int) [][]float64 {
-	out := make([][]float64, rows)
-	cells := make([]float64, rows*cols)
+// PairCoster is the optional sparse form of BatchCoster: one call
+// prices only the pairs the caller will read. A batch's drivers x
+// riders matrix is mostly cells nobody reads — a rider's candidates are
+// the drivers in its own patience radius — and a shortest-path tree
+// that stops at its own farthest target, not the city's, is cheaper.
+type PairCoster interface {
+	BatchCoster
+	// CostPairs writes to out[k] the seconds from sources[src[k]] to
+	// targets[tgt[k]], bitwise-equal to Cost of that pair. src, tgt and
+	// out have one entry per pair; pairs may repeat.
+	CostPairs(sources, targets []geo.Point, src, tgt []int32, out []float64)
+}
+
+// newCostMatrix allocates a dense rows x cols matrix backed by one
+// slab, which it also returns row-major.
+func newCostMatrix(rows, cols int) (out [][]float64, cells []float64) {
+	out = make([][]float64, rows)
+	cells = make([]float64, rows*cols)
 	for i := range out {
 		out[i] = cells[i*cols : (i+1)*cols : (i+1)*cols]
 	}
-	return out
+	return out, cells
 }
 
 // costerCounters instruments a GraphCoster's query work.
@@ -102,122 +120,201 @@ func (c *GraphCoster) ResetStats() {
 	c.stats.evictions.Store(0)
 }
 
-// Costs implements BatchCoster. Every endpoint is snapped exactly once,
-// snapped source nodes are deduplicated, and one Dijkstra run per
-// unique source the cache does not cover is fanned over a worker pool.
-// The query path acquires the coster's mutex twice — once to consult
-// the tree cache up front, once to publish new trees — rather than once
-// per pair, so workers never contend on a lock.
-//
-// Each run extends its source's tree only until the batch's target
-// nodes are settled, which on clustered city workloads is a small
-// fraction of the full tree (Stats reports the work in SettledNodes).
-// A first-seen source starts from nothing; a cached tree whose horizon
-// falls short of this batch's targets is continued from its frontier,
-// on a copy, so the nodes it already settled are never settled again
-// and callers still reading the published tree are not disturbed.
-// Stopping early never changes settled values, so the matrix is
-// bitwise-identical to per-pair queries.
+// costScratch is the working memory of one GraphCoster.price call, and
+// of each extra worker it fans out to (which uses needed only). Between
+// uses needed and rowOf are blank, whatever graph they last served.
+type costScratch struct {
+	src, tgt       []snapped
+	allSrc, allTgt []int32 // the pair list Costs stands for
+	// needed is a run's stop mask, one cell per graph node; rowOf maps a
+	// source node to its index in uniq, plus one.
+	needed []bool
+	rowOf  []int32
+	// uniq lists the call's source nodes once each, in first-use order:
+	// co-located drivers share one Dijkstra. Source uniq[u] must reach
+	// the target nodes want[wantEnd[u-1]:wantEnd[u]], and trees[u] is
+	// its tree; missing lists the sources whose tree has to be extended.
+	uniq, want       []NodeID
+	wantEnd, missing []int
+	trees            []spTree
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(costScratch) }}
+
+// getScratch borrows a scratch for nS sources, nT targets, nodes nodes.
+func getScratch(nS, nT, nodes int) *costScratch {
+	sc := scratchPool.Get().(*costScratch)
+	sc.src = slices.Grow(sc.src[:0], nS)[:nS]
+	sc.tgt = slices.Grow(sc.tgt[:0], nT)[:nT]
+	if len(sc.rowOf) < nodes {
+		sc.needed, sc.rowOf = make([]bool, nodes), make([]int32, nodes)
+	}
+	return sc
+}
+
+// put returns the scratch, rowOf blank again and no tree kept alive.
+func (sc *costScratch) put() {
+	for _, n := range sc.uniq {
+		sc.rowOf[n] = 0
+	}
+	clear(sc.trees)
+	sc.allSrc, sc.allTgt, sc.trees = sc.allSrc[:0], sc.allTgt[:0], sc.trees[:0]
+	sc.uniq, sc.want, sc.wantEnd, sc.missing = sc.uniq[:0], sc.want[:0], sc.wantEnd[:0], sc.missing[:0]
+	scratchPool.Put(sc)
+}
+
+// group fills uniq, want and wantEnd from the pair list: a counting
+// sort of the pairs' target nodes by unique source. Pairs with an
+// unsnappable endpoint need no tree and are left out.
+func (sc *costScratch) group(src, tgt []int32) {
+	for k, i := range src {
+		sn := sc.src[i].node
+		if sn == InvalidNode || sc.tgt[tgt[k]].node == InvalidNode {
+			continue
+		}
+		if sc.rowOf[sn] == 0 {
+			sc.uniq, sc.wantEnd = append(sc.uniq, sn), append(sc.wantEnd, 0)
+			sc.rowOf[sn] = int32(len(sc.uniq))
+		}
+		sc.wantEnd[sc.rowOf[sn]-1]++
+	}
+	total := 0
+	for u, n := range sc.wantEnd {
+		sc.wantEnd[u] = total // group u's start, advanced to its end below
+		total += n
+	}
+	sc.want = slices.Grow(sc.want[:0], total)[:total]
+	for k, i := range src {
+		if sn, tn := sc.src[i].node, sc.tgt[tgt[k]].node; sn != InvalidNode && tn != InvalidNode {
+			u := sc.rowOf[sn] - 1
+			sc.want[sc.wantEnd[u]] = tn
+			sc.wantEnd[u]++
+		}
+	}
+}
+
+// wants returns the target nodes source uniq[u] must reach.
+func (sc *costScratch) wants(u int) []NodeID {
+	lo := 0
+	if u > 0 {
+		lo = sc.wantEnd[u-1]
+	}
+	return sc.want[lo:sc.wantEnd[u]]
+}
+
+// Costs implements BatchCoster: the all-pairs case of price.
 func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
-	nT := len(targets)
-	out := newCostMatrix(len(sources), nT)
-	if len(sources) == 0 || nT == 0 {
-		return out
-	}
+	out, cells := newCostMatrix(len(sources), len(targets))
+	c.price(sources, targets, nil, nil, cells)
+	return out
+}
 
-	// Snap all endpoints once.
-	srcNode := make([]NodeID, len(sources))
-	srcApproach := make([]float64, len(sources))
-	for i, p := range sources {
-		srcNode[i], srcApproach[i] = c.snap.nearest(p)
+// CostPairs implements PairCoster.
+func (c *GraphCoster) CostPairs(sources, targets []geo.Point, src, tgt []int32, out []float64) {
+	c.price(sources, targets, src, tgt, out[:len(src)])
+}
+
+// price is the one batched query path. It writes to out the cost of
+// every listed pair (sources[src[k]], targets[tgt[k]]) — with nil src
+// and tgt, of every pair, row-major. Every endpoint is snapped once
+// (see snapped), source nodes are deduplicated, and one Dijkstra run
+// per unique source the cache does not cover is fanned over a worker
+// pool. The coster's mutex is taken twice — to snap and consult the
+// tree cache up front, and to publish new trees — rather than once per
+// pair, so workers never contend on a lock.
+//
+// Each run extends its source's tree only until the target nodes of
+// that source's own pairs are settled, which on clustered city
+// workloads is a small fraction of the full tree (Stats reports the
+// work in SettledNodes). A first-seen source starts from nothing; a
+// cached tree whose horizon falls short of its targets is continued
+// from its frontier, on a copy, so the nodes it already settled are
+// never settled again and callers still reading the published tree are
+// not disturbed. Stopping early never changes settled values, so every
+// cell is bitwise-identical to a per-pair query.
+func (c *GraphCoster) price(sources, targets []geo.Point, src, tgt []int32, out []float64) {
+	if len(out) == 0 {
+		return
 	}
-	tgtNode := make([]NodeID, nT)
-	tgtApproach := make([]float64, nT)
-	needed := make([]bool, c.g.NumNodes())
-	var tgtUniq []NodeID
-	for j, p := range targets {
-		tgtNode[j], tgtApproach[j] = c.snap.nearest(p)
-		if n := tgtNode[j]; n != InvalidNode && !needed[n] {
-			needed[n] = true
-			tgtUniq = append(tgtUniq, n)
+	nodes := c.g.NumNodes()
+	sc := getScratch(len(sources), len(targets), nodes)
+	defer sc.put()
+	if src == nil {
+		for i := range sources {
+			for j := range targets {
+				sc.allSrc, sc.allTgt = append(sc.allSrc, int32(i)), append(sc.allTgt, int32(j))
+			}
 		}
+		src, tgt = sc.allSrc, sc.allTgt
 	}
 
-	// Deduplicate source nodes in first-appearance order: co-located
-	// drivers share one Dijkstra. rowOf maps a node to its index in
-	// uniq, plus one.
-	rowOf := make([]int32, c.g.NumNodes())
-	var uniq []NodeID
-	for _, n := range srcNode {
-		if n != InvalidNode && rowOf[n] == 0 {
-			uniq = append(uniq, n)
-			rowOf[n] = int32(len(uniq))
-		}
-	}
-
-	// First lock acquisition: serve sources from cached trees whose
-	// horizon reaches every unique target node of this batch — only
-	// then are their values final for every cell the matrix will read.
-	// The rest are queued with the tree to continue (none for a
-	// first-seen source) and the number of targets it leaves uncovered.
-	type run struct {
-		u         int
-		from      spTree
-		uncovered int
-	}
-	trees := make([]spTree, len(uniq))
-	var missing []run
+	// First lock acquisition: snap, then serve sources from cached
+	// trees whose horizon reaches every target node they are asked for
+	// — only then is every cell the caller reads final. The rest are
+	// queued, trees[u] the tree to continue (none if first seen).
 	var resumed int64
 	c.mu.Lock()
-	for u, n := range uniq {
+	for i, p := range sources {
+		sc.src[i] = c.snapped(p)
+	}
+	for j, p := range targets {
+		sc.tgt[j] = c.snapped(p)
+	}
+	sc.group(src, tgt)
+	sc.trees = slices.Grow(sc.trees[:0], len(sc.uniq))[:len(sc.uniq)]
+	for u, n := range sc.uniq {
 		t, ok := c.cache.get(n)
-		uncovered := len(tgtUniq)
-		if ok {
-			uncovered = 0
-			for _, tn := range tgtUniq {
-				if !(t.dist[tn] <= t.horizon) {
-					uncovered++
-				}
+		sc.trees[u] = t
+		if slices.ContainsFunc(sc.wants(u), func(tn NodeID) bool { return !t.covers(tn) }) {
+			sc.missing = append(sc.missing, u)
+			if ok {
+				resumed++
 			}
-			if uncovered == 0 {
-				trees[u] = t
-				continue
-			}
-			resumed++
 		}
-		missing = append(missing, run{u: u, from: t, uncovered: uncovered})
 	}
 	c.mu.Unlock()
-	c.stats.cacheHits.Add(int64(len(uniq) - len(missing)))
+	c.stats.cacheHits.Add(int64(len(sc.uniq) - len(sc.missing)))
 
-	if len(missing) > 0 {
-		// The needed mask is shared read-only; each run owns its
-		// slices. The calling goroutine is one of the workers, so a
-		// single missing source (or GOMAXPROCS 1) spawns nothing.
+	if len(sc.missing) > 0 {
+		// Each worker marks a run's uncovered targets in its own needed
+		// mask and wipes them after. The caller is one of the workers:
+		// a single missing source (or GOMAXPROCS 1) spawns nothing.
 		var next, settledTotal atomic.Int64
-		work := func() {
+		work := func(needed []bool) {
 			for {
 				k := int(next.Add(1)) - 1
-				if k >= len(missing) {
+				if k >= len(sc.missing) {
 					return
 				}
-				m := missing[k]
-				t, settled := c.g.extend(uniq[m.u], m.from, needed, m.uncovered)
-				trees[m.u] = t
+				u := sc.missing[k]
+				from, want, remaining := sc.trees[u], sc.wants(u), 0
+				for _, tn := range want {
+					if !needed[tn] && !from.covers(tn) {
+						needed[tn] = true
+						remaining++
+					}
+				}
+				t, settled := c.g.extend(sc.uniq[u], from, needed, remaining)
+				for _, tn := range want {
+					needed[tn] = false
+				}
+				sc.trees[u] = t
 				settledTotal.Add(int64(settled))
 			}
 		}
 		var wg sync.WaitGroup
-		for w := min(runtime.GOMAXPROCS(0), len(missing)); w > 1; w-- {
+		for w := min(runtime.GOMAXPROCS(0), len(sc.missing)); w > 1; w-- {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				work()
+				ws := getScratch(0, 0, nodes)
+				defer ws.put()
+				work(ws.needed)
 			}()
 		}
-		work()
+		work(sc.needed)
 		wg.Wait()
-		c.stats.partials.Add(int64(len(missing)))
+		c.stats.partials.Add(int64(len(sc.missing)))
 		c.stats.resumed.Add(resumed)
 		c.stats.settled.Add(settledTotal.Load())
 
@@ -226,8 +323,8 @@ func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
 		// them.
 		c.mu.Lock()
 		var evictions int64
-		for _, m := range missing {
-			if c.cache.put(uniq[m.u], trees[m.u], c.CacheSize) {
+		for _, u := range sc.missing {
+			if c.cache.put(sc.uniq[u], sc.trees[u], c.CacheSize) {
 				evictions++
 			}
 		}
@@ -237,31 +334,16 @@ func (c *GraphCoster) Costs(sources, targets []geo.Point) [][]float64 {
 		}
 	}
 
-	// Assemble the matrix, pricing approach legs exactly as Cost does.
-	for i := range sources {
-		row := out[i]
-		if srcNode[i] == InvalidNode {
-			for j := range row {
-				row[j] = math.Inf(1)
-			}
-			continue
+	// Price each pair's approach legs exactly as Cost does.
+	for k := range out {
+		s, t := sc.src[src[k]], sc.tgt[tgt[k]]
+		d := math.Inf(1)
+		if s.node != InvalidNode && t.node != InvalidNode {
+			d = sc.trees[sc.rowOf[s.node]-1].dist[t.node]
 		}
-		tree := trees[rowOf[srcNode[i]]-1].dist
-		for j := 0; j < nT; j++ {
-			if tgtNode[j] == InvalidNode {
-				row[j] = math.Inf(1)
-				continue
-			}
-			d := tree[tgtNode[j]]
-			if math.IsInf(d, 1) {
-				row[j] = d
-				continue
-			}
-			if c.ApproachSpeedMPS > 0 {
-				d += (srcApproach[i] + tgtApproach[j]) / c.ApproachSpeedMPS
-			}
-			row[j] = d
+		if !math.IsInf(d, 1) && c.ApproachSpeedMPS > 0 {
+			d += (s.approach + t.approach) / c.ApproachSpeedMPS
 		}
+		out[k] = d
 	}
-	return out
 }

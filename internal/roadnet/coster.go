@@ -79,6 +79,9 @@ type GraphCoster struct {
 	snap  *snapIndex
 	mu    sync.Mutex
 	cache *treeCache
+	// snaps memoizes snap.nearest by query point: a stationary driver
+	// or a waiting rider is snapped once. Guarded by mu.
+	snaps map[geo.Point]snapped
 	// CacheSize bounds the number of memoized shortest-path trees. Set
 	// it before the first query; the default is 512.
 	CacheSize int
@@ -96,23 +99,49 @@ func NewGraphCoster(g *Graph) *GraphCoster {
 		g:                g,
 		snap:             newSnapIndex(g),
 		cache:            newTreeCache(),
+		snaps:            make(map[geo.Point]snapped),
 		CacheSize:        512,
 		ApproachSpeedMPS: DefaultSpeedMPS,
 	}
 }
 
+// snapped is a memoized snapIndex.nearest result.
+type snapped struct {
+	node     NodeID
+	approach float64 // meters from the query point to node
+}
+
+// snapMemoCap bounds GraphCoster.snaps. Every order brings two new
+// points (its pickup, and its dropoff as a driver's next position), so
+// the memo is wiped when full: a fleet of re-snaps per 4K orders.
+const snapMemoCap = 8192
+
+// snapped returns snap.nearest(p) through the memo. Callers hold mu.
+func (c *GraphCoster) snapped(p geo.Point) snapped {
+	s, ok := c.snaps[p]
+	if !ok {
+		if len(c.snaps) >= snapMemoCap {
+			clear(c.snaps)
+		}
+		s.node, s.approach = c.snap.nearest(p)
+		c.snaps[p] = s
+	}
+	return s
+}
+
 // Cost implements Coster. Unreachable pairs are priced at +Inf so the
 // dispatcher naturally never selects them.
 func (c *GraphCoster) Cost(a, b geo.Point) float64 {
-	na, da := c.snap.nearest(a)
-	nb, db := c.snap.nearest(b)
+	c.mu.Lock()
+	sa, sb := c.snapped(a), c.snapped(b)
+	na, nb := sa.node, sb.node
 	if na == InvalidNode || nb == InvalidNode {
+		c.mu.Unlock()
 		return math.Inf(1)
 	}
-	c.mu.Lock()
 	t, ok := c.cache.get(na)
 	c.mu.Unlock()
-	if ok && t.dist[nb] <= t.horizon {
+	if ok && t.covers(nb) {
 		c.stats.cacheHits.Add(1)
 	} else {
 		// Miss, or a cached tree that doesn't reach nb: complete it
@@ -137,7 +166,7 @@ func (c *GraphCoster) Cost(a, b geo.Point) float64 {
 		return d
 	}
 	if c.ApproachSpeedMPS > 0 {
-		d += (da + db) / c.ApproachSpeedMPS
+		d += (sa.approach + sb.approach) / c.ApproachSpeedMPS
 	}
 	return d
 }

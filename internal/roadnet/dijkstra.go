@@ -84,6 +84,10 @@ type spTree struct {
 	horizon  float64
 }
 
+// covers reports whether n's distance is final in t. The zero spTree
+// covers nothing.
+func (t spTree) covers(n NodeID) bool { return t.dist != nil && t.dist[n] <= t.horizon }
+
 // dijkstra is the one Dijkstra loop (lazy deletion: a stale queue entry
 // is skipped when popped). It advances the run held in dist and pq
 // until remaining nodes marked in needed have been settled — or, with

@@ -11,13 +11,18 @@
 // provided here so experiments can ablate the choice.
 //
 // The hot path is batched: BatchCoster prices a whole sources×targets
-// matrix in one call, which GraphCoster serves by snapping every
-// endpoint once, deduplicating source nodes, and extending each unique
-// source's cached shortest-path tree just far enough to cover the
-// batch's targets, on a parallel worker pool — bitwise-identical to
+// matrix in one call and its optional extension PairCoster a list of
+// (source, target) pairs — the shape of a dispatch batch, where each
+// rider's candidates are the few drivers in its own reach. GraphCoster
+// serves both from one core: every endpoint snapped once (and the snap
+// memoized, so a stationary driver is not re-snapped next batch),
+// source nodes deduplicated, and each unique source's cached
+// shortest-path tree extended just far enough to cover that source's
+// own targets, on a parallel worker pool — bitwise-identical to
 // per-pair Cost queries, with several times less shortest-path work
-// (see GraphCoster.Stats, TestBatchCostsFewerComputations and bench/'s
-// roadnet.settled_per_order). Single-pair Cost
-// remains the compatibility shim, completing its source's tree. Trees
-// are memoized under clock (second-chance) eviction.
+// (see GraphCoster.Stats, TestBatchCostsFewerComputations,
+// TestCostPairsSettlesLess and bench/'s roadnet.settled_per_order).
+// Single-pair Cost remains the compatibility shim, completing its
+// source's tree. Trees are memoized under clock (second-chance)
+// eviction.
 package roadnet

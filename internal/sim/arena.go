@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/roadnet"
 )
 
 // batchArena is an engine's per-batch scratch, reused across batches:
@@ -36,11 +37,20 @@ type batchArena struct {
 	// a driver slot to its row, -1 when it is nobody's candidate.
 	targets, sources []geo.Point
 	driverRow        []int32
-	// rows are the lazily priced cost rows of a plain Coster, nil until
-	// first touched and then carved from slab.
-	rows  [][]float64
-	slab  []float64
-	pairs []Pair
+	// rows are the batch's sparse cost rows, nil until first touched and
+	// then carved from slab. A batch coster fills them from one CostPairs
+	// call: pairSrc (source row) and pairTgt (rider) list the candidate
+	// pairs, pairCost receives their prices.
+	rows             [][]float64
+	slab             []float64
+	pairSrc, pairTgt []int32
+	pairCost         []float64
+	pairs            []Pair
+
+	// trips, pickups and dropoffs are an admission wave's trip costs and
+	// the endpoints of the chunk being priced.
+	trips             []float64
+	pickups, dropoffs []geo.Point
 
 	// usedR and usedD mark what apply committed this batch: a cell equal
 	// to stamp is taken, so bumping stamp clears both.
@@ -70,4 +80,16 @@ func (a *batchArena) costRow(width int) []float64 {
 		row[j] = math.NaN()
 	}
 	return row
+}
+
+// densePairs adapts a BatchCoster that has only Costs to the one
+// CostPairs call buildContext makes: one dense matrix, the listed cells
+// picked out.
+type densePairs struct{ roadnet.BatchCoster }
+
+func (d densePairs) CostPairs(sources, targets []geo.Point, src, tgt []int32, out []float64) {
+	matrix := d.Costs(sources, targets)
+	for k := range src {
+		out[k] = matrix[src[k]][tgt[k]]
+	}
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mrvd/internal/geo"
@@ -16,39 +18,72 @@ type pairOnlyCoster struct{ c roadnet.Coster }
 
 func (p pairOnlyCoster) Cost(a, b geo.Point) float64 { return p.c.Cost(a, b) }
 
-// TestEngineBatchCostingParity is the end-to-end form of the BatchCoster
-// equivalence contract: a run whose coster prices batches natively
-// (truncated, deduplicated, parallel Dijkstras) must produce a Summary
-// identical — not approximately, identical — to the same run forced
-// through single-pair Cost calls. Randomized over scenarios and over
-// both built-in costers.
+// costsOnlyCoster hides a coster's PairCoster implementation: the engine
+// sees a custom BatchCoster and prices batches through densePairs.
+type costsOnlyCoster struct{ c roadnet.BatchCoster }
+
+func (p costsOnlyCoster) Cost(a, b geo.Point) float64 { return p.c.Cost(a, b) }
+func (p costsOnlyCoster) Costs(s, t []geo.Point) [][]float64 {
+	return p.c.Costs(s, t)
+}
+
+// runTranscript replays a scenario and returns everything a pricing
+// path could disturb, as text: the Summary, the idle ledger and the
+// assigned/expired event stream.
+func runTranscript(t *testing.T, c roadnet.Coster, orders []trace.Order, drivers []geo.Point) string {
+	t.Helper()
+	var b strings.Builder
+	cfg := simpleConfig()
+	cfg.Horizon = 4000
+	cfg.Coster = c
+	cfg.Observer = ObserverFuncs{
+		BatchStart: func(e BatchStartEvent) {
+			fmt.Fprintf(&b, "batch %d t=%v waiting=%d available=%d\n", e.Batch, e.Now, e.Waiting, e.Available)
+		},
+		Assigned: func(e AssignedEvent) {
+			fmt.Fprintf(&b, "assigned t=%v order=%d driver=%d pickup=%v revenue=%v free=%v\n",
+				e.Now, e.Rider.Order.ID, e.Driver, e.PickupCost, e.Revenue, e.FreeAt)
+		},
+		Expired: func(e ExpiredEvent) { fmt.Fprintf(&b, "expired t=%v order=%d\n", e.Now, e.Rider.Order.ID) },
+	}
+	m, err := New(cfg, orders, drivers).Run(context.Background(), takeAll{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "%+v\n%v\n", m.Summary(), m.IdleRecords)
+	return b.String()
+}
+
+// TestEngineBatchCostingParity is the end-to-end form of the batch
+// costers' equivalence contracts: a run priced through one CostPairs
+// call per batch on the native graph coster (truncated, deduplicated,
+// parallel Dijkstras over the candidate pairs only), the same run
+// through a custom BatchCoster that has only Costs (the densePairs
+// adaptor), and the same run forced through single-pair Cost calls
+// must leave an identical — not approximately, identical — Summary,
+// idle ledger and event stream. Randomized over scenarios; the closed
+// form goes through its lazy path and the adaptor.
 func TestEngineBatchCostingParity(t *testing.T) {
 	g := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Rows: 16, Cols: 16, Seed: 23})
 	rng := rand.New(rand.NewSource(99))
+	assigned := 0
 	for trial := 0; trial < 4; trial++ {
 		orders, drivers := randomScenario(rng)
-		costers := []roadnet.Coster{
-			roadnet.NewGraphCoster(g),
-			roadnet.NewDefaultCoster(),
-		}
-		for _, c := range costers {
-			cfg := simpleConfig()
-			cfg.Horizon = 4000
-			cfg.Coster = c
-			mBatch, err := New(cfg, orders, drivers).Run(context.Background(), takeAll{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Coster = pairOnlyCoster{c}
-			mPair, err := New(cfg, orders, drivers).Run(context.Background(), takeAll{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mBatch.Summary() != mPair.Summary() {
-				t.Fatalf("trial %d: batch summary %+v != per-pair summary %+v",
-					trial, mBatch.Summary(), mPair.Summary())
+		for _, paths := range [][]roadnet.Coster{
+			{pairOnlyCoster{roadnet.NewGraphCoster(g)}, costsOnlyCoster{roadnet.NewGraphCoster(g)}, roadnet.NewGraphCoster(g)},
+			{roadnet.NewDefaultCoster(), &countingBatchCoster{Coster: roadnet.NewDefaultCoster()}},
+		} {
+			want := runTranscript(t, paths[0], orders, drivers)
+			assigned += strings.Count(want, "assigned")
+			for _, c := range paths[1:] {
+				if got := runTranscript(t, c, orders, drivers); got != want {
+					t.Fatalf("trial %d: %T transcript differs from per-pair pricing:\n%s\nwant:\n%s", trial, c, got, want)
+				}
 			}
 		}
+	}
+	if assigned == 0 {
+		t.Fatal("no scenario assigned anything: the transcripts compared nothing")
 	}
 }
 

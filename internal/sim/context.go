@@ -8,10 +8,12 @@ import (
 	"mrvd/internal/roadnet"
 )
 
-// CostMatrix is a batch's dense driver-to-pickup travel-cost matrix,
-// computed once per batch through roadnet.BatchCoster instead of
-// per-pair Coster calls in inner loops. Rows are the batch's candidate
-// drivers, columns its waiting riders (column index = rider index).
+// CostMatrix is a batch's driver-to-pickup travel-cost matrix, sparse:
+// it holds the pairs the batch priced — every rider's candidate
+// drivers, in one roadnet.PairCoster call for a batch coster; the cells
+// the pair loop read, for a plain Coster — instead of per-pair Coster
+// calls in inner loops. Rows are the batch's candidate drivers, columns
+// its waiting riders (column index = rider index).
 type CostMatrix struct {
 	rows      [][]float64
 	driverRow []int32 // driver slot -> row index, -1 when not a candidate
@@ -19,8 +21,8 @@ type CostMatrix struct {
 
 // Row returns driver slot d's cost row over the batch's riders, or nil
 // when d was not a pricing candidate for any rider. Cells the batch
-// didn't price (non-candidate pairs under a sparsely-filled closed-form
-// coster) hold NaN. The slice is shared with the engine; callers must
+// didn't price (a driver that is some other rider's candidate, not
+// this one's) hold NaN. The slice is shared with the engine; callers must
 // not mutate it.
 func (m *CostMatrix) Row(d int32) []float64 {
 	if m == nil || d < 0 || int(d) >= len(m.driverRow) || m.driverRow[d] < 0 {

@@ -3,8 +3,8 @@
 // processing model (Algorithm 1). Every Delta seconds the engine collects
 // waiting riders and available drivers, prunes candidate drivers per
 // rider on the spatial index (patience radius, optional k-nearest cap),
-// prices the whole driver×rider pickup-cost matrix in one
-// roadnet.BatchCoster call, and derives the valid rider-and-driver
+// prices every rider's candidate drivers in one roadnet.PairCoster
+// call (a sparse driver×rider pickup-cost matrix), and derives the valid rider-and-driver
 // pairs of Definition 3 (driver can reach the pickup before the rider's
 // deadline) as feasibility-filtered matrix lookups. The batch Context —
 // pairs, matrix, per-region counts and predictions — goes to a

@@ -22,9 +22,10 @@ type Config struct {
 	// Grid partitions the city; nil defaults to the paper's 16x16 NYC grid.
 	Grid *geo.Grid
 	// Coster prices travel; nil defaults to roadnet.NewDefaultCoster().
-	// Costers that implement roadnet.BatchCoster are priced one
-	// many-to-many matrix per batch; plain Costers are priced cell by
-	// cell. See buildContext for the exact dense-versus-lazy rules.
+	// Costers that implement roadnet.BatchCoster are priced one call per
+	// batch — the batch's candidate pairs, through CostPairs when they
+	// also implement roadnet.PairCoster; plain Costers are priced cell
+	// by cell. See buildContext for the exact batched-versus-lazy rules.
 	Coster roadnet.Coster
 	// Delta is the batch interval in seconds (default 3, Table 2).
 	Delta float64
@@ -177,9 +178,10 @@ type Engine struct {
 	src     OrderSource
 	srcDone bool
 	// dense is cfg.Coster when it implements roadnet.BatchCoster — one
-	// dense Costs call per batch — and nil for plain Costers, which are
-	// priced lazily, cell by cell.
-	dense   roadnet.BatchCoster
+	// CostPairs call per batch (through densePairs when the coster has
+	// only Costs), one Costs call per admission wave, two per pooling
+	// search — and nil for plain Costers, priced lazily, cell by cell.
+	dense   roadnet.PairCoster
 	drivers []Driver
 
 	idx     *geo.Index // available drivers
@@ -257,7 +259,11 @@ func NewWithSource(cfg Config, src OrderSource, driverStarts []geo.Point) *Engin
 		openIdle:     make(map[DriverID]int),
 		arena:        newBatchArena(cfg.Grid.NumRegions()),
 	}
-	e.dense, _ = cfg.Coster.(roadnet.BatchCoster)
+	if pc, ok := cfg.Coster.(roadnet.PairCoster); ok {
+		e.dense = pc
+	} else if bc, ok := cfg.Coster.(roadnet.BatchCoster); ok {
+		e.dense = densePairs{bc}
+	}
 	if cfg.Scenario.Enabled() {
 		e.scen = newScenarioState(cfg.Scenario)
 	}
@@ -546,10 +552,12 @@ func (e *Engine) AddDriver(p geo.Point, freeAt float64, shift Shift) DriverID {
 //
 // Trip costs (pickup→dropoff) for the whole admission wave are priced
 // through one BatchCoster.Costs call when the coster batches natively —
-// the same dense-versus-lazy policy buildContext applies to pickup
+// the same batched-versus-lazy policy buildContext applies to pickup
 // costs. A graph coster then runs one truncated Dijkstra per unique
 // pickup instead of a full tree per order, with values bitwise-identical
-// to per-pair Cost queries (the BatchCoster contract).
+// to per-pair Cost queries (the BatchCoster contract). The call is the
+// dense one, not CostPairs over the diagonal: bench/'s traced coster
+// times the wave through Costs and is frozen (ROADMAP ruler note (h)).
 func (e *Engine) admitOrders(now float64) {
 	ready, done := e.src.Poll(now)
 	e.srcDone = done
@@ -571,20 +579,17 @@ func (e *Engine) admitOrders(now float64) {
 		// chunk's dropoffs; across chunks its tree cache carries the
 		// reuse.
 		const chunk = 256
-		trips = make([]float64, len(ready))
-		pickups := make([]geo.Point, 0, chunk)
-		dropoffs := make([]geo.Point, 0, chunk)
+		a := &e.arena
+		a.trips = slices.Grow(a.trips[:0], len(ready))[:len(ready)]
+		trips = a.trips
 		for lo := 0; lo < len(ready); lo += chunk {
-			hi := lo + chunk
-			if hi > len(ready) {
-				hi = len(ready)
-			}
-			pickups, dropoffs = pickups[:0], dropoffs[:0]
+			hi := min(lo+chunk, len(ready))
+			a.pickups, a.dropoffs = a.pickups[:0], a.dropoffs[:0]
 			for _, o := range ready[lo:hi] {
-				pickups = append(pickups, o.Pickup)
-				dropoffs = append(dropoffs, o.Dropoff)
+				a.pickups = append(a.pickups, o.Pickup)
+				a.dropoffs = append(a.dropoffs, o.Dropoff)
 			}
-			matrix := e.dense.Costs(pickups, dropoffs)
+			matrix := e.dense.Costs(a.pickups, a.dropoffs)
 			for i := range matrix {
 				trips[lo+i] = matrix[i][i]
 			}
@@ -762,9 +767,9 @@ func (e *Engine) renegeExpired(now float64) {
 	e.waiting = kept
 }
 
-// buildContext snapshots the batch state, prices the batch's
-// driver-to-pickup cost matrix in one BatchCoster call, and precomputes
-// valid pairs as matrix lookups. Every slice is the arena's; the header
+// buildContext snapshots the batch state, prices the batch's candidate
+// driver-to-pickup pairs in one PairCoster call, and precomputes valid
+// pairs as matrix lookups. Every slice is the arena's; the header
 // (Context plus CostMatrix, one object) must stay fresh — dispatchers
 // key per-batch caches on the *Context they were handed.
 func (e *Engine) buildContext(now float64) *Context {
@@ -833,23 +838,38 @@ func (e *Engine) buildContext(now float64) *Context {
 		}
 	}
 
-	// Price the matrix. Dense mode (see Engine.dense) issues the one
-	// Costs call per batch the API documents — that is what lets a
-	// graph coster amortize one truncated Dijkstra per unique source,
-	// or a remote coster batch its round-trips. Lazy mode (plain
-	// Costers — closed forms, O(1) per cell, nothing to amortize) prices
-	// in the pair loop below exactly the cells it reads, with rows
-	// carved from the arena's slab on first touch; CostMatrix reports
-	// unpriced cells as uncovered. Either way the priced values are
+	// Price the matrix: sparse rows, NaN where nobody priced (CostMatrix
+	// reports such a cell as uncovered), carved from the arena's slab
+	// on first touch. Batched mode (see Engine.dense) issues the one
+	// call per batch the API documents, over every rider's candidates
+	// — what lets a graph coster run one Dijkstra per unique source,
+	// truncated at that driver's own farthest candidate rider, or a
+	// remote coster batch its round-trips. Lazy mode (plain Costers —
+	// closed forms, nothing to amortize) prices in the pair loop below
+	// exactly the cells it reads. Either way the priced values are
 	// bitwise-identical to per-pair Coster queries.
-	var costs [][]float64
+	a.rows = slices.Grow(a.rows[:0], len(a.sources))[:len(a.sources)]
+	clear(a.rows)
+	a.slab = a.slab[:0]
+	costs := a.rows
 	if e.dense != nil {
-		costs = e.dense.Costs(a.sources, a.targets)
-	} else {
-		a.rows = slices.Grow(a.rows[:0], len(a.sources))[:len(a.sources)]
-		clear(a.rows)
-		a.slab = a.slab[:0]
-		costs = a.rows
+		a.pairSrc, a.pairTgt = a.pairSrc[:0], a.pairTgt[:0]
+		lo := 0
+		for wi, end := range a.candEnd {
+			for _, nb := range a.cand[lo:end] {
+				a.pairSrc = append(a.pairSrc, a.driverRow[a.driverSlot[nb.ID]])
+				a.pairTgt = append(a.pairTgt, int32(wi))
+			}
+			lo = end
+		}
+		a.pairCost = slices.Grow(a.pairCost[:0], len(a.pairSrc))[:len(a.pairSrc)]
+		e.dense.CostPairs(a.sources, a.targets, a.pairSrc, a.pairTgt, a.pairCost)
+		for k, row := range a.pairSrc {
+			if costs[row] == nil {
+				costs[row] = a.costRow(len(a.targets))
+			}
+			costs[row][a.pairTgt[k]] = a.pairCost[k]
+		}
 	}
 	frame.costs = CostMatrix{rows: costs, driverRow: a.driverRow}
 

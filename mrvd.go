@@ -115,8 +115,9 @@ type (
 	// BatchCoster is a Coster with many-to-many matrix pricing; custom
 	// costers that implement it are priced in one dense Costs call per
 	// batch, plain Costers only in the cells the engine reads. The
-	// graph-backed built-in batches; the closed-form one, too cheap per
-	// cell to batch, is a plain Coster.
+	// graph-backed built-in batches — through roadnet.PairCoster, the
+	// candidate pairs only; the closed-form one, too cheap per cell to
+	// batch, is a plain Coster.
 	BatchCoster = roadnet.BatchCoster
 	// Repositioner proposes cruise targets for long-idle drivers.
 	Repositioner = sim.Repositioner

@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"mrvd/internal/core"
 	"mrvd/internal/dispatch"
 	"mrvd/internal/geo"
 	"mrvd/internal/obs"
 	"mrvd/internal/pool"
+	"mrvd/internal/predict"
 	"mrvd/internal/sim"
 	"mrvd/internal/trace"
 	"mrvd/internal/workload"
@@ -245,5 +247,40 @@ func TestPeakHourOverheads(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestForecastHourAllocs gates the demand forecast the way the layers
+// above are gated: the objects it adds to the same hour without one.
+// The dispatcher is NEAR, which never reads the forecast, so both hours
+// make the same decisions and the difference is the forecast callback's
+// alone. It owns its result buffers (core's predictFn), so a session
+// pays for them once — 1 object for the oracle and 8 with the trained
+// model's memoized slots at PR 23, where a fresh pair per batch had
+// cost 361 and 367 over this hour's 180 batches.
+func TestForecastHourAllocs(t *testing.T) {
+	city, orders, starts := peakHourFixture()
+	r := core.NewRunnerWithOrders(core.Options{
+		City: city, NumDrivers: len(starts), Delta: 20, TC: 1200,
+		Horizon: peakHourHorizon, CandidateCap: 16, Seed: 9,
+	}, orders, starts)
+	hour := func(mode core.PredictionMode, model predict.Predictor) float64 {
+		return testing.AllocsPerRun(1, func() {
+			if _, err := r.Run(context.Background(), core.ShardDispatchers("NEAR", 9, 1), mode, model); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	none := hour(core.PredictNone, nil)
+	for _, f := range []struct {
+		name  string
+		mode  core.PredictionMode
+		model predict.Predictor
+	}{{"oracle", core.PredictOracle, nil}, {"model", core.PredictModel, predict.HA{}}} {
+		added := hour(f.mode, f.model) - none
+		t.Logf("%s forecast adds %.0f objects to the hour's %.0f", f.name, added, none)
+		if added > 20 {
+			t.Errorf("%s forecast adds %.0f objects to the hour, bound 20: a per-batch buffer is back", f.name, added)
+		}
 	}
 }

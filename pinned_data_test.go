@@ -52,3 +52,9 @@ var pinnedRoadAtParent = map[int]pinnedRoad{
 	4: {pinned: pinned{Summary: sim.Summary{Revenue: 260242.87511741318, Served: 462, Reneged: 627, Canceled: 0, Declines: 0, TotalOrders: 1113, Batches: 720, PickupSeconds: 35928.385812976354, IdleClosed: 462, IdleSeconds: 313585.72952503816, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 380034.2857142858, InfEstimates: 4, TravelRecords: 0}, IdleRecords: 462,
 		Shards: []pinnedShard{{Admitted: 282, Served: 70, RehomedIn: 15}, {Admitted: 289, Served: 140, RehomedIn: 64}, {Admitted: 271, Served: 179, RehomedIn: 80}, {Admitted: 270, Served: 73, RehomedIn: 28}}},
 }
+
+// pinnedRoadWork and pinnedRoadWorkSettled hold TestPinnedRoadWork's
+// expectations, recorded at commit 6904d87 (the parent of PR 23).
+var pinnedRoadWork = pinned{Summary: sim.Summary{Revenue: 266798.1539761335, Served: 476, Reneged: 617, Canceled: 0, Declines: 0, TotalOrders: 1113, Batches: 720, PickupSeconds: 36727.33587508734, IdleClosed: 476, IdleSeconds: 314559.1412445401, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 386666.66666666674, InfEstimates: 4, TravelRecords: 0}
+
+const pinnedRoadWorkSettled = 991807.0

@@ -168,3 +168,34 @@ func TestPinnedShardedRoad(t *testing.T) {
 		})
 	}
 }
+
+// TestPinnedRoadWork replays the peak-hour fixture, unsharded and with
+// every in-radius driver a candidate (CandidateCap 0, the shape of
+// bench/'s peak_road), priced on a generated road network. The Summary
+// and ledger figures are pinned like every other replay here; the
+// shortest-path work is pinned as a ceiling. pinnedRoadWorkSettled is
+// the CosterStats.SettledNodes this replay cost at the parent of PR 23
+// (commit 6904d87), where the engine priced the dense candidate-drivers
+// x waiting-riders matrix every batch. Pricing only the pairs a batch
+// reads must stay at or under three quarters of it, so the sparsity
+// cannot silently regress to the dense matrix.
+func TestPinnedRoadWork(t *testing.T) {
+	city, orders, starts := peakHourFixture()
+	coster := roadnet.NewGraphCoster(roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: 7}))
+	r := core.NewRunnerWithOrders(core.Options{
+		City: city, NumDrivers: len(starts), Delta: 5, TC: 1200,
+		Horizon: peakHourHorizon, Seed: 9, Coster: coster,
+	}, orders, starts)
+	m, err := r.Run(context.Background(), core.ShardDispatchers("IRG", 9, r.Options().Shards), core.PredictOracle, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pin(m); got != pinnedRoadWork {
+		t.Errorf("replay no longer reproduces the pinned output:\n  got:  %#v\n  want: %#v", got, pinnedRoadWork)
+	}
+	settled := coster.Stats().SettledNodes
+	t.Logf("settled %d nodes, %.3fx the dense matrix's %d", settled, float64(settled)/pinnedRoadWorkSettled, int64(pinnedRoadWorkSettled))
+	if float64(settled) > 0.75*pinnedRoadWorkSettled {
+		t.Errorf("settled %d nodes, more than 0.75x the %d the dense per-batch matrix cost", settled, int64(pinnedRoadWorkSettled))
+	}
+}

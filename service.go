@@ -109,8 +109,10 @@ func WithHorizon(seconds float64) Option {
 // urban speed); every shard of a session prices through it. For Sweep,
 // the coster is shared across parallel runs and must be safe for
 // concurrent use; DefaultCoster and GraphCoster are.
-// Costers implementing BatchCoster are priced one many-to-many matrix
-// per batch; plain Costers are priced cell by cell.
+// Costers implementing BatchCoster are priced one call per batch —
+// only the batch's candidate pairs, when they also implement
+// roadnet.PairCoster as GraphCoster does; plain Costers are priced cell
+// by cell.
 func WithCoster(c Coster) Option {
 	return func(s *Service) {
 		if c == nil {
