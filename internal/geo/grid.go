@@ -139,9 +139,10 @@ func (g *Grid) RegionsWithin(p Point, radiusMeters float64) []RegionID {
 // cellSpan returns the inclusive row and column ranges RegionsWithin
 // enumerates (row-major), so the index's queries can walk the same cells
 // in the same order without materializing them. ok is false for a
-// negative radius.
+// negative or NaN radius; any other radius, +Inf included, spans at
+// most the whole grid.
 func (g *Grid) cellSpan(p Point, radiusMeters float64) (minRow, maxRow, minCol, maxCol int, ok bool) {
-	if radiusMeters < 0 {
+	if !(radiusMeters >= 0) {
 		return 0, 0, 0, 0, false
 	}
 	// Convert the radius into degree spans at p's latitude.
@@ -152,9 +153,37 @@ func (g *Grid) cellSpan(p Point, radiusMeters float64) (minRow, maxRow, minCol, 
 	}
 	lngSpan := latSpan / cosLat
 	clamped := g.box.Clamp(p)
-	minCol = max(int((clamped.Lng-lngSpan-g.box.MinLng)/g.cellW), 0)
-	maxCol = min(int((clamped.Lng+lngSpan-g.box.MinLng)/g.cellW), g.cols-1)
-	minRow = max(int((clamped.Lat-latSpan-g.box.MinLat)/g.cellH), 0)
-	maxRow = min(int((clamped.Lat+latSpan-g.box.MinLat)/g.cellH), g.rows-1)
+	minCol = cellIndex((clamped.Lng-lngSpan-g.box.MinLng)/g.cellW, g.cols)
+	maxCol = cellIndex((clamped.Lng+lngSpan-g.box.MinLng)/g.cellW, g.cols)
+	minRow = cellIndex((clamped.Lat-latSpan-g.box.MinLat)/g.cellH, g.rows)
+	maxRow = cellIndex((clamped.Lat+latSpan-g.box.MinLat)/g.cellH, g.rows)
 	return minRow, maxRow, minCol, maxCol, true
+}
+
+// cellIndex truncates a fractional cell coordinate into [0, n). The
+// clamp happens in float: converting a coordinate beyond the integer
+// range (a span of 1e25 m, +Inf) is not defined and would yield an
+// empty span.
+func cellIndex(x float64, n int) int {
+	if !(x > 0) {
+		return 0
+	}
+	if x >= float64(n) {
+		return n - 1
+	}
+	return int(x)
+}
+
+// minMidCos returns a lower bound on the longitude scale Equirect
+// applies between a point at latitude lat and any point of the grid
+// box: the cosine of the mid-latitude farthest from the equator. Within
+// a degree of a pole (or past it, or for a NaN latitude) it is 0 — the
+// cosine's relative error grows without bound there, and a bound on the
+// latitude term alone is still a bound.
+func (g *Grid) minMidCos(lat float64) float64 {
+	far := math.Max(math.Abs(lat+g.box.MinLat), math.Abs(lat+g.box.MaxLat)) / 2
+	if far < 89 {
+		return math.Cos(far * math.Pi / 180)
+	}
+	return 0
 }

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"cmp"
+	"math"
 	"slices"
 )
 
@@ -130,6 +131,12 @@ func (ix *Index) RegionOf(id int32) (RegionID, bool) {
 	return ix.region[id], true
 }
 
+// Regions returns the region of every id the index has ever held, by
+// id: negative where the id is not indexed now. It is the cheapest
+// ordered enumeration of the indexed items. The returned slice is owned
+// by the index; callers must not mutate it.
+func (ix *Index) Regions() []RegionID { return ix.region }
+
 // InRegion returns the ids bucketed in one region. The returned slice is
 // owned by the index; callers must not mutate it.
 func (ix *Index) InRegion(r RegionID) []int32 {
@@ -157,17 +164,7 @@ func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
 // buffer. Only the appended tail is sorted.
 func (ix *Index) AppendWithin(dst []Neighbor, p Point, radiusMeters float64) []Neighbor {
 	base := len(dst)
-	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, radiusMeters)
-	for row := minRow; ok && row <= maxRow; row++ {
-		for col := minCol; col <= maxCol; col++ {
-			for _, id := range ix.buckets[row*ix.grid.cols+col] {
-				d := Equirect(p, ix.pos[id])
-				if d <= radiusMeters {
-					dst = append(dst, Neighbor{ID: id, Distance: d})
-				}
-			}
-		}
-	}
+	dst, _ = ix.scan(dst, p, scanAll, radiusMeters)
 	slices.SortFunc(dst[base:], nearCmp)
 	return dst
 }
@@ -176,17 +173,7 @@ func (ix *Index) AppendWithin(dst []Neighbor, p Point, radiusMeters float64) []N
 // materializing or sorting them — the allocation-free form of Within for
 // callers that only need supply depth (the shard router's borrow probe).
 func (ix *Index) CountWithin(p Point, radiusMeters float64) int {
-	n := 0
-	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, radiusMeters)
-	for row := minRow; ok && row <= maxRow; row++ {
-		for col := minCol; col <= maxCol; col++ {
-			for _, id := range ix.buckets[row*ix.grid.cols+col] {
-				if Equirect(p, ix.pos[id]) <= radiusMeters {
-					n++
-				}
-			}
-		}
-	}
+	_, n := ix.scan(nil, p, scanCount, radiusMeters)
 	return n
 }
 
@@ -207,33 +194,93 @@ func (ix *Index) AppendNearest(dst []Neighbor, p Point, k int, radiusMeters floa
 		return dst
 	}
 	base := len(dst)
-	dst = slices.Grow(dst, k)
-	h := nearHeap(dst[base : base : base+k])
-	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, radiusMeters)
-	for row := minRow; ok && row <= maxRow; row++ {
-		for col := minCol; col <= maxCol; col++ {
-			for _, id := range ix.buckets[row*ix.grid.cols+col] {
-				d := Equirect(p, ix.pos[id])
-				if d > radiusMeters {
-					continue
-				}
-				nb := Neighbor{ID: id, Distance: d}
-				if len(h) < k {
-					h.push(nb)
-				} else if nearLess(nb, h[0]) {
-					h.replaceTop(nb)
-				}
-			}
-		}
-	}
+	dst, _ = ix.scan(slices.Grow(dst, k), p, k, radiusMeters)
 	// Drain the max-heap back-to-front for ascending order.
-	dst = dst[:base+len(h)]
+	h := nearHeap(dst[base:])
 	for n := len(h) - 1; n > 0; n-- {
 		h[0], h[n] = h[n], h[0]
 		h = h[:n]
 		h.siftDown(0)
 	}
 	return dst
+}
+
+// scan's modes besides k > 0 (keep the k best as a max-heap on dst's
+// tail, which must have k spare cells).
+const (
+	scanAll   = 0  // append every item in radius, unordered
+	scanCount = -1 // append nothing
+)
+
+// metersPerDegree is Equirect's scale along a meridian.
+const metersPerDegree = EarthRadiusMeters * math.Pi / 180
+
+// boundMargin is the relative slack scan's squared lower bound gets
+// over the squared limit: nine orders of magnitude above the rounding
+// either side accumulates, and far below anything that would let an
+// item through that a cosine then has to reject.
+const boundMargin = 1e-9
+
+// scan is the one loop behind Within, Nearest and CountWithin: it walks
+// the cells cellSpan gives, row-major, and returns dst extended per the
+// mode k selects, plus — in scanCount mode only — the number of items
+// within radiusMeters.
+//
+// An item is first tested against a lower bound of its Equirect
+// distance — the same projection with the longitude scale fixed at its
+// minimum over p's and the grid's latitudes, one cosine per query where
+// Equirect takes one per item — and skipped when even that exceeds the
+// limit: the radius, or, once the heap holds k, its worst entry. Only
+// survivors pay for the real distance, which alone decides membership
+// and is what the Neighbor carries.
+func (ix *Index) scan(dst []Neighbor, p Point, k int, radiusMeters float64) ([]Neighbor, int) {
+	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, radiusMeters)
+	if !ok {
+		return dst, 0
+	}
+	base, n := len(dst), 0
+	kx := metersPerDegree * ix.grid.minMidCos(p.Lat)
+	limit := radiusMeters
+	limit2 := limit * limit * (1 + boundMargin)
+	for row := minRow; row <= maxRow; row++ {
+		for col := minCol; col <= maxCol; col++ {
+			for _, id := range ix.buckets[row*ix.grid.cols+col] {
+				q := ix.pos[id]
+				x, y := (q.Lng-p.Lng)*kx, (q.Lat-p.Lat)*metersPerDegree
+				if x*x+y*y > limit2 {
+					continue
+				}
+				d := Equirect(p, q)
+				if !(d <= limit) {
+					continue
+				}
+				nb := Neighbor{ID: id, Distance: d}
+				switch {
+				case k == scanCount:
+					n++
+				case k == scanAll:
+					dst = append(dst, nb)
+				default:
+					h := nearHeap(dst[base:])
+					if len(h) < k {
+						h.push(nb)
+						dst = dst[:base+len(h)]
+					} else if nearLess(nb, h[0]) {
+						h.replaceTop(nb)
+					} else {
+						continue
+					}
+					if len(h) == k {
+						// Full: only an item no farther than the worst
+						// kept can still enter.
+						limit = h[0].Distance
+						limit2 = limit * limit * (1 + boundMargin)
+					}
+				}
+			}
+		}
+	}
+	return dst, n
 }
 
 // nearCmp orders neighbours by distance then id — the one total order

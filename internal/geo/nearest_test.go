@@ -1,8 +1,11 @@
 package geo
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -73,5 +76,135 @@ func TestNearestAfterRemovals(t *testing.T) {
 	got := ix.Nearest(c, 3, 1e6)
 	if len(got) != 3 || got[0].ID != 1 || got[1].ID != 3 || got[2].ID != 5 {
 		t.Fatalf("Nearest after removals = %v, want ids 1,3,5", got)
+	}
+}
+
+// TestQueriesMatchBruteForce: the scan's lower bound may only skip
+// items the real distance would reject. Over random fleets and queries
+// — query points outside the grid box and past the poles, items on cell
+// borders and stacked on one point, radius 0, a radius that is exactly
+// some item's distance, k beyond the fleet — Within, Nearest and
+// CountWithin must equal a brute-force Equirect scan sorted by nearCmp,
+// element for element, Distance bits included.
+func TestQueriesMatchBruteForce(t *testing.T) {
+	boxes := []BBox{
+		NYCBBox,
+		{MinLng: -0.2, MinLat: -0.15, MaxLng: 0.2, MaxLat: 0.25}, // straddles the equator
+		{MinLng: 10, MinLat: 89.6, MaxLng: 11, MaxLat: 90},       // touches the pole
+		{MinLng: 100, MinLat: -88.9, MaxLng: 100.5, MaxLat: -88.7},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for bi, box := range boxes {
+		grid := NewGrid(box, 8, 8)
+		w, h := box.MaxLng-box.MinLng, box.MaxLat-box.MinLat
+		for fleet := 0; fleet < 6; fleet++ {
+			ix := NewIndex(grid)
+			pts := make([]Point, 20+rng.Intn(300))
+			for id := range pts {
+				var p Point
+				switch rng.Intn(6) {
+				case 0: // on a cell border, possibly a corner
+					p = Point{Lng: box.MinLng + float64(rng.Intn(9))*w/8, Lat: box.MinLat + rng.Float64()*h}
+					if rng.Intn(2) == 0 {
+						p.Lat = box.MinLat + float64(rng.Intn(9))*h/8
+					}
+				case 1: // stacked on an earlier item: ties broken by id
+					if id > 0 {
+						p = pts[rng.Intn(id)]
+						break
+					}
+					fallthrough
+				default:
+					p = Point{Lng: box.MinLng + rng.Float64()*w, Lat: box.MinLat + rng.Float64()*h}
+				}
+				p = box.Clamp(p) // what Insert stores
+				pts[id] = p
+				ix.Insert(int32(id), p)
+			}
+			for trial := 0; trial < 60; trial++ {
+				q := Point{Lng: box.MinLng + (rng.Float64()*1.6-0.3)*w, Lat: box.MinLat + (rng.Float64()*1.6-0.3)*h}
+				switch rng.Intn(8) {
+				case 0:
+					q = pts[rng.Intn(len(pts))]
+				case 1: // far off, up to and past the poles
+					q.Lat = rng.Float64()*400 - 200
+				case 2:
+					q.Lng += rng.Float64()*40 - 20
+				}
+				radius := rng.Float64() * Equirect(Point{Lng: box.MinLng, Lat: box.MinLat}, Point{Lng: box.MaxLng, Lat: box.MaxLat})
+				switch rng.Intn(6) {
+				case 0:
+					radius = 0
+				case 1:
+					radius = Equirect(q, pts[rng.Intn(len(pts))])
+				case 2:
+					radius = math.Inf(1)
+				}
+				var want []Neighbor
+				for id, p := range pts {
+					if d := Equirect(q, p); d <= radius {
+						want = append(want, Neighbor{ID: int32(id), Distance: d})
+					}
+				}
+				slices.SortFunc(want, nearCmp)
+				where := fmt.Sprintf("box %d fleet %d trial %d: q=%v radius=%v", bi, fleet, trial, q, radius)
+				if got := ix.Within(q, radius); !sameNeighbors(got, want) {
+					t.Fatalf("%s: Within: %s", where, firstDiff(got, want))
+				}
+				if got := ix.CountWithin(q, radius); got != len(want) {
+					t.Fatalf("%s: CountWithin = %d, want %d", where, got, len(want))
+				}
+				for _, k := range []int{1, 3, 16, len(pts), len(pts) + 7} {
+					if got := ix.Nearest(q, k, radius); !sameNeighbors(got, want[:min(k, len(want))]) {
+						t.Fatalf("%s: Nearest(%d): %s", where, k, firstDiff(got, want[:min(k, len(want))]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameNeighbors compares ids and the distances' bit patterns.
+func sameNeighbors(a, b []Neighbor) bool {
+	return slices.EqualFunc(a, b, func(x, y Neighbor) bool {
+		return x.ID == y.ID && math.Float64bits(x.Distance) == math.Float64bits(y.Distance)
+	})
+}
+
+// firstDiff names the first position two neighbour lists differ at.
+func firstDiff(got, want []Neighbor) string {
+	for i := range min(len(got), len(want)) {
+		if !sameNeighbors(got[i:i+1], want[i:i+1]) {
+			return fmt.Sprintf("element %d is %v, want %v", i, got[i], want[i])
+		}
+	}
+	return fmt.Sprintf("%d elements, want %d", len(got), len(want))
+}
+
+// TestQueriesAnyRadius: a radius too large for the cell arithmetic's
+// integer conversion spans the whole grid instead of nothing.
+func TestQueriesAnyRadius(t *testing.T) {
+	ix := NewIndex(NewNYCGrid())
+	c := NYCBBox.Center()
+	ix.Insert(0, c)
+	for _, tc := range []struct {
+		radius float64
+		want   int
+	}{
+		{0, 1}, {1e3, 1}, {1e12, 1}, {1e25, 1}, {math.Inf(1), 1},
+		{math.NaN(), 0}, {-1, 0}, {math.Inf(-1), 0},
+	} {
+		if got := len(ix.Within(c, tc.radius)); got != tc.want {
+			t.Errorf("Within(radius %v) found %d, want %d", tc.radius, got, tc.want)
+		}
+		if got := len(ix.Nearest(c, 3, tc.radius)); got != tc.want {
+			t.Errorf("Nearest(radius %v) found %d, want %d", tc.radius, got, tc.want)
+		}
+		if got := ix.CountWithin(c, tc.radius); got != tc.want {
+			t.Errorf("CountWithin(radius %v) = %d, want %d", tc.radius, got, tc.want)
+		}
+		if got := len(ix.grid.RegionsWithin(c, tc.radius)); tc.radius >= 1e12 && got != ix.grid.NumRegions() {
+			t.Errorf("RegionsWithin(radius %v) spans %d regions, want all %d", tc.radius, got, ix.grid.NumRegions())
+		}
 	}
 }

@@ -25,8 +25,11 @@
 //     city-wide BatchStart per round), re-homes idle drivers to the
 //     shard owning the territory they stand in (fleet ownership
 //     follows position — without it drivers strand wherever their
-//     last dropoff crossed a frontier), and merges per-shard Metrics
-//     into one aggregate identical in shape to a single engine's.
+//     last dropoff crossed a frontier; an available driver never
+//     moves, so each round looks only at the drivers that joined an
+//     engine's available pool since its last dispatch step,
+//     sim.Engine.EachJoined), and merges per-shard Metrics into one
+//     aggregate identical in shape to a single engine's.
 //
 // A 1-shard Runtime is contractually equivalent to a bare
 // sim.Engine.Run: same admissions, same events in the same order, same

@@ -375,8 +375,12 @@ func (rt *Runtime) routeCancels() {
 // lands across a frontier leaves the driver in an engine that will
 // never receive orders near it. Runs between the admit and dispatch
 // steps, so a driver freed this round is assignable by its new shard in
-// the same round. The scan order (shards ascending, local ids
-// ascending) keeps re-homing — and hence the whole run — deterministic.
+// the same round. Only drivers that joined an engine's available pool
+// since its last dispatch step are looked at (Engine.EachJoined): an
+// available driver stays where it was dropped off, so everyone else was
+// in place the round before. The visit order (shards ascending, local
+// ids ascending) keeps re-homing — and hence the whole run —
+// deterministic: a move takes the receiving engine's next local id.
 func (rt *Runtime) rehomeFleet() {
 	if len(rt.engines) == 1 {
 		return
@@ -388,8 +392,8 @@ func (rt *Runtime) rehomeFleet() {
 	var moves []move
 	for i, e := range rt.engines {
 		moves = moves[:0]
-		e.EachAvailable(func(id sim.DriverID, pos geo.Point) {
-			if owner := rt.part.OwnerOf(pos); owner != ID(i) {
+		e.EachJoined(func(id sim.DriverID, region geo.RegionID) {
+			if owner := rt.part.Owner(region); owner != ID(i) {
 				moves = append(moves, move{id: id, to: owner})
 			}
 		})

@@ -810,3 +810,71 @@ func TestRuntimeSingleUse(t *testing.T) {
 		t.Fatal("second Run returned nil error; want already-ran failure")
 	}
 }
+
+// TestRehomingLeavesNobodyMisplaced: re-homing looks only at the drivers
+// Engine.EachJoined reports, so a path that makes a driver available
+// without reporting it would strand that driver. After every round's
+// re-homing (the city-wide BatchStart fires right behind it) this test
+// scans every engine's whole fleet itself and requires that no available
+// driver stands in a region another shard owns — on 2 and 4 shards, with
+// shift joins and leaves, a repositioner, driver declines (cooldown
+// rejoins) and CandidateBorrow all active. The RehomedIn totals are the
+// ones the full per-round scan this replaced produced (recorded at
+// PR 24's parent).
+func TestRehomingLeavesNobodyMisplaced(t *testing.T) {
+	orders, starts, grid := testInstance(t, 20000, 80)
+	shifts := make([]sim.Shift, len(starts))
+	for i := range shifts {
+		switch i % 4 {
+		case 1:
+			shifts[i].JoinAt = float64(300 * (i%7 + 1))
+		case 2:
+			shifts[i].LeaveAt = 3600 + float64(30*i)
+		}
+	}
+	for _, c := range []struct{ shards, rehomed int }{{2, 69}, {4, 120}} {
+		var rt *Runtime
+		rounds, repositioned, declined := 0, 0, 0
+		cfg := sim.Config{
+			Grid: grid, Delta: 3, TC: 1200, Horizon: 2 * 3600, CandidateCap: 16,
+			Shifts:       shifts,
+			Repositioner: &dispatch.QueueReposition{}, RepositionAfter: 120,
+			Scenario: sim.ScenarioConfig{DeclineProb: 0.2, Seed: 11},
+			Observer: sim.ObserverFuncs{
+				BatchStart: func(e sim.BatchStartEvent) {
+					rounds++
+					for i, eng := range rt.engines {
+						for _, d := range eng.Drivers() {
+							if owner := rt.part.OwnerOf(d.Pos); d.State == sim.Available && owner != ID(i) {
+								t.Fatalf("%d shards, round %d: shard %d's available driver %d stands at %v, which shard %d owns",
+									c.shards, e.Batch, i, d.ID, d.Pos, owner)
+							}
+						}
+					}
+				},
+				Repositioned: func(sim.RepositionedEvent) { repositioned++ },
+				Declined:     func(sim.DeclinedEvent) { declined++ },
+			},
+		}
+		var err error
+		rt, err = New(Config{Sim: cfg, Shards: c.shards, Policy: CandidateBorrow}, sim.NewSliceSource(orders), starts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Run(context.Background(), func(int) (sim.Dispatcher, error) { return &dispatch.LS{}, nil }); err != nil {
+			t.Fatal(err)
+		}
+		rehomed, borrowed := 0, 0
+		for _, s := range rt.Stats() {
+			rehomed += s.RehomedIn
+			borrowed += s.BorrowedIn
+		}
+		if rounds == 0 || repositioned == 0 || declined == 0 || borrowed == 0 {
+			t.Fatalf("%d shards: a feature never ran: rounds=%d repositioned=%d declined=%d borrowed=%d",
+				c.shards, rounds, repositioned, declined, borrowed)
+		}
+		if rehomed != c.rehomed {
+			t.Errorf("%d shards: %d drivers re-homed, want %d", c.shards, rehomed, c.rehomed)
+		}
+	}
+}

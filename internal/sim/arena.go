@@ -34,7 +34,8 @@ type batchArena struct {
 	candEnd []int
 	// targets (rider pickups) and sources (unique candidate drivers'
 	// positions) are the cost matrix's columns and rows; driverRow maps
-	// a driver slot to its row, -1 when it is nobody's candidate.
+	// a driver slot to its row, -1 when it is nobody's candidate (between
+	// batches EachJoined sorts its visit list in it).
 	targets, sources []geo.Point
 	driverRow        []int32
 	// rows are the batch's sparse cost rows, nil until first touched and

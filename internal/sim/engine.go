@@ -426,10 +426,10 @@ func (e *Engine) StepDispatch(now float64, d Dispatcher) error {
 	e.unestimated = e.unestimated[:0]
 	if estimator, ok := d.(IdleEstimating); ok {
 		for _, rec := range pending {
-			r := &e.metrics.IdleRecords[rec]
-			if open, ok := e.openIdle[r.Driver]; !ok || open != rec {
+			if !e.ledgerOpen(rec) {
 				continue
 			}
+			r := &e.metrics.IdleRecords[rec]
 			r.Estimate = estimator.EstimateIdle(bctx, r.Region)
 			if math.IsNaN(r.Estimate) {
 				e.unestimated = append(e.unestimated, rec) // retried next batch
@@ -492,15 +492,34 @@ func (e *Engine) AvailableWithin(p geo.Point, radiusMeters float64) int {
 	return e.idx.CountWithin(p, radiusMeters)
 }
 
-// EachAvailable visits every available driver in ascending id order —
-// the deterministic enumeration a sharded runtime's fleet re-homing
-// scans between rounds. It must not be called concurrently with
+// EachJoined visits, in ascending id order, every driver that became
+// available since the last StepDispatch — the starting fleet, trip,
+// cruise and cooldown completions, shift joins, AddDriver hand-offs —
+// with the region it stands in. An available driver never moves, so
+// these are the only drivers whose region differs from the one they
+// were last seen in: what a sharded runtime's fleet re-homing checks
+// between the admit and dispatch steps. Every path that makes a driver
+// available opens an idle-ledger entry, so the list is the ledger's
+// unestimated one (which may also carry a few long-idle drivers whose
+// estimate is being retried). It must not be called concurrently with
 // stepping.
-func (e *Engine) EachAvailable(f func(id DriverID, pos geo.Point)) {
-	for i := range e.drivers {
-		if e.drivers[i].State == Available {
-			f(DriverID(i), e.drivers[i].Pos)
+func (e *Engine) EachJoined(f func(id DriverID, region geo.RegionID)) {
+	// The sorted visit list borrows driverRow, which every buildContext
+	// rebuilds and nothing reads in between: the one list as long as the
+	// fleet (the starting fleet, all joining at Begin) costs no
+	// allocation the first batch would not have made.
+	a := &e.arena
+	joined := slices.Grow(a.driverRow[:0], len(e.unestimated))
+	for _, rec := range e.unestimated {
+		if e.ledgerOpen(rec) {
+			joined = append(joined, int32(e.metrics.IdleRecords[rec].Driver))
 		}
+	}
+	a.driverRow = joined
+	slices.Sort(joined)
+	regions := e.idx.Regions()
+	for _, id := range joined {
+		f(DriverID(id), regions[id])
 	}
 }
 
@@ -603,10 +622,11 @@ func (e *Engine) admitOrders(now float64) {
 			trip = e.cfg.Coster.Cost(o.Pickup, o.Dropoff)
 		}
 		r := &Rider{
-			Order:      o,
-			Status:     WaitingStatus,
-			TripCost:   trip,
-			DestRegion: e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(o.Dropoff)),
+			Order:        o,
+			Status:       WaitingStatus,
+			TripCost:     trip,
+			PickupRegion: e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(o.Pickup)),
+			DestRegion:   e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(o.Dropoff)),
 		}
 		if e.scen != nil && e.scen.cancel != nil {
 			if at, ok := e.scen.cancel.CancelTime(e.scen.rng.Float64(), o.PostTime, o.Deadline); ok {
@@ -749,6 +769,14 @@ func (e *Engine) openLedger(id DriverID, at float64) {
 	e.unestimated = append(e.unestimated, len(e.metrics.IdleRecords)-1)
 }
 
+// ledgerOpen reports whether idle-ledger entry rec is still its
+// driver's running one: not closed by an assignment, nor censored by a
+// cruise, a decline, a shift end or a re-homing.
+func (e *Engine) ledgerOpen(rec int) bool {
+	open, ok := e.openIdle[e.metrics.IdleRecords[rec].Driver]
+	return ok && open == rec
+}
+
 // renegeExpired drops waiting riders whose deadline has passed: no
 // assignment made at or after now can reach them in time.
 func (e *Engine) renegeExpired(now float64) {
@@ -780,24 +808,26 @@ func (e *Engine) buildContext(now float64) *Context {
 		costs CostMatrix
 	}{}
 	clear(a.waitingPerRegion)
-	clear(a.availablePerRegion)
 	e.countFutureRejoins(now, a.predictedDrivers)
 	predictedRiders := a.noRiders
 	if e.cfg.PredictRiders != nil {
 		predictedRiders = e.cfg.PredictRiders(now, e.cfg.TC)
 	}
 
-	// Available drivers, in id order for determinism.
+	// Available drivers, in id order for determinism. The index holds
+	// exactly the available fleet, so its id-to-region array and bucket
+	// sizes are the table: no Driver is loaded to learn it is busy.
 	a.driverSlot = slices.Grow(a.driverSlot[:0], len(e.drivers))[:len(e.drivers)]
 	a.drivers, a.driverRegion = a.drivers[:0], a.driverRegion[:0]
-	for id := range e.drivers {
-		if e.drivers[id].State == Available {
+	for id, region := range e.idx.Regions() {
+		if region >= 0 {
 			a.driverSlot[id] = int32(len(a.drivers))
 			a.drivers = append(a.drivers, &e.drivers[id])
-			region, _ := e.idx.RegionOf(int32(id))
 			a.driverRegion = append(a.driverRegion, region)
-			a.availablePerRegion[region]++
 		}
+	}
+	for k := range a.availablePerRegion {
+		a.availablePerRegion[k] = len(e.idx.InRegion(geo.RegionID(k)))
 	}
 
 	// Waiting riders and their candidate drivers. Candidates come from
@@ -809,9 +839,8 @@ func (e *Engine) buildContext(now float64) *Context {
 	a.cand, a.candEnd, a.targets = a.cand[:0], a.candEnd[:0], a.targets[:0]
 	for _, r := range e.waiting {
 		a.riders = append(a.riders, r)
-		pickupRegion := grid.Region(grid.Bounds().Clamp(r.Order.Pickup))
-		a.riderRegion = append(a.riderRegion, pickupRegion)
-		a.waitingPerRegion[pickupRegion]++
+		a.riderRegion = append(a.riderRegion, r.PickupRegion)
+		a.waitingPerRegion[r.PickupRegion]++
 
 		slack := r.Order.Deadline - now
 		radius := slack * e.cfg.RadiusSpeedMPS
@@ -943,16 +972,22 @@ func (e *Engine) buildContext(now float64) *Context {
 }
 
 // countFutureRejoins writes into out, per region, how many busy drivers
-// will complete there within (now, now+tc].
+// will complete there within [now, now+tc), pruning completions already
+// in the past. Most regions' lists are empty or wholly inside the
+// window, which needs no search.
 func (e *Engine) countFutureRejoins(now float64, out []int) {
+	until := now + e.cfg.TC
 	for k, times := range e.futureRejoin {
-		// Prune completions already in the past.
-		i := sort.SearchFloat64s(times, now)
-		if i > 0 {
+		n := len(times)
+		if n == 0 || times[0] >= now && times[n-1] < until {
+			out[k] = n
+			continue
+		}
+		if i := sort.SearchFloat64s(times, now); i > 0 {
 			times = times[i:]
 			e.futureRejoin[k] = times
 		}
-		out[k] = sort.SearchFloat64s(times, now+e.cfg.TC)
+		out[k] = sort.SearchFloat64s(times, until)
 	}
 }
 

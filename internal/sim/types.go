@@ -65,29 +65,33 @@ const (
 )
 
 // Rider wraps an order with its runtime status and per-order constants
-// the engine precomputes (trip cost and destination region).
+// the engine precomputes at admission (trip cost, pickup and destination
+// regions). Status, Shared and Driver share one word, which keeps a
+// Rider in the allocator's 112-byte class.
 type Rider struct {
 	Order  trace.Order
 	Status RiderStatus
-	// TripCost is cost(s_i, e_i) in seconds under the run's coster — the
-	// order's revenue at alpha = 1.
-	TripCost float64
-	// DestRegion is the region of the dropoff point.
-	DestRegion geo.RegionID
-	// PickedAt is when the assigned driver reaches the pickup point
-	// (realized time: under travel noise it may differ from the
-	// estimate the dispatch decision was planned with).
-	PickedAt float64
-	// Driver is the assigned driver, valid when Status == AssignedStatus.
-	Driver DriverID
-	// CancelAt, when positive, is the time this rider will abandon the
-	// order if still waiting — drawn at admission from the scenario's
-	// patience model. 0 means the rider waits to the deadline.
-	CancelAt float64
 	// Shared marks a rider committed through a pooled insertion into an
 	// already-active route plan (as opposed to starting a trip of their
 	// own). Always false when pooling is disabled.
 	Shared bool
+	// Driver is the assigned driver, valid when Status == AssignedStatus.
+	Driver DriverID
+	// TripCost is cost(s_i, e_i) in seconds under the run's coster — the
+	// order's revenue at alpha = 1.
+	TripCost float64
+	// PickupRegion and DestRegion are the regions of the pickup and
+	// dropoff points (clamped into the grid).
+	PickupRegion geo.RegionID
+	DestRegion   geo.RegionID
+	// PickedAt is when the assigned driver reaches the pickup point
+	// (realized time: under travel noise it may differ from the
+	// estimate the dispatch decision was planned with).
+	PickedAt float64
+	// CancelAt, when positive, is the time this rider will abandon the
+	// order if still waiting — drawn at admission from the scenario's
+	// patience model. 0 means the rider waits to the deadline.
+	CancelAt float64
 }
 
 // Pair is one valid rider-and-driver dispatching pair of Definition 3,
