@@ -56,7 +56,9 @@ func (l *LS) init() {
 }
 
 // lsState carries the mutable search state across move types. Its
-// slices are the dispatcher's scratch, reused across batches.
+// slices are the dispatcher's scratch, reused across batches — the
+// returned assignments included (the engine reads them before the next
+// Assign).
 type lsState struct {
 	ctx           *sim.Context
 	a             *queueing.Analyzer
@@ -64,7 +66,10 @@ type lsState struct {
 	riderDriver   []int32 // rider -> driver or -1
 	pairsByDriver [][]sim.Pair
 	pairsByRider  [][]sim.Pair
+	byDriver      pairGroups
+	byRider       pairGroups
 	cands         []lsCand
+	out           []sim.Assignment
 }
 
 // lsCand is one direct-fill candidate.
@@ -73,14 +78,36 @@ type lsCand struct {
 	r, d int32
 }
 
-// emptyGroups returns n empty groups, keeping the arrays behind the ones
-// g already holds.
-func emptyGroups(g [][]sim.Pair, n int) [][]sim.Pair {
-	g = slices.Grow(g[:0], n)[:n]
-	for i := range g {
-		g[i] = g[i][:0]
+// pairGroups is the scratch behind one grouping of a batch's pairs.
+type pairGroups struct {
+	groups [][]sim.Pair
+	flat   []sim.Pair
+	size   []int32
+}
+
+// group returns pairs grouped by key(p) in [0, n), each group in pairs
+// order, from one stable counting-sort pass: every group is a run of
+// one flat array, capped at its size so filling it by append stays in
+// place.
+func (g *pairGroups) group(pairs []sim.Pair, n int, key func(sim.Pair) int32) [][]sim.Pair {
+	g.size = slices.Grow(g.size[:0], n)[:n]
+	clear(g.size)
+	for _, p := range pairs {
+		g.size[key(p)]++
 	}
-	return g
+	g.flat = slices.Grow(g.flat[:0], len(pairs))[:len(pairs)]
+	g.groups = slices.Grow(g.groups[:0], n)[:n]
+	lo := 0
+	for k, size := range g.size {
+		hi := lo + int(size)
+		g.groups[k] = g.flat[lo:lo:hi]
+		lo = hi
+	}
+	for _, p := range pairs {
+		k := key(p)
+		g.groups[k] = append(g.groups[k], p)
+	}
+	return g.groups
 }
 
 func (s *lsState) assign(r, d int32) {
@@ -116,11 +143,8 @@ func (l *LS) Assign(ctx *sim.Context) []sim.Assignment {
 	for i := range s.riderDriver {
 		s.riderDriver[i] = -1
 	}
-	s.pairsByDriver, s.pairsByRider = emptyGroups(s.pairsByDriver, nd), emptyGroups(s.pairsByRider, nr)
-	for _, p := range ctx.Pairs {
-		s.pairsByDriver[p.D] = append(s.pairsByDriver[p.D], p)
-		s.pairsByRider[p.R] = append(s.pairsByRider[p.R], p)
-	}
+	s.pairsByDriver = s.byDriver.group(ctx.Pairs, nd, func(p sim.Pair) int32 { return p.D })
+	s.pairsByRider = s.byRider.group(ctx.Pairs, nr, func(p sim.Pair) int32 { return p.R })
 	for _, as := range seed {
 		s.assign(as.R, as.D)
 	}
@@ -134,12 +158,13 @@ func (l *LS) Assign(ctx *sim.Context) []sim.Assignment {
 		}
 	}
 
-	var out []sim.Assignment
+	out := s.out[:0]
 	for d, r := range s.assignedRider {
 		if r != -1 {
 			out = append(out, sim.Assignment{R: r, D: int32(d)})
 		}
 	}
+	s.out = out
 	return out
 }
 

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"container/heap"
 	"slices"
 
 	"mrvd/internal/queueing"
@@ -74,30 +73,75 @@ type scoredItem struct {
 
 type scoredHeap []scoredItem
 
-func (h scoredHeap) Len() int { return len(h) }
-func (h scoredHeap) Less(i, j int) bool {
+func (h scoredHeap) less(i, j int) bool {
 	if h[i].score != h[j].score {
 		return h[i].score < h[j].score
 	}
 	return h[i].pairIdx < h[j].pairIdx // deterministic tie-break
 }
-func (h scoredHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *scoredHeap) Push(x any)   { *h = append(*h, x.(scoredItem)) }
-func (h *scoredHeap) Pop() any {
+
+// init, push and pop are container/heap's Init, Push and Pop on the
+// concrete slice — the same sift, so the same pop order — without
+// boxing every entry into an interface value.
+func (h scoredHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+func (h *scoredHeap) push(it scoredItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+func (h *scoredHeap) pop() scoredItem {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h scoredHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h scoredHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // greedy is the scratch of the exact greedy shared by IRG and SHORT,
-// owned by the dispatcher instance and reused across batches.
+// owned by the dispatcher instance and reused across batches — the
+// returned assignments included (the engine reads them before the next
+// Assign).
 type greedy struct {
 	versions      []int32
 	pairsByRegion [][]int32
 	heap          scoredHeap
 	usedR, usedD  []bool
+	out           []sim.Assignment
 }
 
 // run executes the greedy:
@@ -137,15 +181,15 @@ func (g *greedy) run(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []
 			version: g.versions[p.DestRegion],
 		})
 	}
-	heap.Init(&h)
+	h.init()
 
 	g.usedR = slices.Grow(g.usedR[:0], len(ctx.Riders))[:len(ctx.Riders)]
 	g.usedD = slices.Grow(g.usedD[:0], len(ctx.Drivers))[:len(ctx.Drivers)]
 	clear(g.usedR)
 	clear(g.usedD)
-	var out []sim.Assignment
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(scoredItem)
+	out := g.out[:0]
+	for len(h) > 0 {
+		it := h.pop()
 		p := ctx.Pairs[it.pairIdx]
 		if g.usedR[p.R] || g.usedD[p.D] {
 			continue
@@ -168,13 +212,13 @@ func (g *greedy) run(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []
 			if g.usedR[rp.R] || g.usedD[rp.D] {
 				continue
 			}
-			heap.Push(&h, scoredItem{
+			h.push(scoredItem{
 				score:   score(rp, et),
 				pairIdx: pi,
 				version: g.versions[p.DestRegion],
 			})
 		}
 	}
-	g.heap = h
+	g.heap, g.out = h, out
 	return out
 }

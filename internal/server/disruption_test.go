@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -213,5 +214,69 @@ func TestEndToEndDisruptions(t *testing.T) {
 	}
 	if math.Abs(m.Revenue-rec.TripRealized) > 1e-9 || math.Abs(m.PickupSeconds-rec.PickupRealized) > 1e-9 {
 		t.Fatalf("metrics (revenue %v, pickup %v) disagree with ledger %+v", m.Revenue, m.PickupSeconds, rec)
+	}
+}
+
+// TestCancelWhileBookingNeverConflicts races a DELETE against the POST
+// that books the order, the way TestEndToEndDisruptions' retry loop
+// does: until the order is booked the DELETE must answer 404 (retry),
+// and once it is, 202 — never 409, which means "no longer in flight".
+// The order is deadline-infeasible, so nothing but the cancel can end
+// it. A handler that asks whether the order is booked after a failed
+// Cancel answers 409 a few times per thousand rounds.
+func TestCancelWhileBookingNeverConflicts(t *testing.T) {
+	city := mrvd.NewCity(mrvd.CityConfig{OrdersPerDay: 2000, Seed: 17})
+	box := city.Grid().Bounds()
+	const fleet = 4
+	starts := make([]mrvd.Point, fleet)
+	for i := range starts {
+		starts[i] = mrvd.Point{Lng: box.MinLng + 1e-3, Lat: box.MinLat + 1e-3}
+	}
+	svc, err := mrvd.NewService(
+		mrvd.WithCity(city),
+		mrvd.WithFleet(fleet),
+		mrvd.WithBatchInterval(3),
+		mrvd.WithHorizon(10*365*24*3600),
+		mrvd.WithPrediction(mrvd.PredictNone, nil),
+		mrvd.WithPace(100),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(t.Context(), svc, Config{Algorithm: "NEAR", Fleet: fleet, Starts: starts, MaxPending: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body, _ := json.Marshal(orderRequest{
+		Pickup:          pointJSON{Lng: box.MaxLng - 1e-3, Lat: box.MaxLat - 1e-3},
+		Dropoff:         pointJSON{Lng: box.MaxLng - 2e-3, Lat: box.MaxLat - 2e-3},
+		PatienceSeconds: 3000,
+	})
+	var posts sync.WaitGroup
+	defer posts.Wait()
+	for id := int64(0); id < 1500; id++ {
+		posts.Add(1)
+		go func() {
+			defer posts.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/orders", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+		}()
+		for {
+			resp, _ := deleteOrder(t, ts, id)
+			if resp.StatusCode == http.StatusNotFound {
+				continue
+			}
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("DELETE /v1/orders/%d while it was being booked: status %d, want 404 then 202", id, resp.StatusCode)
+			}
+			break
+		}
 	}
 }

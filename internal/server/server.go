@@ -412,21 +412,27 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad order id %q", r.PathValue("id"))
 		return
 	}
+	// Whether the order is booked is read before the cancel: a submit
+	// registering the id between a failed Cancel and a later lookup
+	// would turn "not booked yet" (404, retry) into "no longer in
+	// flight" (409). The ledger never forgets an order, so one booked
+	// here is still booked after the Cancel.
+	_, booked := s.store.Order(trace.OrderID(id))
 	cancelErr := s.handle.Cancel(trace.OrderID(id))
 	if errors.Is(cancelErr, mrvd.ErrServeFinished) {
 		writeError(w, http.StatusServiceUnavailable, "serve session ended")
 		return
 	}
-	v, ok := s.store.Order(trace.OrderID(id))
+	v, _ := s.store.Order(trace.OrderID(id))
 	switch {
-	case !ok:
+	case cancelErr == nil:
+		writeJSON(w, http.StatusAccepted, orderViewResponse(v))
+	case !booked:
 		writeError(w, http.StatusNotFound, "order %d unknown", id)
-	case cancelErr != nil:
-		// Known but no longer in flight: the cancel is refused with the
+	default:
+		// Booked but no longer in flight: the cancel is refused with the
 		// order's terminal view.
 		writeJSON(w, http.StatusConflict, orderViewResponse(v))
-	default:
-		writeJSON(w, http.StatusAccepted, orderViewResponse(v))
 	}
 }
 

@@ -1,43 +1,59 @@
-package sim
+package sim_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"mrvd/internal/dispatch"
 	"mrvd/internal/geo"
+	"mrvd/internal/sim"
 	"mrvd/internal/trace"
 )
 
-// steadyStateAllocs warms an engine up for 64 batches over the given
-// fleet, grid and backlog of never-expiring, never-served orders, then
-// returns the objects one further StepAdmit+StepDispatch allocates.
-func steadyStateAllocs(t *testing.T, fleet, gridSide, waiting int) float64 {
+// idle assigns nothing.
+type idle struct{}
+
+func (idle) Name() string                             { return "idle" }
+func (idle) Assign(ctx *sim.Context) []sim.Assignment { return nil }
+
+// steadyState is what one measured stretch of batches did.
+type steadyState struct {
+	allocs  float64 // objects per batch
+	served  int     // riders assigned during the measured batches
+	waiting int     // riders still waiting at the end
+}
+
+// steadyStateAllocs warms an engine up for 64 batches of delta seconds
+// under d, over the given fleet, grid and backlog of never-expiring
+// orders — posted at t=0, every endpoint and driver start drawn inside
+// box — then counts the objects one further StepAdmit+StepDispatch
+// allocates.
+func steadyStateAllocs(t *testing.T, d sim.Dispatcher, fleet, gridSide, backlog int, box geo.BBox, delta float64) steadyState {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	at := func() geo.Point {
-		b := geo.NYCBBox
 		return geo.Point{
-			Lng: b.MinLng + rng.Float64()*(b.MaxLng-b.MinLng),
-			Lat: b.MinLat + rng.Float64()*(b.MaxLat-b.MinLat),
+			Lng: box.MinLng + rng.Float64()*(box.MaxLng-box.MinLng),
+			Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
 		}
 	}
 	starts := make([]geo.Point, fleet)
 	for i := range starts {
 		starts[i] = at()
 	}
-	orders := make([]trace.Order, waiting)
+	orders := make([]trace.Order, backlog)
 	for i := range orders {
 		orders[i] = trace.Order{ID: trace.OrderID(i), Pickup: at(), Dropoff: at(), Deadline: 1e7}
 	}
-	const delta, warmup = 1.0, 64
-	e := New(Config{Grid: geo.NewGrid(geo.NYCBBox, gridSide, gridSide), Delta: delta, Horizon: 1e6}, orders, starts)
+	const warmup = 64
+	e := sim.New(sim.Config{Grid: geo.NewGrid(geo.NYCBBox, gridSide, gridSide), Delta: delta, Horizon: 1e6}, orders, starts)
 	if err := e.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	now := 0.0
 	step := func() {
 		e.StepAdmit(now)
-		if err := e.StepDispatch(now, noop{}); err != nil {
+		if err := e.StepDispatch(now, d); err != nil {
 			t.Fatal(err)
 		}
 		now += delta
@@ -45,33 +61,55 @@ func steadyStateAllocs(t *testing.T, fleet, gridSide, waiting int) float64 {
 	for i := 0; i < warmup; i++ {
 		step()
 	}
-	// The per-batch dispatch timing is the one ledger that grows with
-	// every batch; give it room so its amortized doubling stays out of
-	// the count.
-	e.metrics.BatchSeconds = append(make([]float64, 0, 4096), e.metrics.BatchSeconds...)
+	// AllocsPerRun divides as integers, so the ledgers that grow with
+	// every batch or every rejoin (BatchSeconds, IdleRecords) add their
+	// few amortized doublings without moving the count.
+	before := e.Tally().Served
 	allocs := testing.AllocsPerRun(200, step)
-	if w, _ := e.Counts(); w != waiting {
-		t.Fatalf("%d riders waiting, want the whole backlog of %d", w, waiting)
-	}
-	return allocs
+	waiting, _ := e.Counts()
+	return steadyState{allocs: allocs, served: e.Tally().Served - before, waiting: waiting}
 }
 
 // TestBatchSteadyStateAllocs pins the fixed cost of a batch in objects:
-// the engine owns its per-batch scratch (batchArena), so once warm a
-// batch allocates its Context header and nothing that scales with the
-// fleet, the region count or the number of waiting riders.
+// the engine owns its per-batch scratch (batchArena), its completion
+// heap is typed, and IRG and LS keep theirs — heap, groupings and the
+// returned assignments — across batches, so once warm a batch allocates
+// its Context header and nothing that scales with the fleet, the region
+// count, the number of waiting riders or the assignments it commits.
 func TestBatchSteadyStateAllocs(t *testing.T) {
+	nyc, delta := geo.NYCBBox, 1.0
 	// An empty batch — no waiting rider, no due event — allocates the
 	// Context header only.
-	if got := steadyStateAllocs(t, 300, 16, 0); got > 1 {
-		t.Errorf("empty batch allocates %.0f objects, want at most 1", got)
+	if got := steadyStateAllocs(t, idle{}, 300, 16, 0, nyc, delta); got.allocs > 1 {
+		t.Errorf("empty batch allocates %.0f objects, want at most 1", got.allocs)
 	}
 	// A batch that searches, prices and pairs 40 waiting riders (every
 	// driver is in reach of every rider) and assigns none: the same
 	// count for a fleet and a grid eight and four times the size.
-	small := steadyStateAllocs(t, 50, 8, 40)
-	large := steadyStateAllocs(t, 400, 16, 40)
-	if small != large || large > 1 {
-		t.Errorf("a 40-rider batch allocates %.0f objects on 50 drivers / 64 regions and %.0f on 400 / 256, want equal and at most 1", small, large)
+	small := steadyStateAllocs(t, idle{}, 50, 8, 40, nyc, delta)
+	large := steadyStateAllocs(t, idle{}, 400, 16, 40, nyc, delta)
+	for _, got := range []steadyState{small, large} {
+		if got.waiting != 40 {
+			t.Fatalf("%d riders waiting, want the whole backlog of 40", got.waiting)
+		}
+	}
+	if small.allocs != large.allocs || large.allocs > 1 {
+		t.Errorf("a 40-rider batch allocates %.0f objects on 50 drivers / 64 regions and %.0f on 400 / 256, want equal and at most 1", small.allocs, large.allocs)
+	}
+	// A batch that assigns: 50 drivers work through a 1,000-order backlog
+	// of short trips inside a ~1.7 km square, 10 s batches. Serving more
+	// riders than the fleet holds in the measured batches means drivers
+	// completed trips and rejoined throughout — the completion heap, the
+	// greedy's rescoring pushes and LS's regrouping all ran every batch.
+	midtown := geo.BBox{MinLng: -73.99, MinLat: 40.74, MaxLng: -73.97, MaxLat: 40.755}
+	for _, d := range []sim.Dispatcher{&dispatch.IRG{}, &dispatch.LS{}} {
+		got := steadyStateAllocs(t, d, 50, 16, 1000, midtown, 10)
+		if got.served <= 50 || got.waiting == 0 {
+			t.Fatalf("%s: served %d riders in the measured batches with %d left waiting: want more than the fleet of 50 and a backlog to the end", d.Name(), got.served, got.waiting)
+		}
+		t.Logf("%s: %.0f objects per batch, %d riders served in 201 batches", d.Name(), got.allocs, got.served)
+		if got.allocs > 1 {
+			t.Errorf("%s: an assigning batch allocates %.0f objects, want at most 1", d.Name(), got.allocs)
+		}
 	}
 }

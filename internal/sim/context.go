@@ -112,8 +112,10 @@ type PoolOption struct {
 
 // Dispatcher decides, for one batch, which valid pairs to serve
 // (Algorithm 1 line 7). It must not retain ctx or any slice reachable
-// from it past the return of Assign (see Context); the returned
-// assignments are read before the next batch begins.
+// from it past the return of Assign (see Context). The engine reads the
+// returned slice before it calls Assign again and keeps no reference to
+// it, so a dispatcher may return the same array batch after batch (IRG,
+// SHORT and LS do).
 type Dispatcher interface {
 	// Name identifies the algorithm in experiment tables.
 	Name() string

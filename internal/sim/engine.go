@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -159,16 +158,43 @@ type completion struct {
 	driver DriverID
 }
 
-func (h completionHeap) Len() int           { return len(h) }
-func (h completionHeap) Less(i, j int) bool { return h[i].freeAt < h[j].freeAt }
-func (h completionHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x any)        { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// push and pop are container/heap's Push and Pop on the concrete slice:
+// the same sift, so completions with equal freeAt pop in the same order,
+// without boxing each one into an interface value.
+func (h *completionHeap) push(c completion) {
+	*h = append(*h, c)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].freeAt < q[i].freeAt) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *completionHeap) pop() completion {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].freeAt < q[j1].freeAt {
+			j = j2 // right child
+		}
+		if !(q[j].freeAt < q[i].freeAt) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // Engine runs one simulation. Build with New (fixed trace) or
@@ -188,6 +214,9 @@ type Engine struct {
 	busy    completionHeap
 	waiting []*Rider
 	riders  []*Rider
+	// riderSlab is where admitOrders carves the next Riders from: one
+	// allocation per riderSlabSize admissions instead of one per order.
+	riderSlab []Rider
 
 	// futureRejoin[k] holds sorted completion times of busy drivers whose
 	// destination is region k; pruned as time advances.
@@ -564,6 +593,9 @@ func (e *Engine) AddDriver(p geo.Point, freeAt float64, shift Shift) DriverID {
 	return id
 }
 
+// riderSlabSize is how many Riders one admission allocation holds.
+const riderSlabSize = 256
+
 // admitOrders pulls newly posted orders from the source into the waiting
 // set. Orders from non-validating custom sources are checked here: a
 // structurally broken order is a programming error and panics, matching
@@ -621,7 +653,12 @@ func (e *Engine) admitOrders(now float64) {
 		} else {
 			trip = e.cfg.Coster.Cost(o.Pickup, o.Dropoff)
 		}
-		r := &Rider{
+		if len(e.riderSlab) == 0 {
+			e.riderSlab = make([]Rider, riderSlabSize)
+		}
+		r := &e.riderSlab[0]
+		e.riderSlab = e.riderSlab[1:]
+		*r = Rider{
 			Order:        o,
 			Status:       WaitingStatus,
 			TripCost:     trip,
@@ -727,7 +764,7 @@ func (e *Engine) cancelRider(now float64, r *Rider, explicit bool) {
 // the plan stop by stop instead of freeing the driver in one jump.
 func (e *Engine) rejoinDrivers(now float64) {
 	for len(e.busy) > 0 && e.busy[0].freeAt <= now {
-		c := heap.Pop(&e.busy).(completion)
+		c := e.busy.pop()
 		if e.ps != nil {
 			if p, ok := e.ps.plans[c.driver]; ok {
 				e.advancePlan(now, c.driver, p)
@@ -1098,7 +1135,7 @@ func (e *Engine) apply(now float64, ctx *Context, assignments []Assignment) erro
 			e.startPlan(rider, drv.ID, now+realPickup, freeAt, realTrip, realPickup)
 			stops = 2
 		} else {
-			heap.Push(&e.busy, completion{freeAt: freeAt, driver: drv.ID})
+			e.busy.push(completion{freeAt: freeAt, driver: drv.ID})
 		}
 
 		e.insertFutureRejoin(rider.DestRegion, freeAt)
@@ -1145,7 +1182,7 @@ func (e *Engine) declineAssignment(now float64, rider *Rider, id DriverID) {
 	d.State = Busy
 	d.FreeAt = retryAt
 	e.idx.Remove(int32(id))
-	heap.Push(&e.busy, completion{freeAt: retryAt, driver: id})
+	e.busy.push(completion{freeAt: retryAt, driver: id})
 	e.insertFutureRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(d.Pos)), retryAt)
 	e.metrics.Declines++
 	if e.observer != nil {
@@ -1256,7 +1293,7 @@ func (e *Engine) reposition(now float64, ctx *Context) {
 		d.Pos = target
 		d.FreeAt = now + cost
 		e.idx.Remove(int32(i))
-		heap.Push(&e.busy, completion{freeAt: d.FreeAt, driver: DriverID(i)})
+		e.busy.push(completion{freeAt: d.FreeAt, driver: DriverID(i)})
 		e.insertFutureRejoin(e.cfg.Grid.Region(target), d.FreeAt)
 		if e.observer != nil {
 			e.observer.OnRepositioned(RepositionedEvent{

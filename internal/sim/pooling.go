@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"mrvd/internal/geo"
@@ -65,7 +64,7 @@ func (e *Engine) startPlan(r *Rider, id DriverID, pickupAt, dropAt, revenue, pic
 		{Kind: pool.DropoffStop, Order: r.Order.ID, Pos: r.Order.Dropoff, ETA: dropAt, Direct: r.TripCost},
 	}}
 	e.ps.riders[r.Order.ID] = &pooledRider{r: r, revenue: revenue, pickup: pickup}
-	heap.Push(&e.busy, completion{freeAt: pickupAt, driver: id})
+	e.busy.push(completion{freeAt: pickupAt, driver: id})
 }
 
 // advancePlan consumes every due stop of a pooled driver's plan, firing
@@ -121,7 +120,7 @@ func (e *Engine) advancePlan(now float64, id DriverID, p *pool.Plan) {
 		}
 	}
 	if len(p.Stops) > 0 {
-		heap.Push(&e.busy, completion{freeAt: p.Stops[0].ETA, driver: id})
+		e.busy.push(completion{freeAt: p.Stops[0].ETA, driver: id})
 		return
 	}
 	delete(e.ps.plans, id)

@@ -257,9 +257,23 @@ func (c *City) Config() CityConfig { return c.cfg }
 // region during the one-minute slot starting at minute m of the given
 // day, including the day's global factor.
 func (c *City) Intensity(day, minute, region int) float64 {
-	p := PeriodOf(float64(minute * 60))
-	return float64(c.cfg.OrdersPerDay) * c.DayMeta(day).Factor *
-		c.minuteFrac[minute] * c.pickupW[p][region]
+	scale, w := c.minuteIntensity(c.dayScale(day), minute)
+	return scale * w[region]
+}
+
+// dayScale is the day's leading factor of Intensity's product: the
+// expected order total of the day.
+func (c *City) dayScale(day int) float64 {
+	return float64(c.cfg.OrdersPerDay) * c.DayMeta(day).Factor
+}
+
+// minuteIntensity splits Intensity at minute m of a day whose dayScale
+// is scale into the minute's factor and its period's pickup weights:
+// region r's intensity is mscale*w[r], the same left-to-right product
+// bit for bit. Per-cell loops over a whole day call it once a minute
+// and dayScale once a day.
+func (c *City) minuteIntensity(scale float64, minute int) (mscale float64, w []float64) {
+	return scale * c.minuteFrac[minute], c.pickupW[PeriodOf(float64(minute*60))]
 }
 
 // DropoffIntensity returns the expected number of trips *ending* in the

@@ -81,10 +81,12 @@ func (c *City) GenerateDay(day int, rng *rand.Rand) []trace.Order {
 	n := grid.NumRegions()
 	var orders []trace.Order
 	id := trace.OrderID(0)
+	scale := c.dayScale(day)
 	for minute := 0; minute < 24*60; minute++ {
 		p := PeriodOf(float64(minute * 60))
+		mscale, w := c.minuteIntensity(scale, minute)
 		for r := 0; r < n; r++ {
-			k := stats.Poisson(rng, c.Intensity(day, minute, r))
+			k := stats.Poisson(rng, mscale*w[r])
 			for i := 0; i < k; i++ {
 				post := float64(minute*60) + rng.Float64()*60
 				dst := c.sampleDest(rng, p, r)
@@ -120,13 +122,15 @@ func (c *City) GenerateDayCounts(day int, slotSeconds float64, rng *rand.Rand) [
 	for s := range counts {
 		counts[s] = make([]int, n)
 	}
+	scale := c.dayScale(day)
 	for minute := 0; minute < 24*60; minute++ {
 		slot := int(float64(minute*60) / slotSeconds)
 		if slot >= numSlots {
 			slot = numSlots - 1
 		}
+		mscale, w := c.minuteIntensity(scale, minute)
 		for r := 0; r < n; r++ {
-			counts[slot][r] += stats.Poisson(rng, c.Intensity(day, minute, r))
+			counts[slot][r] += stats.Poisson(rng, mscale*w[r])
 		}
 	}
 	return counts
@@ -143,13 +147,15 @@ func (c *City) ExpectedDayCounts(day int, slotSeconds float64) [][]float64 {
 	for s := range counts {
 		counts[s] = make([]float64, n)
 	}
+	scale := c.dayScale(day)
 	for minute := 0; minute < 24*60; minute++ {
 		slot := int(float64(minute*60) / slotSeconds)
 		if slot >= numSlots {
 			slot = numSlots - 1
 		}
+		mscale, w := c.minuteIntensity(scale, minute)
 		for r := 0; r < n; r++ {
-			counts[slot][r] += c.Intensity(day, minute, r)
+			counts[slot][r] += mscale * w[r]
 		}
 	}
 	return counts
