@@ -6,7 +6,7 @@
 //
 //	mrvd-sim [-orders 70000] [-drivers 250] [-tau 120] [-delta 3]
 //	         [-tc 1200] [-algs IRG,LS,NEAR] [-pred oracle|stnet|none]
-//	         [-trace file.csv] [-seed 1]
+//	         [-trace file.csv] [-write-trace day.csv] [-seed 1]
 //	         [-cancel-rate 0] [-decline-prob 0] [-decline-cooldown 0]
 //	         [-travel-noise 0] [-scenario-seed 0]
 //	         [-pool-capacity 0] [-pool-detour 0]
@@ -30,6 +30,11 @@
 //
 // With -trace, orders are read from a CSV in the library's trace format
 // (e.g., a converted TLC extract) instead of the synthetic city.
+// -write-trace writes the day the run would replay — the synthetic day
+// of -orders/-tau/-seed — in that format ("-" = stdout) and exits
+// without dispatching. The file is a valid -trace input; a -trace
+// replay draws the fleet's start positions afresh, so its metrics need
+// not equal the synthetic run's.
 package main
 
 import (
@@ -44,6 +49,7 @@ import (
 	"mrvd"
 	"mrvd/internal/core"
 	"mrvd/internal/predict"
+	"mrvd/internal/trace"
 )
 
 func main() {
@@ -56,6 +62,7 @@ func main() {
 		algsFlag  = flag.String("algs", "IRG,LS,LTG,NEAR,RAND,POLAR,UPPER", "comma-separated algorithms")
 		pred      = flag.String("pred", "oracle", "demand forecasts: oracle, stnet, ha, lr, gbrt, none")
 		traceFile = flag.String("trace", "", "replay this trace CSV instead of generating orders")
+		writeFile = flag.String("write-trace", "", "write the day this run would replay as a trace CSV (\"-\" = stdout) and exit")
 		seed      = flag.Int64("seed", 1, "instance seed")
 
 		cancelRate   = flag.Float64("cancel-rate", 0, "scenario: probability a waiting rider abandons before its deadline")
@@ -157,6 +164,16 @@ func main() {
 		}
 		svcOpts = append(svcOpts, mrvd.WithOrders(external, nil))
 	}
+	if *writeFile != "" {
+		svc, err := mrvd.NewService(svcOpts...)
+		if err != nil {
+			fatal(err)
+		}
+		if err := writeTrace(*writeFile, svc.Runner().Orders()); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	var tracer *mrvd.SpanTracer
 	if *traceOut != "" {
 		w := os.Stdout
@@ -232,6 +249,22 @@ func main() {
 	if tracer != nil {
 		fmt.Printf("wrote %d spans to %s\n", tracer.Count(), *traceOut)
 	}
+}
+
+// writeTrace writes orders as a trace CSV to path, or to stdout for "-".
+func writeTrace(path string, orders []mrvd.Order) error {
+	if path == "-" {
+		return trace.WriteCSV(os.Stdout, orders)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteCSV(f, orders); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // closeTracer flushes the span tracer and surfaces its retained first

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mrvd/internal/matching"
 	"mrvd/internal/sim"
 )
 
@@ -29,7 +28,7 @@ func TestDispatchersAgainstHungarianOptimum(t *testing.T) {
 		for _, p := range ctx.Pairs {
 			w[p.R][p.D] = p.TripCost
 		}
-		_, optimum := matching.MaxWeight(w)
+		_, optimum := maxWeight(w)
 
 		revenue := func(d sim.Dispatcher) float64 {
 			as := d.Assign(ctx)

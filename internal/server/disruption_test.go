@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mrvd"
+	"mrvd/internal/roadnet"
 )
 
 // submitAt posts one order with explicit endpoints.
@@ -124,7 +125,7 @@ func TestEndToEndDisruptions(t *testing.T) {
 	// the order waits until the DELETE. The session's first order gets
 	// id 0; the long-poll runs concurrently.
 	const farPatience = 3000
-	minPickup := mrvd.DefaultCoster().Cost(
+	minPickup := roadnet.NewDefaultCoster().Cost(
 		mrvd.Point{Lng: starts[0].Lng, Lat: starts[0].Lat},
 		mrvd.Point{Lng: farCorner.Lng, Lat: farCorner.Lat})
 	if minPickup <= farPatience {

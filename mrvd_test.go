@@ -5,6 +5,13 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"mrvd/internal/core"
+	"mrvd/internal/dispatch"
+	"mrvd/internal/predict"
+	"mrvd/internal/roadnet"
+	"mrvd/internal/sim"
+	"mrvd/internal/trace"
 )
 
 func TestPublicAPIQuickstartFlow(t *testing.T) {
@@ -36,7 +43,7 @@ func TestPublicAPIRunnerFlow(t *testing.T) {
 	city := NewCity(CityConfig{OrdersPerDay: 2000, Seed: 1})
 	svc := mustService(t, WithCity(city), WithFleet(20), WithBatchInterval(10), WithHorizon(2*3600))
 	m, err := svc.Runner().Run(context.Background(),
-		func(int) (Dispatcher, error) { return NewLS(), nil }, PredictOracle, nil)
+		func(int) (sim.Dispatcher, error) { return &dispatch.LS{}, nil }, PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +58,7 @@ func TestPublicAPIAlgorithmNames(t *testing.T) {
 		t.Fatalf("AlgorithmNames = %v", names)
 	}
 	for _, n := range names {
-		d, err := NewDispatcher(n, 1)
+		d, err := core.NewDispatcher(n, 1)
 		if err != nil {
 			t.Errorf("%s: %v", n, err)
 			continue
@@ -60,8 +67,27 @@ func TestPublicAPIAlgorithmNames(t *testing.T) {
 			t.Errorf("dispatcher %q reports %q", n, d.Name())
 		}
 	}
-	if _, err := NewDispatcher("bogus", 1); err == nil {
-		t.Error("bogus algorithm accepted")
+}
+
+// TestPublicAPIDirectDispatchers: a caller-built IRG or LS run through
+// Service.Runner is the same run as Service.Run by name.
+func TestPublicAPIDirectDispatchers(t *testing.T) {
+	city := NewCity(CityConfig{OrdersPerDay: 2000, Seed: 1})
+	svc := mustService(t, WithCity(city), WithFleet(20), WithBatchInterval(10),
+		WithHorizon(2*3600), WithPrediction(PredictNone, nil))
+	for _, d := range []sim.Dispatcher{&dispatch.IRG{}, &dispatch.LS{}} {
+		direct, err := svc.Runner().Run(context.Background(),
+			func(int) (sim.Dispatcher, error) { return d, nil }, PredictNone, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		named, err := svc.Run(context.Background(), d.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct.Summary() != named.Summary() {
+			t.Errorf("%s: direct %+v, named %+v", d.Name(), direct.Summary(), named.Summary())
+		}
 	}
 }
 
@@ -75,62 +101,82 @@ func TestPublicAPIQueueing(t *testing.T) {
 	if et := ExpectedIdleTime(0, 0.2, 50); !math.IsInf(et, 1) {
 		t.Errorf("no-demand ET = %v, want +Inf", et)
 	}
-	m := NewQueueModel(QueueConfig{Beta: 0.1})
-	if m.ExpectedIdleTime(0.3, 0.2, 10) <= 0 {
-		t.Error("custom model ET not positive")
-	}
 }
 
+// TestPublicAPIGrids: the default city is the paper's 16x16 grid over
+// NYC, and a live session reports that extent as its bounds.
 func TestPublicAPIGrids(t *testing.T) {
-	g := NewNYCGrid()
-	if g.NumRegions() != 256 {
-		t.Errorf("NYC grid regions = %d", g.NumRegions())
+	city := NewCity(CityConfig{OrdersPerDay: 500, Seed: 1})
+	if n := city.Grid().NumRegions(); n != 256 {
+		t.Errorf("default city regions = %d, want 256", n)
 	}
-	g2 := NewGrid(NYCBBox, 8, 8)
-	if g2.NumRegions() != 64 {
-		t.Errorf("8x8 grid regions = %d", g2.NumRegions())
+	svc := mustService(t, WithCity(city), WithFleet(5), WithHorizon(600))
+	h, err := svc.Start(context.Background(), "NEAR", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Stop()
+	h.Result()
+	if got, want := h.Bounds(), city.Grid().Bounds(); got != want {
+		t.Errorf("session bounds %+v, city grid %+v", got, want)
 	}
 }
 
+// TestPublicAPIPredictors: the paper's four demand models are available,
+// and a trained model drives a model-prediction run.
 func TestPublicAPIPredictors(t *testing.T) {
-	ps := Predictors(1)
-	if len(ps) != 4 {
-		t.Fatalf("Predictors returned %d models", len(ps))
-	}
-	names := map[string]bool{}
-	for _, p := range ps {
-		names[p.Name()] = true
-	}
-	for _, want := range []string{"STNet(DeepST)", "HA", "LR", "GBRT"} {
-		if !names[want] {
-			t.Errorf("missing predictor %s (have %v)", want, names)
+	want := map[string]bool{"STNet(DeepST)": true, "HA": true, "LR": true, "GBRT": true}
+	for _, p := range predict.All(1) {
+		if !want[p.Name()] {
+			t.Errorf("unexpected predictor %s", p.Name())
 		}
+		delete(want, p.Name())
+	}
+	if len(want) > 0 {
+		t.Errorf("missing predictors %v", want)
+	}
+	city := NewCity(CityConfig{OrdersPerDay: 500, Seed: 1})
+	m, err := mustService(t, WithCity(city), WithFleet(5), WithHorizon(1800),
+		WithPrediction(PredictModel, predict.HA{})).Run(context.Background(), "IRG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.TotalOrders == 0 {
+		t.Errorf("empty model-prediction run: %+v", m)
 	}
 }
 
+// TestPublicAPITraceRoundTrip: a runner's day written in the trace
+// format reads back through ReadOrdersCSV unchanged, and writing what
+// was read reproduces the file byte for byte — so mrvd-sim -write-trace
+// output is a valid -trace input.
 func TestPublicAPITraceRoundTrip(t *testing.T) {
 	city := NewCity(CityConfig{OrdersPerDay: 500, Seed: 2})
 	orders := mustService(t, WithCity(city), WithFleet(5), WithHorizon(600)).Runner().Orders()
-	var buf bytes.Buffer
-	if err := WriteOrdersCSV(&buf, orders); err != nil {
+	var first bytes.Buffer
+	if err := trace.WriteCSV(&first, orders); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadOrdersCSV(&buf)
+	back, err := ReadOrdersCSV(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != len(orders) {
-		t.Errorf("round trip %d -> %d orders", len(orders), len(back))
+		t.Fatalf("round trip %d -> %d orders", len(orders), len(back))
+	}
+	var second bytes.Buffer
+	if err := trace.WriteCSV(&second, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Error("WriteCSV → ReadCSV → WriteCSV is not byte-identical")
 	}
 }
 
 func TestPublicAPICosters(t *testing.T) {
-	def := DefaultCoster()
+	def := roadnet.NewDefaultCoster()
 	a := Point{Lng: -73.98, Lat: 40.75}
 	b := Point{Lng: -73.95, Lat: 40.77}
-	if def.Cost(a, b) <= 0 {
-		t.Error("default coster returned non-positive cost")
-	}
 	graph := GraphCoster(1)
 	if c := graph.Cost(a, b); c <= 0 || math.IsInf(c, 1) {
 		t.Errorf("graph coster cost = %v", c)
@@ -140,14 +186,5 @@ func TestPublicAPICosters(t *testing.T) {
 	// slack either way; this is a sanity check, not a bound proof.
 	if ratio := graph.Cost(a, b) / def.Cost(a, b); ratio < 0.4 || ratio > 3 {
 		t.Errorf("graph/default cost ratio %v implausible", ratio)
-	}
-}
-
-func TestPublicAPIDirectDispatchers(t *testing.T) {
-	if NewIRG().Name() != "IRG" {
-		t.Error("NewIRG name")
-	}
-	if NewLS().Name() != "LS" {
-		t.Error("NewLS name")
 	}
 }

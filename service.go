@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"mrvd/internal/core"
+	"mrvd/internal/pool"
 	"mrvd/internal/shard"
 	"mrvd/internal/sim"
 )
@@ -127,33 +128,9 @@ func WithCoster(c Coster) Option {
 // (default 0).
 func WithSeed(seed int64) Option { return func(s *Service) { s.opts.Seed = seed } }
 
-// WithTrainDays sets the prediction-history length; the test day is day
-// TrainDays (default MinLookbackDays+14).
-func WithTrainDays(days int) Option {
-	return func(s *Service) {
-		if days <= 0 {
-			s.failf("WithTrainDays: history length must be positive, got %d", days)
-			return
-		}
-		s.opts.TrainDays = days
-	}
-}
-
-// WithSlotSeconds sets the prediction slot width (default 1800, the
-// paper's 30 minutes).
-func WithSlotSeconds(seconds float64) Option {
-	return func(s *Service) {
-		if seconds <= 0 || math.IsNaN(seconds) {
-			s.failf("WithSlotSeconds: slot width must be positive, got %v", seconds)
-			return
-		}
-		s.opts.SlotSeconds = seconds
-	}
-}
-
 // WithPrediction selects the demand-forecast source consulted by the
 // queueing-aware dispatchers: PredictNone, PredictOracle (default), or
-// PredictModel with a predictor from Predictors or the predict package.
+// PredictModel with a predictor.
 func WithPrediction(mode PredictionMode, model Predictor) Option {
 	return func(s *Service) {
 		if mode == PredictModel && model == nil {
@@ -230,23 +207,7 @@ func WithPooling(capacity int, maxDetourSeconds float64) Option {
 			s.failf("WithPooling: max detour must be a finite value >= 0, got %v", maxDetourSeconds)
 			return
 		}
-		s.opts.Pooling = PoolingConfig{Capacity: capacity, MaxDetourSeconds: maxDetourSeconds}
-	}
-}
-
-// WithCandidateCap prices only the k nearest feasible drivers per
-// rider instead of every driver in the rider's patience radius — the
-// pre-filter that bounds per-order matching work for very large
-// fleets (see SimConfig.CandidateCap). The exact radius search stays
-// the default; a cap can occasionally miss a feasible far driver when
-// nearer ones are deadline-infeasible.
-func WithCandidateCap(k int) Option {
-	return func(s *Service) {
-		if k < 0 {
-			s.failf("WithCandidateCap: cap must be >= 0, got %d", k)
-			return
-		}
-		s.opts.CandidateCap = k
+		s.opts.Pooling = pool.Config{Capacity: capacity, MaxDetourSeconds: maxDetourSeconds}
 	}
 }
 
@@ -397,7 +358,7 @@ func (s *Service) newRunner(seed int64) *Runner {
 
 // dispatchers returns the per-shard dispatcher factory for a named
 // algorithm, failing on an unknown name before any instance is built.
-func (s *Service) dispatchers(algorithm string) (func(shard int) (Dispatcher, error), error) {
+func (s *Service) dispatchers(algorithm string) (func(shard int) (sim.Dispatcher, error), error) {
 	if _, err := core.NewDispatcher(algorithm, s.opts.Seed); err != nil {
 		return nil, err
 	}
@@ -445,7 +406,7 @@ func (s *Service) Serve(ctx context.Context, algorithm string, src OrderSource, 
 
 // liveSession builds — without running — the runtime and per-shard
 // dispatcher factory of a Serve or Start session over src.
-func (s *Service) liveSession(algorithm string, src OrderSource, starts []Point) (*shard.Runtime, func(shard int) (Dispatcher, error), error) {
+func (s *Service) liveSession(algorithm string, src OrderSource, starts []Point) (*shard.Runtime, func(shard int) (sim.Dispatcher, error), error) {
 	newDispatcher, err := s.dispatchers(algorithm)
 	if err != nil {
 		return nil, nil, err
@@ -466,18 +427,11 @@ func (s *Service) liveSession(algorithm string, src OrderSource, starts []Point)
 // SweepSpec re-exports the grid description of core.Sweep.
 type SweepSpec = core.SweepSpec
 
-// SweepSeries is one labelled row of a sweep grid: a dispatcher (by name
-// or concrete factory) with its own demand-forecast source.
-type SweepSeries = core.SweepSeries
-
-// SweepPoint identifies one sweep cell.
-type SweepPoint = core.SweepPoint
-
 // SweepResult is one completed sweep cell.
 type SweepResult = core.SweepResult
 
 // Sweep runs every (algorithm × seed × fleet-size) combination of the
-// spec — plus its SweepSeries rows and option layers, if any — in
+// spec — plus its series rows and option layers, if any — in
 // parallel on a bounded worker pool, reusing per-seed history and
 // trained predictors across cells. Results are in grid order and
 // deterministic: a parallel sweep's Metrics.Summary values are identical
@@ -507,24 +461,6 @@ func (s *Service) Sweep(ctx context.Context, spec SweepSpec) ([]SweepResult, err
 // moment it turned terminal. Times are engine seconds.
 type Outcome = sim.OrderView
 
-// OutcomeStatus is an order's state in the session ledger.
-type OutcomeStatus = sim.OrderState
-
-// Terminal outcome statuses (Outcome.State).
-const (
-	// OutcomeAssigned: a driver was dispatched to the order.
-	OutcomeAssigned = sim.OrderAssigned
-	// OutcomeExpired: the rider reneged past its pickup deadline.
-	OutcomeExpired = sim.OrderExpired
-	// OutcomeCanceled: the serve session ended (context cancellation,
-	// horizon, or drain) before the order reached a terminal state.
-	OutcomeCanceled = sim.OrderSessionEnded
-	// OutcomeCanceledByRider: the rider canceled the order before
-	// assignment — an explicit ServeHandle.Cancel / DELETE
-	// /v1/orders/{id}, or the scenario's stochastic patience model.
-	OutcomeCanceledByRider = sim.OrderCanceled
-)
-
 // Submit error conditions a caller dispatches on (errors.Is).
 var (
 	// ErrServeFinished: the serve session has ended; no further orders
@@ -533,10 +469,11 @@ var (
 	// ErrQueueFull: the session's in-flight limit is reached; the
 	// caller should shed load (the HTTP gateway answers 429).
 	ErrQueueFull = sim.ErrInFlightLimit
-	// ErrUnknownOrder: Cancel named an order this session does not have
-	// in flight — never submitted, or already resolved.
-	ErrUnknownOrder = errors.New("mrvd: order unknown or already resolved")
 )
+
+// errUnknownOrder: Cancel named an order this session does not have in
+// flight — never submitted, or already resolved.
+var errUnknownOrder = errors.New("mrvd: order unknown or already resolved")
 
 // ServeHandle is a live serve session started with Service.Start. It
 // owns the session's ChannelSource and its order ledger (Store), which
@@ -584,7 +521,7 @@ func (s *Service) Start(ctx context.Context, algorithm string, starts []Point, o
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
-	obs := append(Observers{h.store}, observers...)
+	obs := append(sim.Observers{h.store}, observers...)
 	if s.opts.Observer != nil {
 		obs = append(obs, s.opts.Observer)
 	}
@@ -604,7 +541,8 @@ func (s *Service) Start(ctx context.Context, algorithm string, starts []Point, o
 	go func() {
 		h.metrics, h.err = rt.Run(ctx, newDispatcher)
 		// Closing the ledger resolves every order still in flight as
-		// OutcomeCanceled before Done reports the session finished.
+		// canceled (the session ended) before Done reports the session
+		// finished.
 		h.store.Close()
 		close(h.done)
 		cancel()
@@ -638,13 +576,12 @@ func (h *ServeHandle) Submit(o Order) (OrderID, <-chan Outcome, error) {
 
 // Cancel requests a rider-initiated cancellation of an in-flight order.
 // The cancel is applied by the engine at its next batch: if the order
-// is still waiting (or not yet admitted) its waiter resolves with
-// OutcomeCanceledByRider; if a driver was assigned in the meantime the
-// cancel loses the race and the waiter resolves assigned — exactly the
-// race a production platform adjudicates. Cancel itself only validates
-// that the order is in flight: ErrUnknownOrder for ids this session
-// never issued or already resolved, ErrServeFinished after the session
-// ends.
+// is still waiting (or not yet admitted) its waiter resolves canceled
+// by the rider; if a driver was assigned in the meantime the cancel
+// loses the race and the waiter resolves assigned — exactly the race a
+// production platform adjudicates. Cancel itself only validates that
+// the order is in flight: it fails for ids this session never issued or
+// already resolved, and with ErrServeFinished after the session ends.
 func (h *ServeHandle) Cancel(id OrderID) error {
 	select {
 	case <-h.done:
@@ -652,7 +589,7 @@ func (h *ServeHandle) Cancel(id OrderID) error {
 	default:
 	}
 	if v, ok := h.store.Order(id); !ok || v.State != sim.OrderPending {
-		return ErrUnknownOrder
+		return errUnknownOrder
 	}
 	h.src.Cancel(id)
 	return nil
@@ -696,8 +633,8 @@ func (h *ServeHandle) ShardStats() []ShardStats { return h.shardStats() }
 func (h *ServeHandle) Close() { h.src.Close() }
 
 // Stop cancels the session's context: the engine exits between batches
-// and every in-flight order resolves to OutcomeCanceled. Stop does not
-// wait; use Result to.
+// and every in-flight order resolves canceled by the session's end.
+// Stop does not wait; use Result to.
 func (h *ServeHandle) Stop() { h.cancel() }
 
 // Done is closed once the session has fully finished: the engine

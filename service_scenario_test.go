@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"mrvd/internal/sim"
 )
 
 func TestWithScenarioValidation(t *testing.T) {
@@ -129,7 +131,7 @@ func TestServeHandleCancelResolvesOutcome(t *testing.T) {
 	}
 	select {
 	case out := <-ch:
-		if out.State != OutcomeCanceledByRider {
+		if out.State != sim.OrderCanceled {
 			t.Fatalf("order %d status %v, want canceled_by_rider", id, out.State)
 		}
 		if v, ok := h.Store().Order(id); !ok || v != out {
@@ -139,11 +141,11 @@ func TestServeHandleCancelResolvesOutcome(t *testing.T) {
 		t.Fatal("cancel outcome never arrived")
 	}
 	// The waiter is gone: a second cancel is an unknown order.
-	if err := h.Cancel(id); !errors.Is(err, ErrUnknownOrder) {
-		t.Fatalf("double cancel = %v, want ErrUnknownOrder", err)
+	if err := h.Cancel(id); !errors.Is(err, errUnknownOrder) {
+		t.Fatalf("double cancel = %v, want errUnknownOrder", err)
 	}
-	if err := h.Cancel(9999); !errors.Is(err, ErrUnknownOrder) {
-		t.Fatalf("bogus cancel = %v, want ErrUnknownOrder", err)
+	if err := h.Cancel(9999); !errors.Is(err, errUnknownOrder) {
+		t.Fatalf("bogus cancel = %v, want errUnknownOrder", err)
 	}
 	if h.InFlight() != 0 {
 		t.Fatalf("in-flight %d after cancel", h.InFlight())
@@ -186,7 +188,7 @@ func TestServeHandleCancelSharded(t *testing.T) {
 	}
 	select {
 	case out := <-ch:
-		if out.State != OutcomeCanceledByRider {
+		if out.State != sim.OrderCanceled {
 			t.Fatalf("sharded cancel outcome %v, want canceled_by_rider", out.State)
 		}
 	case <-time.After(30 * time.Second):

@@ -3,6 +3,9 @@ package mrvd
 import (
 	"context"
 	"testing"
+
+	"mrvd/internal/core"
+	"mrvd/internal/sim"
 )
 
 var shardTestCity = NewCity(CityConfig{OrdersPerDay: 1500, Seed: 17})
@@ -34,11 +37,11 @@ func TestWithShardsOneShardParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := svc.Runner()
-	ls, err := NewDispatcher("LS", svc.Options().Seed)
+	ls, err := core.NewDispatcher("LS", svc.Options().Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.RunSource(context.Background(), ls, PredictNone, nil, NewSliceSource(ref.Orders()), nil)
+	want, err := ref.RunSource(context.Background(), ls, PredictNone, nil, sim.NewSliceSource(ref.Orders()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +75,6 @@ func TestWithShardsValidation(t *testing.T) {
 	}
 	if _, err := NewService(WithBoundaryPolicy(BoundaryPolicy(99))); err == nil {
 		t.Fatal("unknown boundary policy accepted")
-	}
-	if _, err := NewService(WithCandidateCap(-1)); err == nil {
-		t.Fatal("negative candidate cap accepted")
 	}
 }
 
@@ -126,7 +126,7 @@ func TestStartShardedSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := <-outcome
-		if out.State != OutcomeAssigned && out.State != OutcomeExpired {
+		if out.State != sim.OrderAssigned && out.State != sim.OrderExpired {
 			t.Fatalf("order %d: unexpected outcome %v", i, out.State)
 		}
 	}

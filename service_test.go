@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mrvd/internal/dispatch"
+	"mrvd/internal/sim"
 )
 
 // mustService builds a service that must be valid.
@@ -54,14 +55,12 @@ func TestServiceOptionsApply(t *testing.T) {
 		WithSchedulingWindow(900),
 		WithHorizon(7200),
 		WithSeed(5),
-		WithTrainDays(40),
-		WithSlotSeconds(600),
 		WithObserver(obs),
 		WithRepositioner(rep, 123),
 	)
 	o := svc.Options()
 	if o.City != city || o.NumDrivers != 42 || o.Delta != 7 || o.TC != 900 ||
-		o.Horizon != 7200 || o.Seed != 5 || o.TrainDays != 40 || o.SlotSeconds != 600 {
+		o.Horizon != 7200 || o.Seed != 5 {
 		t.Errorf("options not applied: %+v", o)
 	}
 	if o.Repositioner != rep || o.RepositionAfter != 123 {
@@ -85,8 +84,6 @@ func TestServiceOptionValidation(t *testing.T) {
 		{"batch interval", WithBatchInterval(0), "WithBatchInterval"},
 		{"scheduling window", WithSchedulingWindow(-1), "WithSchedulingWindow"},
 		{"horizon", WithHorizon(0), "WithHorizon"},
-		{"train days", WithTrainDays(0), "WithTrainDays"},
-		{"slot seconds", WithSlotSeconds(-2), "WithSlotSeconds"},
 		{"pace", WithPace(-1), "WithPace"},
 		{"model without predictor", WithPrediction(PredictModel, nil), "WithPrediction"},
 		{"nil observer", WithObserver(nil), "WithObserver"},
@@ -303,7 +300,7 @@ func TestServeHandleSubmitAwaitsOutcome(t *testing.T) {
 			if out.ID != id {
 				t.Fatalf("outcome for order %d, want %d", out.ID, id)
 			}
-			if out.State != OutcomeAssigned {
+			if out.State != sim.OrderAssigned {
 				t.Fatalf("order %d status %v, want assigned", id, out.State)
 			}
 			if out.Revenue <= 0 || out.FreeAt < out.AssignedAt {
@@ -352,7 +349,7 @@ func TestServeHandleExpiredOutcome(t *testing.T) {
 	}
 	select {
 	case out := <-ch:
-		if out.State != OutcomeExpired {
+		if out.State != sim.OrderExpired {
 			t.Fatalf("order %d status %v, want expired", id, out.State)
 		}
 	case <-time.After(30 * time.Second):
@@ -411,7 +408,7 @@ func TestServeHandleConcurrentSubmit(t *testing.T) {
 				}
 				if i%3 == 0 {
 					// The cancel races the assignment; either may win.
-					if err := h.Cancel(id); err != nil && !errors.Is(err, ErrUnknownOrder) {
+					if err := h.Cancel(id); err != nil && !errors.Is(err, errUnknownOrder) {
 						t.Errorf("cancel %d: %v", id, err)
 					}
 				}
@@ -436,7 +433,7 @@ func TestServeHandleConcurrentSubmit(t *testing.T) {
 			t.Fatalf("order %d resolved twice", out.ID)
 		}
 		seen[out.ID] = true
-		if out.State != OutcomeAssigned && out.State != OutcomeExpired && out.State != OutcomeCanceledByRider {
+		if out.State != sim.OrderAssigned && out.State != sim.OrderExpired && out.State != sim.OrderCanceled {
 			t.Fatalf("order %d non-terminal status %v", out.ID, out.State)
 		}
 	}
@@ -454,7 +451,7 @@ func TestServeHandleConcurrentSubmit(t *testing.T) {
 
 // TestServeHandleCancellationResolvesWaiters pins the shutdown path:
 // canceling the session context mid-serve resolves every in-flight
-// order to OutcomeCanceled and leaks no goroutines.
+// order to sim.OrderSessionEnded and leaks no goroutines.
 func TestServeHandleCancellationResolvesWaiters(t *testing.T) {
 	before := runtime.NumGoroutine()
 	// Pace the engine hard (1 simulated second per wall second, 3s
@@ -481,9 +478,9 @@ func TestServeHandleCancellationResolvesWaiters(t *testing.T) {
 	for _, ch := range chans {
 		select {
 		case out := <-ch:
-			if out.State == OutcomeCanceled {
+			if out.State == sim.OrderSessionEnded {
 				terminal++
-			} else if out.State == OutcomeAssigned || out.State == OutcomeExpired {
+			} else if out.State == sim.OrderAssigned || out.State == sim.OrderExpired {
 				terminal++ // a batch may have resolved it before the cancel
 			} else {
 				t.Fatalf("unexpected status %v", out.State)
