@@ -55,8 +55,8 @@ func main() {
 
 	// First wave before the engine starts; the second arrives mid-run,
 	// triggered off the engine's own clock (below) so the demo is
-	// deterministic — a wall-clock producer goroutine would race the
-	// simulation, which runs thousands of times faster than real time.
+	// deterministic. The first wave keeps riders waiting, and so the
+	// unpaced clock running (it stands still while idle), until 900 s.
 	submitWave(300, 0, 900)
 
 	// Stream events instead of scraping metrics: count outcomes live,

@@ -122,65 +122,80 @@ func (h *hub) closeAll() {
 	}
 }
 
+// emit publishes the event build returns, calling build only if anyone
+// listens: an event's pointer fields escape, so building one allocates.
+func (h *hub) emit(build func() event) {
+	if !h.active() {
+		return
+	}
+	payload, err := json.Marshal(build())
+	if err != nil {
+		return
+	}
+	h.publish(payload)
+}
+
 // observer adapts engine events into hub broadcasts.
 func (h *hub) observer() mrvd.Observer {
-	emit := func(e event) {
-		if !h.active() {
-			return
-		}
-		payload, err := json.Marshal(e)
-		if err != nil {
-			return
-		}
-		h.publish(payload)
-	}
 	return mrvd.ObserverFuncs{
 		BatchStart: func(e mrvd.BatchStartEvent) {
-			emit(event{Type: "batch", T: e.Now, Batch: ptr(e.Batch),
-				Waiting: ptr(e.Waiting), Available: ptr(e.Available)})
+			h.emit(func() event {
+				return event{Type: "batch", T: e.Now, Batch: ptr(e.Batch),
+					Waiting: ptr(e.Waiting), Available: ptr(e.Available)}
+			})
 		},
 		Assigned: func(e mrvd.AssignedEvent) {
-			ev := event{Type: "assigned", T: e.Now,
-				Order: ptr(int64(e.Rider.Order.ID)), Driver: ptr(int64(e.Driver)),
-				PickupCost: ptr(e.PickupCost), Revenue: ptr(e.Revenue), FreeAt: ptr(e.FreeAt)}
-			if e.Shared {
-				ev.Shared = ptr(true)
-				ev.Detour = ptr(e.DetourSeconds)
-				ev.Onboard = ptr(e.Onboard)
-				ev.Stops = ptr(e.Stops)
-			}
-			emit(ev)
+			h.emit(func() event {
+				ev := event{Type: "assigned", T: e.Now,
+					Order: ptr(int64(e.Rider.Order.ID)), Driver: ptr(int64(e.Driver)),
+					PickupCost: ptr(e.PickupCost), Revenue: ptr(e.Revenue), FreeAt: ptr(e.FreeAt)}
+				if e.Shared {
+					ev.Shared = ptr(true)
+					ev.Detour = ptr(e.DetourSeconds)
+					ev.Onboard = ptr(e.Onboard)
+					ev.Stops = ptr(e.Stops)
+				}
+				return ev
+			})
 		},
 		Expired: func(e mrvd.ExpiredEvent) {
-			emit(event{Type: "expired", T: e.Now, Order: ptr(int64(e.Rider.Order.ID))})
+			h.emit(func() event { return event{Type: "expired", T: e.Now, Order: ptr(int64(e.Rider.Order.ID))} })
 		},
 		Canceled: func(e mrvd.CanceledEvent) {
-			emit(event{Type: "canceled", T: e.Now, Order: ptr(int64(e.Rider.Order.ID))})
+			h.emit(func() event { return event{Type: "canceled", T: e.Now, Order: ptr(int64(e.Rider.Order.ID))} })
 		},
 		Declined: func(e mrvd.DeclinedEvent) {
-			emit(event{Type: "declined", T: e.Now,
-				Order: ptr(int64(e.Rider.Order.ID)), Driver: ptr(int64(e.Driver)),
-				FreeAt: ptr(e.RetryAt)})
+			h.emit(func() event {
+				return event{Type: "declined", T: e.Now,
+					Order: ptr(int64(e.Rider.Order.ID)), Driver: ptr(int64(e.Driver)),
+					FreeAt: ptr(e.RetryAt)}
+			})
 		},
 		Repositioned: func(e mrvd.RepositionedEvent) {
-			from, to := toPoint(e.From), toPoint(e.To)
-			emit(event{Type: "repositioned", T: e.Now, Driver: ptr(int64(e.Driver)),
-				From: &from, To: &to, FreeAt: ptr(e.ArriveAt)})
+			h.emit(func() event {
+				from, to := toPoint(e.From), toPoint(e.To)
+				return event{Type: "repositioned", T: e.Now, Driver: ptr(int64(e.Driver)),
+					From: &from, To: &to, FreeAt: ptr(e.ArriveAt)}
+			})
 		},
 		PickedUp: func(e mrvd.PickedUpEvent) {
-			emit(event{Type: "pickup", T: e.Now, At: ptr(e.At),
-				Order: ptr(int64(e.Order)), Driver: ptr(int64(e.Driver)),
-				Onboard: ptr(e.Onboard), Stops: ptr(e.Remaining)})
+			h.emit(func() event {
+				return event{Type: "pickup", T: e.Now, At: ptr(e.At),
+					Order: ptr(int64(e.Order)), Driver: ptr(int64(e.Driver)),
+					Onboard: ptr(e.Onboard), Stops: ptr(e.Remaining)}
+			})
 		},
 		DroppedOff: func(e mrvd.DroppedOffEvent) {
-			ev := event{Type: "dropoff", T: e.Now, At: ptr(e.At),
-				Order: ptr(int64(e.Order)), Driver: ptr(int64(e.Driver)),
-				Onboard: ptr(e.Onboard), Stops: ptr(e.Remaining)}
-			if e.Shared {
-				ev.Shared = ptr(true)
-				ev.Detour = ptr(e.DetourSeconds)
-			}
-			emit(ev)
+			h.emit(func() event {
+				ev := event{Type: "dropoff", T: e.Now, At: ptr(e.At),
+					Order: ptr(int64(e.Order)), Driver: ptr(int64(e.Driver)),
+					Onboard: ptr(e.Onboard), Stops: ptr(e.Remaining)}
+				if e.Shared {
+					ev.Shared = ptr(true)
+					ev.Detour = ptr(e.DetourSeconds)
+				}
+				return ev
+			})
 		},
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mrvd"
+	"mrvd/internal/sim"
 )
 
 // newTestService builds a small live-serve service. pace 0 free-runs
@@ -388,6 +389,22 @@ func TestGatewayEventsSSE(t *testing.T) {
 		}
 	}
 	t.Fatalf("stream ended early: batch=%v assigned=%v (scan err %v)", sawBatch, sawAssigned, scanner.Err())
+}
+
+// TestHubObserverWithoutSubscriberAllocatesNothing: with no SSE client
+// the hub's observer runs on the engine goroutine every batch and every
+// assignment, and must return before it builds an event.
+func TestHubObserverWithoutSubscriberAllocatesNothing(t *testing.T) {
+	o := newHub().observer()
+	rider := &sim.Rider{Order: mrvd.Order{ID: 7}}
+	batch := mrvd.BatchStartEvent{Now: 30, Batch: 10, Waiting: 2, Available: 5}
+	assigned := mrvd.AssignedEvent{Now: 30, Rider: rider, Driver: 3, PickupCost: 60, Revenue: 400, FreeAt: 490}
+	if n := testing.AllocsPerRun(100, func() { o.OnBatchStart(batch) }); n != 0 {
+		t.Errorf("BatchStart allocates %v objects with no subscriber, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { o.OnAssigned(assigned) }); n != 0 {
+		t.Errorf("Assigned allocates %v objects with no subscriber, want 0", n)
+	}
 }
 
 func TestGatewayHealthAndShutdown(t *testing.T) {

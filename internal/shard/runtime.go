@@ -90,6 +90,7 @@ type Runtime struct {
 	// cancelSrc is the city-wide source's cancellation feed, nil when it
 	// has none.
 	cancelSrc sim.CancelableSource
+	park      sim.ParkableSource // the source, if unpaced and parkable: idle rounds block on it
 	// routed records which shard admitted each order — the address book
 	// rider-initiated cancels are routed by. Only built for cancelable
 	// sources over two or more shards: a 1-shard runtime has one
@@ -179,6 +180,9 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 			rt.routed = make(map[trace.OrderID]ID)
 		}
 	}
+	if ps, ok := src.(sim.ParkableSource); ok && cfg.Sim.PaceFactor == 0 {
+		rt.park = ps // a paced session's clock is the wall clock
+	}
 
 	if r := cfg.Sim.Obs.Registry; r != nil {
 		roundHist := r.HistogramVec("mrvd_shard_round_seconds",
@@ -246,7 +250,9 @@ func (rt *Runtime) Partition() *Partition { return rt.part }
 // dispatcher — one instance per shard, since dispatchers are stateful.
 // The rounds tick on sim.RunBatches, the clock Engine.Run uses, so
 // cancellation and pacing are the same code (a live source yields the
-// processor in its Poll, once per round). A runtime is single-use.
+// processor in its Poll, once per round). An idle unpaced session parks
+// on a ParkableSource at the top of a round, which then runs at its own
+// batch time: the clock stands still while idle. A runtime is single-use.
 func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.Dispatcher, error)) (*sim.Metrics, error) {
 	n := rt.cfg.Shards
 	dispatchers := make([]sim.Dispatcher, n)
@@ -265,6 +271,9 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 
 	round := 0
 	err := sim.RunBatches(ctx, rt.cfg.Sim, func(now float64) (bool, error) {
+		if rt.park != nil && rt.idle() {
+			rt.park.Park(ctx)
+		}
 		// Route this round's newly posted orders. The router may probe
 		// shard supply (CandidateBorrow).
 		ready, done := rt.src.Poll(now)
@@ -441,6 +450,17 @@ func (rt *Runtime) publish() {
 		s.Admitted, s.BorrowedIn, s.Drivers, s.RehomedIn = c.Admitted, c.BorrowedIn, c.Drivers, c.RehomedIn
 		s.Waiting, s.Available = c.Waiting, c.Available
 	}
+}
+
+// idle reports whether no engine has a rider waiting and no cancel is
+// pending here (call only between rounds).
+func (rt *Runtime) idle() bool {
+	for _, e := range rt.engines {
+		if waiting, _ := e.Counts(); waiting > 0 {
+			return false
+		}
+	}
+	return len(rt.pendingCancels) == 0
 }
 
 // allDrained reports whether every engine is drained (call only between

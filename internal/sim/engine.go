@@ -95,9 +95,9 @@ type Config struct {
 	// simulation advances at most PaceFactor simulated seconds per wall
 	// second (1 = real time). This is what lets wall-clock producers
 	// drive a live ChannelSource — without pacing the engine free-runs
-	// thousands of times faster than real time, so concurrently
-	// submitted orders would arrive with their deadlines already in the
-	// engine's past. 0 (the default) free-runs.
+	// thousands of times faster than real time while it has work, so
+	// concurrently submitted orders would arrive with their deadlines
+	// already in the engine's past. 0 (the default) free-runs.
 	PaceFactor float64
 }
 
@@ -363,9 +363,10 @@ func (e *Engine) Run(ctx context.Context, d Dispatcher) (*Metrics, error) {
 
 // RunBatches is the batch clock every run shares: for now = 0, Delta,
 // 2*Delta, ... below Horizon it checks ctx, paces against the wall clock
-// when PaceFactor is set, and calls step(now). It never yields the
-// processor: a free-running live session yields in ChannelSource.Poll,
-// and a replay has no producer to yield to. step returns
+// when PaceFactor is set, and calls step(now). It never yields or
+// blocks itself: an idle free-running live session parks in step
+// (shard.Runtime.Run) and a busy one yields in ChannelSource.Poll, so
+// its clock advances only while it has work. step returns
 // done=true to end the run before the horizon; its error, or the
 // context's (wrapped — test with errors.Is), ends it immediately. cfg's
 // timing must already be resolved (Config.WithDefaults): a zero Delta

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -49,6 +50,14 @@ type CancelableSource interface {
 type SizedSource interface {
 	OrderSource
 	TotalOrders() int
+}
+
+// ParkableSource is an optional OrderSource extension for live sources:
+// an idle free-running session parks in Park until the source holds an
+// order (released or future-dated), a staged cancel or its close.
+type ParkableSource interface {
+	OrderSource
+	Park(ctx context.Context)
 }
 
 // SliceSource replays a fixed in-memory trace — the classic experiment
@@ -100,18 +109,29 @@ func (s *SliceSource) TotalOrders() int { return len(s.orders) }
 // the engine must be paced (Config.PaceFactor / mrvd.WithPace): a
 // free-running simulation burns through hours of simulated time per
 // wall second and would expire wall-clock-stamped orders on arrival.
-// Deterministic feeds can instead gate submissions on the engine clock
-// from an Observer callback (see examples/livedispatch).
+// A free-running clock advances only while the session has work (a
+// rider waiting, an order or cancel held here), so a feed that waits for
+// a clock time must keep an order queued at that time. Deterministic
+// feeds gate submissions on the engine clock (see examples/livedispatch).
 type ChannelSource struct {
 	mu      sync.Mutex
 	heap    submissionHeap
 	seq     int64
 	closed  bool
 	cancels []trace.OrderID
+	wake    chan struct{} // one token: something arrived for a parked engine
 }
 
 // NewChannelSource returns an empty, open source.
-func NewChannelSource() *ChannelSource { return &ChannelSource{} }
+func NewChannelSource() *ChannelSource { return &ChannelSource{wake: make(chan struct{}, 1)} }
+
+// signal wakes a parked engine; c.mu must be held.
+func (c *ChannelSource) signal() {
+	select {
+	case c.wake <- struct{}{}:
+	default: // a token is already waiting
+	}
+}
 
 // Submit enqueues one order. It is safe for concurrent use, validates
 // the order, and fails after Close rather than panicking — a live
@@ -127,6 +147,7 @@ func (c *ChannelSource) Submit(o trace.Order) error {
 	}
 	c.heap.push(submission{order: o, seq: c.seq})
 	c.seq++
+	c.signal()
 	return nil
 }
 
@@ -135,6 +156,7 @@ func (c *ChannelSource) Submit(o trace.Order) error {
 func (c *ChannelSource) Close() {
 	c.mu.Lock()
 	c.closed = true
+	c.signal()
 	c.mu.Unlock()
 }
 
@@ -146,6 +168,7 @@ func (c *ChannelSource) Close() {
 func (c *ChannelSource) Cancel(id trace.OrderID) {
 	c.mu.Lock()
 	c.cancels = append(c.cancels, id)
+	c.signal()
 	c.mu.Unlock()
 }
 
@@ -166,14 +189,32 @@ func (c *ChannelSource) Pending() int {
 	return len(c.heap)
 }
 
+// Park implements ParkableSource, first dropping a token left by work
+// already polled. A zero ChannelSource (no wake channel) never parks.
+func (c *ChannelSource) Park(ctx context.Context) {
+	c.mu.Lock()
+	select {
+	case <-c.wake:
+	default:
+	}
+	idle := len(c.heap) == 0 && len(c.cancels) == 0 && !c.closed && c.wake != nil
+	c.mu.Unlock()
+	if idle {
+		select {
+		case <-c.wake:
+		case <-ctx.Done():
+		}
+	}
+}
+
 // Poll implements OrderSource: it releases every buffered order posted
 // at or before now, in (PostTime, submission) order.
 //
-// It first yields the processor: a free-running session is a tight
-// loop that polls once per batch, and without the yield its producers
-// (Submit callers, the HTTP gateway's handlers) would, at GOMAXPROCS=1,
-// only run on ~10 ms preemptions. A SliceSource replay has no producer
-// and pays no yield.
+// It first yields the processor: a free-running session with riders
+// waiting is a tight loop that polls once per batch, and without the
+// yield its producers (Submit callers, the HTTP gateway's handlers)
+// would, at GOMAXPROCS=1, only run on ~10 ms preemptions. A SliceSource
+// replay has no producer and pays no yield.
 func (c *ChannelSource) Poll(now float64) ([]trace.Order, bool) {
 	runtime.Gosched()
 	c.mu.Lock()

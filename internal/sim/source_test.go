@@ -143,6 +143,54 @@ func TestChannelSourceConcurrentSubmit(t *testing.T) {
 	}
 }
 
+// TestChannelSourceParkWakes: Park returns at once while the source
+// holds an order, a cancel or its close; otherwise it blocks until one
+// arrives or ctx ends, and a wake-up for work already polled away does
+// not end it early.
+func TestChannelSourceParkWakes(t *testing.T) {
+	parked := func(src *ChannelSource, wait time.Duration, arrive func()) time.Duration {
+		ctx, cancel := context.WithTimeout(context.Background(), wait)
+		defer cancel()
+		if arrive != nil {
+			time.AfterFunc(10*time.Millisecond, arrive)
+		}
+		start := time.Now()
+		src.Park(ctx)
+		return time.Since(start)
+	}
+	const long = 5 * time.Second
+
+	src := NewChannelSource()
+	if err := src.Submit(mkOrder(1, 100, 500)); err != nil { // future-dated
+		t.Fatal(err)
+	}
+	if d := parked(src, long, nil); d > time.Second {
+		t.Errorf("Park with an order held blocked %v", d)
+	}
+	src.Poll(100)
+	// The Submit's wake-up token is still in the channel; the order is not.
+	if d := parked(src, 50*time.Millisecond, nil); d < 40*time.Millisecond {
+		t.Errorf("Park on an empty source returned after %v, want the 50 ms timeout", d)
+	}
+	for _, c := range []struct {
+		name   string
+		arrive func()
+	}{
+		{"submit", func() { _ = src.Submit(mkOrder(2, 0, 500)) }},
+		{"cancel", func() { src.Cancel(2) }},
+		{"close", src.Close},
+	} {
+		if d := parked(src, long, c.arrive); d > time.Second {
+			t.Errorf("%s did not wake a parked engine (%v)", c.name, d)
+		}
+		src.Poll(1000)
+		src.PollCancels()
+	}
+	if d := parked(src, long, nil); d > time.Second {
+		t.Errorf("Park on a closed source blocked %v", d)
+	}
+}
+
 func TestEngineRunsFromChannelSourceAndStopsWhenDrained(t *testing.T) {
 	src := NewChannelSource()
 	for i := 0; i < 5; i++ {

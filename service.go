@@ -144,8 +144,8 @@ func WithPrediction(mode PredictionMode, model Predictor) Option {
 // WithPace throttles runs to at most factor simulated seconds per wall
 // second (1 = real time, 0 = free-run, the default). Live Serve with
 // producers stamping PostTime off the wall clock requires pacing —
-// an unpaced engine simulates hours per wall second and would expire
-// wall-clock-stamped orders on arrival.
+// an unpaced engine simulates hours per wall second while it has work
+// and would expire wall-clock-stamped orders on arrival.
 func WithPace(factor float64) Option {
 	return func(s *Service) {
 		if factor < 0 || math.IsNaN(factor) {
@@ -389,7 +389,9 @@ func (s *Service) Runner() *Runner { return s.newRunner(s.opts.Seed) }
 // run ends at the horizon, on ctx cancellation, or once src is closed,
 // drained and every trip completed. starts positions the fleet; nil
 // samples starts the way Run does. Producers stamping PostTime off the
-// wall clock need WithPace.
+// wall clock need WithPace. Unpaced, a ChannelSource session's clock
+// advances only while it has work (a rider waiting, an order or cancel
+// in src), so a feed that waits for a clock time must keep one queued.
 func (s *Service) Serve(ctx context.Context, algorithm string, src OrderSource, starts []Point) (*Metrics, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
@@ -509,7 +511,8 @@ type ServeHandle struct {
 // The session ends when ctx is canceled, the horizon is reached, or —
 // after Close — the submitted stream drains; Result blocks for the
 // final metrics. Producers stamping PostTime off the wall clock need
-// WithPace (see Serve); gateways should instead stamp off Clock.
+// WithPace (see Serve); gateways should instead stamp off Clock. An
+// unpaced session parks while it has no work, as Serve's does.
 func (s *Service) Start(ctx context.Context, algorithm string, starts []Point, observers ...Observer) (*ServeHandle, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
@@ -598,7 +601,7 @@ func (h *ServeHandle) Cancel(id OrderID) error {
 // Clock returns the engine time of the most recent batch — the stamp a
 // gateway should put on incoming orders' PostTime so their patience
 // starts at the engine's present regardless of pacing. Before the
-// first batch it is 0.
+// first batch it is 0. Unpaced, it stands still while idle (see Serve).
 func (h *ServeHandle) Clock() float64 { return h.store.Clock() }
 
 // Bounds returns the extent of the session city's grid. The engine
