@@ -20,8 +20,6 @@
 // order resolves); a positive -rate is the aggregate Poisson arrival
 // intensity in submissions/sec. Patience is engine seconds: against a
 // real-time gateway (mrvd-serve -pace 1) it is wall seconds too.
-// Against a sharded gateway (mrvd-serve -shards N) the report ends
-// with the server's per-shard breakdown from GET /v1/stats.
 package main
 
 import (
@@ -117,7 +115,6 @@ func main() {
 	l := rep.Latency
 	fmt.Printf("latency ms:  p50=%.2f  p95=%.2f  p99=%.2f  mean=%.2f  max=%.2f  (n=%d)\n",
 		l.P50MS, l.P95MS, l.P99MS, l.MeanMS, l.MaxMS, l.Count)
-	printShardStats(*url)
 	printPhaseBreakdown(*url)
 
 	if *jsonPath != "" {
@@ -134,27 +131,6 @@ func main() {
 		}
 		f.Close()
 		fmt.Printf("report:      %s\n", *jsonPath)
-	}
-}
-
-// printShardStats shows the gateway's per-shard breakdown when the
-// target session runs sharded (mrvd-serve -shards N); silent otherwise.
-func printShardStats(baseURL string) {
-	resp, err := http.Get(baseURL + "/v1/stats")
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		Shards []mrvd.ShardStats `json:"shards"`
-	}
-	if json.NewDecoder(resp.Body).Decode(&stats) != nil || len(stats.Shards) == 0 {
-		return
-	}
-	fmt.Printf("shards:      %d\n", len(stats.Shards))
-	for _, s := range stats.Shards {
-		fmt.Printf("  shard %d: regions=%d drivers=%d admitted=%d borrowed=%d served=%d reneged=%d canceled=%d declined=%d batch(avg=%.2fms max=%.2fms)\n",
-			s.Shard, s.Regions, s.Drivers, s.Admitted, s.BorrowedIn, s.Served, s.Reneged, s.Canceled, s.Declined, s.AvgBatchMS, s.MaxBatchMS)
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 //	mrvd-serve [-addr :8080] [-alg LS] [-drivers 100] [-orders 28000]
 //	           [-delta 3] [-pace 1] [-horizon 86400] [-max-pending 1024]
-//	           [-patience 300] [-road] [-seed 1] [-shards 1] [-borrow]
+//	           [-patience 300] [-road] [-seed 1]
 //	           [-cancel-rate 0] [-decline-prob 0] [-decline-cooldown 0]
 //	           [-travel-noise 0] [-scenario-seed 0]
 //	           [-pool-capacity 0] [-pool-detour 0]
@@ -18,7 +18,7 @@
 //
 // -metrics instruments the engine and serves GET /metrics in Prometheus
 // text format (dispatch phase timings, coster cache counters, pool
-// search counters, per-shard round timings, submit→terminal latency,
+// search counters, round timings, submit→terminal latency,
 // process runtime health); -pprof mounts net/http/pprof under
 // /debug/pprof/; -trace-out streams one JSON span per terminal order
 // (submit → admit → commit → pickup → dropoff/cancel/renege with
@@ -44,12 +44,6 @@
 // shared/detour fields, /v1/drivers shows onboard riders and remaining
 // stops, and pickup/dropoff events stream as they complete.
 // -pool-detour bounds each rider's detour in seconds (0 = 300s).
-//
-// -shards N (default 1, values below 1 rejected) sets how many lockstep
-// engines the session runs on, each owning a contiguous band of the
-// city and the drivers starting there; GET /v1/stats carries one entry
-// per shard. -borrow admits frontier orders to a neighbouring shard
-// when the owner has no driver in reach (default: strict ownership).
 //
 // By default the engine is paced to real time (-pace 1), so engine
 // seconds are wall seconds and order patience behaves like a wall
@@ -87,8 +81,6 @@ func main() {
 		patience   = flag.Float64("patience", 300, "default pickup patience (engine seconds)")
 		road       = flag.Bool("road", false, "price travel on the synthetic road network instead of closed-form")
 		seed       = flag.Int64("seed", 1, "instance seed")
-		shards     = flag.Int("shards", 1, "lockstep dispatch engines the city is partitioned across")
-		borrow     = flag.Bool("borrow", false, "candidate-borrow frontier policy between shards")
 
 		cancelRate   = flag.Float64("cancel-rate", 0, "scenario: probability a waiting rider abandons before its deadline")
 		declineProb  = flag.Float64("decline-prob", 0, "scenario: probability a driver declines a committed assignment")
@@ -127,9 +119,6 @@ func main() {
 	if *patience <= 0 {
 		flagErrs = append(flagErrs, fmt.Errorf("-patience must be positive, got %v", *patience))
 	}
-	if *shards < 1 {
-		flagErrs = append(flagErrs, fmt.Errorf("-shards must be >= 1, got %d", *shards))
-	}
 	if *poolCap < 0 {
 		flagErrs = append(flagErrs, fmt.Errorf("-pool-capacity must be >= 0, got %d", *poolCap))
 	}
@@ -156,7 +145,6 @@ func main() {
 		mrvd.WithHorizon(*horizon),
 		mrvd.WithSeed(*seed),
 		mrvd.WithPrediction(mrvd.PredictNone, nil),
-		mrvd.WithShards(*shards),
 	}
 	if *pace > 0 {
 		opts = append(opts, mrvd.WithPace(*pace))
@@ -173,9 +161,6 @@ func main() {
 	}
 	if *poolCap >= 2 {
 		opts = append(opts, mrvd.WithPooling(*poolCap, *poolDetour))
-	}
-	if *borrow {
-		opts = append(opts, mrvd.WithBoundaryPolicy(mrvd.CandidateBorrow))
 	}
 	if *road {
 		opts = append(opts, mrvd.WithCoster(mrvd.GraphCoster(*seed)))
@@ -237,12 +222,8 @@ func main() {
 		_ = hs.Shutdown(shutdownCtx)
 	}()
 
-	policy := "strict"
-	if *borrow {
-		policy = "borrow"
-	}
-	fmt.Printf("mrvd-serve: %s dispatch on %s (fleet %d, delta %.1fs, pace %.1fx, max-pending %d, shards %d/%s)\n",
-		*alg, *addr, *drivers, *delta, *pace, *maxPending, *shards, policy)
+	fmt.Printf("mrvd-serve: %s dispatch on %s (fleet %d, delta %.1fs, pace %.1fx, max-pending %d)\n",
+		*alg, *addr, *drivers, *delta, *pace, *maxPending)
 	if scenario.Enabled() {
 		fmt.Printf("  disruptions: cancel-rate %.2f, decline-prob %.2f, travel-noise %.2f (seed %d)\n",
 			scenario.CancelRate, scenario.DeclineProb, scenario.TravelNoise, scenario.Seed)

@@ -216,7 +216,7 @@ func main() {
 		if base != nil {
 			runner.ShareFrom(base)
 		}
-		m, err := runner.Run(ctx, core.ShardDispatchers(alg, *seed, runner.Options().Shards), mode, model)
+		m, err := runner.Run(ctx, core.ShardDispatchers(alg, *seed, 1), mode, model)
 		if err != nil {
 			// The run is dying anyway — flush the tracer first so a
 			// retained span write error is reported alongside, not lost.

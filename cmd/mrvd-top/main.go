@@ -1,7 +1,7 @@
 // Command mrvd-top is a terminal dashboard over a collecting
 // mrvd-serve gateway: it polls GET /v1/timeseries and renders live
 // sparklines for dispatch throughput, latency quantiles, queue and
-// fleet gauges, shard balance and process health, plus the SLO rule
+// fleet gauges and process health, plus the SLO rule
 // states the gateway's /healthz reports — top(1) for a dispatch
 // session.
 //
@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
@@ -270,24 +269,11 @@ func renderFrame(b *strings.Builder, ts obs.TimeSeries, url string, width int, c
 		{"latency p50", find(&ts, "mrvd_submit_terminal_seconds", obs.StatP50, "", ""), "s"},
 		{"latency p95", find(&ts, "mrvd_submit_terminal_seconds", obs.StatP95, "", ""), "s"},
 		{"dispatch p95", find(&ts, "mrvd_dispatch_phase_seconds", obs.StatP95, "phase", "dispatch"), "s"},
+		{"queue depth", find(&ts, "mrvd_queue_depth", obs.StatValue, "", ""), ""},
+		{"drivers", find(&ts, "mrvd_drivers_available", obs.StatValue, "", ""), ""},
 		{"goroutines", find(&ts, "process_goroutines", obs.StatValue, "", ""), ""},
 		{"heap inuse", find(&ts, "process_heap_inuse_bytes", obs.StatValue, "", ""), "B"},
 	}
-	// Per-shard gauges, every shard present, sorted for a stable frame.
-	var shardRows []row
-	for i := range ts.Series {
-		s := &ts.Series[i]
-		switch {
-		case s.Family == "mrvd_queue_depth" && s.Stat == obs.StatValue:
-			shardRows = append(shardRows, row{"queue depth s" + s.Labels["shard"], s, ""})
-		case s.Family == "mrvd_drivers_available" && s.Stat == obs.StatValue:
-			shardRows = append(shardRows, row{"drivers s" + s.Labels["shard"], s, ""})
-		case s.Family == "mrvd_shard_round_seconds" && s.Stat == obs.StatMean:
-			shardRows = append(shardRows, row{"round mean s" + s.Labels["shard"], s, "s"})
-		}
-	}
-	sort.Slice(shardRows, func(i, j int) bool { return shardRows[i].label < shardRows[j].label })
-	rows = append(rows, shardRows...)
 
 	for _, r := range rows {
 		if r.series == nil {

@@ -61,7 +61,7 @@ func TestRenderFrame(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"DEGRADED", "admitted/s", "served/s", "latency p95",
-		"queue depth s0", "latency-p95-ceiling", "ok -> degraded",
+		"queue depth", "latency-p95-ceiling", "ok -> degraded",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q:\n%s", want, out)

@@ -93,13 +93,10 @@ type Options struct {
 	// all stepped by the one goroutine that runs the session.
 	// Every run goes through that runtime; one shard is a single engine
 	// over the whole city, byte-identical to the bare sim.Engine loop.
-	// Values below 1 are rejected when the session is built.
+	// No product path sets it: bench/'s peak_shard2 workload and tests
+	// are its only N > 1 callers. Values below 1 are rejected when the
+	// session is built.
 	Shards int
-	// Borrow selects the CandidateBorrow frontier policy: orders whose
-	// owner shard has no available driver in reach may be admitted by a
-	// neighbouring shard that does. The default keeps strict region
-	// ownership; with one shard there is no frontier.
-	Borrow bool
 	// Obs wires the observability layer (metrics registry and order
 	// tracer, see sim.ObsConfig) into every engine the runner builds.
 	// The zero value keeps runs byte-identical to an uninstrumented
@@ -431,9 +428,6 @@ func (r *Runner) session(src sim.OrderSource, starts []geo.Point, mode Predictio
 		}
 		cfg.Weights = w
 	}
-	if r.opts.Borrow {
-		cfg.Policy = shard.CandidateBorrow
-	}
 	return shard.New(cfg, src, starts)
 }
 
@@ -479,9 +473,9 @@ func ShardDispatchers(algorithm string, seed int64, shards int) func(shard int) 
 // RunSource is the bare-engine reference: one sim.Engine.Run over src
 // with the instance's grid, coster, timing and prediction configuration
 // and ShardSession's stop rule, no runtime around it. No product path
-// calls it — TestWithShardsOneShardParity and bench/ run it next to a
-// 1-shard ShardSession to check, and price, the runtime against the
-// engine alone. Options.Shards and Borrow do not apply.
+// calls it — TestServiceRunMatchesBareEngine and bench/ run it next to
+// a 1-shard ShardSession to check, and price, the runtime against the
+// engine alone. Options.Shards does not apply.
 func (r *Runner) RunSource(ctx context.Context, d sim.Dispatcher, mode PredictionMode, model predict.Predictor, src sim.OrderSource, starts []geo.Point) (*sim.Metrics, error) {
 	fn, err := r.predictFn(mode, model)
 	if err != nil {

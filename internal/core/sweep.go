@@ -373,8 +373,6 @@ func Sweep(ctx context.Context, base Options, spec SweepSpec) ([]SweepResult, er
 			runner.ShareFrom(g.runner)
 			model = g.models[j.row]
 		}
-		// A multi-shard cell steps its shards on their own goroutines,
-		// inside this worker's slot.
 		res.Metrics, res.Err = runner.Run(ctx, row.dispatchers(j.inst.seed, runner.opts.Shards), row.Mode, model)
 	})
 	return results, ctx.Err()

@@ -121,7 +121,6 @@ func (g *Grid) Neighbors(id RegionID) []RegionID {
 
 // RegionsWithin returns all regions whose cell rectangle intersects the
 // circle of the given radius (meters) around p, including p's own region.
-// The dispatcher uses it to bound candidate-driver search.
 func (g *Grid) RegionsWithin(p Point, radiusMeters float64) []RegionID {
 	minRow, maxRow, minCol, maxCol, ok := g.cellSpan(p, radiusMeters)
 	if !ok {

@@ -164,17 +164,9 @@ func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
 // buffer. Only the appended tail is sorted.
 func (ix *Index) AppendWithin(dst []Neighbor, p Point, radiusMeters float64) []Neighbor {
 	base := len(dst)
-	dst, _ = ix.scan(dst, p, scanAll, radiusMeters)
+	dst = ix.scan(dst, p, scanAll, radiusMeters)
 	slices.SortFunc(dst[base:], nearCmp)
 	return dst
-}
-
-// CountWithin counts the items within radiusMeters of p without
-// materializing or sorting them — the allocation-free form of Within for
-// callers that only need supply depth (the shard router's borrow probe).
-func (ix *Index) CountWithin(p Point, radiusMeters float64) int {
-	_, n := ix.scan(nil, p, scanCount, radiusMeters)
-	return n
 }
 
 // Nearest returns up to k nearest items to p found within radiusMeters,
@@ -194,7 +186,7 @@ func (ix *Index) AppendNearest(dst []Neighbor, p Point, k int, radiusMeters floa
 		return dst
 	}
 	base := len(dst)
-	dst, _ = ix.scan(slices.Grow(dst, k), p, k, radiusMeters)
+	dst = ix.scan(slices.Grow(dst, k), p, k, radiusMeters)
 	// Drain the max-heap back-to-front for ascending order.
 	h := nearHeap(dst[base:])
 	for n := len(h) - 1; n > 0; n-- {
@@ -205,12 +197,10 @@ func (ix *Index) AppendNearest(dst []Neighbor, p Point, k int, radiusMeters floa
 	return dst
 }
 
-// scan's modes besides k > 0 (keep the k best as a max-heap on dst's
-// tail, which must have k spare cells).
-const (
-	scanAll   = 0  // append every item in radius, unordered
-	scanCount = -1 // append nothing
-)
+// scanAll is scan's mode that appends every item in radius, unordered;
+// k > 0 keeps the k best as a max-heap on dst's tail, which must have k
+// spare cells.
+const scanAll = 0
 
 // metersPerDegree is Equirect's scale along a meridian.
 const metersPerDegree = EarthRadiusMeters * math.Pi / 180
@@ -221,10 +211,9 @@ const metersPerDegree = EarthRadiusMeters * math.Pi / 180
 // item through that a cosine then has to reject.
 const boundMargin = 1e-9
 
-// scan is the one loop behind Within, Nearest and CountWithin: it walks
-// the cells cellSpan gives, row-major, and returns dst extended per the
-// mode k selects, plus — in scanCount mode only — the number of items
-// within radiusMeters.
+// scan is the one loop behind Within and Nearest: it walks the cells
+// cellSpan gives, row-major, and returns dst extended per the mode k
+// selects.
 //
 // An item is first tested against a lower bound of its Equirect
 // distance — the same projection with the longitude scale fixed at its
@@ -233,12 +222,12 @@ const boundMargin = 1e-9
 // limit: the radius, or, once the heap holds k, its worst entry. Only
 // survivors pay for the real distance, which alone decides membership
 // and is what the Neighbor carries.
-func (ix *Index) scan(dst []Neighbor, p Point, k int, radiusMeters float64) ([]Neighbor, int) {
+func (ix *Index) scan(dst []Neighbor, p Point, k int, radiusMeters float64) []Neighbor {
 	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, radiusMeters)
 	if !ok {
-		return dst, 0
+		return dst
 	}
-	base, n := len(dst), 0
+	base := len(dst)
 	kx := metersPerDegree * ix.grid.minMidCos(p.Lat)
 	limit := radiusMeters
 	limit2 := limit * limit * (1 + boundMargin)
@@ -255,32 +244,29 @@ func (ix *Index) scan(dst []Neighbor, p Point, k int, radiusMeters float64) ([]N
 					continue
 				}
 				nb := Neighbor{ID: id, Distance: d}
-				switch {
-				case k == scanCount:
-					n++
-				case k == scanAll:
+				if k == scanAll {
 					dst = append(dst, nb)
-				default:
-					h := nearHeap(dst[base:])
-					if len(h) < k {
-						h.push(nb)
-						dst = dst[:base+len(h)]
-					} else if nearLess(nb, h[0]) {
-						h.replaceTop(nb)
-					} else {
-						continue
-					}
-					if len(h) == k {
-						// Full: only an item no farther than the worst
-						// kept can still enter.
-						limit = h[0].Distance
-						limit2 = limit * limit * (1 + boundMargin)
-					}
+					continue
+				}
+				h := nearHeap(dst[base:])
+				if len(h) < k {
+					h.push(nb)
+					dst = dst[:base+len(h)]
+				} else if nearLess(nb, h[0]) {
+					h.replaceTop(nb)
+				} else {
+					continue
+				}
+				if len(h) == k {
+					// Full: only an item no farther than the worst kept
+					// can still enter.
+					limit = h[0].Distance
+					limit2 = limit * limit * (1 + boundMargin)
 				}
 			}
 		}
 	}
-	return dst, n
+	return dst
 }
 
 // nearCmp orders neighbours by distance then id — the one total order

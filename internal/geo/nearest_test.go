@@ -83,9 +83,9 @@ func TestNearestAfterRemovals(t *testing.T) {
 // items the real distance would reject. Over random fleets and queries
 // — query points outside the grid box and past the poles, items on cell
 // borders and stacked on one point, radius 0, a radius that is exactly
-// some item's distance, k beyond the fleet — Within, Nearest and
-// CountWithin must equal a brute-force Equirect scan sorted by nearCmp,
-// element for element, Distance bits included.
+// some item's distance, k beyond the fleet — Within and Nearest must
+// equal a brute-force Equirect scan sorted by nearCmp, element for
+// element, Distance bits included.
 func TestQueriesMatchBruteForce(t *testing.T) {
 	boxes := []BBox{
 		NYCBBox,
@@ -151,9 +151,6 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 				if got := ix.Within(q, radius); !sameNeighbors(got, want) {
 					t.Fatalf("%s: Within: %s", where, firstDiff(got, want))
 				}
-				if got := ix.CountWithin(q, radius); got != len(want) {
-					t.Fatalf("%s: CountWithin = %d, want %d", where, got, len(want))
-				}
 				for _, k := range []int{1, 3, 16, len(pts), len(pts) + 7} {
 					if got := ix.Nearest(q, k, radius); !sameNeighbors(got, want[:min(k, len(want))]) {
 						t.Fatalf("%s: Nearest(%d): %s", where, k, firstDiff(got, want[:min(k, len(want))]))
@@ -199,9 +196,6 @@ func TestQueriesAnyRadius(t *testing.T) {
 		}
 		if got := len(ix.Nearest(c, 3, tc.radius)); got != tc.want {
 			t.Errorf("Nearest(radius %v) found %d, want %d", tc.radius, got, tc.want)
-		}
-		if got := ix.CountWithin(c, tc.radius); got != tc.want {
-			t.Errorf("CountWithin(radius %v) = %d, want %d", tc.radius, got, tc.want)
 		}
 		if got := len(ix.grid.RegionsWithin(c, tc.radius)); tc.radius >= 1e12 && got != ix.grid.NumRegions() {
 			t.Errorf("RegionsWithin(radius %v) spans %d regions, want all %d", tc.radius, got, ix.grid.NumRegions())

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -43,13 +44,11 @@ type Selector struct {
 	// pair; nil matches all of the family's samples.
 	Labels map[string]string
 	// Stat is the derivation: StatRate (counter), StatValue/StatDelta
-	// (gauge), or StatMean/StatP50/StatP95/StatP99 (histogram).
+	// (gauge), or StatMean/StatP50/StatP95/StatP99 (histogram). Several
+	// matching samples combine: counter and gauge values are summed,
+	// and for quantiles and means the windowed histograms are merged
+	// before deriving.
 	Stat string
-	// Across combines multiple matching samples: "sum" (default — for
-	// quantiles/means the matched windowed histograms are merged before
-	// deriving), "max" (worst sample), or "imbalance" (max over mean of
-	// the per-sample values — shard skew).
-	Across string
 }
 
 // String renders the selector for rule status displays.
@@ -63,9 +62,7 @@ func (s Selector) String() string {
 		for k := range s.Labels {
 			names = append(names, k)
 		}
-		// Deterministic order for tiny maps without importing sort's
-		// weight here would still need sort; use it.
-		sortStrings(names)
+		slices.Sort(names) // deterministic order
 		b.WriteByte('{')
 		for i, k := range names {
 			if i > 0 {
@@ -76,9 +73,6 @@ func (s Selector) String() string {
 		b.WriteByte('}')
 	}
 	b.WriteByte(')')
-	if s.Across == "imbalance" || s.Across == "max" {
-		return s.Across + "(" + b.String() + ")"
-	}
 	return b.String()
 }
 
@@ -314,63 +308,18 @@ func quantileFor(stat string) float64 {
 
 func (c *Collector) evalHistSelector(sel Selector, w int) (float64, int64, bool) {
 	var merged HistogramSnapshot
-	var per []float64 // per-sample values for max/imbalance
-	var total int64
 	for _, h := range c.hists {
-		if h.family != sel.Family || !labelsMatch(sel.Labels, h.labelNames, h.labels) {
-			continue
-		}
-		win := h.window(c, w)
-		total += win.Count
-		switch sel.Across {
-		case "max", "imbalance":
-			if win.Count > 0 {
-				if sel.Stat == StatMean {
-					per = append(per, win.Mean())
-				} else {
-					per = append(per, win.Quantile(quantileFor(sel.Stat)))
-				}
-			}
-		default:
-			merged.Merge(win)
+		if h.family == sel.Family && labelsMatch(sel.Labels, h.labelNames, h.labels) {
+			merged.Merge(h.window(c, w))
 		}
 	}
-	switch sel.Across {
-	case "max":
-		if len(per) == 0 {
-			return 0, 0, false
-		}
-		m := per[0]
-		for _, x := range per[1:] {
-			m = math.Max(m, x)
-		}
-		return m, total, true
-	case "imbalance":
-		// max over mean of the per-sample values: 1.0 is perfectly
-		// balanced; a straggler shard drives it up. Needs at least two
-		// samples to mean anything.
-		if len(per) < 2 {
-			return 0, 0, false
-		}
-		var sum, max float64
-		for _, x := range per {
-			sum += x
-			max = math.Max(max, x)
-		}
-		mean := sum / float64(len(per))
-		if mean <= 0 {
-			return 0, 0, false
-		}
-		return max / mean, total, true
-	default:
-		if merged.Count == 0 {
-			return 0, 0, false
-		}
-		if sel.Stat == StatMean {
-			return merged.Mean(), merged.Count, true
-		}
-		return merged.Quantile(quantileFor(sel.Stat)), merged.Count, true
+	if merged.Count == 0 {
+		return 0, 0, false
 	}
+	if sel.Stat == StatMean {
+		return merged.Mean(), merged.Count, true
+	}
+	return merged.Quantile(quantileFor(sel.Stat)), merged.Count, true
 }
 
 func (c *Collector) evalScalarSelector(sel Selector, w int) (float64, int64, bool) {
@@ -381,8 +330,8 @@ func (c *Collector) evalScalarSelector(sel Selector, w int) (float64, int64, boo
 	if w == 0 {
 		return 0, 0, false
 	}
-	var per []float64
-	var totalObs float64
+	var value, totalObs float64
+	var found bool
 	var windowsWithData int64
 	for _, s := range c.scalars {
 		if s.family != sel.Family || !labelsMatch(sel.Labels, s.labelNames, s.labels) {
@@ -407,11 +356,13 @@ func (c *Collector) evalScalarSelector(sel Selector, w int) (float64, int64, boo
 			if math.IsNaN(newest) {
 				continue
 			}
-			per = append(per, newest-oldest)
+			value += newest - oldest
+			found = true
 		case StatValue:
 			for age := 0; age < w; age++ {
 				if x := s.buf[at(age)]; !math.IsNaN(x) {
-					per = append(per, x)
+					value += x
+					found = true
 					windowsWithData++
 					break
 				}
@@ -429,46 +380,19 @@ func (c *Collector) evalScalarSelector(sel Selector, w int) (float64, int64, boo
 			if !any {
 				continue
 			}
-			rate := sum / float64(w)
-			per = append(per, rate)
+			value += sum / float64(w)
+			found = true
 			totalObs += sum * c.interval // summed deltas = observation count
 		}
 	}
-	if len(per) == 0 {
+	if !found {
 		return 0, 0, false
 	}
 	samples := windowsWithData
 	if sel.Stat == StatRate {
 		samples = int64(math.Round(totalObs))
 	}
-	switch sel.Across {
-	case "max":
-		m := per[0]
-		for _, x := range per[1:] {
-			m = math.Max(m, x)
-		}
-		return m, samples, true
-	case "imbalance":
-		if len(per) < 2 {
-			return 0, 0, false
-		}
-		var sum, max float64
-		for _, x := range per {
-			sum += x
-			max = math.Max(max, x)
-		}
-		mean := sum / float64(len(per))
-		if mean <= 0 {
-			return 0, 0, false
-		}
-		return max / mean, samples, true
-	default:
-		var sum float64
-		for _, x := range per {
-			sum += x
-		}
-		return sum, samples, true
-	}
+	return value, samples, true
 }
 
 // labelsMatch reports whether the sample's label pairs carry every
@@ -528,19 +452,8 @@ func (c *Collector) worstLocked() State {
 	return overall
 }
 
-// sortStrings is a tiny insertion sort so Selector.String need not be
-// on any hot path to justify importing sort here — it already is
-// imported elsewhere in the package, but keep the helper trivial.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // DefaultDispatchRules is the stock SLO rule set for a dispatch
-// session collected at ~1s windows, covering the four health
+// session collected at ~1s windows, covering the three health
 // questions the serving layer already measures:
 //
 //   - serve-rate floor: of the orders reaching a terminal state over
@@ -553,10 +466,6 @@ func sortStrings(s []string) {
 //   - queue-depth growth: the waiting set growing by more than 200
 //     riders across 30 windows ⇒ degraded — demand is outrunning the
 //     fleet.
-//   - shard round-time imbalance: the slowest shard's mean round time
-//     above 3x the all-shard mean ⇒ degraded. Evaluates only with
-//     two or more shards (a 1-shard session has one sample, nothing
-//     to be imbalanced against, and the rule stays ok).
 //
 // Thresholds are deliberately loose defaults for a paced real-time
 // session; pass a custom set to CollectorConfig.Rules to tighten.
@@ -582,13 +491,6 @@ func DefaultDispatchRules() []Rule {
 			Metric: Selector{Family: "mrvd_queue_depth", Stat: StatDelta},
 			Op:     ">", Threshold: 200, ClearThreshold: 50,
 			Window: 30, MinSamples: 2, For: 3, Clear: 3,
-			Severity: StateDegraded,
-		},
-		{
-			Name:   "shard-round-imbalance",
-			Metric: Selector{Family: "mrvd_shard_round_seconds", Stat: StatMean, Across: "imbalance"},
-			Op:     ">", Threshold: 3, ClearThreshold: 2,
-			Window: 30, MinSamples: 10, For: 3, Clear: 3,
 			Severity: StateDegraded,
 		},
 	}

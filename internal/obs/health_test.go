@@ -109,7 +109,7 @@ func TestRuleMinSamplesFreezes(t *testing.T) {
 		Registry: r, Interval: time.Second, Windows: 8,
 		Rules: []Rule{{
 			Name:   "error-rate",
-			Metric: Selector{Family: "errs_total", Stat: StatRate, Across: "sum"},
+			Metric: Selector{Family: "errs_total", Stat: StatRate},
 			Op:     ">", Threshold: 0.5, Window: 4, MinSamples: 10,
 		}},
 	})
@@ -185,52 +185,6 @@ func TestRuleRatioDenominator(t *testing.T) {
 	}
 }
 
-func TestRuleShardImbalance(t *testing.T) {
-	r := NewRegistry()
-	rounds := r.HistogramVec("round_seconds", "round time", []float64{0.01, 0.1, 1}, "shard")
-	c := NewCollector(CollectorConfig{
-		Registry: r, Interval: time.Second, Windows: 8,
-		Rules: []Rule{{
-			Name:   "imbalance",
-			Metric: Selector{Family: "round_seconds", Stat: StatMean, Across: "imbalance"},
-			Op:     ">", Threshold: 2, Window: 4, MinSamples: 4,
-		}},
-	})
-	sec := int64(100)
-	tick := func() {
-		c.Tick(time.Unix(sec, 0))
-		sec++
-	}
-	s0, s1 := rounds.With("0"), rounds.With("1")
-	s0.Observe(0.005)
-	s1.Observe(0.005)
-	tick() // first sight
-	// Balanced shards.
-	for i := 0; i < 4; i++ {
-		s0.Observe(0.005)
-		s1.Observe(0.006)
-	}
-	tick()
-	if st := c.Health().Status; st != StateOK {
-		t.Fatalf("state %q with balanced shards, want ok", st)
-	}
-	// max/mean of two samples caps at 2, so bring up a third shard to
-	// make a straggler visible (an extra tick so its first-sight window
-	// passes before it contributes data).
-	s2 := rounds.With("2")
-	s2.Observe(0.005)
-	tick()
-	for i := 0; i < 4; i++ {
-		s0.Observe(0.005)
-		s1.Observe(0.9)
-		s2.Observe(0.005)
-	}
-	tick()
-	if st := c.Health().Status; st != StateDegraded {
-		t.Fatalf("state %q with straggler shard, want degraded (health=%+v)", st, c.Health())
-	}
-}
-
 func TestHealthEventsCapped(t *testing.T) {
 	c, step := gaugeCollector(t, Rule{
 		Name:   "flappy",
@@ -249,8 +203,8 @@ func TestHealthEventsCapped(t *testing.T) {
 
 func TestDefaultDispatchRules(t *testing.T) {
 	rules := DefaultDispatchRules()
-	if len(rules) != 4 {
-		t.Fatalf("rules = %d, want 4", len(rules))
+	if len(rules) != 3 {
+		t.Fatalf("rules = %d, want 3", len(rules))
 	}
 	names := map[string]bool{}
 	for _, r := range rules {
@@ -262,7 +216,7 @@ func TestDefaultDispatchRules(t *testing.T) {
 			t.Errorf("rule %s: must set MinSamples and For for anti-flap", r.Name)
 		}
 	}
-	for _, want := range []string{"serve-rate-floor", "latency-p95-ceiling", "queue-depth-growth", "shard-round-imbalance"} {
+	for _, want := range []string{"serve-rate-floor", "latency-p95-ceiling", "queue-depth-growth"} {
 		if !names[want] {
 			t.Errorf("missing default rule %s", want)
 		}

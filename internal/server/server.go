@@ -511,11 +511,6 @@ type statsResponse struct {
 	// Coster is the travel-cost cache counters for backends that expose
 	// them (the road-network coster does); null otherwise.
 	Coster *roadnet.CosterStats `json:"coster,omitempty"`
-	// Shards is the session's per-shard breakdown — one entry per
-	// shard (a single one covering the whole city by default) with its
-	// territory, fleet slice, queue depths, dispatch batch timings and
-	// borrow counters.
-	Shards []mrvd.ShardStats `json:"shards,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -526,11 +521,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		InFlight:       s.handle.InFlight(),
 		PendingRelease: s.handle.Pending(),
 		MaxPending:     s.cfg.MaxPending,
-		Shards:         s.handle.ShardStats(),
 		Done:           s.ended(),
 	}
 	if c, ok := s.svc.Options().Coster.(interface{ Stats() roadnet.CosterStats }); ok {
-		// One coster prices every shard: read it once.
 		st := c.Stats()
 		resp.Coster = &st
 	}

@@ -407,6 +407,54 @@ func TestHubObserverWithoutSubscriberAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestHubStalledSubscriberNeverBlocksPublisher: an SSE subscriber that
+// never reads must not stall the engine goroutine. Publishing far past
+// the subscription's buffer returns at once, keeps the oldest payloads
+// (the rest are dropped), and closeAll still closes the channel.
+func TestHubStalledSubscriberNeverBlocksPublisher(t *testing.T) {
+	const buffer, published = 256, 4 * 256
+	h := newHub()
+	ch := h.subscribe()
+	if ch == nil {
+		t.Fatal("subscribe on an open hub returned nil")
+	}
+	o := h.observer()
+	done := make(chan struct{})
+	go func() { // stands in for the engine goroutine
+		defer close(done)
+		for i := 0; i < published; i++ {
+			o.OnBatchStart(mrvd.BatchStartEvent{Now: float64(3 * i), Batch: i})
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("publishing to a stalled subscriber blocked the engine goroutine")
+	}
+	if n := len(ch); n != buffer || cap(ch) != buffer {
+		t.Fatalf("stalled subscriber holds %d payloads in a buffer of %d, want a full buffer of %d", n, cap(ch), buffer)
+	}
+
+	h.closeAll()
+	for i := 0; i < buffer; i++ {
+		var ev event
+		if err := json.Unmarshal(<-ch, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Batch == nil || *ev.Batch != i {
+			t.Fatalf("payload %d is batch %v, want the oldest events kept in order", i, ev.Batch)
+		}
+	}
+	select {
+	case payload, ok := <-ch:
+		if ok {
+			t.Fatalf("payload %q past the buffer, want the channel closed", payload)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("closeAll left the stalled subscriber's channel open")
+	}
+}
+
 func TestGatewayHealthAndShutdown(t *testing.T) {
 	srv, ts, cancel := newTestServer(t, 5, 0, Config{Algorithm: "NEAR"})
 	if got := getJSON(t, ts, "/healthz", nil); got.StatusCode != http.StatusOK {

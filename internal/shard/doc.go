@@ -3,7 +3,8 @@
 // instances — each owning a disjoint region set and the slice of the
 // fleet that starts there — and steps them one after another, in
 // lockstep batch rounds, on the one goroutine that runs the session.
-// N is 1 by default: one engine over the whole city. Partitioning
+// Every product session runs N = 1: one engine over the whole city.
+// Only bench/'s peak_shard2 workload and tests run N > 1. Partitioning
 // changes what a dispatcher can see (a rider's candidates are its
 // shard's drivers), not how many cores a round uses.
 //
@@ -13,13 +14,8 @@
 //     shard, balanced within one region, in contiguous row-major
 //     stripes (the paper's queueing model is already per-region, so a
 //     region is the natural unit of ownership).
-//   - Router admits each live order to the shard owning its pickup
-//     region. Its boundary policy decides what happens when a rider's
-//     patience radius crosses a shard frontier: StrictOwnership always
-//     keeps the order home, CandidateBorrow probes neighbouring shards'
-//     available supply at batch-build time and routes the order to a
-//     reachable shard when the owner has no feasible driver.
-//   - Runtime owns the engines, drives the lockstep rounds, forwards
+//   - Runtime owns the engines, admits each live order to the shard
+//     owning its pickup region, drives the lockstep rounds, forwards
 //     per-shard Observer events as one city-wide stream (driver
 //     ids remapped to the global fleet numbering, one synthesized
 //     city-wide BatchStart per round), re-homes idle drivers to the

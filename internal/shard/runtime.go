@@ -24,8 +24,6 @@ type Config struct {
 	Sim sim.Config
 	// Shards is the engine count (required, >= 1).
 	Shards int
-	// Policy is the frontier boundary policy (default StrictOwnership).
-	Policy BoundaryPolicy
 	// Weights optionally balances the partition by expected per-region
 	// load instead of region count (see NewWeightedPartition) — use
 	// OrderWeights over the trace, or a demand model's intensities.
@@ -47,9 +45,9 @@ type Stats struct {
 	Drivers         int `json:"drivers"`
 	Waiting         int `json:"waiting"`
 	Available       int `json:"available"`
-	// Admitted counts orders routed to this shard; BorrowedIn the subset
-	// admitted here under CandidateBorrow although another shard owns
-	// their pickup region.
+	// Admitted counts orders routed to this shard. BorrowedIn is always
+	// 0: orders go to the shard owning their pickup region. It leaves
+	// with bench/'s peak_shard2 workload, which still reads it.
 	Admitted   int `json:"admitted"`
 	BorrowedIn int `json:"borrowed_in"`
 	// RehomedIn counts drivers migrated into this shard by fleet
@@ -79,11 +77,10 @@ type Stats struct {
 // execute once with Run; Stats may be called concurrently with Run from
 // other goroutines.
 type Runtime struct {
-	cfg    Config
-	part   *Partition
-	router *Router
-	src    sim.OrderSource
-	sized  int // total orders when src is sized, else -1
+	cfg   Config
+	part  *Partition
+	src   sim.OrderSource
+	sized int // total orders when src is sized, else -1
 
 	engines []*sim.Engine
 	feeds   []*feedSource
@@ -112,7 +109,7 @@ type Runtime struct {
 
 	// stats is the published view, the one thing other goroutines read.
 	// coord holds the columns routing and re-homing write (Admitted,
-	// BorrowedIn, Drivers, RehomedIn, Waiting, Available), lock-free
+	// Drivers, RehomedIn, Waiting, Available), lock-free
 	// until publish copies them over.
 	statsMu    sync.Mutex
 	stats      []Stats
@@ -122,9 +119,8 @@ type Runtime struct {
 	// Per-shard registry instruments, pre-resolved so the round loop
 	// never takes the registry's family lock; all nil when Sim.Obs has
 	// no registry.
-	obsRound    []*obs.Histogram
-	obsBorrowed []*obs.Counter
-	obsRehomed  []*obs.Counter
+	obsRound   []*obs.Histogram
+	obsRehomed []*obs.Counter
 }
 
 // New partitions the grid, splits the fleet by start region, and builds
@@ -188,9 +184,6 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		roundHist := r.HistogramVec("mrvd_shard_round_seconds",
 			"Wall time of one shard's dispatch step per lockstep round.",
 			obs.DefBuckets, "shard")
-		borrowed := r.CounterVec("mrvd_shard_borrowed_total",
-			"Frontier orders admitted to this shard under CandidateBorrow although another shard owns their pickup region.",
-			"shard")
 		rehomed := r.CounterVec("mrvd_shard_rehomed_total",
 			"Drivers migrated into this shard by fleet re-homing.",
 			"shard")
@@ -199,13 +192,11 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		// path then uses without further With lookups.
 		for s := 0; s < cfg.Shards; s++ {
 			label := strconv.Itoa(s)
-			rt.obsRound = append(rt.obsRound, roundHist.With(label))      //mrvdlint:ignore hotlabel construction-time pre-resolution, runs once per shard at startup
-			rt.obsBorrowed = append(rt.obsBorrowed, borrowed.With(label)) //mrvdlint:ignore hotlabel construction-time pre-resolution, runs once per shard at startup
-			rt.obsRehomed = append(rt.obsRehomed, rehomed.With(label))    //mrvdlint:ignore hotlabel construction-time pre-resolution, runs once per shard at startup
+			rt.obsRound = append(rt.obsRound, roundHist.With(label))   //mrvdlint:ignore hotlabel construction-time pre-resolution, runs once per shard at startup
+			rt.obsRehomed = append(rt.obsRehomed, rehomed.With(label)) //mrvdlint:ignore hotlabel construction-time pre-resolution, runs once per shard at startup
 		}
 	}
 
-	probes := make([]SupplyProbe, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
 		ecfg := cfg.Sim
 		if rt.downstream != nil {
@@ -223,7 +214,6 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		}
 		rt.feeds[s] = &feedSource{}
 		rt.engines[s] = sim.NewWithSource(ecfg, rt.feeds[s], shardStarts[s])
-		probes[s] = rt.engines[s]
 		rt.coord[s].Drivers = len(shardStarts[s])
 		rt.stats[s] = Stats{
 			Shard:           s,
@@ -232,7 +222,6 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 			Drivers:         len(shardStarts[s]),
 		}
 	}
-	rt.router = NewRouter(part, cfg.Policy, cfg.Sim.RadiusSpeedMPS, probes)
 	return rt, nil
 }
 
@@ -274,22 +263,16 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 		if rt.park != nil && rt.idle() {
 			rt.park.Park(ctx)
 		}
-		// Route this round's newly posted orders. The router may probe
-		// shard supply (CandidateBorrow).
+		// Route this round's newly posted orders to the shards owning
+		// their pickup regions.
 		ready, done := rt.src.Poll(now)
 		for _, o := range ready {
-			s, borrowed := rt.router.Route(o, now)
+			s := rt.part.OwnerOf(o.Pickup)
 			rt.feeds[s].push(o)
 			if rt.routed != nil {
 				rt.routed[o.ID] = s
 			}
 			rt.coord[s].Admitted++
-			if borrowed {
-				rt.coord[s].BorrowedIn++
-				if rt.obsBorrowed != nil {
-					rt.obsBorrowed[s].Inc()
-				}
-			}
 		}
 		rt.publish()
 		if done {
@@ -447,7 +430,7 @@ func (rt *Runtime) publish() {
 	defer rt.statsMu.Unlock()
 	for i := range rt.coord {
 		c, s := &rt.coord[i], &rt.stats[i]
-		s.Admitted, s.BorrowedIn, s.Drivers, s.RehomedIn = c.Admitted, c.BorrowedIn, c.Drivers, c.RehomedIn
+		s.Admitted, s.Drivers, s.RehomedIn = c.Admitted, c.Drivers, c.RehomedIn
 		s.Waiting, s.Available = c.Waiting, c.Available
 	}
 }

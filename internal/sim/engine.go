@@ -515,13 +515,6 @@ func (e *Engine) Tally() Metrics {
 	}
 }
 
-// AvailableWithin counts available drivers within radiusMeters of p — a
-// supply probe for cross-shard routing decisions. It must not be called
-// concurrently with stepping.
-func (e *Engine) AvailableWithin(p geo.Point, radiusMeters float64) int {
-	return e.idx.CountWithin(p, radiusMeters)
-}
-
 // EachJoined visits, in ascending id order, every driver that became
 // available since the last StepDispatch — the starting fleet, trip,
 // cruise and cooldown completions, shift joins, AddDriver hand-offs —

@@ -24,12 +24,8 @@
 // experiment in the repo runs on. Service.Start runs a live serve session in the background and returns a ServeHandle whose
 // Submit routes each order's terminal Outcome back to the caller — the
 // seam the HTTP gateway (internal/server, cmd/mrvd-serve) builds on.
-// Every session runs on one runtime (internal/shard): a router admits
-// each order to the shard owning its pickup region and 1..n lockstep
-// dispatch engines serve their slices of the city, all stepped by the
-// session's one goroutine — one engine by default, WithShards(n) to
-// partition the city, with a configurable frontier policy
-// (WithBoundaryPolicy) and per-shard stats on the gateway's /v1/stats. WithScenario(cfg) turns on the
+// Every session is one dispatch engine over the whole city, stepped by
+// the session's one goroutine. WithScenario(cfg) turns on the
 // disruption layer — stochastic rider cancellations, driver declines
 // with cooldown, and noisy realized travel times with an
 // estimate-vs-realized error ledger — while riders can always cancel
@@ -63,7 +59,6 @@ import (
 	"mrvd/internal/predict"
 	"mrvd/internal/queueing"
 	"mrvd/internal/roadnet"
-	"mrvd/internal/shard"
 	"mrvd/internal/sim"
 	"mrvd/internal/trace"
 	"mrvd/internal/workload"
@@ -155,26 +150,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // NewSpanTracer returns a tracer writing one JSON span per line to w.
 // Close it after the run to flush and release w.
 func NewSpanTracer(w io.Writer) *SpanTracer { return obs.NewTracer(w) }
-
-// Sharded runtime types (see WithShards).
-type (
-	// BoundaryPolicy decides where orders whose patience radius crosses
-	// a shard frontier are admitted (see WithBoundaryPolicy).
-	BoundaryPolicy = shard.BoundaryPolicy
-	// ShardStats is one shard's live counter snapshot, served per shard
-	// by the HTTP gateway's /v1/stats.
-	ShardStats = shard.Stats
-)
-
-// Boundary policies for sharded runs.
-const (
-	// StrictOwnership always admits an order to the shard owning its
-	// pickup region.
-	StrictOwnership = shard.StrictOwnership
-	// CandidateBorrow admits a frontier order to a neighbouring shard
-	// with available supply in reach when the owner shard has none.
-	CandidateBorrow = shard.CandidateBorrow
-)
 
 // Framework types.
 type (

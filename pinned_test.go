@@ -2,9 +2,7 @@ package mrvd
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"mrvd/internal/core"
@@ -117,55 +115,6 @@ func TestPinnedOutputs(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// pinnedShard is the part of one shard's Stats row a replay must
-// reproduce.
-type pinnedShard struct{ Admitted, Served, RehomedIn int }
-
-// pinnedRoad is pinned plus the idle-ledger length and the per-shard
-// rows.
-type pinnedRoad struct {
-	pinned
-	IdleRecords int
-	Shards      []pinnedShard
-}
-
-// TestPinnedShardedRoad replays the peak-hour fixture on 2 and 4
-// CandidateBorrow shards priced on a generated road network, against
-// constants recorded at the parent of PR 22 (commit bbecc5c), where
-// every shard priced through its own GraphCoster over the one graph.
-// Here the shards share one GraphCoster: a price does not depend on
-// what the tree cache holds (roadnet's strict-equivalence contract),
-// so routing, borrowing, re-homing and every outcome stay where they
-// were — this is the test that says so for the sharded path.
-func TestPinnedShardedRoad(t *testing.T) {
-	city, orders, starts := peakHourFixture()
-	g := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: 7})
-	for _, shards := range []int{2, 4} {
-		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
-			r := core.NewRunnerWithOrders(core.Options{
-				City: city, NumDrivers: len(starts), Delta: 5, TC: 1200,
-				Horizon: peakHourHorizon, CandidateCap: 16, Seed: 9,
-				Shards: shards, Borrow: true, Coster: roadnet.NewGraphCoster(g),
-			}, orders, starts)
-			rt, err := r.ShardSession(sim.NewSliceSource(orders), nil, core.PredictOracle, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := rt.Run(context.Background(), core.ShardDispatchers("LS", 9, shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := pinnedRoad{pinned: pin(m), IdleRecords: len(m.IdleRecords)}
-			for _, s := range rt.Stats() {
-				got.Shards = append(got.Shards, pinnedShard{s.Admitted, s.Served, s.RehomedIn})
-			}
-			if want := pinnedRoadAtParent[shards]; !reflect.DeepEqual(got, want) {
-				t.Errorf("replay no longer reproduces the pinned output:\n  got:  %#v\n  want: %#v", got, want)
-			}
-		})
 	}
 }
 

@@ -107,9 +107,8 @@ func WithHorizon(seconds float64) Option {
 }
 
 // WithCoster sets the travel-cost backend (default Manhattan distance at
-// urban speed); every shard of a session prices through it. For Sweep,
-// the coster is shared across parallel runs and must be safe for
-// concurrent use; DefaultCoster and GraphCoster are.
+// urban speed). For Sweep, the coster is shared across parallel runs and
+// must be safe for concurrent use; DefaultCoster and GraphCoster are.
 // Costers implementing BatchCoster are priced one call per batch —
 // only the batch's candidate pairs, when they also implement
 // roadnet.PairCoster as GraphCoster does; plain Costers are priced cell
@@ -208,47 +207,6 @@ func WithPooling(capacity int, maxDetourSeconds float64) Option {
 			return
 		}
 		s.opts.Pooling = pool.Config{Capacity: capacity, MaxDetourSeconds: maxDetourSeconds}
-	}
-}
-
-// WithShards sets how many dispatch engines the session runs on (default
-// 1). Every run is a source → router → n engines → aggregated stream
-// pipeline: each shard owns a disjoint, contiguous set of grid regions
-// and the slice of the fleet that starts there, the router admits every
-// order to the shard owning its pickup region, the session's one
-// goroutine steps the engines one after another in lockstep rounds, and
-// events plus metrics aggregate back into one city-wide stream. With
-// one shard that is a single engine over the whole city. n < 1 is
-// rejected. Sharding partitions what a dispatcher sees; it does not use
-// more cores, and no per-run hook (Coster, PredictRiders, Repositioner,
-// Observer) is ever called from two goroutines of one session. The
-// Observer sees driver ids in the global fleet numbering.
-func WithShards(n int) Option {
-	return func(s *Service) {
-		if n < 1 {
-			s.failf("WithShards: shard count must be >= 1, got %d", n)
-			return
-		}
-		s.opts.Shards = n
-	}
-}
-
-// WithBoundaryPolicy selects what happens to riders whose patience
-// radius crosses a shard frontier: StrictOwnership (the default) always
-// admits an order to the shard owning its pickup region;
-// CandidateBorrow lets a frontier order be admitted by a neighbouring
-// shard with available drivers in reach when the owner has none. One
-// shard has no frontier, so the policy only matters with WithShards(n > 1).
-func WithBoundaryPolicy(p BoundaryPolicy) Option {
-	return func(s *Service) {
-		switch p {
-		case StrictOwnership:
-			s.opts.Borrow = false
-		case CandidateBorrow:
-			s.opts.Borrow = true
-		default:
-			s.failf("WithBoundaryPolicy: unknown policy %d", p)
-		}
 	}
 }
 
@@ -356,19 +314,20 @@ func (s *Service) newRunner(seed int64) *Runner {
 	return core.NewRunner(opts)
 }
 
-// dispatchers returns the per-shard dispatcher factory for a named
-// algorithm, failing on an unknown name before any instance is built.
+// dispatchers returns the session runtime's dispatcher factory for a
+// named algorithm, failing on an unknown name before any instance is
+// built. A session is one engine, so the one instance keeps the
+// service's seed.
 func (s *Service) dispatchers(algorithm string) (func(shard int) (sim.Dispatcher, error), error) {
 	if _, err := core.NewDispatcher(algorithm, s.opts.Seed); err != nil {
 		return nil, err
 	}
-	return core.ShardDispatchers(algorithm, s.opts.Seed, s.opts.Shards), nil
+	return core.ShardDispatchers(algorithm, s.opts.Seed, 1), nil
 }
 
 // Run simulates one full trace — generated from the city, or the
-// WithOrders replay — under the named algorithm and returns its metrics,
-// aggregated over the session's shards. The context cancels the run
-// between batches.
+// WithOrders replay — under the named algorithm and returns its metrics.
+// The context cancels the run between batches.
 func (s *Service) Run(ctx context.Context, algorithm string) (*Metrics, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
@@ -406,8 +365,8 @@ func (s *Service) Serve(ctx context.Context, algorithm string, src OrderSource, 
 	return rt.Run(ctx, newDispatcher)
 }
 
-// liveSession builds — without running — the runtime and per-shard
-// dispatcher factory of a Serve or Start session over src.
+// liveSession builds — without running — the runtime and dispatcher
+// factory of a Serve or Start session over src.
 func (s *Service) liveSession(algorithm string, src OrderSource, starts []Point) (*shard.Runtime, func(shard int) (sim.Dispatcher, error), error) {
 	newDispatcher, err := s.dispatchers(algorithm)
 	if err != nil {
@@ -491,9 +450,6 @@ type ServeHandle struct {
 
 	bounds BBox // the session city's grid extent
 
-	// shardStats reads the session runtime's live per-shard counters.
-	shardStats func() []shard.Stats
-
 	// Written once by the serve goroutine before done closes.
 	metrics *Metrics
 	err     error
@@ -532,14 +488,12 @@ func (s *Service) Start(ctx context.Context, algorithm string, starts []Point, o
 	run.opts.Observer = obs
 	// Build the session synchronously: a bad algorithm or configuration
 	// fails here rather than through Result, long after the caller wired
-	// a gateway, and the handle can expose per-shard stats while the
-	// session runs. Only the batch loop goes to the background goroutine.
+	// a gateway. Only the batch loop goes to the background goroutine.
 	rt, newDispatcher, err := run.liveSession(algorithm, h.src, starts)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	h.shardStats = rt.Stats
 	h.bounds = rt.Partition().Grid().Bounds()
 	go func() {
 		h.metrics, h.err = rt.Run(ctx, newDispatcher)
@@ -622,12 +576,6 @@ func (h *ServeHandle) SetInFlightLimit(n int) { h.store.SetInFlightLimit(n) }
 // Pending reports how many submitted orders the source has not yet
 // released into the engine.
 func (h *ServeHandle) Pending() int { return h.src.Pending() }
-
-// ShardStats returns the session's live per-shard counters: one entry
-// per shard (territory, fleet slice, queue depths, batch timings, borrow
-// counts) — a single entry covering the whole city by default. Safe for
-// concurrent use while the session runs.
-func (h *ServeHandle) ShardStats() []ShardStats { return h.shardStats() }
 
 // Close marks the order stream complete: already-submitted orders are
 // still dispatched, further Submit calls fail, and the session ends

@@ -88,18 +88,17 @@ func TestServiceScenarioRun(t *testing.T) {
 
 // cancelTestService builds a session where a submitted order is out of
 // every driver's reach, so it stays waiting until canceled or expired.
-func cancelTestService(t *testing.T, opts ...Option) (*Service, []Point, Point) {
+func cancelTestService(t *testing.T) (*Service, []Point, Point) {
 	t.Helper()
 	city := NewCity(CityConfig{OrdersPerDay: 1000, Seed: 6})
 	box := city.Grid().Bounds()
-	base := []Option{
+	svc := mustService(t,
 		WithCity(city),
 		WithFleet(2),
 		WithBatchInterval(3),
-		WithHorizon(30 * 24 * 3600),
+		WithHorizon(30*24*3600),
 		WithPrediction(PredictNone, nil),
-	}
-	svc := mustService(t, append(base, opts...)...)
+	)
 	// Fleet in one corner, far pickup in the other: at 600s patience the
 	// search radius (600 * 12 m/s = 7.2km) never reaches the fleet.
 	starts := []Point{
@@ -161,52 +160,5 @@ func TestServeHandleCancelResolvesOutcome(t *testing.T) {
 	// After the session, Cancel reports the session gone.
 	if err := h.Cancel(id); !errors.Is(err, ErrServeFinished) {
 		t.Fatalf("post-session cancel = %v, want ErrServeFinished", err)
-	}
-}
-
-// TestServeHandleCancelSharded drives the cancel path through the
-// partitioned runtime's router: the cancel must find the shard that
-// admitted the order.
-func TestServeHandleCancelSharded(t *testing.T) {
-	svc, starts, farPickup := cancelTestService(t, WithShards(2))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	h, err := svc.Start(ctx, "NEAR", starts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := h.Clock()
-	id, ch, err := h.Submit(Order{
-		PostTime: now, Deadline: now + 600,
-		Pickup: farPickup, Dropoff: Point{Lng: farPickup.Lng - 1e-2, Lat: farPickup.Lat},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Cancel(id); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case out := <-ch:
-		if out.State != sim.OrderCanceled {
-			t.Fatalf("sharded cancel outcome %v, want canceled_by_rider", out.State)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("sharded cancel outcome never arrived")
-	}
-	canceled := 0
-	for _, s := range h.ShardStats() {
-		canceled += s.Canceled
-	}
-	if canceled != 1 {
-		t.Fatalf("shard stats count %d cancels, want 1", canceled)
-	}
-	h.Close()
-	m, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Canceled != 1 {
-		t.Fatalf("sharded metrics canceled = %d, want 1", m.Canceled)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mrvd/internal/core"
 	"mrvd/internal/dispatch"
 	"mrvd/internal/sim"
 )
@@ -140,6 +141,37 @@ func TestServiceRunCancellation(t *testing.T) {
 	)
 	if _, err := svc.Run(ctx, "NEAR"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestServiceRunMatchesBareEngine: the public API contract — Service.Run
+// produces the same deterministic metrics as the bare-engine reference,
+// Runner.RunSource, over the same instance. The 4 h horizon cuts the
+// day trace short, so the reference's drain stop never fires and both
+// run the same batches.
+func TestServiceRunMatchesBareEngine(t *testing.T) {
+	svc := mustService(t,
+		WithCity(NewCity(CityConfig{OrdersPerDay: 1500, Seed: 17})),
+		WithFleet(40),
+		WithHorizon(4*3600),
+		WithPrediction(PredictNone, nil),
+	)
+	got, err := svc.Run(context.Background(), "LS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := svc.Runner()
+	ls, err := core.NewDispatcher("LS", svc.Options().Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.RunSource(context.Background(), ls, PredictNone, nil, sim.NewSliceSource(ref.Orders()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Summary() != want.Summary() {
+		t.Fatalf("Service.Run diverges from the bare engine:\n  engine:  %+v\n  service: %+v",
+			want.Summary(), got.Summary())
 	}
 }
 

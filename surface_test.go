@@ -12,17 +12,6 @@ import (
 	"testing"
 )
 
-// shardExports are the sharded-runtime names kept without a user: they
-// leave together with N > 1 sharding, not one by one.
-var shardExports = map[string]bool{
-	"WithShards":         true,
-	"WithBoundaryPolicy": true,
-	"BoundaryPolicy":     true,
-	"StrictOwnership":    true,
-	"CandidateBorrow":    true,
-	"ShardStats":         true,
-}
-
 // TestRootExportsHaveUsers keeps the root package's surface from growing
 // back. Every exported package-level name of the root's non-test files
 // needs a user — a reference from non-test code anywhere in the tree
@@ -35,9 +24,6 @@ func TestRootExportsHaveUsers(t *testing.T) {
 	fset := token.NewFileSet()
 	exports := map[string]token.Position{}
 	kept := map[string]bool{}
-	for name := range shardExports {
-		kept[name] = true
-	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
