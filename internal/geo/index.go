@@ -20,6 +20,7 @@ type Index struct {
 	slot    []int32    // id -> index within its bucket
 	region  []RegionID // id -> region, or absent when < 0
 	count   int
+	gen     uint64
 }
 
 // absent marks an id with no indexed item.
@@ -35,6 +36,12 @@ func NewIndex(grid *Grid) *Index {
 
 // Len returns the number of indexed items.
 func (ix *Index) Len() int { return ix.count }
+
+// Gen returns a counter that changes whenever an item enters or leaves
+// the index or moves to another region: while it holds, Regions and
+// every bucket are as they were. A move within a region does not bump
+// it — positions are not part of that state.
+func (ix *Index) Gen() uint64 { return ix.gen }
 
 // grow ensures the id-indexed state covers id.
 func (ix *Index) grow(id int32) {
@@ -66,6 +73,7 @@ func (ix *Index) Insert(id int32, p Point) {
 	ix.slot[id] = int32(len(ix.buckets[r]))
 	ix.buckets[r] = append(ix.buckets[r], id)
 	ix.count++
+	ix.gen++
 }
 
 // Remove deletes an item; unknown ids are a no-op.
@@ -85,6 +93,7 @@ func (ix *Index) Remove(id int32) {
 	ix.buckets[r] = b[:last]
 	ix.region[id] = absent
 	ix.count--
+	ix.gen++
 }
 
 // Move relocates an existing item; unknown ids are inserted.
@@ -113,6 +122,7 @@ func (ix *Index) Move(id int32, p Point) {
 	ix.region[id] = newR
 	ix.slot[id] = int32(len(ix.buckets[newR]))
 	ix.buckets[newR] = append(ix.buckets[newR], id)
+	ix.gen++
 }
 
 // Position returns an item's location and whether it is indexed.
@@ -123,7 +133,7 @@ func (ix *Index) Position(id int32) (Point, bool) {
 	return ix.pos[id], true
 }
 
-// Region returns the region an item currently occupies.
+// RegionOf returns the region an item currently occupies.
 func (ix *Index) RegionOf(id int32) (RegionID, bool) {
 	if !ix.has(id) {
 		return absent, false
@@ -167,6 +177,14 @@ func (ix *Index) AppendWithin(dst []Neighbor, p Point, radiusMeters float64) []N
 	dst = ix.scan(dst, p, scanAll, radiusMeters)
 	slices.SortFunc(dst[base:], nearCmp)
 	return dst
+}
+
+// AppendInRadius appends Within's items to dst unordered — for a caller
+// that reads only a nearest prefix whose length it learns as it reads:
+// NearestFirst then yields Within's order one item at a time without
+// sorting the tail it never reaches.
+func (ix *Index) AppendInRadius(dst []Neighbor, p Point, radiusMeters float64) []Neighbor {
+	return ix.scan(dst, p, scanAll, radiusMeters)
 }
 
 // Nearest returns up to k nearest items to p found within radiusMeters,
@@ -279,6 +297,50 @@ func nearCmp(a, b Neighbor) int {
 }
 
 func nearLess(a, b Neighbor) bool { return nearCmp(a, b) < 0 }
+
+// NearestFirst is a min-heap on Within's order (distance, then id),
+// built in place over a neighbour slice: Init is O(n), and draining it
+// with Pop returns exactly Within's sequence. It reorders the slice it
+// was made from.
+type NearestFirst []Neighbor
+
+// Init establishes the heap order.
+func (h NearestFirst) Init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+}
+
+// Pop removes and returns the nearest remaining neighbour; the heap
+// must not be empty.
+func (h *NearestFirst) Pop() Neighbor {
+	old := *h
+	n := len(old) - 1
+	top := old[0]
+	old[0] = old[n]
+	*h = old[:n]
+	h.siftDown(0)
+	return top
+}
+
+func (h NearestFirst) siftDown(i int) {
+	n := len(h)
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && nearLess(h[l], h[small]) {
+			small = l
+		}
+		if r < n && nearLess(h[r], h[small]) {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+}
 
 // nearHeap is a bounded max-heap on nearLess: the root is the worst of
 // the k best seen so far.

@@ -176,3 +176,35 @@ func TestIndexInRegionInvalid(t *testing.T) {
 		t.Errorf("InRegion(invalid) = %v, want nil", ids)
 	}
 }
+
+// TestIndexGen: the generation changes exactly when membership or an
+// item's region does — Insert, Remove, a Move across regions (and a
+// Move or Insert that inserts) — and holds through a Move within a
+// region, an Insert that is such a Move, and a Remove of an unknown id.
+func TestIndexGen(t *testing.T) {
+	ix := newTestIndex()
+	a := Point{Lng: -74.02, Lat: 40.59}    // SW corner region
+	a2 := Point{Lng: -74.021, Lat: 40.591} // same region
+	b := Point{Lng: -73.78, Lat: 40.91}    // NE corner region
+	gen := ix.Gen()
+	step := func(what string, bumps bool, op func()) {
+		t.Helper()
+		op()
+		if got := ix.Gen(); (got != gen) != bumps {
+			t.Errorf("%s: Gen %d -> %d, want a change: %v", what, gen, got, bumps)
+		}
+		gen = ix.Gen()
+	}
+	step("Insert", true, func() { ix.Insert(1, a) })
+	step("Move within region", false, func() { ix.Move(1, a2) })
+	step("Insert existing within region", false, func() { ix.Insert(1, a) })
+	step("Move across regions", true, func() { ix.Move(1, b) })
+	step("Insert existing across regions", true, func() { ix.Insert(1, a) })
+	step("Move unknown", true, func() { ix.Move(2, b) })
+	step("Remove unknown", false, func() { ix.Remove(9) })
+	step("Remove", true, func() { ix.Remove(1) })
+	step("Remove again", false, func() { ix.Remove(1) })
+	if p, _ := ix.Position(2); p != b {
+		t.Errorf("Position(2) = %v, want %v", p, b)
+	}
+}

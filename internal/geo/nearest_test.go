@@ -202,3 +202,51 @@ func TestQueriesAnyRadius(t *testing.T) {
 		}
 	}
 }
+
+// TestNearestFirstDrainsWithinOrder: AppendInRadius gathers Within's
+// items unordered, and draining a NearestFirst heap over them yields
+// Within's exact order — equal distances (stacked items, items on the
+// query point) broken by id, whatever order the buckets hold them in.
+func TestNearestFirstDrainsWithinOrder(t *testing.T) {
+	grid := NewNYCGrid()
+	ix := NewIndex(grid)
+	box := grid.Bounds()
+	rng := rand.New(rand.NewSource(11))
+	q := box.Center()
+	var pts []Point
+	for i := 0; i < 300; i++ {
+		pts = append(pts, Point{
+			Lng: q.Lng + (rng.Float64()-0.5)*0.05,
+			Lat: q.Lat + (rng.Float64()-0.5)*0.05,
+		})
+	}
+	// Stacks of three items on one spot, and three on the query point.
+	for i := 0; i < 60; i += 3 {
+		pts[i+1], pts[i+2] = pts[i], pts[i]
+	}
+	pts[297], pts[298], pts[299] = q, q, q
+	// Insert in a shuffled id order, so no bucket lists ids ascending.
+	for _, id := range rng.Perm(len(pts)) {
+		ix.Insert(int32(id), pts[id])
+	}
+	sentinel := Neighbor{ID: -1, Distance: -1}
+	for _, radius := range []float64{0, 150, 600, 1500, 3000, math.Inf(1)} {
+		want := ix.Within(q, radius)
+		buf := ix.AppendInRadius([]Neighbor{sentinel}, q, radius)
+		if buf[0] != sentinel || len(buf)-1 != len(want) {
+			t.Fatalf("radius %v: AppendInRadius = %d items after %v, want %d after the sentinel", radius, len(buf)-1, buf[0], len(want))
+		}
+		h := NearestFirst(buf[1:])
+		h.Init()
+		var got []Neighbor
+		for len(h) > 0 {
+			got = append(got, h.Pop())
+		}
+		if len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("radius %v: NearestFirst drains\n%v\nwant Within's\n%v", radius, got, want)
+		}
+	}
+	if n := len(ix.Within(q, 0)); n != 3 {
+		t.Fatalf("Within(q, 0) = %d items, want the 3 on the query point", n)
+	}
+}

@@ -14,9 +14,16 @@ import (
 // passed to returns.
 type batchArena struct {
 	// driverSlot maps a driver id to its slot in Context.Drivers. Every
-	// available driver is re-stamped each batch and candidates only come
-	// from the index of available drivers, so a stale cell is never read.
+	// available driver is stamped whenever the table is rebuilt, and
+	// candidates only come from the index of available drivers, so a
+	// stale cell is never read.
 	driverSlot []int32
+	// tableGen and tableFleet are the Index.Gen and fleet size the
+	// driver table (driverSlot, drivers, driverRegion,
+	// availablePerRegion) was last built at; it is reused while both
+	// hold.
+	tableGen   uint64
+	tableFleet int
 
 	waitingPerRegion, availablePerRegion, predictedDrivers []int
 	// noRiders is the all-zero forecast of an engine without

@@ -847,25 +847,37 @@ func (e *Engine) buildContext(now float64) *Context {
 
 	// Available drivers, in id order for determinism. The index holds
 	// exactly the available fleet, so its id-to-region array and bucket
-	// sizes are the table: no Driver is loaded to learn it is busy.
-	a.driverSlot = slices.Grow(a.driverSlot[:0], len(e.drivers))[:len(e.drivers)]
-	a.drivers, a.driverRegion = a.drivers[:0], a.driverRegion[:0]
-	for id, region := range e.idx.Regions() {
-		if region >= 0 {
-			a.driverSlot[id] = int32(len(a.drivers))
-			a.drivers = append(a.drivers, &e.drivers[id])
-			a.driverRegion = append(a.driverRegion, region)
+	// sizes are the table: no Driver is loaded to learn it is busy. The
+	// table is rebuilt only when the index's membership or regions
+	// changed (Index.Gen) or the fleet grew (which may also have moved
+	// e.drivers, whose elements the table points at); positions are
+	// read through those pointers, so a move within a region is seen
+	// without one.
+	if gen := e.idx.Gen(); gen != a.tableGen || len(e.drivers) != a.tableFleet {
+		a.tableGen, a.tableFleet = gen, len(e.drivers)
+		a.driverSlot = slices.Grow(a.driverSlot[:0], len(e.drivers))[:len(e.drivers)]
+		a.drivers, a.driverRegion = a.drivers[:0], a.driverRegion[:0]
+		for id, region := range e.idx.Regions() {
+			if region >= 0 {
+				a.driverSlot[id] = int32(len(a.drivers))
+				a.drivers = append(a.drivers, &e.drivers[id])
+				a.driverRegion = append(a.driverRegion, region)
+			}
 		}
-	}
-	for k := range a.availablePerRegion {
-		a.availablePerRegion[k] = len(e.idx.InRegion(geo.RegionID(k)))
+		for k := range a.availablePerRegion {
+			a.availablePerRegion[k] = len(e.idx.InRegion(geo.RegionID(k)))
+		}
 	}
 
 	// Waiting riders and their candidate drivers. Candidates come from
 	// the spatial index — every available driver within the radius the
 	// rider's remaining patience allows, optionally pre-filtered to the
 	// CandidateCap nearest — and are priced below in one many-to-many
-	// batch instead of per-pair Coster calls.
+	// batch instead of per-pair Coster calls. Lazy pricing reads each
+	// rider's candidates nearest-first only until its pairs are found,
+	// so they are gathered unsorted; a batch coster prices them all, in
+	// Within's order (which GraphCoster's tree cache sees as its source
+	// order).
 	a.riders, a.riderRegion = a.riders[:0], a.riderRegion[:0]
 	a.cand, a.candEnd, a.targets = a.cand[:0], a.candEnd[:0], a.targets[:0]
 	for _, r := range e.waiting {
@@ -875,10 +887,13 @@ func (e *Engine) buildContext(now float64) *Context {
 
 		slack := r.Order.Deadline - now
 		radius := slack * e.cfg.RadiusSpeedMPS
-		if e.cfg.CandidateCap > 0 {
+		switch {
+		case e.cfg.CandidateCap > 0:
 			a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, e.cfg.CandidateCap, radius)
-		} else {
+		case e.dense != nil:
 			a.cand = e.idx.AppendWithin(a.cand, r.Order.Pickup, radius)
+		default:
+			a.cand = e.idx.AppendInRadius(a.cand, r.Order.Pickup, radius)
 		}
 		a.candEnd = append(a.candEnd, len(a.cand))
 		a.targets = append(a.targets, r.Order.Pickup)
@@ -933,19 +948,21 @@ func (e *Engine) buildContext(now float64) *Context {
 	}
 	frame.costs = CostMatrix{rows: costs, driverRow: a.driverRow}
 
-	// Valid pairs (Definition 3) become matrix lookups: a candidate is
-	// kept while the driver can reach the pickup before the deadline,
-	// up to MaxCandidatesPerRider feasible pairs per rider. Lazily
-	// priced cells preserve the per-pair path's work profile — pricing
-	// stops with the cap, not at the radius.
+	// Valid pairs (Definition 3) become matrix lookups: candidates are
+	// taken nearest-first and kept while the driver can reach the
+	// pickup before the deadline, up to MaxCandidatesPerRider feasible
+	// pairs per rider. Lazily priced cells preserve the per-pair path's
+	// work profile — pricing stops with the cap, not at the radius. The
+	// heap yields Within's order whether or not the candidates arrived
+	// sorted, and leaves a.cand permuted.
 	a.pairs = a.pairs[:0]
 	lo := 0
 	for wi, r := range e.waiting {
 		found := 0
-		for _, nb := range a.cand[lo:a.candEnd[wi]] {
-			if found >= e.cfg.MaxCandidatesPerRider {
-				break
-			}
+		near := geo.NearestFirst(a.cand[lo:a.candEnd[wi]])
+		near.Init()
+		for found < e.cfg.MaxCandidatesPerRider && len(near) > 0 {
+			nb := near.Pop()
 			slot := a.driverSlot[nb.ID]
 			row := costs[a.driverRow[slot]]
 			if row == nil {

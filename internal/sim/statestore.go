@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -72,7 +73,9 @@ type OrderView struct {
 
 // DriverView is the queryable per-driver state: assignment counts and
 // the driver's last known movement, folded from Assigned and
-// Repositioned events.
+// Repositioned events. Busy is set by the event that sends the driver
+// off (an assignment, a decline's cooldown, a cruise) and clears at the
+// first batch start at or after FreeAt.
 type DriverView struct {
 	ID          DriverID  `json:"id"`
 	Served      int       `json:"served"`
@@ -140,9 +143,15 @@ type StoreStats struct {
 // waiter, so a submitter woken by an outcome reads that same outcome
 // from Order, and an order is in exactly one state everywhere.
 type StateStore struct {
-	mu      sync.RWMutex
-	orders  map[trace.OrderID]*orderEntry
-	drivers map[DriverID]*DriverView
+	mu     sync.RWMutex
+	orders map[trace.OrderID]*orderEntry
+	// drivers holds the views by id, nil where no event (or SeedFleet)
+	// has named the driver yet. busy queues (FreeAt, id) each time a view
+	// turns or stays busy, so a batch start clears only the drivers due
+	// — a view's latest FreeAt is always queued while it is busy, and an
+	// entry a later event superseded is skipped when it surfaces.
+	drivers []*DriverView
+	busy    completionHeap
 	stats   StoreStats
 
 	// Orders get ids 0..nextID-1 in registration order; inFlight counts
@@ -182,9 +191,8 @@ const gapWindow = 4096
 // NewStateStore returns an empty store.
 func NewStateStore() *StateStore {
 	return &StateStore{
-		orders:  make(map[trace.OrderID]*orderEntry),
-		drivers: make(map[DriverID]*DriverView),
-		now:     time.Now, //mrvdlint:ignore wallclock injectable default; batch-gap timings measure real gateway pacing, not simulated time
+		orders: make(map[trace.OrderID]*orderEntry),
+		now:    time.Now, //mrvdlint:ignore wallclock injectable default; batch-gap timings measure real gateway pacing, not simulated time
 	}
 }
 
@@ -310,12 +318,25 @@ func (s *StateStore) Close() {
 // driver returns the view for id, creating one if needed. Callers hold
 // s.mu.
 func (s *StateStore) driver(id DriverID) *DriverView {
-	v, ok := s.drivers[id]
-	if !ok {
+	for int(id) >= len(s.drivers) {
+		s.drivers = append(s.drivers, nil)
+	}
+	v := s.drivers[id]
+	if v == nil {
 		v = &DriverView{ID: id}
 		s.drivers[id] = v
 	}
 	return v
+}
+
+// markBusy flags d busy until its (already updated) FreeAt and queues
+// the batch start that clears it. A NaN FreeAt never clears, so it is
+// not queued. Callers hold s.mu.
+func (s *StateStore) markBusy(d *DriverView) {
+	d.Busy = true
+	if !math.IsNaN(d.FreeAt) {
+		s.busy.push(completion{freeAt: d.FreeAt, driver: d.ID})
+	}
 }
 
 // OnBatchStart implements Observer.
@@ -339,9 +360,8 @@ func (s *StateStore) OnBatchStart(e BatchStartEvent) {
 	}
 	s.lastBatchWall = now
 	// Drivers whose trips completed are available again.
-	//mrvdlint:ignore maporder disjoint per-driver flag clear; no cross-driver state, so visit order cannot matter
-	for _, d := range s.drivers {
-		if d.Busy && d.FreeAt <= e.Now {
+	for len(s.busy) > 0 && s.busy[0].freeAt <= e.Now {
+		if d := s.drivers[s.busy.pop().driver]; d.Busy && d.FreeAt <= e.Now {
 			d.Busy = false
 		}
 	}
@@ -371,9 +391,9 @@ func (s *StateStore) OnAssigned(e AssignedEvent) {
 	}
 	d := s.driver(e.Driver)
 	d.Served++
-	d.Busy = true
 	d.Pos = e.Dest
 	d.FreeAt = e.DriverFreeAt
+	s.markBusy(d)
 	d.RemainingStops = e.Stops
 	d.LastEventAt = e.Now
 }
@@ -432,12 +452,12 @@ func (s *StateStore) OnDeclined(e DeclinedEvent) {
 	}
 	d := s.driver(e.Driver)
 	d.Declines++
-	d.Busy = true
 	// A pooled driver declining an insertion keeps executing its plan;
 	// never pull its completion earlier than the plan's end.
 	if e.RetryAt > d.FreeAt {
 		d.FreeAt = e.RetryAt
 	}
+	s.markBusy(d)
 	d.LastEventAt = e.Now
 	s.stats.Declined++
 }
@@ -448,9 +468,9 @@ func (s *StateStore) OnRepositioned(e RepositionedEvent) {
 	defer s.mu.Unlock()
 	d := s.driver(e.Driver)
 	d.Repositions++
-	d.Busy = true
 	d.Pos = e.To
 	d.FreeAt = e.ArriveAt
+	s.markBusy(d)
 	d.LastEventAt = e.Now
 	s.stats.Repositioned++
 }
@@ -508,12 +528,13 @@ func (s *StateStore) Orders() []OrderView {
 // Drivers returns snapshots of every known driver, sorted by id.
 func (s *StateStore) Drivers() []DriverView {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]DriverView, 0, len(s.drivers))
 	for _, v := range s.drivers {
-		out = append(out, *v)
+		if v != nil {
+			out = append(out, *v)
+		}
 	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -327,5 +329,79 @@ func TestStateStoreConcurrentReadsDuringEvents(t *testing.T) {
 	}
 	if got := len(s.Orders()); got != 500 {
 		t.Errorf("orders = %d, want 500", got)
+	}
+}
+
+// TestStateStoreBusyQueueMatchesSweep checks the store's busy queue
+// against the rule it replaces — at every batch start, clear every
+// busy view whose FreeAt is at or before Now — over random streams of
+// assignments, declines (RetryAt above or below the current FreeAt)
+// and cruises whose FreeAt lands before, on or after the next batch,
+// including drivers made busy again before their old FreeAt passed and
+// drivers the store only learns from events. After every batch start
+// the views must equal a reference fold that sweeps them all, and no
+// queued entry may be due.
+func TestStateStoreBusyQueueMatchesSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		const seeded, fleet = 5, 8
+		s := seededStore(seeded)
+		ref := map[DriverID]*DriverView{}
+		for id := DriverID(0); id < seeded; id++ {
+			ref[id] = &DriverView{ID: id}
+		}
+		view := func(id DriverID) *DriverView {
+			if ref[id] == nil {
+				ref[id] = &DriverView{ID: id}
+			}
+			return ref[id]
+		}
+		rider := &Rider{Order: storeOrder(1 << 20)} // never registered
+		now := 0.0
+		// Whole-second offsets make FreeAt == Now common; a quarter
+		// second lands between batches.
+		freeAt := func() float64 { return now + float64(rng.Intn(13)-3) + 0.25*float64(rng.Intn(2)) }
+		for batch := 0; batch < 60; batch++ {
+			for n := rng.Intn(4); n > 0; n-- {
+				id := DriverID(rng.Intn(fleet))
+				v := view(id)
+				switch rng.Intn(3) {
+				case 0:
+					at, dest := freeAt(), geo.Point{Lng: -73.95, Lat: 40.7 + float64(batch)/1000}
+					s.OnAssigned(AssignedEvent{Now: now, Rider: rider, Driver: id, DriverFreeAt: at, Stops: 2, Dest: dest})
+					v.Served++
+					v.Busy, v.Pos, v.FreeAt, v.RemainingStops, v.LastEventAt = true, dest, at, 2, now
+				case 1:
+					at := freeAt()
+					s.OnDeclined(DeclinedEvent{Now: now, Rider: rider, Driver: id, RetryAt: at})
+					v.Declines++
+					v.Busy, v.FreeAt, v.LastEventAt = true, math.Max(v.FreeAt, at), now
+				case 2:
+					at, to := freeAt(), geo.Point{Lng: -73.9, Lat: 40.7 + float64(id)/100}
+					s.OnRepositioned(RepositionedEvent{Now: now, Driver: id, To: to, ArriveAt: at})
+					v.Repositions++
+					v.Busy, v.Pos, v.FreeAt, v.LastEventAt = true, to, at, now
+				}
+			}
+			now += float64(1 + rng.Intn(3))
+			s.OnBatchStart(BatchStartEvent{Now: now, Batch: batch})
+			var want []DriverView
+			for id := DriverID(0); id < fleet; id++ {
+				if v := ref[id]; v != nil {
+					if v.Busy && v.FreeAt <= now {
+						v.Busy = false
+					}
+					want = append(want, *v)
+				}
+			}
+			if got := s.Drivers(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d batch %d (now %v):\n got %+v\nwant %+v", trial, batch, now, got, want)
+			}
+			for _, c := range s.busy {
+				if c.freeAt <= now {
+					t.Fatalf("trial %d batch %d: entry %+v still queued at now %v", trial, batch, c, now)
+				}
+			}
+		}
 	}
 }
