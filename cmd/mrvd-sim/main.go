@@ -216,7 +216,11 @@ func main() {
 		if base != nil {
 			runner.ShareFrom(base)
 		}
-		m, err := runner.Run(ctx, core.ShardDispatchers(alg, *seed, 1), mode, model)
+		d, err := core.NewDispatcher(alg, *seed)
+		if err != nil {
+			fatal(err)
+		}
+		m, err := runner.Run(ctx, d, mode, model)
 		if err != nil {
 			// The run is dying anyway — flush the tracer first so a
 			// retained span write error is reported alongside, not lost.

@@ -5,9 +5,11 @@
 // Runner owns one configured city and executes named algorithms over a
 // simulated day, feeding the dispatcher per-region demand predictions
 // from a trained model, the realized history, or the noiseless oracle.
-// Every run is a 1..N-shard session (package shard) assembled in one
-// place, Runner.session; runs are context-aware (cancellation between
-// batches) and can consume streaming order sources (ShardSession).
+// Every run is one sim.Engine on its own loop, Engine.Run, assembled in
+// one place, Runner.engine; runs are context-aware (cancellation between
+// batches) and can consume streaming order sources (Runner.Session).
+// Runner.ShardSession builds the N-engine lockstep harness (package
+// shard) that only bench/'s peak_shard2 workload still runs.
 //
 // Sweep is the one grid executor: a (layer × seed × fleet × series)
 // grid, where a series is a labelled dispatcher with its own forecast

@@ -87,15 +87,12 @@ type Options struct {
 	// detour-bounded insertions alongside solo pairs. The zero value
 	// keeps the engine byte-identical to a pooling-free run.
 	Pooling pool.Config
-	// Shards is the engine count of the session runtime (internal/shard,
-	// default 1): the grid's regions are split across Shards lockstep
-	// engines, each owning the fleet slice starting in its territory and
-	// all stepped by the one goroutine that runs the session.
-	// Every run goes through that runtime; one shard is a single engine
-	// over the whole city, byte-identical to the bare sim.Engine loop.
-	// No product path sets it: bench/'s peak_shard2 workload and tests
-	// are its only N > 1 callers. Values below 1 are rejected when the
-	// session is built.
+	// Shards is the engine count of the lockstep harness (internal/shard,
+	// default 1), read only by ShardSession: the grid's regions are split
+	// across Shards engines, each owning the fleet slice starting in its
+	// territory. bench/'s peak_shard2 workload and tests are its only
+	// callers; every other run is one engine. Values below 1 are
+	// rejected when the harness is built.
 	Shards int
 	// Obs wires the observability layer (metrics registry and order
 	// tracer, see sim.ObsConfig) into every engine the runner builds.
@@ -395,71 +392,94 @@ func registerCosterMetrics(reg *obs.Registry, c roadnet.Coster) {
 		func() int64 { return total().Evictions })
 }
 
-// session is the one place a run is assembled: it turns an order source,
-// fleet start positions (nil = the instance's own), a prediction mode
-// and the stop rule — the horizon, or earlier once src is exhausted and
-// every rider and driver is done — into the 1..N-shard runtime that
-// executes it. The partition is demand-weighted: by the trace's pickup
-// counts when the instance has one, else by the city's expected
-// intensities — equal-area stripes would leave one shard with most of
-// a hotspot city's load.
-func (r *Runner) session(src sim.OrderSource, starts []geo.Point, mode PredictionMode, model predict.Predictor, stopWhenDrained bool) (*shard.Runtime, error) {
+// config resolves what every run of the instance shares: the simulator
+// configuration for a prediction mode and stop rule — the horizon, or
+// earlier once the source is exhausted and every rider and driver is
+// done — and the fleet's start positions (nil = the instance's own).
+func (r *Runner) config(starts []geo.Point, mode PredictionMode, model predict.Predictor, stopWhenDrained bool) (sim.Config, []geo.Point, error) {
 	fn, err := r.predictFn(mode, model)
 	if err != nil {
-		return nil, err
+		return sim.Config{}, nil, err
 	}
 	if starts == nil {
 		starts = r.starts
 	}
-	cfg := shard.Config{
-		Sim:    r.simConfig(fn),
-		Shards: r.opts.Shards,
+	cfg := r.simConfig(fn)
+	cfg.StopWhenDrained = stopWhenDrained
+	return cfg, starts, nil
+}
+
+// engine is the one place a session is assembled: one sim.Engine over
+// src (see config).
+func (r *Runner) engine(src sim.OrderSource, starts []geo.Point, mode PredictionMode, model predict.Predictor, stopWhenDrained bool) (*sim.Engine, error) {
+	cfg, starts, err := r.config(starts, mode, model, stopWhenDrained)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Sim.StopWhenDrained = stopWhenDrained
+	return sim.NewWithSource(cfg, src, starts), nil
+}
+
+// Run replays the instance's trace to the horizon with d and returns the
+// metrics; model is only consulted in PredictModel mode. d must be fresh
+// (NewDispatcher): dispatchers are stateful. The context cancels the run
+// between batches (the run returns the context's error, wrapped).
+func (r *Runner) Run(ctx context.Context, d sim.Dispatcher, mode PredictionMode, model predict.Predictor) (*sim.Metrics, error) {
+	e, err := r.engine(sim.NewSliceSource(r.orders), nil, mode, model, false)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(ctx, d)
+}
+
+// Session builds — but does not run — the engine over a live order
+// source: its Run ends at the horizon, when its context is canceled, or
+// — once src is exhausted — when no rider waits and no driver is busy.
+// It is the serving path's seam.
+func (r *Runner) Session(src sim.OrderSource, starts []geo.Point, mode PredictionMode, model predict.Predictor) (*sim.Engine, error) {
+	return r.engine(src, starts, mode, model, true)
+}
+
+// RunSource runs Session over src with d to its end.
+func (r *Runner) RunSource(ctx context.Context, d sim.Dispatcher, mode PredictionMode, model predict.Predictor, src sim.OrderSource, starts []geo.Point) (*sim.Metrics, error) {
+	e, err := r.Session(src, starts, mode, model)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(ctx, d)
+}
+
+// ShardSession builds — but does not run — the Options.Shards-engine
+// lockstep harness (internal/shard) over src with Session's stop rule.
+// Only bench/'s peak_shard2 workload and tests use it; run the returned
+// runtime with ShardDispatchers. The partition is demand-weighted: by
+// the trace's pickup counts when the instance has one, else by the
+// city's expected intensities — equal-area stripes would leave one
+// shard with most of a hotspot city's load.
+func (r *Runner) ShardSession(src sim.OrderSource, starts []geo.Point, mode PredictionMode, model predict.Predictor) (*shard.Runtime, error) {
+	cfg, starts, err := r.config(starts, mode, model, true)
+	if err != nil {
+		return nil, err
+	}
 	grid := r.opts.City.Grid()
+	var w []float64
 	if len(r.orders) > 0 {
-		cfg.Weights = shard.OrderWeights(grid, r.orders)
+		w = shard.OrderWeights(grid, r.orders)
 	} else {
-		w := make([]float64, grid.NumRegions())
+		w = make([]float64, grid.NumRegions())
 		for _, row := range r.expected {
 			for k, v := range row {
 				w[k] += v
 			}
 		}
-		cfg.Weights = w
 	}
-	return shard.New(cfg, src, starts)
+	return shard.New(shard.Config{Sim: cfg, Shards: r.opts.Shards, Weights: w}, src, starts)
 }
 
-// Run replays the instance's trace to the horizon and returns the
-// city-wide metrics. newDispatcher builds each shard's dispatcher
-// (ShardDispatchers for a named algorithm; dispatchers are stateful, so
-// every shard needs its own); model is only consulted in PredictModel
-// mode. The context cancels the run between batches (the run returns
-// the context's error, wrapped).
-func (r *Runner) Run(ctx context.Context, newDispatcher func(shard int) (sim.Dispatcher, error), mode PredictionMode, model predict.Predictor) (*sim.Metrics, error) {
-	rt, err := r.session(sim.NewSliceSource(r.orders), nil, mode, model, false)
-	if err != nil {
-		return nil, err
-	}
-	return rt.Run(ctx, newDispatcher)
-}
-
-// ShardSession builds — but does not run — the runtime over a live
-// order source: the run ends at the horizon, when its context is
-// canceled, or — once src is exhausted — when no rider waits and no
-// driver is busy. It is the serving path's seam: the caller runs the
-// returned runtime and can expose its per-shard Stats while the session
-// is live.
-func (r *Runner) ShardSession(src sim.OrderSource, starts []geo.Point, mode PredictionMode, model predict.Predictor) (*shard.Runtime, error) {
-	return r.session(src, starts, mode, model, true)
-}
-
-// ShardDispatchers returns the per-shard dispatcher factory for a named
-// algorithm: every shard gets a fresh instance (dispatchers are
-// stateful), and stochastic dispatchers get decorrelated per-shard
+// ShardDispatchers returns ShardSession's per-shard dispatcher factory
+// for a named algorithm: every shard gets a fresh instance (dispatchers
+// are stateful), and stochastic dispatchers get decorrelated per-shard
 // seeds forked with stats.SplitSeed. A 1-shard run keeps the parent
-// seed so it reproduces the bare engine exactly.
+// seed so it reproduces Run exactly.
 func ShardDispatchers(algorithm string, seed int64, shards int) func(shard int) (sim.Dispatcher, error) {
 	return func(i int) (sim.Dispatcher, error) {
 		s := seed
@@ -468,25 +488,6 @@ func ShardDispatchers(algorithm string, seed int64, shards int) func(shard int) 
 		}
 		return NewDispatcher(algorithm, s)
 	}
-}
-
-// RunSource is the bare-engine reference: one sim.Engine.Run over src
-// with the instance's grid, coster, timing and prediction configuration
-// and ShardSession's stop rule, no runtime around it. No product path
-// calls it — TestServiceRunMatchesBareEngine and bench/ run it next to
-// a 1-shard ShardSession to check, and price, the runtime against the
-// engine alone. Options.Shards does not apply.
-func (r *Runner) RunSource(ctx context.Context, d sim.Dispatcher, mode PredictionMode, model predict.Predictor, src sim.OrderSource, starts []geo.Point) (*sim.Metrics, error) {
-	fn, err := r.predictFn(mode, model)
-	if err != nil {
-		return nil, err
-	}
-	if starts == nil {
-		starts = r.starts
-	}
-	cfg := r.simConfig(fn)
-	cfg.StopWhenDrained = true
-	return sim.NewWithSource(cfg, src, starts).Run(ctx, d)
 }
 
 // AlgorithmNames lists the dispatchers NewDispatcher accepts, in the

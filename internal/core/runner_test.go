@@ -7,6 +7,7 @@ import (
 
 	"mrvd/internal/geo"
 	"mrvd/internal/predict"
+	"mrvd/internal/sim"
 	"mrvd/internal/workload"
 )
 
@@ -28,6 +29,17 @@ func testOptions() Options {
 	}
 }
 
+// mustDispatcher builds a fresh named dispatcher: dispatchers are
+// stateful, so every run gets its own.
+func mustDispatcher(t *testing.T, name string, seed int64) sim.Dispatcher {
+	t.Helper()
+	d, err := NewDispatcher(name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestRunnerDefaultsApplied(t *testing.T) {
 	r := NewRunner(Options{City: testOptions().City})
 	o := r.Options()
@@ -42,7 +54,7 @@ func TestRunnerDefaultsApplied(t *testing.T) {
 func TestRunnerRunAllAlgorithmsNoPrediction(t *testing.T) {
 	r := NewRunner(testOptions())
 	for _, name := range AlgorithmNames() {
-		m, err := r.Run(context.Background(), ShardDispatchers(name, 7, 1), PredictNone, nil)
+		m, err := r.Run(context.Background(), mustDispatcher(t, name, 7), PredictNone, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -60,12 +72,11 @@ func TestRunnerOracleBeatsOrMatchesNoPrediction(t *testing.T) {
 	// should not hurt revenue (statistically it helps, but at this small
 	// scale assert non-catastrophic: within 5% below, typically above).
 	r := NewRunner(testOptions())
-	irg := ShardDispatchers("IRG", 0, 1)
-	none, err := r.Run(context.Background(), irg, PredictNone, nil)
+	none, err := r.Run(context.Background(), mustDispatcher(t, "IRG", 0), PredictNone, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := r.Run(context.Background(), irg, PredictOracle, nil)
+	oracle, err := r.Run(context.Background(), mustDispatcher(t, "IRG", 0), PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestRunnerOracleBeatsOrMatchesNoPrediction(t *testing.T) {
 
 func TestRunnerModelPrediction(t *testing.T) {
 	r := NewRunner(testOptions())
-	m, err := r.Run(context.Background(), ShardDispatchers("IRG", 0, 1), PredictModel, predict.HA{})
+	m, err := r.Run(context.Background(), mustDispatcher(t, "IRG", 0), PredictModel, predict.HA{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +103,7 @@ func TestRunnerModelPrediction(t *testing.T) {
 
 func TestRunnerModelPredictionRequiresModel(t *testing.T) {
 	r := NewRunner(testOptions())
-	if _, err := r.Run(context.Background(), ShardDispatchers("IRG", 0, 1), PredictModel, nil); err == nil {
+	if _, err := r.Run(context.Background(), mustDispatcher(t, "IRG", 0), PredictModel, nil); err == nil {
 		t.Error("PredictModel without a model accepted")
 	}
 }
@@ -144,12 +155,11 @@ func TestRunnerDeterministicInstances(t *testing.T) {
 			t.Fatal("same options, different orders")
 		}
 	}
-	ls := ShardDispatchers("LS", 0, 1)
-	ma, err := a.Run(context.Background(), ls, PredictOracle, nil)
+	ma, err := a.Run(context.Background(), mustDispatcher(t, "LS", 0), PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := b.Run(context.Background(), ls, PredictOracle, nil)
+	mb, err := b.Run(context.Background(), mustDispatcher(t, "LS", 0), PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +174,7 @@ func TestRunnerShareFromPreservesResults(t *testing.T) {
 	// must not change outcomes: a shared-history run equals a fresh one.
 	opts := testOptions()
 	fresh := NewRunner(opts)
-	irg := ShardDispatchers("IRG", 0, 1)
-	want, err := fresh.Run(context.Background(), irg, PredictModel, predict.HA{})
+	want, err := fresh.Run(context.Background(), mustDispatcher(t, "IRG", 0), PredictModel, predict.HA{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +183,7 @@ func TestRunnerShareFromPreservesResults(t *testing.T) {
 	base.History()
 	shared := NewRunner(opts)
 	shared.ShareFrom(base)
-	got, err := shared.Run(context.Background(), irg, PredictModel, predict.HA{})
+	got, err := shared.Run(context.Background(), mustDispatcher(t, "IRG", 0), PredictModel, predict.HA{})
 	if err != nil {
 		t.Fatal(err)
 	}

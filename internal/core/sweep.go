@@ -10,7 +10,6 @@ import (
 	"mrvd/internal/predict"
 	"mrvd/internal/roadnet"
 	"mrvd/internal/sim"
-	"mrvd/internal/stats"
 	"mrvd/internal/trace"
 	"mrvd/internal/workload"
 )
@@ -28,8 +27,8 @@ type SweepSeries struct {
 	Algorithm string
 	// New, when set, builds the series' dispatcher directly — the
 	// variants the name factory cannot express. It is called once per
-	// shard of every cell with that cell's (shard-split) seed and must
-	// return a fresh instance each time.
+	// cell with that cell's instance seed and must return a fresh
+	// instance each time.
 	New func(seed int64) sim.Dispatcher
 	// Mode and Model select this series' forecast source. In
 	// PredictModel mode Model receives the cell's instance seed and must
@@ -47,18 +46,12 @@ func (s SweepSeries) label() string {
 	return s.Algorithm
 }
 
-// dispatchers is the series' per-shard dispatcher factory, with
-// ShardDispatchers' seeding rule.
-func (s SweepSeries) dispatchers(seed int64, shards int) func(shard int) (sim.Dispatcher, error) {
+// dispatcher builds the series' fresh dispatcher for a cell's seed.
+func (s SweepSeries) dispatcher(seed int64) (sim.Dispatcher, error) {
 	if s.New == nil {
-		return ShardDispatchers(s.Algorithm, seed, shards)
+		return NewDispatcher(s.Algorithm, seed)
 	}
-	return func(i int) (sim.Dispatcher, error) {
-		if shards > 1 {
-			return s.New(stats.SplitSeed(seed, i)), nil
-		}
-		return s.New(seed), nil
-	}
+	return s.New(seed), nil
 }
 
 // SweepLayer is one named overlay of the base options: every (series,
@@ -373,7 +366,11 @@ func Sweep(ctx context.Context, base Options, spec SweepSpec) ([]SweepResult, er
 			runner.ShareFrom(g.runner)
 			model = g.models[j.row]
 		}
-		res.Metrics, res.Err = runner.Run(ctx, row.dispatchers(j.inst.seed, runner.opts.Shards), row.Mode, model)
+		d, err := row.dispatcher(j.inst.seed)
+		if res.Err = err; err != nil {
+			return
+		}
+		res.Metrics, res.Err = runner.Run(ctx, d, row.Mode, model)
 	})
 	return results, ctx.Err()
 }

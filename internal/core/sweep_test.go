@@ -72,7 +72,7 @@ func TestSweepMatchesDirectRun(t *testing.T) {
 	o := opts
 	o.Seed = 3
 	o.NumDrivers = 25
-	want, err := NewRunner(o).Run(context.Background(), ShardDispatchers("IRG", 3, 1), PredictOracle, nil)
+	want, err := NewRunner(o).Run(context.Background(), mustDispatcher(t, "IRG", 3), PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestSweepExternalTrace(t *testing.T) {
 	o.NumDrivers = 15
 	rng := rand.New(rand.NewSource(5))
 	starts := o.WithDefaults().City.InitialDrivers(15, orders, rng)
-	want, err := NewRunnerWithOrders(o, orders, starts).Run(context.Background(), ShardDispatchers("NEAR", 5, 1), PredictOracle, nil)
+	want, err := NewRunnerWithOrders(o, orders, starts).Run(context.Background(), mustDispatcher(t, "NEAR", 5), PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

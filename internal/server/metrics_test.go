@@ -263,17 +263,17 @@ func TestStatsRoadCosterOnce(t *testing.T) {
 		t.Errorf("/v1/stats coster = %+v, the coster's own counters are %+v", *stats.Coster, own)
 	}
 
-	// The instrumented session surfaces its round timings.
+	// The instrumented session surfaces its dispatch timings.
 	fams := scrapeMetrics(t, ts.URL)
-	rounds := fams["mrvd_shard_round_seconds"]
-	if rounds == nil {
-		t.Fatalf("mrvd_shard_round_seconds missing; scrape has %v", obs.FamilyNames(fams))
+	phases := fams["mrvd_dispatch_phase_seconds"]
+	if phases == nil {
+		t.Fatalf("mrvd_dispatch_phase_seconds missing; scrape has %v", obs.FamilyNames(fams))
 	}
 	timed := false
-	for _, s := range rounds.Samples {
-		timed = timed || (s.Name == "mrvd_shard_round_seconds_count" && s.Value > 0)
+	for _, s := range phases.Samples {
+		timed = timed || (s.Name == "mrvd_dispatch_phase_seconds_count" && s.Labels["phase"] == "dispatch" && s.Value > 0)
 	}
 	if !timed {
-		t.Error("no round timing recorded")
+		t.Error("no dispatch timing recorded")
 	}
 }

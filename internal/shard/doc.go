@@ -1,12 +1,13 @@
-// Package shard is the session runtime every run goes through: it
-// splits a city grid's regions across N independent sim.Engine
-// instances — each owning a disjoint region set and the slice of the
-// fleet that starts there — and steps them one after another, in
-// lockstep batch rounds, on the one goroutine that runs the session.
-// Every product session runs N = 1: one engine over the whole city.
-// Only bench/'s peak_shard2 workload and tests run N > 1. Partitioning
-// changes what a dispatcher can see (a rider's candidates are its
-// shard's drivers), not how many cores a round uses.
+// Package shard is a benchmark harness, not a session path: it splits a
+// city grid's regions across N independent sim.Engine instances — each
+// owning a disjoint region set and the slice of the fleet that starts
+// there — and steps them one after another, in lockstep batch rounds,
+// on the one goroutine that calls Run. Every product session runs one
+// engine on sim.Engine.Run; only bench/'s peak_shard2 workload (through
+// core.Runner.ShardSession) and this package's tests build a Runtime,
+// and the package goes when that workload retires. Partitioning changes
+// what a dispatcher can see (a rider's candidates are its shard's
+// drivers), not how many cores a round uses.
 //
 // The pieces compose bottom-up:
 //
@@ -14,8 +15,8 @@
 //     shard, balanced within one region, in contiguous row-major
 //     stripes (the paper's queueing model is already per-region, so a
 //     region is the natural unit of ownership).
-//   - Runtime owns the engines, admits each live order to the shard
-//     owning its pickup region, drives the lockstep rounds, forwards
+//   - Runtime owns the engines, admits each order to the shard owning
+//     its pickup region, drives the lockstep rounds, forwards
 //     per-shard Observer events as one city-wide stream (driver
 //     ids remapped to the global fleet numbering, one synthesized
 //     city-wide BatchStart per round), re-homes idle drivers to the
@@ -27,9 +28,8 @@
 //     sim.Engine.EachJoined), and merges per-shard Metrics into one
 //     aggregate identical in shape to a single engine's.
 //
-// A 1-shard Runtime is contractually equivalent to a bare
-// sim.Engine.Run: same admissions, same events in the same order, same
-// deterministic Metrics projection (see TestOneShardParity and its
-// scenario and pooling siblings). That equality is why no product path
-// runs an engine without the runtime.
+// A 1-shard Runtime is equivalent to sim.Engine.Run: same admissions,
+// same events in the same order, same deterministic Metrics projection
+// (see TestOneShardParity and its scenario and pooling siblings).
+// bench/'s one_shard check relies on that equality.
 package shard

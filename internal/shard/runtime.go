@@ -3,12 +3,9 @@ package shard
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"sync"
 	"time"
 
 	"mrvd/internal/geo"
-	"mrvd/internal/obs"
 	"mrvd/internal/sim"
 	"mrvd/internal/stats"
 	"mrvd/internal/trace"
@@ -32,50 +29,40 @@ type Config struct {
 	Weights []float64
 }
 
-// Stats is one shard's live snapshot. Admission counts are published
-// when the round's orders are routed (before any engine steps), fleet
-// and queue counts after the admit steps and re-homing, and the
-// lifecycle tallies — copies of the engine's own Metrics, not a second
-// count — at that point, after each dispatch step, and ahead of every
-// event forwarded: whoever saw an order's outcome finds it counted here.
+// Stats is one shard's counters at the end of a run: the orders routed
+// to it, its fleet after re-homing, the lifecycle tallies (copies of its
+// engine's own Metrics, not a second count) and its dispatch wall time.
 type Stats struct {
-	Shard           int `json:"shard"`
-	Regions         int `json:"regions"`
-	FrontierRegions int `json:"frontier_regions"`
-	Drivers         int `json:"drivers"`
-	Waiting         int `json:"waiting"`
-	Available       int `json:"available"`
+	Drivers int
 	// Admitted counts orders routed to this shard. BorrowedIn is always
 	// 0: orders go to the shard owning their pickup region. It leaves
 	// with bench/'s peak_shard2 workload, which still reads it.
-	Admitted   int `json:"admitted"`
-	BorrowedIn int `json:"borrowed_in"`
+	Admitted   int
+	BorrowedIn int
 	// RehomedIn counts drivers migrated into this shard by fleet
 	// re-homing (trips whose dropoff crossed a frontier).
-	RehomedIn int `json:"rehomed_in"`
-	Served    int `json:"served"`
-	Reneged   int `json:"reneged"`
+	RehomedIn int
+	Served    int
+	Reneged   int
 	// Canceled counts rider-initiated cancellations admitted by this
 	// shard; Declined counts driver-declined assignments here.
-	Canceled int `json:"canceled"`
-	Declined int `json:"declined"`
+	Canceled int
+	Declined int
 	// SharedServed counts pooled riders dropped off by this shard's
 	// fleet; PickedUp/DroppedOff count pooled stop completions. All
 	// three stay zero with pooling disabled.
-	SharedServed int `json:"shared_served"`
-	PickedUp     int `json:"picked_up"`
-	DroppedOff   int `json:"dropped_off"`
-	Batches      int `json:"batches"`
-	// Dispatch wall time of this shard's StepDispatch per round, ms.
-	AvgBatchMS  float64 `json:"avg_batch_ms"`
-	MaxBatchMS  float64 `json:"max_batch_ms"`
-	LastBatchMS float64 `json:"last_batch_ms"`
+	SharedServed int
+	PickedUp     int
+	DroppedOff   int
+	Batches      int
+	// AvgBatchMS is the mean wall time of this shard's StepDispatch per
+	// round, ms.
+	AvgBatchMS float64
 }
 
 // Runtime drives N sim.Engines over a partitioned city in lockstep
 // batch rounds, all on the goroutine that calls Run. Build with New,
-// execute once with Run; Stats may be called concurrently with Run from
-// other goroutines.
+// execute once with Run, then read Stats.
 type Runtime struct {
 	cfg   Config
 	part  *Partition
@@ -87,7 +74,6 @@ type Runtime struct {
 	// cancelSrc is the city-wide source's cancellation feed, nil when it
 	// has none.
 	cancelSrc sim.CancelableSource
-	park      sim.ParkableSource // the source, if unpaced and parkable: idle rounds block on it
 	// routed records which shard admitted each order — the address book
 	// rider-initiated cancels are routed by. Only built for cancelable
 	// sources over two or more shards: a 1-shard runtime has one
@@ -107,20 +93,10 @@ type Runtime struct {
 	// events).
 	downstream sim.Observer
 
-	// stats is the published view, the one thing other goroutines read.
-	// coord holds the columns routing and re-homing write (Admitted,
-	// Drivers, RehomedIn, Waiting, Available), lock-free
-	// until publish copies them over.
-	statsMu    sync.Mutex
+	// stats holds the columns routing, re-homing and the dispatch
+	// timing write; batchSumMS sums each shard's dispatch wall time.
 	stats      []Stats
-	coord      []Stats
 	batchSumMS []float64
-
-	// Per-shard registry instruments, pre-resolved so the round loop
-	// never takes the registry's family lock; all nil when Sim.Obs has
-	// no registry.
-	obsRound   []*obs.Histogram
-	obsRehomed []*obs.Counter
 }
 
 // New partitions the grid, splits the fleet by start region, and builds
@@ -150,7 +126,6 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		global:     make([][]sim.DriverID, cfg.Shards),
 		downstream: cfg.Sim.Observer,
 		stats:      make([]Stats, cfg.Shards),
-		coord:      make([]Stats, cfg.Shards),
 		batchSumMS: make([]float64, cfg.Shards),
 	}
 	if sized, ok := src.(sim.SizedSource); ok {
@@ -176,26 +151,6 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 			rt.routed = make(map[trace.OrderID]ID)
 		}
 	}
-	if ps, ok := src.(sim.ParkableSource); ok && cfg.Sim.PaceFactor == 0 {
-		rt.park = ps // a paced session's clock is the wall clock
-	}
-
-	if r := cfg.Sim.Obs.Registry; r != nil {
-		roundHist := r.HistogramVec("mrvd_shard_round_seconds",
-			"Wall time of one shard's dispatch step per lockstep round.",
-			obs.DefBuckets, "shard")
-		rehomed := r.CounterVec("mrvd_shard_rehomed_total",
-			"Drivers migrated into this shard by fleet re-homing.",
-			"shard")
-		// This loop IS the PR 8 pre-resolution rule: it runs once at
-		// construction to resolve each shard's children, which the hot
-		// path then uses without further With lookups.
-		for s := 0; s < cfg.Shards; s++ {
-			label := strconv.Itoa(s)
-			rt.obsRound = append(rt.obsRound, roundHist.With(label))   //mrvdlint:ignore hotlabel construction-time pre-resolution, runs once per shard at startup
-			rt.obsRehomed = append(rt.obsRehomed, rehomed.With(label)) //mrvdlint:ignore hotlabel construction-time pre-resolution, runs once per shard at startup
-		}
-	}
 
 	for s := 0; s < cfg.Shards; s++ {
 		ecfg := cfg.Sim
@@ -214,22 +169,10 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		}
 		rt.feeds[s] = &feedSource{}
 		rt.engines[s] = sim.NewWithSource(ecfg, rt.feeds[s], shardStarts[s])
-		rt.coord[s].Drivers = len(shardStarts[s])
-		rt.stats[s] = Stats{
-			Shard:           s,
-			Regions:         len(part.Regions(ID(s))),
-			FrontierRegions: part.FrontierCount(ID(s)),
-			Drivers:         len(shardStarts[s]),
-		}
+		rt.stats[s].Drivers = len(shardStarts[s])
 	}
 	return rt, nil
 }
-
-// NumShards returns the shard count.
-func (rt *Runtime) NumShards() int { return rt.cfg.Shards }
-
-// Partition exposes the region-to-shard assignment.
-func (rt *Runtime) Partition() *Partition { return rt.part }
 
 // Run executes the lockstep batch loop on the calling goroutine: each
 // round routes newly posted orders to their shards, steps every
@@ -239,9 +182,8 @@ func (rt *Runtime) Partition() *Partition { return rt.part }
 // dispatcher — one instance per shard, since dispatchers are stateful.
 // The rounds tick on sim.RunBatches, the clock Engine.Run uses, so
 // cancellation and pacing are the same code (a live source yields the
-// processor in its Poll, once per round). An idle unpaced session parks
-// on a ParkableSource at the top of a round, which then runs at its own
-// batch time: the clock stands still while idle. A runtime is single-use.
+// processor in its Poll, once per round). Unlike Engine.Run it never
+// parks: no live session runs here. A runtime is single-use.
 func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.Dispatcher, error)) (*sim.Metrics, error) {
 	n := rt.cfg.Shards
 	dispatchers := make([]sim.Dispatcher, n)
@@ -260,9 +202,6 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 
 	round := 0
 	err := sim.RunBatches(ctx, rt.cfg.Sim, func(now float64) (bool, error) {
-		if rt.park != nil && rt.idle() {
-			rt.park.Park(ctx)
-		}
 		// Route this round's newly posted orders to the shards owning
 		// their pickup regions.
 		ready, done := rt.src.Poll(now)
@@ -272,9 +211,8 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 			if rt.routed != nil {
 				rt.routed[o.ID] = s
 			}
-			rt.coord[s].Admitted++
+			rt.stats[s].Admitted++
 		}
-		rt.publish()
 		if done {
 			rt.srcDone = true
 			for _, f := range rt.feeds {
@@ -288,7 +226,6 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 		}
 		rt.rehomeFleet()
 
-		waiting, available := rt.snapshotCounts()
 		if rt.cfg.Sim.StopWhenDrained && done && rt.allDrained() {
 			return true, nil
 		}
@@ -296,6 +233,11 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 			// One city-wide batch boundary per round, in the same
 			// admission→renege→BatchStart→dispatch position a bare
 			// engine fires it.
+			waiting, available := 0, 0
+			for _, e := range rt.engines {
+				w, a := e.Counts()
+				waiting, available = waiting+w, available+a
+			}
 			rt.downstream.OnBatchStart(sim.BatchStartEvent{
 				Now:       now,
 				Batch:     round,
@@ -307,7 +249,8 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 		for i, e := range rt.engines {
 			start := time.Now() //mrvdlint:ignore wallclock per-shard round timing measures real dispatch time, not simulated time
 			err := e.StepDispatch(now, dispatchers[i])
-			rt.recordBatch(i, time.Since(start)) //mrvdlint:ignore wallclock per-shard round timing measures real dispatch time, not simulated time
+			rt.batchSumMS[i] += time.Since(start).Seconds() * 1000 //mrvdlint:ignore wallclock per-shard round timing measures real dispatch time, not simulated time
+			rt.stats[i].Batches++
 			if err != nil {
 				return false, err
 			}
@@ -398,52 +341,11 @@ func (rt *Runtime) rehomeFleet() {
 			// The new local id is always the next slot, so the global
 			// mapping grows in lockstep with the receiving engine.
 			rt.global[mv.to] = append(rt.global[mv.to], rt.global[i][mv.id])
-			rt.coord[i].Drivers--
-			rt.coord[mv.to].Drivers++
-			rt.coord[mv.to].RehomedIn++
-			if rt.obsRehomed != nil {
-				rt.obsRehomed[mv.to].Inc()
-			}
+			rt.stats[i].Drivers--
+			rt.stats[mv.to].Drivers++
+			rt.stats[mv.to].RehomedIn++
 		}
 	}
-}
-
-// snapshotCounts refreshes every shard's row — tallies, re-homed fleet,
-// waiting/available — after the admit steps and re-homing (the last
-// step of a run that ends drained) and returns the city-wide sums.
-func (rt *Runtime) snapshotCounts() (waiting, available int) {
-	for i, e := range rt.engines {
-		rt.tally(i)
-		c := &rt.coord[i]
-		c.Waiting, c.Available = e.Counts()
-		waiting += c.Waiting
-		available += c.Available
-	}
-	rt.publish()
-	return waiting, available
-}
-
-// publish copies the coord columns into the stats under one lock
-// acquisition: readers never wait on routing or the re-homing scan.
-func (rt *Runtime) publish() {
-	rt.statsMu.Lock()
-	defer rt.statsMu.Unlock()
-	for i := range rt.coord {
-		c, s := &rt.coord[i], &rt.stats[i]
-		s.Admitted, s.Drivers, s.RehomedIn = c.Admitted, c.Drivers, c.RehomedIn
-		s.Waiting, s.Available = c.Waiting, c.Available
-	}
-}
-
-// idle reports whether no engine has a rider waiting and no cancel is
-// pending here (call only between rounds).
-func (rt *Runtime) idle() bool {
-	for _, e := range rt.engines {
-		if waiting, _ := e.Counts(); waiting > 0 {
-			return false
-		}
-	}
-	return len(rt.pendingCancels) == 0
 }
 
 // allDrained reports whether every engine is drained (call only between
@@ -457,44 +359,19 @@ func (rt *Runtime) allDrained() bool {
 	return true
 }
 
-// tally copies shard i's lifecycle counters from its engine's own
-// metrics.
-func (rt *Runtime) tally(i int) {
-	m := rt.engines[i].Tally()
-	rt.statsMu.Lock()
-	defer rt.statsMu.Unlock()
-	s := &rt.stats[i]
-	s.Served, s.Reneged, s.Canceled, s.Declined = m.Served, m.Reneged, m.Canceled, m.Declines
-	s.SharedServed, s.PickedUp, s.DroppedOff = m.SharedServed, m.PickedUp, m.DroppedOff
-}
-
-// recordBatch folds one shard's dispatch step — its wall time and the
-// lifecycle tallies it moved — into the shard's stats.
-func (rt *Runtime) recordBatch(i int, d time.Duration) {
-	ms := d.Seconds() * 1000
-	if rt.obsRound != nil {
-		rt.obsRound[i].Observe(d.Seconds())
-	}
-	rt.tally(i)
-	rt.statsMu.Lock()
-	defer rt.statsMu.Unlock()
-	s := &rt.stats[i]
-	s.Batches++
-	s.LastBatchMS = ms
-	rt.batchSumMS[i] += ms
-	s.AvgBatchMS = rt.batchSumMS[i] / float64(s.Batches)
-	if ms > s.MaxBatchMS {
-		s.MaxBatchMS = ms
-	}
-}
-
-// Stats returns a snapshot of every shard's live counters. Safe for
-// concurrent use with Run.
+// Stats returns every shard's counters, with the lifecycle tallies read
+// from its engine. Call it after Run returns.
 func (rt *Runtime) Stats() []Stats {
-	rt.statsMu.Lock()
-	defer rt.statsMu.Unlock()
 	out := make([]Stats, len(rt.stats))
 	copy(out, rt.stats)
+	for i, e := range rt.engines {
+		m, s := e.Tally(), &out[i]
+		s.Served, s.Reneged, s.Canceled, s.Declined = m.Served, m.Reneged, m.Canceled, m.Declines
+		s.SharedServed, s.PickedUp, s.DroppedOff = m.SharedServed, m.PickedUp, m.DroppedOff
+		if s.Batches > 0 {
+			s.AvgBatchMS = rt.batchSumMS[i] / float64(s.Batches)
+		}
+	}
 	return out
 }
 
@@ -555,49 +432,42 @@ func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 
 // tap is the per-shard observer, installed only when the session has a
 // downstream observer: it forwards engine events to it with driver ids
-// remapped to the global fleet numbering. It counts nothing, but first
-// publishes its engine's tallies. Per-shard BatchStart events are
-// absorbed — Run synthesizes the city-wide one.
+// remapped to the global fleet numbering. Per-shard BatchStart events
+// are absorbed — Run synthesizes the city-wide one.
 type tap struct {
 	rt    *Runtime
 	shard ID
-}
-
-// enter publishes the shard's tallies and returns the city-wide observer.
-func (t *tap) enter() sim.Observer {
-	t.rt.tally(int(t.shard))
-	return t.rt.downstream
 }
 
 func (t *tap) OnBatchStart(sim.BatchStartEvent) {}
 
 func (t *tap) OnAssigned(e sim.AssignedEvent) {
 	e.Driver = t.rt.global[t.shard][e.Driver]
-	t.enter().OnAssigned(e)
+	t.rt.downstream.OnAssigned(e)
 }
 
-func (t *tap) OnExpired(e sim.ExpiredEvent) { t.enter().OnExpired(e) }
+func (t *tap) OnExpired(e sim.ExpiredEvent) { t.rt.downstream.OnExpired(e) }
 
-func (t *tap) OnCanceled(e sim.CanceledEvent) { t.enter().OnCanceled(e) }
+func (t *tap) OnCanceled(e sim.CanceledEvent) { t.rt.downstream.OnCanceled(e) }
 
 func (t *tap) OnDeclined(e sim.DeclinedEvent) {
 	e.Driver = t.rt.global[t.shard][e.Driver]
-	t.enter().OnDeclined(e)
+	t.rt.downstream.OnDeclined(e)
 }
 
 func (t *tap) OnPickedUp(e sim.PickedUpEvent) {
 	e.Driver = t.rt.global[t.shard][e.Driver]
-	t.enter().OnPickedUp(e)
+	t.rt.downstream.OnPickedUp(e)
 }
 
 func (t *tap) OnDroppedOff(e sim.DroppedOffEvent) {
 	e.Driver = t.rt.global[t.shard][e.Driver]
-	t.enter().OnDroppedOff(e)
+	t.rt.downstream.OnDroppedOff(e)
 }
 
 func (t *tap) OnRepositioned(e sim.RepositionedEvent) {
 	e.Driver = t.rt.global[t.shard][e.Driver]
-	t.enter().OnRepositioned(e)
+	t.rt.downstream.OnRepositioned(e)
 }
 
 // feedSource is the runtime-owned per-shard order queue: Run pushes

@@ -82,8 +82,8 @@ type parityCase struct {
 	active func(t *testing.T, ref *sim.Metrics, events []string)
 }
 
-// checkOneShardParity runs the case on the bare engine (sim.Engine.Run,
-// the reference) and on a 1-shard runtime and requires the same Summary,
+// checkOneShardParity runs the case on sim.Engine.Run, the session loop,
+// and on a 1-shard runtime and requires the same Summary,
 // idle and travel ledgers, batch count and event stream in the same
 // order. It returns the runtime, the reference metrics and the runtime's
 // event stream for case-specific assertions.
@@ -182,12 +182,12 @@ func (s *scriptedCancels) PollCancels() []trace.OrderID {
 	return ids
 }
 
-// TestOneShardParity is the contract every session rests on — and the
-// licence for there being no second, engine-only product path: a 1-shard
-// runtime must reproduce the bare engine exactly — same metrics
-// projection, same ledgers, same event stream in the same order — under
-// every engine feature a session can turn on. (Scenarios and pooling
-// have their own tests below, on the same harness.)
+// TestOneShardParity is the contract bench/'s one_shard check relies
+// on: a 1-shard runtime must reproduce Engine.Run, the loop every
+// session runs, exactly — same metrics projection, same ledgers, same
+// event stream in the same order — under every engine feature a session
+// can turn on. (Scenarios and pooling have their own tests below, on
+// the same harness.)
 func TestOneShardParity(t *testing.T) {
 	orders, starts, grid := testInstance(t, 1500, 40)
 	base := func() sim.Config {
@@ -319,7 +319,7 @@ func TestOneShardParity(t *testing.T) {
 
 // TestOneShardScenarioParity extends the parity contract to the
 // disruption layer: with scenarios enabled (cancellations, declines,
-// travel noise) a 1-shard runtime must still reproduce the bare engine
+// travel noise) a 1-shard runtime must still reproduce Engine.Run
 // event for event — the scenario RNG stream, the cancel/decline draws
 // and the noise perturbations all line up because a 1-shard runtime
 // keeps the parent scenario seed.
@@ -341,7 +341,7 @@ func TestOneShardScenarioParity(t *testing.T) {
 
 // TestOneShardPoolingParity extends the 1-shard parity contract to the
 // pooling subsystem: with shared rides enabled and a pooling-aware
-// dispatcher, a 1-shard runtime reproduces the bare engine event for
+// dispatcher, a 1-shard runtime reproduces Engine.Run event for
 // event — including the pickup/dropoff stop stream — and its shard
 // stats account for every pooled counter.
 func TestOneShardPoolingParity(t *testing.T) {

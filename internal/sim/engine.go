@@ -338,17 +338,24 @@ func NewWithSource(cfg Config, src OrderSource, driverStarts []geo.Point) *Engin
 // canceled or deadline-exceeded run returns the context's error (wrapped
 // — test with errors.Is) and no metrics. An engine is single-use.
 //
-// Run is the bare-engine reference, not a product path: every session
-// (Service.Run/Serve/Start, core.Sweep, the CLIs) runs on shard.Runtime,
-// which steps 1..N engines through the same Begin / StepAdmit /
-// StepDispatch / Finish calls under the same RunBatches clock. The
-// 1-shard parity tests in internal/shard and bench/'s peak_shard2 check
-// compare the runtime against this loop.
+// Run is the session loop: Service.Run/Serve/Start, every core.Sweep
+// cell and the CLIs run one engine through it. An unpaced run over a
+// ParkableSource parks at the top of a batch when no rider waits, until
+// the source holds an order, a cancel or its close (or ctx ends); the
+// batch then runs at its own time, so the clock stands still while
+// idle. Paced runs and other sources never park.
 func (e *Engine) Run(ctx context.Context, d Dispatcher) (*Metrics, error) {
 	if err := e.Begin(); err != nil {
 		return nil, err
 	}
+	park, _ := e.src.(ParkableSource)
+	if e.cfg.PaceFactor > 0 {
+		park = nil // a paced session's clock is the wall clock
+	}
 	err := RunBatches(ctx, e.cfg, func(now float64) (bool, error) {
+		if park != nil && len(e.waiting) == 0 {
+			park.Park(ctx)
+		}
 		e.StepAdmit(now)
 		if e.cfg.StopWhenDrained && e.Drained() {
 			return true, nil
@@ -365,7 +372,7 @@ func (e *Engine) Run(ctx context.Context, d Dispatcher) (*Metrics, error) {
 // 2*Delta, ... below Horizon it checks ctx, paces against the wall clock
 // when PaceFactor is set, and calls step(now). It never yields or
 // blocks itself: an idle free-running live session parks in step
-// (shard.Runtime.Run) and a busy one yields in ChannelSource.Poll, so
+// (Engine.Run) and a busy one yields in ChannelSource.Poll, so
 // its clock advances only while it has work. step returns
 // done=true to end the run before the horizon; its error, or the
 // context's (wrapped — test with errors.Is), ends it immediately. cfg's
@@ -506,7 +513,7 @@ func (e *Engine) Counts() (waiting, available int) {
 
 // Tally reports the lifecycle counters so far, as a Metrics value that
 // carries nothing else — what a lockstep coordinator copies into its
-// live per-shard stats.
+// per-shard stats.
 func (e *Engine) Tally() Metrics {
 	m := &e.metrics
 	return Metrics{

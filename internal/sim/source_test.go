@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,6 +192,85 @@ func TestChannelSourceParkWakes(t *testing.T) {
 	}
 }
 
+// parkRun is an Engine.Run in the background over an empty
+// ChannelSource and a one-driver fleet, counting its batches.
+type parkRun struct {
+	src      *ChannelSource
+	batches  atomic.Int64
+	assigned chan struct{}
+	cancel   context.CancelFunc
+	done     chan error
+}
+
+func startParkRun(pace float64) *parkRun {
+	r := &parkRun{src: NewChannelSource(), assigned: make(chan struct{}, 1), done: make(chan error, 1)}
+	cfg := simpleConfig()
+	cfg.Horizon, cfg.PaceFactor = 1e9, pace
+	cfg.Observer = ObserverFuncs{
+		BatchStart: func(BatchStartEvent) { r.batches.Add(1) },
+		Assigned:   func(AssignedEvent) { r.assigned <- struct{}{} },
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	r.cancel = cancel
+	e := NewWithSource(cfg, r.src, []geo.Point{center()})
+	go func() {
+		_, err := e.Run(ctx, takeAll{})
+		r.done <- err
+	}()
+	return r
+}
+
+// stop cancels the run and requires it to end promptly with the
+// context's error.
+func (r *parkRun) stop(t *testing.T) {
+	t.Helper()
+	start := time.Now()
+	r.cancel()
+	select {
+	case err := <-r.done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run ended with %v, want context.Canceled", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("run took %v to stop", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("canceled run did not return")
+	}
+}
+
+// TestEngineRunParks: an unpaced Engine.Run over a ChannelSource parks
+// at the top of a batch while no rider waits, so its clock stands
+// still; a Submit wakes it for one batch, after which it parks again; a
+// canceled context ends a parked run promptly; a paced run never parks.
+func TestEngineRunParks(t *testing.T) {
+	r := startParkRun(0)
+	time.Sleep(50 * time.Millisecond)
+	if n := r.batches.Load(); n != 0 {
+		t.Errorf("idle unpaced run stepped %d batches in 50 ms, want 0", n)
+	}
+	if err := r.src.Submit(mkOrder(1, 0, 1e6)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-r.assigned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit did not wake the parked run")
+	}
+	time.Sleep(50 * time.Millisecond)
+	if n := r.batches.Load(); n != 1 {
+		t.Errorf("run stepped %d batches after one Submit, want 1 and parked again", n)
+	}
+	r.stop(t)
+
+	paced := startParkRun(1e4) // a 3 s batch every 0.3 ms of wall time
+	time.Sleep(50 * time.Millisecond)
+	if n := paced.batches.Load(); n < 10 {
+		t.Errorf("idle paced run stepped %d batches in 50 ms: it parked", n)
+	}
+	paced.stop(t)
+}
+
 func TestEngineRunsFromChannelSourceAndStopsWhenDrained(t *testing.T) {
 	src := NewChannelSource()
 	for i := 0; i < 5; i++ {
@@ -221,9 +301,11 @@ func TestEngineRunsFromChannelSourceAndStopsWhenDrained(t *testing.T) {
 }
 
 func TestEngineLiveSubmitMidRun(t *testing.T) {
-	// A dispatcher-driven feed: submit a second wave of orders from
-	// inside the run (deterministically, at batch 20) and check they are
-	// admitted and served.
+	// A dispatcher-driven feed: submit the rest of a second wave of
+	// orders from inside the run (deterministically, at batch 20, when
+	// its first order is released) and check they are admitted and
+	// served. The wave's first order is queued up front, future-dated:
+	// an unpaced run parks while nothing is queued and no rider waits.
 	src := NewChannelSource()
 	for i := 0; i < 3; i++ {
 		if err := src.Submit(mkOrder(i, 0, 400)); err != nil {
@@ -231,6 +313,9 @@ func TestEngineLiveSubmitMidRun(t *testing.T) {
 		}
 	}
 	cfg := simpleConfig()
+	if err := src.Submit(mkOrder(10, 20*cfg.Delta, 20*cfg.Delta+400)); err != nil {
+		t.Fatal(err)
+	}
 	cfg.StopWhenDrained = true
 	cfg.Horizon = 50000
 	starts := []geo.Point{center(), offset(center(), 400), offset(center(), 800)}
@@ -239,7 +324,7 @@ func TestEngineLiveSubmitMidRun(t *testing.T) {
 	d := funcDispatcher(func(ctx *Context) []Assignment {
 		if !fed && ctx.Now >= 20*cfg.Delta {
 			fed = true
-			for i := 10; i < 13; i++ {
+			for i := 11; i < 13; i++ {
 				if err := src.Submit(mkOrder(i, ctx.Now, ctx.Now+400)); err != nil {
 					t.Error(err)
 				}
@@ -341,7 +426,7 @@ func TestEngineRunContextCancellationMidRun(t *testing.T) {
 }
 
 // The pacing tests drive RunBatches itself — the one clock Engine.Run
-// and shard.Runtime.Run both tick on — rather than either caller.
+// ticks on — rather than its caller.
 
 func TestRunBatchesPacedAgainstWallClock(t *testing.T) {
 	cfg := Config{Delta: 5, Horizon: 50, PaceFactor: 100} // 10 batches x 0.05s wall each
@@ -395,17 +480,22 @@ func TestEngineRunDeadlineAlreadyExpired(t *testing.T) {
 	}
 }
 
-// TestChannelSourceYieldsToProducers: a free-running session is a tight
-// loop, and ChannelSource.Poll is where it yields the processor. On one
-// P, a submitter goroutine started while the engine runs must get to
-// Submit, and its order be admitted, within a few batches; without the
-// yield it waits for the scheduler's ~10 ms preemption, thousands of
-// empty batches later. Batches are counted by the Observer, no clock.
+// TestChannelSourceYieldsToProducers: a free-running session with a
+// rider waiting is a tight loop, and ChannelSource.Poll is where it
+// yields the processor. On one P, a submitter goroutine started while
+// the engine runs must get to Submit, and its order be admitted, within
+// a few batches; without the yield it waits for the scheduler's ~10 ms
+// preemption, thousands of batches later. A rider no driver can serve
+// (there is no fleet) keeps the loop from parking. Batches are counted
+// by the Observer, no clock.
 func TestChannelSourceYieldsToProducers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 
 	src := NewChannelSource()
+	if err := src.Submit(mkOrder(0, 0, 1e9)); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const startAt = 8 // batch whose start launches the submitter
@@ -419,7 +509,7 @@ func TestChannelSourceYieldsToProducers(t *testing.T) {
 					t.Error(err)
 				}
 			}()
-		case e.Waiting > 0 && admittedAt < 0:
+		case e.Waiting > 1 && admittedAt < 0:
 			admittedAt = e.Batch
 			cancel()
 		case e.Batch > startAt+1<<20:

@@ -42,8 +42,7 @@ func TestPublicAPIRunnerFlow(t *testing.T) {
 	// caller-built dispatcher, not only a named one.
 	city := NewCity(CityConfig{OrdersPerDay: 2000, Seed: 1})
 	svc := mustService(t, WithCity(city), WithFleet(20), WithBatchInterval(10), WithHorizon(2*3600))
-	m, err := svc.Runner().Run(context.Background(),
-		func(int) (sim.Dispatcher, error) { return &dispatch.LS{}, nil }, PredictOracle, nil)
+	m, err := svc.Runner().Run(context.Background(), &dispatch.LS{}, PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +75,7 @@ func TestPublicAPIDirectDispatchers(t *testing.T) {
 	svc := mustService(t, WithCity(city), WithFleet(20), WithBatchInterval(10),
 		WithHorizon(2*3600), WithPrediction(PredictNone, nil))
 	for _, d := range []sim.Dispatcher{&dispatch.IRG{}, &dispatch.LS{}} {
-		direct, err := svc.Runner().Run(context.Background(),
-			func(int) (sim.Dispatcher, error) { return d, nil }, PredictNone, nil)
+		direct, err := svc.Runner().Run(context.Background(), d, PredictNone, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -270,7 +270,11 @@ func TestForecastHourAllocs(t *testing.T) {
 	}, orders, starts)
 	hour := func(mode core.PredictionMode, model predict.Predictor) float64 {
 		return testing.AllocsPerRun(1, func() {
-			if _, err := r.Run(context.Background(), core.ShardDispatchers("NEAR", 9, 1), mode, model); err != nil {
+			d, err := core.NewDispatcher("NEAR", 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Run(context.Background(), d, mode, model); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -59,15 +59,16 @@ func TestPinnedOutputs(t *testing.T) {
 	variants := []struct {
 		name string
 		// bare replays on sim.Engine.Run with the overheads test's
-		// config; the others run the product path, a shard.Runtime.
-		bare bool
-		opts core.Options
-		mode core.PredictionMode
-		algs []string
+		// config; sharded on core.Runner.ShardSession's lockstep
+		// harness; the others on the product path, core.Runner.Run.
+		bare, sharded bool
+		opts          core.Options
+		mode          core.PredictionMode
+		algs          []string
 	}{
 		{name: "overheads-fixture", bare: true, opts: base,
 			algs: []string{"IRG", "LS", "SHORT", "POLAR"}},
-		{name: "two-shard-oracle", mode: core.PredictOracle,
+		{name: "two-shard-oracle", sharded: true, mode: core.PredictOracle,
 			opts: with(func(o *core.Options) { o.Shards, o.Delta = 2, 5 }),
 			algs: []string{"IRG", "LS", "SHORT", "POLAR"}},
 		{name: "pooling", mode: core.PredictNone,
@@ -91,21 +92,27 @@ func TestPinnedOutputs(t *testing.T) {
 		for _, alg := range v.algs {
 			t.Run(v.name+"/"+alg, func(t *testing.T) {
 				var m *sim.Metrics
-				var err error
-				if v.bare {
-					var d sim.Dispatcher
-					if d, err = core.NewDispatcher(alg, base.Seed); err != nil {
-						t.Fatal(err)
-					}
+				d, err := core.NewDispatcher(alg, v.opts.Seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case v.bare:
 					cfg := sim.Config{
 						Grid: city.Grid(), Delta: v.opts.Delta, TC: v.opts.TC,
 						Horizon: v.opts.Horizon, CandidateCap: v.opts.CandidateCap,
 					}
 					m, err = sim.New(cfg, orders, starts).Run(context.Background(), d)
-				} else {
+				case v.sharded:
 					r := core.NewRunnerWithOrders(v.opts, orders, starts)
-					m, err = r.Run(context.Background(),
-						core.ShardDispatchers(alg, v.opts.Seed, r.Options().Shards), v.mode, predict.HA{})
+					rt, serr := r.ShardSession(sim.NewSliceSource(orders), nil, v.mode, predict.HA{})
+					if serr != nil {
+						t.Fatal(serr)
+					}
+					m, err = rt.Run(context.Background(), core.ShardDispatchers(alg, v.opts.Seed, v.opts.Shards))
+				default:
+					r := core.NewRunnerWithOrders(v.opts, orders, starts)
+					m, err = r.Run(context.Background(), d, v.mode, predict.HA{})
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -135,7 +142,11 @@ func TestPinnedRoadWork(t *testing.T) {
 		City: city, NumDrivers: len(starts), Delta: 5, TC: 1200,
 		Horizon: peakHourHorizon, Seed: 9, Coster: coster,
 	}, orders, starts)
-	m, err := r.Run(context.Background(), core.ShardDispatchers("IRG", 9, r.Options().Shards), core.PredictOracle, nil)
+	d, err := core.NewDispatcher("IRG", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.Run(context.Background(), d, core.PredictOracle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

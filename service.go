@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 
 	"mrvd/internal/core"
 	"mrvd/internal/pool"
-	"mrvd/internal/shard"
 	"mrvd/internal/sim"
 )
 
@@ -314,17 +314,6 @@ func (s *Service) newRunner(seed int64) *Runner {
 	return core.NewRunner(opts)
 }
 
-// dispatchers returns the session runtime's dispatcher factory for a
-// named algorithm, failing on an unknown name before any instance is
-// built. A session is one engine, so the one instance keeps the
-// service's seed.
-func (s *Service) dispatchers(algorithm string) (func(shard int) (sim.Dispatcher, error), error) {
-	if _, err := core.NewDispatcher(algorithm, s.opts.Seed); err != nil {
-		return nil, err
-	}
-	return core.ShardDispatchers(algorithm, s.opts.Seed, 1), nil
-}
-
 // Run simulates one full trace — generated from the city, or the
 // WithOrders replay — under the named algorithm and returns its metrics.
 // The context cancels the run between batches.
@@ -332,11 +321,11 @@ func (s *Service) Run(ctx context.Context, algorithm string) (*Metrics, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	newDispatcher, err := s.dispatchers(algorithm)
+	d, err := core.NewDispatcher(algorithm, s.opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return s.newRunner(s.opts.Seed).Run(ctx, newDispatcher, s.mode, s.model)
+	return s.newRunner(s.opts.Seed).Run(ctx, d, s.mode, s.model)
 }
 
 // Runner exposes the materialized problem instance for callers that need
@@ -358,19 +347,19 @@ func (s *Service) Serve(ctx context.Context, algorithm string, src OrderSource, 
 	if src == nil {
 		return nil, fmt.Errorf("mrvd: Serve requires an OrderSource")
 	}
-	rt, newDispatcher, err := s.liveSession(algorithm, src, starts)
+	_, e, d, err := s.liveSession(algorithm, src, starts)
 	if err != nil {
 		return nil, err
 	}
-	return rt.Run(ctx, newDispatcher)
+	return e.Run(ctx, d)
 }
 
-// liveSession builds — without running — the runtime and dispatcher
-// factory of a Serve or Start session over src.
-func (s *Service) liveSession(algorithm string, src OrderSource, starts []Point) (*shard.Runtime, func(shard int) (sim.Dispatcher, error), error) {
-	newDispatcher, err := s.dispatchers(algorithm)
+// liveSession builds — without running — the runner, engine and
+// dispatcher of a Serve or Start session over src.
+func (s *Service) liveSession(algorithm string, src OrderSource, starts []Point) (*Runner, *sim.Engine, sim.Dispatcher, error) {
+	d, err := core.NewDispatcher(algorithm, s.opts.Seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	var runner *Runner
 	if starts != nil && s.orders == nil {
@@ -381,8 +370,8 @@ func (s *Service) liveSession(algorithm string, src OrderSource, starts []Point)
 		// A nil starts falls through to the runner's own sampled fleet.
 		runner = s.newRunner(s.opts.Seed)
 	}
-	rt, err := runner.ShardSession(src, starts, s.mode, s.model)
-	return rt, newDispatcher, err
+	e, err := runner.Session(src, starts, s.mode, s.model)
+	return runner, e, d, err
 }
 
 // SweepSpec re-exports the grid description of core.Sweep.
@@ -468,7 +457,9 @@ type ServeHandle struct {
 // after Close — the submitted stream drains; Result blocks for the
 // final metrics. Producers stamping PostTime off the wall clock need
 // WithPace (see Serve); gateways should instead stamp off Clock. An
-// unpaced session parks while it has no work, as Serve's does.
+// unpaced session parks while it has no work, as Serve's does. A panic
+// on the session goroutine (an observer's, the dispatcher's) ends the
+// session: Result returns it, with its stack, as the error.
 func (s *Service) Start(ctx context.Context, algorithm string, starts []Point, observers ...Observer) (*ServeHandle, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
@@ -489,20 +480,27 @@ func (s *Service) Start(ctx context.Context, algorithm string, starts []Point, o
 	// Build the session synchronously: a bad algorithm or configuration
 	// fails here rather than through Result, long after the caller wired
 	// a gateway. Only the batch loop goes to the background goroutine.
-	rt, newDispatcher, err := run.liveSession(algorithm, h.src, starts)
+	runner, e, d, err := run.liveSession(algorithm, h.src, starts)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	h.bounds = rt.Partition().Grid().Bounds()
+	h.bounds = runner.Options().City.Grid().Bounds()
 	go func() {
-		h.metrics, h.err = rt.Run(ctx, newDispatcher)
-		// Closing the ledger resolves every order still in flight as
-		// canceled (the session ended) before Done reports the session
-		// finished.
-		h.store.Close()
-		close(h.done)
-		cancel()
+		defer func() {
+			// No caller can recover this goroutine: a panicking observer
+			// or dispatcher becomes the session's error, not the process's.
+			if p := recover(); p != nil {
+				h.err = fmt.Errorf("mrvd: serve session panicked: %v\n%s", p, debug.Stack())
+			}
+			// Closing the ledger resolves every order still in flight as
+			// canceled (the session ended) before Done reports the session
+			// finished.
+			h.store.Close()
+			close(h.done)
+			cancel()
+		}()
+		h.metrics, h.err = e.Run(ctx, d)
 	}()
 	return h, nil
 }

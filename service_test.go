@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"mrvd/internal/core"
 	"mrvd/internal/dispatch"
 	"mrvd/internal/sim"
 )
@@ -141,37 +140,6 @@ func TestServiceRunCancellation(t *testing.T) {
 	)
 	if _, err := svc.Run(ctx, "NEAR"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestServiceRunMatchesBareEngine: the public API contract — Service.Run
-// produces the same deterministic metrics as the bare-engine reference,
-// Runner.RunSource, over the same instance. The 4 h horizon cuts the
-// day trace short, so the reference's drain stop never fires and both
-// run the same batches.
-func TestServiceRunMatchesBareEngine(t *testing.T) {
-	svc := mustService(t,
-		WithCity(NewCity(CityConfig{OrdersPerDay: 1500, Seed: 17})),
-		WithFleet(40),
-		WithHorizon(4*3600),
-		WithPrediction(PredictNone, nil),
-	)
-	got, err := svc.Run(context.Background(), "LS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := svc.Runner()
-	ls, err := core.NewDispatcher("LS", svc.Options().Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.RunSource(context.Background(), ls, PredictNone, nil, sim.NewSliceSource(ref.Orders()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Summary() != want.Summary() {
-		t.Fatalf("Service.Run diverges from the bare engine:\n  engine:  %+v\n  service: %+v",
-			want.Summary(), got.Summary())
 	}
 }
 
@@ -525,6 +493,55 @@ func TestServeHandleCancellationResolvesWaiters(t *testing.T) {
 		t.Fatalf("resolved %d waiters, want %d", terminal, len(chans))
 	}
 	// The serve goroutine must be gone; allow the runtime a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines leaked: %d before, %d after", before, n)
+	}
+}
+
+// TestServeHandlePanicEndsSession: a panic on a live session's
+// goroutine — here an observer's — becomes the session's error instead
+// of killing the process: Result returns it with the stack, every order
+// still in flight resolves canceled, and the goroutine exits.
+func TestServeHandlePanicEndsSession(t *testing.T) {
+	before := runtime.NumGoroutine()
+	svc, starts := startTestService(t, 1)
+	boom := ObserverFuncs{Assigned: func(AssignedEvent) { panic("observer boom") }}
+	h, err := svc.Start(context.Background(), "NEAR", starts, boom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both orders are released in one batch, far enough ahead that both
+	// are queued by then: the one driver takes one, whose assignment
+	// panics, while the other still waits.
+	post := h.Clock() + 3000
+	var chans []<-chan Outcome
+	for i := 0; i < 2; i++ {
+		_, ch, err := h.Submit(Order{
+			PostTime: post,
+			Pickup:   Point{Lng: -73.97, Lat: 40.75},
+			Dropoff:  Point{Lng: -73.95, Lat: 40.77},
+			Deadline: post + 1e6,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	m, err := h.Result()
+	if m != nil || err == nil || !strings.Contains(err.Error(), "observer boom") || !strings.Contains(err.Error(), "goroutine ") {
+		t.Fatalf("Result = %v, %v; want no metrics and the panic with its stack", m, err)
+	}
+	states := map[sim.OrderState]int{}
+	for _, ch := range chans {
+		states[awaitOutcome(t, ch).State]++
+	}
+	if states[sim.OrderAssigned] != 1 || states[sim.OrderSessionEnded] != 1 {
+		t.Fatalf("outcomes %v, want one assigned (its observer panicked) and one canceled", states)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
