@@ -83,7 +83,9 @@ type GraphCoster struct {
 	// or a waiting rider is snapped once. Guarded by mu.
 	snaps map[geo.Point]snapped
 	// CacheSize bounds the number of memoized shortest-path trees. Set
-	// it before the first query; the default is 512.
+	// it before the first query; the default holds a tree for every
+	// node up to a 64 MiB budget of distance arrays, and never fewer
+	// than 512 trees (see defaultCacheSize).
 	CacheSize int
 	// ApproachSpeedMPS prices the off-network legs between the query
 	// points and their snapped nodes. The legs are local streets, so the
@@ -100,9 +102,24 @@ func NewGraphCoster(g *Graph) *GraphCoster {
 		snap:             newSnapIndex(g),
 		cache:            newTreeCache(),
 		snaps:            make(map[geo.Point]snapped),
-		CacheSize:        512,
+		CacheSize:        defaultCacheSize(g.NumNodes()),
 		ApproachSpeedMPS: DefaultSpeedMPS,
 	}
+}
+
+// treeCacheBytes is the memory the default tree cache may spend on
+// distance arrays, one float64 per node per tree.
+const treeCacheBytes = 64 << 20
+
+// defaultCacheSize is GraphCoster's default CacheSize on a graph of the
+// given node count: as many trees as treeCacheBytes holds, but never
+// fewer than 512 and never more than one per node — there is at most
+// one tree per source node, so a cache that size never evicts.
+func defaultCacheSize(nodes int) int {
+	if nodes < 1 {
+		return 1
+	}
+	return min(nodes, max(512, treeCacheBytes/(8*nodes)))
 }
 
 // snapped is a memoized snapIndex.nearest result.

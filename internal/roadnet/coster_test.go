@@ -80,6 +80,27 @@ func TestGraphCosterEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestDefaultCacheSize pins the default tree-cache capacity: every node
+// of the bench-sized grid fits in the memory budget, a city too big for
+// it still gets the 512-tree floor, and an empty graph gets a usable
+// cache without dividing by zero.
+func TestDefaultCacheSize(t *testing.T) {
+	grid := GenerateGridNetwork(GridNetworkConfig{Seed: 1})
+	if got := defaultCacheSize(grid.NumNodes()); got != 2304 {
+		t.Errorf("grid of %d nodes: default %d, want 2304", grid.NumNodes(), got)
+	}
+	if got := NewGraphCoster(grid).CacheSize; got != 2304 {
+		t.Errorf("NewGraphCoster CacheSize %d, want 2304", got)
+	}
+	big := treeCacheBytes/(8*512) + 1 // the budget holds fewer than 512 trees
+	if got := defaultCacheSize(big); got != 512 {
+		t.Errorf("%d nodes: default %d, want the 512 floor", big, got)
+	}
+	if got := defaultCacheSize(0); got < 1 {
+		t.Errorf("empty graph: default %d, want positive", got)
+	}
+}
+
 func TestGraphCosterCacheEviction(t *testing.T) {
 	g := GenerateGridNetwork(GridNetworkConfig{Rows: 8, Cols: 8, Seed: 2})
 	c := NewGraphCoster(g)

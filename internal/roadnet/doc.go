@@ -24,5 +24,7 @@
 // TestCostPairsSettlesLess and bench/'s roadnet.settled_per_order).
 // Single-pair Cost remains the compatibility shim, completing its
 // source's tree. Trees are memoized under clock (second-chance)
-// eviction.
+// eviction, in a cache sized by default to hold one tree per node up to
+// a 64 MiB budget of distance arrays (never fewer than 512 trees), so a
+// city the size of the synthetic grid keeps its whole working set.
 package roadnet
