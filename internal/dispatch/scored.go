@@ -13,11 +13,10 @@ import (
 // they share one reset, keyed on the *sim.Context the engine allocates
 // fresh every batch. Dispatchers are per-run, per-shard: no locking.
 type batchAnalyzer struct {
-	ctx    *sim.Context // the batch a holds unmutated, nil otherwise
-	a      *queueing.Analyzer
-	model  *queueing.Model // what a was built with, with tc and len(states)
-	tc     float64
-	states []queueing.RegionState
+	ctx   *sim.Context // the batch a holds unmutated, nil otherwise
+	a     *queueing.Analyzer
+	model *queueing.Model // what a was built with, with tc
+	tc    float64
 }
 
 // buildAnalyzer snapshots a batch context into a fresh analyzer, for
@@ -34,19 +33,10 @@ func (b *batchAnalyzer) snapshot(model *queueing.Model, ctx *sim.Context) *queue
 		return b.a
 	}
 	n := ctx.Grid.NumRegions()
-	if b.a == nil || b.model != model || b.tc != ctx.TC || len(b.states) != n {
+	if b.a == nil || b.model != model || b.tc != ctx.TC || b.a.NumRegions() != n {
 		b.a, b.model, b.tc = queueing.NewAnalyzer(model, n, ctx.TC), model, ctx.TC
-		b.states = make([]queueing.RegionState, n)
 	}
-	for k := range b.states {
-		b.states[k] = queueing.RegionState{
-			Waiting:          ctx.WaitingPerRegion[k],
-			Available:        ctx.AvailablePerRegion[k],
-			PredictedRiders:  ctx.PredictedRiders[k],
-			PredictedDrivers: ctx.PredictedDrivers[k],
-		}
-	}
-	b.a.Reset(b.states)
+	b.a.Reset(ctx.WaitingPerRegion, ctx.AvailablePerRegion, ctx.PredictedRiders, ctx.PredictedDrivers)
 	b.ctx = ctx
 	return b.a
 }

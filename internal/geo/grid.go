@@ -122,7 +122,7 @@ func (g *Grid) Neighbors(id RegionID) []RegionID {
 // RegionsWithin returns all regions whose cell rectangle intersects the
 // circle of the given radius (meters) around p, including p's own region.
 func (g *Grid) RegionsWithin(p Point, radiusMeters float64) []RegionID {
-	minRow, maxRow, minCol, maxCol, ok := g.cellSpan(p, radiusMeters)
+	minRow, maxRow, minCol, maxCol, ok := g.cellSpan(p, spanCos(p.Lat), radiusMeters)
 	if !ok {
 		return nil
 	}
@@ -137,19 +137,16 @@ func (g *Grid) RegionsWithin(p Point, radiusMeters float64) []RegionID {
 
 // cellSpan returns the inclusive row and column ranges RegionsWithin
 // enumerates (row-major), so the index's queries can walk the same cells
-// in the same order without materializing them. ok is false for a
+// in the same order without materializing them. cosLat is
+// spanCos(p.Lat), which a prepared Query carries. ok is false for a
 // negative or NaN radius; any other radius, +Inf included, spans at
 // most the whole grid.
-func (g *Grid) cellSpan(p Point, radiusMeters float64) (minRow, maxRow, minCol, maxCol int, ok bool) {
+func (g *Grid) cellSpan(p Point, cosLat, radiusMeters float64) (minRow, maxRow, minCol, maxCol int, ok bool) {
 	if !(radiusMeters >= 0) {
 		return 0, 0, 0, 0, false
 	}
 	// Convert the radius into degree spans at p's latitude.
 	latSpan := radiusMeters / EarthRadiusMeters * 180 / math.Pi
-	cosLat := math.Cos(p.Lat * math.Pi / 180)
-	if cosLat < 1e-6 {
-		cosLat = 1e-6
-	}
 	lngSpan := latSpan / cosLat
 	clamped := g.box.Clamp(p)
 	minCol = cellIndex((clamped.Lng-lngSpan-g.box.MinLng)/g.cellW, g.cols)
@@ -157,6 +154,16 @@ func (g *Grid) cellSpan(p Point, radiusMeters float64) (minRow, maxRow, minCol, 
 	minRow = cellIndex((clamped.Lat-latSpan-g.box.MinLat)/g.cellH, g.rows)
 	maxRow = cellIndex((clamped.Lat+latSpan-g.box.MinLat)/g.cellH, g.rows)
 	return minRow, maxRow, minCol, maxCol, true
+}
+
+// spanCos is the factor cellSpan widens a latitude span by to get the
+// longitude span at latitude lat: its cosine, floored near the poles.
+func spanCos(lat float64) float64 {
+	cosLat := math.Cos(lat * math.Pi / 180)
+	if cosLat < 1e-6 {
+		cosLat = 1e-6
+	}
+	return cosLat
 }
 
 // cellIndex truncates a fractional cell coordinate into [0, n). The

@@ -11,8 +11,14 @@ import (
 // and radius-bounded nearest-neighbour queries. Item state lives in
 // id-indexed slices rather than maps: the batch loop queries positions
 // once per candidate driver per rider, and on that path a slice load
-// beats a map probe by an order of magnitude. It is not safe for
-// concurrent mutation; the batch dispatcher owns it single-threaded.
+// beats a map probe by an order of magnitude.
+//
+// The index logs every id whose membership or region changed since the
+// caller last drained the log (DrainChanges), so a table kept beside it
+// — the simulator's per-batch driver table — is patched where it went
+// stale instead of rebuilt. A move within a region is not logged:
+// positions are not part of that state. It is not safe for concurrent
+// mutation; the batch dispatcher owns it single-threaded.
 type Index struct {
 	grid    *Grid
 	buckets [][]int32  // region -> item ids
@@ -20,7 +26,11 @@ type Index struct {
 	slot    []int32    // id -> index within its bucket
 	region  []RegionID // id -> region, or absent when < 0
 	count   int
-	gen     uint64
+	// changed lists the ids logged since the last drain; logged marks
+	// them by id, so each appears once and the log never outgrows the
+	// id space, drained or not.
+	changed []int32
+	logged  []bool
 }
 
 // absent marks an id with no indexed item.
@@ -37,11 +47,27 @@ func NewIndex(grid *Grid) *Index {
 // Len returns the number of indexed items.
 func (ix *Index) Len() int { return ix.count }
 
-// Gen returns a counter that changes whenever an item enters or leaves
-// the index or moves to another region: while it holds, Regions and
-// every bucket are as they were. A move within a region does not bump
-// it — positions are not part of that state.
-func (ix *Index) Gen() uint64 { return ix.gen }
+// DrainChanges appends to dst, in log order, every id that entered or
+// left the index or moved to another region since the last drain, each
+// once, and empties the log. An id logged and then restored (removed
+// and re-inserted in its region) is still listed: the caller reads its
+// current state, not a diff.
+func (ix *Index) DrainChanges(dst []int32) []int32 {
+	dst = append(dst, ix.changed...)
+	for _, id := range ix.changed {
+		ix.logged[id] = false
+	}
+	ix.changed = ix.changed[:0]
+	return dst
+}
+
+// logChange records that id's membership or region changed.
+func (ix *Index) logChange(id int32) {
+	if !ix.logged[id] {
+		ix.logged[id] = true
+		ix.changed = append(ix.changed, id)
+	}
+}
 
 // grow ensures the id-indexed state covers id.
 func (ix *Index) grow(id int32) {
@@ -49,6 +75,7 @@ func (ix *Index) grow(id int32) {
 		ix.region = append(ix.region, absent)
 		ix.pos = append(ix.pos, Point{})
 		ix.slot = append(ix.slot, 0)
+		ix.logged = append(ix.logged, false)
 	}
 }
 
@@ -73,7 +100,7 @@ func (ix *Index) Insert(id int32, p Point) {
 	ix.slot[id] = int32(len(ix.buckets[r]))
 	ix.buckets[r] = append(ix.buckets[r], id)
 	ix.count++
-	ix.gen++
+	ix.logChange(id)
 }
 
 // Remove deletes an item; unknown ids are a no-op.
@@ -93,7 +120,7 @@ func (ix *Index) Remove(id int32) {
 	ix.buckets[r] = b[:last]
 	ix.region[id] = absent
 	ix.count--
-	ix.gen++
+	ix.logChange(id)
 }
 
 // Move relocates an existing item; unknown ids are inserted.
@@ -122,7 +149,7 @@ func (ix *Index) Move(id int32, p Point) {
 	ix.region[id] = newR
 	ix.slot[id] = int32(len(ix.buckets[newR]))
 	ix.buckets[newR] = append(ix.buckets[newR], id)
-	ix.gen++
+	ix.logChange(id)
 }
 
 // Position returns an item's location and whether it is indexed.
@@ -162,19 +189,37 @@ type Neighbor struct {
 	Distance float64 // meters (equirectangular)
 }
 
+// Query is a scan point's prepared geometry: what every scan of the
+// point would otherwise recompute from its latitude — the longitude
+// widening of the cells to visit and the longitude scale of the
+// distance lower bound, one cosine each. Index.Prepare makes it; the
+// Append queries take it beside the point it was prepared for, so a
+// caller that scans one point batch after batch (a waiting rider's
+// pickup) pays for both once. A Query is valid only for that point and
+// for indexes over grids with the same bounding box.
+type Query struct {
+	cosLat float64 // cellSpan's longitude widening at the point's latitude
+	kx     float64 // scan's lower-bound meters per degree of longitude
+}
+
+// Prepare returns p's Query for this index.
+func (ix *Index) Prepare(p Point) Query {
+	return Query{cosLat: spanCos(p.Lat), kx: metersPerDegree * ix.grid.minMidCos(p.Lat)}
+}
+
 // Within returns all items within radiusMeters of p, sorted by distance
 // then id (for determinism). It scans only the grid cells intersecting
 // the query circle.
 func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
-	return ix.AppendWithin(nil, p, radiusMeters)
+	return ix.AppendWithin(nil, p, ix.Prepare(p), radiusMeters)
 }
 
-// AppendWithin appends Within's result to dst and returns the extended
-// slice — the form for callers that query every batch and keep the
-// buffer. Only the appended tail is sorted.
-func (ix *Index) AppendWithin(dst []Neighbor, p Point, radiusMeters float64) []Neighbor {
+// AppendWithin appends Within's result for p, prepared as q, to dst and
+// returns the extended slice — the form for callers that query every
+// batch and keep the buffer. Only the appended tail is sorted.
+func (ix *Index) AppendWithin(dst []Neighbor, p Point, q Query, radiusMeters float64) []Neighbor {
 	base := len(dst)
-	dst = ix.scan(dst, p, scanAll, radiusMeters)
+	dst = ix.scan(dst, p, q, scanAll, radiusMeters)
 	slices.SortFunc(dst[base:], nearCmp)
 	return dst
 }
@@ -182,9 +227,9 @@ func (ix *Index) AppendWithin(dst []Neighbor, p Point, radiusMeters float64) []N
 // AppendInRadius appends Within's items to dst unordered — for a caller
 // that reads only a nearest prefix whose length it learns as it reads:
 // NearestFirst then yields Within's order one item at a time without
-// sorting the tail it never reaches.
-func (ix *Index) AppendInRadius(dst []Neighbor, p Point, radiusMeters float64) []Neighbor {
-	return ix.scan(dst, p, scanAll, radiusMeters)
+// sorting the tail it never reaches. q is p's Query.
+func (ix *Index) AppendInRadius(dst []Neighbor, p Point, q Query, radiusMeters float64) []Neighbor {
+	return ix.scan(dst, p, q, scanAll, radiusMeters)
 }
 
 // Nearest returns up to k nearest items to p found within radiusMeters,
@@ -194,17 +239,18 @@ func (ix *Index) AppendInRadius(dst []Neighbor, p Point, radiusMeters float64) [
 // candidates in radius and the dispatcher caps at a dozen. The result
 // is identical to Within(p, radius)[:k].
 func (ix *Index) Nearest(p Point, k int, radiusMeters float64) []Neighbor {
-	return ix.AppendNearest(nil, p, k, radiusMeters)
+	return ix.AppendNearest(nil, p, ix.Prepare(p), k, radiusMeters)
 }
 
-// AppendNearest appends Nearest's result to dst and returns the
-// extended slice; the heap lives in dst's spare capacity.
-func (ix *Index) AppendNearest(dst []Neighbor, p Point, k int, radiusMeters float64) []Neighbor {
+// AppendNearest appends Nearest's result for p, prepared as q, to dst
+// and returns the extended slice; the heap lives in dst's spare
+// capacity.
+func (ix *Index) AppendNearest(dst []Neighbor, p Point, q Query, k int, radiusMeters float64) []Neighbor {
 	if k <= 0 {
 		return dst
 	}
 	base := len(dst)
-	dst = ix.scan(slices.Grow(dst, k), p, k, radiusMeters)
+	dst = ix.scan(slices.Grow(dst, k), p, q, k, radiusMeters)
 	// Drain the max-heap back-to-front for ascending order.
 	h := nearHeap(dst[base:])
 	for n := len(h) - 1; n > 0; n-- {
@@ -235,18 +281,18 @@ const boundMargin = 1e-9
 //
 // An item is first tested against a lower bound of its Equirect
 // distance — the same projection with the longitude scale fixed at its
-// minimum over p's and the grid's latitudes, one cosine per query where
-// Equirect takes one per item — and skipped when even that exceeds the
-// limit: the radius, or, once the heap holds k, its worst entry. Only
-// survivors pay for the real distance, which alone decides membership
-// and is what the Neighbor carries.
-func (ix *Index) scan(dst []Neighbor, p Point, k int, radiusMeters float64) []Neighbor {
-	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, radiusMeters)
+// minimum over p's and the grid's latitudes (q.kx, one cosine per
+// prepared point where Equirect takes one per item) — and skipped when
+// even that exceeds the limit: the radius, or, once the heap holds k,
+// its worst entry. Only survivors pay for the real distance, which
+// alone decides membership and is what the Neighbor carries.
+func (ix *Index) scan(dst []Neighbor, p Point, q Query, k int, radiusMeters float64) []Neighbor {
+	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, q.cosLat, radiusMeters)
 	if !ok {
 		return dst
 	}
 	base := len(dst)
-	kx := metersPerDegree * ix.grid.minMidCos(p.Lat)
+	kx := q.kx
 	limit := radiusMeters
 	limit2 := limit * limit * (1 + boundMargin)
 	for row := minRow; row <= maxRow; row++ {

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -177,33 +178,49 @@ func TestIndexInRegionInvalid(t *testing.T) {
 	}
 }
 
-// TestIndexGen: the generation changes exactly when membership or an
-// item's region does — Insert, Remove, a Move across regions (and a
-// Move or Insert that inserts) — and holds through a Move within a
-// region, an Insert that is such a Move, and a Remove of an unknown id.
-func TestIndexGen(t *testing.T) {
+// TestIndexChangeLog: the log lists an id exactly when its membership
+// or region changed since the last drain — Insert, Remove, a Move
+// across regions (and a Move or Insert that inserts) — once however
+// often it changed, and nothing for a Move within a region, an Insert
+// that is such a Move, or a Remove of an unknown id.
+func TestIndexChangeLog(t *testing.T) {
 	ix := newTestIndex()
 	a := Point{Lng: -74.02, Lat: 40.59}    // SW corner region
 	a2 := Point{Lng: -74.021, Lat: 40.591} // same region
 	b := Point{Lng: -73.78, Lat: 40.91}    // NE corner region
-	gen := ix.Gen()
-	step := func(what string, bumps bool, op func()) {
+	buf := []int32{-1}                     // drains append after what dst holds
+	step := func(what string, want []int32, op func()) {
 		t.Helper()
 		op()
-		if got := ix.Gen(); (got != gen) != bumps {
-			t.Errorf("%s: Gen %d -> %d, want a change: %v", what, gen, got, bumps)
+		buf = ix.DrainChanges(buf[:1])
+		if buf[0] != -1 || !slices.Equal(buf[1:], want) {
+			t.Errorf("%s: drained %v after the -1, want %v", what, buf[1:], want)
 		}
-		gen = ix.Gen()
+		if again := ix.DrainChanges(nil); len(again) != 0 {
+			t.Errorf("%s: a second drain returned %v, want nothing", what, again)
+		}
 	}
-	step("Insert", true, func() { ix.Insert(1, a) })
-	step("Move within region", false, func() { ix.Move(1, a2) })
-	step("Insert existing within region", false, func() { ix.Insert(1, a) })
-	step("Move across regions", true, func() { ix.Move(1, b) })
-	step("Insert existing across regions", true, func() { ix.Insert(1, a) })
-	step("Move unknown", true, func() { ix.Move(2, b) })
-	step("Remove unknown", false, func() { ix.Remove(9) })
-	step("Remove", true, func() { ix.Remove(1) })
-	step("Remove again", false, func() { ix.Remove(1) })
+	step("Insert", []int32{1}, func() { ix.Insert(1, a) })
+	step("Move within region", nil, func() { ix.Move(1, a2) })
+	step("Insert existing within region", nil, func() { ix.Insert(1, a) })
+	step("Move across regions", []int32{1}, func() { ix.Move(1, b) })
+	step("Insert existing across regions", []int32{1}, func() { ix.Insert(1, a) })
+	step("Move unknown", []int32{2}, func() { ix.Move(2, b) })
+	step("Remove unknown", nil, func() { ix.Remove(9) })
+	step("Remove", []int32{1}, func() { ix.Remove(1) })
+	step("Remove again", nil, func() { ix.Remove(1) })
+	step("Insert, move across and remove", []int32{3}, func() {
+		ix.Insert(3, a)
+		ix.Move(3, b)
+		ix.Remove(3)
+	})
+	step("Three ids in log order", []int32{5, 4, 1}, func() {
+		ix.Insert(5, b)
+		ix.Insert(4, a)
+		ix.Move(5, a)
+		ix.Insert(1, b)
+		ix.Remove(4)
+	})
 	if p, _ := ix.Position(2); p != b {
 		t.Errorf("Position(2) = %v, want %v", p, b)
 	}

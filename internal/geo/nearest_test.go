@@ -39,10 +39,10 @@ func TestNearestMatchesWithinTruncation(t *testing.T) {
 			Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
 		}
 		radius := rng.Float64() * 8000
-		buf = ix.AppendWithin(buf[:1], p, radius)
+		buf = ix.AppendWithin(buf[:1], p, ix.Prepare(p), radius)
 		appended("AppendWithin", trial, ix.Within(p, radius))
 		for _, k := range []int{0, 1, 5, 12, 100, 1000} {
-			buf = ix.AppendNearest(buf[:1], p, k, radius)
+			buf = ix.AppendNearest(buf[:1], p, ix.Prepare(p), k, radius)
 			appended("AppendNearest", trial, ix.Nearest(p, k, radius))
 			want := ix.Within(p, radius)
 			if len(want) > k {
@@ -161,6 +161,88 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 	}
 }
 
+// TestPreparedQueriesMatchPointForms: a Query prepared once when a
+// point is first seen serves every later scan of that point — the
+// fleet moving, joining and leaving in between, the radius shrinking —
+// with the results of the point forms, which prepare afresh, in all
+// three modes: AppendWithin equals Within, AppendNearest equals
+// Nearest, and AppendInRadius holds Within's items. Points fall inside
+// and outside the box and past ±89° of latitude; radii include 0, NaN
+// and +Inf. The prepared fields are bitwise the expressions a scan
+// used to evaluate per call.
+func TestPreparedQueriesMatchPointForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, box := range []BBox{NYCBBox, {MinLng: 10, MinLat: 88.5, MaxLng: 11, MaxLat: 90}} {
+		grid := NewGrid(box, 8, 8)
+		ix := NewIndex(grid)
+		w, h := box.MaxLng-box.MinLng, box.MaxLat-box.MinLat
+		randomIn := func() Point {
+			return Point{Lng: box.MinLng + rng.Float64()*w, Lat: box.MinLat + rng.Float64()*h}
+		}
+		for id := int32(0); id < 300; id++ {
+			ix.Insert(id, randomIn())
+		}
+		type prepared struct {
+			p Point
+			q Query
+		}
+		var points []prepared
+		for i := 0; i < 80; i++ {
+			p := Point{Lng: box.MinLng + (rng.Float64()*1.6-0.3)*w, Lat: box.MinLat + (rng.Float64()*1.6-0.3)*h}
+			switch i % 4 {
+			case 0:
+				p = randomIn()
+			case 1: // beyond ±89°, and past the poles
+				p.Lat = 89 + rng.Float64()*3
+				if rng.Intn(2) == 0 {
+					p.Lat = -p.Lat
+				}
+			}
+			q := ix.Prepare(p)
+			cosLat := math.Cos(p.Lat * math.Pi / 180)
+			if cosLat < 1e-6 {
+				cosLat = 1e-6
+			}
+			if math.Float64bits(q.cosLat) != math.Float64bits(cosLat) ||
+				math.Float64bits(q.kx) != math.Float64bits(metersPerDegree*grid.minMidCos(p.Lat)) {
+				t.Fatalf("Prepare(%v) = %+v, want cosLat %v and kx %v", p, q, cosLat, metersPerDegree*grid.minMidCos(p.Lat))
+			}
+			points = append(points, prepared{p, q})
+		}
+		var buf []Neighbor
+		for round := 0; round < 6; round++ {
+			for n := 0; n < 60; n++ { // the fleet changes between rounds
+				id := int32(rng.Intn(360))
+				switch rng.Intn(3) {
+				case 0:
+					ix.Remove(id)
+				default:
+					ix.Insert(id, randomIn())
+				}
+			}
+			for _, pp := range points {
+				for _, radius := range []float64{0, math.NaN(), math.Inf(1), rng.Float64() * 4000, rng.Float64() * 40000} {
+					where := fmt.Sprintf("round %d p=%v radius=%v", round, pp.p, radius)
+					want := ix.Within(pp.p, radius)
+					if buf = ix.AppendWithin(buf[:0], pp.p, pp.q, radius); !sameNeighbors(buf, want) {
+						t.Fatalf("%s: AppendWithin: %s", where, firstDiff(buf, want))
+					}
+					buf = ix.AppendInRadius(buf[:0], pp.p, pp.q, radius)
+					if slices.SortFunc(buf, nearCmp); !sameNeighbors(buf, want) {
+						t.Fatalf("%s: AppendInRadius: %s", where, firstDiff(buf, want))
+					}
+					for _, k := range []int{1, 5, 16} {
+						want := ix.Nearest(pp.p, k, radius)
+						if buf = ix.AppendNearest(buf[:0], pp.p, pp.q, k, radius); !sameNeighbors(buf, want) {
+							t.Fatalf("%s: AppendNearest(%d): %s", where, k, firstDiff(buf, want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // sameNeighbors compares ids and the distances' bit patterns.
 func sameNeighbors(a, b []Neighbor) bool {
 	return slices.EqualFunc(a, b, func(x, y Neighbor) bool {
@@ -232,7 +314,7 @@ func TestNearestFirstDrainsWithinOrder(t *testing.T) {
 	sentinel := Neighbor{ID: -1, Distance: -1}
 	for _, radius := range []float64{0, 150, 600, 1500, 3000, math.Inf(1)} {
 		want := ix.Within(q, radius)
-		buf := ix.AppendInRadius([]Neighbor{sentinel}, q, radius)
+		buf := ix.AppendInRadius([]Neighbor{sentinel}, q, ix.Prepare(q), radius)
 		if buf[0] != sentinel || len(buf)-1 != len(want) {
 			t.Fatalf("radius %v: AppendInRadius = %d items after %v, want %d after the sentinel", radius, len(buf)-1, buf[0], len(want))
 		}

@@ -2,6 +2,7 @@ package queueing
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -55,15 +56,12 @@ func TestAnalyzerUncommitRestores(t *testing.T) {
 
 func TestAnalyzerResetClearsBumps(t *testing.T) {
 	a := newTestAnalyzer(600)
-	states := []RegionState{
-		{Waiting: 1, Available: 1, PredictedRiders: 10, PredictedDrivers: 10},
-		{Waiting: 2, Available: 0, PredictedRiders: 5, PredictedDrivers: 1},
-		{}, {},
-	}
-	a.Reset(states)
+	waiting, available := []int{1, 2, 0, 0}, []int{1, 0, 0, 0}
+	predRiders, predDrivers := []int{10, 5, 0, 0}, []int{10, 1, 0, 0}
+	a.Reset(waiting, available, predRiders, predDrivers)
 	base := a.ExpectedIdleTime(1)
 	a.CommitDestination(1)
-	a.Reset(states)
+	a.Reset(waiting, available, predRiders, predDrivers)
 	if got := a.ExpectedIdleTime(1); math.Abs(got-base) > 1e-12 {
 		t.Errorf("Reset did not clear bumps: %v vs %v", got, base)
 	}
@@ -114,5 +112,52 @@ func TestAnalyzerCacheConsistency(t *testing.T) {
 	second := a.ExpectedIdleTime(0) // cached path
 	if first != second {
 		t.Errorf("cached ET differs: %v vs %v", first, second)
+	}
+}
+
+// TestAnalyzerReuseMatchesFresh: one analyzer carried across batches —
+// its bumps and cached ETs outliving each batch under an older
+// generation — answers every query of a batch bitwise as an analyzer
+// built fresh for that batch does, through random commits, uncommits
+// (some below zero) and reads that fill the cache between them.
+func TestAnalyzerReuseMatchesFresh(t *testing.T) {
+	const regions = 12
+	model := New(Config{Beta: 0.05})
+	reused := NewAnalyzer(model, regions, 600)
+	rng := rand.New(rand.NewSource(5))
+	counts := func(limit int) []int {
+		out := make([]int, regions)
+		for k := range out {
+			out[k] = rng.Intn(limit)
+		}
+		return out
+	}
+	for batch := 0; batch < 300; batch++ {
+		w, av, pr, pd := counts(6), counts(6), counts(40), counts(20)
+		fresh := NewAnalyzer(model, regions, 600)
+		fresh.Reset(w, av, pr, pd)
+		reused.Reset(w, av, pr, pd)
+		for op, ops := 0, 1+rng.Intn(40); op < ops; op++ {
+			k := rng.Intn(regions)
+			switch rng.Intn(3) {
+			case 0:
+				fresh.CommitDestination(k)
+				reused.CommitDestination(k)
+			case 1:
+				fresh.UncommitDestination(k)
+				reused.UncommitDestination(k)
+			}
+			for r := 0; r < regions; r++ {
+				got, want := reused.ExpectedIdleTime(r), fresh.ExpectedIdleTime(r)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("batch %d op %d region %d: reused ET %v, fresh %v", batch, op, r, got, want)
+				}
+				gl, gm := reused.Rates(r)
+				wl, wm := fresh.Rates(r)
+				if gl != wl || gm != wm {
+					t.Fatalf("batch %d op %d region %d: reused rates (%v,%v), fresh (%v,%v)", batch, op, r, gl, gm, wl, wm)
+				}
+			}
+		}
 	}
 }

@@ -11,19 +11,22 @@ import (
 // the backing arrays of everything a Context carries and of apply's
 // double-booking marks. A steady-state batch allocates only its Context
 // header — which is why a Context is valid only until the call it was
-// passed to returns.
+// passed to returns. The driver table (driverSlot, driverID, drivers,
+// driverRegion, availablePerRegion) is not rebuilt per batch but
+// carried over and patched from the index's change log.
 type batchArena struct {
-	// driverSlot maps a driver id to its slot in Context.Drivers. Every
-	// available driver is stamped whenever the table is rebuilt, and
-	// candidates only come from the index of available drivers, so a
-	// stale cell is never read.
-	driverSlot []int32
-	// tableGen and tableFleet are the Index.Gen and fleet size the
-	// driver table (driverSlot, drivers, driverRegion,
-	// availablePerRegion) was last built at; it is reused while both
-	// hold.
-	tableGen   uint64
-	tableFleet int
+	// driverSlot maps a driver id to its slot in Context.Drivers, one
+	// cell per driver of the fleet; driverID is its inverse, slot to
+	// id, ascending. Every driver the table patch seats is stamped. The
+	// cell of a driver that left the table is stale: candidates only
+	// come from the index of available drivers, so only the patch reads
+	// one, and it checks the cell against driverID.
+	driverSlot, driverID []int32
+	// changed receives the index's change log each batch and tail the
+	// ids of the driver table's part (driverSlot, driverID, drivers,
+	// driverRegion, availablePerRegion) the patch merges it into. See
+	// Engine.patchDriverTable.
+	changed, tail []int32
 
 	waitingPerRegion, availablePerRegion, predictedDrivers []int
 	// noRiders is the all-zero forecast of an engine without
@@ -40,10 +43,12 @@ type batchArena struct {
 	cand    []geo.Neighbor
 	candEnd []int
 	// targets (rider pickups) and sources (unique candidate drivers'
-	// positions) are the cost matrix's columns and rows; driverRow maps
-	// a driver slot to its row, -1 when it is nobody's candidate (between
-	// batches EachJoined sorts its visit list in it).
+	// positions) are the cost matrix's columns and rows; sourceSlot is
+	// each source's driver slot, and driverRow maps a driver slot to its
+	// row, -1 when it is nobody's candidate — kept -1 everywhere but at
+	// sourceSlot's cells, across batches, so a batch resets only those.
 	targets, sources []geo.Point
+	sourceSlot       []int32
 	driverRow        []int32
 	// rows are the batch's sparse cost rows, nil until first touched and
 	// then carved from slab. A batch coster fills them from one CostPairs

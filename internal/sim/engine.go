@@ -534,18 +534,18 @@ func (e *Engine) Tally() Metrics {
 // estimate is being retried). It must not be called concurrently with
 // stepping.
 func (e *Engine) EachJoined(f func(id DriverID, region geo.RegionID)) {
-	// The sorted visit list borrows driverRow, which every buildContext
-	// rebuilds and nothing reads in between: the one list as long as the
-	// fleet (the starting fleet, all joining at Begin) costs no
-	// allocation the first batch would not have made.
+	// The sorted visit list borrows the table patch's tail, which every
+	// buildContext refills and nothing reads in between: the one list
+	// as long as the fleet (the starting fleet, all joining at Begin)
+	// costs no allocation the first batch would not have made.
 	a := &e.arena
-	joined := slices.Grow(a.driverRow[:0], len(e.unestimated))
+	joined := slices.Grow(a.tail[:0], len(e.unestimated))
 	for _, rec := range e.unestimated {
 		if e.ledgerOpen(rec) {
 			joined = append(joined, int32(e.metrics.IdleRecords[rec].Driver))
 		}
 	}
-	a.driverRow = joined
+	a.tail = joined
 	slices.Sort(joined)
 	regions := e.idx.Regions()
 	for _, id := range joined {
@@ -665,6 +665,7 @@ func (e *Engine) admitOrders(now float64) {
 			TripCost:     trip,
 			PickupRegion: e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(o.Pickup)),
 			DestRegion:   e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(o.Dropoff)),
+			scan:         e.idx.Prepare(o.Pickup),
 		}
 		if e.scen != nil && e.scen.cancel != nil {
 			if at, ok := e.scen.cancel.CancelTime(e.scen.rng.Float64(), o.PostTime, o.Deadline); ok {
@@ -852,29 +853,8 @@ func (e *Engine) buildContext(now float64) *Context {
 		predictedRiders = e.cfg.PredictRiders(now, e.cfg.TC)
 	}
 
-	// Available drivers, in id order for determinism. The index holds
-	// exactly the available fleet, so its id-to-region array and bucket
-	// sizes are the table: no Driver is loaded to learn it is busy. The
-	// table is rebuilt only when the index's membership or regions
-	// changed (Index.Gen) or the fleet grew (which may also have moved
-	// e.drivers, whose elements the table points at); positions are
-	// read through those pointers, so a move within a region is seen
-	// without one.
-	if gen := e.idx.Gen(); gen != a.tableGen || len(e.drivers) != a.tableFleet {
-		a.tableGen, a.tableFleet = gen, len(e.drivers)
-		a.driverSlot = slices.Grow(a.driverSlot[:0], len(e.drivers))[:len(e.drivers)]
-		a.drivers, a.driverRegion = a.drivers[:0], a.driverRegion[:0]
-		for id, region := range e.idx.Regions() {
-			if region >= 0 {
-				a.driverSlot[id] = int32(len(a.drivers))
-				a.drivers = append(a.drivers, &e.drivers[id])
-				a.driverRegion = append(a.driverRegion, region)
-			}
-		}
-		for k := range a.availablePerRegion {
-			a.availablePerRegion[k] = len(e.idx.InRegion(geo.RegionID(k)))
-		}
-	}
+	// Available drivers, in id order for determinism.
+	e.patchDriverTable()
 
 	// Waiting riders and their candidate drivers. Candidates come from
 	// the spatial index — every available driver within the radius the
@@ -896,27 +876,31 @@ func (e *Engine) buildContext(now float64) *Context {
 		radius := slack * e.cfg.RadiusSpeedMPS
 		switch {
 		case e.cfg.CandidateCap > 0:
-			a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, e.cfg.CandidateCap, radius)
+			a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, r.scan, e.cfg.CandidateCap, radius)
 		case e.dense != nil:
-			a.cand = e.idx.AppendWithin(a.cand, r.Order.Pickup, radius)
+			a.cand = e.idx.AppendWithin(a.cand, r.Order.Pickup, r.scan, radius)
 		default:
-			a.cand = e.idx.AppendInRadius(a.cand, r.Order.Pickup, radius)
+			a.cand = e.idx.AppendInRadius(a.cand, r.Order.Pickup, r.scan, radius)
 		}
 		a.candEnd = append(a.candEnd, len(a.cand))
 		a.targets = append(a.targets, r.Order.Pickup)
 	}
 
 	// The batch's unique candidate drivers, in first-appearance order,
-	// form the cost matrix's source rows.
-	a.driverRow = slices.Grow(a.driverRow[:0], len(a.drivers))[:len(a.drivers)]
-	for i := range a.driverRow {
-		a.driverRow[i] = -1
+	// form the cost matrix's source rows. driverRow is -1 but at the
+	// slots the last batch's sources held, which are cleared first.
+	for _, slot := range a.sourceSlot {
+		a.driverRow[slot] = -1
 	}
-	a.sources = a.sources[:0]
+	for len(a.driverRow) < len(a.drivers) {
+		a.driverRow = append(a.driverRow, -1)
+	}
+	a.sources, a.sourceSlot = a.sources[:0], a.sourceSlot[:0]
 	for _, nb := range a.cand {
 		if slot := a.driverSlot[nb.ID]; a.driverRow[slot] == -1 {
 			a.driverRow[slot] = int32(len(a.sources))
 			a.sources = append(a.sources, a.drivers[slot].Pos)
+			a.sourceSlot = append(a.sourceSlot, slot)
 		}
 	}
 
@@ -953,7 +937,7 @@ func (e *Engine) buildContext(now float64) *Context {
 			costs[row][a.pairTgt[k]] = a.pairCost[k]
 		}
 	}
-	frame.costs = CostMatrix{rows: costs, driverRow: a.driverRow}
+	frame.costs = CostMatrix{rows: costs, driverRow: a.driverRow[:len(a.drivers)]}
 
 	// Valid pairs (Definition 3) become matrix lookups: candidates are
 	// taken nearest-first and kept while the driver can reach the
@@ -1024,6 +1008,66 @@ func (e *Engine) buildContext(now float64) *Context {
 		e.buildPoolOptions(now, &frame.ctx)
 	}
 	return &frame.ctx
+}
+
+// patchDriverTable brings the driver table — Drivers, DriverRegion,
+// the slot table and AvailablePerRegion — up to date with the index,
+// which holds exactly the available fleet: no Driver is loaded to
+// learn it is busy. The index logs every id whose membership or region
+// changed since the last drain. Their old regions are uncounted, the
+// ids sorted and merged into the id-ordered table from the first slot
+// at or past the lowest of them — the prefix below it stands — and
+// their new regions counted. Positions are read through the table's
+// pointers, so a move within a region needs no patch. A grown fleet
+// (AddDriver) may have moved e.drivers, whose elements the table
+// points at: the pointers are re-seated.
+func (e *Engine) patchDriverTable() {
+	a := &e.arena
+	if n := len(e.drivers); len(a.driverSlot) != n {
+		a.driverSlot = slices.Grow(a.driverSlot, n-len(a.driverSlot))[:n]
+		for slot, id := range a.driverID {
+			a.drivers[slot] = &e.drivers[id]
+		}
+	}
+	changed := e.idx.DrainChanges(a.changed[:0])
+	a.changed = changed
+	if len(changed) == 0 {
+		return
+	}
+	for _, id := range changed {
+		// A slot is current only if the id it holds points back: the
+		// cell of an id that left the table is stale.
+		if slot := a.driverSlot[id]; int(slot) < len(a.driverID) && a.driverID[slot] == id {
+			a.availablePerRegion[a.driverRegion[slot]]--
+		}
+	}
+	slices.Sort(changed)
+	from, _ := slices.BinarySearch(a.driverID, changed[0])
+	a.tail = append(a.tail[:0], a.driverID[from:]...)
+	regions := e.idx.Regions()
+	ids, i := a.driverID[:from], 0
+	for _, id := range changed {
+		for ; i < len(a.tail) && a.tail[i] < id; i++ {
+			ids = append(ids, a.tail[i])
+		}
+		if i < len(a.tail) && a.tail[i] == id {
+			i++
+		}
+		if r := regions[id]; r >= 0 {
+			ids = append(ids, id)
+			a.availablePerRegion[r]++
+		}
+	}
+	ids = append(ids, a.tail[i:]...)
+	a.driverID = ids
+	a.drivers = slices.Grow(a.drivers[:from], len(ids)-from)[:len(ids)]
+	a.driverRegion = slices.Grow(a.driverRegion[:from], len(ids)-from)[:len(ids)]
+	for slot := from; slot < len(ids); slot++ {
+		id := ids[slot]
+		a.driverSlot[id] = int32(slot)
+		a.drivers[slot] = &e.drivers[id]
+		a.driverRegion[slot] = regions[id]
+	}
 }
 
 // countFutureRejoins writes into out, per region, how many busy drivers

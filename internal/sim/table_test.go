@@ -14,16 +14,28 @@ import (
 // moves drivers in or out of the available index — declines and
 // cancellations, pooled plans, cruises, shift joins and leaves — and
 // checks in every batch that the driver table buildContext handed the
-// dispatcher (reused while Index.Gen and the fleet size hold) equals
-// one rebuilt from the index from scratch.
+// dispatcher (patched from the index's change log, left as it was when
+// the log is empty) equals one rebuilt from the index from scratch.
+// Two trials stress the patch: in one a shift wave moves three
+// quarters of the fleet into the index in a single batch (and out of
+// it at the wave's end); in
+// the other Engine.AddDriver grows the fleet mid-run between admission
+// and dispatch, as fleet re-homing does, moving e.drivers under the
+// table's pointers.
 func TestDriverTableReuseMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	reused, rebuilt := 0, 0
-	for trial := 0; trial < 6; trial++ {
+	const waveTrial, growTrial = 6, 7
+	reused, patched, waves, moved := 0, 0, 0, 0
+	for trial := 0; trial < 8; trial++ {
 		orders, drivers := randomScenario(rng)
 		shifts := make([]Shift, len(drivers))
 		for i := range shifts {
-			if rng.Intn(2) == 0 {
+			switch {
+			case trial == waveTrial:
+				if i%4 != 0 {
+					shifts[i] = Shift{JoinAt: 1000, LeaveAt: 3000}
+				}
+			case rng.Intn(2) == 0:
 				shifts[i] = Shift{JoinAt: rng.Float64() * 1000, LeaveAt: 2000 + rng.Float64()*2000}
 			}
 		}
@@ -36,13 +48,14 @@ func TestDriverTableReuseMatchesRebuild(t *testing.T) {
 			Pooling:         pool.Config{Capacity: 3, MaxDetourSeconds: 400},
 		}
 		var e *Engine
-		lastGen := ^uint64(0)
 		check := funcDispatcher(func(ctx *Context) []Assignment {
-			if gen := e.idx.Gen(); gen == lastGen {
+			if n := len(e.arena.changed); n == 0 {
 				reused++
 			} else {
-				rebuilt++
-				lastGen = gen
+				patched++
+				if trial == waveTrial && ctx.Now > 0 && 2*n >= len(e.drivers) {
+					waves++
+				}
 			}
 			var wantDrivers []*Driver
 			var wantRegion []geo.RegionID
@@ -74,14 +87,39 @@ func TestDriverTableReuseMatchesRebuild(t *testing.T) {
 		})
 		cfg = cfg.withDefaults()
 		e = New(cfg, orders, drivers)
-		m, err := e.Run(context.Background(), check)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		var m *Metrics
+		if trial == growTrial {
+			if err := e.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			for batch, now := 0, 0.0; now < cfg.Horizon; batch, now = batch+1, now+cfg.Delta {
+				e.StepAdmit(now)
+				if batch%9 == 4 {
+					before := &e.drivers[0]
+					e.AddDriver(geo.Point{
+						Lng: geo.NYCBBox.MinLng + rng.Float64()*(geo.NYCBBox.MaxLng-geo.NYCBBox.MinLng),
+						Lat: geo.NYCBBox.MinLat + rng.Float64()*(geo.NYCBBox.MaxLat-geo.NYCBBox.MinLat),
+					}, now, Shift{})
+					if &e.drivers[0] != before {
+						moved++
+					}
+				}
+				if err := e.StepDispatch(now, check); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+			}
+			m = e.Finish()
+		} else {
+			var err error
+			if m, err = e.Run(context.Background(), check); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
 		}
 		checkRunInvariants(t, e, m)
 	}
-	if reused == 0 || rebuilt == 0 {
-		t.Fatalf("%d batches reused the table and %d rebuilt it; the run must exercise both", reused, rebuilt)
+	if reused == 0 || patched == 0 || waves == 0 || moved == 0 {
+		t.Fatalf("%d batches with an empty change log, %d patched, %d shift-wave batches moving half the fleet, %d AddDriver calls moving the fleet; the run must exercise each",
+			reused, patched, waves, moved)
 	}
-	t.Logf("%d batches reused the driver table, %d rebuilt it", reused, rebuilt)
+	t.Logf("%d batches reused the driver table, %d patched it (%d in shift waves); AddDriver moved the fleet %d times", reused, patched, waves, moved)
 }

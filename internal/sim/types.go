@@ -66,8 +66,8 @@ const (
 
 // Rider wraps an order with its runtime status and per-order constants
 // the engine precomputes at admission (trip cost, pickup and destination
-// regions). Status, Shared and Driver share one word, which keeps a
-// Rider in the allocator's 112-byte class.
+// regions, the pickup's scan geometry). Status, Shared and Driver share
+// one word.
 type Rider struct {
 	Order  trace.Order
 	Status RiderStatus
@@ -92,6 +92,10 @@ type Rider struct {
 	// order if still waiting — drawn at admission from the scenario's
 	// patience model. 0 means the rider waits to the deadline.
 	CancelAt float64
+	// scan is the pickup's geometry prepared for the available-driver
+	// index at admission: the rider's candidate scan runs once per
+	// batch it waits, the pickup never moves.
+	scan geo.Query
 }
 
 // Pair is one valid rider-and-driver dispatching pair of Definition 3,

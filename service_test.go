@@ -621,3 +621,50 @@ func TestServeHandleSubmitInvalidOrder(t *testing.T) {
 	h.Stop()
 	<-h.Done()
 }
+
+// failAfter is a writer whose writes succeed n times and then fail.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, w.err
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestSpanTracerWriteFailureLeavesRunIntact: a span tracer whose writer
+// fails partway through a replay stops tracing, not dispatching — the
+// run completes with the untraced Summary, Err reports the write error
+// and Count the spans written before it.
+func TestSpanTracerWriteFailureLeavesRunIntact(t *testing.T) {
+	const written = 25
+	opts := []Option{
+		WithCity(NewCity(CityConfig{OrdersPerDay: 2000, Seed: 4})),
+		WithFleet(20),
+		WithBatchInterval(10),
+		WithHorizon(2 * 3600),
+	}
+	plain, err := mustService(t, opts...).Run(context.Background(), "IRG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := errors.New("disk full")
+	tracer := NewSpanTracer(&failAfter{n: written, err: full})
+	traced, err := mustService(t, append(opts, WithObservability(nil, tracer))...).Run(context.Background(), "IRG")
+	if err != nil {
+		t.Fatalf("traced run: %v", err)
+	}
+	if traced.Summary() != plain.Summary() {
+		t.Errorf("a failing tracer moved the run:\n traced %+v\n  plain %+v", traced.Summary(), plain.Summary())
+	}
+	if !errors.Is(tracer.Err(), full) {
+		t.Errorf("tracer.Err() = %v, want %v", tracer.Err(), full)
+	}
+	if got := tracer.Count(); got != written {
+		t.Errorf("tracer.Count() = %d, want the %d spans written before the failure", got, written)
+	}
+}
