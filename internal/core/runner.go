@@ -55,9 +55,6 @@ type Options struct {
 	// TrainDays is the history length for model-based prediction
 	// (default MinLookbackDays+14). The test day is day TrainDays.
 	TrainDays int
-	// SlotSeconds is the prediction slot width (default 1800, the
-	// paper's 30 minutes).
-	SlotSeconds float64
 	// Repositioner optionally relocates long-idle drivers (see
 	// sim.Repositioner); nil keeps the paper's stay-at-dropoff behaviour.
 	Repositioner sim.Repositioner
@@ -101,6 +98,9 @@ type Options struct {
 	Obs sim.ObsConfig
 }
 
+// slotSeconds is the prediction slot width: the paper's 30 minutes.
+const slotSeconds = 1800
+
 // WithDefaults returns a copy of the options with every unset field
 // replaced by its documented default.
 func (o Options) WithDefaults() Options { return o.withDefaults() }
@@ -123,9 +123,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TrainDays <= 0 {
 		o.TrainDays = predict.MinLookbackDays + 14
-	}
-	if o.SlotSeconds <= 0 {
-		o.SlotSeconds = 1800
 	}
 	if o.Shards == 0 {
 		o.Shards = 1
@@ -173,7 +170,7 @@ func NewRunnerWithOrders(opts Options, orders []trace.Order, starts []geo.Point)
 		opts:       opts,
 		orders:     orders,
 		starts:     starts,
-		expected:   opts.City.ExpectedDayCounts(opts.TrainDays, opts.SlotSeconds),
+		expected:   opts.City.ExpectedDayCounts(opts.TrainDays, slotSeconds),
 		trainedSet: make(map[string]predict.Predictor),
 	}
 }
@@ -208,8 +205,8 @@ func (r *Runner) fork() *Runner {
 }
 
 // ShareFrom copies another runner's built history and trained predictors.
-// Valid only when both runners use the same city, TrainDays, SlotSeconds
-// and instance seed (so orders — and hence the appended test-day counts —
+// Valid only when both runners use the same city, TrainDays and
+// instance seed (so orders — and hence the appended test-day counts —
 // are identical); it exists so parameter sweeps that vary only the fleet
 // size or batch timing don't regenerate months of history per point.
 func (r *Runner) ShareFrom(other *Runner) {
@@ -225,8 +222,8 @@ func (r *Runner) ensureHistory() *predict.History {
 	if r.history != nil {
 		return r.history
 	}
-	h := predict.GenerateHistory(r.opts.City, r.opts.TrainDays, r.opts.SlotSeconds, r.opts.Seed+1000)
-	dayCounts := trace.CountPerSlot(r.orders, r.opts.City.Grid(), r.opts.SlotSeconds, float64(workload.DaySeconds))
+	h := predict.GenerateHistory(r.opts.City, r.opts.TrainDays, slotSeconds, r.opts.Seed+1000)
+	dayCounts := trace.CountPerSlot(r.orders, r.opts.City.Grid(), slotSeconds, float64(workload.DaySeconds))
 	// CountPerSlot returns horizon/slot+1 rows; trim to the history's
 	// slots-per-day shape.
 	if len(dayCounts) > h.SlotsPerDay {
@@ -293,7 +290,7 @@ func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(n
 	case PredictOracle:
 		out, acc := make([]int, n), make([]float64, n)
 		return func(now, tc float64) []int {
-			return windowCounts(now, tc, r.opts.SlotSeconds, len(r.expected),
+			return windowCounts(now, tc, slotSeconds, len(r.expected),
 				func(slot int) []float64 { return r.expected[slot] }, out, acc)
 		}, nil
 	case PredictModel:
@@ -322,7 +319,7 @@ func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(n
 		}
 		out, acc := make([]int, n), make([]float64, n)
 		return func(now, tc float64) []int {
-			return windowCounts(now, tc, r.opts.SlotSeconds, h.SlotsPerDay, slotRow, out, acc)
+			return windowCounts(now, tc, slotSeconds, h.SlotsPerDay, slotRow, out, acc)
 		}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown prediction mode %d", mode)

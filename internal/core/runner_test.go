@@ -43,7 +43,7 @@ func mustDispatcher(t *testing.T, name string, seed int64) sim.Dispatcher {
 func TestRunnerDefaultsApplied(t *testing.T) {
 	r := NewRunner(Options{City: testOptions().City})
 	o := r.Options()
-	if o.NumDrivers != 100 || o.Delta != 3 || o.TC != 1200 || o.SlotSeconds != 1800 {
+	if o.NumDrivers != 100 || o.Delta != 3 || o.TC != 1200 {
 		t.Errorf("defaults not applied: %+v", o)
 	}
 	if len(r.Orders()) == 0 {
@@ -200,12 +200,15 @@ func TestRunnerHistoryIncludesTestDay(t *testing.T) {
 		t.Errorf("history has %d days, want TrainDays+1 = %d",
 			h.Days(), r.Options().TrainDays+1)
 	}
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
+	if len(h.Meta) != h.Days() {
+		t.Fatalf("%d meta-days for %d count-days", len(h.Meta), h.Days())
 	}
 	// The appended day's counts must equal the runner's orders bucketed.
 	total := 0
 	last := h.Counts[h.Days()-1]
+	if len(last) != h.SlotsPerDay {
+		t.Fatalf("appended day has %d slots, want %d", len(last), h.SlotsPerDay)
+	}
 	for _, slot := range last {
 		for _, c := range slot {
 			total += c

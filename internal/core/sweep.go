@@ -290,10 +290,9 @@ func Sweep(ctx context.Context, base Options, spec SweepSpec) ([]SweepResult, er
 	// name, one group per worker; the other modes never touch history
 	// (the oracle reads precomputed intensities).
 	type histKey struct {
-		city        *workload.City
-		trainDays   int
-		slotSeconds float64
-		seed        int64
+		city      *workload.City
+		trainDays int
+		seed      int64
 	}
 	type trained struct {
 		runner *Runner
@@ -301,7 +300,7 @@ func Sweep(ctx context.Context, base Options, spec SweepSpec) ([]SweepResult, er
 		errs   []error
 	}
 	histOf := func(r *Runner) histKey {
-		return histKey{r.opts.City, r.opts.TrainDays, r.opts.SlotSeconds, r.opts.Seed}
+		return histKey{r.opts.City, r.opts.TrainDays, r.opts.Seed}
 	}
 	var groups []*trained
 	shared := make(map[histKey]*trained)

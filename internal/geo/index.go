@@ -28,7 +28,8 @@ type Index struct {
 	count   int
 	// changed lists the ids logged since the last drain; logged marks
 	// them by id, so each appears once and the log never outgrows the
-	// id space, drained or not.
+	// id space, even for a caller that never drains it (bench/'s query
+	// probe).
 	changed []int32
 	logged  []bool
 }
@@ -173,15 +174,6 @@ func (ix *Index) RegionOf(id int32) (RegionID, bool) {
 // ordered enumeration of the indexed items. The returned slice is owned
 // by the index; callers must not mutate it.
 func (ix *Index) Regions() []RegionID { return ix.region }
-
-// InRegion returns the ids bucketed in one region. The returned slice is
-// owned by the index; callers must not mutate it.
-func (ix *Index) InRegion(r RegionID) []int32 {
-	if !ix.grid.Valid(r) {
-		return nil
-	}
-	return ix.buckets[r]
-}
 
 // Neighbor pairs an item id with its distance from a query point.
 type Neighbor struct {

@@ -50,10 +50,10 @@ func TestIndexMoveAcrossRegions(t *testing.T) {
 	if ra == rb {
 		t.Fatal("move across the city did not change region")
 	}
-	if ids := ix.InRegion(ra); len(ids) != 0 {
+	if ids := ix.buckets[ra]; len(ids) != 0 {
 		t.Errorf("old region still holds %v", ids)
 	}
-	if ids := ix.InRegion(rb); len(ids) != 1 || ids[0] != 7 {
+	if ids := ix.buckets[rb]; len(ids) != 1 || ids[0] != 7 {
 		t.Errorf("new region holds %v", ids)
 	}
 }
@@ -161,20 +161,13 @@ func TestIndexRemoveSwapKeepsSlots(t *testing.T) {
 	ix.Remove(1)
 	ix.Remove(3)
 	r, _ := ix.RegionOf(2)
-	ids := ix.InRegion(r)
+	ids := ix.buckets[r]
 	if len(ids) != 1 || ids[0] != 2 {
 		t.Errorf("bucket after swap-deletes = %v, want [2]", ids)
 	}
 	ix.Move(2, Point{Lng: p.Lng + 0.1, Lat: p.Lat})
-	if ids := ix.InRegion(r); len(ids) != 0 {
+	if ids := ix.buckets[r]; len(ids) != 0 {
 		t.Errorf("old bucket not emptied after move: %v", ids)
-	}
-}
-
-func TestIndexInRegionInvalid(t *testing.T) {
-	ix := newTestIndex()
-	if ids := ix.InRegion(InvalidRegion); ids != nil {
-		t.Errorf("InRegion(invalid) = %v, want nil", ids)
 	}
 }
 

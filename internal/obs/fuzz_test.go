@@ -11,7 +11,7 @@ import (
 func FuzzParseText(f *testing.F) {
 	reg := NewRegistry()
 	reg.Counter("fuzz_total", "A counter.").Add(3)
-	reg.Gauge("fuzz_depth", "A gauge.").Set(-1.5)
+	reg.GaugeVec("fuzz_depth", "A gauge.").With().Set(-1.5)
 	reg.CounterVec("fuzz_outcomes_total", "A labelled counter.", "outcome").With(`a "quoted\" value`).Inc()
 	reg.Histogram("fuzz_seconds", "A histogram.", LatencyBuckets).Observe(0.02)
 	var b strings.Builder

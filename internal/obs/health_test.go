@@ -10,7 +10,7 @@ import (
 func gaugeCollector(t *testing.T, rule Rule) (*Collector, func(v float64) State) {
 	t.Helper()
 	r := NewRegistry()
-	g := r.Gauge("load", "load")
+	g := r.GaugeVec("load", "load").With()
 	c := NewCollector(CollectorConfig{Registry: r, Interval: time.Second, Windows: 8, Rules: []Rule{rule}})
 	sec := int64(100)
 	return c, func(v float64) State {

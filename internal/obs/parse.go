@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -175,15 +174,4 @@ func validMetricName(s string) bool {
 		}
 	}
 	return true
-}
-
-// FamilyNames returns the parsed family names, sorted — convenient
-// for error messages in scrape assertions.
-func FamilyNames(fams map[string]*ParsedFamily) []string {
-	names := make([]string, 0, len(fams))
-	for n := range fams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -53,17 +53,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -87,15 +76,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Sum returns the sum of all observed values.
@@ -210,12 +190,6 @@ func labelKey(values []string) string { return strings.Join(values, "\xff") }
 // first use.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.family(name, help, kindCounter, nil, nil).child().(*Counter)
-}
-
-// Gauge returns the named unlabeled gauge, registering it on first
-// use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.family(name, help, kindGauge, nil, nil).child().(*Gauge)
 }
 
 // Histogram returns the named unlabeled histogram with the given

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -32,7 +34,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("x_total", "help")
+	r.GaugeVec("x_total", "help").With()
 }
 
 func TestVecArityMismatchPanics(t *testing.T) {
@@ -155,12 +157,10 @@ func TestRegistryConcurrentTorture(t *testing.T) {
 			// Every worker re-registers its instruments: get-or-create
 			// must hand all of them the same objects.
 			c := r.Counter("t_ops_total", "ops")
-			g := r.Gauge("t_depth", "depth")
 			h := r.HistogramVec("t_seconds", "latency", DefBuckets, "phase").With("p")
 			v := r.CounterVec("t_by_worker_total", "per worker", "w").With(string(rune('a' + w)))
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i%10) / 1000)
 				v.Inc()
 			}
@@ -173,11 +173,8 @@ func TestRegistryConcurrentTorture(t *testing.T) {
 	if got := r.Counter("t_ops_total", "ops").Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Gauge("t_depth", "depth").Value(); got != workers*perWorker {
-		t.Errorf("gauge = %v, want %d", got, workers*perWorker)
-	}
 	h := r.HistogramVec("t_seconds", "latency", DefBuckets, "phase").With("p")
-	if got := h.Count(); got != workers*perWorker {
+	if _, got, _ := h.snapshot(); got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 }
@@ -187,7 +184,7 @@ func TestRegistryConcurrentTorture(t *testing.T) {
 func TestWriteTextParseTextRoundtrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rt_orders_total", "orders with \"quotes\" and\nnewline").Add(42)
-	r.Gauge("rt_depth", "queue depth").Set(-1.5)
+	r.GaugeVec("rt_depth", "queue depth").With().Set(-1.5)
 	r.CounterVec("rt_by_outcome_total", "outcomes", "outcome").With("served").Add(7)
 	r.CounterVec("rt_by_outcome_total", "outcomes", "outcome").With("e\"sc\\aped\nvalue").Inc()
 	h := r.HistogramVec("rt_seconds", "latency", []float64{0.1, 1}, "phase")
@@ -209,7 +206,7 @@ func TestWriteTextParseTextRoundtrip(t *testing.T) {
 		t.Helper()
 		f := fams[fam]
 		if f == nil {
-			t.Fatalf("family %s missing (have %v)", fam, FamilyNames(fams))
+			t.Fatalf("family %s missing (have %v)", fam, slices.Sorted(maps.Keys(fams)))
 		}
 		for _, s := range f.Samples {
 			if s.Name != sample {

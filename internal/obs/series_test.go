@@ -68,7 +68,7 @@ func TestCollectorCounterRateAndReset(t *testing.T) {
 
 func TestCollectorRingWraparound(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("depth", "queue depth")
+	g := r.GaugeVec("depth", "queue depth").With()
 	c := NewCollector(CollectorConfig{Registry: r, Interval: time.Second, Windows: 4})
 
 	for i := int64(0); i < 10; i++ {
@@ -103,13 +103,13 @@ func TestCollectorRingWraparound(t *testing.T) {
 // stale points from instruments that stopped reporting.
 func TestCollectorLateSeriesAndDisappearance(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("early", "appears first")
+	g := r.GaugeVec("early", "appears first").With()
 	c := NewCollector(CollectorConfig{Registry: r, Interval: time.Second, Windows: 3})
 
 	g.Set(1)
 	tickAt(c, 100)
 	tickAt(c, 101)
-	late := r.Gauge("late", "appears later")
+	late := r.GaugeVec("late", "appears later").With()
 	late.Set(42)
 	g.Set(2)
 	for i := int64(2); i < 6; i++ {
@@ -229,7 +229,7 @@ func TestCollectorHistogramWindows(t *testing.T) {
 
 func TestCollectorDumpMarshalsToJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("g", "gauge").Set(1)
+	r.GaugeVec("g", "gauge").With().Set(1)
 	h := r.Histogram("h_seconds", "hist", []float64{1})
 	h.Observe(0.5)
 	c := NewCollector(CollectorConfig{Registry: r, Interval: time.Second, Windows: 4})

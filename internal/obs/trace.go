@@ -139,13 +139,6 @@ func (t *Tracer) Count() int64 {
 	return t.n
 }
 
-// Err returns the first write error, if any.
-func (t *Tracer) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // Close closes the underlying writer when it is an io.Closer and
 // returns the first error seen (write or close).
 func (t *Tracer) Close() error {

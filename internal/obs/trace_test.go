@@ -46,7 +46,7 @@ func TestTracerRetainsFirstError(t *testing.T) {
 	tr := NewTracer(w)
 	tr.Emit(Span{Order: 1})
 	tr.Emit(Span{Order: 2})
-	if tr.Err() == nil {
+	if tr.Close() == nil {
 		t.Fatal("error not retained")
 	}
 	if tr.Count() != 0 {
@@ -99,3 +99,50 @@ func TestTracerConcurrentEmit(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// closeWriter fails every write when failWrites is set and otherwise
+// accepts it; Close counts the call and returns closeErr.
+type closeWriter struct {
+	failWrites bool
+	closeErr   error
+	closed     int
+}
+
+func (w *closeWriter) Write(p []byte) (int, error) {
+	if w.failWrites {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+func (w *closeWriter) Close() error {
+	w.closed++
+	return w.closeErr
+}
+
+// TestTracerCloseReturnsFirstError: Close closes a writer that is an
+// io.Closer and returns the first error the tracer saw — the close
+// error after clean writes, the write error when one came first — and
+// on a writer that is not an io.Closer returns the retained error.
+func TestTracerCloseReturnsFirstError(t *testing.T) {
+	closeErr := errors.New("close failed")
+	clean := &closeWriter{closeErr: closeErr}
+	tr := NewTracer(clean)
+	tr.Emit(Span{Order: 1})
+	if err := tr.Close(); !errors.Is(err, closeErr) || clean.closed != 1 {
+		t.Errorf("clean writes: Close = %v after %d closes, want %v after 1", err, clean.closed, closeErr)
+	}
+
+	failing := &closeWriter{failWrites: true, closeErr: closeErr}
+	tr = NewTracer(failing)
+	tr.Emit(Span{Order: 1})
+	if err := tr.Close(); err == nil || errors.Is(err, closeErr) || err.Error() != "disk full" || failing.closed != 1 {
+		t.Errorf("failed write: Close = %v after %d closes, want the write error after 1", err, failing.closed)
+	}
+
+	tr = NewTracer(&failWriter{})
+	tr.Emit(Span{Order: 1})
+	if err := tr.Close(); err == nil || err.Error() != "disk full" {
+		t.Errorf("non-Closer writer: Close = %v, want the retained write error", err)
+	}
+}

@@ -82,18 +82,6 @@ func (p *Plan) End() (geo.Point, float64) {
 	return s.Pos, s.ETA
 }
 
-// Remaining counts pending stops that still serve a rider (canceled
-// via-points excluded).
-func (p *Plan) Remaining() int {
-	n := 0
-	for _, s := range p.Stops {
-		if !s.Canceled {
-			n++
-		}
-	}
-	return n
-}
-
 // Request describes a new order proposed for insertion into a plan.
 type Request struct {
 	Order   trace.OrderID

@@ -17,11 +17,6 @@ type EvalResult struct {
 	Cells        int // evaluated (day, slot, region) cells
 }
 
-func (r EvalResult) String() string {
-	return fmt.Sprintf("%-14s RMSE=%5.2f%%  RealRMSE=%6.2f  MAE=%6.2f  (%d cells)",
-		r.Model, r.RelativeRMSE, r.RealRMSE, r.MAE, r.Cells)
-}
-
 // Evaluate scores a trained predictor on history days [fromDay, toDay),
 // comparing cell-by-cell predictions against realized counts.
 func Evaluate(m Predictor, h *History, fromDay, toDay int) (EvalResult, error) {

@@ -1,11 +1,6 @@
 package predict
 
-import (
-	"errors"
-	"fmt"
-
-	"mrvd/internal/workload"
-)
+import "mrvd/internal/workload"
 
 // Lag-stack sizes shared by the models. Closeness follows the paper's
 // baselines ("the previous 15 time slots"); period and trend follow
@@ -30,28 +25,6 @@ type History struct {
 	NumRegions  int
 }
 
-// Validate checks structural consistency.
-func (h *History) Validate() error {
-	if h.SlotsPerDay <= 0 || h.NumRegions <= 0 {
-		return errors.New("predict: non-positive dimensions")
-	}
-	if len(h.Counts) != len(h.Meta) {
-		return fmt.Errorf("predict: %d count-days but %d meta-days", len(h.Counts), len(h.Meta))
-	}
-	for d, day := range h.Counts {
-		if len(day) != h.SlotsPerDay {
-			return fmt.Errorf("predict: day %d has %d slots, want %d", d, len(day), h.SlotsPerDay)
-		}
-		for s, slot := range day {
-			if len(slot) != h.NumRegions {
-				return fmt.Errorf("predict: day %d slot %d has %d regions, want %d",
-					d, s, len(slot), h.NumRegions)
-			}
-		}
-	}
-	return nil
-}
-
 // Days returns the number of recorded days.
 func (h *History) Days() int { return len(h.Counts) }
 
@@ -68,37 +41,6 @@ func (h *History) At(day, slot, region int) float64 {
 	}
 	return float64(h.Counts[day][slot][region])
 }
-
-// Closeness fills dst with the n counts immediately preceding (day, slot)
-// for a region, most recent first, crossing day boundaries backwards.
-func (h *History) Closeness(dst []float64, day, slot, region, n int) []float64 {
-	dst = dst[:0]
-	for i := 1; i <= n; i++ {
-		dst = append(dst, h.At(day, slot-i, region))
-	}
-	return dst
-}
-
-// Period fills dst with the same slot's counts on the n previous days.
-func (h *History) Period(dst []float64, day, slot, region, n int) []float64 {
-	dst = dst[:0]
-	for i := 1; i <= n; i++ {
-		dst = append(dst, h.At(day-i, slot, region))
-	}
-	return dst
-}
-
-// Trend fills dst with the same slot's counts in the n previous weeks.
-func (h *History) Trend(dst []float64, day, slot, region, n int) []float64 {
-	dst = dst[:0]
-	for i := 1; i <= n; i++ {
-		dst = append(dst, h.At(day-7*i, slot, region))
-	}
-	return dst
-}
-
-// HasLookback reports whether (day, slot) has the full lag window.
-func (h *History) HasLookback(day int) bool { return day >= MinLookbackDays }
 
 // AppendDay grows the history by one day of counts and metadata; the
 // simulator uses it to roll realized counts into the lag window.

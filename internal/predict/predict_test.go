@@ -28,24 +28,6 @@ func testHistory(t *testing.T) *History {
 	return sharedHist
 }
 
-func TestHistoryValidate(t *testing.T) {
-	h := testHistory(t)
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := &History{SlotsPerDay: 0, NumRegions: 16}
-	if err := bad.Validate(); err == nil {
-		t.Error("zero slots accepted")
-	}
-	bad2 := &History{
-		SlotsPerDay: 2, NumRegions: 1,
-		Counts: [][][]int{{{1}, {2}}},
-	}
-	if err := bad2.Validate(); err == nil {
-		t.Error("meta/count mismatch accepted")
-	}
-}
-
 func TestHistoryAtBoundaries(t *testing.T) {
 	h := testHistory(t)
 	if got := h.At(-1, 0, 0); got != 0 {
@@ -58,26 +40,6 @@ func TestHistoryAtBoundaries(t *testing.T) {
 	want := float64(h.Counts[2][h.SlotsPerDay-1][5])
 	if got := h.At(3, -1, 5); got != want {
 		t.Errorf("At(3,-1) = %v, want %v (last slot of day 2)", got, want)
-	}
-}
-
-func TestHistoryLagStacks(t *testing.T) {
-	h := testHistory(t)
-	day, slot, region := 25, 10, 3
-	cl := h.Closeness(nil, day, slot, region, 4)
-	if len(cl) != 4 {
-		t.Fatalf("closeness length %d", len(cl))
-	}
-	if cl[0] != h.At(day, slot-1, region) || cl[3] != h.At(day, slot-4, region) {
-		t.Error("closeness order wrong")
-	}
-	pd := h.Period(nil, day, slot, region, 2)
-	if pd[0] != h.At(day-1, slot, region) || pd[1] != h.At(day-2, slot, region) {
-		t.Error("period lags wrong")
-	}
-	tr := h.Trend(nil, day, slot, region, 2)
-	if tr[0] != h.At(day-7, slot, region) || tr[1] != h.At(day-14, slot, region) {
-		t.Error("trend lags wrong")
 	}
 }
 
@@ -204,8 +166,18 @@ func TestGenerateHistoryShape(t *testing.T) {
 		t.Fatalf("history shape %d days %d slots %d regions",
 			h.Days(), h.SlotsPerDay, h.NumRegions)
 	}
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
+	if len(h.Meta) != h.Days() {
+		t.Fatalf("%d meta-days for %d count-days", len(h.Meta), h.Days())
+	}
+	for d, day := range h.Counts {
+		if len(day) != h.SlotsPerDay {
+			t.Fatalf("day %d has %d slots, want %d", d, len(day), h.SlotsPerDay)
+		}
+		for s, slot := range day {
+			if len(slot) != h.NumRegions {
+				t.Fatalf("day %d slot %d has %d regions, want %d", d, s, len(slot), h.NumRegions)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package queueing
 
-import "math"
-
 // RegionState is the demand-supply snapshot of one region at the start of
 // a batch, in the units of Algorithm 1 lines 3-6.
 type RegionState struct {
@@ -71,12 +69,6 @@ func (a *Analyzer) Reset(waiting, available, predictedRiders, predictedDrivers [
 	a.gen++
 }
 
-// SetRegion installs one region's snapshot (primarily for tests).
-func (a *Analyzer) SetRegion(region int, s RegionState) {
-	a.states[region] = s
-	a.regions[region] = regionCache{}
-}
-
 // bump returns a region's committed-mu bump in the current batch.
 func (a *Analyzer) bump(region int) int {
 	if c := &a.regions[region]; c.bumpGen == a.gen {
@@ -141,28 +133,4 @@ func (a *Analyzer) CommitDestination(destRegion int) {
 // search when it swaps a driver's assigned rider (Algorithm 3 line 7).
 func (a *Analyzer) UncommitDestination(destRegion int) {
 	a.setBump(destRegion, max(a.bump(destRegion)-1, 0))
-}
-
-// SnapshotET returns the current ET of every region, +Inf for regions
-// with no rider arrivals. Used by Figure 6's predicted-idle-time map.
-func (a *Analyzer) SnapshotET() []float64 {
-	out := make([]float64, len(a.states))
-	for r := range a.states {
-		out[r] = a.ExpectedIdleTime(r)
-	}
-	return out
-}
-
-// TotalWaiting sums waiting riders across regions (diagnostics).
-func (a *Analyzer) TotalWaiting() int {
-	n := 0
-	for _, s := range a.states {
-		n += s.Waiting
-	}
-	return n
-}
-
-// FiniteET reports whether the region has a finite expected idle time.
-func (a *Analyzer) FiniteET(region int) bool {
-	return !math.IsInf(a.ExpectedIdleTime(region), 1)
 }

@@ -110,16 +110,6 @@ func (c *GraphCoster) Stats() CosterStats {
 	}
 }
 
-// ResetStats zeroes the counters (benchmark bookkeeping).
-func (c *GraphCoster) ResetStats() {
-	c.stats.trees.Store(0)
-	c.stats.partials.Store(0)
-	c.stats.resumed.Store(0)
-	c.stats.settled.Store(0)
-	c.stats.cacheHits.Store(0)
-	c.stats.evictions.Store(0)
-}
-
 // costScratch is the working memory of one GraphCoster.price call, and
 // of each extra worker it fans out to (which uses needed only). Between
 // uses needed and rowOf are blank, whatever graph they last served.

@@ -79,12 +79,12 @@ func TestBatchCostsUsesCachedTrees(t *testing.T) {
 	src := g.Point(10)
 	dst := g.Point(50)
 	want := c.Cost(src, dst) // populates the cache for src's node
-	c.ResetStats()
+	before := c.Stats()
 	mat := c.Costs([]geo.Point{src}, []geo.Point{dst})
 	if mat[0][0] != want {
 		t.Fatalf("batch %v != single-pair %v", mat[0][0], want)
 	}
-	st := c.Stats()
+	st := statsSince(c, before)
 	if st.CacheHits != 1 || st.PartialTrees != 0 {
 		t.Errorf("stats = %+v, want 1 cache hit and 0 partial trees", st)
 	}

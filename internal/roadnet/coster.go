@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"math"
-	"sort"
 
 	"mrvd/internal/geo"
 )
@@ -344,57 +343,4 @@ func (s *snapIndex) nearest(p geo.Point) (NodeID, float64) {
 			return best, bestD
 		}
 	}
-}
-
-// RegionMatrix precomputes region-center to region-center travel times on
-// the graph, one Dijkstra tree per region. The queueing analysis and the
-// POLAR baseline consume it for region-level planning.
-func RegionMatrix(g *Graph, grid *geo.Grid) [][]float64 {
-	n := grid.NumRegions()
-	mat := make([][]float64, n)
-	snap := newSnapIndex(g)
-	centers := make([]NodeID, n)
-	for r := 0; r < n; r++ {
-		centers[r], _ = snap.nearest(grid.Center(geo.RegionID(r)))
-	}
-	for r := 0; r < n; r++ {
-		mat[r] = make([]float64, n)
-		if centers[r] == InvalidNode {
-			for c := range mat[r] {
-				mat[r][c] = math.Inf(1)
-			}
-			continue
-		}
-		tree := g.ShortestPathTree(centers[r])
-		for c := 0; c < n; c++ {
-			if centers[c] == InvalidNode {
-				mat[r][c] = math.Inf(1)
-			} else {
-				mat[r][c] = tree[centers[c]]
-			}
-		}
-	}
-	return mat
-}
-
-// MedianStreetSpeed estimates the effective network speed by sampling
-// edge costs, useful for calibrating a GreatCircleCoster against a graph.
-func MedianStreetSpeed(g *Graph) float64 {
-	if g.NumArcs() == 0 {
-		return 0
-	}
-	speeds := make([]float64, 0, g.NumArcs())
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, e := range g.arcs(NodeID(v)) {
-			d := geo.Equirect(g.Point(NodeID(v)), g.Point(e.to))
-			if e.cost > 0 {
-				speeds = append(speeds, d/e.cost)
-			}
-		}
-	}
-	if len(speeds) == 0 {
-		return 0
-	}
-	sort.Float64s(speeds)
-	return speeds[len(speeds)/2]
 }

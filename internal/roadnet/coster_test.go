@@ -152,29 +152,3 @@ func TestSnapIndexNearestMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
-
-func TestRegionMatrixProperties(t *testing.T) {
-	g := GenerateGridNetwork(GridNetworkConfig{Rows: 16, Cols: 16, Seed: 17, DropFraction: 0})
-	grid := geo.NewGrid(geo.NYCBBox, 4, 4)
-	mat := RegionMatrix(g, grid)
-	if len(mat) != 16 {
-		t.Fatalf("matrix has %d rows, want 16", len(mat))
-	}
-	for r := range mat {
-		if mat[r][r] != 0 {
-			t.Errorf("diagonal [%d][%d] = %v, want 0", r, r, mat[r][r])
-		}
-		for c := range mat[r] {
-			if math.IsInf(mat[r][c], 1) {
-				t.Errorf("region pair %d->%d unreachable", r, c)
-			}
-			if mat[r][c] < 0 {
-				t.Errorf("negative travel time %v", mat[r][c])
-			}
-		}
-	}
-	// Distant regions should cost more than adjacent ones on average.
-	if mat[0][15] <= mat[0][1] {
-		t.Errorf("far region cost %v <= near region cost %v", mat[0][15], mat[0][1])
-	}
-}

@@ -91,8 +91,7 @@ func (t spTree) covers(n NodeID) bool { return t.dist != nil && t.dist[n] <= t.h
 // dijkstra is the one Dijkstra loop (lazy deletion: a stale queue entry
 // is skipped when popped). It advances the run held in dist and pq
 // until remaining nodes marked in needed have been settled — or, with
-// a nil mask, until the queue drains — and records tree parents in
-// prev when that is non-nil.
+// a nil mask, until the queue drains.
 //
 // The stop is taken after the last needed node's arcs are relaxed and
 // after every other node at the same distance is settled too. So on
@@ -104,7 +103,7 @@ func (t spTree) covers(n NodeID) bool { return t.dist != nil && t.dist[n] <= t.h
 //
 // settled counts finalized nodes, the unit of shortest-path work
 // GraphCoster.Stats reports.
-func (g *Graph) dijkstra(dist []float64, prev []NodeID, pq *minHeap, needed []bool, remaining int) (settled int, horizon float64) {
+func (g *Graph) dijkstra(dist []float64, pq *minHeap, needed []bool, remaining int) (settled int, horizon float64) {
 	horizon = math.Inf(1)
 	h := *pq
 	for len(h) > 0 && h[0].dist <= horizon {
@@ -121,9 +120,6 @@ func (g *Graph) dijkstra(dist []float64, prev []NodeID, pq *minHeap, needed []bo
 		for _, e := range g.arcs(item.node) {
 			if nd := item.dist + e.cost; nd < dist[e.to] {
 				dist[e.to] = nd
-				if prev != nil {
-					prev[e.to] = item.node
-				}
 				h.push(pqItem{node: e.to, dist: nd})
 			}
 		}
@@ -166,13 +162,12 @@ func (g *Graph) extend(src NodeID, t spTree, needed []bool, remaining int) (next
 		dist = append([]float64(nil), t.dist...)
 		*pq = append((*pq)[:0], t.frontier...)
 	}
-	settled, horizon := g.dijkstra(dist, nil, pq, needed, remaining)
+	settled, horizon := g.dijkstra(dist, pq, needed, remaining)
 	return spTree{dist: dist, frontier: append([]pqItem(nil), *pq...), horizon: horizon}, settled
 }
 
 // ShortestPathTree computes distances from src to every node, returning
-// +Inf for unreachable ones. Used to precompute region-to-region travel
-// matrices.
+// +Inf for unreachable ones.
 func (g *Graph) ShortestPathTree(src NodeID) []float64 {
 	t, _ := g.extend(src, spTree{}, nil, 0)
 	return t.dist
@@ -180,54 +175,23 @@ func (g *Graph) ShortestPathTree(src NodeID) []float64 {
 
 // ShortestPath returns the minimum travel cost from src to dst in seconds
 // and whether dst is reachable, stopping the search once dst is settled.
+// Out-of-range endpoints are unreachable.
 func (g *Graph) ShortestPath(src, dst NodeID) (float64, bool) {
 	if src == dst {
 		return 0, true
 	}
-	dist, _ := g.searchTo(src, dst, false)
-	if dist == nil || math.IsInf(dist[dst], 1) {
-		return 0, false
-	}
-	return dist[dst], true
-}
-
-// Route returns the node sequence of a shortest src->dst path, inclusive
-// of both endpoints, and whether one exists.
-func (g *Graph) Route(src, dst NodeID) ([]NodeID, bool) {
-	dist, prev := g.searchTo(src, dst, true)
-	if dist == nil || math.IsInf(dist[dst], 1) {
-		return nil, false
-	}
-	var path []NodeID
-	for v := dst; v != InvalidNode; v = prev[v] {
-		path = append(path, v)
-	}
-	// Reverse in place.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, true
-}
-
-// searchTo runs Dijkstra from src until dst is settled, returning the
-// distances and, when asked, the tree parents (InvalidNode for src and
-// unreached nodes). Out-of-range endpoints return nil.
-func (g *Graph) searchTo(src, dst NodeID, withPrev bool) (dist []float64, prev []NodeID) {
 	n := g.NumNodes()
 	if src < 0 || dst < 0 || int(src) >= n || int(dst) >= n {
-		return nil, nil
-	}
-	if withPrev {
-		prev = make([]NodeID, n)
-		for i := range prev {
-			prev[i] = InvalidNode
-		}
+		return 0, false
 	}
 	needed := make([]bool, n)
 	needed[dst] = true
 	pq := heapPool.Get().(*minHeap)
 	defer heapPool.Put(pq)
-	dist = g.start(src, pq)
-	g.dijkstra(dist, prev, pq, needed, 1)
-	return dist, prev
+	dist := g.start(src, pq)
+	g.dijkstra(dist, pq, needed, 1)
+	if math.IsInf(dist[dst], 1) {
+		return 0, false
+	}
+	return dist[dst], true
 }

@@ -92,16 +92,8 @@ func (b *Builder) Build() *Graph {
 // NumNodes returns the vertex count.
 func (g *Graph) NumNodes() int { return len(g.pts) }
 
-// NumArcs returns the directed arc count.
-func (g *Graph) NumArcs() int { return len(g.edges) }
-
 // Point returns the location of a node.
 func (g *Graph) Point(id NodeID) geo.Point { return g.pts[id] }
-
-// OutDegree returns the number of arcs leaving a node.
-func (g *Graph) OutDegree(id NodeID) int {
-	return int(g.offsets[id+1] - g.offsets[id])
-}
 
 // arcs returns the outgoing arcs of v as a shared slice.
 func (g *Graph) arcs(v NodeID) []edge {

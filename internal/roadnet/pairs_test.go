@@ -82,10 +82,10 @@ func TestCostPairsEquivalence(t *testing.T) {
 	}
 
 	// No pairs: nothing is written, read or computed.
-	c.ResetStats()
+	before := c.Stats()
 	c.CostPairs(pts, pts, nil, nil, nil)
 	c.CostPairs(nil, nil, []int32{}, []int32{}, []float64{})
-	if st := c.Stats(); st != (CosterStats{}) {
+	if st := statsSince(c, before); st != (CosterStats{}) {
 		t.Errorf("empty pair lists did work: %+v", st)
 	}
 }
@@ -144,9 +144,9 @@ func TestCostPairsSettlesLess(t *testing.T) {
 		t.Fatal("fixture: need two distinct drivers")
 	}
 	far := append(targets[:len(targets):len(targets)], geo.Point{Lng: geo.NYCBBox.MaxLng, Lat: geo.NYCBBox.MaxLat})
-	sparse.ResetStats()
+	before := sparse.Stats()
 	checkPairs(t, sparse, dense, sources, far, []int32{a, b}, []int32{tgt[0], int32(len(far) - 1)})
-	if st := sparse.Stats(); st.CacheHits != 1 || st.PartialTrees != 1 || st.Resumed != 1 {
+	if st := statsSince(sparse, before); st.CacheHits != 1 || st.PartialTrees != 1 || st.Resumed != 1 {
 		t.Errorf("stats = %+v, want 1 cache hit and 1 resumed partial tree", st)
 	}
 }
@@ -200,5 +200,18 @@ func TestCostPairsConcurrent(t *testing.T) {
 	c.mu.Unlock()
 	if n == 0 || n >= snapMemoCap {
 		t.Errorf("memo holds %d points after the run, want it wiped once and refilled below %d", n, snapMemoCap)
+	}
+}
+
+// statsSince returns the counters c gained since it read before.
+func statsSince(c *GraphCoster, before CosterStats) CosterStats {
+	now := c.Stats()
+	return CosterStats{
+		Trees:        now.Trees - before.Trees,
+		PartialTrees: now.PartialTrees - before.PartialTrees,
+		Resumed:      now.Resumed - before.Resumed,
+		SettledNodes: now.SettledNodes - before.SettledNodes,
+		CacheHits:    now.CacheHits - before.CacheHits,
+		Evictions:    now.Evictions - before.Evictions,
 	}
 }

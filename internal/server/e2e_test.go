@@ -4,14 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"mrvd"
 	"mrvd/internal/load"
-	"mrvd/internal/obs"
 	"mrvd/internal/workload"
 )
 
@@ -120,7 +121,7 @@ func TestEndToEndLoad(t *testing.T) {
 	famTotal := func(name, sample string) float64 {
 		f := fams[name]
 		if f == nil {
-			t.Fatalf("family %s missing; scrape has %v", name, obs.FamilyNames(fams))
+			t.Fatalf("family %s missing; scrape has %v", name, slices.Sorted(maps.Keys(fams)))
 		}
 		var total float64
 		for _, s := range f.Samples {

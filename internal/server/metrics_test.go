@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -143,7 +145,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	count := func(name string) float64 {
 		f := fams[name]
 		if f == nil {
-			t.Fatalf("family %s missing; scrape has %v", name, obs.FamilyNames(fams))
+			t.Fatalf("family %s missing; scrape has %v", name, slices.Sorted(maps.Keys(fams)))
 		}
 		var total float64
 		for _, s := range f.Samples {
@@ -267,7 +269,7 @@ func TestStatsRoadCosterOnce(t *testing.T) {
 	fams := scrapeMetrics(t, ts.URL)
 	phases := fams["mrvd_dispatch_phase_seconds"]
 	if phases == nil {
-		t.Fatalf("mrvd_dispatch_phase_seconds missing; scrape has %v", obs.FamilyNames(fams))
+		t.Fatalf("mrvd_dispatch_phase_seconds missing; scrape has %v", slices.Sorted(maps.Keys(fams)))
 	}
 	timed := false
 	for _, s := range phases.Samples {

@@ -112,9 +112,6 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 	if err != nil {
 		return nil, err
 	}
-	if len(cfg.Sim.Shifts) > 0 && len(cfg.Sim.Shifts) != len(starts) {
-		return nil, fmt.Errorf("shard: %d shifts for %d drivers", len(cfg.Sim.Shifts), len(starts))
-	}
 
 	rt := &Runtime{
 		cfg:        cfg,
@@ -135,14 +132,10 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 	// Deal the fleet: a driver belongs to the shard owning its start
 	// region, keeping its global index for event remapping.
 	shardStarts := make([][]geo.Point, cfg.Shards)
-	shardShifts := make([][]sim.Shift, cfg.Shards)
 	for i, p := range starts {
 		s := part.OwnerOf(p)
 		rt.global[s] = append(rt.global[s], sim.DriverID(i))
 		shardStarts[s] = append(shardStarts[s], p)
-		if len(cfg.Sim.Shifts) > 0 {
-			shardShifts[s] = append(shardShifts[s], cfg.Sim.Shifts[i])
-		}
 	}
 
 	if cs, ok := src.(sim.CancelableSource); ok {
@@ -159,7 +152,6 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		}
 		ecfg.PaceFactor = 0          // Run paces the rounds
 		ecfg.StopWhenDrained = false // Run decides drain city-wide
-		ecfg.Shifts = shardShifts[s]
 		ecfg.Obs.Shard = s
 		if cfg.Shards > 1 && ecfg.Scenario.Enabled() {
 			// Decorrelate the per-shard disruption streams. A 1-shard
@@ -333,11 +325,11 @@ func (rt *Runtime) rehomeFleet() {
 			}
 		})
 		for _, mv := range moves {
-			pos, freeAt, shift, ok := e.RemoveDriver(mv.id)
+			pos, freeAt, ok := e.RemoveDriver(mv.id)
 			if !ok {
 				continue
 			}
-			rt.engines[mv.to].AddDriver(pos, freeAt, shift)
+			rt.engines[mv.to].AddDriver(pos, freeAt)
 			// The new local id is always the next slot, so the global
 			// mapping grows in lockstep with the receiving engine.
 			rt.global[mv.to] = append(rt.global[mv.to], rt.global[i][mv.id])

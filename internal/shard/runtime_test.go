@@ -212,26 +212,6 @@ func TestOneShardParity(t *testing.T) {
 					t.Fatalf("reference run: %+v, want the full trace sized and some served", ref.Summary())
 				}
 			}},
-		{name: "shifts", orders: orders, starts: starts,
-			cfg: func() sim.Config {
-				cfg := base()
-				cfg.Shifts = make([]sim.Shift, len(starts))
-				for i := range cfg.Shifts {
-					switch i % 3 {
-					case 1: // joins an hour in
-						cfg.Shifts[i] = sim.Shift{JoinAt: 3600}
-					case 2: // leaves after two hours
-						cfg.Shifts[i] = sim.Shift{LeaveAt: 2 * 3600}
-					}
-				}
-				return cfg
-			},
-			active: func(t *testing.T, _ *sim.Metrics, events []string) {
-				// 13 of the 40 drivers have not joined at t=0.
-				if !strings.HasSuffix(events[0], " a=27") {
-					t.Fatalf("first batch %q, want 27 available drivers", events[0])
-				}
-			}},
 		{name: "repositioner", orders: orders, starts: starts,
 			cfg: func() sim.Config {
 				cfg := base()
@@ -727,27 +707,16 @@ func TestRuntimeSingleUse(t *testing.T) {
 // re-homing (the city-wide BatchStart fires right behind it) this test
 // scans every engine's whole fleet itself and requires that no available
 // driver stands in a region another shard owns — on 2 and 4 shards, with
-// shift joins and leaves, a repositioner and driver declines (cooldown
-// rejoins) all active. The per-round scan is the check; the pinned
+// a repositioner and driver declines (cooldown rejoins) both active. The per-round scan is the check; the pinned
 // RehomedIn totals only flag a change in how many drivers cross a
 // frontier on this instance.
 func TestRehomingLeavesNobodyMisplaced(t *testing.T) {
 	orders, starts, grid := testInstance(t, 20000, 80)
-	shifts := make([]sim.Shift, len(starts))
-	for i := range shifts {
-		switch i % 4 {
-		case 1:
-			shifts[i].JoinAt = float64(300 * (i%7 + 1))
-		case 2:
-			shifts[i].LeaveAt = 3600 + float64(30*i)
-		}
-	}
-	for _, c := range []struct{ shards, rehomed int }{{2, 65}, {4, 91}} {
+	for _, c := range []struct{ shards, rehomed int }{{2, 76}, {4, 121}} {
 		var rt *Runtime
 		rounds, repositioned, declined := 0, 0, 0
 		cfg := sim.Config{
 			Grid: grid, Delta: 3, TC: 1200, Horizon: 2 * 3600, CandidateCap: 16,
-			Shifts:       shifts,
 			Repositioner: &dispatch.QueueReposition{}, RepositionAfter: 120,
 			Scenario: sim.ScenarioConfig{DeclineProb: 0.2, Seed: 11},
 			Observer: sim.ObserverFuncs{

@@ -134,35 +134,3 @@ func (ctx *Context) PickupCost(d, r int32) float64 {
 	}
 	return ctx.Coster.Cost(ctx.Drivers[d].Pos, ctx.Riders[r].Order.Pickup)
 }
-
-// PairsByRider returns the slice of ctx.Pairs for one rider index,
-// exploiting the rider-grouped ordering.
-func (ctx *Context) PairsByRider(r int32) []Pair {
-	// Binary search for the first pair with R >= r.
-	lo, hi := 0, len(ctx.Pairs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ctx.Pairs[mid].R < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	start := lo
-	for hi = start; hi < len(ctx.Pairs) && ctx.Pairs[hi].R == r; hi++ {
-	}
-	return ctx.Pairs[start:hi]
-}
-
-// PairsByDriver collects the valid pairs involving one driver index.
-// O(|Pairs|); dispatchers needing repeated driver lookups should build
-// their own index once.
-func (ctx *Context) PairsByDriver(d int32) []Pair {
-	var out []Pair
-	for _, p := range ctx.Pairs {
-		if p.D == d {
-			out = append(out, p)
-		}
-	}
-	return out
-}

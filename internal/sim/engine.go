@@ -32,9 +32,6 @@ type Config struct {
 	TC float64
 	// Horizon is the simulated span in seconds (default one day).
 	Horizon float64
-	// MaxCandidatesPerRider caps valid pairs per rider to the nearest
-	// feasible drivers (default 12). It bounds batch cost at scale.
-	MaxCandidatesPerRider int
 	// CandidateCap, when positive, prices only the CandidateCap nearest
 	// drivers per rider — a k-nearest pre-filter on the spatial index
 	// applied before the deadline-feasibility check. The default 0
@@ -44,23 +41,15 @@ type Config struct {
 	// missing a feasible far driver when nearer ones are
 	// deadline-infeasible.
 	CandidateCap int
-	// RadiusSpeedMPS converts a rider's remaining patience into the
-	// search radius for feasible drivers. It must upper-bound the real
-	// travel speed or feasible pairs are missed (default 12).
-	RadiusSpeedMPS float64
 	// PredictRiders returns |^R_k| per region for [now, now+tc]; nil
 	// predicts zeros everywhere.
 	PredictRiders func(now, tc float64) []int
-	// Shifts optionally bounds each driver's working period; when set it
-	// must be parallel to the driver starts. Empty means every driver
-	// works the whole horizon.
-	Shifts []Shift
 	// Repositioner optionally relocates long-idle drivers between
 	// batches; nil disables repositioning (drivers wait where they
 	// dropped off, the paper's base behaviour).
 	Repositioner Repositioner
 	// RepositionAfter is the idle time in seconds before a driver is
-	// offered to the Repositioner (default 300 when one is set).
+	// offered to the Repositioner (default 300).
 	RepositionAfter float64
 	// Observer, when set, receives lifecycle events (batch boundaries,
 	// assignments, reneges, repositions) as they happen.
@@ -132,14 +121,20 @@ func (c Config) withDefaults() Config {
 	if c.Horizon <= 0 {
 		c.Horizon = 24 * 3600
 	}
-	if c.MaxCandidatesPerRider <= 0 {
-		c.MaxCandidatesPerRider = 12
-	}
-	if c.RadiusSpeedMPS <= 0 {
-		c.RadiusSpeedMPS = 12
+	if c.RepositionAfter <= 0 {
+		c.RepositionAfter = 300
 	}
 	return c
 }
+
+// maxCandidatesPerRider caps valid pairs per rider to the nearest
+// feasible drivers. It bounds batch cost at scale.
+const maxCandidatesPerRider = 12
+
+// radiusSpeedMPS converts a rider's remaining patience into the search
+// radius for feasible drivers. It must upper-bound the real travel
+// speed or feasible pairs are missed.
+const radiusSpeedMPS = 12
 
 // IdleEstimating is an optional Dispatcher extension: dispatchers that
 // maintain a queueing model report their per-region idle-time estimate,
@@ -258,9 +253,6 @@ type Engine struct {
 	// are retried in FIFO order every batch.
 	pendingCancels []trace.OrderID
 
-	// shifts is parallel to drivers when configured.
-	shifts []Shift
-
 	metrics Metrics
 	// sized records whether TotalOrders was fixed upfront by a
 	// SizedSource or is counted per admission.
@@ -311,19 +303,9 @@ func NewWithSource(cfg Config, src OrderSource, driverStarts []geo.Point) *Engin
 		e.cancelSrc = cs
 		e.byID = make(map[trace.OrderID]*Rider)
 	}
-	if len(cfg.Shifts) > 0 {
-		if len(cfg.Shifts) != len(driverStarts) {
-			panic(fmt.Sprintf("sim: %d shifts for %d drivers", len(cfg.Shifts), len(driverStarts)))
-		}
-		e.shifts = cfg.Shifts
-	}
 	e.drivers = make([]Driver, len(driverStarts))
 	for i, p := range driverStarts {
 		e.drivers[i] = Driver{ID: DriverID(i), State: Available, Pos: cfg.Grid.Bounds().Clamp(p), FreeAt: 0}
-		if e.shifts != nil && e.shifts[i].JoinAt > 0 {
-			e.drivers[i].State = Offline
-			continue
-		}
 		e.idx.Insert(int32(i), p)
 	}
 	if sized, ok := src.(SizedSource); ok {
@@ -424,18 +406,17 @@ func (e *Engine) Begin() error {
 }
 
 // StepAdmit runs the pre-dispatch phase of the batch at time now: order
-// admission from the source, trip completions, shift changes, rider
-// cancellations (which fire OnCanceled) and rider reneging (which fires
-// OnExpired). Cancellations are processed before reneges: a drawn
-// cancellation time always precedes the deadline, so in model time the
-// rider left first. It must be preceded by Begin and followed — on the
-// same engine goroutine — by StepDispatch for the same now, unless the
-// run is ending.
+// admission from the source, trip completions, rider cancellations
+// (which fire OnCanceled) and rider reneging (which fires OnExpired).
+// Cancellations are processed before reneges: a drawn cancellation
+// time always precedes the deadline, so in model time the rider left
+// first. It must be preceded by Begin and followed — on the same
+// engine goroutine — by StepDispatch for the same now, unless the run
+// is ending.
 func (e *Engine) StepAdmit(now float64) {
 	e.obs.start()
 	e.admitOrders(now)
 	e.rejoinDrivers(now)
-	e.processShifts(now)
 	e.processCancels(now)
 	e.renegeExpired(now)
 	e.obs.lap(phaseAdmit)
@@ -524,7 +505,7 @@ func (e *Engine) Tally() Metrics {
 
 // EachJoined visits, in ascending id order, every driver that became
 // available since the last StepDispatch — the starting fleet, trip,
-// cruise and cooldown completions, shift joins, AddDriver hand-offs —
+// cruise and cooldown completions, AddDriver hand-offs —
 // with the region it stands in. An available driver never moves, so
 // these are the only drivers whose region differs from the one they
 // were last seen in: what a sharded runtime's fleet re-homing checks
@@ -556,39 +537,29 @@ func (e *Engine) EachJoined(f func(id DriverID, region geo.RegionID)) {
 // RemoveDriver withdraws an available driver from this engine — the
 // donor half of cross-engine fleet re-homing. The driver's slot stays
 // allocated but permanently inert (Departed), its open idle-ledger
-// entry is censored like a shift departure, and its position, idle
-// anchor and shift are returned so the receiving engine can re-create
-// it faithfully. Only available drivers can be withdrawn.
-func (e *Engine) RemoveDriver(id DriverID) (pos geo.Point, freeAt float64, shift Shift, ok bool) {
+// entry is censored, and its position and idle anchor are returned so
+// the receiving engine can re-create it faithfully. Only available
+// drivers can be withdrawn.
+func (e *Engine) RemoveDriver(id DriverID) (pos geo.Point, freeAt float64, ok bool) {
 	if int(id) >= len(e.drivers) || e.drivers[id].State != Available {
-		return geo.Point{}, 0, Shift{}, false
+		return geo.Point{}, 0, false
 	}
 	d := &e.drivers[id]
-	pos, freeAt = d.Pos, d.FreeAt
-	if e.shifts != nil {
-		shift = e.shifts[id]
-	}
 	d.State = Departed
 	e.idx.Remove(int32(id))
-	delete(e.openIdle, id) // censored idle entry, like a shift leave
-	return pos, freeAt, shift, true
+	delete(e.openIdle, id) // censored idle entry
+	return d.Pos, d.FreeAt, true
 }
 
 // AddDriver admits a driver handed off by another engine: it joins
 // available at p with its idle anchor (freeAt, the time it last became
-// available) preserved, opening a fresh idle-ledger entry, and keeps
-// its shift bounds. The new local id is returned; the caller maintains
-// any mapping to a global fleet numbering.
-func (e *Engine) AddDriver(p geo.Point, freeAt float64, shift Shift) DriverID {
+// available) preserved, opening a fresh idle-ledger entry. The new
+// local id is returned; the caller maintains any mapping to a global
+// fleet numbering.
+func (e *Engine) AddDriver(p geo.Point, freeAt float64) DriverID {
 	id := DriverID(len(e.drivers))
 	p = e.cfg.Grid.Bounds().Clamp(p)
 	e.drivers = append(e.drivers, Driver{ID: id, State: Available, Pos: p, FreeAt: freeAt})
-	if e.shifts == nil && shift != (Shift{}) {
-		e.shifts = make([]Shift, len(e.drivers)-1)
-	}
-	if e.shifts != nil {
-		e.shifts = append(e.shifts, shift)
-	}
 	e.idx.Insert(int32(id), p)
 	e.openLedger(id, freeAt)
 	return id
@@ -778,16 +749,9 @@ func (e *Engine) rejoinDrivers(now float64) {
 }
 
 // rejoin returns a driver whose work completed at freeAt to the
-// available pool and opens its idle-ledger entry — unless its shift
-// ended meanwhile, in which case it goes offline instead.
+// available pool and opens its idle-ledger entry.
 func (e *Engine) rejoin(id DriverID, freeAt float64) {
 	drv := &e.drivers[id]
-	if e.shifts != nil {
-		if la := e.shifts[id].LeaveAt; la > 0 && freeAt >= la {
-			drv.State = Offline
-			return
-		}
-	}
 	drv.State = Available
 	e.idx.Insert(int32(id), drv.Pos)
 	e.openLedger(id, freeAt)
@@ -810,7 +774,7 @@ func (e *Engine) openLedger(id DriverID, at float64) {
 
 // ledgerOpen reports whether idle-ledger entry rec is still its
 // driver's running one: not closed by an assignment, nor censored by a
-// cruise, a decline, a shift end or a re-homing.
+// cruise, a decline or a re-homing.
 func (e *Engine) ledgerOpen(rec int) bool {
 	open, ok := e.openIdle[e.metrics.IdleRecords[rec].Driver]
 	return ok && open == rec
@@ -873,7 +837,7 @@ func (e *Engine) buildContext(now float64) *Context {
 		a.waitingPerRegion[r.PickupRegion]++
 
 		slack := r.Order.Deadline - now
-		radius := slack * e.cfg.RadiusSpeedMPS
+		radius := slack * radiusSpeedMPS
 		switch {
 		case e.cfg.CandidateCap > 0:
 			a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, r.scan, e.cfg.CandidateCap, radius)
@@ -941,7 +905,7 @@ func (e *Engine) buildContext(now float64) *Context {
 
 	// Valid pairs (Definition 3) become matrix lookups: candidates are
 	// taken nearest-first and kept while the driver can reach the
-	// pickup before the deadline, up to MaxCandidatesPerRider feasible
+	// pickup before the deadline, up to maxCandidatesPerRider feasible
 	// pairs per rider. Lazily priced cells preserve the per-pair path's
 	// work profile — pricing stops with the cap, not at the radius. The
 	// heap yields Within's order whether or not the candidates arrived
@@ -952,7 +916,7 @@ func (e *Engine) buildContext(now float64) *Context {
 		found := 0
 		near := geo.NearestFirst(a.cand[lo:a.candEnd[wi]])
 		near.Init()
-		for found < e.cfg.MaxCandidatesPerRider && len(near) > 0 {
+		for found < maxCandidatesPerRider && len(near) > 0 {
 			nb := near.Pop()
 			slot := a.driverSlot[nb.ID]
 			row := costs[a.driverRow[slot]]
@@ -1292,49 +1256,15 @@ func (e *Engine) Drivers() []Driver { return e.drivers }
 // admission order.
 func (e *Engine) Riders() []*Rider { return e.riders }
 
-// processShifts joins drivers whose shift has started and retires
-// available drivers whose shift has ended. Busy drivers finish their
-// current trip first (handled in rejoinDrivers).
-func (e *Engine) processShifts(now float64) {
-	if e.shifts == nil {
-		return
-	}
-	for i := range e.drivers {
-		d := &e.drivers[i]
-		sh := e.shifts[i]
-		switch d.State {
-		case Offline:
-			// Join once the shift opens, unless it has already closed.
-			if sh.JoinAt <= now && d.Served == 0 && d.FreeAt == 0 &&
-				(sh.LeaveAt == 0 || now < sh.LeaveAt) {
-				d.State = Available
-				d.FreeAt = now
-				e.idx.Insert(int32(i), d.Pos)
-				e.openLedger(DriverID(i), now)
-			}
-		case Available:
-			if sh.LeaveAt > 0 && now >= sh.LeaveAt {
-				d.State = Offline
-				e.idx.Remove(int32(i))
-				delete(e.openIdle, DriverID(i)) // censored idle entry
-			}
-		}
-	}
-}
-
 // reposition offers long-idle available drivers to the configured
 // Repositioner and commits the proposed cruises.
 func (e *Engine) reposition(now float64, ctx *Context) {
 	if e.cfg.Repositioner == nil {
 		return
 	}
-	after := e.cfg.RepositionAfter
-	if after <= 0 {
-		after = 300
-	}
 	for i := range e.drivers {
 		d := &e.drivers[i]
-		if d.State != Available || now-d.FreeAt < after {
+		if d.State != Available || now-d.FreeAt < e.cfg.RepositionAfter {
 			continue
 		}
 		region, _ := e.idx.RegionOf(int32(i))

@@ -371,37 +371,13 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 }
 
-func TestContextPairsByRider(t *testing.T) {
-	ctx := &Context{
-		Pairs: []Pair{
-			{R: 0, D: 1}, {R: 0, D: 2},
-			{R: 2, D: 0},
-		},
-	}
-	if got := ctx.PairsByRider(0); len(got) != 2 {
-		t.Errorf("rider 0 pairs = %d, want 2", len(got))
-	}
-	if got := ctx.PairsByRider(1); len(got) != 0 {
-		t.Errorf("rider 1 pairs = %d, want 0", len(got))
-	}
-	if got := ctx.PairsByRider(2); len(got) != 1 || got[0].D != 0 {
-		t.Errorf("rider 2 pairs wrong: %v", got)
-	}
-	if got := ctx.PairsByDriver(2); len(got) != 1 || got[0].R != 0 {
-		t.Errorf("driver 2 pairs wrong: %v", got)
-	}
-}
-
 func TestMetricsHelpers(t *testing.T) {
 	m := &Metrics{BatchSeconds: []float64{0.1, 0.3, 0.2}}
 	if got := m.AvgBatchSeconds(); math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("avg = %v", got)
 	}
-	if got := m.MaxBatchSeconds(); got != 0.3 {
-		t.Errorf("max = %v", got)
-	}
 	empty := &Metrics{}
-	if empty.AvgBatchSeconds() != 0 || empty.MaxBatchSeconds() != 0 || empty.ServiceRate() != 0 {
+	if empty.AvgBatchSeconds() != 0 || empty.ServiceRate() != 0 {
 		t.Error("empty metrics helpers nonzero")
 	}
 }

@@ -127,15 +127,22 @@ func TestEngineObsOneSpanPerTerminalOrder(t *testing.T) {
 	if served != int64(m.Served) || reneged != int64(m.Reneged) {
 		t.Errorf("terminal counters served=%d reneged=%d, want %d/%d", served, reneged, m.Served, m.Reneged)
 	}
-	phases := reg.HistogramVec("mrvd_dispatch_phase_seconds", "", obs.DefBuckets, "phase")
+	phases := map[string]int64{} // phase -> observations
+	for _, f := range reg.Gather() {
+		if f.Name == "mrvd_dispatch_phase_seconds" {
+			for _, s := range f.Samples {
+				phases[s.Labels[0]] = s.Count
+			}
+		}
+	}
 	for _, phase := range []string{"build", "dispatch", "apply"} {
-		if got := phases.With(phase).Count(); got != int64(m.Batches) {
+		if got := phases[phase]; got != int64(m.Batches) {
 			t.Errorf("phase %q count = %d, want %d batches", phase, got, m.Batches)
 		}
 	}
 	// The final admit step may run without a dispatch step, so admit
 	// rounds can exceed Batches by the tail step but never lag.
-	if got := phases.With("admit").Count(); got < int64(m.Batches) {
+	if got := phases["admit"]; got < int64(m.Batches) {
 		t.Errorf("admit phase count = %d, want >= %d", got, m.Batches)
 	}
 }

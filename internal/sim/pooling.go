@@ -329,7 +329,7 @@ func (e *Engine) buildPoolOptions(now float64, ctx *Context) {
 
 	// Geometric prefilter: an insertion can only reach the new pickup
 	// from some existing stop before the rider's deadline, and
-	// RadiusSpeedMPS upper-bounds travel speed — the same reachability
+	// radiusSpeedMPS upper-bounds travel speed — the same reachability
 	// argument the solo candidate radius uses.
 	cands := make([][]int, len(e.waiting))
 	any := false
@@ -342,7 +342,7 @@ func (e *Engine) buildPoolOptions(now float64, ctx *Context) {
 				if slack < 0 {
 					break // stops are time-ordered; later ones are worse
 				}
-				if geo.Equirect(s.Pos, r.Order.Pickup) <= slack*e.cfg.RadiusSpeedMPS {
+				if geo.Equirect(s.Pos, r.Order.Pickup) <= slack*radiusSpeedMPS {
 					near = true
 					break
 				}
@@ -422,7 +422,7 @@ func (e *Engine) buildPoolOptions(now float64, ctx *Context) {
 		}
 		found := 0
 		for _, pi := range list {
-			if found >= e.cfg.MaxCandidatesPerRider {
+			if found >= maxCandidatesPerRider {
 				break
 			}
 			evaluated++

@@ -112,19 +112,12 @@ func TestSimulationInvariantsUnderRandomScenarios(t *testing.T) {
 	}
 }
 
-func TestSimulationInvariantsWithRepositioningAndShifts(t *testing.T) {
+func TestSimulationInvariantsWithRepositioning(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
 		orders, drivers := randomScenario(rng)
-		shifts := make([]Shift, len(drivers))
-		for i := range shifts {
-			if rng.Intn(2) == 0 {
-				shifts[i] = Shift{JoinAt: rng.Float64() * 1000, LeaveAt: 2000 + rng.Float64()*2000}
-			}
-		}
 		cfg := Config{
 			Delta: 5, TC: 600, Horizon: 4000,
-			Shifts:          shifts,
 			Repositioner:    randomRepositioner{rng: rand.New(rand.NewSource(int64(trial)))},
 			RepositionAfter: 120,
 		}

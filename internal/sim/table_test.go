@@ -12,36 +12,25 @@ import (
 
 // TestDriverTableReuseMatchesRebuild runs batches with every layer that
 // moves drivers in or out of the available index — declines and
-// cancellations, pooled plans, cruises, shift joins and leaves — and
-// checks in every batch that the driver table buildContext handed the
-// dispatcher (patched from the index's change log, left as it was when
-// the log is empty) equals one rebuilt from the index from scratch.
-// Two trials stress the patch: in one a shift wave moves three
-// quarters of the fleet into the index in a single batch (and out of
-// it at the wave's end); in
-// the other Engine.AddDriver grows the fleet mid-run between admission
-// and dispatch, as fleet re-homing does, moving e.drivers under the
+// cancellations, pooled plans, cruises, Engine.RemoveDriver and
+// Engine.AddDriver — and checks in every batch that the driver table
+// buildContext handed the dispatcher (patched from the index's change
+// log, left as it was when the log is empty) equals one rebuilt from
+// the index from scratch. Two trials stress the patch: in one a wave
+// withdraws three quarters of the available fleet from the index in a
+// single batch and adds as many drivers back in a later one; in the
+// other AddDriver grows the fleet mid-run between admission and
+// dispatch, as fleet re-homing does, moving e.drivers under the
 // table's pointers.
 func TestDriverTableReuseMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const waveTrial, growTrial = 6, 7
+	const waveOut, waveIn = 1, 200 // batches the wave leaves and rejoins in
 	reused, patched, waves, moved := 0, 0, 0, 0
 	for trial := 0; trial < 8; trial++ {
 		orders, drivers := randomScenario(rng)
-		shifts := make([]Shift, len(drivers))
-		for i := range shifts {
-			switch {
-			case trial == waveTrial:
-				if i%4 != 0 {
-					shifts[i] = Shift{JoinAt: 1000, LeaveAt: 3000}
-				}
-			case rng.Intn(2) == 0:
-				shifts[i] = Shift{JoinAt: rng.Float64() * 1000, LeaveAt: 2000 + rng.Float64()*2000}
-			}
-		}
 		cfg := Config{
 			Delta: 5, TC: 600, Horizon: 4000,
-			Shifts:          shifts,
 			Repositioner:    randomRepositioner{rng: rand.New(rand.NewSource(int64(trial)))},
 			RepositionAfter: 60,
 			Scenario:        ScenarioConfig{CancelRate: 0.2, DeclineProb: 0.2, TravelNoise: 0.2, Seed: int64(trial)},
@@ -53,7 +42,7 @@ func TestDriverTableReuseMatchesRebuild(t *testing.T) {
 				reused++
 			} else {
 				patched++
-				if trial == waveTrial && ctx.Now > 0 && 2*n >= len(e.drivers) {
+				if trial == waveTrial && (ctx.Now == waveOut*cfg.Delta || ctx.Now == waveIn*cfg.Delta) && 2*n >= len(drivers) {
 					waves++
 				}
 			}
@@ -88,18 +77,32 @@ func TestDriverTableReuseMatchesRebuild(t *testing.T) {
 		cfg = cfg.withDefaults()
 		e = New(cfg, orders, drivers)
 		var m *Metrics
-		if trial == growTrial {
+		if trial == waveTrial || trial == growTrial {
 			if err := e.Begin(); err != nil {
 				t.Fatal(err)
 			}
+			var left []geo.Point // positions of the drivers the wave withdrew
 			for batch, now := 0, 0.0; now < cfg.Horizon; batch, now = batch+1, now+cfg.Delta {
 				e.StepAdmit(now)
-				if batch%9 == 4 {
+				switch {
+				case trial == waveTrial && batch == waveOut:
+					for id := range e.drivers {
+						if id%4 != 0 {
+							if pos, _, ok := e.RemoveDriver(DriverID(id)); ok {
+								left = append(left, pos)
+							}
+						}
+					}
+				case trial == waveTrial && batch == waveIn:
+					for _, pos := range left {
+						e.AddDriver(pos, now)
+					}
+				case trial == growTrial && batch%9 == 4:
 					before := &e.drivers[0]
 					e.AddDriver(geo.Point{
 						Lng: geo.NYCBBox.MinLng + rng.Float64()*(geo.NYCBBox.MaxLng-geo.NYCBBox.MinLng),
 						Lat: geo.NYCBBox.MinLat + rng.Float64()*(geo.NYCBBox.MaxLat-geo.NYCBBox.MinLat),
-					}, now, Shift{})
+					}, now)
 					if &e.drivers[0] != before {
 						moved++
 					}
@@ -117,9 +120,9 @@ func TestDriverTableReuseMatchesRebuild(t *testing.T) {
 		}
 		checkRunInvariants(t, e, m)
 	}
-	if reused == 0 || patched == 0 || waves == 0 || moved == 0 {
-		t.Fatalf("%d batches with an empty change log, %d patched, %d shift-wave batches moving half the fleet, %d AddDriver calls moving the fleet; the run must exercise each",
+	if reused == 0 || patched == 0 || waves < 2 || moved == 0 {
+		t.Fatalf("%d batches with an empty change log, %d patched, %d of 2 wave batches moving half the fleet, %d AddDriver calls moving the fleet; the run must exercise each",
 			reused, patched, waves, moved)
 	}
-	t.Logf("%d batches reused the driver table, %d patched it (%d in shift waves); AddDriver moved the fleet %d times", reused, patched, waves, moved)
+	t.Logf("%d batches reused the driver table, %d patched it (%d in waves); AddDriver moved the fleet %d times", reused, patched, waves, moved)
 }

@@ -16,24 +16,14 @@ type DriverID int32
 type DriverState uint8
 
 // Driver states: available (free to assign), busy (picking up or
-// delivering a rider, or cruising to a reposition target), offline
-// (outside the driver's shift), or departed (handed off to another
-// engine by a sharded runtime's fleet re-homing; the local slot stays
-// inert forever).
+// delivering a rider, or cruising to a reposition target), or departed
+// (handed off to another engine by a sharded runtime's fleet
+// re-homing; the local slot stays inert forever).
 const (
 	Available DriverState = iota
 	Busy
-	Offline
 	Departed
 )
-
-// Shift bounds a driver's working period — the paper's driver lifetime
-// T_j from joining to exiting the platform. The zero value means the
-// whole simulation horizon.
-type Shift struct {
-	JoinAt  float64
-	LeaveAt float64 // 0 means never
-}
 
 // Driver is one vehicle in the simulation.
 type Driver struct {
@@ -291,17 +281,6 @@ func (m *Metrics) BatchSecondsQuantile(p float64) float64 {
 	s := append([]float64(nil), m.BatchSeconds...)
 	sort.Float64s(s)
 	return stats.NearestRank(s, p)
-}
-
-// MaxBatchSeconds returns the worst-case dispatcher wall time.
-func (m *Metrics) MaxBatchSeconds() float64 {
-	max := 0.0
-	for _, b := range m.BatchSeconds {
-		if b > max {
-			max = b
-		}
-	}
-	return max
 }
 
 // ServiceRate returns the fraction of orders served.

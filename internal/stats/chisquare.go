@@ -2,9 +2,7 @@ package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 )
 
 // ChiSquareCDF returns the CDF of the chi-square distribution with k
@@ -119,15 +117,6 @@ type ChiSquareResult struct {
 	Alpha     float64
 	Lambda    float64 // fitted Poisson mean
 	Reject    bool    // true if Statistic > Critical
-}
-
-func (r ChiSquareResult) String() string {
-	verdict := "fail to reject H0 (Poisson plausible)"
-	if r.Reject {
-		verdict = "reject H0"
-	}
-	return fmt.Sprintf("r=%d k=%.4f chi2_%d(%.2f)=%.3f lambda=%.3f: %s",
-		r.Bins, r.Statistic, r.DF, r.Alpha, r.Critical, r.Lambda, verdict)
 }
 
 // minExpectedPerBin is the conventional floor on expected bin counts for
@@ -286,27 +275,4 @@ func PoissonHistogram(samples []int, width int) []HistogramBin {
 		})
 	}
 	return bins
-}
-
-// Quantile returns the q-quantile (0..1) of the data using linear
-// interpolation. It copies and sorts its input.
-func Quantile(data []float64, q float64) float64 {
-	if len(data) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), data...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[i]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
 }

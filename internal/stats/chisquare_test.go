@@ -168,23 +168,3 @@ func TestPoissonHistogramEmpty(t *testing.T) {
 		t.Errorf("want nil for empty input, got %v", bins)
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	data := []float64{4, 1, 3, 2, 5}
-	if got := Quantile(data, 0); got != 1 {
-		t.Errorf("q0 = %v, want 1", got)
-	}
-	if got := Quantile(data, 1); got != 5 {
-		t.Errorf("q1 = %v, want 5", got)
-	}
-	if got := Quantile(data, 0.5); got != 3 {
-		t.Errorf("median = %v, want 3", got)
-	}
-	if got := Quantile(nil, 0.5); !math.IsNaN(got) {
-		t.Errorf("empty quantile = %v, want NaN", got)
-	}
-	// Input must not be mutated.
-	if data[0] != 4 {
-		t.Error("Quantile mutated its input")
-	}
-}

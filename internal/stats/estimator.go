@@ -18,12 +18,6 @@ type Interval struct {
 	Confidence float64 `json:"confidence"`
 }
 
-// Lo returns the interval's lower bound.
-func (iv Interval) Lo() float64 { return iv.Mean - iv.Half }
-
-// Hi returns the interval's upper bound.
-func (iv Interval) Hi() float64 { return iv.Mean + iv.Half }
-
 // Estimator aggregates trial observations for experiment cells: it
 // keeps Summary's streaming Welford moments and additionally retains
 // the samples, so it can report nearest-rank quantiles and Student-t
@@ -46,9 +40,6 @@ func (e *Estimator) AddAll(xs []float64) {
 		e.Add(x)
 	}
 }
-
-// Samples returns the retained observations in insertion order.
-func (e *Estimator) Samples() []float64 { return e.samples }
 
 // NearestRank returns the nearest-rank p-quantile of an ascending
 // slice: its ceil(p*n)-th smallest element, clamped to the first and

@@ -56,8 +56,6 @@ func TestMeanCIFixture(t *testing.T) {
 	iv := e.MeanCI(0.95)
 	approx(t, iv.Mean, 5, 1e-12, "ci mean")
 	approx(t, iv.Half, 2.364624*math.Sqrt(32.0/7.0)/math.Sqrt(8), 1e-4, "ci half")
-	approx(t, iv.Lo(), iv.Mean-iv.Half, 1e-12, "lo")
-	approx(t, iv.Hi(), iv.Mean+iv.Half, 1e-12, "hi")
 	if iv.N != 8 || iv.Confidence != 0.95 {
 		t.Errorf("interval metadata %+v", iv)
 	}
@@ -192,23 +190,4 @@ func TestPairedCompareFixture(t *testing.T) {
 	if _, err := PairedCompare(nil, nil, 0.95); err == nil {
 		t.Error("empty input should error")
 	}
-}
-
-// TestEstimatorMatchesSummaryMerge: Estimator's embedded moments must
-// agree with Summary's parallel merge over the same data split.
-func TestEstimatorMatchesSummaryMerge(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	var e Estimator
-	e.AddAll(xs)
-	var a, b Summary
-	for i, x := range xs {
-		if i < 5 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	approx(t, e.Mean(), a.Mean(), 1e-12, "merged mean")
-	approx(t, e.Var(), a.Var(), 1e-12, "merged var")
 }

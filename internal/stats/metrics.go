@@ -86,36 +86,11 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// Merge folds another summary into this one (parallel Welford).
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	mean := s.mean + d*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
-}
-
 // Count returns the number of observations.
 func (s *Summary) Count() int { return s.n }
 
 // Mean returns the sample mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
 
 // Var returns the unbiased sample variance (0 for fewer than 2 samples).
 func (s *Summary) Var() float64 {

@@ -100,29 +100,6 @@ func Categorical(rng *rand.Rand, weights []float64) int {
 	return len(weights) - 1
 }
 
-// TruncNormal draws a normal sample with the given mean and standard
-// deviation, rejected into [lo, hi]. It falls back to clamping after a
-// bounded number of rejections so it cannot loop forever on degenerate
-// bounds.
-func TruncNormal(rng *rand.Rand, mean, sd, lo, hi float64) float64 {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for i := 0; i < 64; i++ {
-		x := mean + sd*rng.NormFloat64()
-		if x >= lo && x <= hi {
-			return x
-		}
-	}
-	return math.Min(hi, math.Max(lo, mean))
-}
-
-// LogNormal draws a log-normal sample parameterized by the mean and
-// standard deviation of the underlying normal.
-func LogNormal(rng *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*rng.NormFloat64())
-}
-
 // PoissonPMF returns P(X = k) for X ~ Poisson(lambda), computed in log
 // space so large lambda/k do not overflow.
 func PoissonPMF(lambda float64, k int) float64 {

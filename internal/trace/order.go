@@ -39,9 +39,6 @@ func (o Order) Valid() error {
 	return nil
 }
 
-// Patience returns how long the rider is willing to wait for pickup.
-func (o Order) Patience() float64 { return o.Deadline - o.PostTime }
-
 // SortByPostTime sorts orders in place by posting time, breaking ties by
 // id so replay order is deterministic.
 func SortByPostTime(orders []Order) {
@@ -69,31 +66,6 @@ func CountPerSlot(orders []Order, grid *geo.Grid, slotSeconds, horizon float64) 
 			continue
 		}
 		r := grid.Region(o.Pickup)
-		if r == geo.InvalidRegion {
-			continue
-		}
-		counts[slot][r]++
-	}
-	return counts
-}
-
-// DropoffCountPerSlot buckets orders by destination region and the slot
-// of their *expected completion*: the paper treats order destinations as
-// the birth locations of rejoining drivers (Appendix B), so supply
-// prediction trains on this matrix. completionDelay estimates trip
-// duration; zero buckets by post time.
-func DropoffCountPerSlot(orders []Order, grid *geo.Grid, slotSeconds, horizon, completionDelay float64) [][]int {
-	numSlots := int(horizon/slotSeconds) + 1
-	counts := make([][]int, numSlots)
-	for i := range counts {
-		counts[i] = make([]int, grid.NumRegions())
-	}
-	for _, o := range orders {
-		slot := int((o.PostTime + completionDelay) / slotSeconds)
-		if slot < 0 || slot >= numSlots {
-			continue
-		}
-		r := grid.Region(o.Dropoff)
 		if r == geo.InvalidRegion {
 			continue
 		}

@@ -44,13 +44,6 @@ func TestOrderValid(t *testing.T) {
 	}
 }
 
-func TestPatience(t *testing.T) {
-	o := Order{PostTime: 100, Deadline: 280}
-	if got := o.Patience(); got != 180 {
-		t.Errorf("Patience = %v, want 180", got)
-	}
-}
-
 func TestSortByPostTime(t *testing.T) {
 	orders := []Order{
 		{ID: 2, PostTime: 50, Deadline: 60},
@@ -135,18 +128,5 @@ func TestCountPerSlot(t *testing.T) {
 	}
 	if total != 3 {
 		t.Errorf("total bucketed = %d, want 3 (outside orders dropped)", total)
-	}
-}
-
-func TestDropoffCountPerSlotShiftsByDelay(t *testing.T) {
-	grid := geo.NewNYCGrid()
-	center := geo.NYCBBox.Center()
-	orders := []Order{
-		{ID: 0, PostTime: 10, Dropoff: center, Deadline: 100},
-	}
-	counts := DropoffCountPerSlot(orders, grid, 1800, 7200, 2000)
-	r := grid.Region(center)
-	if counts[0][r] != 0 || counts[1][r] != 1 {
-		t.Errorf("delay shift wrong: slot0=%d slot1=%d", counts[0][r], counts[1][r])
 	}
 }

@@ -250,9 +250,6 @@ func normalize(w []float64) {
 // Grid exposes the city's spatial partition.
 func (c *City) Grid() *geo.Grid { return c.cfg.Grid }
 
-// Config returns the (defaulted) configuration.
-func (c *City) Config() CityConfig { return c.cfg }
-
 // Intensity returns the expected number of orders posted in the given
 // region during the one-minute slot starting at minute m of the given
 // day, including the day's global factor.

@@ -48,7 +48,7 @@ func TestGenerateDayBasicShape(t *testing.T) {
 		if grid.Region(o.Dropoff) == geo.InvalidRegion {
 			t.Fatalf("order %d dropoff outside grid", i)
 		}
-		pat := o.Patience()
+		pat := o.Deadline - o.PostTime
 		if pat < 121 || pat > 130 {
 			t.Fatalf("order %d patience %v outside tau+[1,10]", i, pat)
 		}
@@ -265,7 +265,7 @@ func TestSampleDestDistanceDecay(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := NewCity(CityConfig{})
-	cfg := c.Config()
+	cfg := c.cfg
 	if cfg.Grid == nil || cfg.OrdersPerDay <= 0 || cfg.BaseWaitSeconds <= 0 ||
 		len(cfg.Hotspots) == 0 || cfg.TripDecayMeters <= 0 {
 		t.Errorf("defaults not applied: %+v", cfg)

@@ -36,9 +36,6 @@ func TestServiceOptionDefaulting(t *testing.T) {
 	if o.Delta != 3 || o.TC != 1200 || o.Horizon != 24*3600 {
 		t.Errorf("default timing = (%v, %v, %v), want (3, 1200, 86400)", o.Delta, o.TC, o.Horizon)
 	}
-	if o.SlotSeconds != 1800 {
-		t.Errorf("default slot = %v, want 1800", o.SlotSeconds)
-	}
 	if o.City == nil {
 		t.Error("default city not materialized")
 	}
@@ -638,8 +635,8 @@ func (w *failAfter) Write(p []byte) (int, error) {
 
 // TestSpanTracerWriteFailureLeavesRunIntact: a span tracer whose writer
 // fails partway through a replay stops tracing, not dispatching — the
-// run completes with the untraced Summary, Err reports the write error
-// and Count the spans written before it.
+// run completes with the untraced Summary, Close reports the write
+// error and Count the spans written before it.
 func TestSpanTracerWriteFailureLeavesRunIntact(t *testing.T) {
 	const written = 25
 	opts := []Option{
@@ -661,8 +658,8 @@ func TestSpanTracerWriteFailureLeavesRunIntact(t *testing.T) {
 	if traced.Summary() != plain.Summary() {
 		t.Errorf("a failing tracer moved the run:\n traced %+v\n  plain %+v", traced.Summary(), plain.Summary())
 	}
-	if !errors.Is(tracer.Err(), full) {
-		t.Errorf("tracer.Err() = %v, want %v", tracer.Err(), full)
+	if err := tracer.Close(); !errors.Is(err, full) {
+		t.Errorf("tracer.Close() = %v, want %v", err, full)
 	}
 	if got := tracer.Count(); got != written {
 		t.Errorf("tracer.Count() = %d, want the %d spans written before the failure", got, written)
