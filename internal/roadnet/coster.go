@@ -204,8 +204,7 @@ type treeCache struct {
 // treeSlot is one cached tree. Callers must check a distance against
 // the tree's horizon before trusting it. A slot holds at most one
 // float64 per node plus the tree's frontier — one queue entry per
-// tentative distance the run improved and has not yet settled, at most
-// one per arc — and a complete tree has no frontier.
+// reached node not yet settled — and a complete tree has no frontier.
 type treeSlot struct {
 	node NodeID
 	spTree

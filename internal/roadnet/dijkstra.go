@@ -2,74 +2,8 @@ package roadnet
 
 import (
 	"math"
-	"sync"
+	"slices"
 )
-
-// pqItem is one entry of the Dijkstra priority queue.
-type pqItem struct {
-	node NodeID
-	dist float64
-}
-
-// minHeap is a binary min-heap of pqItems keyed on dist. Push and pop
-// work on the concrete element type, so nothing is boxed and, once the
-// backing array has grown, nothing is allocated.
-type minHeap []pqItem
-
-func (h *minHeap) push(it pqItem) {
-	q := append(*h, it)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q[p].dist <= it.dist {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = it
-	*h = q
-}
-
-// pop removes and returns a minimum item. The heap must not be empty.
-func (h *minHeap) pop() pqItem {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q = q[:n]
-	// Sift last down from the root. Which child is smaller is a coin
-	// toss the branch predictor loses, so where both exist the choice
-	// is written as an index increment the compiler makes branch-free.
-	i, c := 0, 1
-	for c+1 < n {
-		k := 0
-		if q[c+1].dist < q[c].dist {
-			k = 1
-		}
-		c += k
-		child := q[c]
-		if child.dist >= last.dist {
-			break
-		}
-		q[i] = child
-		i = c
-		c = 2*c + 1
-	}
-	if c < n && q[c].dist < last.dist { // a lone left child at the bottom
-		q[i] = q[c]
-		i = c
-	}
-	if n > 0 {
-		q[i] = last
-	}
-	*h = q
-	return top
-}
-
-// heapPool recycles queue backing arrays across runs: a run borrows
-// one, and whatever outlives the run (a tree's frontier) is copied out.
-var heapPool = sync.Pool{New: func() any { return new(minHeap) }}
 
 // spTree is a resumable single-source shortest-path result. Every dist
 // entry <= horizon is final and its node settled; every other entry is
@@ -89,81 +23,106 @@ type spTree struct {
 func (t spTree) covers(n NodeID) bool { return t.dist != nil && t.dist[n] <= t.horizon }
 
 // dijkstra is the one Dijkstra loop (lazy deletion: a stale queue entry
-// is skipped when popped). It advances the run held in dist and pq
-// until remaining nodes marked in needed have been settled — or, with
-// a nil mask, until the queue drains.
+// is skipped when popped). It advances the run held in dist and q until
+// remaining nodes marked in needed have been settled — or, with a nil
+// mask, until the queue drains, reporting horizon +Inf.
 //
-// The stop is taken after the last needed node's arcs are relaxed and
-// after every other node at the same distance is settled too. So on
-// return the settled set is exactly {v : dist[v] <= horizon}, whatever
-// order ties popped in, and the queue is the run's complete unsettled
-// state: a later call with the same dist and pq is this run continued,
-// which is why resumed distances equal a single run's bitwise. A
-// drained queue reports horizon +Inf.
+// Where the graph has a bucket width, every arc costs at least two, so
+// settling an entry cannot improve another in its bucket: a bucket
+// drains in any order and each node still settles at the float a heap
+// would give it. A bucket holding a needed node (and, without a width,
+// the queue's one heap) drains in key order, and the stop is
+// taken after the last needed node's arcs are relaxed and every other
+// node at the same distance is settled. So the settled set is exactly
+// {v : dist[v] <= horizon}, whatever order ties popped in, and the
+// queue is the run's complete unsettled state: a later call with the
+// same dist and queue is this run continued, which is why resumed
+// distances equal a single run's bitwise.
 //
 // settled counts finalized nodes, the unit of shortest-path work
 // GraphCoster.Stats reports.
-func (g *Graph) dijkstra(dist []float64, pq *minHeap, needed []bool, remaining int) (settled int, horizon float64) {
+func (g *Graph) dijkstra(dist []float64, q *bucketQueue, needed []bool, remaining int) (settled int, horizon float64) {
 	horizon = math.Inf(1)
-	h := *pq
-	for len(h) > 0 && h[0].dist <= horizon {
-		item := h.pop()
-		if item.dist > dist[item.node] {
-			continue // stale entry
+	for b := q.least(); b != nil; b = q.least() {
+		if q.inv > 0 && (needed == nil || remaining <= 0 || !slices.ContainsFunc(*b, func(it pqItem) bool {
+			return needed[it.node] && it.dist == dist[it.node]
+		})) {
+			items := *b
+			*b = items[:0]
+			for _, it := range items {
+				if it.dist == dist[it.node] {
+					settled++
+					g.relax(it, dist, q)
+				}
+			}
+			continue
 		}
-		settled++
-		if needed != nil && needed[item.node] {
-			if remaining--; remaining == 0 {
-				horizon = item.dist
+		h := (*minHeap)(b)
+		h.init()
+		for len(*h) > 0 && (*h)[0].dist <= horizon {
+			it := h.pop()
+			if it.dist > dist[it.node] {
+				continue // stale entry
+			}
+			settled++
+			if needed != nil && needed[it.node] {
+				if remaining--; remaining == 0 {
+					horizon = it.dist
+				}
+			}
+			n := len(*h)
+			g.relax(it, dist, q)
+			for i := n; q.inv == 0 && i < len(*h); i++ {
+				h.up(i) // without a width, pushes land in this heap
 			}
 		}
-		for _, e := range g.arcs(item.node) {
-			if nd := item.dist + e.cost; nd < dist[e.to] {
-				dist[e.to] = nd
-				h.push(pqItem{node: e.to, dist: nd})
-			}
+		if horizon < math.Inf(1) {
+			break
 		}
-	}
-	*pq = h
-	if len(h) == 0 {
-		horizon = math.Inf(1)
 	}
 	return settled, horizon
 }
 
-// start returns the state of a run from src before its first pop: all
-// distances +Inf but src's, and src queued in pq. An out-of-range src
-// leaves the queue empty.
-func (g *Graph) start(src NodeID, pq *minHeap) []float64 {
-	dist := make([]float64, g.NumNodes())
-	for i := range dist {
-		dist[i] = math.Inf(1)
+// relax queues every node the arcs of it.node reach at a lower distance.
+func (g *Graph) relax(it pqItem, dist []float64, q *bucketQueue) {
+	for _, e := range g.arcs(it.node) {
+		if nd := it.dist + e.cost; nd < dist[e.to] {
+			dist[e.to] = nd
+			q.push(pqItem{node: e.to, dist: nd})
+		}
 	}
-	*pq = (*pq)[:0]
-	if src >= 0 && int(src) < len(dist) {
-		dist[src] = 0
-		pq.push(pqItem{node: src})
-	}
-	return dist
 }
 
 // extend continues t, src's tree so far (the zero spTree when nothing
-// has been computed yet), until remaining more nodes marked in needed
-// are settled, or until the queue drains when needed is nil. Callers
-// count as remaining only marked nodes t does not cover. t is left
-// untouched; the result lives in fresh slices.
+// has been computed yet, and an out-of-range src reaches nothing), until
+// remaining more nodes marked in needed are settled, or until the queue
+// drains when needed is nil. Callers count as remaining only marked
+// nodes t does not cover. t is left untouched; the result lives in
+// fresh slices. A run that stops with only stale entries queued has
+// settled every node it reaches, so it is published complete.
 func (g *Graph) extend(src NodeID, t spTree, needed []bool, remaining int) (next spTree, settled int) {
-	pq := heapPool.Get().(*minHeap)
-	defer heapPool.Put(pq)
 	var dist []float64
 	if t.dist == nil {
-		dist = g.start(src, pq)
+		dist = make([]float64, g.NumNodes())
+		for i := range dist {
+			dist[i] = math.Inf(1)
+		}
+		if src >= 0 && int(src) < len(dist) {
+			dist[src] = 0
+			t.frontier = []pqItem{{node: src}}
+		}
 	} else {
 		dist = append([]float64(nil), t.dist...)
-		*pq = append((*pq)[:0], t.frontier...)
 	}
-	settled, horizon := g.dijkstra(dist, pq, needed, remaining)
-	return spTree{dist: dist, frontier: append([]pqItem(nil), *pq...), horizon: horizon}, settled
+	q := queuePool.Get().(*bucketQueue)
+	defer queuePool.Put(q)
+	q.load(g, t.frontier)
+	settled, horizon := g.dijkstra(dist, q, needed, remaining)
+	frontier := q.frontier(dist)
+	if len(frontier) == 0 {
+		horizon = math.Inf(1)
+	}
+	return spTree{dist: dist, frontier: frontier, horizon: horizon}, settled
 }
 
 // ShortestPathTree computes distances from src to every node, returning
@@ -186,12 +145,9 @@ func (g *Graph) ShortestPath(src, dst NodeID) (float64, bool) {
 	}
 	needed := make([]bool, n)
 	needed[dst] = true
-	pq := heapPool.Get().(*minHeap)
-	defer heapPool.Put(pq)
-	dist := g.start(src, pq)
-	g.dijkstra(dist, pq, needed, 1)
-	if math.IsInf(dist[dst], 1) {
-		return 0, false
+	t, _ := g.extend(src, spTree{}, needed, 1)
+	if d := t.dist[dst]; d < math.Inf(1) {
+		return d, true
 	}
-	return dist[dst], true
+	return 0, false
 }

@@ -3,6 +3,7 @@ package roadnet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -34,7 +35,8 @@ func TestMinHeapMatchesSort(t *testing.T) {
 				continue
 			}
 			k := rng.Intn(20)
-			h.push(pqItem{node: NodeID(k), dist: float64(k)})
+			h = append(h, pqItem{node: NodeID(k), dist: float64(k)})
+			h.up(len(h) - 1)
 			queued = append(queued, float64(k))
 			sort.Float64s(queued)
 		}
@@ -51,14 +53,16 @@ func TestMinHeapMatchesSort(t *testing.T) {
 var raceDetector bool
 
 // TestDijkstraAllocations pins the allocation-free core: heap pushes
-// and pops allocate nothing once the backing array has grown, and a
-// full tree on the default 48x48 grid allocates its dist slice and
-// little else (the interface-boxed queue allocated 6,773 objects).
+// (an append and up) and pops allocate nothing once the backing array
+// has grown, and a full tree on the default 48x48 grid allocates its
+// dist slice and little else (the interface-boxed queue allocated
+// 6,773 objects).
 func TestDijkstraAllocations(t *testing.T) {
 	h := make(minHeap, 0, 64)
 	if n := testing.AllocsPerRun(100, func() {
 		for k := 0; k < 64; k++ {
-			h.push(pqItem{node: NodeID(k), dist: float64((k * 37) % 64)})
+			h = append(h, pqItem{node: NodeID(k), dist: float64((k * 37) % 64)})
+			h.up(len(h) - 1)
 		}
 		for len(h) > 0 {
 			h.pop()
@@ -205,6 +209,121 @@ func TestExtendEquivalence(t *testing.T) {
 			}
 			if totalSettled != reached {
 				t.Fatalf("graph %d src %d: %d nodes settled over all extensions, %d are reachable", gi, src, totalSettled, reached)
+			}
+		}
+	}
+}
+
+// heapOnly returns g with its bucket width cleared, so its runs queue
+// on the binary heap alone.
+func heapOnly(g *Graph) *Graph {
+	h := *g
+	h.width, h.buckets = 0, 0
+	return &h
+}
+
+// randomTies builds a connected random graph whose arcs cost whole
+// seconds from 1 to 4, so equal distances are everywhere and the
+// bucket width is half a second.
+func randomTies(seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := NewBuilder()
+	const n = 60
+	for i := 0; i < n; i++ {
+		b.AddNode(geo.Point{Lng: float64(i)})
+	}
+	b.AddArc(0, 1, 1)
+	b.AddArc(1, 0, 4)
+	for v := 1; v < n; v++ {
+		b.AddEdge(NodeID(v), NodeID(rng.Intn(v)), float64(1+rng.Intn(4)))
+	}
+	for k := 0; k < 2*n; k++ {
+		b.AddArc(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), float64(1+rng.Intn(4)))
+	}
+	return b.Build()
+}
+
+// sortedFrontier returns t's frontier ordered by key, then node.
+func sortedFrontier(t spTree) []pqItem {
+	f := append([]pqItem(nil), t.frontier...)
+	sort.Slice(f, func(i, j int) bool {
+		return f[i].dist < f[j].dist || f[i].dist == f[j].dist && f[i].node < f[j].node
+	})
+	return f
+}
+
+// TestBucketQueueMatchesHeap grows the same trees twice, on the bucket
+// queue and on the binary heap, over graphs full of ties and over the
+// default 48x48 grid: every extension must settle the same number of
+// nodes, stop at the same horizon with the same frontier and leave
+// every distance bitwise the same. Graphs a bucket cannot key — a
+// 0-cost arc, a +Inf arc, a spread past 2^16, arcs so light 1/width
+// overflows — keep width 0.
+func TestBucketQueueMatchesHeap(t *testing.T) {
+	if g := randomTies(1); g.width != 0.5 || g.buckets != 11 {
+		t.Fatalf("1..4 s arcs: width %v, %d buckets; want 0.5 and 11", g.width, g.buckets)
+	}
+	for name, costs := range map[string][]float64{
+		"0-cost arc": {1, 0}, "+Inf arc": {1, math.Inf(1)}, "spread past 2^16": {1, 1<<16 + 1}, "no arc": nil,
+		"subnormal arcs, 1/width overflows": {1e-310, 2e-310},
+	} {
+		b := NewBuilder()
+		b.AddNode(geo.Point{})
+		b.AddNode(geo.Point{})
+		for _, c := range costs {
+			b.AddArc(0, 1, c)
+		}
+		if g := b.Build(); g.width != 0 {
+			t.Errorf("%s: width %v, want 0", name, g.width)
+		} else if d, ok := g.ShortestPath(0, 1); ok != (len(costs) > 0) || ok && d != min(costs[0], costs[1]) {
+			t.Errorf("%s: ShortestPath(0, 1) = %v, %v", name, d, ok)
+		}
+	}
+
+	graphs := []*Graph{GenerateGridNetwork(GridNetworkConfig{Seed: 1})}
+	for seed := int64(1); seed <= 4; seed++ {
+		graphs = append(graphs, randomTies(seed))
+	}
+	rng := rand.New(rand.NewSource(3))
+	for gi, g := range graphs {
+		heap := heapOnly(g)
+		n := g.NumNodes()
+		for trial := 0; trial < 10; trial++ {
+			src := NodeID(rng.Intn(n))
+			var bt, ht spTree
+			for step := 0; step < 8; step++ {
+				needed, uncovered := make([]bool, n), 0
+				for k := 1 + rng.Intn(4); k > 0; k-- {
+					if v := rng.Intn(n); !needed[v] {
+						needed[v] = true
+						if !bt.covers(NodeID(v)) {
+							uncovered++
+						}
+					}
+				}
+				if step == 7 {
+					needed, uncovered = nil, 0 // drain what is left
+				} else if uncovered == 0 {
+					continue
+				}
+				nb, sb := g.extend(src, bt, needed, uncovered)
+				nh, sh := heap.extend(src, ht, needed, uncovered)
+				if sb != sh || nb.horizon != nh.horizon {
+					t.Fatalf("graph %d src %d step %d: buckets settled %d to horizon %v, heap %d to %v",
+						gi, src, step, sb, nb.horizon, sh, nh.horizon)
+				}
+				for v := range nb.dist {
+					if math.Float64bits(nb.dist[v]) != math.Float64bits(nh.dist[v]) {
+						t.Fatalf("graph %d src %d step %d: dist[%d] = %v on buckets, %v on the heap", gi, src, step, v, nb.dist[v], nh.dist[v])
+					}
+				}
+				if fb, fh := sortedFrontier(nb), sortedFrontier(nh); !slices.Equal(fb, fh) {
+					t.Fatalf("graph %d src %d step %d: frontiers differ:\n  buckets %v\n  heap    %v", gi, src, step, fb, fh)
+				}
+				bt, ht = nb, nh
+			}
+			if !math.IsInf(bt.horizon, 1) {
+				t.Fatalf("graph %d src %d: not drained, horizon %v", gi, src, bt.horizon)
 			}
 		}
 	}

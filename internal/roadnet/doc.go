@@ -1,9 +1,18 @@
 // Package roadnet implements the road-network substrate the paper's
 // problem definition is stated on: a weighted graph G = <V, E> where each
-// edge carries a travel cost, plus single-source shortest paths (one
-// Dijkstra loop over a typed binary heap), nearest-node snapping for arbitrary lat/lng
-// coordinates, and a synthetic Manhattan-style grid network generator for
-// cities where no real map is shipped.
+// edge carries a travel cost, plus single-source shortest paths,
+// nearest-node snapping for arbitrary lat/lng coordinates, and a
+// synthetic Manhattan-style grid network generator for cities where no
+// real map is shipped.
+//
+// Shortest paths run one Dijkstra loop over Dial's bucket queue, each
+// bucket half the lightest arc wide, so a relaxation always lands at
+// least one bucket past the one being drained and no entry can improve
+// another in its own bucket: any drain order settles every node at the
+// float a binary heap gives. Only a bucket holding a target is drained
+// in key order, so a run stops at the same horizon with the same
+// settled set; a graph with a 0-cost arc, or arcs spread beyond 2^16,
+// keeps a typed binary heap.
 //
 // Dispatch algorithms never touch the graph directly; they consume a
 // Coster, which is either graph-backed (shortest-path travel time) or the

@@ -51,6 +51,7 @@ func TestBuilderPanics(t *testing.T) {
 	b.AddNode(geo.Point{})
 	assertPanics("out of range", func() { b.AddArc(0, 5, 1) })
 	assertPanics("negative cost", func() { b.AddArc(0, 0, -1) })
+	assertPanics("NaN cost", func() { b.AddArc(0, 0, math.NaN()) })
 }
 
 func TestShortestPathDiamond(t *testing.T) {

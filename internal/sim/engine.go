@@ -580,7 +580,7 @@ const riderSlabSize = 256
 // pickup instead of a full tree per order, with values bitwise-identical
 // to per-pair Cost queries (the BatchCoster contract). The call is the
 // dense one, not CostPairs over the diagonal: bench/'s traced coster
-// times the wave through Costs and is frozen (ROADMAP item 3(e)).
+// times the wave through Costs and is frozen (ROADMAP item 4(d)).
 func (e *Engine) admitOrders(now float64) {
 	ready, done := e.src.Poll(now)
 	e.srcDone = done

@@ -48,3 +48,9 @@ var pinnedAtParent = map[string]map[string]pinned{
 var pinnedRoadWork = pinned{Summary: sim.Summary{Revenue: 266798.1539761335, Served: 476, Reneged: 617, Canceled: 0, Declines: 0, TotalOrders: 1113, Batches: 720, PickupSeconds: 36727.33587508734, IdleClosed: 476, IdleSeconds: 314559.1412445401, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 386666.66666666674, InfEstimates: 4, TravelRecords: 0}
 
 const pinnedRoadWorkSettled = 991807.0
+
+// pinnedRoadWorkExact is the shortest-path work TestPinnedRoadWork's
+// replay costs with trees priced pair by pair and extended only as far
+// as each batch reads, recorded with the binary-heap queue: the bucket
+// queue settles the same nodes.
+var pinnedRoadWorkExact = struct{ SettledNodes, PartialTrees int64 }{SettledNodes: 492187, PartialTrees: 1283}
