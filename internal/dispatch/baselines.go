@@ -118,10 +118,12 @@ func (UPPER) Assign(ctx *sim.Context) []sim.Assignment {
 	for i := range riders {
 		riders[i] = int32(i)
 	}
+	// A rider without a valid pair has no trip priced yet: ctx.TripCost
+	// prices it.
 	sort.Slice(riders, func(i, j int) bool {
-		ri, rj := ctx.Riders[riders[i]], ctx.Riders[riders[j]]
-		if ri.TripCost != rj.TripCost {
-			return ri.TripCost > rj.TripCost
+		ti, tj := ctx.TripCost(riders[i]), ctx.TripCost(riders[j])
+		if ti != tj {
+			return ti > tj
 		}
 		return riders[i] < riders[j]
 	})

@@ -25,8 +25,11 @@
 // Dispatchers never price travel themselves: the engine prices each
 // batch's candidate (driver, rider) pairs up front through one
 // roadnet.PairCoster call, and every sim.Pair carries its matrix-backed
-// PickupCost and TripCost. What-if costs beyond the precomputed pairs
-// go through sim.Context.PickupCost (a matrix lookup with a Coster
-// fallback) or a whole Context.PickupCosts.Row slice — never per-pair
-// Coster.Cost calls in inner loops.
+// PickupCost and its rider's TripCost, priced the first batch the rider
+// holds a valid pair. A rider without one has no trip priced yet
+// (Rider.TripCost is NaN): read it through sim.Context.TripCost, which
+// prices it once, as UPPER does. What-if costs beyond the precomputed
+// pairs go through sim.Context.PickupCost (a matrix lookup with a
+// Coster fallback) or a whole Context.PickupCosts.Row slice — never
+// per-pair Coster.Cost calls in inner loops.
 package dispatch

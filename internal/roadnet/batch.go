@@ -24,8 +24,12 @@ import (
 // Implementing it is the pricing policy: the engine prices a
 // BatchCoster in one call per batch (the candidate pairs, through
 // CostPairs when the coster is a PairCoster and picked out of one dense
-// Costs matrix otherwise), one per admission wave and two per pooling
-// search, and prices a plain Coster cell by cell as it reads them.
+// Costs matrix otherwise), one Costs call per chunk of at most 256
+// trips — pickup to dropoff, for the riders that hold their first valid
+// pair or pool option that batch, read off the diagonal — and two per
+// pooling search, and prices a plain Coster cell by cell as it reads
+// them. A trip no batch priced (a rider without a pair ranked by UPPER)
+// costs one Cost query, once.
 // Implement it when one call amortizes per-source work across targets
 // (a shortest-path tree per unique source) or per-call overhead across
 // cells (one RPC to a routing service); a closed form, O(1) per cell,

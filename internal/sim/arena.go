@@ -60,9 +60,10 @@ type batchArena struct {
 	pairCost         []float64
 	pairs            []Pair
 
-	// trips, pickups and dropoffs are an admission wave's trip costs and
-	// the endpoints of the chunk being priced.
-	trips             []float64
+	// unpriced lists the riders whose trip the batch reads first: they
+	// hold a valid pair or a pool candidate for the first time. pickups
+	// and dropoffs are the trip chunk priceTrips is pricing.
+	unpriced          []*Rider
 	pickups, dropoffs []geo.Point
 
 	// usedR and usedD mark what apply committed this batch: a cell equal

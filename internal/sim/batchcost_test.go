@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -184,35 +185,85 @@ func (c *countingBatchCoster) Costs(sources, targets []geo.Point) [][]float64 {
 
 // TestEngineHonorsCustomBatchCoster pins the API promise that a custom
 // native BatchCoster is priced through batched Costs calls only — one
-// for the admission wave's trip costs, one for the batch's pickup-cost
-// matrix — never per-pair Cost queries.
+// per batch for the pickup-cost matrix, plus one for the trips of the
+// riders that hold their first valid pair in it — never per-pair Cost
+// queries. Admission prices nothing, and a rider out of every driver's
+// reach is never priced.
 func TestEngineHonorsCustomBatchCoster(t *testing.T) {
 	pickup := center()
-	orders := []trace.Order{{
-		ID: 0, PostTime: 10, Pickup: pickup,
-		Dropoff:  offset(pickup, 2000),
-		Deadline: 130,
-	}}
+	orders := []trace.Order{
+		{ID: 0, PostTime: 10, Pickup: pickup, Dropoff: offset(pickup, 2000), Deadline: 130},
+		{ID: 1, PostTime: 10, Pickup: offset(pickup, -5000), Dropoff: pickup, Deadline: 130},
+	}
 	cc := &countingBatchCoster{Coster: roadnet.NewDefaultCoster()}
 	cfg := simpleConfig()
 	cfg.Coster = cc
 	e := NewWithSource(cfg, NewSliceSource(orders), []geo.Point{offset(pickup, 400)})
 	e.admitOrders(11)
-	if cc.batchCalls != 1 {
-		t.Fatalf("admission wave made %d Costs calls, want 1", cc.batchCalls)
+	if cc.batchCalls != 0 || cc.pairCalls != 0 {
+		t.Fatalf("admission made %d Costs and %d Cost calls, want none", cc.batchCalls, cc.pairCalls)
 	}
-	if cc.pairCalls != 0 {
-		t.Fatalf("admission pricing made %d per-pair Cost calls, want 0", cc.pairCalls)
+	// The second batch's rider was priced in the first: one call, the
+	// pickup matrix.
+	for _, step := range []struct {
+		now       float64
+		wantCalls int
+	}{{11, 2}, {14, 3}} {
+		now, wantCalls := step.now, step.wantCalls
+		ctx := e.buildContext(now)
+		if cc.batchCalls != wantCalls {
+			t.Fatalf("t=%v: custom BatchCoster got %d Costs calls in total, want %d", now, cc.batchCalls, wantCalls)
+		}
+		if cc.pairCalls != 0 {
+			t.Fatalf("t=%v: batch pricing made %d per-pair Cost calls, want 0", now, cc.pairCalls)
+		}
+		if len(ctx.Pairs) != 1 || math.IsNaN(ctx.Pairs[0].TripCost) {
+			t.Fatalf("t=%v: got pairs %+v, want one priced pair", now, ctx.Pairs)
+		}
 	}
-	ctx := e.buildContext(11)
-	if cc.batchCalls != 2 {
-		t.Fatalf("custom BatchCoster got %d Costs calls, want 2 (admission + pickup matrix)", cc.batchCalls)
+	if trip := e.Riders()[1].TripCost; !math.IsNaN(trip) {
+		t.Fatalf("unpaired rider priced: %v", trip)
 	}
-	if cc.pairCalls != 0 {
-		t.Fatalf("candidate pricing made %d per-pair Cost calls, want 0", cc.pairCalls)
+}
+
+// servesFirstIgnoringPickup is a custom dispatcher in UPPER's manner:
+// it serves waiting rider 0 with available driver 0, ignoring pickup
+// distance and never reading a trip. pairs records ctx.Pairs' length.
+type servesFirstIgnoringPickup struct{ pairs *int }
+
+func (servesFirstIgnoringPickup) Name() string { return "servesFirstIgnoringPickup" }
+func (d servesFirstIgnoringPickup) Assign(ctx *Context) []Assignment {
+	if len(ctx.Riders) == 0 || len(ctx.Drivers) == 0 {
+		return nil
 	}
-	if len(ctx.Pairs) != 1 {
-		t.Fatalf("got %d pairs, want 1", len(ctx.Pairs))
+	*d.pairs = len(ctx.Pairs)
+	return []Assignment{{R: 0, D: 0, IgnorePickup: true}}
+}
+
+// TestApplyPricesUnpairedTrip: on a road coster, an IgnorePickup
+// assignment of a rider that holds no valid pair — so no batch priced
+// its trip — books the trip Cost prices as revenue, not the unpriced
+// NaN.
+func TestApplyPricesUnpairedTrip(t *testing.T) {
+	g := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Rows: 20, Cols: 20, Seed: 23})
+	pickup := center()
+	o := trace.Order{ID: 0, PostTime: 0, Pickup: pickup, Dropoff: offset(pickup, 2000), Deadline: 600}
+	cfg := simpleConfig()
+	cfg.Coster = roadnet.NewGraphCoster(g)
+	cfg.Horizon = 3
+	pairs := -1
+	// The driver starts on the grid's east edge, beyond the 7.2 km a
+	// 600 s deadline allows.
+	m, err := New(cfg, []trace.Order{o}, []geo.Point{offset(pickup, 30000)}).Run(context.Background(), servesFirstIgnoringPickup{&pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs != 0 {
+		t.Fatalf("the rider held %d valid pairs, want none", pairs)
+	}
+	want := roadnet.NewGraphCoster(g).Cost(o.Pickup, o.Dropoff)
+	if m.Served != 1 || m.Revenue != want {
+		t.Fatalf("served %d for revenue %v, want 1 for the trip's %v", m.Served, m.Revenue, want)
 	}
 }
 

@@ -134,3 +134,14 @@ func (ctx *Context) PickupCost(d, r int32) float64 {
 	}
 	return ctx.Coster.Cost(ctx.Drivers[d].Pos, ctx.Riders[r].Order.Pickup)
 }
+
+// TripCost returns rider r's trip cost. Every Pair and PoolOption
+// already carries its rider's; any other rider's trip may be unpriced
+// (NaN), and is priced here with one Coster query and kept on the Rider.
+func (ctx *Context) TripCost(r int32) float64 {
+	rider := ctx.Riders[r]
+	if math.IsNaN(rider.TripCost) {
+		rider.TripCost = ctx.Coster.Cost(rider.Order.Pickup, rider.Order.Dropoff)
+	}
+	return rider.TripCost
+}

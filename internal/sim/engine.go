@@ -23,8 +23,10 @@ type Config struct {
 	// Coster prices travel; nil defaults to roadnet.NewDefaultCoster().
 	// Costers that implement roadnet.BatchCoster are priced one call per
 	// batch — the batch's candidate pairs, through CostPairs when they
-	// also implement roadnet.PairCoster; plain Costers are priced cell
-	// by cell. See buildContext for the exact batched-versus-lazy rules.
+	// also implement roadnet.PairCoster — plus one Costs call for the
+	// trips of riders holding their first valid pair; plain Costers are
+	// priced cell by cell. See buildContext and priceTrips for the exact
+	// batched-versus-lazy rules.
 	Coster roadnet.Coster
 	// Delta is the batch interval in seconds (default 3, Table 2).
 	Delta float64
@@ -200,8 +202,9 @@ type Engine struct {
 	srcDone bool
 	// dense is cfg.Coster when it implements roadnet.BatchCoster — one
 	// CostPairs call per batch (through densePairs when the coster has
-	// only Costs), one Costs call per admission wave, two per pooling
-	// search — and nil for plain Costers, priced lazily, cell by cell.
+	// only Costs), one Costs call per chunk of newly paired riders'
+	// trips, two per pooling search — and nil for plain Costers, priced
+	// lazily, cell by cell.
 	dense   roadnet.PairCoster
 	drivers []Driver
 
@@ -571,59 +574,14 @@ const riderSlabSize = 256
 // admitOrders pulls newly posted orders from the source into the waiting
 // set. Orders from non-validating custom sources are checked here: a
 // structurally broken order is a programming error and panics, matching
-// New's construction-time check.
-//
-// Trip costs (pickup→dropoff) for the whole admission wave are priced
-// through one BatchCoster.Costs call when the coster batches natively —
-// the same batched-versus-lazy policy buildContext applies to pickup
-// costs. A graph coster then runs one truncated Dijkstra per unique
-// pickup instead of a full tree per order, with values bitwise-identical
-// to per-pair Cost queries (the BatchCoster contract). The call is the
-// dense one, not CostPairs over the diagonal: bench/'s traced coster
-// times the wave through Costs and is frozen (ROADMAP item 4(d)).
+// New's construction-time check. A rider's trip is priced later, by the
+// first batch that reads it (priceTrips).
 func (e *Engine) admitOrders(now float64) {
 	ready, done := e.src.Poll(now)
 	e.srcDone = done
-	if len(ready) == 0 {
-		return
-	}
 	for _, o := range ready {
 		if err := o.Valid(); err != nil {
 			panic(fmt.Sprintf("sim: %v", err))
-		}
-	}
-	var trips []float64
-	if e.dense != nil {
-		// Only the matrix diagonal is read, so the wave is chunked:
-		// Costs is dense, and one call over a huge backlog wave (a
-		// replay's first batch can admit the whole queue) would build
-		// an n×n slab to read n cells. Within a chunk the graph coster
-		// still dedups sources and truncates each expansion at the
-		// chunk's dropoffs; across chunks its tree cache carries the
-		// reuse.
-		const chunk = 256
-		a := &e.arena
-		a.trips = slices.Grow(a.trips[:0], len(ready))[:len(ready)]
-		trips = a.trips
-		for lo := 0; lo < len(ready); lo += chunk {
-			hi := min(lo+chunk, len(ready))
-			a.pickups, a.dropoffs = a.pickups[:0], a.dropoffs[:0]
-			for _, o := range ready[lo:hi] {
-				a.pickups = append(a.pickups, o.Pickup)
-				a.dropoffs = append(a.dropoffs, o.Dropoff)
-			}
-			matrix := e.dense.Costs(a.pickups, a.dropoffs)
-			for i := range matrix {
-				trips[lo+i] = matrix[i][i]
-			}
-		}
-	}
-	for i, o := range ready {
-		trip := 0.0
-		if trips != nil {
-			trip = trips[i]
-		} else {
-			trip = e.cfg.Coster.Cost(o.Pickup, o.Dropoff)
 		}
 		if len(e.riderSlab) == 0 {
 			e.riderSlab = make([]Rider, riderSlabSize)
@@ -633,7 +591,7 @@ func (e *Engine) admitOrders(now float64) {
 		*r = Rider{
 			Order:        o,
 			Status:       WaitingStatus,
-			TripCost:     trip,
+			TripCost:     math.NaN(),
 			PickupRegion: e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(o.Pickup)),
 			DestRegion:   e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(o.Dropoff)),
 			scan:         e.idx.Prepare(o.Pickup),
@@ -799,8 +757,9 @@ func (e *Engine) renegeExpired(now float64) {
 }
 
 // buildContext snapshots the batch state, prices the batch's candidate
-// driver-to-pickup pairs in one PairCoster call, and precomputes valid
-// pairs as matrix lookups. Every slice is the arena's; the header
+// driver-to-pickup pairs in one PairCoster call, precomputes valid
+// pairs as matrix lookups, and prices the trips their riders hold for
+// the first time (priceTrips). Every slice is the arena's; the header
 // (Context plus CostMatrix, one object) must stay fresh — dispatchers
 // key per-batch caches on the *Context they were handed.
 func (e *Engine) buildContext(now float64) *Context {
@@ -910,7 +869,7 @@ func (e *Engine) buildContext(now float64) *Context {
 	// work profile — pricing stops with the cap, not at the radius. The
 	// heap yields Within's order whether or not the candidates arrived
 	// sorted, and leaves a.cand permuted.
-	a.pairs = a.pairs[:0]
+	a.pairs, a.unpriced = a.pairs[:0], a.unpriced[:0]
 	lo := 0
 	for wi, r := range e.waiting {
 		found := 0
@@ -936,10 +895,12 @@ func (e *Engine) buildContext(now float64) *Context {
 				R:          int32(wi),
 				D:          slot,
 				PickupCost: pc,
-				TripCost:   r.TripCost,
 				DestRegion: r.DestRegion,
 			})
 			found++
+		}
+		if found > 0 && math.IsNaN(r.TripCost) {
+			a.unpriced = append(a.unpriced, r)
 		}
 		lo = a.candEnd[wi]
 	}
@@ -968,10 +929,53 @@ func (e *Engine) buildContext(now float64) *Context {
 		RiderRegion:        a.riderRegion,
 		DriverRegion:       a.driverRegion,
 	}
+	// Pool candidates' trips are priced with the paired riders', before
+	// pool.Best reads them.
+	var plans []poolPlan
+	var cands [][]int
 	if e.ps != nil {
-		e.buildPoolOptions(now, &frame.ctx)
+		plans, cands = e.poolCandidates(now)
+	}
+	e.priceTrips()
+	if e.ps != nil {
+		e.buildPoolOptions(&frame.ctx, plans, cands)
 	}
 	return &frame.ctx
+}
+
+// priceTrips prices the trips the batch reads that no earlier batch
+// priced — a.unpriced, the riders holding their first valid pair or
+// pool candidate — and copies them into the batch's pairs; a rider that
+// reneges unpaired is never priced. A batch coster prices them in dense
+// Costs calls, a plain Coster cell by cell, as with pickup costs. Only
+// the diagonal is read, so the riders are chunked: within a chunk a
+// graph coster dedups pickups and stops each search at the chunk's
+// dropoffs. The values are bitwise those of per-pair Cost (the
+// BatchCoster contract).
+func (e *Engine) priceTrips() {
+	const chunk = 256
+	a := &e.arena
+	unpriced := a.unpriced
+	if e.dense == nil {
+		for _, r := range unpriced {
+			r.TripCost = e.cfg.Coster.Cost(r.Order.Pickup, r.Order.Dropoff)
+		}
+	}
+	for lo := 0; e.dense != nil && lo < len(unpriced); lo += chunk {
+		part := unpriced[lo:min(lo+chunk, len(unpriced))]
+		a.pickups, a.dropoffs = a.pickups[:0], a.dropoffs[:0]
+		for _, r := range part {
+			a.pickups = append(a.pickups, r.Order.Pickup)
+			a.dropoffs = append(a.dropoffs, r.Order.Dropoff)
+		}
+		matrix := e.dense.Costs(a.pickups, a.dropoffs)
+		for i, r := range part {
+			r.TripCost = matrix[i][i]
+		}
+	}
+	for i := range a.pairs {
+		a.pairs[i].TripCost = a.riders[a.pairs[i].R].TripCost
+	}
 }
 
 // patchDriverTable brings the driver table — Drivers, DriverRegion,
@@ -1106,7 +1110,7 @@ func (e *Engine) apply(now float64, ctx *Context, assignments []Assignment) erro
 					drv.ID, rider.Order.ID, now+pickupCost, rider.Order.Deadline)
 			}
 		}
-		trip := rider.TripCost
+		trip := ctx.TripCost(a.R)
 
 		// Driver decline: the scenario may reject the commitment. The
 		// rider stays waiting with its deadline unchanged (re-dispatched

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"mrvd/internal/geo"
 	"mrvd/internal/pool"
@@ -213,11 +216,12 @@ func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedPool m
 		return false, nil
 	}
 
+	trip := ctx.TripCost(a.R)
 	req := pool.Request{
 		Order:    rider.Order.ID,
 		Pickup:   rider.Order.Pickup,
 		Dropoff:  rider.Order.Dropoff,
-		Trip:     rider.TripCost,
+		Trip:     trip,
 		Deadline: rider.Order.Deadline,
 	}
 	leg := func(v float64) float64 { return v }
@@ -254,8 +258,8 @@ func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedPool m
 	d.Served++
 	e.insertFutureRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(pos)), end)
 
-	e.ps.riders[rider.Order.ID] = &pooledRider{r: rider, revenue: rider.TripCost, pickup: wait}
-	e.metrics.Revenue += rider.TripCost
+	e.ps.riders[rider.Order.ID] = &pooledRider{r: rider, revenue: trip, pickup: wait}
+	e.metrics.Revenue += trip
 	e.metrics.PickupSeconds += wait
 	e.metrics.Served++
 
@@ -265,10 +269,10 @@ func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedPool m
 			Rider:         rider,
 			Driver:        opt.Driver,
 			PickupCost:    wait,
-			Revenue:       rider.TripCost,
+			Revenue:       trip,
 			FreeAt:        dropAt,
 			Shared:        true,
-			DetourSeconds: dropAt - pickupAt - rider.TripCost,
+			DetourSeconds: dropAt - pickupAt - trip,
 			Onboard:       p.Onboard,
 			Stops:         len(p.Stops),
 			Dest:          pos,
@@ -278,13 +282,13 @@ func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedPool m
 	return true, nil
 }
 
-// buildPoolOptions prices the batch's feasible shared-ride insertions.
-// Candidate (plan, rider) pairs pass a cheap geometric prefilter, the
-// leg costs they need are priced through the batch coster's
-// many-to-many matrices (two dense calls: plan stops to rider points
-// and back), and pool.Best then runs entirely against the memoized
-// matrix values — insertion evaluation stays batched, not per-pair.
-func (e *Engine) buildPoolOptions(now float64, ctx *Context) {
+// buildPoolOptions prices the batch's feasible shared-ride insertions
+// among poolCandidates' (plan, rider) candidates: the leg costs they
+// need are priced through the batch coster's many-to-many matrices (two
+// dense calls: plan stops to rider points and back), and pool.Best then
+// runs entirely against the memoized matrix values — insertion
+// evaluation stays batched, not per-pair.
+func (e *Engine) buildPoolOptions(ctx *Context, plans []poolPlan, cands [][]int) {
 	ps := e.ps
 	ctx.PoolCapacity = ps.cfg.Capacity
 	memo := make(map[legKey]float64)
@@ -298,62 +302,7 @@ func (e *Engine) buildPoolOptions(now float64, ctx *Context) {
 		return v
 	}
 	ps.cost = cost
-	if len(e.waiting) == 0 || len(ps.plans) == 0 {
-		return
-	}
-
-	// Insertable plans in driver-id order for determinism. A plan at
-	// 2*Capacity stops is chain-saturated and skipped, as is a driver
-	// still cooling down from a declined insertion.
-	type candidate struct {
-		id DriverID
-		p  *pool.Plan
-	}
-	var plans []candidate
-	for id := range e.drivers {
-		p, ok := ps.plans[DriverID(id)]
-		if !ok || len(p.Stops) >= 2*ps.cfg.Capacity {
-			continue
-		}
-		if until, ok := ps.noInsertUntil[DriverID(id)]; ok {
-			if until > now {
-				continue
-			}
-			delete(ps.noInsertUntil, DriverID(id))
-		}
-		plans = append(plans, candidate{DriverID(id), p})
-	}
-	if len(plans) == 0 {
-		return
-	}
-
-	// Geometric prefilter: an insertion can only reach the new pickup
-	// from some existing stop before the rider's deadline, and
-	// radiusSpeedMPS upper-bounds travel speed — the same reachability
-	// argument the solo candidate radius uses.
-	cands := make([][]int, len(e.waiting))
-	any := false
-	for wi, r := range e.waiting {
-		deadline := r.Order.Deadline
-		for pi, c := range plans {
-			near := false
-			for _, s := range c.p.Stops {
-				slack := deadline - s.ETA
-				if slack < 0 {
-					break // stops are time-ordered; later ones are worse
-				}
-				if geo.Equirect(s.Pos, r.Order.Pickup) <= slack*radiusSpeedMPS {
-					near = true
-					break
-				}
-			}
-			if near {
-				cands[wi] = append(cands[wi], pi)
-				any = true
-			}
-		}
-	}
-	if !any {
+	if cands == nil {
 		return
 	}
 
@@ -436,4 +385,78 @@ func (e *Engine) buildPoolOptions(now float64, ctx *Context) {
 		}
 	}
 	e.obs.poolSearch(evaluated, feasible)
+}
+
+// poolPlan is an active route plan open to insertion this batch.
+type poolPlan struct {
+	id DriverID
+	p  *pool.Plan
+}
+
+// poolCandidates lists the batch's insertable plans and, per waiting
+// rider, the plans a geometric prefilter keeps (nil when none), and
+// queues the trips of those riders the pair loop did not for pricing.
+func (e *Engine) poolCandidates(now float64) (plans []poolPlan, cands [][]int) {
+	ps := e.ps
+	if len(e.waiting) == 0 || len(ps.plans) == 0 {
+		return nil, nil
+	}
+
+	// Insertable plans in driver-id order for determinism. A plan at
+	// 2*Capacity stops is chain-saturated and skipped, as is a driver
+	// still cooling down from a declined insertion.
+	for id := range e.drivers {
+		p, ok := ps.plans[DriverID(id)]
+		if !ok || len(p.Stops) >= 2*ps.cfg.Capacity {
+			continue
+		}
+		if until, ok := ps.noInsertUntil[DriverID(id)]; ok {
+			if until > now {
+				continue
+			}
+			delete(ps.noInsertUntil, DriverID(id))
+		}
+		plans = append(plans, poolPlan{DriverID(id), p})
+	}
+	if len(plans) == 0 {
+		return nil, nil
+	}
+
+	// Geometric prefilter: an insertion can only reach the new pickup
+	// from some existing stop before the rider's deadline, and
+	// radiusSpeedMPS upper-bounds travel speed — the same reachability
+	// argument the solo candidate radius uses.
+	cands = make([][]int, len(e.waiting))
+	any := false
+	for wi, r := range e.waiting {
+		deadline := r.Order.Deadline
+		for pi, c := range plans {
+			near := false
+			for _, s := range c.p.Stops {
+				slack := deadline - s.ETA
+				if slack < 0 {
+					break // stops are time-ordered; later ones are worse
+				}
+				if geo.Equirect(s.Pos, r.Order.Pickup) <= slack*radiusSpeedMPS {
+					near = true
+					break
+				}
+			}
+			if near {
+				cands[wi] = append(cands[wi], pi)
+				any = true
+			}
+		}
+		if len(cands[wi]) > 0 && math.IsNaN(r.TripCost) {
+			// a.pairs is sorted by rider: one with a pair is queued.
+			a := &e.arena
+			if _, paired := slices.BinarySearchFunc(a.pairs, int32(wi), func(p Pair, r int32) int { return cmp.Compare(p.R, r) }); !paired {
+				a.unpriced = append(a.unpriced, r)
+			}
+		}
+	}
+	if !any {
+		return nil, nil
+	}
+	return plans, cands
 }

@@ -54,10 +54,10 @@ const (
 	CanceledStatus
 )
 
-// Rider wraps an order with its runtime status and per-order constants
-// the engine precomputes at admission (trip cost, pickup and destination
-// regions, the pickup's scan geometry). Status, Shared and Driver share
-// one word.
+// Rider wraps an order with its runtime status and per-order constants:
+// the pickup and destination regions and the pickup's scan geometry,
+// computed at admission, and the trip cost, priced the first batch it is
+// read. Status, Shared and Driver share one word.
 type Rider struct {
 	Order  trace.Order
 	Status RiderStatus
@@ -68,7 +68,9 @@ type Rider struct {
 	// Driver is the assigned driver, valid when Status == AssignedStatus.
 	Driver DriverID
 	// TripCost is cost(s_i, e_i) in seconds under the run's coster — the
-	// order's revenue at alpha = 1.
+	// order's revenue at alpha = 1. It is NaN until a batch reads it:
+	// the first batch the rider holds a valid pair or a pool option, or
+	// on demand through Context.TripCost (UPPER, IgnorePickup commits).
 	TripCost float64
 	// PickupRegion and DestRegion are the regions of the pickup and
 	// dropoff points (clamped into the grid).

@@ -50,7 +50,14 @@ var pinnedRoadWork = pinned{Summary: sim.Summary{Revenue: 266798.1539761335, Ser
 const pinnedRoadWorkSettled = 991807.0
 
 // pinnedRoadWorkExact is the shortest-path work TestPinnedRoadWork's
-// replay costs with trees priced pair by pair and extended only as far
-// as each batch reads, recorded with the binary-heap queue: the bucket
-// queue settles the same nodes.
-var pinnedRoadWorkExact = struct{ SettledNodes, PartialTrees int64 }{SettledNodes: 492187, PartialTrees: 1283}
+// replay costs with pickup trees priced pair by pair and extended only
+// as far as each batch reads, and each trip priced the first batch its
+// rider holds a valid pair.
+var pinnedRoadWorkExact = struct{ SettledNodes, PartialTrees int64 }{SettledNodes: 149873, PartialTrees: 960}
+
+// pinnedRoadTripReaders holds TestPinnedRoadTripReaders' expectations,
+// recorded at commit 4356c6f.
+var pinnedRoadTripReaders = map[string]pinned{
+	"pooling": {Summary: sim.Summary{Revenue: 269257.9290764303, Served: 480, Reneged: 613, Canceled: 0, Declines: 0, TotalOrders: 1113, Batches: 720, PickupSeconds: 37633.38800869457, IdleClosed: 462, IdleSeconds: 311113.43387404975, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 16, DetourSeconds: 257.0487449739536}, EstimateSum: 0, InfEstimates: 0, TravelRecords: 0},
+	"upper":   {Summary: sim.Summary{Revenue: 695472.7006433931, Served: 1065, Reneged: 30, Canceled: 0, Declines: 0, TotalOrders: 1113, Batches: 720, PickupSeconds: 0, IdleClosed: 1065, IdleSeconds: 102140.9603721134, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 0, InfEstimates: 0, TravelRecords: 0},
+}

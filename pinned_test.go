@@ -166,3 +166,38 @@ func TestPinnedRoadWork(t *testing.T) {
 		t.Errorf("settled %d nodes, more than 0.75x the %d the dense per-batch matrix cost", settled, int64(pinnedRoadWorkSettled))
 	}
 }
+
+// TestPinnedRoadTripReaders replays TestPinnedRoadWork's road-priced
+// peak hour with the two readers of trips whose riders hold no solo
+// pair: UPPER, which ranks every waiting rider by trip, and pooling
+// (POOL, capacity 2), whose insertion search bounds each candidate
+// rider's detour by its trip. The constants were recorded at commit
+// 4356c6f, where every admitted order's trip was priced on admission;
+// a trip priced later, or on demand, must reproduce them to the bit.
+func TestPinnedRoadTripReaders(t *testing.T) {
+	city, orders, starts := peakHourFixture()
+	g := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: 7})
+	for _, v := range []struct{ name, alg string }{{"upper", "UPPER"}, {"pooling", "POOL"}} {
+		name, alg := v.name, v.alg
+		t.Run(name, func(t *testing.T) {
+			opts := core.Options{
+				City: city, NumDrivers: len(starts), Delta: 5, TC: 1200,
+				Horizon: peakHourHorizon, Seed: 9, Coster: roadnet.NewGraphCoster(g),
+			}
+			if alg == "POOL" {
+				opts.Pooling = pool.Config{Capacity: 2, MaxDetourSeconds: 300}
+			}
+			d, err := core.NewDispatcher(alg, opts.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := core.NewRunnerWithOrders(opts, orders, starts).Run(context.Background(), d, core.PredictNone, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := pin(m), pinnedRoadTripReaders[name]; got != want {
+				t.Errorf("replay no longer reproduces the pinned output:\n  got:  %#v\n  want: %#v", got, want)
+			}
+		})
+	}
+}
