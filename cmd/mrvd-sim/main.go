@@ -194,8 +194,8 @@ func main() {
 	// reuses one uninstrumented service.
 	var svc *mrvd.Service
 	var base *mrvd.Runner
-	fmt.Printf("%-6s %14s %8s %8s %9s %9s %10s %12s %10s %10s %10s\n",
-		"alg", "revenue", "served", "reneged", "canceled", "declines", "meanIdle", "pickupSec", "avgBatch", "p95Batch", "p99Batch")
+	fmt.Printf("%-6s %14s %8s %8s %9s %9s %10s %12s %11s %11s %11s\n",
+		"alg", "revenue", "served", "reneged", "canceled", "declines", "meanIdle", "pickupSec", "avgBatchµs", "p95Batchµs", "p99Batchµs")
 	for _, alg := range strings.Split(*algsFlag, ",") {
 		alg = strings.TrimSpace(alg)
 		var reg *mrvd.MetricsRegistry
@@ -231,10 +231,10 @@ func main() {
 		}
 		base = runner
 		s := m.Summary()
-		fmt.Printf("%-6s %14.0f %8d %8d %9d %9d %9.1fs %12.0f %9.4fs %9.4fs %9.4fs\n",
+		fmt.Printf("%-6s %14.0f %8d %8d %9d %9d %9.1fs %12.0f %11.1f %11.1f %11.1f\n",
 			alg, s.Revenue, s.Served, s.Reneged, s.Canceled, s.Declines,
-			s.MeanIdleSeconds(), s.PickupSeconds, m.AvgBatchSeconds(),
-			m.BatchSecondsQuantile(0.95), m.BatchSecondsQuantile(0.99))
+			s.MeanIdleSeconds(), s.PickupSeconds, 1e6*m.AvgBatchSeconds(),
+			1e6*m.BatchSecondsQuantile(0.95), 1e6*m.BatchSecondsQuantile(0.99))
 		if s.TravelSamples > 0 {
 			fmt.Printf("       travel noise: %d trips, mean |est-real| %.1fs\n",
 				s.TravelSamples, s.MeanAbsTravelErrorSeconds())
@@ -299,7 +299,7 @@ func printPhaseBreakdown(reg *mrvd.MetricsRegistry) {
 			}
 			fmt.Printf("       %-10s %10d %11.3fs %11.6fs %11.6fs\n",
 				sample.Labels[0], sample.Count, sample.Sum,
-				sample.Sum/float64(sample.Count), sample.Quantile(fam.Bounds, 0.95))
+				sample.Sum/float64(sample.Count), sample.Snapshot(fam.Bounds).Quantile(0.95))
 		}
 	}
 }

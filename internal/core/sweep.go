@@ -195,10 +195,10 @@ func forEach(workers, n int, fn func(i int)) {
 // Results come back in grid order — layers outermost, then seeds, then
 // fleets, then series — independent of scheduling, and each cell's
 // Metrics are identical to a sequential run of that cell (see
-// sim.Metrics.Summary for the determinism contract; wall-clock
-// BatchSeconds vary). Canceling ctx stops in-flight runs and returns the
-// context error; per-cell failures land in SweepResult.Err without
-// aborting other cells.
+// sim.Metrics.Summary for the determinism contract; the wall-clock
+// DispatchPhase times vary). Canceling ctx stops in-flight runs and
+// returns the context error; per-cell failures land in SweepResult.Err
+// without aborting other cells.
 func Sweep(ctx context.Context, base Options, spec SweepSpec) ([]SweepResult, error) {
 	spec = spec.withDefaults(base)
 	rows := spec.rows()

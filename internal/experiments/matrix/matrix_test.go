@@ -214,7 +214,8 @@ func TestMatrixSeriesAndOverlays(t *testing.T) {
 			if tr.Summary.Batches != wantBatches {
 				t.Errorf("cell %v ran %d batches, want %d", c.CellKey, tr.Summary.Batches, wantBatches)
 			}
-			if tr.Metrics == nil || tr.Metrics.Summary() != tr.Summary || len(tr.Metrics.BatchSeconds) != wantBatches {
+			if tr.Metrics == nil || tr.Metrics.Summary() != tr.Summary ||
+				tr.Metrics.Batches != wantBatches || tr.Metrics.DispatchPhase.Count != int64(wantBatches) {
 				t.Errorf("cell %v trial %d lost its metrics", c.CellKey, tr.Seed)
 			}
 		}

@@ -21,12 +21,15 @@ import (
 	"sync/atomic"
 )
 
-// DefBuckets is the default histogram bucket layout for sub-second
-// phase timings (seconds): half-millisecond resolution at the bottom,
-// multi-second tail for degraded rounds.
+// DefBuckets is the default histogram bucket layout for batch-phase
+// timings (seconds): a 1-2-5 series from 1 µs to 10 s, 22 bounds. A
+// batch phase at paper scale takes microseconds and a degraded round
+// seconds. An interpolated quantile lands in the bucket that holds the
+// exact one, so above 1 µs it is within a factor of 2.5 of it (2 or
+// 2.5 per bucket), and below 1 µs within 1 µs.
 var DefBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10,
+	1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3,
+	5e-3, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10,
 }
 
 // LatencyBuckets is the default layout for wall-clock request
@@ -288,30 +291,6 @@ type Family struct {
 	Labels  []string
 	Bounds  []float64
 	Samples []Sample
-}
-
-// Quantile approximates the p-quantile (0 < p <= 1) of a histogram
-// sample by the upper bound of the bucket holding the nearest-rank
-// observation; the overflow bucket reports +Inf. Returns 0 when empty.
-func (s Sample) Quantile(bounds []float64, p float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(p * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range s.Buckets {
-		cum += c
-		if cum >= rank {
-			if i < len(bounds) {
-				return bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
 }
 
 // Snapshot converts a histogram sample into a HistogramSnapshot over

@@ -93,26 +93,34 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// A histogram sample's quantile, read through Snapshot, lands in the
+// bucket holding the nearest-rank observation: (lo, hi] of that
+// bucket, interpolated by rank. The overflow bucket reports the
+// highest finite bound, and an empty sample NaN.
 func TestSampleQuantileNearestRank(t *testing.T) {
 	bounds := []float64{1, 2, 5}
 	s := Sample{Buckets: []int64{5, 3, 1, 1}, Count: 10}
 	cases := []struct {
-		p    float64
-		want float64
+		p, lo, hi, want float64
 	}{
-		{0.50, 1},           // rank 5 inside bucket 0
-		{0.51, 2},           // rank 6 inside bucket 1
-		{0.90, 5},           // rank 9 inside bucket 2
-		{1.00, math.Inf(1)}, // rank 10 in the overflow bucket
-		{0.01, 1},           // rank clamps to 1
+		{0.50, 0, 1, 1},           // rank 5 inside bucket 0
+		{0.51, 1, 2, 1 + 0.1/3},   // rank 6 inside bucket 1
+		{0.90, 2, 5, 5},           // rank 9 inside bucket 2
+		{1.00, 5, math.Inf(1), 5}, // rank 10 in the overflow bucket
+		{0.01, 0, 1, 0.02},        // rank clamps into bucket 0
 	}
+	h := s.Snapshot(bounds)
 	for _, c := range cases {
-		if got := s.Quantile(bounds, c.p); got != c.want {
+		got := h.Quantile(c.p)
+		if math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Quantile(%v) = %v, want %v", c.p, got, c.want)
 		}
+		if got < c.lo || got > c.hi || (got == c.lo && c.hi != math.Inf(1)) {
+			t.Errorf("Quantile(%v) = %v outside nearest-rank bucket (%v, %v]", c.p, got, c.lo, c.hi)
+		}
 	}
-	if got := (Sample{}).Quantile(bounds, 0.5); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
+	if got := (Sample{}).Snapshot(bounds).Quantile(0.5); !math.IsNaN(got) {
+		t.Errorf("empty quantile = %v, want NaN", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"time"
 )
@@ -65,15 +66,23 @@ func (h *HistogramSnapshot) Merge(other HistogramSnapshot) {
 	h.Sum += other.Sum
 }
 
+// Observe adds one observation in place: the single-writer form of
+// Histogram.Observe, for a snapshot that is itself the record (an
+// engine's own dispatch-phase times). Buckets must already hold
+// len(Bounds)+1 entries.
+func (h *HistogramSnapshot) Observe(v float64) {
+	h.Buckets[sort.SearchFloat64s(h.Bounds, v)]++
+	h.Count++
+	h.Sum += v
+}
+
 // Quantile estimates the p-quantile (0 < p <= 1) by linear
 // interpolation inside the bucket holding the rank — the
-// histogram_quantile estimator, against Sample.Quantile's coarser
-// nearest-rank bucket upper bound. The estimate always lands inside
-// the owning bucket: lower bound (0 for the first bucket) < q <=
-// upper bound. A rank in the +Inf overflow bucket reports the highest
-// finite bound, and an empty snapshot reports NaN (unlike the
-// registry's exposition path, the time-series layer distinguishes "no
-// data this window" from a legitimate zero).
+// histogram_quantile estimator. The estimate always lands inside the
+// owning bucket: lower bound (0 for the first bucket) < q <= upper
+// bound. A rank in the +Inf overflow bucket reports the highest finite
+// bound, and an empty snapshot reports NaN (the time-series layer
+// distinguishes "no data this window" from a legitimate zero).
 func (h HistogramSnapshot) Quantile(p float64) float64 {
 	if h.Count == 0 {
 		return math.NaN()

@@ -142,31 +142,51 @@ func TestHistogramSnapshotSubReset(t *testing.T) {
 	}
 }
 
-// The interpolated quantile must land strictly inside the bucket whose
-// upper bound the registry's exact nearest-rank Quantile reports.
+// The interpolated quantile must land inside the bucket that owns its
+// rank: above the bucket's lower bound (0 for the first) and at most
+// its upper bound.
 func TestHistogramQuantileInterpolationPinned(t *testing.T) {
-	bounds := []float64{0.1, 0.5, 1, 5, 10}
-	s := Sample{Buckets: []int64{4, 10, 20, 5, 1, 0}, Count: 40, Sum: 31}
-	h := s.Snapshot(bounds)
-
-	for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1} {
-		exact := s.Quantile(bounds, p) // nearest-rank bucket upper bound
-		interp := h.Quantile(p)
-		if math.IsInf(exact, 1) {
-			continue
-		}
-		if interp > exact {
-			t.Errorf("p=%v: interpolated %v above exact bucket bound %v", p, interp, exact)
-		}
-		// Lower bound of the owning bucket.
-		lo := 0.0
-		for i, b := range bounds {
-			if b == exact && i > 0 {
-				lo = bounds[i-1]
+	// owner returns the bounds of the bucket holding the nearest-rank
+	// observation, ok false when that is the +Inf overflow bucket.
+	owner := func(h HistogramSnapshot, p float64) (lo, hi float64, ok bool) {
+		rank := max(int64(math.Ceil(p*float64(h.Count))), 1)
+		var cum int64
+		for i, c := range h.Buckets {
+			if cum += c; cum < rank {
+				continue
 			}
+			if i == len(h.Bounds) {
+				return 0, 0, false
+			}
+			if i > 0 {
+				lo = h.Bounds[i-1]
+			}
+			return lo, h.Bounds[i], true
 		}
-		if interp <= lo {
-			t.Errorf("p=%v: interpolated %v not above bucket lower bound %v", p, interp, lo)
+		return 0, 0, false
+	}
+	// Microsecond batch timings over the default layout, on a bound and
+	// past the last one too.
+	timings := HistogramSnapshot{Bounds: DefBuckets, Buckets: make([]int64, len(DefBuckets)+1)}
+	for _, v := range []float64{3e-6, 4e-6, 5e-6, 7e-6, 1.2e-5, 1.5e-5, 4e-5, 3e-4, 0.5, 12} {
+		timings.Observe(v)
+	}
+	if timings.Count != 10 || timings.Buckets[2] != 3 || timings.Buckets[len(DefBuckets)] != 1 {
+		t.Fatalf("Observe filed %+v", timings)
+	}
+	h := HistogramSnapshot{Bounds: []float64{0.1, 0.5, 1, 5, 10}, Buckets: []int64{4, 10, 20, 5, 1, 0}, Count: 40, Sum: 31}
+	for _, s := range []HistogramSnapshot{
+		h,
+		timings,
+	} {
+		for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.51, 0.75, 0.9, 0.95, 0.99, 1} {
+			lo, hi, ok := owner(s, p)
+			if !ok {
+				continue
+			}
+			if q := s.Quantile(p); q <= lo || q > hi {
+				t.Errorf("bounds %v, p=%v: interpolated %v outside its bucket (%v, %v]", s.Bounds, p, q, lo, hi)
+			}
 		}
 	}
 

@@ -369,10 +369,10 @@ func (rt *Runtime) Stats() []Stats {
 
 // aggregate merges per-shard metrics into one city-wide Metrics whose
 // deterministic projection (Summary) matches what a single engine over
-// the union would report. BatchSeconds sums each round over the shards:
-// they are stepped one after another, so a round takes what its shards
-// take together. IdleRecords concatenate shard-major with driver ids
-// remapped to the global fleet numbering.
+// the union would report. DispatchPhase merges the shards' histograms,
+// so its count is shard-batches and its mean and quantiles are per
+// shard-batch, not per round. IdleRecords concatenate shard-major with
+// driver ids remapped to the global fleet numbering.
 func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 	if len(ms) == 1 {
 		m := ms[0]
@@ -395,17 +395,12 @@ func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 		agg.DetourSeconds += m.DetourSeconds
 		agg.PickedUp += m.PickedUp
 		agg.DroppedOff += m.DroppedOff
+		agg.DispatchPhase.Merge(m.DispatchPhase)
 		if m.Batches > rounds {
 			rounds = m.Batches
 		}
 	}
 	agg.Batches = rounds
-	agg.BatchSeconds = make([]float64, rounds)
-	for _, m := range ms {
-		for r, s := range m.BatchSeconds {
-			agg.BatchSeconds[r] += s
-		}
-	}
 	for i, m := range ms {
 		for _, rec := range m.IdleRecords {
 			rec.Driver = rt.global[i][rec.Driver]

@@ -129,8 +129,8 @@ func checkOneShardParity(t *testing.T, c parityCase) (*Runtime, *sim.Metrics, []
 	if !reflect.DeepEqual(ref.TravelRecords, got.TravelRecords) {
 		t.Fatalf("travel-error ledgers differ: %d vs %d records", len(ref.TravelRecords), len(got.TravelRecords))
 	}
-	if len(ref.BatchSeconds) != len(got.BatchSeconds) {
-		t.Fatalf("batch counts differ: %d vs %d", len(ref.BatchSeconds), len(got.BatchSeconds))
+	if ref.DispatchPhase.Count != got.DispatchPhase.Count {
+		t.Fatalf("timed batch counts differ: %d vs %d", ref.DispatchPhase.Count, got.DispatchPhase.Count)
 	}
 	if len(rtLog.entries) != len(refLog.entries) {
 		t.Fatalf("event stream lengths differ: %d vs %d", len(refLog.entries), len(rtLog.entries))
@@ -526,19 +526,17 @@ func TestShardedConservation(t *testing.T) {
 	if m.TotalOrders != len(orders) {
 		t.Fatalf("TotalOrders = %d, want sized total %d", m.TotalOrders, len(orders))
 	}
-	// Shards are stepped one after another, so a round's dispatch time
-	// is the sum over its shards — at least each shard's own.
-	sums := make([]float64, len(m.BatchSeconds))
-	for i, e := range rt.engines {
-		for r, sec := range e.Finish().BatchSeconds {
-			sums[r] += sec
-			if m.BatchSeconds[r] < sec {
-				t.Fatalf("round %d: aggregated %.9fs is below shard %d's own %.9fs", r, m.BatchSeconds[r], i, sec)
-			}
-		}
+	// The aggregate's dispatch histogram is the shards' merged: one
+	// observation per shard-batch, every shard timing every round.
+	var want obs.HistogramSnapshot
+	for _, e := range rt.engines {
+		want.Merge(e.Finish().DispatchPhase)
 	}
-	if !reflect.DeepEqual(m.BatchSeconds, sums) {
-		t.Fatal("aggregated BatchSeconds is not the per-round sum over shards")
+	if want.Count != int64(len(rt.engines)*m.Batches) {
+		t.Fatalf("shards timed %d batches, want %d shards x %d rounds", want.Count, len(rt.engines), m.Batches)
+	}
+	if !reflect.DeepEqual(m.DispatchPhase, want) {
+		t.Fatalf("aggregated dispatch histogram %+v is not the shards' merged %+v", m.DispatchPhase, want)
 	}
 }
 

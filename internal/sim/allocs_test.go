@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mrvd/internal/dispatch"
@@ -61,9 +62,9 @@ func steadyStateAllocs(t *testing.T, d sim.Dispatcher, fleet, gridSide, backlog 
 	for i := 0; i < warmup; i++ {
 		step()
 	}
-	// AllocsPerRun divides as integers, so the ledgers that grow with
-	// every batch or every rejoin (BatchSeconds, IdleRecords) add their
-	// few amortized doublings without moving the count.
+	// AllocsPerRun divides as integers, so the ledger that grows with
+	// every rejoin (IdleRecords) adds its few amortized doublings
+	// without moving the count.
 	before := e.Tally().Served
 	allocs := testing.AllocsPerRun(200, step)
 	waiting, _ := e.Counts()
@@ -111,5 +112,39 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		if got.allocs > 1 {
 			t.Errorf("%s: an assigning batch allocates %.0f objects, want at most 1", d.Name(), got.allocs)
 		}
+	}
+}
+
+// TestEmptyBatchesRetainNoMemory runs an engine with no orders for
+// 1,000 and then 100,000 more empty batches: what it keeps per run must
+// not grow with the batches it ran (a per-batch float64 would hold
+// 800 KB after them). Not parallel: HeapAlloc counts the whole process.
+func TestEmptyBatchesRetainNoMemory(t *testing.T) {
+	starts := []geo.Point{{Lng: -73.98, Lat: 40.75}, {Lng: -73.95, Lat: 40.78}}
+	e := sim.New(sim.Config{Grid: geo.NewGrid(geo.NYCBBox, 16, 16), Delta: 1, Horizon: 1e6}, nil, starts)
+	if err := e.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	now := 0.0
+	run := func(batches int) uint64 {
+		for range batches {
+			e.StepAdmit(now)
+			if err := e.StepDispatch(now, idle{}); err != nil {
+				t.Fatal(err)
+			}
+			now++
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := run(1000)
+	after := run(100_000)
+	if m := e.Finish(); m.Batches != 101_000 || m.DispatchPhase.Count != 101_000 {
+		t.Fatalf("ran %d batches, timed %d, want 101,000", m.Batches, m.DispatchPhase.Count)
+	}
+	if after > before && after-before >= 256<<10 {
+		t.Errorf("100,000 empty batches grew the heap by %d bytes, want under 256 KiB", after-before)
 	}
 }

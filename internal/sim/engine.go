@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/obs"
 	"mrvd/internal/pool"
 	"mrvd/internal/roadnet"
 	"mrvd/internal/trace"
@@ -239,9 +240,11 @@ type Engine struct {
 	// nil test.
 	ps *poolState
 	// obs is the observability machinery, nil unless Config.Obs wires
-	// a registry or tracer; its direct calls (wall-clock and search
-	// tallies only) are no-ops on the nil receiver.
+	// a registry or tracer; its direct calls (admission stamp and
+	// search tallies only) are no-ops on the nil receiver.
 	obs *obsState
+	// clock times the batch phases: dispatch always, the rest with obs.
+	clock stopwatch
 	// observer is the one stream every emit site fires: obs in front of
 	// Config.Observer, either alone, or nil (no event is constructed).
 	observer Observer
@@ -294,9 +297,11 @@ func NewWithSource(cfg Config, src OrderSource, driverStarts []geo.Point) *Engin
 	if cfg.Pooling.Enabled() {
 		e.ps = newPoolState(cfg.Pooling)
 	}
+	e.metrics.DispatchPhase = obs.HistogramSnapshot{
+		Bounds: obs.DefBuckets, Buckets: make([]int64, len(obs.DefBuckets)+1)}
 	e.observer = cfg.Observer
 	if cfg.Obs.Enabled() {
-		e.obs = newObsState(cfg.Obs)
+		e.obs = newObsState(cfg.Obs, &e.clock)
 		e.observer = e.obs
 		if cfg.Observer != nil {
 			e.observer = Observers{e.obs, cfg.Observer}
@@ -417,21 +422,21 @@ func (e *Engine) Begin() error {
 // engine goroutine — by StepDispatch for the same now, unless the run
 // is ending.
 func (e *Engine) StepAdmit(now float64) {
-	e.obs.start()
+	e.clock.start(phaseAdmit)
 	e.admitOrders(now)
 	e.rejoinDrivers(now)
 	e.processCancels(now)
 	e.renegeExpired(now)
-	e.obs.lap(phaseAdmit)
+	e.clock.lap(phaseAdmit)
 }
 
 // StepDispatch runs the dispatch phase of the batch at time now: batch
 // context construction, the OnBatchStart hook, idle-estimate capture,
 // the dispatcher's assignment and its commitment, and repositioning.
 func (e *Engine) StepDispatch(now float64, d Dispatcher) error {
-	e.obs.start()
+	e.clock.start(phaseBuild)
 	bctx := e.buildContext(now)
-	e.obs.lap(phaseBuild)
+	e.clock.lap(phaseBuild)
 	if e.observer != nil {
 		e.observer.OnBatchStart(BatchStartEvent{
 			Now:       now,
@@ -458,18 +463,16 @@ func (e *Engine) StepDispatch(now float64, d Dispatcher) error {
 		}
 	}
 
-	start := time.Now() //mrvdlint:ignore wallclock Metrics.BatchSeconds is the dispatcher's real critical-path wall time by design
+	e.clock.start(phaseDispatch)
 	assignments := d.Assign(bctx)
-	dispatchSeconds := time.Since(start).Seconds() //mrvdlint:ignore wallclock Metrics.BatchSeconds is the dispatcher's real critical-path wall time by design
-	e.metrics.BatchSeconds = append(e.metrics.BatchSeconds, dispatchSeconds)
+	e.metrics.DispatchPhase.Observe(e.clock.lap(phaseDispatch)) // the lap also starts apply
 	e.metrics.Batches++
-	e.obs.observe(phaseDispatch, dispatchSeconds)
 
 	if err := e.apply(now, bctx, assignments); err != nil {
 		return err
 	}
 	e.reposition(now, bctx)
-	e.obs.lap(phaseApply)
+	e.clock.lap(phaseApply)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/obs"
 	"mrvd/internal/roadnet"
 	"mrvd/internal/trace"
 )
@@ -372,12 +373,23 @@ func TestEngineDeterministic(t *testing.T) {
 }
 
 func TestMetricsHelpers(t *testing.T) {
-	m := &Metrics{BatchSeconds: []float64{0.1, 0.3, 0.2}}
-	if got := m.AvgBatchSeconds(); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("avg = %v", got)
+	m := &Metrics{DispatchPhase: obs.HistogramSnapshot{
+		Bounds: obs.DefBuckets, Buckets: make([]int64, len(obs.DefBuckets)+1)}}
+	sum := 0.0
+	for _, sec := range []float64{0.1, 0.3, 0.2} {
+		m.DispatchPhase.Observe(sec)
+		sum += sec
+	}
+	// The mean is exact: the same float sum in batch order.
+	if got := m.AvgBatchSeconds(); got != sum/3 {
+		t.Errorf("avg = %v, want %v", got, sum/3)
+	}
+	// The median, 0.2, sits in the (0.1, 0.2] bucket; so does its estimate.
+	if got := m.BatchSecondsQuantile(0.5); got <= 0.1 || got > 0.2 {
+		t.Errorf("p50 = %v, want within (0.1, 0.2]", got)
 	}
 	empty := &Metrics{}
-	if empty.AvgBatchSeconds() != 0 || empty.ServiceRate() != 0 {
+	if empty.AvgBatchSeconds() != 0 || empty.BatchSecondsQuantile(0.5) != 0 || empty.ServiceRate() != 0 {
 		t.Error("empty metrics helpers nonzero")
 	}
 }

@@ -40,13 +40,47 @@ const (
 	numPhases
 )
 
+// stopwatch is the engine's one batch clock. It times the dispatch
+// phase (the dispatcher's Assign) on every run, for
+// Metrics.DispatchPhase; with obs enabled it also times admit, build and
+// apply, and every timed phase feeds its mrvd_dispatch_phase_seconds
+// child. A clock read can cost a few hundred nanoseconds against a
+// batch of microseconds, so an unobserved batch reads the clock twice.
+type stopwatch struct {
+	phases [numPhases]*obs.Histogram // nil when obs is disabled
+	mark   time.Time                 // start of the phase being timed
+}
+
+// start marks the beginning of phase p, if p is timed.
+func (w *stopwatch) start(p phase) {
+	if p == phaseDispatch || w.phases[p] != nil {
+		w.mark = time.Now() //mrvdlint:ignore wallclock the batch stopwatch measures real phase cost, not simulated time
+	}
+}
+
+// lap returns the wall time since the mark as phase p's, 0 if p is not
+// timed, and moves the mark to now: a phase that directly follows needs
+// no start. It reads only the monotonic clock, which costs less than
+// time.Now's wall-and-monotonic pair.
+func (w *stopwatch) lap(p phase) float64 {
+	if p != phaseDispatch && w.phases[p] == nil {
+		return 0
+	}
+	d := time.Since(w.mark) //mrvdlint:ignore wallclock the batch stopwatch measures real phase cost, not simulated time
+	w.mark = w.mark.Add(d)
+	if h := w.phases[p]; h != nil {
+		h.Observe(d.Seconds())
+	}
+	return d.Seconds()
+}
+
 // obsState is the engine's observability machinery, nil when ObsConfig
 // is zero-valued. It is an Observer — counters, gauges and span drafts
 // are folds over the events every subscriber sees — and it runs first,
 // so a user observer reading the tracer inside a callback finds that
 // event's span already written. The engine calls it directly only for
-// what no event carries (phase stopwatch, admission stamp, pooled-search
-// tallies), through methods that are no-ops on a nil receiver.
+// what no event carries (admission stamp, pooled-search tallies),
+// through methods that are no-ops on a nil receiver.
 type obsState struct {
 	// The zero ObserverFuncs supplies the no-op OnDeclined/OnRepositioned.
 	ObserverFuncs
@@ -55,7 +89,6 @@ type obsState struct {
 	// Instruments, resolved to concrete children at construction so the
 	// hot paths touch only lock-free atomics, never the registry's family
 	// locks — of a private registry when none is configured, never nil.
-	phases         [numPhases]*obs.Histogram
 	admitted       *obs.Counter
 	termServed     *obs.Counter
 	termCanceled   *obs.Counter
@@ -65,9 +98,6 @@ type obsState struct {
 	poolCommitted  *obs.Counter
 	queueDepth     *obs.Gauge
 	driversAvail   *obs.Gauge
-
-	// lapStart is the phase stopwatch's mark.
-	lapStart time.Time
 
 	// spans holds the in-flight order drafts; nil when no tracer is
 	// configured.
@@ -83,7 +113,8 @@ type spanDraft struct {
 	picked    bool
 }
 
-func newObsState(cfg ObsConfig) *obsState {
+// newObsState resolves the instruments, the clock's phases among them.
+func newObsState(cfg ObsConfig, clock *stopwatch) *obsState {
 	s := &obsState{cfg: cfg}
 	r := cfg.Registry
 	if r == nil {
@@ -92,10 +123,10 @@ func newObsState(cfg ObsConfig) *obsState {
 	phases := r.HistogramVec("mrvd_dispatch_phase_seconds",
 		"Wall time of one engine batch round, broken into admit, build (context + coster matrix), dispatch (the dispatcher's Assign) and apply phases.",
 		obs.DefBuckets, "phase")
-	s.phases[phaseAdmit] = phases.With("admit")
-	s.phases[phaseBuild] = phases.With("build")
-	s.phases[phaseDispatch] = phases.With("dispatch")
-	s.phases[phaseApply] = phases.With("apply")
+	clock.phases[phaseAdmit] = phases.With("admit")
+	clock.phases[phaseBuild] = phases.With("build")
+	clock.phases[phaseDispatch] = phases.With("dispatch")
+	clock.phases[phaseApply] = phases.With("apply")
 	s.admitted = r.Counter("mrvd_orders_admitted_total",
 		"Orders admitted from the source into the waiting set.")
 	terminal := r.CounterVec("mrvd_orders_terminal_total",
@@ -121,30 +152,6 @@ func newObsState(cfg ObsConfig) *obsState {
 		s.spans = make(map[trace.OrderID]*spanDraft)
 	}
 	return s
-}
-
-// start marks the beginning of a timed phase.
-func (s *obsState) start() {
-	if s != nil {
-		s.lapStart = time.Now() //mrvdlint:ignore wallclock obs phase histograms measure real batch-phase cost, not simulated time
-	}
-}
-
-// lap records the wall time since the last mark as phase p.
-func (s *obsState) lap(p phase) {
-	if s != nil {
-		s.phases[p].Observe(time.Since(s.lapStart).Seconds()) //mrvdlint:ignore wallclock obs phase histograms measure real batch-phase cost, not simulated time
-	}
-}
-
-// observe records a phase the engine timed itself (the dispatcher's
-// Assign, which Metrics.BatchSeconds needs with or without obs) and
-// marks the start of the phase that follows.
-func (s *obsState) observe(p phase, seconds float64) {
-	if s != nil {
-		s.phases[p].Observe(seconds)
-		s.start()
-	}
 }
 
 // admit stamps one order's admission — Observer has no admission event

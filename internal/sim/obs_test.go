@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mrvd/internal/geo"
 	"mrvd/internal/obs"
+	"mrvd/internal/stats"
 	"mrvd/internal/trace"
 )
 
@@ -159,5 +162,64 @@ func TestEngineObsRegistryOnlyNoTracer(t *testing.T) {
 	}
 	if got := reg.Counter("mrvd_orders_admitted_total", "").Value(); got != 3 {
 		t.Errorf("admitted counter = %d, want 3", got)
+	}
+}
+
+// timedDispatcher times each Assign call with its own clock, beside the
+// engine's stopwatch.
+type timedDispatcher struct {
+	Dispatcher
+	secs []float64
+}
+
+func (d *timedDispatcher) Assign(ctx *Context) []Assignment {
+	start := time.Now()
+	out := d.Dispatcher.Assign(ctx)
+	d.secs = append(d.secs, time.Since(start).Seconds())
+	return out
+}
+
+// TestDispatchPhaseResolvesMicroseconds checks that a replay whose
+// batches take microseconds reports its dispatch-phase p95 in
+// microseconds, from Metrics and from the registry alike: below the
+// 0.5 ms a coarser layout's first bucket would report, and within the
+// layout's resolution (a factor of 2.5) of the p95 the dispatcher's
+// own clock measured.
+func TestDispatchPhaseResolvesMicroseconds(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := simpleConfig()
+	cfg.Obs = ObsConfig{Registry: reg}
+	orders, starts := obsOrders()
+	d := &timedDispatcher{Dispatcher: takeAll{}}
+	m, err := New(cfg, orders, starts).Run(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.DispatchPhase.Count != int64(m.Batches) || len(d.secs) != m.Batches {
+		t.Fatalf("timed %d batches, dispatcher saw %d, want %d", m.DispatchPhase.Count, len(d.secs), m.Batches)
+	}
+	slices.Sort(d.secs)
+	// The engine's reading of a batch includes the dispatcher's, plus
+	// a clock read; the slack covers that on a slow or shared machine.
+	ceiling := 2.5*stats.NearestRank(d.secs, 0.95) + 10e-6
+	var gathered obs.HistogramSnapshot
+	for _, f := range reg.Gather() {
+		for _, s := range f.Samples {
+			if f.Name == "mrvd_dispatch_phase_seconds" && s.Labels[0] == "dispatch" {
+				gathered = s.Snapshot(f.Bounds)
+			}
+		}
+	}
+	if gathered.Count != m.DispatchPhase.Count {
+		t.Fatalf("registry timed %d batches, Metrics %d", gathered.Count, m.DispatchPhase.Count)
+	}
+	checkP95(t, "registry", gathered.Quantile(0.95), ceiling)
+	checkP95(t, "Metrics", m.BatchSecondsQuantile(0.95), ceiling)
+}
+
+func checkP95(t *testing.T, from string, p95, ceiling float64) {
+	t.Helper()
+	if !(p95 > 0 && p95 < 0.0005 && p95 <= ceiling) {
+		t.Errorf("%s dispatch p95 = %.7fs, want in (0, min(0.0005, %.7f)]", from, p95, ceiling)
 	}
 }

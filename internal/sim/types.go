@@ -2,10 +2,9 @@ package sim
 
 import (
 	"math"
-	"sort"
 
 	"mrvd/internal/geo"
-	"mrvd/internal/stats"
+	"mrvd/internal/obs"
 	"mrvd/internal/trace"
 )
 
@@ -168,8 +167,9 @@ type Metrics struct {
 	TotalOrders int
 	// Batches is how many batch rounds ran.
 	Batches int
-	// BatchSeconds aggregates wall-clock dispatcher time per batch.
-	BatchSeconds []float64
+	// DispatchPhase holds the dispatcher's wall time per batch over
+	// obs.DefBuckets: a fixed size, however many batches run.
+	DispatchPhase obs.HistogramSnapshot
 	// IdleRecords is the per-rejoin idle ledger (estimate vs realized).
 	IdleRecords []IdleRecord
 	// TravelRecords is the estimate-vs-realized travel-time ledger,
@@ -264,25 +264,24 @@ func (s Summary) MeanIdleSeconds() float64 {
 	return s.IdleSeconds / float64(s.IdleClosed)
 }
 
-// AvgBatchSeconds returns the mean dispatcher wall time per batch.
+// AvgBatchSeconds returns the mean dispatcher wall time per batch, 0
+// without batches.
 func (m *Metrics) AvgBatchSeconds() float64 {
-	if len(m.BatchSeconds) == 0 {
+	if m.DispatchPhase.Count == 0 {
 		return 0
 	}
-	s := 0.0
-	for _, b := range m.BatchSeconds {
-		s += b
-	}
-	return s / float64(len(m.BatchSeconds))
+	return m.DispatchPhase.Mean()
 }
 
-// BatchSecondsQuantile returns the nearest-rank p-quantile (0 < p <=
-// 1) of the per-batch dispatcher wall times, 0 without batches. It
-// sorts a copy, so BatchSeconds keeps its batch order.
+// BatchSecondsQuantile returns the p-quantile (0 < p <= 1) of the
+// per-batch dispatcher wall times, interpolated inside its bucket of
+// obs.DefBuckets (within a factor of 2.5 above 1 µs), 0 without
+// batches.
 func (m *Metrics) BatchSecondsQuantile(p float64) float64 {
-	s := append([]float64(nil), m.BatchSeconds...)
-	sort.Float64s(s)
-	return stats.NearestRank(s, p)
+	if m.DispatchPhase.Count == 0 {
+		return 0
+	}
+	return m.DispatchPhase.Quantile(p)
 }
 
 // ServiceRate returns the fraction of orders served.
