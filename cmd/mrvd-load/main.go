@@ -168,8 +168,8 @@ func printPhaseBreakdown(baseURL string) {
 			fmt.Printf("phases:      (engine dispatch wall time)\n")
 			for _, phase := range []string{"admit", "build", "dispatch", "apply"} {
 				if n := counts[phase]; n > 0 {
-					fmt.Printf("  %-9s rounds=%-8.0f total=%.3fs mean=%.6fs\n",
-						phase, n, sums[phase], sums[phase]/n)
+					fmt.Printf("  %-9s rounds=%-8.0f total=%.3fs mean=%.1fµs\n",
+						phase, n, sums[phase], 1e6*sums[phase]/n)
 				}
 			}
 		}

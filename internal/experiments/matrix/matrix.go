@@ -88,9 +88,9 @@ type Config struct {
 	// shared across that seed's cells).
 	Mode  core.PredictionMode
 	Model func() predict.Predictor
-	// KeepMetrics retains every trial's full *sim.Metrics — the idle
-	// ledger and per-batch wall times, megabytes per trial on a paper-
-	// scale day — for renderers that need more than the Summary.
+	// KeepMetrics retains every trial's full *sim.Metrics (the idle and
+	// travel ledgers, megabytes per trial on a paper-scale day) for
+	// renderers that need more than the Summary.
 	KeepMetrics bool
 	// Confidence is the two-sided CI level for cell aggregates and
 	// paired comparisons (default 0.95).

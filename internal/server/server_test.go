@@ -184,6 +184,24 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestGatewayOrderIDOutsideLedger: ids parsed from the path index the
+// store's order slice, so a negative id and the largest int32 must read
+// as unknown — 404 on GET and DELETE alike — next to a booked order.
+func TestGatewayOrderIDOutsideLedger(t *testing.T) {
+	_, ts, _ := newTestServer(t, 5, 0, Config{Algorithm: "NEAR"})
+	if resp, _ := postOrder(t, ts, true, 600); resp.StatusCode != http.StatusOK {
+		t.Fatalf("booking order 0: status %d", resp.StatusCode)
+	}
+	for _, id := range []int64{-1, 2147483647} {
+		if got := getJSON(t, ts, "/v1/orders/"+itoa(id), nil); got.StatusCode != http.StatusNotFound {
+			t.Errorf("GET order %d: status %d, want 404", id, got.StatusCode)
+		}
+		if got, _ := deleteOrder(t, ts, id); got.StatusCode != http.StatusNotFound {
+			t.Errorf("DELETE order %d: status %d, want 404", id, got.StatusCode)
+		}
+	}
+}
+
 // TestGatewaySubmitBodyLimit: POST /v1/orders reads at most
 // maxOrderBytes — an oversized body is refused with 413 instead of being
 // buffered, and the largest order a client can legitimately send (every

@@ -2,14 +2,11 @@ package sim
 
 import (
 	"errors"
-	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"mrvd/internal/geo"
 	"mrvd/internal/obs"
-	"mrvd/internal/stats"
 	"mrvd/internal/trace"
 )
 
@@ -111,9 +108,12 @@ type StoreStats struct {
 	Declined     int `json:"declined"`
 	Repositioned int `json:"repositioned"`
 	// Batch cycle wall-clock timings (milliseconds): the gap between
-	// consecutive batch starts, i.e. dispatch work plus pacing sleep.
-	// Avg and Max run over the whole session; the percentiles are
-	// nearest-rank over the last 4,096 batches.
+	// consecutive batch starts, i.e. dispatch work plus pacing sleep,
+	// plus the time a free-running session spent parked. All run over
+	// the whole session: Avg and Max exactly, the percentiles
+	// interpolated inside their obs.DefBuckets bucket (within a factor
+	// of 2.5; a gap past 10 s counts as 10,000 ms). What the dispatch
+	// work alone costs is mrvd_dispatch_phase_seconds.
 	AvgBatchGapMS float64 `json:"avg_batch_gap_ms"`
 	MaxBatchGapMS float64 `json:"max_batch_gap_ms"`
 	BatchGapP50MS float64 `json:"batch_gap_p50_ms"`
@@ -143,20 +143,18 @@ type StoreStats struct {
 // waiter, so a submitter woken by an outcome reads that same outcome
 // from Order, and an order is in exactly one state everywhere.
 type StateStore struct {
-	mu     sync.RWMutex
-	orders map[trace.OrderID]*orderEntry
+	mu sync.RWMutex
+	// orders holds the entries by id: the store issues ids
+	// 0..len(orders)-1 in registration order. Look one up through order.
+	orders []*orderEntry
 	// drivers holds the views by id, nil where no event (or SeedFleet)
-	// has named the driver yet. busy queues (FreeAt, id) each time a view
-	// turns or stays busy, so a batch start clears only the drivers due
-	// — a view's latest FreeAt is always queued while it is busy, and an
-	// entry a later event superseded is skipped when it surfaces.
-	drivers []*DriverView
-	busy    completionHeap
+	// has named the driver yet. epoch is 1 + the batch starts seen so
+	// far; an event sending a driver off stamps its sentIn with it.
+	drivers []*driverEntry
+	epoch   int
 	stats   StoreStats
 
-	// Orders get ids 0..nextID-1 in registration order; inFlight counts
-	// the pending ones against limit (0 = unbounded).
-	nextID   trace.OrderID
+	// inFlight counts the pending orders against limit (0 = unbounded).
 	inFlight int
 	limit    int
 	closed   bool
@@ -164,11 +162,9 @@ type StateStore struct {
 	// Register to its terminal state.
 	latency *obs.Histogram
 
-	// gapsMS rings the last gapWindow of the session's gapCount batch
-	// gaps: uptime neither grows the store nor slows Stats.
-	gapCount      int
-	gapSumMS      float64
-	gapsMS        [gapWindow]float64
+	// gaps holds the session's batch gaps in seconds over
+	// obs.DefBuckets: uptime neither grows the store nor slows Stats.
+	gaps          obs.HistogramSnapshot
 	lastBatchWall time.Time
 
 	// now supplies the wall clock for batch-gap and order-latency
@@ -185,19 +181,25 @@ type orderEntry struct {
 	accepted time.Time // wall time of Register; set only when latency is timed
 }
 
-// gapWindow is how many recent batch gaps the percentiles cover.
-const gapWindow = 4096
+// driverEntry is one driver's view plus sentIn, the store's epoch when
+// an event last sent the driver off (0: none has). Drivers derives the
+// view's Busy from both.
+type driverEntry struct {
+	DriverView
+	sentIn int
+}
 
 // NewStateStore returns an empty store.
 func NewStateStore() *StateStore {
 	return &StateStore{
-		orders: make(map[trace.OrderID]*orderEntry),
-		now:    time.Now, //mrvdlint:ignore wallclock injectable default; batch-gap timings measure real gateway pacing, not simulated time
+		epoch: 1,
+		gaps:  obs.HistogramSnapshot{Bounds: obs.DefBuckets, Buckets: make([]int64, len(obs.DefBuckets)+1)},
+		now:   time.Now, //mrvdlint:ignore wallclock injectable default; batch gaps and order latencies measure real gateway time, not simulated time
 	}
 }
 
 // SetClock overrides the wall-clock source behind the batch-gap
-// timings (AvgBatchGapMS and friends) and the order latency histogram.
+// timings (AvgBatchGapMS and friends) and TimeOrders' latencies.
 // Tests inject a deterministic clock; production code keeps the
 // default. Call it before the engine starts delivering events.
 func (s *StateStore) SetClock(now func() time.Time) {
@@ -266,7 +268,7 @@ func (s *StateStore) Register(o trace.Order, src *ChannelSource) (trace.OrderID,
 	case s.limit > 0 && s.inFlight >= s.limit:
 		return 0, nil, ErrInFlightLimit
 	}
-	o.ID = s.nextID
+	o.ID = trace.OrderID(len(s.orders))
 	if err := src.Submit(o); err != nil {
 		return 0, nil, err
 	}
@@ -281,8 +283,7 @@ func (s *StateStore) Register(o trace.Order, src *ChannelSource) (trace.OrderID,
 	if s.latency != nil {
 		e.accepted = s.now()
 	}
-	s.orders[o.ID] = e
-	s.nextID++
+	s.orders = append(s.orders, e)
 	s.inFlight++
 	s.stats.Submitted++
 	return o.ID, e.done, nil
@@ -307,36 +308,36 @@ func (s *StateStore) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	for id := trace.OrderID(0); id < s.nextID; id++ {
-		if e := s.orders[id]; e.State == OrderPending {
+	for _, e := range s.orders {
+		if e.State == OrderPending {
 			e.State = OrderSessionEnded
 			s.resolve(e)
 		}
 	}
 }
 
+// order returns the entry booked under id, nil for an id the store
+// never issued — ids arrive from outside over HTTP, negative ones too.
+// Callers hold s.mu.
+func (s *StateStore) order(id trace.OrderID) *orderEntry {
+	if id < 0 || int(id) >= len(s.orders) {
+		return nil
+	}
+	return s.orders[id]
+}
+
 // driver returns the view for id, creating one if needed. Callers hold
 // s.mu.
-func (s *StateStore) driver(id DriverID) *DriverView {
+func (s *StateStore) driver(id DriverID) *driverEntry {
 	for int(id) >= len(s.drivers) {
 		s.drivers = append(s.drivers, nil)
 	}
-	v := s.drivers[id]
-	if v == nil {
-		v = &DriverView{ID: id}
-		s.drivers[id] = v
+	d := s.drivers[id]
+	if d == nil {
+		d = &driverEntry{DriverView: DriverView{ID: id}}
+		s.drivers[id] = d
 	}
-	return v
-}
-
-// markBusy flags d busy until its (already updated) FreeAt and queues
-// the batch start that clears it. A NaN FreeAt never clears, so it is
-// not queued. Callers hold s.mu.
-func (s *StateStore) markBusy(d *DriverView) {
-	d.Busy = true
-	if !math.IsNaN(d.FreeAt) {
-		s.busy.push(completion{freeAt: d.FreeAt, driver: d.ID})
-	}
+	return d
 }
 
 // OnBatchStart implements Observer.
@@ -348,30 +349,20 @@ func (s *StateStore) OnBatchStart(e BatchStartEvent) {
 	s.stats.Batch = e.Batch
 	s.stats.Waiting = e.Waiting
 	s.stats.Available = e.Available
+	s.epoch++
 	if !s.lastBatchWall.IsZero() {
-		gap := now.Sub(s.lastBatchWall).Seconds() * 1000
-		s.gapsMS[s.gapCount%gapWindow] = gap
-		s.gapCount++
-		s.gapSumMS += gap
-		s.stats.AvgBatchGapMS = s.gapSumMS / float64(s.gapCount)
-		if gap > s.stats.MaxBatchGapMS {
-			s.stats.MaxBatchGapMS = gap
-		}
+		gap := now.Sub(s.lastBatchWall).Seconds()
+		s.gaps.Observe(gap)
+		s.stats.MaxBatchGapMS = max(s.stats.MaxBatchGapMS, gap*1000)
 	}
 	s.lastBatchWall = now
-	// Drivers whose trips completed are available again.
-	for len(s.busy) > 0 && s.busy[0].freeAt <= e.Now {
-		if d := s.drivers[s.busy.pop().driver]; d.Busy && d.FreeAt <= e.Now {
-			d.Busy = false
-		}
-	}
 }
 
 // OnAssigned implements Observer.
 func (s *StateStore) OnAssigned(e AssignedEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v := s.orders[e.Rider.Order.ID]; v != nil && v.State == OrderPending {
+	if v := s.order(e.Rider.Order.ID); v != nil && v.State == OrderPending {
 		v.State = OrderAssigned
 		v.Driver = e.Driver
 		v.AssignedAt = e.Now
@@ -393,7 +384,7 @@ func (s *StateStore) OnAssigned(e AssignedEvent) {
 	d.Served++
 	d.Pos = e.Dest
 	d.FreeAt = e.DriverFreeAt
-	s.markBusy(d)
+	d.sentIn = s.epoch
 	d.RemainingStops = e.Stops
 	d.LastEventAt = e.Now
 }
@@ -402,7 +393,7 @@ func (s *StateStore) OnAssigned(e AssignedEvent) {
 func (s *StateStore) OnExpired(e ExpiredEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v := s.orders[e.Rider.Order.ID]; v != nil && v.State == OrderPending {
+	if v := s.order(e.Rider.Order.ID); v != nil && v.State == OrderPending {
 		v.State = OrderExpired
 		v.ExpiredAt = e.Now
 		s.stats.Expired++
@@ -414,7 +405,7 @@ func (s *StateStore) OnExpired(e ExpiredEvent) {
 func (s *StateStore) OnCanceled(e CanceledEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.orders[e.Rider.Order.ID]
+	v := s.order(e.Rider.Order.ID)
 	if v == nil {
 		return
 	}
@@ -447,7 +438,7 @@ func (s *StateStore) OnCanceled(e CanceledEvent) {
 func (s *StateStore) OnDeclined(e DeclinedEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v := s.orders[e.Rider.Order.ID]; v != nil {
+	if v := s.order(e.Rider.Order.ID); v != nil {
 		v.Declines++
 	}
 	d := s.driver(e.Driver)
@@ -457,7 +448,7 @@ func (s *StateStore) OnDeclined(e DeclinedEvent) {
 	if e.RetryAt > d.FreeAt {
 		d.FreeAt = e.RetryAt
 	}
-	s.markBusy(d)
+	d.sentIn = s.epoch
 	d.LastEventAt = e.Now
 	s.stats.Declined++
 }
@@ -470,7 +461,7 @@ func (s *StateStore) OnRepositioned(e RepositionedEvent) {
 	d.Repositions++
 	d.Pos = e.To
 	d.FreeAt = e.ArriveAt
-	s.markBusy(d)
+	d.sentIn = s.epoch
 	d.LastEventAt = e.Now
 	s.stats.Repositioned++
 }
@@ -490,7 +481,7 @@ func (s *StateStore) OnPickedUp(e PickedUpEvent) {
 func (s *StateStore) OnDroppedOff(e DroppedOffEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v := s.orders[e.Order]; v != nil && v.State == OrderAssigned {
+	if v := s.order(e.Order); v != nil && v.State == OrderAssigned {
 		v.DetourSeconds = e.DetourSeconds
 	}
 	d := s.driver(e.Driver)
@@ -507,47 +498,52 @@ func (s *StateStore) OnDroppedOff(e DroppedOffEvent) {
 func (s *StateStore) Order(id trace.OrderID) (OrderView, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.orders[id]
-	if !ok {
+	e := s.order(id)
+	if e == nil {
 		return OrderView{}, false
 	}
-	return v.OrderView, true
+	return e.OrderView, true
 }
 
 // Orders returns snapshots of every booked order, in id order.
 func (s *StateStore) Orders() []OrderView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]OrderView, 0, s.nextID)
-	for id := trace.OrderID(0); id < s.nextID; id++ {
-		out = append(out, s.orders[id].OrderView)
+	out := make([]OrderView, 0, len(s.orders))
+	for _, e := range s.orders {
+		out = append(out, e.OrderView)
 	}
 	return out
 }
 
-// Drivers returns snapshots of every known driver, sorted by id.
+// Drivers returns snapshots of every known driver, sorted by id, each
+// busy as DriverView describes (the negated test never clears a NaN
+// FreeAt).
 func (s *StateStore) Drivers() []DriverView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]DriverView, 0, len(s.drivers))
-	for _, v := range s.drivers {
-		if v != nil {
-			out = append(out, *v)
+	for _, d := range s.drivers {
+		if d != nil {
+			v := d.DriverView
+			v.Busy = d.sentIn == s.epoch || !(v.FreeAt <= s.stats.Clock)
+			out = append(out, v)
 		}
 	}
 	return out
 }
 
-// Stats returns a snapshot of the engine counters, with nearest-rank
-// batch-gap percentiles computed over the last gapWindow gaps.
+// Stats returns a snapshot of the engine counters and the batch-gap
+// timings.
 func (s *StateStore) Stats() StoreStats {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	st := s.stats
-	gaps := append([]float64(nil), s.gapsMS[:min(s.gapCount, gapWindow)]...)
-	s.mu.RUnlock()
-	sort.Float64s(gaps)
-	st.BatchGapP50MS = stats.NearestRank(gaps, 0.50)
-	st.BatchGapP95MS = stats.NearestRank(gaps, 0.95)
-	st.BatchGapP99MS = stats.NearestRank(gaps, 0.99)
+	if s.gaps.Count > 0 {
+		st.AvgBatchGapMS = 1000 * s.gaps.Mean()
+		st.BatchGapP50MS = 1000 * s.gaps.Quantile(0.50)
+		st.BatchGapP95MS = 1000 * s.gaps.Quantile(0.95)
+		st.BatchGapP99MS = 1000 * s.gaps.Quantile(0.99)
+	}
 	return st
 }

@@ -123,15 +123,13 @@ func TestStateStoreBatchGapsWithInjectedClock(t *testing.T) {
 	if st.MaxBatchGapMS != 30 {
 		t.Errorf("MaxBatchGapMS = %v, want 30", st.MaxBatchGapMS)
 	}
-	// Nearest-rank over {10, 20, 30}: p50 -> 2nd, p95/p99 -> 3rd.
-	if st.BatchGapP50MS != 20 || st.BatchGapP95MS != 30 || st.BatchGapP99MS != 30 {
-		t.Errorf("gap percentiles = %v/%v/%v, want 20/30/30",
-			st.BatchGapP50MS, st.BatchGapP95MS, st.BatchGapP99MS)
-	}
+	// Nearest-rank over {10, 20, 30} is 20/30/30 ms; each interpolated
+	// percentile lies in the obs.DefBuckets bucket holding that value,
+	// (10, 20] and (20, 50] ms.
+	checkGapPercentiles(t, st, [3][2]float64{{10, 20}, {20, 50}, {20, 50}})
 
-	// A long session: the percentiles cover only the last gapWindow
-	// batches, Avg/Max the whole run, and the ring stops growing. One
-	// 1 s outlier, then enough 5 ms gaps to fill the window and wrap.
+	// A long session: every timing covers the whole run. One 1 s
+	// outlier, then 4,096 gaps of 5 ms and 2,048 of 7 ms.
 	batch := len(gaps) + 1
 	tick := func(g time.Duration) {
 		wall = wall.Add(g)
@@ -139,27 +137,55 @@ func TestStateStoreBatchGapsWithInjectedClock(t *testing.T) {
 		batch++
 	}
 	tick(time.Second)
-	for i := 0; i < gapWindow; i++ {
+	for i := 0; i < 4096; i++ {
 		tick(5 * time.Millisecond)
 	}
-	for i := 0; i < gapWindow/2; i++ {
+	for i := 0; i < 2048; i++ {
 		tick(7 * time.Millisecond)
 	}
-	// The backing store is a fixed array, so it cannot grow with uptime;
-	// what needs checking is that the session outran it and wrapped.
-	if s.gapCount <= gapWindow {
-		t.Fatalf("%d gaps recorded, want more than the %d-slot ring holds", s.gapCount, gapWindow)
+	if s.gaps.Count != 6148 {
+		t.Fatalf("%d gaps recorded, want 6,148", s.gaps.Count)
 	}
 	st = s.Stats()
-	// The window holds 2,048 gaps of 5 ms and 2,048 of 7 ms; the early
-	// 10-30 ms gaps and the 1 s outlier have been overwritten.
-	if st.BatchGapP50MS != 5 || st.BatchGapP95MS != 7 || st.BatchGapP99MS != 7 {
-		t.Errorf("windowed gap percentiles = %v/%v/%v, want 5/7/7",
-			st.BatchGapP50MS, st.BatchGapP95MS, st.BatchGapP99MS)
-	}
-	total := 60.0 + 1000 + 5*gapWindow + 7*gapWindow/2
-	if want := total / float64(s.gapCount); st.MaxBatchGapMS != 1000 || math.Abs(st.AvgBatchGapMS-want) > 1e-9 {
+	// Nearest-rank over all 6,148 gaps is 5/7/7 ms: buckets (2, 5] and
+	// (5, 10] ms.
+	checkGapPercentiles(t, st, [3][2]float64{{2, 5}, {5, 10}, {5, 10}})
+	total := 60.0 + 1000 + 5*4096 + 7*2048
+	if want := total / 6148; st.MaxBatchGapMS != 1000 || math.Abs(st.AvgBatchGapMS-want) > 1e-9 {
 		t.Errorf("whole-session gap avg/max = %v/%v, want %v/1000", st.AvgBatchGapMS, st.MaxBatchGapMS, want)
+	}
+}
+
+// checkGapPercentiles checks that st's p50/p95/p99 batch gaps lie in
+// the given (lo, hi] millisecond ranges.
+func checkGapPercentiles(t *testing.T, st StoreStats, want [3][2]float64) {
+	t.Helper()
+	for i, got := range []float64{st.BatchGapP50MS, st.BatchGapP95MS, st.BatchGapP99MS} {
+		if !(got > want[i][0] && got <= want[i][1]) {
+			t.Errorf("gap percentiles = %v/%v/%v, want each in its (lo, hi] of %v ms",
+				st.BatchGapP50MS, st.BatchGapP95MS, st.BatchGapP99MS, want)
+			return
+		}
+	}
+}
+
+// TestStateStoreStatsAllocatesNothing pins that a stats read costs no
+// heap memory however long the session has run: the batch gaps live in
+// a fixed histogram, not a ring copied and sorted per read.
+func TestStateStoreStatsAllocatesNothing(t *testing.T) {
+	s := NewStateStore()
+	wall := time.Unix(1000, 0)
+	s.SetClock(func() time.Time { return wall })
+	for i := 0; i < 10000; i++ {
+		wall = wall.Add(time.Duration(1+i%7) * time.Millisecond)
+		s.OnBatchStart(BatchStartEvent{Now: float64(i), Batch: i})
+	}
+	var st StoreStats
+	if n := testing.AllocsPerRun(100, func() { st = s.Stats() }); n != 0 {
+		t.Errorf("Stats allocates %v objects per call after 10,000 batch starts, want 0", n)
+	}
+	if st.BatchGapP99MS <= 0 || st.MaxBatchGapMS != 7 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -270,6 +296,9 @@ func TestStateStoreCancelAndDeclineFold(t *testing.T) {
 
 func TestStateStoreRepositionFolds(t *testing.T) {
 	s := seededStore(1)
+	if d := s.Drivers(); d[0].Busy {
+		t.Fatalf("seeded driver busy before any event: %+v", d[0])
+	}
 	s.OnRepositioned(RepositionedEvent{
 		Now: 10, Driver: 0,
 		From: geo.Point{Lng: -74, Lat: 40.7}, To: geo.Point{Lng: -73.9, Lat: 40.8},
@@ -284,6 +313,26 @@ func TestStateStoreRepositionFolds(t *testing.T) {
 	}
 	if st := s.Stats(); st.Repositioned != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+	// A batch start at or after ArriveAt frees the driver. A cruise due
+	// at or before the clock keeps it busy until the next batch start,
+	// and one with a NaN ArriveAt keeps it busy at every later batch.
+	s.OnBatchStart(BatchStartEvent{Now: 130, Batch: 1})
+	if d = s.Drivers(); d[0].Busy {
+		t.Errorf("driver busy after arriving: %+v", d[0])
+	}
+	s.OnRepositioned(RepositionedEvent{Now: 130, Driver: 0, ArriveAt: 100})
+	if d = s.Drivers(); !d[0].Busy {
+		t.Errorf("driver sent off idle before the next batch start: %+v", d[0])
+	}
+	s.OnBatchStart(BatchStartEvent{Now: 131, Batch: 2})
+	if d = s.Drivers(); d[0].Busy {
+		t.Errorf("driver busy after its cruise came due: %+v", d[0])
+	}
+	s.OnRepositioned(RepositionedEvent{Now: 130, Driver: 0, ArriveAt: math.NaN()})
+	s.OnBatchStart(BatchStartEvent{Now: 1e9, Batch: 3})
+	if d = s.Drivers(); !d[0].Busy {
+		t.Errorf("driver with a NaN FreeAt cleared: %+v", d[0])
 	}
 }
 
@@ -332,15 +381,14 @@ func TestStateStoreConcurrentReadsDuringEvents(t *testing.T) {
 	}
 }
 
-// TestStateStoreBusyQueueMatchesSweep checks the store's busy queue
-// against the rule it replaces — at every batch start, clear every
-// busy view whose FreeAt is at or before Now — over random streams of
+// TestStateStoreBusyQueueMatchesSweep checks the busy flag Drivers
+// derives against a fold that, at every batch start, clears every busy
+// view whose FreeAt is at or before Now — over random streams of
 // assignments, declines (RetryAt above or below the current FreeAt)
 // and cruises whose FreeAt lands before, on or after the next batch,
 // including drivers made busy again before their old FreeAt passed and
 // drivers the store only learns from events. After every batch start
-// the views must equal a reference fold that sweeps them all, and no
-// queued entry may be due.
+// the views must equal the reference fold's.
 func TestStateStoreBusyQueueMatchesSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
@@ -396,11 +444,6 @@ func TestStateStoreBusyQueueMatchesSweep(t *testing.T) {
 			}
 			if got := s.Drivers(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d batch %d (now %v):\n got %+v\nwant %+v", trial, batch, now, got, want)
-			}
-			for _, c := range s.busy {
-				if c.freeAt <= now {
-					t.Fatalf("trial %d batch %d: entry %+v still queued at now %v", trial, batch, c, now)
-				}
 			}
 		}
 	}

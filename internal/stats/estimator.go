@@ -44,7 +44,7 @@ func (e *Estimator) AddAll(xs []float64) {
 // NearestRank returns the nearest-rank p-quantile of an ascending
 // slice: its ceil(p*n)-th smallest element, clamped to the first and
 // last (the zero value when empty). Every nearest-rank quantile in the
-// repository — trial cells, batch times, batch gaps, load latencies —
+// repository — Estimator's trial cells, load.Histogram's latencies —
 // is this index; an interpolated or floored one would bias tail
 // quantiles low at small n.
 func NearestRank[E any](sorted []E, p float64) E {
