@@ -356,7 +356,7 @@ type costerStatser interface{ Stats() roadnet.CosterStats }
 // gather time, so /metrics always reads the live counters;
 // re-registering (each simConfig call) replaces the closure so the
 // newest session's coster wins. A coster without counters registers
-// nothing — the closed-form coster has no cache to observe.
+// nothing — the closed-form coster has no trees to observe.
 func registerCosterMetrics(reg *obs.Registry, c roadnet.Coster) {
 	if reg == nil {
 		return
@@ -379,14 +379,11 @@ func registerCosterMetrics(reg *obs.Registry, c roadnet.Coster) {
 		"Nodes finalized across all Dijkstra runs.",
 		func() int64 { return total().SettledNodes })
 	reg.CounterFunc("mrvd_coster_cache_hits_total",
-		"Coster queries answered from the shortest-path tree cache.",
+		"Coster queries answered from a published shortest-path tree.",
 		func() int64 { return total().CacheHits })
 	reg.CounterFunc("mrvd_coster_cache_misses_total",
-		"Coster queries that had to run Dijkstra (from the source or from a cached frontier).",
+		"Coster queries that had to run Dijkstra (from the source or from a published tree's frontier).",
 		func() int64 { s := total(); return s.Trees + s.PartialTrees })
-	reg.CounterFunc("mrvd_coster_evictions_total",
-		"Tree-cache entries displaced by the clock sweep.",
-		func() int64 { return total().Evictions })
 }
 
 // config resolves what every run of the instance shares: the simulator

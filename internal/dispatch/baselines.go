@@ -8,7 +8,7 @@ import (
 )
 
 // greedyByPairOrder assigns pairs first-fit in the order produced by
-// less, skipping pairs whose rider or driver is already taken.
+// less.
 func greedyByPairOrder(ctx *sim.Context, less func(a, b sim.Pair) bool) []sim.Assignment {
 	idx := make([]int, len(ctx.Pairs))
 	for i := range idx {
@@ -17,10 +17,16 @@ func greedyByPairOrder(ctx *sim.Context, less func(a, b sim.Pair) bool) []sim.As
 	sort.SliceStable(idx, func(i, j int) bool {
 		return less(ctx.Pairs[idx[i]], ctx.Pairs[idx[j]])
 	})
+	return firstFit(ctx, idx)
+}
+
+// firstFit assigns ctx.Pairs in the given index order, skipping pairs
+// whose rider or driver is already taken.
+func firstFit(ctx *sim.Context, order []int) []sim.Assignment {
 	usedR := make([]bool, len(ctx.Riders))
 	usedD := make([]bool, len(ctx.Drivers))
 	var out []sim.Assignment
-	for _, i := range idx {
+	for _, i := range order {
 		p := ctx.Pairs[i]
 		if usedR[p.R] || usedD[p.D] {
 			continue
@@ -81,20 +87,7 @@ func (r *RAND) Assign(ctx *sim.Context) []sim.Assignment {
 	if r.rng == nil {
 		r.rng = rand.New(rand.NewSource(r.Seed))
 	}
-	order := r.rng.Perm(len(ctx.Pairs))
-	usedR := make([]bool, len(ctx.Riders))
-	usedD := make([]bool, len(ctx.Drivers))
-	var out []sim.Assignment
-	for _, i := range order {
-		p := ctx.Pairs[i]
-		if usedR[p.R] || usedD[p.D] {
-			continue
-		}
-		usedR[p.R] = true
-		usedD[p.D] = true
-		out = append(out, sim.Assignment{R: p.R, D: p.D})
-	}
-	return out
+	return firstFit(ctx, r.rng.Perm(len(ctx.Pairs)))
 }
 
 // UPPER is the paper's revenue upper bound, not a real dispatcher: each

@@ -30,6 +30,5 @@
 // (Rider.TripCost is NaN): read it through sim.Context.TripCost, which
 // prices it once, as UPPER does. What-if costs beyond the precomputed
 // pairs go through sim.Context.PickupCost (a matrix lookup with a
-// Coster fallback) or a whole Context.PickupCosts.Row slice — never
-// per-pair Coster.Cost calls in inner loops.
+// Coster fallback) — never per-pair Coster.Cost calls in inner loops.
 package dispatch

@@ -74,7 +74,6 @@ type costerCounters struct {
 	resumed   atomic.Int64
 	settled   atomic.Int64
 	cacheHits atomic.Int64
-	evictions atomic.Int64
 }
 
 // CosterStats snapshots a GraphCoster's cumulative query counters.
@@ -86,8 +85,8 @@ type CosterStats struct {
 	// queries, each of which stops once the batch's target nodes are
 	// settled.
 	PartialTrees int64
-	// Resumed counts the runs, of either kind, that continued a cached
-	// tree from its frontier instead of starting at the source.
+	// Resumed counts the runs, of either kind, that continued a
+	// published tree from its frontier instead of starting at the source.
 	Resumed int64
 	// SettledNodes totals nodes finalized across all Dijkstra runs —
 	// the unit of shortest-path work the per-pair and batch query paths
@@ -95,10 +94,10 @@ type CosterStats struct {
 	// complete tree settles every reachable node once, however many
 	// runs built it.
 	SettledNodes int64
-	// CacheHits counts queries answered from the tree cache.
+	// CacheHits counts queries answered from a source's published tree.
 	CacheHits int64
-	// Evictions counts tree-cache entries displaced by the clock
-	// (second-chance) sweep to make room for a new source's tree.
+	// Evictions is always 0: every source node keeps its tree. It
+	// stays for readers of the field.
 	Evictions int64
 }
 
@@ -110,7 +109,6 @@ func (c *GraphCoster) Stats() CosterStats {
 		Resumed:      c.stats.resumed.Load(),
 		SettledNodes: c.stats.settled.Load(),
 		CacheHits:    c.stats.cacheHits.Load(),
-		Evictions:    c.stats.evictions.Load(),
 	}
 }
 
@@ -212,16 +210,16 @@ func (c *GraphCoster) CostPairs(sources, targets []geo.Point, src, tgt []int32, 
 // every listed pair (sources[src[k]], targets[tgt[k]]) — with nil src
 // and tgt, of every pair, row-major. Every endpoint is snapped once
 // (see snapped), source nodes are deduplicated, and one Dijkstra run
-// per unique source the cache does not cover is fanned over a worker
-// pool. The coster's mutex is taken twice — to snap and consult the
-// tree cache up front, and to publish new trees — rather than once per
+// per unique source its published tree does not cover is fanned over a
+// worker pool. The coster's mutex is taken twice — to snap and read the
+// published trees up front, and to publish new trees — rather than once per
 // pair, so workers never contend on a lock.
 //
 // Each run extends its source's tree only until the target nodes of
 // that source's own pairs are settled, which on clustered city
 // workloads is a small fraction of the full tree (Stats reports the
 // work in SettledNodes). A first-seen source starts from nothing; a
-// cached tree whose horizon falls short of its targets is continued
+// published tree whose horizon falls short of its targets is continued
 // from its frontier, on a copy, so the nodes it already settled are
 // never settled again and callers still reading the published tree are
 // not disturbed. Stopping early never changes settled values, so every
@@ -242,7 +240,7 @@ func (c *GraphCoster) price(sources, targets []geo.Point, src, tgt []int32, out 
 		src, tgt = sc.allSrc, sc.allTgt
 	}
 
-	// First lock acquisition: snap, then serve sources from cached
+	// First lock acquisition: snap, then serve sources from published
 	// trees whose horizon reaches every target node they are asked for
 	// — only then is every cell the caller reads final. The rest are
 	// queued, trees[u] the tree to continue (none if first seen).
@@ -257,11 +255,11 @@ func (c *GraphCoster) price(sources, targets []geo.Point, src, tgt []int32, out 
 	sc.group(src, tgt)
 	sc.trees = slices.Grow(sc.trees[:0], len(sc.uniq))[:len(sc.uniq)]
 	for u, n := range sc.uniq {
-		t, ok := c.cache.get(n)
+		t := c.trees[n]
 		sc.trees[u] = t
 		if slices.ContainsFunc(sc.wants(u), func(tn NodeID) bool { return !t.covers(tn) }) {
 			sc.missing = append(sc.missing, u)
-			if ok {
+			if t.dist != nil {
 				resumed++
 			}
 		}
@@ -316,16 +314,10 @@ func (c *GraphCoster) price(sources, targets []geo.Point, src, tgt []int32, out 
 		// batch (and single-pair queries within their horizon) reuse
 		// them.
 		c.mu.Lock()
-		var evictions int64
 		for _, u := range sc.missing {
-			if c.cache.put(sc.uniq[u], sc.trees[u], c.CacheSize) {
-				evictions++
-			}
+			c.publish(sc.uniq[u], sc.trees[u])
 		}
 		c.mu.Unlock()
-		if evictions > 0 {
-			c.stats.evictions.Add(evictions)
-		}
 	}
 
 	// Price each pair's approach legs exactly as Cost does.
@@ -335,8 +327,8 @@ func (c *GraphCoster) price(sources, targets []geo.Point, src, tgt []int32, out 
 		if s.node != InvalidNode && t.node != InvalidNode {
 			d = sc.trees[sc.rowOf[s.node]-1].dist[t.node]
 		}
-		if !math.IsInf(d, 1) && c.ApproachSpeedMPS > 0 {
-			d += (s.approach + t.approach) / c.ApproachSpeedMPS
+		if !math.IsInf(d, 1) {
+			d += (s.approach + t.approach) / DefaultSpeedMPS
 		}
 		out[k] = d
 	}

@@ -200,7 +200,6 @@ func TestBatchCostsCrossBatchReuse(t *testing.T) {
 func TestBatchCostsConcurrent(t *testing.T) {
 	g := GenerateGridNetwork(GridNetworkConfig{Rows: 16, Cols: 16, Seed: 17})
 	c := NewGraphCoster(g)
-	c.CacheSize = 8 // force eviction churn under concurrency
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -224,22 +223,23 @@ func TestBatchCostsConcurrent(t *testing.T) {
 }
 
 // TestExtensionLeavesPublishedTreeAlone pins copy-on-extend: a tree
-// handed out by the cache reads the same after its entry is extended,
-// because another goroutine may still be assembling a matrix from it.
+// published for a source reads the same after that source's tree is
+// extended, because another goroutine may still be assembling a matrix
+// from it.
 func TestExtensionLeavesPublishedTreeAlone(t *testing.T) {
 	g := GenerateGridNetwork(GridNetworkConfig{Rows: 24, Cols: 24, Seed: 31, DropFraction: 0})
 	c := NewGraphCoster(g)
 	src, near, far := g.Point(300), g.Point(301), g.Point(0)
 	c.Costs([]geo.Point{src}, []geo.Point{near})
-	held, ok := c.cache.get(300)
-	if !ok || math.IsInf(held.horizon, 1) {
-		t.Fatalf("expected a partial cached tree, got %+v (ok=%v)", held.horizon, ok)
+	held := c.trees[300]
+	if held.dist == nil || math.IsInf(held.horizon, 1) {
+		t.Fatalf("expected a partial published tree, got horizon %v", held.horizon)
 	}
 	dist := append([]float64(nil), held.dist...)
 	frontier := append([]pqItem(nil), held.frontier...)
 
 	c.Costs([]geo.Point{src}, []geo.Point{far})
-	now, _ := c.cache.get(300)
+	now := c.trees[300]
 	if st := c.Stats(); st.Resumed != 1 || !(now.horizon > held.horizon) {
 		t.Fatalf("entry was not extended: horizon %v -> %v, stats %+v", held.horizon, now.horizon, st)
 	}
@@ -257,7 +257,7 @@ func TestExtensionLeavesPublishedTreeAlone(t *testing.T) {
 
 // TestConcurrentExtensionMatchesSerial has several goroutines price
 // the same few sources against different targets at once, through both
-// query paths, so one cache entry is read, extended and republished
+// query paths, so one source's tree is read, extended and republished
 // concurrently. Every cell must equal a serial reference coster's.
 // Meant to run under -race -count=10.
 func TestConcurrentExtensionMatchesSerial(t *testing.T) {
@@ -303,43 +303,29 @@ func TestConcurrentExtensionMatchesSerial(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTreeCacheClockEviction pins the second-chance policy: referenced
-// entries survive a sweep, unreferenced ones are evicted first.
-func TestTreeCacheClockEviction(t *testing.T) {
-	tc := newTreeCache()
-	tree := func(v float64) spTree { return spTree{dist: []float64{v}, horizon: math.Inf(1)} }
-	tc.put(1, tree(1), 2)
-	tc.put(2, tree(2), 2)
-	// Touch node 1 so its reference bit is set; the insert below clears
-	// it in passing and evicts the never-referenced node 2 instead.
-	if _, ok := tc.get(1); !ok {
-		t.Fatal("node 1 missing")
+// TestTreeTable pins the per-node tree table: a node never queried as
+// a source holds no tree, a queried one holds the tree it was priced
+// from, and publishing a shorter-horizon tree after a complete one
+// keeps the complete one, so a slow caller cannot undo a faster one's
+// extension.
+func TestTreeTable(t *testing.T) {
+	g := GenerateGridNetwork(GridNetworkConfig{Rows: 8, Cols: 8, Seed: 2, DropFraction: 0})
+	c := NewGraphCoster(g)
+	want, _ := g.ShortestPath(0, 63)
+	if got := c.Cost(g.Point(0), g.Point(63)); math.Abs(got-want) > 1e-6 {
+		t.Errorf("Cost(0, 63) = %v, want %v", got, want)
 	}
-	tc.put(3, tree(3), 2)
-	if _, ok := tc.index[2]; ok {
-		t.Error("unreferenced node 2 should have been evicted before referenced node 1")
-	}
-	if _, ok := tc.get(1); !ok {
-		t.Error("referenced node 1 evicted despite its second chance")
-	}
-	// Capacity respected throughout.
-	if len(tc.slots) != 2 || len(tc.index) != 2 {
-		t.Errorf("cache holds %d slots / %d index entries, want 2", len(tc.slots), len(tc.index))
-	}
-	// Re-inserting a resident source keeps whichever tree reaches
-	// further, so a slow caller cannot undo a faster one's extension.
-	tc.put(3, spTree{dist: []float64{30}, horizon: 5}, 2)
-	if got, _ := tc.get(3); got.dist[0] != 3 {
-		t.Errorf("a tree with horizon 5 replaced a complete one: %+v", got)
-	}
-	// A hot entry re-referenced on every round stays resident under
-	// sustained one-shot insert pressure (scan resistance).
-	tc2 := newTreeCache()
-	tc2.put(100, tree(100), 3)
-	for n := NodeID(0); n < 50; n++ {
-		if _, ok := tc2.get(100); !ok {
-			t.Fatalf("hot entry evicted after %d cold inserts", n)
+	for n, tree := range c.trees {
+		if queried := n == 0; (tree.dist != nil) != queried {
+			t.Errorf("node %d holds a tree: %v, want %v", n, tree.dist != nil, queried)
 		}
-		tc2.put(n, tree(float64(n)), 3)
+	}
+	complete := c.trees[0]
+	if !math.IsInf(complete.horizon, 1) {
+		t.Fatalf("Cost left a tree of horizon %v, want a complete one", complete.horizon)
+	}
+	c.publish(0, spTree{dist: make([]float64, g.NumNodes()), horizon: 5})
+	if got := c.trees[0]; &got.dist[0] != &complete.dist[0] {
+		t.Errorf("a tree with horizon 5 replaced a complete one: horizon %v", got.horizon)
 	}
 }

@@ -61,35 +61,28 @@ func (c *GreatCircleCoster) Cost(a, b geo.Point) float64 {
 
 // GraphCoster computes travel time as a shortest path on a road network,
 // snapping endpoints to their nearest graph nodes via a bucketed index.
-// Shortest-path trees are memoized up to CacheSize sources under clock
-// (second-chance) eviction, each with its coverage horizon and the
-// queue its run stopped with. A query whose targets lie inside a cached
-// tree's horizon is a hit; one that reaches beyond extends the tree —
-// the same Dijkstra run continued on a copy, then republished — rather
-// than starting over: batched Costs queries extend until the batch's
-// targets are covered, single-pair Cost queries until the tree is
-// complete. So a stationary driver's tree from one batch prices the
-// next, and re-queried sources survive cache pressure while one-shot
-// scans evict themselves. It is safe for concurrent use, so one coster
-// can back a parallel Sweep, and it implements BatchCoster for
-// many-to-many pricing (see Costs).
+// It keeps one shortest-path tree per source node — nodes² float64s at
+// most, 42 MB on the 48×48 synthetic grid — each with its coverage
+// horizon and the queue its run stopped with. A query whose targets lie
+// inside a source's tree horizon is a hit; one that reaches beyond
+// extends the tree — the same Dijkstra run continued on a copy, then
+// republished — rather than starting over: batched Costs queries extend
+// until the batch's targets are covered, single-pair Cost queries until
+// the tree is complete. So a stationary driver's tree from one batch
+// prices the next. Off-network legs between a query point and its
+// snapped node are local streets, priced at DefaultSpeedMPS. It is safe
+// for concurrent use, so one coster can back a parallel Sweep, and it
+// implements BatchCoster for many-to-many pricing (see Costs).
 type GraphCoster struct {
-	g     *Graph
-	snap  *snapIndex
-	mu    sync.Mutex
-	cache *treeCache
+	g    *Graph
+	snap *snapIndex
+	mu   sync.Mutex
+	// trees holds each source node's published tree, the zero spTree
+	// until the node is first queried as a source. Guarded by mu.
+	trees []spTree
 	// snaps memoizes snap.nearest by query point: a stationary driver
 	// or a waiting rider is snapped once. Guarded by mu.
 	snaps map[geo.Point]snapped
-	// CacheSize bounds the number of memoized shortest-path trees. Set
-	// it before the first query; the default holds a tree for every
-	// node up to a 64 MiB budget of distance arrays, and never fewer
-	// than 512 trees (see defaultCacheSize).
-	CacheSize int
-	// ApproachSpeedMPS prices the off-network legs between the query
-	// points and their snapped nodes. The legs are local streets, so the
-	// default is DefaultSpeedMPS; set to 0 to ignore approach legs.
-	ApproachSpeedMPS float64
 
 	stats costerCounters
 }
@@ -97,28 +90,20 @@ type GraphCoster struct {
 // NewGraphCoster wraps a road network in the Coster interface.
 func NewGraphCoster(g *Graph) *GraphCoster {
 	return &GraphCoster{
-		g:                g,
-		snap:             newSnapIndex(g),
-		cache:            newTreeCache(),
-		snaps:            make(map[geo.Point]snapped),
-		CacheSize:        defaultCacheSize(g.NumNodes()),
-		ApproachSpeedMPS: DefaultSpeedMPS,
+		g:     g,
+		snap:  newSnapIndex(g),
+		trees: make([]spTree, g.NumNodes()),
+		snaps: make(map[geo.Point]snapped),
 	}
 }
 
-// treeCacheBytes is the memory the default tree cache may spend on
-// distance arrays, one float64 per node per tree.
-const treeCacheBytes = 64 << 20
-
-// defaultCacheSize is GraphCoster's default CacheSize on a graph of the
-// given node count: as many trees as treeCacheBytes holds, but never
-// fewer than 512 and never more than one per node — there is at most
-// one tree per source node, so a cache that size never evicts.
-func defaultCacheSize(nodes int) int {
-	if nodes < 1 {
-		return 1
+// publish makes t source n's tree unless the published one reaches at
+// least as far: two callers may extend one tree at once, and the lesser
+// result must not undo the greater. Callers hold mu.
+func (c *GraphCoster) publish(n NodeID, t spTree) {
+	if old := c.trees[n]; old.dist == nil || t.horizon > old.horizon {
+		c.trees[n] = t
 	}
-	return min(nodes, max(512, treeCacheBytes/(8*nodes)))
 }
 
 // snapped is a memoized snapIndex.nearest result.
@@ -155,116 +140,31 @@ func (c *GraphCoster) Cost(a, b geo.Point) float64 {
 		c.mu.Unlock()
 		return math.Inf(1)
 	}
-	t, ok := c.cache.get(na)
+	t := c.trees[na]
 	c.mu.Unlock()
-	if ok && t.covers(nb) {
+	if t.covers(nb) {
 		c.stats.cacheHits.Add(1)
 	} else {
-		// Miss, or a cached tree that doesn't reach nb: complete it
+		// No tree yet, or one that doesn't reach nb: complete it
 		// outside the lock. Trees are deterministic, so a racing
 		// duplicate computation is wasted work, not wrong work.
+		resumed := t.dist != nil
 		var settled int
 		t, settled = c.g.extend(na, t, nil, 0)
 		c.stats.trees.Add(1)
-		if ok {
+		if resumed {
 			c.stats.resumed.Add(1)
 		}
 		c.stats.settled.Add(int64(settled))
 		c.mu.Lock()
-		evicted := c.cache.put(na, t, c.CacheSize)
+		c.publish(na, t)
 		c.mu.Unlock()
-		if evicted {
-			c.stats.evictions.Add(1)
-		}
 	}
 	d := t.dist[nb]
 	if math.IsInf(d, 1) {
 		return d
 	}
-	if c.ApproachSpeedMPS > 0 {
-		d += (sa.approach + sb.approach) / c.ApproachSpeedMPS
-	}
-	return d
-}
-
-// treeCache memoizes shortest-path trees per source node with clock
-// (second-chance) eviction: every hit sets the entry's reference bit,
-// and an insert at capacity sweeps the clock hand, clearing set bits and
-// replacing the first unreferenced entry. Unlike the previous
-// reset-when-full policy — which discarded every hot tree the moment the
-// cache filled, typically mid-batch — eviction pressure now lands on the
-// sources that stopped being queried. Callers hold the owning coster's
-// mutex; the cache itself does no locking.
-type treeCache struct {
-	slots []treeSlot
-	index map[NodeID]int
-	hand  int
-}
-
-// treeSlot is one cached tree. Callers must check a distance against
-// the tree's horizon before trusting it. A slot holds at most one
-// float64 per node plus the tree's frontier — one queue entry per
-// reached node not yet settled — and a complete tree has no frontier.
-type treeSlot struct {
-	node NodeID
-	spTree
-	ref bool
-}
-
-func newTreeCache() *treeCache {
-	return &treeCache{index: make(map[NodeID]int)}
-}
-
-// get returns the cached tree for n, marking the entry referenced.
-func (tc *treeCache) get(n NodeID) (spTree, bool) {
-	i, ok := tc.index[n]
-	if !ok {
-		return spTree{}, false
-	}
-	tc.slots[i].ref = true
-	return tc.slots[i].spTree, true
-}
-
-// put inserts a tree, evicting by second chance once capacity entries
-// exist. New entries start unreferenced: a source only earns its
-// reference bit by being queried again, so a scan of one-shot sources
-// evicts itself under pressure while the re-queried hot set survives.
-// A tree for a source already present replaces the entry only when it
-// reaches further: two callers may extend one entry at once, and the
-// lesser result must not undo the greater. It reports whether an
-// existing entry was evicted to make room.
-func (tc *treeCache) put(n NodeID, t spTree, capacity int) (evicted bool) {
-	if i, ok := tc.index[n]; ok {
-		if t.horizon > tc.slots[i].horizon {
-			tc.slots[i].spTree = t
-		}
-		tc.slots[i].ref = true
-		return false
-	}
-	if capacity < 1 {
-		capacity = 1
-	}
-	if len(tc.slots) < capacity {
-		tc.index[n] = len(tc.slots)
-		tc.slots = append(tc.slots, treeSlot{node: n, spTree: t})
-		return false
-	}
-	for {
-		if tc.hand >= len(tc.slots) {
-			tc.hand = 0
-		}
-		s := &tc.slots[tc.hand]
-		if s.ref {
-			s.ref = false
-			tc.hand++
-			continue
-		}
-		delete(tc.index, s.node)
-		*s = treeSlot{node: n, spTree: t}
-		tc.index[n] = tc.hand
-		tc.hand++
-		return true
-	}
+	return d + (sa.approach+sb.approach)/DefaultSpeedMPS
 }
 
 // snapIndex buckets graph nodes on a coarse grid for nearest-node lookup.

@@ -43,7 +43,6 @@ func TestGreatCircleCosterZeroSpeedDefaults(t *testing.T) {
 func TestGraphCosterAgainstDirectDijkstra(t *testing.T) {
 	g := GenerateGridNetwork(GridNetworkConfig{Rows: 12, Cols: 12, Seed: 7, DropFraction: 0})
 	c := NewGraphCoster(g)
-	c.ApproachSpeedMPS = 0 // isolate the graph leg
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 30; i++ {
 		na := NodeID(rng.Intn(g.NumNodes()))
@@ -67,7 +66,7 @@ func TestGraphCosterApproachLeg(t *testing.T) {
 	// approach legs only.
 	off := geo.Point{Lng: node.Lng + 0.0001, Lat: node.Lat}
 	got := c.Cost(off, off)
-	want := 2 * geo.Equirect(off, node) / c.ApproachSpeedMPS
+	want := 2 * geo.Equirect(off, node) / DefaultSpeedMPS
 	if math.Abs(got-want) > 1e-6 {
 		t.Errorf("approach-leg cost = %v, want %v", got, want)
 	}
@@ -77,45 +76,6 @@ func TestGraphCosterEmptyGraph(t *testing.T) {
 	c := NewGraphCoster(NewBuilder().Build())
 	if got := c.Cost(geo.Point{}, geo.Point{Lng: 1}); !math.IsInf(got, 1) {
 		t.Errorf("empty-graph cost = %v, want +Inf", got)
-	}
-}
-
-// TestDefaultCacheSize pins the default tree-cache capacity: every node
-// of the bench-sized grid fits in the memory budget, a city too big for
-// it still gets the 512-tree floor, and an empty graph gets a usable
-// cache without dividing by zero.
-func TestDefaultCacheSize(t *testing.T) {
-	grid := GenerateGridNetwork(GridNetworkConfig{Seed: 1})
-	if got := defaultCacheSize(grid.NumNodes()); got != 2304 {
-		t.Errorf("grid of %d nodes: default %d, want 2304", grid.NumNodes(), got)
-	}
-	if got := NewGraphCoster(grid).CacheSize; got != 2304 {
-		t.Errorf("NewGraphCoster CacheSize %d, want 2304", got)
-	}
-	big := treeCacheBytes/(8*512) + 1 // the budget holds fewer than 512 trees
-	if got := defaultCacheSize(big); got != 512 {
-		t.Errorf("%d nodes: default %d, want the 512 floor", big, got)
-	}
-	if got := defaultCacheSize(0); got < 1 {
-		t.Errorf("empty graph: default %d, want positive", got)
-	}
-}
-
-func TestGraphCosterCacheEviction(t *testing.T) {
-	g := GenerateGridNetwork(GridNetworkConfig{Rows: 8, Cols: 8, Seed: 2})
-	c := NewGraphCoster(g)
-	c.CacheSize = 2
-	rng := rand.New(rand.NewSource(3))
-	// Exercise clock eviction churn; values must stay correct afterwards.
-	for i := 0; i < 10; i++ {
-		na := NodeID(rng.Intn(g.NumNodes()))
-		nb := NodeID(rng.Intn(g.NumNodes()))
-		_ = c.Cost(g.Point(na), g.Point(nb))
-	}
-	c.ApproachSpeedMPS = 0
-	want, _ := g.ShortestPath(0, 63)
-	if got := c.Cost(g.Point(0), g.Point(63)); math.Abs(got-want) > 1e-6 {
-		t.Errorf("post-eviction cost %v, want %v", got, want)
 	}
 }
 

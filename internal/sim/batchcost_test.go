@@ -128,9 +128,9 @@ func TestEngineCandidateCap(t *testing.T) {
 // (settled nodes) must stay within a few percent of warm per-pair
 // costing, whose cached full trees served stationary drivers before
 // the batch engine existed. (Without horizon-cached batch trees this
-// ratio was ~3x.) Batch trees are extended, never rebuilt, so the batch
-// path cannot settle a node twice for one cache entry; the allowance
-// covers entries evicted and started over.
+// ratio was ~3x.) Batch trees are extended, never rebuilt, and no
+// source's tree is ever dropped, so the batch path cannot settle a node
+// twice for one source; the allowance is slack.
 func TestEngineBatchCostingWarmWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	orders, drivers := randomScenario(rng)
@@ -267,7 +267,7 @@ func TestApplyPricesUnpairedTrip(t *testing.T) {
 	}
 }
 
-// TestContextPickupCostMatrixAndFallback covers the CostMatrix accessors
+// TestContextPickupCostMatrixAndFallback covers the costMatrix accessors
 // and the Coster fallback for pairs outside the priced candidate set.
 func TestContextPickupCostMatrixAndFallback(t *testing.T) {
 	pickup := center()
@@ -286,15 +286,15 @@ func TestContextPickupCostMatrixAndFallback(t *testing.T) {
 	}
 	// The near driver is priced in the matrix.
 	want := ctx.Coster.Cost(near, pickup)
-	if got, ok := ctx.PickupCosts.Cost(0, 0); !ok || got != want {
+	if got, ok := ctx.pickupCosts.cost(0, 0); !ok || got != want {
 		t.Fatalf("matrix cost = %v (ok=%v), want %v", got, ok, want)
 	}
-	if row := ctx.PickupCosts.Row(0); len(row) != 1 || row[0] != want {
+	if row := ctx.pickupCosts.row(0); len(row) != 1 || row[0] != want {
 		t.Fatalf("matrix row = %v, want [%v]", row, want)
 	}
 	// The far driver never became a candidate: no row, and PickupCost
 	// falls back to a live Coster query with the same answer.
-	if row := ctx.PickupCosts.Row(1); row != nil {
+	if row := ctx.pickupCosts.row(1); row != nil {
 		t.Fatalf("far driver has matrix row %v, want none", row)
 	}
 	// (The engine clamps starts to the grid, so compare against the

@@ -8,33 +8,32 @@ import (
 	"mrvd/internal/roadnet"
 )
 
-// CostMatrix is a batch's driver-to-pickup travel-cost matrix, sparse:
+// costMatrix is a batch's driver-to-pickup travel-cost matrix, sparse:
 // it holds the pairs the batch priced — every rider's candidate
 // drivers, in one roadnet.PairCoster call for a batch coster; the cells
 // the pair loop read, for a plain Coster — instead of per-pair Coster
 // calls in inner loops. Rows are the batch's candidate drivers, columns
 // its waiting riders (column index = rider index).
-type CostMatrix struct {
+type costMatrix struct {
 	rows      [][]float64
 	driverRow []int32 // driver slot -> row index, -1 when not a candidate
 }
 
-// Row returns driver slot d's cost row over the batch's riders, or nil
+// row returns driver slot d's cost row over the batch's riders, or nil
 // when d was not a pricing candidate for any rider. Cells the batch
 // didn't price (a driver that is some other rider's candidate, not
-// this one's) hold NaN. The slice is shared with the engine; callers must
-// not mutate it.
-func (m *CostMatrix) Row(d int32) []float64 {
+// this one's) hold NaN.
+func (m *costMatrix) row(d int32) []float64 {
 	if m == nil || d < 0 || int(d) >= len(m.driverRow) || m.driverRow[d] < 0 {
 		return nil
 	}
 	return m.rows[m.driverRow[d]]
 }
 
-// Cost returns the priced pickup cost for (driver slot d, rider r) and
+// cost returns the priced pickup cost for (driver slot d, rider r) and
 // whether the matrix covers that pair.
-func (m *CostMatrix) Cost(d, r int32) (float64, bool) {
-	row := m.Row(d)
+func (m *costMatrix) cost(d, r int32) (float64, bool) {
+	row := m.row(d)
 	if row == nil || r < 0 || int(r) >= len(row) || math.IsNaN(row[r]) {
 		return 0, false
 	}
@@ -48,7 +47,7 @@ func (m *CostMatrix) Cost(d, r int32) (float64, bool) {
 //
 // Lifetime: the engine allocates the Context itself fresh every batch
 // (a *Context identifies its batch, so per-batch caches may key on it)
-// but every slice it carries, and PickupCosts' rows, live in the
+// but every slice it carries, and the pickup cost matrix's rows, live in the
 // engine's batch arena and are overwritten by the next batch. A Context
 // and everything reachable from it are valid only until the call it was
 // passed to returns; copy what must outlive that.
@@ -58,12 +57,12 @@ type Context struct {
 	Grid *geo.Grid
 	// Coster prices travel for what-if costs the batch didn't cover;
 	// every valid pair already carries its two legs, and candidate
-	// pickup costs sit in PickupCosts — prefer PickupCost over calling
+	// pickup costs are precomputed — prefer PickupCost over calling
 	// Coster.Cost in inner loops.
 	Coster roadnet.Coster
-	// PickupCosts is the batch's precomputed driver-to-pickup cost
+	// pickupCosts is the batch's precomputed driver-to-pickup cost
 	// matrix; PickupCost is the checked accessor over it.
-	PickupCosts *CostMatrix
+	pickupCosts *costMatrix
 
 	// Riders are the batch's waiting riders; Drivers its available
 	// drivers. Dispatchers must treat both as read-only.
@@ -129,7 +128,7 @@ type Dispatcher interface {
 // pickup. Pairs the batch matrix covers are O(1) lookups; anything else
 // falls back to a single-pair Coster query.
 func (ctx *Context) PickupCost(d, r int32) float64 {
-	if v, ok := ctx.PickupCosts.Cost(d, r); ok {
+	if v, ok := ctx.pickupCosts.cost(d, r); ok {
 		return v
 	}
 	return ctx.Coster.Cost(ctx.Drivers[d].Pos, ctx.Riders[r].Order.Pickup)

@@ -763,14 +763,14 @@ func (e *Engine) renegeExpired(now float64) {
 // driver-to-pickup pairs in one PairCoster call, precomputes valid
 // pairs as matrix lookups, and prices the trips their riders hold for
 // the first time (priceTrips). Every slice is the arena's; the header
-// (Context plus CostMatrix, one object) must stay fresh — dispatchers
+// (Context plus costMatrix, one object) must stay fresh — dispatchers
 // key per-batch caches on the *Context they were handed.
 func (e *Engine) buildContext(now float64) *Context {
 	grid := e.cfg.Grid
 	a := &e.arena
 	frame := &struct {
 		ctx   Context
-		costs CostMatrix
+		costs costMatrix
 	}{}
 	clear(a.waitingPerRegion)
 	e.countFutureRejoins(now, a.predictedDrivers)
@@ -830,7 +830,7 @@ func (e *Engine) buildContext(now float64) *Context {
 		}
 	}
 
-	// Price the matrix: sparse rows, NaN where nobody priced (CostMatrix
+	// Price the matrix: sparse rows, NaN where nobody priced (costMatrix
 	// reports such a cell as uncovered), carved from the arena's slab
 	// on first touch. Batched mode (see Engine.dense) issues the one
 	// call per batch the API documents, over every rider's candidates
@@ -863,7 +863,7 @@ func (e *Engine) buildContext(now float64) *Context {
 			costs[row][a.pairTgt[k]] = a.pairCost[k]
 		}
 	}
-	frame.costs = CostMatrix{rows: costs, driverRow: a.driverRow[:len(a.drivers)]}
+	frame.costs = costMatrix{rows: costs, driverRow: a.driverRow[:len(a.drivers)]}
 
 	// Valid pairs (Definition 3) become matrix lookups: candidates are
 	// taken nearest-first and kept while the driver can reach the
@@ -921,7 +921,7 @@ func (e *Engine) buildContext(now float64) *Context {
 		TC:                 e.cfg.TC,
 		Grid:               grid,
 		Coster:             e.cfg.Coster,
-		PickupCosts:        &frame.costs,
+		pickupCosts:        &frame.costs,
 		Riders:             a.riders,
 		Drivers:            a.drivers,
 		Pairs:              a.pairs,
@@ -1245,7 +1245,8 @@ func (e *Engine) removeFutureRejoin(region geo.RegionID, at float64) {
 }
 
 // closeLedger discards idle records that never closed (drivers still
-// waiting at the horizon) and any that never got an estimate.
+// waiting at the horizon: a NaN Realized). Records that never got an
+// estimate (a NaN Estimate) are kept; readers that need one filter them.
 func (e *Engine) closeLedger() {
 	kept := e.metrics.IdleRecords[:0]
 	for _, rec := range e.metrics.IdleRecords {

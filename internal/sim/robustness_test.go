@@ -118,9 +118,7 @@ func TestEngineGraphCosterEndToEnd(t *testing.T) {
 		})
 	}
 	cfg := simpleConfig()
-	gc := roadnet.NewGraphCoster(g)
-	gc.ApproachSpeedMPS = 8 // curb legs priced at driving speed for this test
-	cfg.Coster = gc
+	cfg.Coster = roadnet.NewGraphCoster(g)
 	m, err := New(cfg, orders, []geo.Point{pickup, offset(pickup, 1000)}).Run(context.Background(), takeAll{})
 	if err != nil {
 		t.Fatal(err)

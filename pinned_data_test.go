@@ -1,6 +1,9 @@
 package mrvd
 
-import "mrvd/internal/sim"
+import (
+	"mrvd/internal/roadnet"
+	"mrvd/internal/sim"
+)
 
 // pinnedAtParent holds TestPinnedOutputs' expectations, recorded at
 // commit f5dc6e9 (the parent of PR 21) by running the test there and
@@ -52,8 +55,10 @@ const pinnedRoadWorkSettled = 991807.0
 // pinnedRoadWorkExact is the shortest-path work TestPinnedRoadWork's
 // replay costs with pickup trees priced pair by pair and extended only
 // as far as each batch reads, and each trip priced the first batch its
-// rider holds a valid pair.
-var pinnedRoadWorkExact = struct{ SettledNodes, PartialTrees int64 }{SettledNodes: 149873, PartialTrees: 960}
+// rider holds a valid pair. Resumed and CacheHits, recorded at commit
+// 4f48c0a, count the trees reused across batches: a coster that drops
+// a tree or fails to republish one reads fewer.
+var pinnedRoadWorkExact = roadnet.CosterStats{PartialTrees: 960, Resumed: 514, SettledNodes: 149873, CacheHits: 7042}
 
 // pinnedRoadTripReaders holds TestPinnedRoadTripReaders' expectations,
 // recorded at commit 4356c6f.

@@ -129,12 +129,12 @@ func TestPinnedOutputs(t *testing.T) {
 // every in-radius driver a candidate (CandidateCap 0, the shape of
 // bench/'s peak_road), priced on a generated road network. The Summary
 // and ledger figures are pinned like every other replay here; the
-// shortest-path work is pinned exactly — settled nodes and partial
-// trees, so a kernel change that alters which nodes a run settles fails
-// here — and as a ceiling. pinnedRoadWorkSettled is
-// the CosterStats.SettledNodes this replay cost at the parent of PR 23
-// (commit 6904d87), where the engine priced the dense candidate-drivers
-// x waiting-riders matrix every batch. Pricing only the pairs a batch
+// shortest-path work is pinned exactly — every CosterStats counter, so
+// a kernel change that alters which nodes a run settles, or a tree
+// store that forgets a tree, fails here — and as a ceiling.
+// pinnedRoadWorkSettled is the CosterStats.SettledNodes this replay
+// cost at the parent of PR 23 (commit 6904d87), where the engine priced
+// the dense candidate-drivers x waiting-riders matrix every batch. Pricing only the pairs a batch
 // reads must stay at or under three quarters of it, so the sparsity
 // cannot silently regress to the dense matrix.
 func TestPinnedRoadWork(t *testing.T) {
@@ -158,9 +158,8 @@ func TestPinnedRoadWork(t *testing.T) {
 	st := coster.Stats()
 	settled := st.SettledNodes
 	t.Logf("settled %d nodes, %.3fx the dense matrix's %d", settled, float64(settled)/pinnedRoadWorkSettled, int64(pinnedRoadWorkSettled))
-	if settled != pinnedRoadWorkExact.SettledNodes || st.PartialTrees != pinnedRoadWorkExact.PartialTrees {
-		t.Errorf("settled %d nodes in %d partial trees, want %d in %d",
-			settled, st.PartialTrees, pinnedRoadWorkExact.SettledNodes, pinnedRoadWorkExact.PartialTrees)
+	if st != pinnedRoadWorkExact {
+		t.Errorf("coster work %+v, want %+v", st, pinnedRoadWorkExact)
 	}
 	if float64(settled) > 0.75*pinnedRoadWorkSettled {
 		t.Errorf("settled %d nodes, more than 0.75x the %d the dense per-batch matrix cost", settled, int64(pinnedRoadWorkSettled))

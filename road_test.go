@@ -3,73 +3,12 @@ package mrvd
 import (
 	"context"
 	"errors"
-	"fmt"
-	"maps"
 	"runtime"
 	"testing"
 	"time"
 
-	"mrvd/internal/core"
 	"mrvd/internal/roadnet"
-	"mrvd/internal/sim"
-	"mrvd/internal/trace"
 )
-
-// TestRoadCacheSizeMovesNoDecision replays the road-priced peak-hour
-// fixture on the default coster, whose tree cache holds a tree for
-// every node of the grid, and on one with CacheSize 8, which evicts
-// constantly. The cache only decides how much Dijkstra work a cost
-// takes, never its value, so both replays must reach the same Summary
-// and leave every order in the same terminal state; the default run
-// must evict nothing and settle strictly fewer nodes.
-func TestRoadCacheSizeMovesNoDecision(t *testing.T) {
-	city, orders, starts := peakHourFixture()
-	graph := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: 7})
-	replay := func(coster *roadnet.GraphCoster) (pinned, map[trace.OrderID]string) {
-		terminal := map[trace.OrderID]string{}
-		r := core.NewRunnerWithOrders(core.Options{
-			City: city, NumDrivers: len(starts), Delta: 5, TC: 1200,
-			Horizon: peakHourHorizon, Seed: 9, Coster: coster,
-			Observer: sim.ObserverFuncs{
-				Assigned: func(e sim.AssignedEvent) {
-					terminal[e.Rider.Order.ID] = fmt.Sprintf("assigned to %d", e.Driver)
-				},
-				Expired:  func(e sim.ExpiredEvent) { terminal[e.Rider.Order.ID] = "expired" },
-				Canceled: func(e sim.CanceledEvent) { terminal[e.Rider.Order.ID] = "canceled" },
-			},
-		}, orders, starts)
-		d, err := core.NewDispatcher("IRG", 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := r.Run(context.Background(), d, core.PredictOracle, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pin(m), terminal
-	}
-
-	def := roadnet.NewGraphCoster(graph)
-	churn := roadnet.NewGraphCoster(graph)
-	churn.CacheSize = 8
-	defPin, defTerminal := replay(def)
-	churnPin, churnTerminal := replay(churn)
-	if defPin != churnPin {
-		t.Errorf("cache size moved the replay:\n  default:      %#v\n  CacheSize 8:  %#v", defPin, churnPin)
-	}
-	if len(defTerminal) == 0 || !maps.Equal(defTerminal, churnTerminal) {
-		t.Errorf("per-order terminal states differ: %d orders on the default coster, %d with CacheSize 8", len(defTerminal), len(churnTerminal))
-	}
-	ds, cs := def.Stats(), churn.Stats()
-	t.Logf("default (CacheSize %d): settled %d, evictions %d; CacheSize 8: settled %d, evictions %d",
-		def.CacheSize, ds.SettledNodes, ds.Evictions, cs.SettledNodes, cs.Evictions)
-	if ds.Evictions != 0 {
-		t.Errorf("default coster evicted %d trees, want 0", ds.Evictions)
-	}
-	if ds.SettledNodes >= cs.SettledNodes {
-		t.Errorf("default coster settled %d nodes, want fewer than CacheSize 8's %d", ds.SettledNodes, cs.SettledNodes)
-	}
-}
 
 // TestRoadSessionCancelLeavesNoGoroutines cancels a road-priced
 // peak-hour replay from an Observer a few batches in, after the coster
