@@ -231,8 +231,8 @@ func Sweep(ctx context.Context, base Options, spec SweepSpec) ([]SweepResult, er
 	// than per cell. (The city's identity keys the shared histories; the
 	// default coster is stateless, so that only pins down the sharing
 	// contract — a user-supplied coster, e.g. a road network whose snap
-	// index and tree cache then warm across the grid, is shared by
-	// construction. Costers must be safe for concurrent use; both
+	// index and shortest-path trees then warm across the grid, is shared
+	// by construction. Costers must be safe for concurrent use; both
 	// built-ins are.)
 	if base.City == nil {
 		base.City = base.withDefaults().City

@@ -203,23 +203,15 @@ func (ix *Index) Prepare(p Point) Query {
 // then id (for determinism). It scans only the grid cells intersecting
 // the query circle.
 func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
-	return ix.AppendWithin(nil, p, ix.Prepare(p), radiusMeters)
+	ns := ix.scan(nil, p, ix.Prepare(p), scanAll, radiusMeters)
+	slices.SortFunc(ns, nearCmp)
+	return ns
 }
 
-// AppendWithin appends Within's result for p, prepared as q, to dst and
-// returns the extended slice — the form for callers that query every
-// batch and keep the buffer. Only the appended tail is sorted.
-func (ix *Index) AppendWithin(dst []Neighbor, p Point, q Query, radiusMeters float64) []Neighbor {
-	base := len(dst)
-	dst = ix.scan(dst, p, q, scanAll, radiusMeters)
-	slices.SortFunc(dst[base:], nearCmp)
-	return dst
-}
-
-// AppendInRadius appends Within's items to dst unordered — for a caller
-// that reads only a nearest prefix whose length it learns as it reads:
-// NearestFirst then yields Within's order one item at a time without
-// sorting the tail it never reaches. q is p's Query.
+// AppendInRadius appends Within's items to dst unordered, for a caller
+// that keeps the buffer across queries and reads the items
+// nearest-first: NearestFirst yields Within's order one item at a time
+// without sorting a tail the caller never reaches. q is p's Query.
 func (ix *Index) AppendInRadius(dst []Neighbor, p Point, q Query, radiusMeters float64) []Neighbor {
 	return ix.scan(dst, p, q, scanAll, radiusMeters)
 }

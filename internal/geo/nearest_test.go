@@ -39,8 +39,9 @@ func TestNearestMatchesWithinTruncation(t *testing.T) {
 			Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
 		}
 		radius := rng.Float64() * 8000
-		buf = ix.AppendWithin(buf[:1], p, ix.Prepare(p), radius)
-		appended("AppendWithin", trial, ix.Within(p, radius))
+		buf = ix.AppendInRadius(buf[:1], p, ix.Prepare(p), radius)
+		slices.SortFunc(buf[1:], nearCmp)
+		appended("AppendInRadius, sorted,", trial, ix.Within(p, radius))
 		for _, k := range []int{0, 1, 5, 12, 100, 1000} {
 			buf = ix.AppendNearest(buf[:1], p, ix.Prepare(p), k, radius)
 			appended("AppendNearest", trial, ix.Nearest(p, k, radius))
@@ -164,12 +165,11 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 // TestPreparedQueriesMatchPointForms: a Query prepared once when a
 // point is first seen serves every later scan of that point — the
 // fleet moving, joining and leaving in between, the radius shrinking —
-// with the results of the point forms, which prepare afresh, in all
-// three modes: AppendWithin equals Within, AppendNearest equals
-// Nearest, and AppendInRadius holds Within's items. Points fall inside
-// and outside the box and past ±89° of latitude; radii include 0, NaN
-// and +Inf. The prepared fields are bitwise the expressions a scan
-// used to evaluate per call.
+// with the results of the point forms, which prepare afresh, in both
+// modes: AppendInRadius, sorted, equals Within, and AppendNearest
+// equals Nearest. Points fall inside and outside the box and past ±89°
+// of latitude; radii include 0, NaN and +Inf. The prepared fields are
+// bitwise the expressions a scan used to evaluate per call.
 func TestPreparedQueriesMatchPointForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, box := range []BBox{NYCBBox, {MinLng: 10, MinLat: 88.5, MaxLng: 11, MaxLat: 90}} {
@@ -224,9 +224,6 @@ func TestPreparedQueriesMatchPointForms(t *testing.T) {
 				for _, radius := range []float64{0, math.NaN(), math.Inf(1), rng.Float64() * 4000, rng.Float64() * 40000} {
 					where := fmt.Sprintf("round %d p=%v radius=%v", round, pp.p, radius)
 					want := ix.Within(pp.p, radius)
-					if buf = ix.AppendWithin(buf[:0], pp.p, pp.q, radius); !sameNeighbors(buf, want) {
-						t.Fatalf("%s: AppendWithin: %s", where, firstDiff(buf, want))
-					}
 					buf = ix.AppendInRadius(buf[:0], pp.p, pp.q, radius)
 					if slices.SortFunc(buf, nearCmp); !sameNeighbors(buf, want) {
 						t.Fatalf("%s: AppendInRadius: %s", where, firstDiff(buf, want))

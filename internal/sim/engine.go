@@ -786,11 +786,11 @@ func (e *Engine) buildContext(now float64) *Context {
 	// the spatial index — every available driver within the radius the
 	// rider's remaining patience allows, optionally pre-filtered to the
 	// CandidateCap nearest — and are priced below in one many-to-many
-	// batch instead of per-pair Coster calls. Lazy pricing reads each
-	// rider's candidates nearest-first only until its pairs are found,
-	// so they are gathered unsorted; a batch coster prices them all, in
-	// Within's order (which GraphCoster's tree cache sees as its source
-	// order).
+	// batch instead of per-pair Coster calls. The pair loop reads each
+	// rider's candidates nearest-first through a heap, so they are
+	// gathered unsorted; lazy pricing stops reading once the rider's
+	// pairs are found, a batch coster prices them all (per pair, so in
+	// any order).
 	a.riders, a.riderRegion = a.riders[:0], a.riderRegion[:0]
 	a.cand, a.candEnd, a.targets = a.cand[:0], a.candEnd[:0], a.targets[:0]
 	for _, r := range e.waiting {
@@ -800,12 +800,9 @@ func (e *Engine) buildContext(now float64) *Context {
 
 		slack := r.Order.Deadline - now
 		radius := slack * radiusSpeedMPS
-		switch {
-		case e.cfg.CandidateCap > 0:
+		if e.cfg.CandidateCap > 0 {
 			a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, r.scan, e.cfg.CandidateCap, radius)
-		case e.dense != nil:
-			a.cand = e.idx.AppendWithin(a.cand, r.Order.Pickup, r.scan, radius)
-		default:
+		} else {
 			a.cand = e.idx.AppendInRadius(a.cand, r.Order.Pickup, r.scan, radius)
 		}
 		a.candEnd = append(a.candEnd, len(a.cand))

@@ -156,3 +156,69 @@ func TestPoissonCDFMonotone(t *testing.T) {
 		t.Errorf("CDF(12, 59) = %v, want ~1", prev)
 	}
 }
+
+// knuthReference is Poisson with the textbook Knuth loop below 30:
+// e^-lambda computed first, then one uniform per factor.
+func knuthReference(rng *rand.Rand, lambda float64) int {
+	switch {
+	case lambda <= 0 || math.IsNaN(lambda):
+		return 0
+	case lambda >= 30:
+		return poissonPTRS(rng, lambda)
+	}
+	l := math.Exp(-lambda)
+	k := 0
+	p := 1.0
+	for {
+		p *= rng.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}
+
+// samePoissonDraws fails unless Poisson and the textbook reference,
+// each on its own generator seeded alike, return the same k and leave
+// their generators at the same position, draw after draw.
+func samePoissonDraws(t *testing.T, seed int64, lambda float64, draws int) {
+	t.Helper()
+	got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	for i := 0; i < draws; i++ {
+		if g, w := Poisson(got, lambda), knuthReference(want, lambda); g != w {
+			t.Fatalf("seed %d lambda %v draw %d: k = %d, textbook Knuth %d", seed, lambda, i, g, w)
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d lambda %v draw %d: next draw %d, textbook Knuth %d (a different number of uniforms consumed)",
+				seed, lambda, i, g, w)
+		}
+	}
+}
+
+func TestPoissonKnuthMatchesTextbook(t *testing.T) {
+	lambdas := []float64{
+		1e-300, 1e-9, 0.01, 0.2,
+		math.Nextafter(1, 0), 1, math.Nextafter(1, 2),
+		29.999,
+		0, -3, math.NaN(),
+	}
+	for _, lambda := range lambdas {
+		for seed := int64(1); seed <= 20; seed++ {
+			samePoissonDraws(t, seed, lambda, 2000)
+		}
+	}
+}
+
+// FuzzPoissonKnuth checks the squeezed sampler draw for draw against
+// the textbook loop at any seed and any lambda below PTRS's range.
+func FuzzPoissonKnuth(f *testing.F) {
+	for _, lambda := range []float64{1e-300, 0.2, 1, 4.5, 29.999, 0, -1, math.NaN()} {
+		f.Add(int64(1), lambda)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, lambda float64) {
+		if lambda >= 30 {
+			return
+		}
+		samePoissonDraws(t, seed, lambda, 64)
+	})
+}

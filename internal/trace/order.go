@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mrvd/internal/geo"
 )
@@ -40,13 +41,19 @@ func (o Order) Valid() error {
 }
 
 // SortByPostTime sorts orders in place by posting time, breaking ties by
-// id so replay order is deterministic.
+// id so replay order is deterministic. The sort is not stable: orders
+// with the same post time and the same id end in an order fixed by the
+// input's (the one sort.Slice with the same less function gives, as both
+// run the same pattern-defeating quicksort), not in their input order.
 func SortByPostTime(orders []Order) {
-	sort.Slice(orders, func(i, j int) bool {
-		if orders[i].PostTime != orders[j].PostTime {
-			return orders[i].PostTime < orders[j].PostTime
+	slices.SortFunc(orders, func(a, b Order) int {
+		if a.PostTime != b.PostTime {
+			if a.PostTime < b.PostTime {
+				return -1
+			}
+			return 1
 		}
-		return orders[i].ID < orders[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

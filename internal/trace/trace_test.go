@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -128,5 +131,38 @@ func TestCountPerSlot(t *testing.T) {
 	}
 	if total != 3 {
 		t.Errorf("total bucketed = %d, want 3 (outside orders dropped)", total)
+	}
+}
+
+// TestSortByPostTimeMatchesSortSlice pins SortByPostTime to sort.Slice
+// with the same less function, permutation for permutation, on shuffled
+// traces where post times repeat, ids repeat (equal keys with different
+// payloads), and one post time is NaN.
+func TestSortByPostTimeMatchesSortSlice(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		orders := sampleOrders(3000, seed)
+		for i := range orders {
+			orders[i].PostTime = float64(rng.Intn(50)) // many equal post times
+			orders[i].ID = OrderID(rng.Intn(400))      // duplicate ids
+		}
+		orders[rng.Intn(len(orders))].PostTime = math.NaN()
+		rng.Shuffle(len(orders), func(i, j int) { orders[i], orders[j] = orders[j], orders[i] })
+
+		want := slices.Clone(orders)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].PostTime != want[j].PostTime {
+				return want[i].PostTime < want[j].PostTime
+			}
+			return want[i].ID < want[j].ID
+		})
+		SortByPostTime(orders)
+		for i := range orders {
+			// Compare bits so the NaN entry matches itself.
+			if orders[i].ID != want[i].ID || math.Float64bits(orders[i].PostTime) != math.Float64bits(want[i].PostTime) ||
+				orders[i].Pickup != want[i].Pickup || orders[i].Dropoff != want[i].Dropoff || orders[i].Deadline != want[i].Deadline {
+				t.Fatalf("seed %d: position %d is %+v, sort.Slice put %+v there", seed, i, orders[i], want[i])
+			}
+		}
 	}
 }

@@ -170,6 +170,14 @@ func NewCity(cfg CityConfig) *City {
 	for r := 0; r < n; r++ {
 		centers[r] = cfg.Grid.Center(geo.RegionID(r))
 	}
+	// decay[src*n+dst] is the destination kernel's distance decay, the
+	// same in every period.
+	decay := make([]float64, n*n)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			decay[src*n+dst] = math.Exp(-geo.Equirect(centers[src], centers[dst]) / cfg.TripDecayMeters)
+		}
+	}
 	for p := Period(0); p < numPeriods; p++ {
 		pw := make([]float64, n)
 		dw := make([]float64, n)
@@ -192,8 +200,7 @@ func NewCity(cfg CityConfig) *City {
 			row := make([]float64, n)
 			acc := 0.0
 			for dst := 0; dst < n; dst++ {
-				d := geo.Equirect(centers[src], centers[dst])
-				w := dw[dst] * math.Exp(-d/cfg.TripDecayMeters)
+				w := dw[dst] * decay[src*n+dst]
 				if dst == src {
 					w *= 0.25 // few same-region micro-trips in taxi data
 				}

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 
 	"mrvd/internal/geo"
 	"mrvd/internal/stats"
@@ -75,39 +77,82 @@ func (c *City) computeDayMeta(day int) DayMeta {
 // GenerateDay materializes the full order trace of one day: per-minute,
 // per-region Poisson arrivals with uniform placement inside the region,
 // destinations from the period's transition kernel, and deadlines
-// tau_i = t_i + tau + U[1,10] exactly as Section 6.2 configures.
+// tau_i = t_i + tau + U[1,10] exactly as Section 6.2 configures. The
+// orders come sorted by post time and re-id'd in that order.
+//
+// The day is ordered one minute at a time. Minute m's orders post in
+// [60m, 60(m+1)] (the top only by rounding) and are drawn before minute
+// m+1's, so ordering by (post time, draw index) within each minute and
+// concatenating the minutes gives the (PostTime, ID) order of the whole
+// day that SortByPostTime would.
 func (c *City) GenerateDay(day int, rng *rand.Rand) []trace.Order {
 	grid := c.cfg.Grid
 	n := grid.NumRegions()
-	var orders []trace.Order
-	id := trace.OrderID(0)
+	// scale is the day's expected order count; 4σ on top makes a regrow rare.
 	scale := c.dayScale(day)
+	orders := make([]trace.Order, 0, int(scale+4*math.Sqrt(scale))+16)
+	var drawn []trace.Order
+	var sorter minuteSorter
 	for minute := 0; minute < 24*60; minute++ {
 		p := PeriodOf(float64(minute * 60))
 		mscale, w := c.minuteIntensity(scale, minute)
+		drawn = drawn[:0]
 		for r := 0; r < n; r++ {
 			k := stats.Poisson(rng, mscale*w[r])
 			for i := 0; i < k; i++ {
 				post := float64(minute*60) + rng.Float64()*60
 				dst := c.sampleDest(rng, p, r)
-				o := trace.Order{
-					ID:       id,
+				drawn = append(drawn, trace.Order{
 					PostTime: post,
 					Pickup:   randomPointIn(rng, grid, r),
 					Dropoff:  randomPointIn(rng, grid, dst),
 					Deadline: post + c.cfg.BaseWaitSeconds + 1 + rng.Float64()*9,
-				}
-				orders = append(orders, o)
-				id++
+				})
 			}
 		}
-	}
-	trace.SortByPostTime(orders)
-	// Re-id in replay order for stable diagnostics.
-	for i := range orders {
-		orders[i].ID = trace.OrderID(i)
+		for _, i := range sorter.order(drawn, float64(minute*60)) {
+			o := drawn[i]
+			o.ID = trace.OrderID(len(orders))
+			orders = append(orders, o)
+		}
 	}
 	return orders
+}
+
+// minuteSorter orders one minute's draws by (post time, draw index),
+// keeping its buffers from minute to minute.
+type minuteSorter struct{ count, perm []int32 }
+
+// order returns the indexes of drawn, whose post times lie in
+// [base, base+60], in (PostTime, index) order. A stable counting sort
+// deals the draws into len(drawn) equal bins of the minute; a stable
+// insertion sort then orders each bin's few draws, and equal post
+// times, sharing a bin, keep their draw order. The sort is complete
+// whatever the bins hold; uniform post times only make it linear.
+func (s *minuteSorter) order(drawn []trace.Order, base float64) []int32 {
+	n := len(drawn)
+	bin := func(post float64) int { return min(int((post-base)*float64(n)/60), n-1) }
+	s.count = slices.Grow(s.count[:0], n+1)[:n+1]
+	clear(s.count)
+	for _, o := range drawn {
+		s.count[bin(o.PostTime)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		s.count[i] += s.count[i-1]
+	}
+	s.perm = slices.Grow(s.perm[:0], n)[:n]
+	for i, o := range drawn {
+		at := &s.count[bin(o.PostTime)]
+		s.perm[*at] = int32(i)
+		*at++
+	}
+	perm := s.perm
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && drawn[perm[j]].PostTime < drawn[perm[j-1]].PostTime; j-- {
+			perm[j], perm[j-1] = perm[j-1], perm[j]
+		}
+	}
+	return perm
 }
 
 // GenerateDayCounts produces only the [slot][region] order-count matrix
