@@ -79,12 +79,6 @@ type Runtime struct {
 	// sources over two or more shards: a 1-shard runtime has one
 	// possible addressee and keeps no book.
 	routed map[trace.OrderID]ID
-	// pendingCancels holds cancels for orders the city-wide source has
-	// not released yet; retried in FIFO order every round. srcDone
-	// records the source's done signal: once set, unmatched cancels can
-	// never match and are dropped instead of retried.
-	pendingCancels []trace.OrderID
-	srcDone        bool
 	// global[i][local] is the fleet-wide driver id of shard i's local
 	// driver index — the remap the event aggregator applies.
 	global [][]sim.DriverID
@@ -206,7 +200,6 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 			rt.stats[s].Admitted++
 		}
 		if done {
-			rt.srcDone = true
 			for _, f := range rt.feeds {
 				f.markDone()
 			}
@@ -262,36 +255,22 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 }
 
 // routeCancels forwards rider-initiated cancellation requests from the
-// city-wide source to the shard that admitted each order. Cancels whose
-// order the source has not released yet are retried next round (the
-// order will be routed first); the admitting shard's engine drops
-// cancels for already-terminal orders.
+// city-wide source to the shard that admitted each order. The source
+// holds a cancel until it has released the order
+// (sim.CancelableSource), and Run routes a round's orders before its
+// cancels, so an id the book lacks names no order and is dropped; the
+// admitting shard's engine drops cancels for already-terminal orders.
+// One shard needs no book: its engine is the only addressee and drops
+// what it holds no rider for.
 func (rt *Runtime) routeCancels() {
 	if rt.cancelSrc == nil {
 		return
 	}
-	ids := rt.cancelSrc.PollCancels()
-	if rt.routed == nil {
-		// One shard: its engine is the only possible addressee, and it
-		// already retries ids it has not admitted yet and drops them once
-		// its feed is done — no per-order book to keep (or to leak over a
-		// long live session).
-		for _, id := range ids {
+	for _, id := range rt.cancelSrc.PollCancels() {
+		if rt.routed == nil {
 			rt.feeds[0].pushCancel(id)
-		}
-		return
-	}
-	if len(rt.pendingCancels) > 0 {
-		ids = append(rt.pendingCancels, ids...)
-		rt.pendingCancels = nil
-	}
-	for _, id := range ids {
-		if s, ok := rt.routed[id]; ok {
+		} else if s, ok := rt.routed[id]; ok {
 			rt.feeds[s].pushCancel(id)
-		} else if !rt.srcDone {
-			// Still buffered in the city-wide source; retry once it is
-			// routed. After done the id can never arrive: drop it.
-			rt.pendingCancels = append(rt.pendingCancels, id)
 		}
 	}
 }

@@ -155,12 +155,23 @@ func countPrefix(events []string, prefix string) int {
 }
 
 // scriptedCancels is a deterministic CancelableSource: a trace replay
-// that also releases each scripted cancel request at the first batch at
-// or after its time.
+// that also stages each scripted cancel request at the first batch at
+// or after its time, and, as the CancelableSource contract asks, not
+// before Poll has released its order. An id the trace lacks is staged
+// on time, for the consumer to drop.
 type scriptedCancels struct {
 	*sim.SliceSource
 	now     float64
-	pending []scriptedCancel // sorted by at
+	post    map[trace.OrderID]float64 // the trace's post times
+	pending []scriptedCancel          // sorted by at
+}
+
+func newScriptedCancels(orders []trace.Order, script []scriptedCancel) *scriptedCancels {
+	s := &scriptedCancels{SliceSource: sim.NewSliceSource(orders), post: make(map[trace.OrderID]float64), pending: script}
+	for _, o := range orders {
+		s.post[o.ID] = o.PostTime
+	}
+	return s
 }
 
 type scriptedCancel struct {
@@ -175,10 +186,15 @@ func (s *scriptedCancels) Poll(now float64) ([]trace.Order, bool) {
 
 func (s *scriptedCancels) PollCancels() []trace.OrderID {
 	var ids []trace.OrderID
-	for len(s.pending) > 0 && s.pending[0].at <= s.now {
-		ids = append(ids, s.pending[0].id)
-		s.pending = s.pending[1:]
+	held := s.pending[:0]
+	for _, c := range s.pending {
+		if post, ok := s.post[c.id]; c.at > s.now || ok && post > s.now {
+			held = append(held, c)
+		} else {
+			ids = append(ids, c.id)
+		}
 	}
+	s.pending = held
 	return ids
 }
 
@@ -252,12 +268,12 @@ func TestOneShardParity(t *testing.T) {
 				return sim.Config{Grid: grid4, Delta: 3, TC: 600, Horizon: 3600, StopWhenDrained: true}
 			},
 			source: func(orders []trace.Order) sim.OrderSource {
-				return &scriptedCancels{SliceSource: sim.NewSliceSource(orders), pending: []scriptedCancel{
+				return newScriptedCancels(orders, []scriptedCancel{
 					{at: 9, id: 2},  // B while it waits
 					{at: 12, id: 1}, // A after its assignment: dropped
 					{at: 30, id: 3}, // C before admission: held until t=60
-					{at: 33, id: 9}, // an id that never arrives: dropped at done
-				}}
+					{at: 33, id: 9}, // an id that never arrives: dropped
+				})
 			},
 			dispatcher: func() sim.Dispatcher { return dispatch.NEAR{} },
 			active: func(t *testing.T, ref *sim.Metrics, events []string) {
@@ -290,8 +306,8 @@ func TestOneShardParity(t *testing.T) {
 			rt, _, _ := checkOneShardParity(t, c)
 			// One shard forwards cancels to its only engine: no per-order
 			// address book for a long live session to grow.
-			if rt.routed != nil || rt.pendingCancels != nil {
-				t.Fatalf("1-shard runtime kept cancel routing state: %d routed, %d pending", len(rt.routed), len(rt.pendingCancels))
+			if rt.routed != nil {
+				t.Fatalf("1-shard runtime kept a cancel address book of %d orders", len(rt.routed))
 			}
 		})
 	}
@@ -430,12 +446,12 @@ func TestShardStatsMatchMetrics(t *testing.T) {
 			source: func() sim.OrderSource {
 				// Every order cancels 20 s after posting: still waiting,
 				// or committed to a plan but not yet picked up.
-				src := &scriptedCancels{SliceSource: sim.NewSliceSource(poolOrders)}
+				var script []scriptedCancel
 				for _, o := range poolOrders {
-					src.pending = append(src.pending, scriptedCancel{at: o.PostTime + 20, id: o.ID})
+					script = append(script, scriptedCancel{at: o.PostTime + 20, id: o.ID})
 				}
-				sort.SliceStable(src.pending, func(i, j int) bool { return src.pending[i].at < src.pending[j].at })
-				return src
+				sort.SliceStable(script, func(i, j int) bool { return script[i].at < script[j].at })
+				return newScriptedCancels(poolOrders, script)
 			},
 			dispatcher: dispatch.POOL{},
 			active:     func(m *sim.Metrics) bool { return m.Canceled > m.Served && m.PickedUp > 0 && m.DroppedOff > 0 }},

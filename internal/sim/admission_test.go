@@ -61,13 +61,13 @@ func TestAdmissionWaveTripCostParity(t *testing.T) {
 			cfg.Coster = coster
 			e := NewWithSource(cfg, NewSliceSource(orders), clusterDrivers())
 			e.admitOrders(0)
-			for _, r := range e.Riders() {
+			for _, r := range e.waiting {
 				if !math.IsNaN(r.TripCost) {
 					t.Fatalf("order %d: admission priced the trip (%v)", r.Order.ID, r.TripCost)
 				}
 			}
 			e.buildContext(0)
-			riders := e.Riders()
+			riders := e.waiting // nobody is assigned: every rider still waits
 			for _, r := range riders[:40] {
 				if math.IsNaN(r.TripCost) {
 					t.Fatalf("order %d: trip unpriced in the batch of its first valid pair", r.Order.ID)
@@ -114,7 +114,7 @@ func TestAdmissionWaveFewerComputations(t *testing.T) {
 		e := NewWithSource(cfg, NewSliceSource(orders), clusterDrivers())
 		e.admitOrders(0)
 		e.buildContext(0)
-		for _, r := range e.Riders() {
+		for _, r := range e.waiting {
 			if math.IsNaN(r.TripCost) {
 				t.Fatalf("order %d holds no valid pair: its trip was not priced", r.Order.ID)
 			}

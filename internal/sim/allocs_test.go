@@ -148,3 +148,57 @@ func TestEmptyBatchesRetainNoMemory(t *testing.T) {
 		t.Errorf("100,000 empty batches grew the heap by %d bytes, want under 256 KiB", after-before)
 	}
 }
+
+// TestLiveRidersRetainNoMemory is the busy companion of the test above:
+// a live session behind a ChannelSource admits 10 orders a batch, every
+// third canceled while the source still holds it, the rest reneging
+// because the one driver stands out of reach, for 1,000 and then
+// 100,000 more batches. The engine keeps a rider only until its
+// terminal event, so the million orders of the measured stretch must
+// not grow the heap (a pointer and an id-index entry per admitted order
+// would hold over 100 MB). Not parallel: HeapAlloc counts the whole
+// process.
+func TestLiveRidersRetainNoMemory(t *testing.T) {
+	const perBatch = 10
+	src := sim.NewChannelSource()
+	far := []geo.Point{{Lng: geo.NYCBBox.MaxLng, Lat: geo.NYCBBox.MaxLat}}
+	e := sim.NewWithSource(sim.Config{Grid: geo.NewGrid(geo.NYCBBox, 16, 16), Delta: 1, Horizon: 1e7}, src, far)
+	if err := e.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	pickup := geo.Point{Lng: -73.98, Lat: 40.75}
+	dropoff := geo.Point{Lng: -73.95, Lat: 40.77}
+	now, id := 0.0, trace.OrderID(0)
+	run := func(batches int) uint64 {
+		for range batches {
+			for k := range perBatch {
+				if err := src.Submit(trace.Order{ID: id, PostTime: now, Pickup: pickup, Dropoff: dropoff, Deadline: now + 5}); err != nil {
+					t.Fatal(err)
+				}
+				if k%3 == 0 {
+					src.Cancel(id)
+				}
+				id++
+			}
+			e.StepAdmit(now)
+			if err := e.StepDispatch(now, idle{}); err != nil {
+				t.Fatal(err)
+			}
+			now++
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := run(1000)
+	after := run(100_000)
+	m := e.Finish()
+	if m.TotalOrders != 1_010_000 || m.Canceled != 404_000 || m.Served != 0 || m.Reneged+m.Canceled+perBatch*6 < m.TotalOrders {
+		t.Fatalf("admitted %d, canceled %d, served %d, reneged %d: want 1,010,000 admitted, 404,000 canceled, none served, the rest reneged but the last few batches'",
+			m.TotalOrders, m.Canceled, m.Served, m.Reneged)
+	}
+	if after > before && after-before >= 4<<20 {
+		t.Errorf("1,000,000 admitted orders grew the heap by %d bytes, want under 4 MiB", after-before)
+	}
+}

@@ -97,12 +97,14 @@ func TestEngineCandidateCap(t *testing.T) {
 	cfg := simpleConfig()
 	cfg.Horizon = 4000
 	cfg.CandidateCap = 3
+	rec := &recordingObserver{}
+	cfg.Observer = rec
 	e := New(cfg, orders, drivers)
 	m, err := e.Run(context.Background(), takeAll{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRunInvariants(t, e, m)
+	checkRunInvariants(t, e, m, rec)
 
 	// The cap also bounds Pairs per rider below MaxCandidatesPerRider.
 	cfg2 := simpleConfig()
@@ -221,7 +223,7 @@ func TestEngineHonorsCustomBatchCoster(t *testing.T) {
 			t.Fatalf("t=%v: got pairs %+v, want one priced pair", now, ctx.Pairs)
 		}
 	}
-	if trip := e.Riders()[1].TripCost; !math.IsNaN(trip) {
+	if trip := e.waiting[1].TripCost; !math.IsNaN(trip) {
 		t.Fatalf("unpaired rider priced: %v", trip)
 	}
 }

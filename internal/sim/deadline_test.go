@@ -24,7 +24,10 @@ func TestDeadlineBoundaryDispatchable(t *testing.T) {
 		Dropoff:  offset(pickup, 1500),
 		Deadline: 6, // exactly the t=6 batch (Delta 3)
 	}}
-	e := New(simpleConfig(), orders, []geo.Point{pickup})
+	rec := &recordingObserver{}
+	cfg := simpleConfig()
+	cfg.Observer = rec
+	e := New(cfg, orders, []geo.Point{pickup})
 	m, err := e.Run(context.Background(), takeAll{})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +35,7 @@ func TestDeadlineBoundaryDispatchable(t *testing.T) {
 	if m.Served != 1 || m.Reneged != 0 {
 		t.Fatalf("deadline==now order: served=%d reneged=%d, want 1/0", m.Served, m.Reneged)
 	}
-	if r := e.Riders()[0]; r.PickedAt != 6 {
+	if r := rec.rider(0); r.PickedAt != 6 {
 		t.Fatalf("picked at %v, want exactly the deadline batch t=6", r.PickedAt)
 	}
 }

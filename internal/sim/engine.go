@@ -212,7 +212,6 @@ type Engine struct {
 	idx     *geo.Index // available drivers
 	busy    completionHeap
 	waiting []*Rider
-	riders  []*Rider
 	// riderSlab is where admitOrders carves the next Riders from: one
 	// allocation per riderSlabSize admissions instead of one per order.
 	riderSlab []Rider
@@ -251,13 +250,10 @@ type Engine struct {
 	// cancelSrc is the order source's cancellation feed when it has one
 	// (ChannelSource, the shard runtime's feedSource); nil otherwise.
 	cancelSrc CancelableSource
-	// byID indexes admitted riders by order id for explicit-cancel
-	// lookup; nil unless cancelSrc is set.
+	// byID indexes the waiting riders by order id for explicit-cancel
+	// lookup: an entry leaves with its rider's exit from the waiting
+	// set. nil unless cancelSrc is set.
 	byID map[trace.OrderID]*Rider
-	// pendingCancels holds explicit cancel requests whose order the
-	// engine has not admitted yet (still buffered in the source); they
-	// are retried in FIFO order every batch.
-	pendingCancels []trace.OrderID
 
 	metrics Metrics
 	// sized records whether TotalOrders was fixed upfront by a
@@ -604,7 +600,6 @@ func (e *Engine) admitOrders(now float64) {
 				r.CancelAt = at
 			}
 		}
-		e.riders = append(e.riders, r)
 		e.waiting = append(e.waiting, r)
 		if e.byID != nil {
 			e.byID[o.ID] = r
@@ -620,41 +615,26 @@ func (e *Engine) admitOrders(now float64) {
 // explicit requests from the source's cancellation feed first (in
 // request order), then the scenario's stochastic abandonments (in
 // waiting order). Canceled riders leave the waiting set in one
-// compaction pass. Explicit cancels for orders the engine has not
-// admitted yet are retried each batch until the order arrives; cancels
-// for already-terminal orders are dropped.
+// compaction pass. The source holds a cancel until it has released the
+// order (CancelableSource), so an explicit cancel names a rider the
+// engine admitted: one still waiting is canceled; in pooling mode one
+// assigned to an active plan may cancel off it, as long as they are
+// not yet onboard; any other id (a terminal order, or one that never
+// existed) is dropped.
 func (e *Engine) processCancels(now float64) {
 	canceled := false
 	if e.cancelSrc != nil {
-		ids := e.cancelSrc.PollCancels()
-		if len(e.pendingCancels) > 0 {
-			ids = append(e.pendingCancels, ids...)
-			e.pendingCancels = nil
-		}
-		for _, id := range ids {
-			r, ok := e.byID[id]
-			if !ok {
-				// Not admitted yet: the order is still buffered in the
-				// source, so retry once it lands — unless the source is
-				// done, in which case the id can never arrive (a caller
-				// typo) and the request is dropped instead of being
-				// retried every batch forever.
-				if !e.srcDone {
-					e.pendingCancels = append(e.pendingCancels, id)
+		for _, id := range e.cancelSrc.PollCancels() {
+			// A rider canceled earlier in this loop keeps its byID
+			// entry until the compaction below.
+			if r, ok := e.byID[id]; ok && r.Status == WaitingStatus {
+				e.cancelRider(now, r, true)
+				canceled = true
+			} else if e.ps != nil {
+				if pr, ok := e.ps.riders[id]; ok {
+					e.cancelPooled(now, pr)
 				}
-				continue
 			}
-			if r.Status != WaitingStatus {
-				// Already assigned, expired or canceled — except that in
-				// pooling mode an assigned rider may still cancel off an
-				// active plan, as long as they are not yet onboard.
-				if e.ps != nil && r.Status == AssignedStatus {
-					e.cancelPooled(now, r)
-				}
-				continue
-			}
-			e.cancelRider(now, r, true)
-			canceled = true
 		}
 	}
 	if e.scen != nil && e.scen.cancel != nil {
@@ -671,12 +651,14 @@ func (e *Engine) processCancels(now float64) {
 }
 
 // compactWaiting removes every no-longer-waiting rider from the waiting
-// set in one stable pass, preserving admission order.
+// set, and from byID, in one stable pass, preserving admission order.
 func (e *Engine) compactWaiting() {
 	kept := e.waiting[:0]
 	for _, r := range e.waiting {
 		if r.Status == WaitingStatus {
 			kept = append(kept, r)
+		} else {
+			delete(e.byID, r.Order.ID)
 		}
 	}
 	e.waiting = kept
@@ -748,6 +730,7 @@ func (e *Engine) renegeExpired(now float64) {
 	for _, r := range e.waiting {
 		if r.Order.Deadline < now {
 			r.Status = RenegedStatus
+			delete(e.byID, r.Order.ID)
 			e.metrics.Reneged++
 			if e.observer != nil {
 				e.observer.OnExpired(ExpiredEvent{Now: now, Rider: r})
@@ -1256,10 +1239,6 @@ func (e *Engine) closeLedger() {
 
 // Drivers exposes final driver states for post-run inspection.
 func (e *Engine) Drivers() []Driver { return e.drivers }
-
-// Riders exposes final rider states for post-run inspection, in
-// admission order.
-func (e *Engine) Riders() []*Rider { return e.riders }
 
 // reposition offers long-idle available drivers to the configured
 // Repositioner and commits the proposed cruises.

@@ -9,14 +9,40 @@ import (
 )
 
 // recordingObserver counts events and cross-checks them against the
-// final Metrics.
+// final Metrics. It also folds the terminal events per order id: ends
+// holds each order's last one, and twice lists every order that reached
+// a second. A pooled rider's cancel after its assignment is not a
+// second end: it rolls the assignment back and replaces it.
 type recordingObserver struct {
 	batches, assigned, expired, repositioned int
 	canceled, declined                       int
 	pickedUp, droppedOff                     int
 	revenue                                  float64
 	lastNow                                  float64
+	ends                                     map[trace.OrderID]terminal
+	twice                                    []trace.OrderID
 }
+
+// terminal is one order's end: the rider the event carried, and the
+// status the event gave it.
+type terminal struct {
+	rider *Rider
+	as    RiderStatus
+}
+
+func (r *recordingObserver) end(rider *Rider, as RiderStatus) {
+	if r.ends == nil {
+		r.ends = make(map[trace.OrderID]terminal)
+	}
+	id := rider.Order.ID
+	if prev, ok := r.ends[id]; ok && !(prev.as == AssignedStatus && as == CanceledStatus) {
+		r.twice = append(r.twice, id)
+	}
+	r.ends[id] = terminal{rider, as}
+}
+
+// rider returns the rider of order id's terminal event, nil if none.
+func (r *recordingObserver) rider(id trace.OrderID) *Rider { return r.ends[id].rider }
 
 func (r *recordingObserver) OnBatchStart(e BatchStartEvent) {
 	if e.Now < r.lastNow {
@@ -28,9 +54,16 @@ func (r *recordingObserver) OnBatchStart(e BatchStartEvent) {
 func (r *recordingObserver) OnAssigned(e AssignedEvent) {
 	r.assigned++
 	r.revenue += e.Revenue
+	r.end(e.Rider, AssignedStatus)
 }
-func (r *recordingObserver) OnExpired(e ExpiredEvent)           { r.expired++ }
-func (r *recordingObserver) OnCanceled(e CanceledEvent)         { r.canceled++ }
+func (r *recordingObserver) OnExpired(e ExpiredEvent) {
+	r.expired++
+	r.end(e.Rider, RenegedStatus)
+}
+func (r *recordingObserver) OnCanceled(e CanceledEvent) {
+	r.canceled++
+	r.end(e.Rider, CanceledStatus)
+}
 func (r *recordingObserver) OnDeclined(e DeclinedEvent)         { r.declined++ }
 func (r *recordingObserver) OnRepositioned(e RepositionedEvent) { r.repositioned++ }
 func (r *recordingObserver) OnPickedUp(e PickedUpEvent)         { r.pickedUp++ }

@@ -40,12 +40,16 @@ func peakHour(perDay, limit, fleet int) ([]trace.Order, []geo.Point, *geo.Grid) 
 	return orders, city.InitialDrivers(fleet, orders, rng), city.Grid()
 }
 
-// cancelScript is a trace replay that also releases scripted cancel
-// requests at the first batch at or after their time.
+// cancelScript is a trace replay that also stages each scripted cancel
+// request at the first batch at or after its time, and, as the
+// CancelableSource contract asks, not before Poll has released its
+// order. An id the trace lacks is staged on time, for the engine to
+// drop.
 type cancelScript struct {
 	*sim.SliceSource
 	now     float64
-	pending []scriptedCancel // sorted by at
+	post    map[trace.OrderID]float64 // the trace's post times
+	pending []scriptedCancel          // sorted by at
 }
 
 type scriptedCancel struct {
@@ -60,10 +64,15 @@ func (s *cancelScript) Poll(now float64) ([]trace.Order, bool) {
 
 func (s *cancelScript) PollCancels() []trace.OrderID {
 	var ids []trace.OrderID
-	for len(s.pending) > 0 && s.pending[0].at <= s.now {
-		ids = append(ids, s.pending[0].id)
-		s.pending = s.pending[1:]
+	held := s.pending[:0]
+	for _, c := range s.pending {
+		if post, ok := s.post[c.id]; c.at > s.now || ok && post > s.now {
+			held = append(held, c)
+		} else {
+			ids = append(ids, c.id)
+		}
 	}
+	s.pending = held
 	return ids
 }
 
@@ -128,8 +137,9 @@ func TestObsGolden(t *testing.T) {
 			// Every third order cancels 20 s after posting (waiting, or
 			// committed but not yet picked up), every third 15 min after
 			// (onboard or done: the request is dropped).
-			src := &cancelScript{SliceSource: sim.NewSliceSource(orders)}
+			src := &cancelScript{SliceSource: sim.NewSliceSource(orders), post: make(map[trace.OrderID]float64)}
 			for _, o := range orders {
+				src.post[o.ID] = o.PostTime
 				switch o.ID % 3 {
 				case 0:
 					src.pending = append(src.pending, scriptedCancel{at: o.PostTime + 20, id: o.ID})

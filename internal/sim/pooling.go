@@ -130,17 +130,14 @@ func (e *Engine) advancePlan(now float64, id DriverID, p *pool.Plan) {
 	e.rejoin(id, freeAt)
 }
 
-// cancelPooled applies an explicit cancellation of a rider already
-// committed to a route plan. Only the rider's own stops leave the plan;
-// a rider already onboard (pickup consumed) is past the point of no
-// return and the request is dropped, as is a cancel racing the trip's
-// completion. The assignment's accounting is rolled back so the run's
-// totals reflect only trips actually served.
-func (e *Engine) cancelPooled(now float64, r *Rider) {
-	pr, ok := e.ps.riders[r.Order.ID]
-	if !ok || pr.r != r {
-		return // trip already completed
-	}
+// cancelPooled applies an explicit cancellation of a rider still on a
+// route plan (a completed trip has left ps.riders, so its cancel never
+// gets here). Only the rider's own stops leave the plan; a rider
+// already onboard (pickup consumed) is past the point of no return and
+// the request is dropped. The assignment's accounting is rolled back so
+// the run's totals reflect only trips actually served.
+func (e *Engine) cancelPooled(now float64, pr *pooledRider) {
+	r := pr.r
 	p, ok := e.ps.plans[r.Driver]
 	if !ok {
 		return

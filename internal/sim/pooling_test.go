@@ -116,9 +116,9 @@ func poolRideScenario(dropoffB float64) ([]trace.Order, []geo.Point) {
 // riders complete, and the stop events interleave in route order.
 func TestPooledInsertionServesSecondRider(t *testing.T) {
 	orders, drivers := poolRideScenario(4000)
-	log := &simEventLog{}
+	log, rec := &simEventLog{}, &recordingObserver{}
 	cfg := simpleConfig()
-	cfg.Observer = log
+	cfg.Observer = Observers{log, rec}
 	cfg.Pooling = pool.Config{Capacity: 2}
 	e := New(cfg, orders, drivers)
 	m, err := e.Run(context.Background(), poolGreedy{})
@@ -136,7 +136,7 @@ func TestPooledInsertionServesSecondRider(t *testing.T) {
 	if m.DetourSeconds > 1e-6 {
 		t.Fatalf("on-the-way insertion recorded %.9fs of detour", m.DetourSeconds)
 	}
-	a, b := e.Riders()[0], e.Riders()[1]
+	a, b := rec.rider(0), rec.rider(1)
 	if a.Shared || !b.Shared {
 		t.Fatalf("shared flags: A=%v B=%v, want false/true", a.Shared, b.Shared)
 	}
@@ -163,7 +163,7 @@ func TestPooledInsertionServesSecondRider(t *testing.T) {
 			t.Fatalf("stop event %d = %q, want %q", i, stops[i], want[i])
 		}
 	}
-	checkRunInvariants(t, e, m)
+	checkRunInvariants(t, e, m, rec)
 }
 
 // TestPooledCancelReleasesOnlyTheirStops: an assigned pooled rider who
@@ -191,7 +191,10 @@ func TestPooledCancelReleasesOnlyTheirStops(t *testing.T) {
 	}
 	stepEngine(t, e, poolGreedy{}, 0, 9, 3)
 
-	a, b := e.Riders()[0], e.Riders()[1]
+	a, b := rec.rider(0), rec.rider(1)
+	if a == nil || b == nil {
+		t.Fatalf("setup: terminal events %v, want A and B assigned", rec.ends)
+	}
 	if a.Status != AssignedStatus || b.Status != AssignedStatus || !b.Shared {
 		t.Fatalf("setup: statuses A=%d B=%d shared=%v, want both assigned, B shared", a.Status, b.Status, b.Shared)
 	}
@@ -248,7 +251,66 @@ func TestPooledCancelReleasesOnlyTheirStops(t *testing.T) {
 	if rec.canceled != 1 {
 		t.Fatalf("observer saw %d cancels, want 1", rec.canceled)
 	}
-	checkRunInvariants(t, e, m)
+	checkRunInvariants(t, e, m, rec)
+}
+
+// TestCancelHeavyPooledSessionIndexesOnlyWaiting: in a pooled session
+// where every third order is canceled while the source still holds it,
+// every third 20 s after posting (waiting, or on a plan before pickup)
+// and a scenario hazard cancels more, byID indexes exactly the waiting
+// riders after every batch: assignments, reneges and both kinds of
+// cancel take a rider out of it. Every order still reaches exactly one
+// terminal event.
+func TestCancelHeavyPooledSessionIndexesOnlyWaiting(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 4; trial++ {
+		orders, drivers := randomScenario(rng)
+		src := NewChannelSource()
+		rec := &recordingObserver{}
+		cfg := simpleConfig()
+		cfg.Horizon = 4000
+		cfg.Observer = rec
+		cfg.Pooling = pool.Config{Capacity: 3, MaxDetourSeconds: 400}
+		cfg.Scenario = ScenarioConfig{CancelRate: 0.2, Seed: int64(trial)}
+		e := NewWithSource(cfg, src, drivers)
+		if err := e.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range orders {
+			if err := src.Submit(o); err != nil {
+				t.Fatal(err)
+			}
+			if o.ID%3 == 0 {
+				src.Cancel(o.ID)
+			}
+		}
+		src.Close()
+		for now := 0.0; now < cfg.Horizon; now += cfg.Delta {
+			for _, o := range orders {
+				if at := o.PostTime + 20; o.ID%3 == 1 && at > now-cfg.Delta && at <= now {
+					src.Cancel(o.ID)
+				}
+			}
+			e.StepAdmit(now)
+			if err := e.StepDispatch(now, poolGreedy{}); err != nil {
+				t.Fatal(err)
+			}
+			if len(e.byID) != len(e.waiting) {
+				t.Fatalf("trial %d t=%v: byID holds %d riders, %d wait", trial, now, len(e.byID), len(e.waiting))
+			}
+			for _, r := range e.waiting {
+				if e.byID[r.Order.ID] != r {
+					t.Fatalf("trial %d t=%v: waiting order %d not indexed", trial, now, r.Order.ID)
+				}
+			}
+		}
+		m := e.Finish()
+		if m.Canceled == 0 || rec.assigned == m.Served {
+			t.Fatalf("trial %d: %d canceled, %d of %d assignments rolled back; want cancels off plans too",
+				trial, m.Canceled, rec.assigned-m.Served, rec.assigned)
+		}
+		checkRunInvariants(t, e, m, rec)
+	}
 }
 
 // TestPooledInsertionDeclineReleasesWholeInsertion: a driver declining
@@ -285,7 +347,10 @@ func TestPooledInsertionDeclineReleasesWholeInsertion(t *testing.T) {
 	// t=3: A admitted and committed (draw 1 accepts). t=6: B's insertion
 	// offered and declined (draw 2).
 	stepEngine(t, e, poolGreedy{}, 0, 9, 3)
-	b := e.Riders()[1]
+	if len(e.waiting) != 1 || e.waiting[0].Order.ID != 1 {
+		t.Fatalf("declined insertion did not release the rider: %d waiting", len(e.waiting))
+	}
+	b := e.waiting[0]
 	if b.Status != WaitingStatus {
 		t.Fatalf("declined insertion did not release the rider: status %d", b.Status)
 	}

@@ -38,13 +38,25 @@ func randomScenario(rng *rand.Rand) ([]trace.Order, []geo.Point) {
 	return orders, drivers
 }
 
-// checkRunInvariants verifies the engine's global invariants after a run.
-func checkRunInvariants(t *testing.T, e *Engine, m *Metrics) {
+// checkRunInvariants verifies the engine's global invariants after a
+// run whose terminal events rec folded (cfg.Observer, alone or in an
+// Observers chain): every order reaches exactly one terminal event and
+// the fold agrees with the metrics.
+func checkRunInvariants(t *testing.T, e *Engine, m *Metrics, rec *recordingObserver) {
 	t.Helper()
 	// Terminal accounting.
 	if m.Served+m.Reneged+m.Canceled != m.TotalOrders {
 		t.Fatalf("served %d + reneged %d + canceled %d != total %d",
 			m.Served, m.Reneged, m.Canceled, m.TotalOrders)
+	}
+	if len(rec.twice) > 0 {
+		t.Fatalf("orders %v reached a second terminal event", rec.twice)
+	}
+	if len(rec.ends) != m.TotalOrders {
+		t.Fatalf("%d orders reached a terminal event, want all %d", len(rec.ends), m.TotalOrders)
+	}
+	if len(e.waiting) != 0 {
+		t.Fatalf("rider %d still waiting after the horizon", e.waiting[0].Order.ID)
 	}
 	// Travel noise decouples realized times from the planned estimates:
 	// revenue then sums realized trips and a committed pickup may land
@@ -54,30 +66,28 @@ func checkRunInvariants(t *testing.T, e *Engine, m *Metrics) {
 	// Revenue equals the sum of served trip costs, and every served
 	// rider was picked up before its deadline.
 	revenue := 0.0
-	served, canceled := 0, 0
-	for _, r := range e.Riders() {
-		switch r.Status {
-		case AssignedStatus:
-			served++
-			revenue += r.TripCost
-			if !noisy && r.PickedAt > r.Order.Deadline+1e-9 {
-				t.Fatalf("rider %d picked at %.1f after deadline %.1f",
-					r.Order.ID, r.PickedAt, r.Order.Deadline)
-			}
-			if r.PickedAt < r.Order.PostTime {
-				t.Fatalf("rider %d picked before posting", r.Order.ID)
-			}
-		case CanceledStatus:
-			canceled++
-		case WaitingStatus:
-			t.Fatalf("rider %d still waiting after the horizon", r.Order.ID)
+	count := make(map[RiderStatus]int)
+	for id, end := range rec.ends {
+		r := end.rider
+		if r.Status != end.as {
+			t.Fatalf("order %d ended with status %d, rider now has %d", id, end.as, r.Status)
+		}
+		count[end.as]++
+		if end.as != AssignedStatus {
+			continue
+		}
+		revenue += r.TripCost
+		if !noisy && r.PickedAt > r.Order.Deadline+1e-9 {
+			t.Fatalf("rider %d picked at %.1f after deadline %.1f",
+				r.Order.ID, r.PickedAt, r.Order.Deadline)
+		}
+		if r.PickedAt < r.Order.PostTime {
+			t.Fatalf("rider %d picked before posting", r.Order.ID)
 		}
 	}
-	if served != m.Served {
-		t.Fatalf("rider statuses count %d served, metrics say %d", served, m.Served)
-	}
-	if canceled != m.Canceled {
-		t.Fatalf("rider statuses count %d canceled, metrics say %d", canceled, m.Canceled)
+	if count[AssignedStatus] != m.Served || count[CanceledStatus] != m.Canceled || count[RenegedStatus] != m.Reneged {
+		t.Fatalf("terminal events count %d served, %d canceled, %d reneged; metrics say %d, %d, %d",
+			count[AssignedStatus], count[CanceledStatus], count[RenegedStatus], m.Served, m.Canceled, m.Reneged)
 	}
 	if !noisy && math.Abs(revenue-m.Revenue) > 1e-6 {
 		t.Fatalf("revenue %v != sum of served trips %v", m.Revenue, revenue)
@@ -102,13 +112,14 @@ func TestSimulationInvariantsUnderRandomScenarios(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 15; trial++ {
 		orders, drivers := randomScenario(rng)
-		cfg := Config{Delta: 5, TC: 600, Horizon: 4000}
+		rec := &recordingObserver{}
+		cfg := Config{Delta: 5, TC: 600, Horizon: 4000, Observer: rec}
 		e := New(cfg, orders, drivers)
 		m, err := e.Run(context.Background(), takeAll{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		checkRunInvariants(t, e, m)
+		checkRunInvariants(t, e, m, rec)
 	}
 }
 
@@ -116,17 +127,19 @@ func TestSimulationInvariantsWithRepositioning(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
 		orders, drivers := randomScenario(rng)
+		rec := &recordingObserver{}
 		cfg := Config{
 			Delta: 5, TC: 600, Horizon: 4000,
 			Repositioner:    randomRepositioner{rng: rand.New(rand.NewSource(int64(trial)))},
 			RepositionAfter: 120,
+			Observer:        rec,
 		}
 		e := New(cfg, orders, drivers)
 		m, err := e.Run(context.Background(), takeAll{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		checkRunInvariants(t, e, m)
+		checkRunInvariants(t, e, m, rec)
 	}
 }
 
@@ -161,11 +174,12 @@ func TestSimulationInvariantsAcrossDispatcherStyles(t *testing.T) {
 		}),
 	}
 	for i, d := range dispatchers {
-		e := New(Config{Delta: 5, TC: 600, Horizon: 4000}, orders, drivers)
+		rec := &recordingObserver{}
+		e := New(Config{Delta: 5, TC: 600, Horizon: 4000, Observer: rec}, orders, drivers)
 		m, err := e.Run(context.Background(), d)
 		if err != nil {
 			t.Fatalf("dispatcher %d: %v", i, err)
 		}
-		checkRunInvariants(t, e, m)
+		checkRunInvariants(t, e, m, rec)
 	}
 }

@@ -118,7 +118,8 @@ func TestScenarioRiderCancellations(t *testing.T) {
 	if rec.canceled != m.Canceled {
 		t.Fatalf("observer saw %d cancels, metrics say %d", rec.canceled, m.Canceled)
 	}
-	for _, r := range e.Riders() {
+	for _, end := range rec.ends {
+		r := end.rider
 		if r.Status != CanceledStatus {
 			t.Fatalf("rider %d status %d, want canceled", r.Order.ID, r.Status)
 		}
@@ -127,7 +128,7 @@ func TestScenarioRiderCancellations(t *testing.T) {
 				r.Order.ID, r.CancelAt, r.Order.PostTime, r.Order.Deadline)
 		}
 	}
-	checkRunInvariants(t, e, m)
+	checkRunInvariants(t, e, m, rec)
 }
 
 // TestScenarioCancellationsAreSeeded: equal seeds disrupt identically,
@@ -171,8 +172,10 @@ func stepEngine(t *testing.T, e *Engine, d Dispatcher, from, to, delta float64) 
 
 // TestScenarioExplicitCancelLifecycle covers the CancelableSource path:
 // a cancel for a waiting rider applies at the next batch; a cancel
-// submitted before the order is released is held and applied on
-// admission; a cancel after assignment is dropped.
+// submitted before the order is released is held by the source and
+// applied in the batch that admits it; a cancel after assignment is
+// dropped; and a cancel for an id the open session never received is
+// dropped in its batch, held by neither the source nor the engine.
 func TestScenarioExplicitCancelLifecycle(t *testing.T) {
 	pickup := center()
 	src := NewChannelSource()
@@ -195,8 +198,8 @@ func TestScenarioExplicitCancelLifecycle(t *testing.T) {
 	// (1) Cancel the waiting rider: applied at the next StepAdmit.
 	src.Cancel(1)
 	stepEngine(t, e, noop{}, 30, 36, 3)
-	if e.Riders()[0].Status != CanceledStatus {
-		t.Fatalf("waiting rider not canceled: status %d", e.Riders()[0].Status)
+	if r := rec.rider(1); r == nil || r.Status != CanceledStatus || len(e.waiting) != 0 {
+		t.Fatalf("waiting rider not canceled: ends %v, %d still waiting", rec.ends, len(e.waiting))
 	}
 	if rec.canceled != 1 {
 		t.Fatalf("observer saw %d cancels, want 1", rec.canceled)
@@ -210,15 +213,13 @@ func TestScenarioExplicitCancelLifecycle(t *testing.T) {
 	}
 	src.Cancel(2)
 	stepEngine(t, e, noop{}, 36, 48, 3) // order not yet released
-	if got := len(e.Riders()); got != 1 {
-		t.Fatalf("future order admitted early: %d riders", got)
+	if len(e.waiting) != 0 || src.Pending() != 1 || rec.canceled != 1 {
+		t.Fatalf("future order admitted or canceled early: %d waiting, %d held, %d canceled",
+			len(e.waiting), src.Pending(), rec.canceled)
 	}
 	stepEngine(t, e, noop{}, 48, 72, 3) // releases at t=60, cancel applies
-	if got := len(e.Riders()); got != 2 {
-		t.Fatalf("future order never admitted: %d riders", got)
-	}
-	if e.Riders()[1].Status != CanceledStatus {
-		t.Fatalf("held cancel not applied on admission: status %d", e.Riders()[1].Status)
+	if r := rec.rider(2); r == nil || r.Status != CanceledStatus {
+		t.Fatalf("held cancel not applied on admission: ends %v", rec.ends)
 	}
 
 	// (3) A cancel racing an assignment loses: the order completes.
@@ -227,22 +228,23 @@ func TestScenarioExplicitCancelLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepEngine(t, e, takeAll{}, 72, 90, 3) // driver is ~10m away: assigned
-	if e.Riders()[2].Status != AssignedStatus {
-		t.Fatalf("setup: rider 3 not assigned (status %d)", e.Riders()[2].Status)
+	if r := rec.rider(3); r == nil || r.Status != AssignedStatus {
+		t.Fatalf("setup: rider 3 not assigned: ends %v", rec.ends)
 	}
 	src.Cancel(3)
 	stepEngine(t, e, noop{}, 90, 99, 3)
-	if e.Riders()[2].Status != AssignedStatus {
-		t.Fatalf("cancel overrode an assignment: status %d", e.Riders()[2].Status)
+	if r := rec.rider(3); r.Status != AssignedStatus || rec.ends[3].as != AssignedStatus {
+		t.Fatalf("cancel overrode an assignment: status %d", r.Status)
 	}
 
-	// (4) A cancel for an id that can never arrive is dropped once the
-	// source is done, not retried forever.
+	// (4) A cancel for an id the open session never received is dropped
+	// in its batch: the source stages it, the engine holds no rider for
+	// it, and neither keeps it.
 	src.Cancel(99)
-	src.Close()
-	stepEngine(t, e, noop{}, 99, 108, 3)
-	if len(e.pendingCancels) != 0 {
-		t.Fatalf("bogus cancel still pending after source done: %v", e.pendingCancels)
+	stepEngine(t, e, noop{}, 99, 102, 3)
+	if len(src.cancels) != 0 || len(src.heap) != 0 || len(e.byID) != 0 {
+		t.Fatalf("unknown cancel kept: source %v, %d held orders, engine %d riders by id",
+			src.cancels, len(src.heap), len(e.byID))
 	}
 	m := e.Finish()
 	if m.Canceled != 2 || rec.canceled != 2 {
@@ -282,7 +284,7 @@ func TestScenarioDriverDeclinesEveryTime(t *testing.T) {
 	if e.Drivers()[0].Served != 0 {
 		t.Fatal("declining driver recorded a served trip")
 	}
-	checkRunInvariants(t, e, m)
+	checkRunInvariants(t, e, m, rec)
 }
 
 // TestScenarioDeclineThenServe: a decline returns the rider to the pool
@@ -322,14 +324,14 @@ func TestScenarioDeclineThenServe(t *testing.T) {
 	}
 	// The retry had to wait out the cooldown: assignment at least 30s
 	// after the decline.
-	r := e.Riders()[0]
+	r := rec.rider(0)
 	if r.Status != AssignedStatus {
 		t.Fatalf("rider status %d, want assigned", r.Status)
 	}
 	if r.Order.Deadline != 400 {
 		t.Fatalf("decline moved the deadline: %v", r.Order.Deadline)
 	}
-	checkRunInvariants(t, e, m)
+	checkRunInvariants(t, e, m, rec)
 }
 
 // TestScenarioTravelNoise: dispatch plans on estimates, commits realize
@@ -340,6 +342,8 @@ func TestScenarioTravelNoise(t *testing.T) {
 	cfg := simpleConfig()
 	cfg.Horizon = 4000
 	cfg.Scenario = ScenarioConfig{TravelNoise: 0.3, Seed: 9}
+	ended := &recordingObserver{}
+	cfg.Observer = ended
 	e := New(cfg, orders, drivers)
 	m, err := e.Run(context.Background(), takeAll{})
 	if err != nil {
@@ -376,7 +380,8 @@ func TestScenarioTravelNoise(t *testing.T) {
 	// Rider and driver state reflect realized times, and the estimates
 	// in the ledger are the planner's (the rider's precomputed trip
 	// cost).
-	for _, r := range e.Riders() {
+	for _, end := range ended.ends {
+		r := end.rider
 		if r.Status != AssignedStatus {
 			continue
 		}

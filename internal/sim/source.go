@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"mrvd/internal/trace"
@@ -34,10 +35,12 @@ type OrderSource interface {
 // that carry rider-initiated cancellation requests alongside orders.
 // PollCancels is called once per batch from the engine goroutine,
 // immediately after Poll's admissions are in, and returns the order ids
-// whose riders asked to cancel since the last call, in request order. A
-// cancel for an order the engine has not admitted yet is held by the
-// engine and applied when the order arrives; a cancel for an
-// already-terminal order is dropped.
+// staged since the last call, in staging order. It returns only ids
+// whose order Poll has already released: the source holds a cancel for
+// an order it has not released yet, and stages it when Poll releases
+// that order, so the engine sees it in the batch that admits the rider.
+// The engine keeps no cancel past its batch: it drops an id it holds
+// no live rider for (a terminal order, or one that never existed).
 type CancelableSource interface {
 	OrderSource
 	PollCancels() []trace.OrderID
@@ -68,10 +71,11 @@ type SliceSource struct {
 }
 
 // NewSliceSource copies, validates and sorts a trace by post time.
-// Structurally broken orders (non-finite coordinates, deadlines before
-// posting) would corrupt region indexing deep inside the batch loop, so
-// they are rejected at the door with a panic; callers replaying external
-// traces should pre-validate with trace.Order.Valid.
+// Structurally broken orders (non-finite times or coordinates, deadlines
+// before posting) would corrupt region indexing or the replay order deep
+// inside the batch loop, so they are rejected at the door with a panic;
+// callers replaying external traces should pre-validate with
+// trace.Order.Valid.
 func NewSliceSource(orders []trace.Order) *SliceSource {
 	os := append([]trace.Order(nil), orders...)
 	for _, o := range os {
@@ -160,20 +164,27 @@ func (c *ChannelSource) Close() {
 	c.mu.Unlock()
 }
 
-// Cancel stages one rider-initiated cancellation for the engine to
-// apply at its next batch. Safe for concurrent use, idempotent in
-// effect (the engine drops cancels for terminal orders), and accepted
-// even after Close — already-submitted orders may still be canceled
-// while the stream drains.
+// Cancel stages one rider-initiated cancellation for the engine's next
+// batch. An order this source still holds (found by a scan of the
+// unreleased orders) is marked instead, and Poll stages its cancel when
+// it releases the order, ahead of every later request. Any other id is
+// staged at once, for the engine to drop if it holds no live rider for
+// it. Safe for concurrent use, idempotent in effect, and accepted even
+// after Close — already-submitted orders may still be canceled while
+// the stream drains.
 func (c *ChannelSource) Cancel(id trace.OrderID) {
 	c.mu.Lock()
-	c.cancels = append(c.cancels, id)
+	if i := slices.IndexFunc(c.heap, func(s submission) bool { return s.order.ID == id }); i >= 0 {
+		c.heap[i].canceled = true
+	} else {
+		c.cancels = append(c.cancels, id)
+	}
 	c.signal()
 	c.mu.Unlock()
 }
 
 // PollCancels implements CancelableSource: it drains the staged
-// cancellation requests in submission order.
+// cancellation requests in staging order.
 func (c *ChannelSource) PollCancels() []trace.OrderID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -208,7 +219,8 @@ func (c *ChannelSource) Park(ctx context.Context) {
 }
 
 // Poll implements OrderSource: it releases every buffered order posted
-// at or before now, in (PostTime, submission) order.
+// at or before now, in (PostTime, submission) order, staging the cancel
+// of each one marked by Cancel.
 //
 // It first yields the processor: a free-running session with riders
 // waiting is a tight loop that polls once per batch, and without the
@@ -221,16 +233,22 @@ func (c *ChannelSource) Poll(now float64) ([]trace.Order, bool) {
 	defer c.mu.Unlock()
 	var ready []trace.Order
 	for len(c.heap) > 0 && c.heap[0].order.PostTime <= now {
-		ready = append(ready, c.heap.pop().order)
+		s := c.heap.pop()
+		ready = append(ready, s.order)
+		if s.canceled {
+			c.cancels = append(c.cancels, s.order.ID)
+		}
 	}
 	return ready, c.closed && len(c.heap) == 0
 }
 
 // submission is one buffered order with its arrival sequence number,
-// which breaks PostTime ties first-come-first-released.
+// which breaks PostTime ties first-come-first-released, and whether its
+// rider asked to cancel before the release.
 type submission struct {
-	order trace.Order
-	seq   int64
+	order    trace.Order
+	seq      int64
+	canceled bool
 }
 
 // submissionHeap is a hand-rolled binary min-heap on (PostTime, seq); it

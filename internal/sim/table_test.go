@@ -29,8 +29,9 @@ func TestDriverTableReuseMatchesRebuild(t *testing.T) {
 	reused, patched, waves, moved := 0, 0, 0, 0
 	for trial := 0; trial < 8; trial++ {
 		orders, drivers := randomScenario(rng)
+		rec := &recordingObserver{}
 		cfg := Config{
-			Delta: 5, TC: 600, Horizon: 4000,
+			Delta: 5, TC: 600, Horizon: 4000, Observer: rec,
 			Repositioner:    randomRepositioner{rng: rand.New(rand.NewSource(int64(trial)))},
 			RepositionAfter: 60,
 			Scenario:        ScenarioConfig{CancelRate: 0.2, DeclineProb: 0.2, TravelNoise: 0.2, Seed: int64(trial)},
@@ -118,7 +119,7 @@ func TestDriverTableReuseMatchesRebuild(t *testing.T) {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}
-		checkRunInvariants(t, e, m)
+		checkRunInvariants(t, e, m, rec)
 	}
 	if reused == 0 || patched == 0 || waves < 2 || moved == 0 {
 		t.Fatalf("%d batches with an empty change log, %d patched, %d of 2 wave batches moving half the fleet, %d AddDriver calls moving the fleet; the run must exercise each",

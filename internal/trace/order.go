@@ -23,19 +23,21 @@ type Order struct {
 	Deadline float64   // tau_i: absolute latest pickup time; after this the rider reneges
 }
 
-// Valid performs structural sanity checks on a single order.
+// Valid performs structural sanity checks on a single order: finite
+// times and coordinates, a non-negative post time, and a deadline no
+// earlier than it.
 func (o Order) Valid() error {
+	for _, v := range []float64{o.PostTime, o.Deadline, o.Pickup.Lng, o.Pickup.Lat, o.Dropoff.Lng, o.Dropoff.Lat} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("trace: order %d has non-finite time or coordinate %v", o.ID, v)
+		}
+	}
 	if o.PostTime < 0 {
 		return fmt.Errorf("trace: order %d has negative post time %v", o.ID, o.PostTime)
 	}
 	if o.Deadline < o.PostTime {
 		return fmt.Errorf("trace: order %d deadline %v precedes post time %v",
 			o.ID, o.Deadline, o.PostTime)
-	}
-	for _, v := range []float64{o.Pickup.Lng, o.Pickup.Lat, o.Dropoff.Lng, o.Dropoff.Lat} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("trace: order %d has non-finite coordinate %v", o.ID, v)
-		}
 	}
 	return nil
 }

@@ -45,6 +45,15 @@ func TestOrderValid(t *testing.T) {
 	if err := (Order{PostTime: 100, Deadline: 50}).Valid(); err == nil {
 		t.Error("deadline before post time accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, o := range []Order{
+		{PostTime: nan, Deadline: nan}, {PostTime: nan, Deadline: 60}, {PostTime: 10, Deadline: nan},
+		{PostTime: inf, Deadline: inf}, {PostTime: 10, Deadline: inf}, {PostTime: -inf, Deadline: 60},
+	} {
+		if err := o.Valid(); err == nil {
+			t.Errorf("non-finite times accepted: post %v, deadline %v", o.PostTime, o.Deadline)
+		}
+	}
 }
 
 func TestSortByPostTime(t *testing.T) {
@@ -95,6 +104,8 @@ func TestReadCSVRejectsBadInput(t *testing.T) {
 		"bad id":        "order_id,post_time_s,pickup_lng,pickup_lat,dropoff_lng,dropoff_lat,deadline_s\nxx,1,2,3,4,5,6\n",
 		"bad float":     "order_id,post_time_s,pickup_lng,pickup_lat,dropoff_lng,dropoff_lat,deadline_s\n1,zz,2,3,4,5,6\n",
 		"invalid order": "order_id,post_time_s,pickup_lng,pickup_lat,dropoff_lng,dropoff_lat,deadline_s\n1,100,2,3,4,5,50\n",
+		"NaN times":     "order_id,post_time_s,pickup_lng,pickup_lat,dropoff_lng,dropoff_lat,deadline_s\n0,NaN,-73.97,40.75,-73.95,40.77,NaN\n",
+		"Inf times":     "order_id,post_time_s,pickup_lng,pickup_lat,dropoff_lng,dropoff_lat,deadline_s\n1,+Inf,-73.97,40.75,-73.95,40.77,+Inf\n",
 		"short record":  "order_id,post_time_s,pickup_lng,pickup_lat,dropoff_lng,dropoff_lat,deadline_s\n1,2,3\n",
 		"empty":         "",
 	}
