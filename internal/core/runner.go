@@ -248,13 +248,12 @@ func (r *Runner) TrainedPredictor(m predict.Predictor) (predict.Predictor, error
 	return m, nil
 }
 
-// windowCounts converts per-slot forecasts into expected counts for the
-// window [now, now+tc], weighting each slot by its fractional overlap.
-// slotRow returns one slot's forecast for every region; it is called
-// once per overlapping slot, not once per cell. The counts are written
-// to out, through acc, one cell per region each.
-func windowCounts(now, tc, slotSeconds float64, numSlots int, slotRow func(slot int) []float64, out []int, acc []float64) []int {
-	clear(acc)
+// windowCount converts per-slot forecasts into region k's expected
+// count for the window [now, now+tc], weighting each slot by its
+// fractional overlap. slotRow returns one slot's forecast for every
+// region.
+func windowCount(now, tc, slotSeconds float64, numSlots int, slotRow func(slot int) []float64, k geo.RegionID) int {
+	acc := 0.0
 	end := now + tc
 	firstSlot := int(now / slotSeconds)
 	lastSlot := int(end / slotSeconds)
@@ -266,32 +265,22 @@ func windowCounts(now, tc, slotSeconds float64, numSlots int, slotRow func(slot 
 			continue
 		}
 		frac := (hi - lo) / slotSeconds
-		row := slotRow(min(s, numSlots-1))
-		for k := range acc {
-			acc[k] += frac * row[k]
-		}
+		acc += frac * slotRow(min(s, numSlots-1))[k]
 	}
-	for k := range out {
-		out[k] = int(acc[k] + 0.5)
-	}
-	return out
+	return int(acc + 0.5)
 }
 
 // predictFn builds the simulator's PredictRiders callback for a mode.
-// Each callback owns the buffer it returns and overwrites it on the next
-// call: a session is one goroutine and a Context's PredictedRiders is
-// dead once its batch is dispatched (see sim.Context).
-func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(now, tc float64) []int, error) {
-	grid := r.opts.City.Grid()
-	n := grid.NumRegions()
+// The engine calls it once per region a batch reads, on the session's
+// one goroutine.
+func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(now, tc float64, k geo.RegionID) int, error) {
 	switch mode {
 	case PredictNone:
 		return nil, nil
 	case PredictOracle:
-		out, acc := make([]int, n), make([]float64, n)
-		return func(now, tc float64) []int {
-			return windowCounts(now, tc, slotSeconds, len(r.expected),
-				func(slot int) []float64 { return r.expected[slot] }, out, acc)
+		slotRow := func(slot int) []float64 { return r.expected[slot] }
+		return func(now, tc float64, k geo.RegionID) int {
+			return windowCount(now, tc, slotSeconds, len(r.expected), slotRow, k)
 		}, nil
 	case PredictModel:
 		if model == nil {
@@ -303,23 +292,24 @@ func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(n
 		}
 		h := r.ensureHistory()
 		testDay := r.opts.TrainDays
-		// Memoize per-slot forecasts: the callback fires every batch, on
-		// the session's one goroutine (each session builds its own).
-		cache := make(map[int][]float64)
+		n := r.opts.City.Grid().NumRegions()
+		// Memoize per-slot forecasts, a whole row on a slot's first read:
+		// the callback fires per region read, on the session's one
+		// goroutine (each session builds its own).
+		rows := make([][]float64, h.SlotsPerDay)
 		slotRow := func(slot int) []float64 {
-			row, ok := cache[slot]
-			if !ok {
+			row := rows[slot]
+			if row == nil {
 				row = make([]float64, n)
 				for k := 0; k < n; k++ {
 					row[k] = trained.Predict(h, testDay, slot, k)
 				}
-				cache[slot] = row
+				rows[slot] = row
 			}
 			return row
 		}
-		out, acc := make([]int, n), make([]float64, n)
-		return func(now, tc float64) []int {
-			return windowCounts(now, tc, slotSeconds, h.SlotsPerDay, slotRow, out, acc)
+		return func(now, tc float64, k geo.RegionID) int {
+			return windowCount(now, tc, slotSeconds, h.SlotsPerDay, slotRow, k)
 		}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown prediction mode %d", mode)
@@ -327,7 +317,7 @@ func (r *Runner) predictFn(mode PredictionMode, model predict.Predictor) (func(n
 }
 
 // simConfig assembles the simulator configuration for one run.
-func (r *Runner) simConfig(fn func(now, tc float64) []int) sim.Config {
+func (r *Runner) simConfig(fn func(now, tc float64, k geo.RegionID) int) sim.Config {
 	registerCosterMetrics(r.opts.Obs.Registry, r.opts.Coster)
 	return sim.Config{
 		Grid:            r.opts.City.Grid(),

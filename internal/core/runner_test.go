@@ -127,20 +127,16 @@ func TestWindowCountsFractionalOverlap(t *testing.T) {
 	// Slot width 100, window [50, 250): half of slot 0, all of slot 1,
 	// half of slot 2.
 	slotRow := func(slot int) []float64 { return []float64{10} }
-	out, acc := make([]int, 1), make([]float64, 1)
-	got := windowCounts(50, 200, 100, 10, slotRow, out, acc)
-	if got[0] != 20 { // 5 + 10 + 5
-		t.Errorf("window count = %d, want 20", got[0])
+	if got := windowCount(50, 200, 100, 10, slotRow, 0); got != 20 { // 5 + 10 + 5
+		t.Errorf("window count = %d, want 20", got)
 	}
 	// Window entirely inside one slot.
-	got = windowCounts(10, 50, 100, 10, slotRow, out, acc)
-	if got[0] != 5 {
-		t.Errorf("half-slot window = %d, want 5", got[0])
+	if got := windowCount(10, 50, 100, 10, slotRow, 0); got != 5 {
+		t.Errorf("half-slot window = %d, want 5", got)
 	}
 	// Window past the end of the day clamps to the last slot.
-	got = windowCounts(950, 100, 100, 10, slotRow, out, acc)
-	if got[0] != 10 {
-		t.Errorf("end-of-day window = %d, want 10", got[0])
+	if got := windowCount(950, 100, 100, 10, slotRow, 0); got != 10 {
+		t.Errorf("end-of-day window = %d, want 10", got)
 	}
 }
 

@@ -37,17 +37,30 @@ func buildTestContext() *sim.Context {
 		},
 		WaitingPerRegion:   make([]int, n),
 		AvailablePerRegion: make([]int, n),
-		PredictedRiders:    make([]int, n),
-		PredictedDrivers:   make([]int, n),
+		Forecast:           newFixedForecast(n),
 		RiderRegion:        []geo.RegionID{0, 0},
 		DriverRegion:       []geo.RegionID{0, 0},
 	}
 	ctx.WaitingPerRegion[0] = 2
 	ctx.AvailablePerRegion[0] = 2
-	ctx.PredictedRiders[hot] = 40 // hot destination
-	ctx.PredictedRiders[cold] = 0 // cold destination
+	predicted(ctx).riders[hot] = 40 // hot destination
+	predicted(ctx).riders[cold] = 0 // cold destination
 	return ctx
 }
+
+// fixedForecast is a hand-built batch's Forecast: one prediction of
+// each kind per region.
+type fixedForecast struct{ riders, drivers []int }
+
+func newFixedForecast(n int) fixedForecast {
+	return fixedForecast{riders: make([]int, n), drivers: make([]int, n)}
+}
+
+func (f fixedForecast) Riders(k geo.RegionID) int  { return f.riders[k] }
+func (f fixedForecast) Drivers(k geo.RegionID) int { return f.drivers[k] }
+
+// predicted returns a hand-built batch's predictions, to set them.
+func predicted(ctx *sim.Context) fixedForecast { return ctx.Forecast.(fixedForecast) }
 
 // checkValid asserts structural validity of an assignment set.
 func checkValid(t *testing.T, ctx *sim.Context, as []sim.Assignment) {
@@ -216,8 +229,7 @@ func TestLSConverges(t *testing.T) {
 		Now: 0, TC: 600, Grid: grid,
 		WaitingPerRegion:   make([]int, n),
 		AvailablePerRegion: make([]int, n),
-		PredictedRiders:    make([]int, n),
-		PredictedDrivers:   make([]int, n),
+		Forecast:           newFixedForecast(n),
 	}
 	for r := 0; r < 30; r++ {
 		ctx.Riders = append(ctx.Riders, &sim.Rider{
@@ -243,8 +255,8 @@ func TestLSConverges(t *testing.T) {
 		}
 	}
 	for k := 0; k < n; k++ {
-		ctx.PredictedRiders[k] = rng.Intn(20)
-		ctx.PredictedDrivers[k] = rng.Intn(10)
+		predicted(ctx).riders[k] = rng.Intn(20)
+		predicted(ctx).drivers[k] = rng.Intn(10)
 	}
 	ls := &LS{}
 	as := ls.Assign(ctx)
@@ -283,16 +295,12 @@ func endToEnd(t *testing.T, d sim.Dispatcher, seed int64) *sim.Metrics {
 	exp := city.ExpectedDayCounts(0, 1200)
 	cfg := sim.Config{
 		Grid: city.Grid(), Delta: 3, TC: 1200, Horizon: 24 * 3600,
-		PredictRiders: func(now, tc float64) []int {
+		PredictRiders: func(now, tc float64, k geo.RegionID) int {
 			slot := int(now / 1200)
 			if slot >= len(exp) {
 				slot = len(exp) - 1
 			}
-			out := make([]int, len(exp[slot]))
-			for r := range out {
-				out[r] = int(exp[slot][r] + 0.5)
-			}
-			return out
+			return int(exp[slot][k] + 0.5)
 		},
 	}
 	m, err := sim.New(cfg, orders, starts).Run(context.Background(), d)

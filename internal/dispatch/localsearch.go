@@ -58,13 +58,19 @@ func (l *LS) init() {
 // lsState carries the mutable search state across move types. Its
 // slices are the dispatcher's scratch, reused across batches — the
 // returned assignments included (the engine reads them before the next
-// Assign).
+// Assign). The search reads and writes only the drivers the batch's
+// pairs and seed name, so its per-driver state is kept for those alone:
+// a batch costs what its pairs touch, not the fleet.
 type lsState struct {
-	ctx           *sim.Context
-	a             *queueing.Analyzer
-	assignedRider []int32 // driver -> rider or -1
-	riderDriver   []int32 // rider -> driver or -1
-	pairsByDriver [][]sim.Pair
+	ctx *sim.Context
+	a   *queueing.Analyzer
+	// drivers lists the driver slots the batch names, ascending; at maps
+	// a named slot to its index there and is -1 at every other slot.
+	drivers       []int32
+	at            []int32
+	assignedRider []int32      // driver slot -> rider or -1; current at named slots only
+	riderDriver   []int32      // rider -> driver or -1
+	pairsByDriver [][]sim.Pair // indexed like drivers
 	pairsByRider  [][]sim.Pair
 	byDriver      pairGroups
 	byRider       pairGroups
@@ -134,16 +140,13 @@ func (l *LS) Assign(ctx *sim.Context) []sim.Assignment {
 
 	s := &l.st
 	s.ctx, s.a = ctx, l.an.working(l.Model, ctx)
-	nd, nr := len(ctx.Drivers), len(ctx.Riders)
-	s.assignedRider = slices.Grow(s.assignedRider[:0], nd)[:nd]
+	s.nameDrivers(ctx, seed)
+	nr := len(ctx.Riders)
 	s.riderDriver = slices.Grow(s.riderDriver[:0], nr)[:nr]
-	for i := range s.assignedRider {
-		s.assignedRider[i] = -1
-	}
 	for i := range s.riderDriver {
 		s.riderDriver[i] = -1
 	}
-	s.pairsByDriver = s.byDriver.group(ctx.Pairs, nd, func(p sim.Pair) int32 { return p.D })
+	s.pairsByDriver = s.byDriver.group(ctx.Pairs, len(s.drivers), func(p sim.Pair) int32 { return s.at[p.D] })
 	s.pairsByRider = s.byRider.group(ctx.Pairs, nr, func(p sim.Pair) int32 { return p.R })
 	for _, as := range seed {
 		s.assign(as.R, as.D)
@@ -159,13 +162,46 @@ func (l *LS) Assign(ctx *sim.Context) []sim.Assignment {
 	}
 
 	out := s.out[:0]
-	for d, r := range s.assignedRider {
-		if r != -1 {
-			out = append(out, sim.Assignment{R: r, D: int32(d)})
+	for _, d := range s.drivers {
+		if r := s.assignedRider[d]; r != -1 {
+			out = append(out, sim.Assignment{R: r, D: d})
 		}
 	}
 	s.out = out
 	return out
+}
+
+// nameDrivers lists the driver slots the batch's pairs and its seed
+// assignment name, ascending, and marks each unassigned. The cells of
+// the last batch's list are reset first: every other slot already
+// holds -1 in at, and no one reads its assignedRider.
+func (s *lsState) nameDrivers(ctx *sim.Context, seed []sim.Assignment) {
+	for _, d := range s.drivers {
+		s.at[d] = -1
+	}
+	for nd := len(ctx.Drivers); len(s.at) < nd; {
+		s.at = append(s.at, -1)
+		s.assignedRider = append(s.assignedRider, -1)
+	}
+	drivers := s.drivers[:0]
+	for _, p := range ctx.Pairs {
+		if s.at[p.D] == -1 {
+			s.at[p.D] = 0
+			drivers = append(drivers, p.D)
+		}
+	}
+	for _, as := range seed {
+		if s.at[as.D] == -1 {
+			s.at[as.D] = 0
+			drivers = append(drivers, as.D)
+		}
+	}
+	slices.Sort(drivers)
+	for i, d := range drivers {
+		s.at[d] = int32(i)
+		s.assignedRider[d] = -1
+	}
+	s.drivers = drivers
 }
 
 // directFills assigns unassigned riders to idle valid drivers, lowest
@@ -204,7 +240,7 @@ func (s *lsState) directFills() bool {
 // current commitment released.
 func (s *lsState) improvingSwaps() bool {
 	changed := false
-	for d := range s.assignedRider {
+	for i, d := range s.drivers {
 		cur := s.assignedRider[d]
 		if cur == -1 {
 			continue
@@ -214,7 +250,7 @@ func (s *lsState) improvingSwaps() bool {
 		curIR := s.a.IdleRatio(s.ctx.Riders[cur].TripCost, curDest)
 		bestR := int32(-1)
 		bestIR := curIR
-		for _, p := range s.pairsByDriver[d] {
+		for _, p := range s.pairsByDriver[i] {
 			if p.R == cur || s.riderDriver[p.R] != -1 {
 				continue
 			}
@@ -225,8 +261,8 @@ func (s *lsState) improvingSwaps() bool {
 		}
 		s.a.CommitDestination(curDest) // restore before mutating via assign/release
 		if bestR != -1 {
-			s.release(int32(d))
-			s.assign(bestR, int32(d))
+			s.release(d)
+			s.assign(bestR, d)
 			changed = true
 		}
 	}

@@ -51,8 +51,8 @@ func (p *POLAR) rebuildBlueprint(ctx *sim.Context) {
 	supply := make([]int, n)
 	demand := make([]int, n)
 	for k := 0; k < n; k++ {
-		supply[k] = ctx.AvailablePerRegion[k] + ctx.PredictedDrivers[k]
-		demand[k] = ctx.WaitingPerRegion[k] + ctx.PredictedRiders[k]
+		supply[k] = ctx.AvailablePerRegion[k] + ctx.PredictedDrivers(geo.RegionID(k))
+		demand[k] = ctx.WaitingPerRegion[k] + ctx.PredictedRiders(geo.RegionID(k))
 	}
 	type regionPair struct {
 		i, j   geo.RegionID

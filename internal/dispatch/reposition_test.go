@@ -15,7 +15,7 @@ func TestQueueRepositionMovesTowardHotNeighbor(t *testing.T) {
 	cur := geo.RegionID(0)
 	neighbors := grid.Neighbors(cur)
 	hot := neighbors[0]
-	ctx.PredictedRiders[hot] = 100
+	predicted(ctx).riders[hot] = 100
 
 	q := &QueueReposition{MinGain: 1}
 	target, ok := q.Target(ctx, &sim.Driver{Pos: grid.Center(cur)}, cur)
@@ -31,7 +31,7 @@ func TestQueueRepositionStaysWhenAlreadyBest(t *testing.T) {
 	ctx := buildTestContext()
 	// Make the driver's own region the hottest around.
 	cur := geo.RegionID(5)
-	ctx.PredictedRiders[cur] = 200
+	predicted(ctx).riders[cur] = 200
 	q := &QueueReposition{}
 	if _, ok := q.Target(ctx, &sim.Driver{Pos: ctx.Grid.Center(cur)}, cur); ok {
 		t.Error("proposed a move away from the best region")
@@ -43,8 +43,8 @@ func TestQueueRepositionRespectsMinGain(t *testing.T) {
 	cur := geo.RegionID(0)
 	hot := ctx.Grid.Neighbors(cur)[0]
 	// Both regions get demand; the neighbour is only slightly better.
-	ctx.PredictedRiders[cur] = 50
-	ctx.PredictedRiders[hot] = 52
+	predicted(ctx).riders[cur] = 50
+	predicted(ctx).riders[hot] = 52
 	q := &QueueReposition{MinGain: 1e9}
 	if _, ok := q.Target(ctx, &sim.Driver{Pos: ctx.Grid.Center(cur)}, cur); ok {
 		t.Error("moved for a gain below MinGain")
@@ -64,7 +64,7 @@ func TestQueueRepositionMaxHops(t *testing.T) {
 	cur := geo.RegionID(0)
 	// Heat a region two hops away; with MaxHops=1 it must be invisible.
 	far := geo.RegionID(2)
-	ctx.PredictedRiders[far] = 500
+	predicted(ctx).riders[far] = 500
 	q1 := &QueueReposition{MaxHops: 1, MinGain: 1}
 	if tgt, ok := q1.Target(ctx, &sim.Driver{}, cur); ok && ctx.Grid.Region(tgt) == far {
 		t.Error("MaxHops=1 reached a two-hop region")

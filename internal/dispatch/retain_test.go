@@ -85,12 +85,8 @@ func TestRetainedContextNeverServesStaleAnalyzer(t *testing.T) {
 		r := &retainer{estimator: mk(model), t: t, model: model}
 		cfg := sim.Config{
 			Grid: city.Grid(), Delta: 10, TC: 1200, Horizon: 4 * 3600,
-			PredictRiders: func(now, tc float64) []int {
-				out := make([]int, len(exp[0]))
-				for k := range out {
-					out[k] = int(exp[int(now/1200)][k] + 0.5)
-				}
-				return out
+			PredictRiders: func(now, tc float64, k geo.RegionID) int {
+				return int(exp[int(now/1200)][k] + 0.5)
 			},
 		}
 		m, err := sim.New(cfg, orders, starts).Run(context.Background(), r)

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"slices"
 
+	"mrvd/internal/geo"
 	"mrvd/internal/queueing"
 	"mrvd/internal/sim"
 )
@@ -36,9 +37,24 @@ func (b *batchAnalyzer) snapshot(model *queueing.Model, ctx *sim.Context) *queue
 	if b.a == nil || b.model != model || b.tc != ctx.TC || b.a.NumRegions() != n {
 		b.a, b.model, b.tc = queueing.NewAnalyzer(model, n, ctx.TC), model, ctx.TC
 	}
-	b.a.Reset(ctx.WaitingPerRegion, ctx.AvailablePerRegion, ctx.PredictedRiders, ctx.PredictedDrivers)
+	b.a.Reset((*contextRegions)(ctx))
 	b.ctx = ctx
 	return b.a
+}
+
+// contextRegions is a batch context as the analyzer's region source: a
+// region's counts are read from the context in place, and its
+// predictions computed, only when the analyzer first scores it.
+type contextRegions sim.Context
+
+func (c *contextRegions) Region(k int) queueing.RegionState {
+	ctx, region := (*sim.Context)(c), geo.RegionID(k)
+	return queueing.RegionState{
+		Waiting:          ctx.WaitingPerRegion[k],
+		Available:        ctx.AvailablePerRegion[k],
+		PredictedRiders:  ctx.PredictedRiders(region),
+		PredictedDrivers: ctx.PredictedDrivers(region),
+	}
 }
 
 // working returns the same analyzer for a caller that will commit
@@ -125,7 +141,9 @@ func (h scoredHeap) down(i, n int) {
 // greedy is the scratch of the exact greedy shared by IRG and SHORT,
 // owned by the dispatcher instance and reused across batches — the
 // returned assignments included (the engine reads them before the next
-// Assign).
+// Assign). Its per-region and per-rider/driver arrays only grow; a batch
+// resets just the cells its pairs name, so a batch with no pairs costs
+// nothing here whatever the grid or the fleet.
 type greedy struct {
 	versions      []int32
 	pairsByRegion [][]int32
@@ -152,13 +170,19 @@ type greedy struct {
 func (g *greedy) run(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []sim.Assignment {
 	n := ctx.Grid.NumRegions()
 	g.versions = slices.Grow(g.versions[:0], n)[:n]
-	clear(g.versions)
+	g.pairsByRegion = slices.Grow(g.pairsByRegion[:0], n)[:n]
+	g.usedR = slices.Grow(g.usedR[:0], len(ctx.Riders))[:len(ctx.Riders)]
+	g.usedD = slices.Grow(g.usedD[:0], len(ctx.Drivers))[:len(ctx.Drivers)]
+	// Only the cells the pairs name are read below, so only they are
+	// reset; the rest keep whatever an earlier batch left.
+	for _, p := range ctx.Pairs {
+		g.versions[p.DestRegion] = 0
+		g.pairsByRegion[p.DestRegion] = g.pairsByRegion[p.DestRegion][:0]
+		g.usedR[p.R] = false
+		g.usedD[p.D] = false
+	}
 	// pairsByRegion indexes pairs by destination for the commit-time
 	// rescoring sweep.
-	g.pairsByRegion = slices.Grow(g.pairsByRegion[:0], n)[:n]
-	for k := range g.pairsByRegion {
-		g.pairsByRegion[k] = g.pairsByRegion[k][:0]
-	}
 	for i, p := range ctx.Pairs {
 		g.pairsByRegion[p.DestRegion] = append(g.pairsByRegion[p.DestRegion], int32(i))
 	}
@@ -173,10 +197,6 @@ func (g *greedy) run(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []
 	}
 	h.init()
 
-	g.usedR = slices.Grow(g.usedR[:0], len(ctx.Riders))[:len(ctx.Riders)]
-	g.usedD = slices.Grow(g.usedD[:0], len(ctx.Drivers))[:len(ctx.Drivers)]
-	clear(g.usedR)
-	clear(g.usedD)
 	out := g.out[:0]
 	for len(h) > 0 {
 		it := h.pop()

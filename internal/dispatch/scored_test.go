@@ -49,12 +49,11 @@ func randomScoredContext(rng *rand.Rand, riders, drivers int) *sim.Context {
 		Now: 0, TC: 600, Grid: grid,
 		WaitingPerRegion:   make([]int, n),
 		AvailablePerRegion: make([]int, n),
-		PredictedRiders:    make([]int, n),
-		PredictedDrivers:   make([]int, n),
+		Forecast:           newFixedForecast(n),
 	}
 	for k := 0; k < n; k++ {
-		ctx.PredictedRiders[k] = rng.Intn(25)
-		ctx.PredictedDrivers[k] = rng.Intn(10)
+		predicted(ctx).riders[k] = rng.Intn(25)
+		predicted(ctx).drivers[k] = rng.Intn(10)
 	}
 	for r := 0; r < riders; r++ {
 		ctx.Riders = append(ctx.Riders, &sim.Rider{

@@ -1,6 +1,8 @@
 package predict
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -206,4 +208,39 @@ func TestPredictorsOnlyUsePastData(t *testing.T) {
 	}
 	h.Counts[day][slot][region] = saved
 	h.Counts[h.Days()-1][0][region] -= 999
+}
+
+// TestGenerateHistoryPinned digests GenerateHistory's counts, cell by
+// cell, against values recorded while every draw still went through
+// stats.Poisson one minute at a time: the small city's rates stay under
+// 30 (Knuth, with its early exit), the dense one's go past it (PTRS),
+// and the 16x16 city is the benchmark's day_gc city over a few days.
+func TestGenerateHistoryPinned(t *testing.T) {
+	dense := workload.NewCity(workload.CityConfig{
+		Grid: geo.NewGrid(geo.NYCBBox, 4, 4), OrdersPerDay: 3_000_000, Seed: 11,
+	})
+	paper := workload.NewCity(workload.CityConfig{OrdersPerDay: 70000, Seed: 31})
+	for _, c := range []struct {
+		name string
+		h    *History
+		want uint64
+	}{
+		{"small", GenerateHistory(smallCity(), 6, 1800, 3), 0xcffbfc7cc404f0c4},
+		{"dense", GenerateHistory(dense, 2, 900, 5), 0x4d8e59a2de2de3fa},
+		{"paper", GenerateHistory(paper, 3, 1800, 1001), 0x306b7f3a067078a2},
+	} {
+		f := fnv.New64a()
+		var cell [8]byte
+		for _, day := range c.h.Counts {
+			for _, slot := range day {
+				for _, n := range slot {
+					binary.LittleEndian.PutUint64(cell[:], uint64(n))
+					f.Write(cell[:])
+				}
+			}
+		}
+		if got := f.Sum64(); got != c.want {
+			t.Errorf("%s history digests to %#x, want %#x", c.name, got, c.want)
+		}
+	}
 }

@@ -9,29 +9,41 @@ type RegionState struct {
 	PredictedDrivers int // |^D_k|: expected rejoining drivers in the window
 }
 
+// Regions is a batch's per-region demand-supply snapshot, read in
+// place: Region(k) returns region k's state at the start of the batch.
+// An Analyzer reads a region at most once per batch, on the first query
+// that touches it, so a source whose values cost work to compute pays
+// only for the regions the batch scores.
+type Regions interface {
+	Region(k int) RegionState
+}
+
 // Analyzer evaluates and caches per-region expected idle times for one
 // batch. The dispatch loop mutates driver supply as it commits pairs
 // (Algorithm 2 line 11 bumps mu of the destination region), so the cache
 // invalidates per region on update.
 //
-// A region's committed-mu bump and cached ET count only while their
-// stamp equals the analyzer's generation: a new batch (Reset) bumps the
-// generation instead of clearing every region, and a region's bump is
-// zero and its ET unknown until the batch touches it.
+// A region's snapshot, committed-mu bump and cached ET count only while
+// its stamp equals the analyzer's generation: a new batch (Reset) bumps
+// the generation instead of touching every region, and the first query
+// of a region in a batch reads its state from the batch's Regions, with
+// no bump and no ET.
 type Analyzer struct {
 	model   *Model
 	tc      float64 // scheduling window length in seconds
-	states  []RegionState
+	src     Regions
 	regions []regionCache
-	gen     uint64 // the current batch's stamp; never 0
+	gen     uint64 // the current batch's stamp; 0 until Reset, when every region is empty
 }
 
-// regionCache is one region's per-batch mutable state.
+// regionCache is one region's per-batch state, valid when gen equals
+// Analyzer.gen.
 type regionCache struct {
-	muBump  int     // extra rejoining drivers committed this batch
-	bumpGen uint64  // muBump counts when equal to Analyzer.gen
-	et      float64 // memoized ET under the current rates
-	etGen   uint64  // et is valid when equal to Analyzer.gen
+	state  RegionState
+	muBump int     // extra rejoining drivers committed this batch
+	et     float64 // memoized ET under the current rates, when etOK
+	etOK   bool
+	gen    uint64
 }
 
 // NewAnalyzer builds an analyzer over numRegions regions for a scheduling
@@ -40,54 +52,41 @@ func NewAnalyzer(model *Model, numRegions int, tc float64) *Analyzer {
 	return &Analyzer{
 		model:   model,
 		tc:      tc,
-		states:  make([]RegionState, numRegions),
 		regions: make([]regionCache, numRegions),
-		gen:     1,
 	}
 }
 
 // NumRegions returns the number of regions tracked.
-func (a *Analyzer) NumRegions() int { return len(a.states) }
+func (a *Analyzer) NumRegions() int { return len(a.regions) }
 
-// Reset starts a new batch: region k's snapshot becomes (waiting[k],
-// available[k], predictedRiders[k], predictedDrivers[k]) — a batch
-// context's per-region counts, read in place — and every committed-mu
-// bump and cached idle time is dropped. Each slice must cover
-// NumRegions regions.
-func (a *Analyzer) Reset(waiting, available, predictedRiders, predictedDrivers []int) {
-	n := len(a.states)
-	waiting, available = waiting[:n], available[:n]
-	predictedRiders, predictedDrivers = predictedRiders[:n], predictedDrivers[:n]
-	for k := range a.states {
-		a.states[k] = RegionState{
-			Waiting:          waiting[k],
-			Available:        available[k],
-			PredictedRiders:  predictedRiders[k],
-			PredictedDrivers: predictedDrivers[k],
-		}
-	}
+// Reset starts a new batch over src, which must answer for NumRegions
+// regions: every committed-mu bump and cached idle time is dropped, and
+// each region's snapshot is read from src on the batch's first query of
+// that region. src is read in place — nothing is copied — so it must
+// hold the batch's start-of-batch values for as long as the batch's
+// queries run.
+func (a *Analyzer) Reset(src Regions) {
+	a.src = src
 	a.gen++
 }
 
-// bump returns a region's committed-mu bump in the current batch.
-func (a *Analyzer) bump(region int) int {
-	if c := &a.regions[region]; c.bumpGen == a.gen {
-		return c.muBump
+// region returns a region's state in the current batch, reading its
+// snapshot on first use.
+func (a *Analyzer) region(k int) *regionCache {
+	c := &a.regions[k]
+	if c.gen != a.gen {
+		*c = regionCache{state: a.src.Region(k), gen: a.gen}
 	}
-	return 0
-}
-
-// setBump records a region's committed-mu bump and drops its cached ET.
-func (a *Analyzer) setBump(region, bump int) {
-	a.regions[region] = regionCache{muBump: bump, bumpGen: a.gen}
+	return c
 }
 
 // Rates returns the effective (lambda, mu) for a region, including any
 // mu bumps committed during the current batch.
 func (a *Analyzer) Rates(region int) (lambda, mu float64) {
-	s := a.states[region]
+	c := a.region(region)
+	s := c.state
 	lambda, mu = Rates(s.Waiting, s.Available,
-		s.PredictedRiders, s.PredictedDrivers+a.bump(region), a.tc)
+		s.PredictedRiders, s.PredictedDrivers+c.muBump, a.tc)
 	return lambda, mu
 }
 
@@ -95,8 +94,8 @@ func (a *Analyzer) Rates(region int) (lambda, mu float64) {
 // congest there during the window (available now plus all expected or
 // committed arrivals).
 func (a *Analyzer) congestionCap(region int) int {
-	s := a.states[region]
-	k := s.Available + s.PredictedDrivers + a.bump(region)
+	c := a.region(region)
+	k := c.state.Available + c.state.PredictedDrivers + c.muBump
 	if k < 0 {
 		k = 0
 	}
@@ -106,13 +105,12 @@ func (a *Analyzer) congestionCap(region int) int {
 // ExpectedIdleTime returns the memoized ET for a region under its current
 // effective rates.
 func (a *Analyzer) ExpectedIdleTime(region int) float64 {
-	c := &a.regions[region]
-	if c.etGen == a.gen {
+	c := a.region(region)
+	if c.etOK {
 		return c.et
 	}
 	lambda, mu := a.Rates(region)
-	c.et = a.model.ExpectedIdleTime(lambda, mu, a.congestionCap(region))
-	c.etGen = a.gen
+	c.et, c.etOK = a.model.ExpectedIdleTime(lambda, mu, a.congestionCap(region)), true
 	return c.et
 }
 
@@ -126,11 +124,15 @@ func (a *Analyzer) IdleRatio(cost float64, destRegion int) float64 {
 // into destRegion, raising its mu (Algorithm 2 line 11) and invalidating
 // the cached ET.
 func (a *Analyzer) CommitDestination(destRegion int) {
-	a.setBump(destRegion, a.bump(destRegion)+1)
+	c := a.region(destRegion)
+	c.muBump++
+	c.etOK = false
 }
 
 // UncommitDestination reverses CommitDestination, used by the local
 // search when it swaps a driver's assigned rider (Algorithm 3 line 7).
 func (a *Analyzer) UncommitDestination(destRegion int) {
-	a.setBump(destRegion, max(a.bump(destRegion)-1, 0))
+	c := a.region(destRegion)
+	c.muBump = max(c.muBump-1, 0)
+	c.etOK = false
 }

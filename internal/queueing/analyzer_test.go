@@ -10,15 +10,30 @@ func newTestAnalyzer(tc float64) *Analyzer {
 	return NewAnalyzer(New(Config{Beta: 0.05}), 4, tc)
 }
 
+// sliceRegions is a Regions over a slice of snapshots that counts the
+// reads of each region.
+type sliceRegions struct {
+	states []RegionState
+	reads  []int
+}
+
+func newSliceRegions(n int) *sliceRegions {
+	return &sliceRegions{states: make([]RegionState, n), reads: make([]int, n)}
+}
+
+func (s *sliceRegions) Region(k int) RegionState {
+	s.reads[k]++
+	return s.states[k]
+}
+
 // resetRegions starts a batch in which the given regions hold the given
 // snapshots and every other region is empty.
 func resetRegions(a *Analyzer, states map[int]RegionState) {
-	n := a.NumRegions()
-	w, av, pr, pd := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	src := newSliceRegions(a.NumRegions())
 	for k, s := range states {
-		w[k], av[k], pr[k], pd[k] = s.Waiting, s.Available, s.PredictedRiders, s.PredictedDrivers
+		src.states[k] = s
 	}
-	a.Reset(w, av, pr, pd)
+	a.Reset(src)
 }
 
 func TestAnalyzerRatesMatchEquations(t *testing.T) {
@@ -67,12 +82,13 @@ func TestAnalyzerUncommitRestores(t *testing.T) {
 
 func TestAnalyzerResetClearsBumps(t *testing.T) {
 	a := newTestAnalyzer(600)
-	waiting, available := []int{1, 2, 0, 0}, []int{1, 0, 0, 0}
-	predRiders, predDrivers := []int{10, 5, 0, 0}, []int{10, 1, 0, 0}
-	a.Reset(waiting, available, predRiders, predDrivers)
+	src := newSliceRegions(4)
+	src.states[0] = RegionState{Waiting: 1, Available: 1, PredictedRiders: 10, PredictedDrivers: 10}
+	src.states[1] = RegionState{Waiting: 2, PredictedRiders: 5, PredictedDrivers: 1}
+	a.Reset(src)
 	base := a.ExpectedIdleTime(1)
 	a.CommitDestination(1)
-	a.Reset(waiting, available, predRiders, predDrivers)
+	a.Reset(src)
 	if got := a.ExpectedIdleTime(1); math.Abs(got-base) > 1e-12 {
 		t.Errorf("Reset did not clear bumps: %v vs %v", got, base)
 	}
@@ -113,35 +129,51 @@ func TestAnalyzerCacheConsistency(t *testing.T) {
 // its bumps and cached ETs outliving each batch under an older
 // generation — answers every query of a batch bitwise as an analyzer
 // built fresh for that batch does, through random commits, uncommits
-// (some below zero) and reads that fill the cache between them.
+// (some below zero) and reads that fill the cache between them. The
+// reused analyzer reads one source that is overwritten in place between
+// batches, as the engine's batch arena is, and must read a region
+// exactly once in a batch that touches it and never in one that does
+// not.
 func TestAnalyzerReuseMatchesFresh(t *testing.T) {
 	const regions = 12
 	model := New(Config{Beta: 0.05})
 	reused := NewAnalyzer(model, regions, 600)
+	shared := newSliceRegions(regions)
 	rng := rand.New(rand.NewSource(5))
-	counts := func(limit int) []int {
-		out := make([]int, regions)
-		for k := range out {
-			out[k] = rng.Intn(limit)
-		}
-		return out
-	}
+	touched := make([]bool, regions)
 	for batch := 0; batch < 300; batch++ {
-		w, av, pr, pd := counts(6), counts(6), counts(40), counts(20)
+		for k := range shared.states {
+			shared.states[k] = RegionState{
+				Waiting: rng.Intn(6), Available: rng.Intn(6),
+				PredictedRiders: rng.Intn(40), PredictedDrivers: rng.Intn(20),
+			}
+		}
+		clear(shared.reads)
+		clear(touched)
+		own := newSliceRegions(regions)
+		copy(own.states, shared.states)
 		fresh := NewAnalyzer(model, regions, 600)
-		fresh.Reset(w, av, pr, pd)
-		reused.Reset(w, av, pr, pd)
+		fresh.Reset(own)
+		reused.Reset(shared)
 		for op, ops := 0, 1+rng.Intn(40); op < ops; op++ {
 			k := rng.Intn(regions)
 			switch rng.Intn(3) {
 			case 0:
 				fresh.CommitDestination(k)
 				reused.CommitDestination(k)
+				touched[k] = true
 			case 1:
 				fresh.UncommitDestination(k)
 				reused.UncommitDestination(k)
+				touched[k] = true
 			}
+			// Read a random subset, so some regions stay untouched
+			// for a while and some whole batches.
 			for r := 0; r < regions; r++ {
+				if rng.Intn(4) != 0 {
+					continue
+				}
+				touched[r] = true
 				got, want := reused.ExpectedIdleTime(r), fresh.ExpectedIdleTime(r)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("batch %d op %d region %d: reused ET %v, fresh %v", batch, op, r, got, want)
@@ -151,6 +183,15 @@ func TestAnalyzerReuseMatchesFresh(t *testing.T) {
 				if gl != wl || gm != wm {
 					t.Fatalf("batch %d op %d region %d: reused rates (%v,%v), fresh (%v,%v)", batch, op, r, gl, gm, wl, wm)
 				}
+			}
+		}
+		for k, n := range shared.reads {
+			want := 0
+			if touched[k] {
+				want = 1
+			}
+			if n != want {
+				t.Fatalf("batch %d: region %d read %d times, want %d (touched %v)", batch, k, n, want, touched[k])
 			}
 		}
 	}

@@ -23,9 +23,10 @@
 // New (or NewDefault) builds a Model — the closed forms plus the
 // reneging configuration — and Model.ExpectedIdleTime evaluates one
 // (lambda, mu, k) point. Batch dispatchers work through an Analyzer
-// instead: it snapshots every region's state (waiting riders, available
-// drivers, window predictions) once per batch, converts counts to
-// rates, caches per-region ET values, and exposes the idle ratio
+// instead: it reads a region's state (waiting riders, available
+// drivers, window predictions) from the batch in place, once, on the
+// batch's first query of that region, converts counts to rates, caches
+// per-region ET values, and exposes the idle ratio
 // IR = ET / (cost + ET) of Eq. 17 that scores rider-driver pairs. The
 // Analyzer's CommitDestination/UncommitDestination implement Algorithm
 // 2 line 11's mu-update feedback, which the IRG and LS dispatchers

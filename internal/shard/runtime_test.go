@@ -654,9 +654,9 @@ func TestRuntimeHooksNeedNoLocks(t *testing.T) {
 	forecasts := 0
 	cfg := sim.Config{
 		Grid: grid, Coster: coster, Delta: 5, TC: 1200, Horizon: horizon, CandidateCap: 16,
-		PredictRiders: func(now, tc float64) []int {
+		PredictRiders: func(now, tc float64, k geo.RegionID) int {
 			forecasts++
-			return make([]int, grid.NumRegions())
+			return 0
 		},
 		Repositioner: repos, RepositionAfter: 60,
 		Observer: watch,

@@ -202,3 +202,87 @@ func TestLiveRidersRetainNoMemory(t *testing.T) {
 		t.Errorf("1,000,000 admitted orders grew the heap by %d bytes, want under 4 MiB", after-before)
 	}
 }
+
+// firstPairs assigns each rider its first pair whose driver is still
+// free, reading no prediction.
+type firstPairs struct{ used map[int32]bool }
+
+func (firstPairs) Name() string { return "first" }
+
+func (f firstPairs) Assign(ctx *sim.Context) []sim.Assignment {
+	clear(f.used)
+	var out []sim.Assignment
+	for _, p := range ctx.Pairs {
+		if len(out) > 0 && out[len(out)-1].R == p.R || f.used[p.D] {
+			continue
+		}
+		f.used[p.D] = true
+		out = append(out, sim.Assignment{R: p.R, D: p.D})
+	}
+	return out
+}
+
+// TestUnreadForecastRetainsNoMemory: a live session whose dispatcher
+// reads no prediction keeps its drivers shuttling between two regions
+// for 1,000 and then 100,000 more batches. No region's forecast is ever
+// computed — PredictRiders is never called — yet the scheduled rejoins
+// stay bounded by the fleet: a region's past rejoins are dropped as it
+// is appended to, not only as it is read (one time kept per trip would
+// hold 80,000). The idle ledger, which grows with every trip by design,
+// is why this test counts rejoins instead of the heap.
+func TestUnreadForecastRetainsNoMemory(t *testing.T) {
+	a, b := geo.Point{Lng: -73.985, Lat: 40.748}, geo.Point{Lng: -73.985, Lat: 40.752}
+	grid := geo.NewGrid(geo.NYCBBox, 16, 16)
+	if grid.Region(a) == grid.Region(b) {
+		t.Fatal("the two stands share a region")
+	}
+	forecasts := 0
+	src := sim.NewChannelSource()
+	cfg := sim.Config{
+		Grid: grid, Delta: 10, Horizon: 1e8,
+		PredictRiders: func(now, tc float64, k geo.RegionID) int { forecasts++; return 0 },
+	}
+	starts := []geo.Point{a, a, b, b}
+	e := sim.NewWithSource(cfg, src, starts)
+	if err := e.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	d := firstPairs{used: map[int32]bool{}}
+	now, id := 0.0, trace.OrderID(0)
+	maxRejoins := 0
+	run := func(batches int) {
+		for i := range batches {
+			for _, trip := range [][2]geo.Point{{a, b}, {b, a}} {
+				if err := src.Submit(trace.Order{ID: id, PostTime: now, Pickup: trip[0], Dropoff: trip[1], Deadline: now + 300}); err != nil {
+					t.Fatal(err)
+				}
+				id++
+			}
+			e.StepAdmit(now)
+			if err := e.StepDispatch(now, d); err != nil {
+				t.Fatal(err)
+			}
+			now += cfg.Delta
+			if i%1000 == 0 {
+				held := 0
+				for _, times := range e.RejoinTimes() {
+					held += len(times)
+				}
+				maxRejoins = max(maxRejoins, held)
+			}
+		}
+	}
+	run(1000)
+	run(100_000)
+	m := e.Finish()
+	t.Logf("served %d of %d orders; at most %d rejoins held", m.Served, m.TotalOrders, maxRejoins)
+	if m.Served < 50_000 {
+		t.Fatalf("served %d orders, want over 50,000: the fleet must keep shuttling", m.Served)
+	}
+	if forecasts != 0 {
+		t.Errorf("PredictRiders called %d times by batches that read no prediction", forecasts)
+	}
+	if maxRejoins > 2*len(starts) {
+		t.Errorf("%d rejoins held at once by a fleet of %d", maxRejoins, len(starts))
+	}
+}

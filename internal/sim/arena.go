@@ -28,10 +28,9 @@ type batchArena struct {
 	// Engine.patchDriverTable.
 	changed, tail []int32
 
-	waitingPerRegion, availablePerRegion, predictedDrivers []int
-	// noRiders is the all-zero forecast of an engine without
-	// PredictRiders; nothing writes it.
-	noRiders []int
+	// waitingPerRegion counts riderRegion, the batch's riders; the next
+	// batch uncounts them before counting its own.
+	waitingPerRegion, availablePerRegion []int
 
 	drivers      []*Driver
 	driverRegion []geo.RegionID
@@ -76,8 +75,6 @@ func newBatchArena(numRegions int) batchArena {
 	return batchArena{
 		waitingPerRegion:   make([]int, numRegions),
 		availablePerRegion: make([]int, numRegions),
-		predictedDrivers:   make([]int, numRegions),
-		noRiders:           make([]int, numRegions),
 	}
 }
 

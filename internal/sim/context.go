@@ -47,10 +47,11 @@ func (m *costMatrix) cost(d, r int32) (float64, bool) {
 //
 // Lifetime: the engine allocates the Context itself fresh every batch
 // (a *Context identifies its batch, so per-batch caches may key on it)
-// but every slice it carries, and the pickup cost matrix's rows, live in the
-// engine's batch arena and are overwritten by the next batch. A Context
-// and everything reachable from it are valid only until the call it was
-// passed to returns; copy what must outlive that.
+// but every slice it carries, the pickup cost matrix's rows and the
+// Forecast's per-region memo live in the engine and are overwritten by
+// the next batch. A Context and everything reachable from it are valid
+// only until the call it was passed to returns; copy what must outlive
+// that.
 type Context struct {
 	Now  float64
 	TC   float64 // scheduling window length t_c in seconds
@@ -76,11 +77,9 @@ type Context struct {
 	// WaitingPerRegion[k] = |R_k| and AvailablePerRegion[k] = |D_k|.
 	WaitingPerRegion   []int
 	AvailablePerRegion []int
-	// PredictedRiders[k] = |^R_k|: predicted new riders in the window.
-	// PredictedDrivers[k] = |^D_k|: drivers scheduled to rejoin region k
-	// in the window (known exactly from active trips).
-	PredictedRiders  []int
-	PredictedDrivers []int
+	// Forecast answers the window predictions |^R_k| and |^D_k|, read
+	// through PredictedRiders and PredictedDrivers; nil predicts zeros.
+	Forecast Forecast
 
 	// RiderRegion and DriverRegion cache each rider's pickup region and
 	// driver's current region.
@@ -95,6 +94,39 @@ type Context struct {
 	// pooling-unaware dispatchers run unchanged.
 	PoolCapacity int
 	PoolOptions  []PoolOption
+}
+
+// Forecast is a batch's demand-supply predictions for the scheduling
+// window [Now, Now+TC], region by region. The engine's Forecast computes
+// a region's value on the first read of that region in the batch and
+// keeps it for the rest of the batch, so a batch pays only for the
+// regions it reads; every read in the batch returns the value as of the
+// batch's start, including reads after Assign (a Repositioner's).
+type Forecast interface {
+	// Riders returns |^R_k|: the riders predicted to post in region k in
+	// the window (Config.PredictRiders).
+	Riders(k geo.RegionID) int
+	// Drivers returns |^D_k|: the busy drivers scheduled to rejoin in
+	// region k in the window, known exactly from active trips.
+	Drivers(k geo.RegionID) int
+}
+
+// PredictedRiders returns |^R_k|, the riders predicted to post in region
+// k in the window; 0 without a Forecast.
+func (ctx *Context) PredictedRiders(k geo.RegionID) int {
+	if ctx.Forecast == nil {
+		return 0
+	}
+	return ctx.Forecast.Riders(k)
+}
+
+// PredictedDrivers returns |^D_k|, the drivers scheduled to rejoin in
+// region k in the window; 0 without a Forecast.
+func (ctx *Context) PredictedDrivers(k geo.RegionID) int {
+	if ctx.Forecast == nil {
+		return 0
+	}
+	return ctx.Forecast.Drivers(k)
 }
 
 // PoolOption is one feasible shared-ride insertion the batch priced: a

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"mrvd/internal/geo"
@@ -44,9 +43,15 @@ type Config struct {
 	// missing a feasible far driver when nearer ones are
 	// deadline-infeasible.
 	CandidateCap int
-	// PredictRiders returns |^R_k| per region for [now, now+tc]; nil
-	// predicts zeros everywhere.
-	PredictRiders func(now, tc float64) []int
+	// PredictRiders returns |^R_k|, the riders predicted to post in
+	// region k in [now, now+tc]; nil predicts zeros everywhere. It is
+	// called on the first read of a region's prediction in a batch
+	// (Context.PredictedRiders), at most once per region and batch, and
+	// the value holds for the rest of that batch; a batch that reads no
+	// region calls it not at all. Its value must depend on its
+	// arguments alone: the engine calls it on its own goroutine, in
+	// whatever region order the batch reads.
+	PredictRiders func(now, tc float64, k geo.RegionID) int
 	// Repositioner optionally relocates long-idle drivers between
 	// batches; nil disables repositioning (drivers wait where they
 	// dropped off, the paper's base behaviour).
@@ -216,9 +221,9 @@ type Engine struct {
 	// allocation per riderSlabSize admissions instead of one per order.
 	riderSlab []Rider
 
-	// futureRejoin[k] holds sorted completion times of busy drivers whose
-	// destination is region k; pruned as time advances.
-	futureRejoin [][]float64
+	// fc is the batch's Forecast, and holds the scheduled rejoins its
+	// driver predictions count.
+	fc forecast
 
 	// openIdle maps a rejoined driver to its pending ledger entry.
 	openIdle map[DriverID]int
@@ -275,12 +280,12 @@ func New(cfg Config, orders []trace.Order, driverStarts []geo.Point) *Engine {
 func NewWithSource(cfg Config, src OrderSource, driverStarts []geo.Point) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
-		cfg:          cfg,
-		src:          src,
-		idx:          geo.NewIndex(cfg.Grid),
-		futureRejoin: make([][]float64, cfg.Grid.NumRegions()),
-		openIdle:     make(map[DriverID]int),
-		arena:        newBatchArena(cfg.Grid.NumRegions()),
+		cfg:      cfg,
+		src:      src,
+		idx:      geo.NewIndex(cfg.Grid),
+		fc:       newForecast(cfg),
+		openIdle: make(map[DriverID]int),
+		arena:    newBatchArena(cfg.Grid.NumRegions()),
 	}
 	if pc, ok := cfg.Coster.(roadnet.PairCoster); ok {
 		e.dense = pc
@@ -755,11 +760,11 @@ func (e *Engine) buildContext(now float64) *Context {
 		ctx   Context
 		costs costMatrix
 	}{}
-	clear(a.waitingPerRegion)
-	e.countFutureRejoins(now, a.predictedDrivers)
-	predictedRiders := a.noRiders
-	if e.cfg.PredictRiders != nil {
-		predictedRiders = e.cfg.PredictRiders(now, e.cfg.TC)
+	e.fc.begin(now)
+	// The last batch's riders are uncounted instead of clearing every
+	// region.
+	for _, k := range a.riderRegion {
+		a.waitingPerRegion[k]--
 	}
 
 	// Available drivers, in id order for determinism.
@@ -907,8 +912,7 @@ func (e *Engine) buildContext(now float64) *Context {
 		Pairs:              a.pairs,
 		WaitingPerRegion:   a.waitingPerRegion,
 		AvailablePerRegion: a.availablePerRegion,
-		PredictedRiders:    predictedRiders,
-		PredictedDrivers:   a.predictedDrivers,
+		Forecast:           &e.fc,
 		RiderRegion:        a.riderRegion,
 		DriverRegion:       a.driverRegion,
 	}
@@ -1018,26 +1022,6 @@ func (e *Engine) patchDriverTable() {
 		a.driverSlot[id] = int32(slot)
 		a.drivers[slot] = &e.drivers[id]
 		a.driverRegion[slot] = regions[id]
-	}
-}
-
-// countFutureRejoins writes into out, per region, how many busy drivers
-// will complete there within [now, now+tc), pruning completions already
-// in the past. Most regions' lists are empty or wholly inside the
-// window, which needs no search.
-func (e *Engine) countFutureRejoins(now float64, out []int) {
-	until := now + e.cfg.TC
-	for k, times := range e.futureRejoin {
-		n := len(times)
-		if n == 0 || times[0] >= now && times[n-1] < until {
-			out[k] = n
-			continue
-		}
-		if i := sort.SearchFloat64s(times, now); i > 0 {
-			times = times[i:]
-			e.futureRejoin[k] = times
-		}
-		out[k] = sort.SearchFloat64s(times, until)
 	}
 }
 
@@ -1151,7 +1135,7 @@ func (e *Engine) apply(now float64, ctx *Context, assignments []Assignment) erro
 			e.busy.push(completion{freeAt: freeAt, driver: drv.ID})
 		}
 
-		e.insertFutureRejoin(rider.DestRegion, freeAt)
+		e.fc.addRejoin(rider.DestRegion, freeAt)
 
 		e.metrics.Revenue += realTrip
 		e.metrics.PickupSeconds += realPickup
@@ -1196,31 +1180,10 @@ func (e *Engine) declineAssignment(now float64, rider *Rider, id DriverID) {
 	d.FreeAt = retryAt
 	e.idx.Remove(int32(id))
 	e.busy.push(completion{freeAt: retryAt, driver: id})
-	e.insertFutureRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(d.Pos)), retryAt)
+	e.fc.addRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(d.Pos)), retryAt)
 	e.metrics.Declines++
 	if e.observer != nil {
 		e.observer.OnDeclined(DeclinedEvent{Now: now, Rider: rider, Driver: id, RetryAt: retryAt})
-	}
-}
-
-func (e *Engine) insertFutureRejoin(region geo.RegionID, at float64) {
-	times := e.futureRejoin[region]
-	i := sort.SearchFloat64s(times, at)
-	times = append(times, 0)
-	copy(times[i+1:], times[i:])
-	times[i] = at
-	e.futureRejoin[region] = times
-}
-
-// removeFutureRejoin drops one scheduled completion — used when pooling
-// moves a driver's plan end (insertion extends it, cancellation pulls
-// it in). Times are stored exactly as inserted, so the lookup is an
-// exact float match.
-func (e *Engine) removeFutureRejoin(region geo.RegionID, at float64) {
-	times := e.futureRejoin[region]
-	i := sort.SearchFloat64s(times, at)
-	if i < len(times) && times[i] == at {
-		e.futureRejoin[region] = append(times[:i], times[i+1:]...)
 	}
 }
 
@@ -1270,7 +1233,7 @@ func (e *Engine) reposition(now float64, ctx *Context) {
 		d.FreeAt = now + cost
 		e.idx.Remove(int32(i))
 		e.busy.push(completion{freeAt: d.FreeAt, driver: DriverID(i)})
-		e.insertFutureRejoin(e.cfg.Grid.Region(target), d.FreeAt)
+		e.fc.addRejoin(e.cfg.Grid.Region(target), d.FreeAt)
 		if e.observer != nil {
 			e.observer.OnRepositioned(RepositionedEvent{
 				Now: now, Driver: DriverID(i), From: from, To: target,

@@ -297,7 +297,7 @@ func TestEnginePredictedDriversCountsFutureRejoins(t *testing.T) {
 	e := New(simpleConfig(), orders, []geo.Point{pickup})
 	_, err := e.Run(context.Background(), funcDispatcher(func(ctx *Context) []Assignment {
 		if ctx.Now > 10 && ctx.Now < 400 {
-			if ctx.PredictedDrivers[destRegion] > 0 {
+			if ctx.PredictedDrivers(destRegion) > 0 {
 				sawFuture = true
 			}
 		}

@@ -160,8 +160,8 @@ func (e *Engine) cancelPooled(now float64, pr *pooledRider) {
 	pos, end := p.End()
 	d.Pos = pos
 	d.FreeAt = end
-	e.removeFutureRejoin(oldRegion, oldEnd)
-	e.insertFutureRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(pos)), end)
+	e.fc.dropRejoin(oldRegion, oldEnd)
+	e.fc.addRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(pos)), end)
 
 	e.cancelRider(now, r, true)
 }
@@ -248,12 +248,12 @@ func (e *Engine) applyPooled(now float64, ctx *Context, a Assignment, usedPool m
 	// The splice moved the plan's completion; the front stop (and with
 	// it the heap entry) is untouched by construction.
 	d := &e.drivers[opt.Driver]
-	e.removeFutureRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(d.Pos)), d.FreeAt)
+	e.fc.dropRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(d.Pos)), d.FreeAt)
 	pos, end := p.End()
 	d.Pos = pos
 	d.FreeAt = end
 	d.Served++
-	e.insertFutureRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(pos)), end)
+	e.fc.addRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(pos)), end)
 
 	e.ps.riders[rider.Order.ID] = &pooledRider{r: rider, revenue: trip, pickup: wait}
 	e.metrics.Revenue += trip

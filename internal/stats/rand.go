@@ -9,38 +9,47 @@ import (
 // For small lambda it uses Knuth's product-of-uniforms method; for large
 // lambda (>= 30) it switches to the PTRS transformed-rejection sampler of
 // Hörmann (1993), which stays O(1) as lambda grows. lambda <= 0 returns 0.
+// Callers drawing many samples at one mean prepare it once with
+// NewPoissonRate.
 func Poisson(rng *rand.Rand, lambda float64) int {
-	switch {
-	case lambda <= 0 || math.IsNaN(lambda):
-		return 0
-	case lambda < 30:
-		return poissonKnuth(rng, lambda)
-	default:
-		return poissonPTRS(rng, lambda)
-	}
+	r := NewPoissonRate(lambda)
+	return r.Draw(rng)
 }
 
-// poissonKnuth is Knuth's method: multiply uniforms until the product
-// falls to e^-lambda or below; k is the number of factors less one.
-// Most draws at the workload's intensities return 0, so the first
-// uniform is drawn before e^-lambda is computed and returns 0 at once
-// below (1-lambda)(1-1e-12), a certified lower bound of the computed
-// e^-lambda: e^-x >= 1-x, math.Exp errs by under 1 ulp, and the bound's
-// three roundings by under 3 ulps against a 1e-12 (~4,500-ulp) margin;
-// from lambda = 1 up it is <= 0. Such a draw returns 0 in the textbook
-// loop too, so both consume the same uniforms and return the same k.
-func poissonKnuth(rng *rand.Rand, lambda float64) int {
-	p := rng.Float64()
-	if p < (1-lambda)*(1-1e-12) {
+// PoissonRate is a Poisson mean prepared for many draws: Knuth's
+// e^-lambda is computed once. Draw consumes the same uniforms and
+// returns the same k as Poisson(rng, lambda).
+type PoissonRate struct {
+	lambda float64
+	expNeg float64 // e^-lambda, when 0 < lambda < 30
+}
+
+// NewPoissonRate prepares lambda for Draw.
+func NewPoissonRate(lambda float64) PoissonRate {
+	r := PoissonRate{lambda: lambda}
+	if lambda > 0 && lambda < 30 {
+		r.expNeg = math.Exp(-lambda)
+	}
+	return r
+}
+
+// Draw samples the prepared distribution.
+func (r *PoissonRate) Draw(rng *rand.Rand) int {
+	switch {
+	case !(r.lambda > 0): // NaN too
 		return 0
+	case r.lambda < 30:
+		// Knuth: multiply uniforms until the product falls to e^-lambda
+		// or below; k is the number of factors less one.
+		p, k := rng.Float64(), 0
+		for p > r.expNeg {
+			p *= rng.Float64()
+			k++
+		}
+		return k
+	default:
+		return poissonPTRS(rng, r.lambda)
 	}
-	l := math.Exp(-lambda)
-	k := 0
-	for p > l {
-		p *= rng.Float64()
-		k++
-	}
-	return k
 }
 
 // poissonPTRS implements Hörmann's PTRS algorithm. It is exact (not an

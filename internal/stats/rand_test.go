@@ -209,8 +209,8 @@ func TestPoissonKnuthMatchesTextbook(t *testing.T) {
 	}
 }
 
-// FuzzPoissonKnuth checks the squeezed sampler draw for draw against
-// the textbook loop at any seed and any lambda below PTRS's range.
+// FuzzPoissonKnuth checks the sampler draw for draw against the
+// textbook loop at any seed and any lambda below PTRS's range.
 func FuzzPoissonKnuth(f *testing.F) {
 	for _, lambda := range []float64{1e-300, 0.2, 1, 4.5, 29.999, 0, -1, math.NaN()} {
 		f.Add(int64(1), lambda)

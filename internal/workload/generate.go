@@ -93,12 +93,15 @@ func (c *City) GenerateDay(day int, rng *rand.Rand) []trace.Order {
 	orders := make([]trace.Order, 0, int(scale+4*math.Sqrt(scale))+16)
 	var drawn []trace.Order
 	var sorter minuteSorter
+	rates := make([]stats.PoissonRate, n)
 	for minute := 0; minute < 24*60; minute++ {
 		p := PeriodOf(float64(minute * 60))
-		mscale, w := c.minuteIntensity(scale, minute)
+		if minute%60 == 0 {
+			c.hourRates(rates, scale, minute)
+		}
 		drawn = drawn[:0]
 		for r := 0; r < n; r++ {
-			k := stats.Poisson(rng, mscale*w[r])
+			k := rates[r].Draw(rng)
 			for i := 0; i < k; i++ {
 				post := float64(minute*60) + rng.Float64()*60
 				dst := c.sampleDest(rng, p, r)
@@ -168,17 +171,33 @@ func (c *City) GenerateDayCounts(day int, slotSeconds float64, rng *rand.Rand) [
 		counts[s] = make([]int, n)
 	}
 	scale := c.dayScale(day)
+	rates := make([]stats.PoissonRate, n)
 	for minute := 0; minute < 24*60; minute++ {
 		slot := int(float64(minute*60) / slotSeconds)
 		if slot >= numSlots {
 			slot = numSlots - 1
 		}
-		mscale, w := c.minuteIntensity(scale, minute)
+		if minute%60 == 0 {
+			c.hourRates(rates, scale, minute)
+		}
 		for r := 0; r < n; r++ {
-			counts[slot][r] += stats.Poisson(rng, mscale*w[r])
+			counts[slot][r] += rates[r].Draw(rng)
 		}
 	}
 	return counts
+}
+
+// hourRates prepares every region's Poisson rate for the hour starting
+// at minute of a day whose dayScale is scale. A minute's intensity is
+// the same in every minute of its hour — minuteFrac comes from the
+// hour's hourlyCurve entry and the period changes only on the hour — so
+// one prepared rate per region draws the whole hour, bit for bit as
+// Poisson at each minute's own intensity would.
+func (c *City) hourRates(rates []stats.PoissonRate, scale float64, minute int) {
+	mscale, w := c.minuteIntensity(scale, minute)
+	for r := range rates {
+		rates[r] = stats.NewPoissonRate(mscale * w[r])
+	}
 }
 
 // ExpectedDayCounts returns the noiseless intensity aggregated to the

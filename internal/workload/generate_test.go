@@ -143,3 +143,23 @@ func TestCityTablesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestMinuteIntensityConstantWithinHour is what lets GenerateDay and
+// GenerateDayCounts prepare one Poisson rate per region and hour: every
+// minute of an hour has its first minute's intensity in every region,
+// bit for bit.
+func TestMinuteIntensityConstantWithinHour(t *testing.T) {
+	c := NewCity(CityConfig{OrdersPerDay: 282_255, Seed: 31})
+	for day := 0; day < 3; day++ {
+		scale := c.dayScale(day)
+		for minute := 0; minute < 24*60; minute++ {
+			hs, hw := c.minuteIntensity(scale, minute-minute%60)
+			ms, mw := c.minuteIntensity(scale, minute)
+			for r := range mw {
+				if math.Float64bits(ms*mw[r]) != math.Float64bits(hs*hw[r]) {
+					t.Fatalf("day %d minute %d region %d: intensity %v, its hour's %v", day, minute, r, ms*mw[r], hs*hw[r])
+				}
+			}
+		}
+	}
+}
