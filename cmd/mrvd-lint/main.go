@@ -1,7 +1,8 @@
 // Command mrvd-lint runs the repo's determinism & hot-path
-// static-analysis suite (internal/lint) over module packages.
+// static-analysis suite (internal/lint), every analyzer of the
+// catalogue, over module packages.
 //
-//	mrvd-lint [-json] [-list] [-enable a,b] [-disable a,b] [packages]
+//	mrvd-lint [-json] [-list] [packages]
 //
 // packages defaults to ./... resolved against the enclosing module
 // root. Exit status: 0 clean, 1 findings, 2 the module could not be
@@ -14,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"mrvd/internal/lint"
 )
@@ -22,10 +22,8 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
 	list := flag.Bool("list", false, "print the analyzer catalogue and exit")
-	enable := flag.String("enable", "", "comma-list of analyzers to run (default: all)")
-	disable := flag.String("disable", "", "comma-list of analyzers to skip")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: mrvd-lint [-json] [-list] [-enable a,b] [-disable a,b] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: mrvd-lint [-json] [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -39,14 +37,6 @@ func main() {
 		return
 	}
 
-	analyzers, err := lint.Select(splitList(*enable), splitList(*disable))
-	if err != nil {
-		fatal(err)
-	}
-	if len(analyzers) == 0 {
-		fatal(fmt.Errorf("mrvd-lint: -enable/-disable selected no analyzers"))
-	}
-
 	root, err := findModuleRoot()
 	if err != nil {
 		fatal(err)
@@ -55,7 +45,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	findings, err := lint.Run(root, patterns, analyzers)
+	findings, err := lint.Run(root, patterns, lint.Analyzers())
 	if err != nil {
 		fatal(err)
 	}
@@ -80,19 +70,6 @@ func main() {
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 // findModuleRoot walks up from the working directory to the nearest

@@ -220,7 +220,7 @@ func TestLSImprovesOrMatchesSeedIdleRatioSum(t *testing.T) {
 }
 
 func TestLSConverges(t *testing.T) {
-	// A larger random batch: LS must terminate well inside MaxIterations
+	// A larger random batch: LS must terminate well inside lsMaxIterations
 	// and produce a valid assignment.
 	rng := rand.New(rand.NewSource(5))
 	grid := geo.NewGrid(geo.NYCBBox, 4, 4)

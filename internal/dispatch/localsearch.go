@@ -32,9 +32,6 @@ type LS struct {
 	Model *queueing.Model
 	// Seed produces the initial assignment; nil defaults to &IRG{Model}.
 	Seed sim.Dispatcher
-	// MaxIterations bounds the sweep count (the paper's L_max).
-	// Default 16.
-	MaxIterations int
 
 	an batchAnalyzer
 	st lsState // reused across batches
@@ -50,10 +47,10 @@ func (l *LS) init() {
 	if l.Seed == nil {
 		l.Seed = &IRG{Model: l.Model}
 	}
-	if l.MaxIterations <= 0 {
-		l.MaxIterations = 16
-	}
 }
+
+// lsMaxIterations bounds the sweep count (the paper's L_max).
+const lsMaxIterations = 16
 
 // lsState carries the mutable search state across move types. Its
 // slices are the dispatcher's scratch, reused across batches — the
@@ -152,7 +149,7 @@ func (l *LS) Assign(ctx *sim.Context) []sim.Assignment {
 		s.assign(as.R, as.D)
 	}
 
-	for iter := 0; iter < l.MaxIterations; iter++ {
+	for iter := 0; iter < lsMaxIterations; iter++ {
 		changed := s.directFills()
 		changed = s.improvingSwaps() || changed
 		changed = s.augmentingChains() || changed

@@ -15,14 +15,6 @@ import (
 // transportation solution over region pairs; the original solves a flow
 // on a finer grid.
 type POLAR struct {
-	// GuidanceBonus is the score boost a pair receives when the
-	// blueprint routes supply from the driver's region to the rider's
-	// region. Default 1800 (half an hour of trip value).
-	GuidanceBonus float64
-	// RebuildEvery is how often (seconds) the blueprint is recomputed.
-	// Default 300.
-	RebuildEvery float64
-
 	blueprintAt float64
 	quota       map[[2]geo.RegionID]int
 	haveRun     bool
@@ -31,14 +23,15 @@ type POLAR struct {
 // Name implements sim.Dispatcher.
 func (p *POLAR) Name() string { return "POLAR" }
 
-func (p *POLAR) withDefaults() {
-	if p.GuidanceBonus <= 0 {
-		p.GuidanceBonus = 1800
-	}
-	if p.RebuildEvery <= 0 {
-		p.RebuildEvery = 300
-	}
-}
+const (
+	// polarGuidanceBonus is the score boost a pair receives when the
+	// blueprint routes supply from the driver's region to the rider's
+	// region: half an hour of trip value.
+	polarGuidanceBonus = 1800
+	// polarRebuildEvery is how often (seconds) the blueprint is
+	// recomputed.
+	polarRebuildEvery = 300
+)
 
 // rebuildBlueprint computes the region-level expected assignment: supply
 // S_i = available + predicted rejoining drivers of region i, demand
@@ -113,8 +106,7 @@ func (p *POLAR) rebuildBlueprint(ctx *sim.Context) {
 // trip value plus the blueprint guidance bonus, consuming quota as pairs
 // commit.
 func (p *POLAR) Assign(ctx *sim.Context) []sim.Assignment {
-	p.withDefaults()
-	if !p.haveRun || ctx.Now-p.blueprintAt >= p.RebuildEvery {
+	if !p.haveRun || ctx.Now-p.blueprintAt >= polarRebuildEvery {
 		p.rebuildBlueprint(ctx)
 	}
 	type scored struct {
@@ -126,7 +118,7 @@ func (p *POLAR) Assign(ctx *sim.Context) []sim.Assignment {
 		key := [2]geo.RegionID{ctx.DriverRegion[pr.D], ctx.RiderRegion[pr.R]}
 		s := pr.TripCost - pr.PickupCost
 		if p.quota[key] > 0 {
-			s += p.GuidanceBonus
+			s += polarGuidanceBonus
 		}
 		items[i] = scored{idx: int32(i), score: s}
 	}

@@ -122,7 +122,7 @@ func costerGrid(p Params) matrix.Config {
 	cfg.Base.Delta = 10
 	cfg.Workers = p.timedWorkers()
 	cfg.Algorithms, cfg.Mode = []string{"IRG"}, core.PredictOracle
-	network := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: p.CitySeed})
+	network := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Seed: citySeed})
 	for _, c := range []struct {
 		label  string
 		coster roadnet.Coster

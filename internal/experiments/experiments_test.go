@@ -235,7 +235,7 @@ func TestStripWallClock(t *testing.T) {
 
 func TestConfigScaling(t *testing.T) {
 	p := Params{}.withDefaults()
-	if p.Scale != 0.05 || p.Seeds != 5 || p.CitySeed != 31 {
+	if p.Scale != 0.05 || p.Seeds != 5 {
 		t.Errorf("defaults: %+v", p)
 	}
 	if got := p.orders(); got != 14113 {

@@ -213,7 +213,7 @@ const densityRamp = " .:-=+*#%@"
 
 func renderFig5(w io.Writer, p Params, _ []*matrix.Result) error {
 	city := p.city(120)
-	rng := rand.New(rand.NewSource(p.CitySeed))
+	rng := rand.New(rand.NewSource(citySeed))
 	orders := city.GenerateDay(0, rng)
 	grid := city.Grid()
 	counts := make([]int, grid.NumRegions())
@@ -327,7 +327,7 @@ func renderHistogram(w io.Writer, p Params, dropoffs bool) error {
 	p.Scale = 1.0 // sampling only, no simulation; match the paper's volume
 	city := p.city(120)
 	r1, r2 := chiSquareRegions(city)
-	rng := rand.New(rand.NewSource(p.CitySeed + 9))
+	rng := rand.New(rand.NewSource(citySeed + 9))
 	for _, cell := range []struct {
 		label  string
 		region int

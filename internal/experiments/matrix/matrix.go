@@ -92,9 +92,6 @@ type Config struct {
 	// travel ledgers, megabytes per trial on a paper-scale day) for
 	// renderers that need more than the Summary.
 	KeepMetrics bool
-	// Confidence is the two-sided CI level for cell aggregates and
-	// paired comparisons (default 0.95).
-	Confidence float64
 	// Comparisons lists the paired cell comparisons to compute; empty
 	// defaults to every unordered algorithm pair within each
 	// (scenario, fleet). Explicit entries may compare across scenarios
@@ -138,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Seeds) == 0 {
 		c.Seeds = []int64{1, 2, 3}
-	}
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		c.Confidence = 0.95
 	}
 	if len(c.Comparisons) == 0 {
 		labels := c.labels()
@@ -222,7 +216,11 @@ type Aggregate struct {
 	N      int     `json:"n"`
 }
 
-func aggregate(xs []float64, confidence float64) Aggregate {
+// confidence is the two-sided CI level for cell aggregates and paired
+// comparisons.
+const confidence = 0.95
+
+func aggregate(xs []float64) Aggregate {
 	var e stats.Estimator
 	e.AddAll(xs)
 	iv := e.MeanCI(confidence)
@@ -359,7 +357,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	res := &Result{
 		Name:       cfg.Name,
-		Confidence: cfg.Confidence,
+		Confidence: confidence,
 		Algorithms: labels,
 		Fleets:     cfg.Fleets,
 		Seeds:      cfg.Seeds,
@@ -382,7 +380,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					}
 					cell.Trials = append(cell.Trials, t)
 				}
-				cell.Stats = aggregateCell(cell.Trials, cfg.Confidence)
+				cell.Stats = aggregateCell(cell.Trials)
 				res.Cells = append(res.Cells, cell)
 			}
 		}
@@ -401,7 +399,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				av[i] = m.get(a.Trials[i])
 				bv[i] = m.get(b.Trials[i])
 			}
-			p, err := stats.PairedCompare(av, bv, cfg.Confidence)
+			p, err := stats.PairedCompare(av, bv, confidence)
 			if err != nil {
 				return nil, fmt.Errorf("matrix: comparison %q: %w", cmp.Label, err)
 			}
@@ -422,13 +420,13 @@ var comparedMetrics = []struct {
 	{"revenue", func(t TrialResult) float64 { return t.Summary.Revenue }},
 }
 
-func aggregateCell(trials []TrialResult, confidence float64) CellStats {
+func aggregateCell(trials []TrialResult) CellStats {
 	col := func(get func(TrialResult) float64) Aggregate {
 		xs := make([]float64, len(trials))
 		for i, t := range trials {
 			xs[i] = get(t)
 		}
-		return aggregate(xs, confidence)
+		return aggregate(xs)
 	}
 	return CellStats{
 		ServeRate:       col(TrialResult.ServeRate),

@@ -26,9 +26,11 @@ type Params struct {
 	// printing a wall-clock column run one cell at a time unless told
 	// otherwise: parallel cells would inflate it with CPU contention).
 	Workers int
-	// CitySeed fixes the synthetic city's structure (default 31).
-	CitySeed int64
 }
+
+// citySeed fixes the synthetic city's structure, and seeds the other
+// fixed draws of the presets.
+const citySeed = 31
 
 func (p Params) withDefaults() Params {
 	if p.Scale <= 0 {
@@ -36,9 +38,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Seeds <= 0 {
 		p.Seeds = 5
-	}
-	if p.CitySeed == 0 {
-		p.CitySeed = 31
 	}
 	return p
 }
@@ -69,7 +68,7 @@ func (p Params) city(baseWait float64) *workload.City {
 	return workload.NewCity(workload.CityConfig{
 		OrdersPerDay:    p.orders(),
 		BaseWaitSeconds: baseWait,
-		Seed:            p.CitySeed,
+		Seed:            citySeed,
 	})
 }
 

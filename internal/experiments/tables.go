@@ -137,10 +137,10 @@ func renderTable6(w io.Writer, p Params, _ []*matrix.Result) error {
 	city := p.city(120)
 	days := predict.MinLookbackDays + 28
 	evalDays := 7
-	h := predict.GenerateHistory(city, days, 1800, p.CitySeed+77)
+	h := predict.GenerateHistory(city, days, 1800, citySeed+77)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "model\tRMSE (%%)\tReal RMSE\tMAE\n")
-	for _, m := range predict.All(p.CitySeed) {
+	for _, m := range predict.All(citySeed) {
 		if err := m.Train(h, days-evalDays); err != nil {
 			return fmt.Errorf("train %s: %w", m.Name(), err)
 		}
@@ -180,7 +180,7 @@ func renderChiSquareTable(w io.Writer, p Params, sampler func(city *workload.Cit
 	p.Scale = 1.0
 	city := p.city(120)
 	r1, r2 := chiSquareRegions(city)
-	rng := rand.New(rand.NewSource(p.CitySeed + 5))
+	rng := rand.New(rand.NewSource(citySeed + 5))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "region\ttime slot\tr\tk\tchi2_{r-1}(0.05)\tverdict\n")
 	for _, cell := range []struct {

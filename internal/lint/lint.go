@@ -73,72 +73,11 @@ func Analyzers() []*Analyzer {
 }
 
 // WaiverCheck is the name the engine reports waiver-audit findings
-// under (bare or stale //mrvdlint:ignore directives). It is always on
-// and cannot be disabled.
+// under (bare or stale //mrvdlint:ignore directives). It is always on.
 const WaiverCheck = "waiver"
 
-// Select resolves -enable/-disable comma-lists against the catalogue.
-// An empty enable list means "all". Unknown names are an error.
-func Select(enable, disable []string) ([]*Analyzer, error) {
-	byName := make(map[string]*Analyzer)
-	for _, a := range Analyzers() {
-		byName[a.Name] = a
-	}
-	check := func(names []string) error {
-		for _, n := range names {
-			if byName[n] == nil {
-				return fmt.Errorf("lint: unknown analyzer %q (have %s)", n, strings.Join(analyzerNames(), ", "))
-			}
-		}
-		return nil
-	}
-	if err := check(enable); err != nil {
-		return nil, err
-	}
-	if err := check(disable); err != nil {
-		return nil, err
-	}
-	selected := Analyzers()
-	if len(enable) > 0 {
-		selected = selected[:0:0]
-		for _, a := range Analyzers() {
-			for _, n := range enable {
-				if a.Name == n {
-					selected = append(selected, a)
-					break
-				}
-			}
-		}
-	}
-	if len(disable) > 0 {
-		kept := selected[:0:0]
-		for _, a := range selected {
-			drop := false
-			for _, n := range disable {
-				if a.Name == n {
-					drop = true
-					break
-				}
-			}
-			if !drop {
-				kept = append(kept, a)
-			}
-		}
-		selected = kept
-	}
-	return selected, nil
-}
-
-func analyzerNames() []string {
-	var names []string
-	for _, a := range Analyzers() {
-		names = append(names, a.Name)
-	}
-	return names
-}
-
 // Run loads the packages matched by patterns under the module rooted
-// at root, runs the selected analyzers, audits waiver directives, and
+// at root, runs the given analyzers, audits waiver directives, and
 // returns the surviving findings sorted by position. A non-nil error
 // means the module could not be loaded or type-checked (the CLI's
 // exit-2 case), not that findings exist.
@@ -187,8 +126,8 @@ func checkDir(loader *Loader, dir, asPath string, analyzers []*Analyzer) ([]Find
 	var findings []Finding
 	collect := func(f Finding) { findings = append(findings, f) }
 	// ran guards the stale-waiver audit: a waiver is stale only when
-	// its analyzer actually ran over this package (enabled and in
-	// scope) and still had nothing to suppress.
+	// its analyzer actually ran over this package (given and in scope)
+	// and still had nothing to suppress.
 	ran := make(map[string]bool)
 	for _, a := range analyzers {
 		if a.Applies != nil && !a.Applies(pkg.Path) {

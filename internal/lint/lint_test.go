@@ -119,41 +119,6 @@ func TestScopedPackagesDontFire(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	all, err := Select(nil, nil)
-	if err != nil || len(all) != len(Analyzers()) {
-		t.Fatalf("Select(nil, nil) = %d analyzers, err %v", len(all), err)
-	}
-	only, err := Select([]string{"maporder", "hotlabel"}, nil)
-	if err != nil || len(only) != 2 || only[0].Name != "maporder" || only[1].Name != "hotlabel" {
-		t.Fatalf("Select(enable) = %v, err %v", names(only), err)
-	}
-	kept, err := Select(nil, []string{"wallclock"})
-	if err != nil || len(kept) != 3 {
-		t.Fatalf("Select(disable) = %v, err %v", names(kept), err)
-	}
-	for _, a := range kept {
-		if a.Name == "wallclock" {
-			t.Error("disabled analyzer still selected")
-		}
-	}
-	both, err := Select([]string{"maporder", "wallclock"}, []string{"wallclock"})
-	if err != nil || len(both) != 1 || both[0].Name != "maporder" {
-		t.Fatalf("Select(enable, disable) = %v, err %v", names(both), err)
-	}
-	if _, err := Select([]string{"nope"}, nil); err == nil {
-		t.Error("unknown analyzer name accepted")
-	}
-}
-
-func names(as []*Analyzer) []string {
-	var out []string
-	for _, a := range as {
-		out = append(out, a.Name)
-	}
-	return out
-}
-
 // TestRepoLintsClean is the self-application gate: the full suite
 // over the real module must report zero findings — every violation
 // fixed, every deliberate exception carrying a reasoned waiver. If

@@ -59,14 +59,13 @@ func collectWaivers(fset *token.FileSet, root string, files []*ast.File) ([]*wai
 				}
 				name := fields[1]
 				known := false
+				var names []string
 				for _, a := range Analyzers() {
-					if a.Name == name {
-						known = true
-						break
-					}
+					known = known || a.Name == name
+					names = append(names, a.Name)
 				}
 				if !known {
-					bad("waiver names unknown analyzer "+name, "known analyzers: "+strings.Join(analyzerNames(), ", "))
+					bad("waiver names unknown analyzer "+name, "known analyzers: "+strings.Join(names, ", "))
 					continue
 				}
 				if len(fields) < 3 {
@@ -83,8 +82,8 @@ func collectWaivers(fset *token.FileSet, root string, files []*ast.File) ([]*wai
 // applyWaivers drops findings covered by a waiver on the same line or
 // the line above, then reports waivers that suppressed nothing. The
 // stale audit only fires for analyzers that actually ran over the
-// package, so scoped -enable runs and out-of-scope packages don't
-// flag other analyzers' waivers as stale.
+// package, so an analyzer whose Applies excludes the package doesn't
+// have its waivers there flagged as stale.
 func applyWaivers(findings []Finding, waivers []*waiver, ran map[string]bool) []Finding {
 	kept := findings[:0]
 	for _, f := range findings {

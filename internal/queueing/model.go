@@ -12,24 +12,16 @@ type Config struct {
 	// from historical reneging records; our workloads configure it
 	// explicitly. Beta = 0 still reneges at rate 1/mu per state.
 	Beta float64
-	// MaxStates truncates the positive-side (waiting riders) series. The
-	// terms decay geometrically so truncation error is negligible well
-	// before the default of 4096.
-	MaxStates int
-	// Tol stops the positive-side series once a term falls below
-	// Tol * accumulated sum. Default 1e-12.
-	Tol float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxStates <= 0 {
-		c.MaxStates = 4096
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-12
-	}
-	return c
-}
+// The positive-side (waiting riders) series is truncated at maxStates
+// terms, or once a term falls below seriesTol times the accumulated
+// sum. The terms decay geometrically, so the truncation error is
+// negligible well before maxStates.
+const (
+	maxStates = 4096
+	seriesTol = 1e-12
+)
 
 // Model evaluates the double-sided queue's steady state. The zero value
 // is not usable; construct with New.
@@ -38,7 +30,7 @@ type Model struct {
 }
 
 // New returns a model with the given configuration.
-func New(cfg Config) *Model { return &Model{cfg: cfg.withDefaults()} }
+func New(cfg Config) *Model { return &Model{cfg: cfg} }
 
 // NewDefault returns a model with the reneging exponent used throughout
 // the experiments (beta = 0.05, a mild impatience ramp).
@@ -70,10 +62,10 @@ func (m *Model) Renege(n int, mu float64) float64 {
 func (m *Model) positiveSeries(lambda, mu float64) float64 {
 	sum := 0.0
 	term := 1.0
-	for n := 1; n <= m.cfg.MaxStates; n++ {
+	for n := 1; n <= maxStates; n++ {
 		term *= lambda / (mu + m.Renege(n, mu))
 		sum += term
-		if term < m.cfg.Tol*(1+sum) {
+		if term < seriesTol*(1+sum) {
 			break
 		}
 	}
@@ -268,5 +260,5 @@ func IdleRatio(cost, et float64) float64 {
 
 // String renders the model configuration, aiding experiment logs.
 func (m *Model) String() string {
-	return fmt.Sprintf("queueing.Model{beta=%g, maxStates=%d}", m.cfg.Beta, m.cfg.MaxStates)
+	return fmt.Sprintf("queueing.Model{beta=%g, maxStates=%d}", m.cfg.Beta, maxStates)
 }

@@ -7,48 +7,33 @@ import (
 )
 
 // GridNetworkConfig parameterizes the synthetic Manhattan-style network
-// generator. Zero values take the documented defaults.
+// generator over geo.NYCBBox.
 type GridNetworkConfig struct {
-	// Box is the area the network covers. Zero value defaults to geo.NYCBBox.
-	Box geo.BBox
 	// Rows and Cols are the number of street intersections along each
-	// axis. Defaults: 48x48 (a block every ~470m over the NYC box).
+	// axis; a value below 2 becomes 48 (a block every ~470m over the
+	// NYC box).
 	Rows, Cols int
-	// SpeedMPS is the base free-flow travel speed in meters/second.
-	// Default: DefaultSpeedMPS, matching the great-circle coster.
-	SpeedMPS float64
-	// SpeedJitter is the relative standard deviation of per-street speed
-	// variation (congestion heterogeneity). Default 0.15. Set negative to
-	// disable jitter entirely.
-	SpeedJitter float64
-	// DropFraction removes this fraction of interior edges to break the
-	// perfect lattice (rivers, parks, one-ways). Connectivity of the
-	// remaining lattice is preserved by only dropping edges whose removal
-	// keeps both endpoints on the boundary ring reachable. Default 0.05.
+	// DropFraction removes about this fraction of interior edges to
+	// break the perfect lattice (rivers, parks, one-ways). The zero value
+	// drops nothing, so every network built from a zero config is the
+	// full lattice; a negative value or one of 0.5 or more becomes 0.05.
+	// Edges on the boundary ring are never dropped; no other connectivity
+	// check is made.
 	DropFraction float64
 	// Seed drives all randomness in generation.
 	Seed int64
 }
 
+// gridSpeedJitter is the relative standard deviation of per-street
+// speed around DefaultSpeedMPS (congestion heterogeneity).
+const gridSpeedJitter = 0.15
+
 func (c GridNetworkConfig) withDefaults() GridNetworkConfig {
-	zero := geo.BBox{}
-	if c.Box == zero {
-		c.Box = geo.NYCBBox
-	}
 	if c.Rows <= 1 {
 		c.Rows = 48
 	}
 	if c.Cols <= 1 {
 		c.Cols = 48
-	}
-	if c.SpeedMPS <= 0 {
-		c.SpeedMPS = DefaultSpeedMPS
-	}
-	if c.SpeedJitter == 0 {
-		c.SpeedJitter = 0.15
-	}
-	if c.SpeedJitter < 0 {
-		c.SpeedJitter = 0
 	}
 	if c.DropFraction < 0 || c.DropFraction >= 0.5 {
 		c.DropFraction = 0.05
@@ -57,29 +42,32 @@ func (c GridNetworkConfig) withDefaults() GridNetworkConfig {
 }
 
 // GenerateGridNetwork builds a Manhattan-style lattice road network over
-// the configured box. Every intersection is connected to its 4-neighbours
-// by bidirectional streets whose travel time is distance divided by a
-// jittered street speed. A small fraction of non-bridge edges is dropped
-// so that shortest paths are not perfectly L1.
+// geo.NYCBBox. Every intersection is connected to its 4-neighbours by
+// bidirectional streets whose travel time is distance divided by a
+// jittered street speed. With a positive DropFraction, interior edges
+// are dropped at random so that shortest paths are not perfectly L1.
+// Every interior edge draws a uniform for its drop decision even when
+// DropFraction is 0.
 func GenerateGridNetwork(cfg GridNetworkConfig) *Graph {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := NewBuilder()
 	nodeAt := make([]NodeID, cfg.Rows*cfg.Cols)
-	dLng := (cfg.Box.MaxLng - cfg.Box.MinLng) / float64(cfg.Cols-1)
-	dLat := (cfg.Box.MaxLat - cfg.Box.MinLat) / float64(cfg.Rows-1)
+	box := geo.NYCBBox
+	dLng := (box.MaxLng - box.MinLng) / float64(cfg.Cols-1)
+	dLat := (box.MaxLat - box.MinLat) / float64(cfg.Rows-1)
 	for r := 0; r < cfg.Rows; r++ {
 		for c := 0; c < cfg.Cols; c++ {
 			p := geo.Point{
-				Lng: cfg.Box.MinLng + float64(c)*dLng,
-				Lat: cfg.Box.MinLat + float64(r)*dLat,
+				Lng: box.MinLng + float64(c)*dLng,
+				Lat: box.MinLat + float64(r)*dLat,
 			}
 			nodeAt[r*cfg.Cols+c] = b.AddNode(p)
 		}
 	}
 	speed := func() float64 {
-		s := cfg.SpeedMPS * (1 + cfg.SpeedJitter*rng.NormFloat64())
-		minS := cfg.SpeedMPS * 0.3
+		s := DefaultSpeedMPS * (1 + gridSpeedJitter*rng.NormFloat64())
+		minS := DefaultSpeedMPS * 0.3
 		if s < minS {
 			s = minS
 		}
@@ -90,7 +78,8 @@ func GenerateGridNetwork(cfg GridNetworkConfig) *Graph {
 		b.AddEdge(u, v, d/speed())
 	}
 	// Horizontal and vertical streets. Boundary-ring edges are never
-	// dropped, which guarantees the network stays connected.
+	// dropped; interior drops are not checked for connectivity, so a
+	// positive DropFraction can leave a node cut off.
 	for r := 0; r < cfg.Rows; r++ {
 		for c := 0; c < cfg.Cols; c++ {
 			u := nodeAt[r*cfg.Cols+c]

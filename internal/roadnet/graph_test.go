@@ -99,6 +99,19 @@ func TestGeneratedGridConnected(t *testing.T) {
 	}
 }
 
+// TestZeroConfigGridIsFullLattice pins that a zero DropFraction drops
+// nothing: the default 48x48 network holds every street of the lattice,
+// 48·47 horizontal plus 47·48 vertical, each as two arcs.
+func TestZeroConfigGridIsFullLattice(t *testing.T) {
+	g := GenerateGridNetwork(GridNetworkConfig{Seed: 1})
+	if got, want := g.NumNodes(), 48*48; got != want {
+		t.Fatalf("%d nodes, want %d", got, want)
+	}
+	if got, want := len(g.edges), 2*(48*47+47*48); got != want {
+		t.Fatalf("%d arcs, want %d (a full lattice)", got, want)
+	}
+}
+
 func TestGeneratedGridDeterministic(t *testing.T) {
 	cfg := GridNetworkConfig{Rows: 8, Cols: 8, Seed: 42}
 	a := GenerateGridNetwork(cfg)

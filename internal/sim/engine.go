@@ -1209,12 +1209,14 @@ func (e *Engine) reposition(now float64, ctx *Context) {
 	if e.cfg.Repositioner == nil {
 		return
 	}
-	for i := range e.drivers {
-		d := &e.drivers[i]
+	// The batch's available drivers, in id order; apply marked those it
+	// committed or declined busy.
+	for _, d := range ctx.Drivers {
 		if d.State != Available || now-d.FreeAt < e.cfg.RepositionAfter {
 			continue
 		}
-		region, _ := e.idx.RegionOf(int32(i))
+		id := d.ID
+		region, _ := e.idx.RegionOf(int32(id))
 		target, ok := e.cfg.Repositioner.Target(ctx, d, region)
 		if !ok {
 			continue
@@ -1226,17 +1228,17 @@ func (e *Engine) reposition(now float64, ctx *Context) {
 		}
 		// The cruise censors the driver's running idle entry; arrival
 		// opens a fresh one through the normal rejoin path.
-		delete(e.openIdle, DriverID(i))
+		delete(e.openIdle, id)
 		from := d.Pos
 		d.State = Busy
 		d.Pos = target
 		d.FreeAt = now + cost
-		e.idx.Remove(int32(i))
-		e.busy.push(completion{freeAt: d.FreeAt, driver: DriverID(i)})
+		e.idx.Remove(int32(id))
+		e.busy.push(completion{freeAt: d.FreeAt, driver: id})
 		e.fc.addRejoin(e.cfg.Grid.Region(target), d.FreeAt)
 		if e.observer != nil {
 			e.observer.OnRepositioned(RepositionedEvent{
-				Now: now, Driver: DriverID(i), From: from, To: target,
+				Now: now, Driver: id, From: from, To: target,
 				Cost: cost, ArriveAt: d.FreeAt,
 			})
 		}

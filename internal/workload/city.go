@@ -40,8 +40,8 @@ func PeriodOf(sec float64) Period {
 	}
 }
 
-// Hotspot is one center of gravity for trip activity.
-type Hotspot struct {
+// hotspot is one center of gravity for trip activity.
+type hotspot struct {
 	Center geo.Point
 	// SigmaMeters is the spatial spread of the hotspot's influence.
 	SigmaMeters float64
@@ -53,8 +53,8 @@ type Hotspot struct {
 // defaultHotspots sketches an NYC-like demand geography: a dense
 // "downtown/midtown" business core, two residential clusters, and an
 // airport-like generator at the periphery.
-func defaultHotspots() []Hotspot {
-	return []Hotspot{
+func defaultHotspots() []hotspot {
+	return []hotspot{
 		{ // Lower Manhattan business core: sinks in the morning, sources in the evening.
 			Center:        geo.Point{Lng: -73.99, Lat: 40.72},
 			SigmaMeters:   3000,
@@ -110,11 +110,6 @@ type CityConfig struct {
 	// BaseWaitSeconds is the base pickup waiting time tau; each order's
 	// deadline is post time + tau + U[1,10] (Section 6.2).
 	BaseWaitSeconds float64
-	// Hotspots override the default NYC-like activity centers.
-	Hotspots []Hotspot
-	// TripDecayMeters is the distance-decay scale of the destination
-	// kernel; most trips stay within a few kilometers. Default 4000.
-	TripDecayMeters float64
 	// Seed drives all randomness derived from this city (day factors,
 	// weather); per-call RNGs handle the rest.
 	Seed int64
@@ -130,14 +125,12 @@ func (c CityConfig) withDefaults() CityConfig {
 	if c.BaseWaitSeconds <= 0 {
 		c.BaseWaitSeconds = 120
 	}
-	if len(c.Hotspots) == 0 {
-		c.Hotspots = defaultHotspots()
-	}
-	if c.TripDecayMeters <= 0 {
-		c.TripDecayMeters = 4000
-	}
 	return c
 }
+
+// tripDecayMeters is the distance-decay scale of the destination
+// kernel; most trips stay within a few kilometers.
+const tripDecayMeters = 4000
 
 // City precomputes the per-period spatial structure of a synthetic city
 // and generates order traces from it.
@@ -175,16 +168,17 @@ func NewCity(cfg CityConfig) *City {
 	decay := make([]float64, n*n)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			decay[src*n+dst] = math.Exp(-geo.Equirect(centers[src], centers[dst]) / cfg.TripDecayMeters)
+			decay[src*n+dst] = math.Exp(-geo.Equirect(centers[src], centers[dst]) / tripDecayMeters)
 		}
 	}
+	hotspots := defaultHotspots()
 	for p := Period(0); p < numPeriods; p++ {
 		pw := make([]float64, n)
 		dw := make([]float64, n)
 		for r := 0; r < n; r++ {
 			pw[r] = 0.0015 // small uniform floor so no region is ever fully dead
 			dw[r] = 0.0015
-			for _, h := range cfg.Hotspots {
+			for _, h := range hotspots {
 				d := geo.Equirect(centers[r], h.Center)
 				g := math.Exp(-d * d / (2 * h.SigmaMeters * h.SigmaMeters))
 				pw[r] += h.PickupWeight[p] * g

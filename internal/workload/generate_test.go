@@ -119,7 +119,7 @@ func TestCityTablesPinned(t *testing.T) {
 		want uint64
 	}{
 		{CityConfig{OrdersPerDay: 282_255, Seed: 31}, 0xf413b070556d420d},
-		{CityConfig{Grid: geo.NewGrid(geo.NYCBBox, 10, 12), TripDecayMeters: 2500, Seed: 3}, 0x99e7808ce10ac995},
+		{CityConfig{Grid: geo.NewGrid(geo.NYCBBox, 10, 12), Seed: 3}, 0x7be75368211078f9},
 	} {
 		c := NewCity(tc.cfg)
 		h := fnv.New64a()

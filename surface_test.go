@@ -7,7 +7,9 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -180,7 +182,7 @@ func walkGoFiles(fn func(path string) error) error {
 // internalExportAllowList names the exported internal/ declarations
 // that TestInternalExportsHaveUsers lets stand although no program
 // reaches them, each with the reason it stays. Keys read pkg.Name or
-// pkg.Type.Method.
+// pkg.Type.Method; a key that names no such declaration fails the test.
 var internalExportAllowList = map[string]string{
 	// References tests compare live code against.
 	"queueing.ChainSim":             "the Monte-Carlo chain the closed-form ET is checked against",
@@ -193,7 +195,6 @@ var internalExportAllowList = map[string]string{
 	"geo.Haversine":                 "the great-circle distance the equirectangular Equirect is checked against",
 	// Seams tests drive.
 	"sim.New":                 "builds a bare engine over a fixed trace for engine-level tests",
-	"sim.Engine.Riders":       "lets engine tests read every rider after a run",
 	"sim.Engine.Drivers":      "lets engine tests read the fleet after a run",
 	"geo.Index.Position":      "lets index tests read an item's stored point",
 	"sim.StateStore.SetClock": "lets StateStore tests inject the wall clock",
@@ -281,11 +282,18 @@ func TestInternalExportsHaveUsers(t *testing.T) {
 			}
 		}
 	}
+	allowed := map[string]bool{}
 	for _, n := range nodes {
 		if n.exported {
-			if _, ok := internalExportAllowList[exportName(n.obj)]; ok {
+			if name := exportName(n.obj); internalExportAllowList[name] != "" {
+				allowed[name] = true
 				reach(n)
 			}
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(internalExportAllowList)) {
+		if !allowed[key] {
+			t.Errorf("internalExportAllowList names %s, which no exported internal/ declaration is: delete the entry", key)
 		}
 	}
 	for len(queue) > 0 {
