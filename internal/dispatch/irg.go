@@ -113,31 +113,17 @@ func (s *SHORT) Assign(ctx *sim.Context) []sim.Assignment {
 // frozenGreedy scores every pair once at batch start and never rescores:
 // the mu-update ablation.
 func frozenGreedy(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []sim.Assignment {
-	type scored struct {
-		score float64
-		idx   int32
-	}
-	items := make([]scored, len(ctx.Pairs))
+	scores := make([]float64, len(ctx.Pairs))
+	order := make([]int, len(ctx.Pairs))
 	for i, p := range ctx.Pairs {
-		items[i] = scored{score: score(p, a.ExpectedIdleTime(int(p.DestRegion))), idx: int32(i)}
+		scores[i] = score(p, a.ExpectedIdleTime(int(p.DestRegion)))
+		order[i] = i
 	}
-	slices.SortFunc(items, func(x, y scored) int {
-		if c := cmp.Compare(x.score, y.score); c != 0 {
+	slices.SortFunc(order, func(i, j int) int {
+		if c := cmp.Compare(scores[i], scores[j]); c != 0 {
 			return c
 		}
-		return cmp.Compare(x.idx, y.idx)
+		return cmp.Compare(i, j)
 	})
-	usedR := make([]bool, len(ctx.Riders))
-	usedD := make([]bool, len(ctx.Drivers))
-	var out []sim.Assignment
-	for _, it := range items {
-		p := ctx.Pairs[it.idx]
-		if usedR[p.R] || usedD[p.D] {
-			continue
-		}
-		usedR[p.R] = true
-		usedD[p.D] = true
-		out = append(out, sim.Assignment{R: p.R, D: p.D})
-	}
-	return out
+	return firstFit(ctx, order)
 }

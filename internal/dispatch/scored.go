@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/heapq"
 	"mrvd/internal/queueing"
 	"mrvd/internal/sim"
 )
@@ -77,65 +78,12 @@ type scoredItem struct {
 	version int32
 }
 
-type scoredHeap []scoredItem
-
-func (h scoredHeap) less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score < h[j].score
+// scoredLess orders the greedy's heap by score, ties by pair index.
+func scoredLess(a, b scoredItem) bool {
+	if a.score != b.score {
+		return a.score < b.score
 	}
-	return h[i].pairIdx < h[j].pairIdx // deterministic tie-break
-}
-
-// init, push and pop are container/heap's Init, Push and Pop on the
-// concrete slice — the same sift, so the same pop order — without
-// boxing every entry into an interface value.
-func (h scoredHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i, len(h))
-	}
-}
-
-func (h *scoredHeap) push(it scoredItem) {
-	*h = append(*h, it)
-	h.up(len(*h) - 1)
-}
-
-func (h *scoredHeap) pop() scoredItem {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	*h = old[:n]
-	return old[n]
-}
-
-func (h scoredHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h scoredHeap) down(i, n int) {
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
+	return a.pairIdx < b.pairIdx // deterministic tie-break
 }
 
 // greedy is the scratch of the exact greedy shared by IRG and SHORT,
@@ -147,7 +95,7 @@ func (h scoredHeap) down(i, n int) {
 type greedy struct {
 	versions      []int32
 	pairsByRegion [][]int32
-	heap          scoredHeap
+	heap          []scoredItem
 	usedR, usedD  []bool
 	out           []sim.Assignment
 }
@@ -195,11 +143,11 @@ func (g *greedy) run(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []
 			version: g.versions[p.DestRegion],
 		})
 	}
-	h.init()
+	heapq.Init(h, scoredLess)
 
 	out := g.out[:0]
 	for len(h) > 0 {
-		it := h.pop()
+		it := heapq.Pop(&h, scoredLess)
 		p := ctx.Pairs[it.pairIdx]
 		if g.usedR[p.R] || g.usedD[p.D] {
 			continue
@@ -222,11 +170,11 @@ func (g *greedy) run(ctx *sim.Context, a *queueing.Analyzer, score pairScore) []
 			if g.usedR[rp.R] || g.usedD[rp.D] {
 				continue
 			}
-			h.push(scoredItem{
+			heapq.Push(&h, scoredItem{
 				score:   score(rp, et),
 				pairIdx: pi,
 				version: g.versions[p.DestRegion],
-			})
+			}, scoredLess)
 		}
 	}
 	g.heap, g.out = h, out

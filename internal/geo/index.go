@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"math"
 	"slices"
+
+	"mrvd/internal/heapq"
 )
 
 // Index is a grid-bucketed spatial index over densely numbered items
@@ -95,11 +97,8 @@ func (ix *Index) Insert(id int32, p Point) {
 	}
 	ix.grow(id)
 	p = ix.grid.Bounds().Clamp(p)
-	r := ix.grid.Region(p)
 	ix.pos[id] = p
-	ix.region[id] = r
-	ix.slot[id] = int32(len(ix.buckets[r]))
-	ix.buckets[r] = append(ix.buckets[r], id)
+	ix.link(id, ix.grid.Region(p))
 	ix.count++
 	ix.logChange(id)
 }
@@ -109,16 +108,7 @@ func (ix *Index) Remove(id int32) {
 	if !ix.has(id) {
 		return
 	}
-	r := ix.region[id]
-	b := ix.buckets[r]
-	i := ix.slot[id]
-	last := int32(len(b) - 1)
-	if i != last {
-		moved := b[last]
-		b[i] = moved
-		ix.slot[moved] = i
-	}
-	ix.buckets[r] = b[:last]
+	ix.unlink(id)
 	ix.region[id] = absent
 	ix.count--
 	ix.logChange(id)
@@ -131,26 +121,32 @@ func (ix *Index) Move(id int32, p Point) {
 		return
 	}
 	p = ix.grid.Bounds().Clamp(p)
-	newR := ix.grid.Region(p)
-	oldR := ix.region[id]
+	r := ix.grid.Region(p)
 	ix.pos[id] = p
-	if newR == oldR {
+	if r == ix.region[id] {
 		return
 	}
-	// Remove from old bucket, append to new.
-	b := ix.buckets[oldR]
-	i := ix.slot[id]
-	last := int32(len(b) - 1)
-	if i != last {
-		moved := b[last]
-		b[i] = moved
-		ix.slot[moved] = i
-	}
-	ix.buckets[oldR] = b[:last]
-	ix.region[id] = newR
-	ix.slot[id] = int32(len(ix.buckets[newR]))
-	ix.buckets[newR] = append(ix.buckets[newR], id)
+	ix.unlink(id)
+	ix.link(id, r)
 	ix.logChange(id)
+}
+
+// link appends id to region r's bucket.
+func (ix *Index) link(id int32, r RegionID) {
+	ix.region[id] = r
+	ix.slot[id] = int32(len(ix.buckets[r]))
+	ix.buckets[r] = append(ix.buckets[r], id)
+}
+
+// unlink swap-removes id from its region's bucket: the bucket's last
+// id takes its slot. The caller sets id's region.
+func (ix *Index) unlink(id int32) {
+	r := ix.region[id]
+	b := ix.buckets[r]
+	last := b[len(b)-1]
+	b[ix.slot[id]] = last
+	ix.slot[last] = ix.slot[id]
+	ix.buckets[r] = b[:len(b)-1]
 }
 
 // Position returns an item's location and whether it is indexed.
@@ -210,8 +206,8 @@ func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
 
 // AppendInRadius appends Within's items to dst unordered, for a caller
 // that keeps the buffer across queries and reads the items
-// nearest-first: NearestFirst yields Within's order one item at a time
-// without sorting a tail the caller never reaches. q is p's Query.
+// nearest-first: a heapq on NearLess yields Within's order one item at
+// a time without sorting a tail the caller never reaches. q is p's Query.
 func (ix *Index) AppendInRadius(dst []Neighbor, p Point, q Query, radiusMeters float64) []Neighbor {
 	return ix.scan(dst, p, q, scanAll, radiusMeters)
 }
@@ -236,11 +232,9 @@ func (ix *Index) AppendNearest(dst []Neighbor, p Point, q Query, k int, radiusMe
 	base := len(dst)
 	dst = ix.scan(slices.Grow(dst, k), p, q, k, radiusMeters)
 	// Drain the max-heap back-to-front for ascending order.
-	h := nearHeap(dst[base:])
-	for n := len(h) - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		h = h[:n]
-		h.siftDown(0)
+	for h := dst[base:]; len(h) > 1; {
+		far := heapq.Pop(&h, farther)
+		dst[base+len(h)] = far
 	}
 	return dst
 }
@@ -296,12 +290,13 @@ func (ix *Index) scan(dst []Neighbor, p Point, q Query, k int, radiusMeters floa
 					dst = append(dst, nb)
 					continue
 				}
-				h := nearHeap(dst[base:])
+				h := dst[base:]
 				if len(h) < k {
-					h.push(nb)
+					heapq.Push(&h, nb, farther)
 					dst = dst[:base+len(h)]
-				} else if nearLess(nb, h[0]) {
-					h.replaceTop(nb)
+				} else if NearLess(nb, h[0]) {
+					h[0] = nb
+					heapq.Down(h, 0, farther)
 				} else {
 					continue
 				}
@@ -326,89 +321,10 @@ func nearCmp(a, b Neighbor) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-func nearLess(a, b Neighbor) bool { return nearCmp(a, b) < 0 }
+// NearLess is nearCmp as a heapq order: a min-heap on it over a
+// neighbour slice pops exactly Within's sequence.
+func NearLess(a, b Neighbor) bool { return nearCmp(a, b) < 0 }
 
-// NearestFirst is a min-heap on Within's order (distance, then id),
-// built in place over a neighbour slice: Init is O(n), and draining it
-// with Pop returns exactly Within's sequence. It reorders the slice it
-// was made from.
-type NearestFirst []Neighbor
-
-// Init establishes the heap order.
-func (h NearestFirst) Init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-// Pop removes and returns the nearest remaining neighbour; the heap
-// must not be empty.
-func (h *NearestFirst) Pop() Neighbor {
-	old := *h
-	n := len(old) - 1
-	top := old[0]
-	old[0] = old[n]
-	*h = old[:n]
-	h.siftDown(0)
-	return top
-}
-
-func (h NearestFirst) siftDown(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && nearLess(h[l], h[small]) {
-			small = l
-		}
-		if r < n && nearLess(h[r], h[small]) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-}
-
-// nearHeap is a bounded max-heap on nearLess: the root is the worst of
-// the k best seen so far.
-type nearHeap []Neighbor
-
-func (h *nearHeap) push(nb Neighbor) {
-	*h = append(*h, nb)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !nearLess((*h)[parent], (*h)[i]) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *nearHeap) replaceTop(nb Neighbor) {
-	(*h)[0] = nb
-	h.siftDown(0)
-}
-
-func (h nearHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && nearLess(h[big], h[l]) {
-			big = l
-		}
-		if r < n && nearLess(h[big], h[r]) {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-}
+// farther is NearLess reversed, the order of scan's bounded max-heap:
+// its root is the worst of the k best seen so far.
+func farther(a, b Neighbor) bool { return nearCmp(b, a) < 0 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"mrvd/internal/heapq"
 )
 
 // TestNearestMatchesWithinTruncation: the bounded-heap selection must
@@ -283,7 +285,7 @@ func TestQueriesAnyRadius(t *testing.T) {
 }
 
 // TestNearestFirstDrainsWithinOrder: AppendInRadius gathers Within's
-// items unordered, and draining a NearestFirst heap over them yields
+// items unordered, and draining a heapq on NearLess over them yields
 // Within's exact order — equal distances (stacked items, items on the
 // query point) broken by id, whatever order the buckets hold them in.
 func TestNearestFirstDrainsWithinOrder(t *testing.T) {
@@ -315,14 +317,14 @@ func TestNearestFirstDrainsWithinOrder(t *testing.T) {
 		if buf[0] != sentinel || len(buf)-1 != len(want) {
 			t.Fatalf("radius %v: AppendInRadius = %d items after %v, want %d after the sentinel", radius, len(buf)-1, buf[0], len(want))
 		}
-		h := NearestFirst(buf[1:])
-		h.Init()
+		h := buf[1:]
+		heapq.Init(h, NearLess)
 		var got []Neighbor
 		for len(h) > 0 {
-			got = append(got, h.Pop())
+			got = append(got, heapq.Pop(&h, NearLess))
 		}
 		if len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("radius %v: NearestFirst drains\n%v\nwant Within's\n%v", radius, got, want)
+			t.Fatalf("radius %v: a heap on NearLess drains\n%v\nwant Within's\n%v", radius, got, want)
 		}
 	}
 	if n := len(ix.Within(q, 0)); n != 3 {

@@ -3,6 +3,8 @@ package roadnet
 import (
 	"math"
 	"slices"
+
+	"mrvd/internal/heapq"
 )
 
 // spTree is a resumable single-source shortest-path result. Every dist
@@ -57,10 +59,9 @@ func (g *Graph) dijkstra(dist []float64, q *bucketQueue, needed []bool, remainin
 			}
 			continue
 		}
-		h := (*minHeap)(b)
-		h.init()
-		for len(*h) > 0 && (*h)[0].dist <= horizon {
-			it := h.pop()
+		heapq.Init(*b, pqLess)
+		for len(*b) > 0 && (*b)[0].dist <= horizon {
+			it := heapq.Pop(b, pqLess)
 			if it.dist > dist[it.node] {
 				continue // stale entry
 			}
@@ -70,10 +71,10 @@ func (g *Graph) dijkstra(dist []float64, q *bucketQueue, needed []bool, remainin
 					horizon = it.dist
 				}
 			}
-			n := len(*h)
+			n := len(*b)
 			g.relax(it, dist, q)
-			for i := n; q.inv == 0 && i < len(*h); i++ {
-				h.up(i) // without a width, pushes land in this heap
+			for i := n; q.inv == 0 && i < len(*b); i++ {
+				heapq.Up(*b, i, pqLess) // without a width, pushes land in this heap
 			}
 		}
 		if horizon < math.Inf(1) {

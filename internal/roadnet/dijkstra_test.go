@@ -8,19 +8,21 @@ import (
 	"testing"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/heapq"
 )
 
-// TestMinHeapMatchesSort drives the heap with random interleaved pushes
-// and pops over a small key range, so duplicate keys are the norm:
-// every pop must return the smallest key queued, and the final drain
-// must come out in the order a sort of what is left would give.
+// TestMinHeapMatchesSort drives a heapq on pqLess with random
+// interleaved pushes and pops over a small key range, so duplicate
+// keys are the norm: every pop must return the smallest key queued,
+// and the final drain must come out in the order a sort of what is
+// left would give.
 func TestMinHeapMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		var h minHeap
+		var h []pqItem
 		var queued []float64 // kept sorted
 		pop := func() {
-			it := h.pop()
+			it := heapq.Pop(&h, pqLess)
 			if it.dist != float64(it.node) {
 				t.Fatalf("trial %d: item %+v lost its payload", trial, it)
 			}
@@ -35,8 +37,7 @@ func TestMinHeapMatchesSort(t *testing.T) {
 				continue
 			}
 			k := rng.Intn(20)
-			h = append(h, pqItem{node: NodeID(k), dist: float64(k)})
-			h.up(len(h) - 1)
+			heapq.Push(&h, pqItem{node: NodeID(k), dist: float64(k)}, pqLess)
 			queued = append(queued, float64(k))
 			sort.Float64s(queued)
 		}
@@ -53,19 +54,18 @@ func TestMinHeapMatchesSort(t *testing.T) {
 var raceDetector bool
 
 // TestDijkstraAllocations pins the allocation-free core: heap pushes
-// (an append and up) and pops allocate nothing once the backing array
+// and pops on pqLess allocate nothing once the backing array
 // has grown, and a full tree on the default 48x48 grid allocates its
 // dist slice and little else (the interface-boxed queue allocated
 // 6,773 objects).
 func TestDijkstraAllocations(t *testing.T) {
-	h := make(minHeap, 0, 64)
+	h := make([]pqItem, 0, 64)
 	if n := testing.AllocsPerRun(100, func() {
 		for k := 0; k < 64; k++ {
-			h = append(h, pqItem{node: NodeID(k), dist: float64((k * 37) % 64)})
-			h.up(len(h) - 1)
+			heapq.Push(&h, pqItem{node: NodeID(k), dist: float64((k * 37) % 64)}, pqLess)
 		}
 		for len(h) > 0 {
-			h.pop()
+			heapq.Pop(&h, pqLess)
 		}
 	}); n != 0 {
 		t.Errorf("64 pushes + 64 pops allocated %v objects, want 0", n)

@@ -12,7 +12,7 @@
 // float a binary heap gives. Only a bucket holding a target is drained
 // in key order, so a run stops at the same horizon with the same
 // settled set; a graph with a 0-cost arc, or arcs spread beyond 2^16,
-// keeps a typed binary heap.
+// keeps a binary heap (internal/heapq).
 //
 // Dispatch algorithms never touch the graph directly; they consume a
 // Coster, which is either graph-backed (shortest-path travel time) or the

@@ -11,66 +11,14 @@ type pqItem struct {
 	dist float64
 }
 
-// minHeap is a binary min-heap of pqItems keyed on dist, on the
-// concrete element type so nothing is boxed. A push is an append
-// followed by up.
-type minHeap []pqItem
-
-// pop removes and returns a minimum item. The heap must not be empty.
-func (h *minHeap) pop() pqItem {
-	q := *h
-	top := q[0]
-	q[0] = q[len(q)-1]
-	*h = q[:len(q)-1]
-	h.down(0)
-	return top
-}
-
-// init orders h into a heap, sifting each parent down, the last first.
-func (h minHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// up sifts h[i] up to its place.
-func (h minHeap) up(i int) {
-	x := h[i]
-	for ; i > 0 && h[(i-1)/2].dist > x.dist; i = (i - 1) / 2 {
-		h[i] = h[(i-1)/2]
-	}
-	h[i] = x
-}
-
-// down sifts h[i] down to its place. Which child is smaller is a coin
-// toss the branch predictor loses, so where both exist the choice is
-// written as an index increment the compiler makes branch-free.
-func (h minHeap) down(i int) {
-	if i >= len(h) {
-		return
-	}
-	x, c := h[i], 2*i+1
-	for ; c+1 < len(h); c = 2*c + 1 {
-		k := 0
-		if h[c+1].dist < h[c].dist {
-			k = 1
-		}
-		if c += k; h[c].dist >= x.dist {
-			break
-		}
-		h[i], i = h[c], c
-	}
-	if c < len(h) && h[c].dist < x.dist { // a lone left child at the bottom
-		h[i], i = h[c], c
-	}
-	h[i] = x
-}
+// pqLess orders the queue's heap (see bucketQueue) by dist.
+func pqLess(a, b pqItem) bool { return a.dist < b.dist }
 
 // bucketQueue is the Dijkstra queue: Dial's bucket queue (CACM 12(11),
-// 1969) where the graph has a bucket width (see Build), one minHeap
-// where it has none. Key k lies in bucket ⌊k/width⌋, kept in ring slot
-// slot+⌊k/width⌋-cur: every key queued at once is less than a turn of
-// the ring past cur, so slots never alias. Buckets keep their capacity
+// 1969) where the graph has a bucket width (see Build), one heapq on
+// pqLess where it has none. Key k lies in bucket ⌊k/width⌋, kept in
+// ring slot slot+⌊k/width⌋-cur: every key queued at once is less than
+// a turn of the ring past cur, so slots never alias. Buckets keep their capacity
 // and queues are pooled, so a run allocates nothing once grown.
 type bucketQueue struct {
 	ring      [][]pqItem

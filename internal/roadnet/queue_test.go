@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/heapq"
 )
 
 // FuzzBucketQueue drives the queue the way dijkstra does: every key
@@ -54,9 +55,8 @@ func FuzzBucketQueue(f *testing.F) {
 				return
 			}
 			if zero || op&4 != 0 {
-				h := (*minHeap)(bk)
-				h.init()
-				if it := h.pop(); it.dist != ref[0] {
+				heapq.Init(*bk, pqLess)
+				if it := heapq.Pop(bk, pqLess); it.dist != ref[0] {
 					t.Fatalf("ordered pop gave %v, least queued is %v", it.dist, ref[0])
 				}
 				popped, ref = ref[0], ref[1:]

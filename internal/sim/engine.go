@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/heapq"
 	"mrvd/internal/obs"
 	"mrvd/internal/pool"
 	"mrvd/internal/roadnet"
@@ -153,52 +154,14 @@ type IdleEstimating interface {
 	EstimateIdle(ctx *Context, region geo.RegionID) float64
 }
 
-// completionHeap orders busy drivers by completion time.
-type completionHeap []completion
-
+// completion is a busy driver's entry in Engine.busy: when it frees.
 type completion struct {
 	freeAt float64
 	driver DriverID
 }
 
-// push and pop are container/heap's Push and Pop on the concrete slice:
-// the same sift, so completions with equal freeAt pop in the same order,
-// without boxing each one into an interface value.
-func (h *completionHeap) push(c completion) {
-	*h = append(*h, c)
-	q := *h
-	for j := len(q) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || !(q[j].freeAt < q[i].freeAt) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func (h *completionHeap) pop() completion {
-	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && q[j2].freeAt < q[j1].freeAt {
-			j = j2 // right child
-		}
-		if !(q[j].freeAt < q[i].freeAt) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	*h = q[:n]
-	return q[n]
-}
+// completionLess orders Engine.busy by completion time.
+func completionLess(a, b completion) bool { return a.freeAt < b.freeAt }
 
 // Engine runs one simulation. Build with New (fixed trace) or
 // NewWithSource (streaming orders); Run executes once.
@@ -214,8 +177,8 @@ type Engine struct {
 	dense   roadnet.PairCoster
 	drivers []Driver
 
-	idx     *geo.Index // available drivers
-	busy    completionHeap
+	idx     *geo.Index   // available drivers
+	busy    []completion // a heapq on completionLess
 	waiting []*Rider
 	// riderSlab is where admitOrders carves the next Riders from: one
 	// allocation per riderSlabSize admissions instead of one per order.
@@ -685,7 +648,7 @@ func (e *Engine) cancelRider(now float64, r *Rider, explicit bool) {
 // the plan stop by stop instead of freeing the driver in one jump.
 func (e *Engine) rejoinDrivers(now float64) {
 	for len(e.busy) > 0 && e.busy[0].freeAt <= now {
-		c := e.busy.pop()
+		c := heapq.Pop(&e.busy, completionLess)
 		if e.ps != nil {
 			if p, ok := e.ps.plans[c.driver]; ok {
 				e.advancePlan(now, c.driver, p)
@@ -861,10 +824,10 @@ func (e *Engine) buildContext(now float64) *Context {
 	lo := 0
 	for wi, r := range e.waiting {
 		found := 0
-		near := geo.NearestFirst(a.cand[lo:a.candEnd[wi]])
-		near.Init()
+		near := a.cand[lo:a.candEnd[wi]]
+		heapq.Init(near, geo.NearLess)
 		for found < maxCandidatesPerRider && len(near) > 0 {
-			nb := near.Pop()
+			nb := heapq.Pop(&near, geo.NearLess)
 			slot := a.driverSlot[nb.ID]
 			row := costs[a.driverRow[slot]]
 			if row == nil {
@@ -1132,7 +1095,7 @@ func (e *Engine) apply(now float64, ctx *Context, assignments []Assignment) erro
 			e.startPlan(rider, drv.ID, now+realPickup, freeAt, realTrip, realPickup)
 			stops = 2
 		} else {
-			e.busy.push(completion{freeAt: freeAt, driver: drv.ID})
+			heapq.Push(&e.busy, completion{freeAt: freeAt, driver: drv.ID}, completionLess)
 		}
 
 		e.fc.addRejoin(rider.DestRegion, freeAt)
@@ -1179,7 +1142,7 @@ func (e *Engine) declineAssignment(now float64, rider *Rider, id DriverID) {
 	d.State = Busy
 	d.FreeAt = retryAt
 	e.idx.Remove(int32(id))
-	e.busy.push(completion{freeAt: retryAt, driver: id})
+	heapq.Push(&e.busy, completion{freeAt: retryAt, driver: id}, completionLess)
 	e.fc.addRejoin(e.cfg.Grid.Region(e.cfg.Grid.Bounds().Clamp(d.Pos)), retryAt)
 	e.metrics.Declines++
 	if e.observer != nil {
@@ -1234,7 +1197,7 @@ func (e *Engine) reposition(now float64, ctx *Context) {
 		d.Pos = target
 		d.FreeAt = now + cost
 		e.idx.Remove(int32(id))
-		e.busy.push(completion{freeAt: d.FreeAt, driver: id})
+		heapq.Push(&e.busy, completion{freeAt: d.FreeAt, driver: id}, completionLess)
 		e.fc.addRejoin(e.cfg.Grid.Region(target), d.FreeAt)
 		if e.observer != nil {
 			e.observer.OnRepositioned(RepositionedEvent{

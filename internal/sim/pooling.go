@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"mrvd/internal/geo"
+	"mrvd/internal/heapq"
 	"mrvd/internal/pool"
 	"mrvd/internal/trace"
 )
@@ -67,7 +68,7 @@ func (e *Engine) startPlan(r *Rider, id DriverID, pickupAt, dropAt, revenue, pic
 		{Kind: pool.DropoffStop, Order: r.Order.ID, Pos: r.Order.Dropoff, ETA: dropAt, Direct: r.TripCost},
 	}}
 	e.ps.riders[r.Order.ID] = &pooledRider{r: r, revenue: revenue, pickup: pickup}
-	e.busy.push(completion{freeAt: pickupAt, driver: id})
+	heapq.Push(&e.busy, completion{freeAt: pickupAt, driver: id}, completionLess)
 }
 
 // advancePlan consumes every due stop of a pooled driver's plan, firing
@@ -123,7 +124,7 @@ func (e *Engine) advancePlan(now float64, id DriverID, p *pool.Plan) {
 		}
 	}
 	if len(p.Stops) > 0 {
-		e.busy.push(completion{freeAt: p.Stops[0].ETA, driver: id})
+		heapq.Push(&e.busy, completion{freeAt: p.Stops[0].ETA, driver: id}, completionLess)
 		return
 	}
 	delete(e.ps.plans, id)

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"mrvd/internal/heapq"
 	"mrvd/internal/trace"
 )
 
@@ -119,7 +120,7 @@ func (s *SliceSource) TotalOrders() int { return len(s.orders) }
 // feeds gate submissions on the engine clock (see examples/livedispatch).
 type ChannelSource struct {
 	mu      sync.Mutex
-	heap    submissionHeap
+	heap    []submission // a heapq on submissionLess
 	seq     int64
 	closed  bool
 	cancels []trace.OrderID
@@ -149,7 +150,7 @@ func (c *ChannelSource) Submit(o trace.Order) error {
 	if c.closed {
 		return fmt.Errorf("submit order %d: %w", o.ID, ErrSourceClosed)
 	}
-	c.heap.push(submission{order: o, seq: c.seq})
+	heapq.Push(&c.heap, submission{order: o, seq: c.seq}, submissionLess)
 	c.seq++
 	c.signal()
 	return nil
@@ -233,7 +234,7 @@ func (c *ChannelSource) Poll(now float64) ([]trace.Order, bool) {
 	defer c.mu.Unlock()
 	var ready []trace.Order
 	for len(c.heap) > 0 && c.heap[0].order.PostTime <= now {
-		s := c.heap.pop()
+		s := heapq.Pop(&c.heap, submissionLess)
 		ready = append(ready, s.order)
 		if s.canceled {
 			c.cancels = append(c.cancels, s.order.ID)
@@ -251,51 +252,10 @@ type submission struct {
 	canceled bool
 }
 
-// submissionHeap is a hand-rolled binary min-heap on (PostTime, seq); it
-// avoids container/heap's any-boxing on the ingestion hot path.
-type submissionHeap []submission
-
-func (h submissionHeap) less(i, j int) bool {
-	if h[i].order.PostTime != h[j].order.PostTime {
-		return h[i].order.PostTime < h[j].order.PostTime
+// submissionLess orders ChannelSource's heap by (PostTime, seq).
+func submissionLess(a, b submission) bool {
+	if a.order.PostTime != b.order.PostTime {
+		return a.order.PostTime < b.order.PostTime
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *submissionHeap) push(s submission) {
-	*h = append(*h, s)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *submissionHeap) pop() submission {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
+	return a.seq < b.seq
 }
