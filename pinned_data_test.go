@@ -66,3 +66,12 @@ var pinnedRoadTripReaders = map[string]pinned{
 	"pooling": {Summary: sim.Summary{Revenue: 269257.9290764303, Served: 480, Reneged: 613, Canceled: 0, Declines: 0, TotalOrders: 1113, Batches: 720, PickupSeconds: 37633.38800869457, IdleClosed: 462, IdleSeconds: 311113.43387404975, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 16, DetourSeconds: 257.0487449739536}, EstimateSum: 0, InfEstimates: 0, TravelRecords: 0},
 	"upper":   {Summary: sim.Summary{Revenue: 695472.7006433931, Served: 1065, Reneged: 30, Canceled: 0, Declines: 0, TotalOrders: 1113, Batches: 720, PickupSeconds: 0, IdleClosed: 1065, IdleSeconds: 102140.9603721134, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 0, InfEstimates: 0, TravelRecords: 0},
 }
+
+// pinnedPaperDay holds TestPaperScaleDayPinned's expectations, recorded
+// at commit 7a0f819.
+var pinnedPaperDay = map[string]pinned{
+	"IRG":  {Summary: sim.Summary{Revenue: 1.3282875328239748e+08, Served: 234043, Reneged: 90780, Canceled: 0, Declines: 0, TotalOrders: 324978, Batches: 28800, PickupSeconds: 1.257800664190287e+07, IdleClosed: 234043, IdleSeconds: 1.1291691280043961e+08, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 1.2913770255376913e+08, InfEstimates: 161, TravelRecords: 0},
+	"LS":   {Summary: sim.Summary{Revenue: 1.3292789448674142e+08, Served: 234279, Reneged: 90538, Canceled: 0, Declines: 0, TotalOrders: 324978, Batches: 28800, PickupSeconds: 1.2702282980438612e+07, IdleClosed: 234279, IdleSeconds: 1.1269763963662738e+08, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 1.2912743306921086e+08, InfEstimates: 167, TravelRecords: 0},
+	"NEAR": {Summary: sim.Summary{Revenue: 1.2388914778453076e+08, Served: 218195, Reneged: 106584, Canceled: 0, Declines: 0, TotalOrders: 324978, Batches: 28800, PickupSeconds: 1.0142394931931436e+07, IdleClosed: 218195, IdleSeconds: 1.2136576944726641e+08, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 0, InfEstimates: 0, TravelRecords: 0},
+	"RAND": {Summary: sim.Summary{Revenue: 1.2829862933673577e+08, Served: 225812, Reneged: 99002, Canceled: 0, Declines: 0, TotalOrders: 324978, Batches: 28800, PickupSeconds: 1.545853486989675e+07, IdleClosed: 225812, IdleSeconds: 1.1430788408367673e+08, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 0, InfEstimates: 0, TravelRecords: 0},
+}

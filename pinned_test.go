@@ -11,6 +11,7 @@ import (
 	"mrvd/internal/predict"
 	"mrvd/internal/roadnet"
 	"mrvd/internal/sim"
+	"mrvd/internal/workload"
 )
 
 // pinned is what one replay must reproduce to the bit: the Summary plus
@@ -198,5 +199,30 @@ func TestPinnedRoadTripReaders(t *testing.T) {
 				t.Errorf("replay no longer reproduces the pinned output:\n  got:  %#v\n  want: %#v", got, want)
 			}
 		})
+	}
+}
+
+// TestPaperScaleDayPinned replays the paper-scale day — the full city
+// (282,255 orders, city seed 31), 3,000 drivers, instance seed 1,
+// oracle forecasts and the default coster, the instance
+// `mrvd-sim -orders 282255 -drivers 3000` runs — with IRG, LS, NEAR and
+// RAND, and pins each Summary to the bit. It is the one pin where
+// riders contest drivers across a whole day at the paper's fleet size:
+// the peak-hour pins above run a smaller city for an hour.
+func TestPaperScaleDayPinned(t *testing.T) {
+	city := workload.NewCity(workload.CityConfig{OrdersPerDay: 282255, Seed: 31})
+	r := core.NewRunner(core.Options{City: city, NumDrivers: 3000, Seed: 1})
+	for _, alg := range []string{"IRG", "LS", "NEAR", "RAND"} {
+		d, err := core.NewDispatcher(alg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := r.Run(context.Background(), d, core.PredictOracle, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := pin(m), pinnedPaperDay[alg]; got != want {
+			t.Errorf("%s no longer reproduces the pinned paper-scale day:\n  got:  %#v\n  want: %#v", alg, got, want)
+		}
 	}
 }
