@@ -24,11 +24,11 @@
 //
 // Dispatchers never price travel themselves: the engine prices each
 // batch's candidate (driver, rider) pairs up front through one
-// roadnet.PairCoster call, and every sim.Pair carries its matrix-backed
+// roadnet.PairCoster call, and every sim.Pair carries its
 // PickupCost and its rider's TripCost, priced the first batch the rider
 // holds a valid pair. A rider without one has no trip priced yet
 // (Rider.TripCost is NaN): read it through sim.Context.TripCost, which
 // prices it once, as UPPER does. What-if costs beyond the precomputed
-// pairs go through sim.Context.PickupCost (a matrix lookup with a
+// pairs go through sim.Context.PickupCost (the Pair's cost, or a
 // Coster fallback) — never per-pair Coster.Cost calls in inner loops.
 package dispatch

@@ -5,5 +5,5 @@
 // near a pickup location without scanning the whole fleet: Index.Within
 // answers radius-bounded queries (the rider's patience radius) and
 // Index.Nearest the k-nearest pre-filter that caps pricing candidates
-// per order before the batched travel-cost matrix is built.
+// per order before the batch's travel costs are priced.
 package geo

@@ -122,10 +122,11 @@ func (g *Grid) Neighbors(id RegionID) []RegionID {
 // RegionsWithin returns all regions whose cell rectangle intersects the
 // circle of the given radius (meters) around p, including p's own region.
 func (g *Grid) RegionsWithin(p Point, radiusMeters float64) []RegionID {
-	minRow, maxRow, minCol, maxCol, ok := g.cellSpan(p, spanCos(p.Lat), radiusMeters)
-	if !ok {
+	if !(radiusMeters >= 0) {
 		return nil
 	}
+	latSpan := radiusMeters / EarthRadiusMeters * 180 / math.Pi
+	minRow, maxRow, minCol, maxCol := g.cellSpan(p, latSpan, latSpan/spanCos(p.Lat))
 	out := make([]RegionID, 0, (maxRow-minRow+1)*(maxCol-minCol+1))
 	for row := minRow; row <= maxRow; row++ {
 		for col := minCol; col <= maxCol; col++ {
@@ -135,29 +136,23 @@ func (g *Grid) RegionsWithin(p Point, radiusMeters float64) []RegionID {
 	return out
 }
 
-// cellSpan returns the inclusive row and column ranges RegionsWithin
-// enumerates (row-major), so the index's queries can walk the same cells
-// in the same order without materializing them. cosLat is
-// spanCos(p.Lat), which a prepared Query carries. ok is false for a
-// negative or NaN radius; any other radius, +Inf included, spans at
-// most the whole grid.
-func (g *Grid) cellSpan(p Point, cosLat, radiusMeters float64) (minRow, maxRow, minCol, maxCol int, ok bool) {
-	if !(radiusMeters >= 0) {
-		return 0, 0, 0, 0, false
-	}
-	// Convert the radius into degree spans at p's latitude.
-	latSpan := radiusMeters / EarthRadiusMeters * 180 / math.Pi
-	lngSpan := latSpan / cosLat
+// cellSpan returns the inclusive row and column ranges of the cells
+// within latSpan and lngSpan degrees of p clamped into the grid, which
+// RegionsWithin enumerates and the index's scans walk, row-major. The
+// spans are not negative or NaN; any other span, +Inf included, covers
+// at most the whole grid.
+func (g *Grid) cellSpan(p Point, latSpan, lngSpan float64) (minRow, maxRow, minCol, maxCol int) {
 	clamped := g.box.Clamp(p)
 	minCol = cellIndex((clamped.Lng-lngSpan-g.box.MinLng)/g.cellW, g.cols)
 	maxCol = cellIndex((clamped.Lng+lngSpan-g.box.MinLng)/g.cellW, g.cols)
 	minRow = cellIndex((clamped.Lat-latSpan-g.box.MinLat)/g.cellH, g.rows)
 	maxRow = cellIndex((clamped.Lat+latSpan-g.box.MinLat)/g.cellH, g.rows)
-	return minRow, maxRow, minCol, maxCol, true
+	return minRow, maxRow, minCol, maxCol
 }
 
-// spanCos is the factor cellSpan widens a latitude span by to get the
-// longitude span at latitude lat: its cosine, floored near the poles.
+// spanCos is the factor RegionsWithin widens a latitude span by to get
+// the longitude span at latitude lat: its cosine, floored near the
+// poles.
 func spanCos(lat float64) float64 {
 	cosLat := math.Cos(lat * math.Pi / 180)
 	if cosLat < 1e-6 {

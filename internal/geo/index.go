@@ -15,12 +15,12 @@ import (
 // once per candidate driver per rider, and on that path a slice load
 // beats a map probe by an order of magnitude.
 //
-// The index logs every id whose membership or region changed since the
-// caller last drained the log (DrainChanges), so a table kept beside it
-// — the simulator's per-batch driver table — is patched where it went
-// stale instead of rebuilt. A move within a region is not logged:
-// positions are not part of that state. It is not safe for concurrent
-// mutation; the batch dispatcher owns it single-threaded.
+// The index logs every id whose membership or position changed since
+// the caller last drained the log (DrainChanges), so what a caller keeps
+// beside it — the simulator's per-batch driver table, its riders'
+// candidate lists — is patched where it went stale instead of rebuilt.
+// It is not safe for concurrent mutation; the batch dispatcher owns it
+// single-threaded.
 type Index struct {
 	grid    *Grid
 	buckets [][]int32  // region -> item ids
@@ -51,10 +51,11 @@ func NewIndex(grid *Grid) *Index {
 func (ix *Index) Len() int { return ix.count }
 
 // DrainChanges appends to dst, in log order, every id that entered or
-// left the index or moved to another region since the last drain, each
-// once, and empties the log. An id logged and then restored (removed
-// and re-inserted in its region) is still listed: the caller reads its
-// current state, not a diff.
+// left the index or moved since the last drain, each once, and empties
+// the log. An id logged and then restored (removed and re-inserted
+// where it stood) is still listed: the caller reads its current state,
+// not a diff. An id not listed has the membership, region and position
+// it had at the last drain.
 func (ix *Index) DrainChanges(dst []int32) []int32 {
 	dst = append(dst, ix.changed...)
 	for _, id := range ix.changed {
@@ -64,7 +65,7 @@ func (ix *Index) DrainChanges(dst []int32) []int32 {
 	return dst
 }
 
-// logChange records that id's membership or region changed.
+// logChange records that id's membership or position changed.
 func (ix *Index) logChange(id int32) {
 	if !ix.logged[id] {
 		ix.logged[id] = true
@@ -114,21 +115,23 @@ func (ix *Index) Remove(id int32) {
 	ix.logChange(id)
 }
 
-// Move relocates an existing item; unknown ids are inserted.
+// Move relocates an existing item; unknown ids are inserted. Every
+// change of position is logged, within a region too.
 func (ix *Index) Move(id int32, p Point) {
 	if !ix.has(id) {
 		ix.Insert(id, p)
 		return
 	}
 	p = ix.grid.Bounds().Clamp(p)
-	r := ix.grid.Region(p)
-	ix.pos[id] = p
-	if r == ix.region[id] {
+	if p == ix.pos[id] {
 		return
 	}
-	ix.unlink(id)
-	ix.link(id, r)
+	ix.pos[id] = p
 	ix.logChange(id)
+	if r := ix.grid.Region(p); r != ix.region[id] {
+		ix.unlink(id)
+		ix.link(id, r)
+	}
 }
 
 // link appends id to region r's bucket.
@@ -178,21 +181,21 @@ type Neighbor struct {
 }
 
 // Query is a scan point's prepared geometry: what every scan of the
-// point would otherwise recompute from its latitude — the longitude
-// widening of the cells to visit and the longitude scale of the
-// distance lower bound, one cosine each. Index.Prepare makes it; the
-// Append queries take it beside the point it was prepared for, so a
-// caller that scans one point batch after batch (a waiting rider's
-// pickup) pays for both once. A Query is valid only for that point and
-// for indexes over grids with the same bounding box.
+// point would otherwise recompute from its latitude — the least
+// longitude scale Equirect applies between it and any point of the
+// grid, one cosine. It bounds both the cells a scan visits and each
+// item's distance from below. Index.Prepare makes it; the Append
+// queries take it beside the point it was prepared for, so a caller
+// that scans one point batch after batch (a waiting rider's pickup)
+// pays for it once. A Query is valid only for that point and for
+// indexes over grids with the same bounding box.
 type Query struct {
-	cosLat float64 // cellSpan's longitude widening at the point's latitude
-	kx     float64 // scan's lower-bound meters per degree of longitude
+	kx float64 // lower-bound meters per degree of longitude
 }
 
 // Prepare returns p's Query for this index.
 func (ix *Index) Prepare(p Point) Query {
-	return Query{cosLat: spanCos(p.Lat), kx: metersPerDegree * ix.grid.minMidCos(p.Lat)}
+	return Query{kx: metersPerDegree * ix.grid.minMidCos(p.Lat)}
 }
 
 // Within returns all items within radiusMeters of p, sorted by distance
@@ -200,7 +203,7 @@ func (ix *Index) Prepare(p Point) Query {
 // the query circle.
 func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
 	ns := ix.scan(nil, p, ix.Prepare(p), scanAll, radiusMeters)
-	slices.SortFunc(ns, nearCmp)
+	slices.SortFunc(ns, NearCmp)
 	return ns
 }
 
@@ -210,6 +213,23 @@ func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
 // a time without sorting a tail the caller never reaches. q is p's Query.
 func (ix *Index) AppendInRadius(dst []Neighbor, p Point, q Query, radiusMeters float64) []Neighbor {
 	return ix.scan(dst, p, q, scanAll, radiusMeters)
+}
+
+// AppendListed appends, in ids' order, each of ids that AppendInRadius
+// would append: the indexed ones within radiusMeters of p, by the same
+// test and distance. It is how a caller that keeps a query's result
+// while the index changes brings it up to date from DrainChanges' ids
+// without visiting a cell.
+func (ix *Index) AppendListed(dst []Neighbor, p Point, q Query, radiusMeters float64, ids []int32) []Neighbor {
+	for len(ids) > 0 { // visit each run of indexed ids
+		n := 0
+		for n < len(ids) && ix.has(ids[n]) {
+			n++
+		}
+		dst, _ = ix.visit(dst, 0, ids[:n], p, q.kx, scanAll, radiusMeters)
+		ids = ids[min(n+1, len(ids)):]
+	}
+	return dst
 }
 
 // Nearest returns up to k nearest items to p found within radiusMeters,
@@ -253,78 +273,94 @@ const metersPerDegree = EarthRadiusMeters * math.Pi / 180
 // item through that a cosine then has to reject.
 const boundMargin = 1e-9
 
-// scan is the one loop behind Within and Nearest: it walks the cells
-// cellSpan gives, row-major, and returns dst extended per the mode k
-// selects.
-//
-// An item is first tested against a lower bound of its Equirect
-// distance — the same projection with the longitude scale fixed at its
-// minimum over p's and the grid's latitudes (q.kx, one cosine per
-// prepared point where Equirect takes one per item) — and skipped when
-// even that exceeds the limit: the radius, or, once the heap holds k,
-// its worst entry. Only survivors pay for the real distance, which
-// alone decides membership and is what the Neighbor carries.
+// scan is the one loop behind Within and Nearest: it walks, row-major,
+// the cells an item within radiusMeters of p can lie in, and returns
+// dst extended per the mode k selects. The cells span the radius over
+// metersPerDegree in latitude and over q.kx — no more than Equirect's
+// scale for any item — in longitude, so the cell walk decides no
+// membership: in radius mode scan returns exactly the indexed items
+// visit accepts, and AppendListed agrees with it item for item.
 func (ix *Index) scan(dst []Neighbor, p Point, q Query, k int, radiusMeters float64) []Neighbor {
-	minRow, maxRow, minCol, maxCol, ok := ix.grid.cellSpan(p, q.cosLat, radiusMeters)
-	if !ok {
+	if !(radiusMeters >= 0) {
 		return dst
 	}
-	base := len(dst)
-	kx := q.kx
-	limit := radiusMeters
-	limit2 := limit * limit * (1 + boundMargin)
+	span := radiusMeters * (1 + boundMargin)
+	lngSpan := math.Inf(1)
+	if q.kx > 0 {
+		lngSpan = span / q.kx
+	}
+	minRow, maxRow, minCol, maxCol := ix.grid.cellSpan(p, span/metersPerDegree, lngSpan)
+	base, limit := len(dst), radiusMeters
 	for row := minRow; row <= maxRow; row++ {
 		for col := minCol; col <= maxCol; col++ {
-			for _, id := range ix.buckets[row*ix.grid.cols+col] {
-				q := ix.pos[id]
-				x, y := (q.Lng-p.Lng)*kx, (q.Lat-p.Lat)*metersPerDegree
-				if x*x+y*y > limit2 {
-					continue
-				}
-				d := Equirect(p, q)
-				if !(d <= limit) {
-					continue
-				}
-				nb := Neighbor{ID: id, Distance: d}
-				if k == scanAll {
-					dst = append(dst, nb)
-					continue
-				}
-				h := dst[base:]
-				if len(h) < k {
-					heapq.Push(&h, nb, farther)
-					dst = dst[:base+len(h)]
-				} else if NearLess(nb, h[0]) {
-					h[0] = nb
-					heapq.Down(h, 0, farther)
-				} else {
-					continue
-				}
-				if len(h) == k {
-					// Full: only an item no farther than the worst kept
-					// can still enter.
-					limit = h[0].Distance
-					limit2 = limit * limit * (1 + boundMargin)
-				}
-			}
+			dst, limit = ix.visit(dst, base, ix.buckets[row*ix.grid.cols+col], p, q.kx, k, limit)
 		}
 	}
 	return dst
 }
 
-// nearCmp orders neighbours by distance then id — the one total order
+// visit is the per-item body of scan and AppendListed: it tests each of
+// ids, all indexed, against limit, extends dst per the mode k selects
+// (the heap, if any, starting at base), and returns dst and the limit
+// the next items face.
+//
+// An item is first tested against a lower bound of its Equirect
+// distance — the same projection with the longitude scale fixed at its
+// minimum over p's and the grid's latitudes (kx, one cosine per
+// prepared point where Equirect takes one per item) — and skipped when
+// even that exceeds the limit: the radius, or, once the heap holds k,
+// its worst entry. Only survivors pay for the real distance, which
+// alone decides membership and is what the Neighbor carries.
+func (ix *Index) visit(dst []Neighbor, base int, ids []int32, p Point, kx float64, k int, limit float64) ([]Neighbor, float64) {
+	limit2 := limit * limit * (1 + boundMargin)
+	for _, id := range ids {
+		q := ix.pos[id]
+		x, y := (q.Lng-p.Lng)*kx, (q.Lat-p.Lat)*metersPerDegree
+		if x*x+y*y > limit2 {
+			continue
+		}
+		d := Equirect(p, q)
+		if !(d <= limit) {
+			continue
+		}
+		nb := Neighbor{ID: id, Distance: d}
+		if k == scanAll {
+			dst = append(dst, nb)
+			continue
+		}
+		h := dst[base:]
+		if len(h) < k {
+			heapq.Push(&h, nb, farther)
+			dst = dst[:base+len(h)]
+		} else if NearLess(nb, h[0]) {
+			h[0] = nb
+			heapq.Down(h, 0, farther)
+		} else {
+			continue
+		}
+		if len(h) == k {
+			// Full: only an item no farther than the worst kept can
+			// still enter.
+			limit = h[0].Distance
+			limit2 = limit * limit * (1 + boundMargin)
+		}
+	}
+	return dst, limit
+}
+
+// NearCmp orders neighbours by distance then id — the one total order
 // Within sorts by and Nearest's heap selects by.
-func nearCmp(a, b Neighbor) int {
+func NearCmp(a, b Neighbor) int {
 	if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// NearLess is nearCmp as a heapq order: a min-heap on it over a
+// NearLess is NearCmp as a heapq order: a min-heap on it over a
 // neighbour slice pops exactly Within's sequence.
-func NearLess(a, b Neighbor) bool { return nearCmp(a, b) < 0 }
+func NearLess(a, b Neighbor) bool { return NearCmp(a, b) < 0 }
 
 // farther is NearLess reversed, the order of scan's bounded max-heap:
 // its root is the worst of the k best seen so far.
-func farther(a, b Neighbor) bool { return nearCmp(b, a) < 0 }
+func farther(a, b Neighbor) bool { return NearCmp(b, a) < 0 }

@@ -172,10 +172,10 @@ func TestIndexRemoveSwapKeepsSlots(t *testing.T) {
 }
 
 // TestIndexChangeLog: the log lists an id exactly when its membership
-// or region changed since the last drain — Insert, Remove, a Move
-// across regions (and a Move or Insert that inserts) — once however
-// often it changed, and nothing for a Move within a region, an Insert
-// that is such a Move, or a Remove of an unknown id.
+// or position changed since the last drain — Insert, Remove, a Move
+// within or across regions (and a Move or Insert that inserts) — once
+// however often it changed, and nothing for a Move to where the item
+// stands, an Insert that is such a Move, or a Remove of an unknown id.
 func TestIndexChangeLog(t *testing.T) {
 	ix := newTestIndex()
 	a := Point{Lng: -74.02, Lat: 40.59}    // SW corner region
@@ -194,8 +194,10 @@ func TestIndexChangeLog(t *testing.T) {
 		}
 	}
 	step("Insert", []int32{1}, func() { ix.Insert(1, a) })
-	step("Move within region", nil, func() { ix.Move(1, a2) })
-	step("Insert existing within region", nil, func() { ix.Insert(1, a) })
+	step("Move within region", []int32{1}, func() { ix.Move(1, a2) })
+	step("Move to the same point", nil, func() { ix.Move(1, a2) })
+	step("Insert existing within region", []int32{1}, func() { ix.Insert(1, a) })
+	step("Insert existing at the same point", nil, func() { ix.Insert(1, a) })
 	step("Move across regions", []int32{1}, func() { ix.Move(1, b) })
 	step("Insert existing across regions", []int32{1}, func() { ix.Insert(1, a) })
 	step("Move unknown", []int32{2}, func() { ix.Move(2, b) })
@@ -216,5 +218,46 @@ func TestIndexChangeLog(t *testing.T) {
 	})
 	if p, _ := ix.Position(2); p != b {
 		t.Errorf("Position(2) = %v, want %v", p, b)
+	}
+}
+
+// TestAppendListedMatchesScan: for any ids, AppendListed appends, in
+// ids' order, exactly the listed items AppendInRadius appends — the
+// indexed ones within the radius, with the same distances — so a kept
+// radius result patched from the change log equals a fresh scan.
+func TestAppendListedMatchesScan(t *testing.T) {
+	ix := newTestIndex()
+	box := ix.grid.Bounds()
+	rng := rand.New(rand.NewSource(29))
+	random := func() Point {
+		return Point{Lng: box.MinLng + rng.Float64()*(box.MaxLng-box.MinLng), Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat)}
+	}
+	for id := int32(0); id < 400; id++ {
+		ix.Insert(id, random())
+	}
+	for id := int32(0); id < 400; id += 3 {
+		ix.Remove(id)
+	}
+	ids := make([]int32, 0, 450)
+	for id := int32(449); id >= 0; id-- { // unknown ids and removed ones too
+		ids = append(ids, id)
+	}
+	for trial := 0; trial < 60; trial++ {
+		p := random()
+		q := ix.Prepare(p)
+		radius := rng.Float64() * 12000
+		in := make(map[int32]Neighbor)
+		for _, nb := range ix.AppendInRadius(nil, p, q, radius) {
+			in[nb.ID] = nb
+		}
+		var want []Neighbor
+		for _, id := range ids {
+			if nb, ok := in[id]; ok {
+				want = append(want, nb)
+			}
+		}
+		if got := ix.AppendListed(nil, p, q, radius, ids); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: AppendListed = %v, want %v", trial, got, want)
+		}
 	}
 }

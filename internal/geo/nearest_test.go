@@ -42,7 +42,7 @@ func TestNearestMatchesWithinTruncation(t *testing.T) {
 		}
 		radius := rng.Float64() * 8000
 		buf = ix.AppendInRadius(buf[:1], p, ix.Prepare(p), radius)
-		slices.SortFunc(buf[1:], nearCmp)
+		slices.SortFunc(buf[1:], NearCmp)
 		appended("AppendInRadius, sorted,", trial, ix.Within(p, radius))
 		for _, k := range []int{0, 1, 5, 12, 100, 1000} {
 			buf = ix.AppendNearest(buf[:1], p, ix.Prepare(p), k, radius)
@@ -87,7 +87,7 @@ func TestNearestAfterRemovals(t *testing.T) {
 // — query points outside the grid box and past the poles, items on cell
 // borders and stacked on one point, radius 0, a radius that is exactly
 // some item's distance, k beyond the fleet — Within and Nearest must
-// equal a brute-force Equirect scan sorted by nearCmp, element for
+// equal a brute-force Equirect scan sorted by NearCmp, element for
 // element, Distance bits included.
 func TestQueriesMatchBruteForce(t *testing.T) {
 	boxes := []BBox{
@@ -149,7 +149,7 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 						want = append(want, Neighbor{ID: int32(id), Distance: d})
 					}
 				}
-				slices.SortFunc(want, nearCmp)
+				slices.SortFunc(want, NearCmp)
 				where := fmt.Sprintf("box %d fleet %d trial %d: q=%v radius=%v", bi, fleet, trial, q, radius)
 				if got := ix.Within(q, radius); !sameNeighbors(got, want) {
 					t.Fatalf("%s: Within: %s", where, firstDiff(got, want))
@@ -170,8 +170,8 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 // with the results of the point forms, which prepare afresh, in both
 // modes: AppendInRadius, sorted, equals Within, and AppendNearest
 // equals Nearest. Points fall inside and outside the box and past ±89°
-// of latitude; radii include 0, NaN and +Inf. The prepared fields are
-// bitwise the expressions a scan used to evaluate per call.
+// of latitude; radii include 0, NaN and +Inf. The prepared field is
+// bitwise the expression a scan used to evaluate per call.
 func TestPreparedQueriesMatchPointForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, box := range []BBox{NYCBBox, {MinLng: 10, MinLat: 88.5, MaxLng: 11, MaxLat: 90}} {
@@ -201,13 +201,8 @@ func TestPreparedQueriesMatchPointForms(t *testing.T) {
 				}
 			}
 			q := ix.Prepare(p)
-			cosLat := math.Cos(p.Lat * math.Pi / 180)
-			if cosLat < 1e-6 {
-				cosLat = 1e-6
-			}
-			if math.Float64bits(q.cosLat) != math.Float64bits(cosLat) ||
-				math.Float64bits(q.kx) != math.Float64bits(metersPerDegree*grid.minMidCos(p.Lat)) {
-				t.Fatalf("Prepare(%v) = %+v, want cosLat %v and kx %v", p, q, cosLat, metersPerDegree*grid.minMidCos(p.Lat))
+			if math.Float64bits(q.kx) != math.Float64bits(metersPerDegree*grid.minMidCos(p.Lat)) {
+				t.Fatalf("Prepare(%v) = %+v, want kx %v", p, q, metersPerDegree*grid.minMidCos(p.Lat))
 			}
 			points = append(points, prepared{p, q})
 		}
@@ -227,7 +222,7 @@ func TestPreparedQueriesMatchPointForms(t *testing.T) {
 					where := fmt.Sprintf("round %d p=%v radius=%v", round, pp.p, radius)
 					want := ix.Within(pp.p, radius)
 					buf = ix.AppendInRadius(buf[:0], pp.p, pp.q, radius)
-					if slices.SortFunc(buf, nearCmp); !sameNeighbors(buf, want) {
+					if slices.SortFunc(buf, NearCmp); !sameNeighbors(buf, want) {
 						t.Fatalf("%s: AppendInRadius: %s", where, firstDiff(buf, want))
 					}
 					for _, k := range []int{1, 5, 16} {

@@ -8,9 +8,14 @@
 // container/heap's makes on the same slice — a sift-down takes the
 // right child only when it is strictly less than the left, and moves
 // a child only when it is strictly less than the sifted element — so
-// the slice's layout, and with it the order equal keys and NaN scores
+// the heap's layout, and with it the order equal keys and NaN scores
 // pop in, is container/heap's. The sifts move a hole instead of
-// swapping: the sifted element is written once, where it stops.
+// swapping: the sifted element is written once, where it stops. One
+// difference shows past the heap's end: Pop leaves the cell it vacates
+// holding the old last element, which container/heap's swaps the popped
+// root into. Popping a slice down therefore loses the popped elements
+// from its backing array and duplicates others; a caller that needs
+// the elements afterwards heaps a copy.
 package heapq
 
 // Init establishes the heap order on h in O(len(h)).
@@ -26,7 +31,9 @@ func Push[T any](h *[]T, x T, less func(a, b T) bool) {
 	Up(*h, len(*h)-1, less)
 }
 
-// Pop removes and returns the root of *h, which must not be empty.
+// Pop removes and returns the root of *h, which must not be empty. The
+// cell it vacates, just past the shortened *h, keeps the old last
+// element.
 func Pop[T any](h *[]T, less func(a, b T) bool) T {
 	q := *h
 	n := len(q) - 1

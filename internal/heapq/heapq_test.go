@@ -108,3 +108,19 @@ func TestPushPopAllocateNothing(t *testing.T) {
 		t.Errorf("64 pushes + 64 pops allocated %v objects, want 0", n)
 	}
 }
+
+// TestPopLeavesLastInVacatedCell pins what a popped-down slice's
+// backing array holds, which callers that reuse it must not mistake
+// for a permutation: each Pop leaves its vacated cell holding the old
+// last element, so popped elements are gone and others repeat.
+func TestPopLeavesLastInVacatedCell(t *testing.T) {
+	h := []int{1, 2, 3}
+	less := func(a, b int) bool { return a < b }
+	full := h
+	for len(h) > 0 {
+		Pop(&h, less)
+	}
+	if want := []int{3, 3, 3}; !slices.Equal(full, want) {
+		t.Fatalf("popped-down array = %v, want %v", full, want)
+	}
+}

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"mrvd/internal/geo"
 	"mrvd/internal/roadnet"
 )
@@ -37,24 +35,34 @@ type batchArena struct {
 	riders       []*Rider
 	riderRegion  []geo.RegionID
 
-	// cand holds every waiting rider's candidate drivers back to back;
-	// rider wi's are cand[candEnd[wi-1]:candEnd[wi]].
-	cand    []geo.Neighbor
-	candEnd []int
+	// cand holds every waiting rider's candidate drivers back to back,
+	// rider r's at cand[r.candLo:r.candHi]. prevCand is the last build's
+	// cand, whose lists this build's riders carry forward
+	// (Engine.candidates); the two swap every build. drained[id] is the
+	// number of the last build whose change log named driver id, and
+	// joined lists the drivers this build's log names that the index
+	// holds.
+	cand, prevCand []geo.Neighbor
+	drained        []uint32
+	joined         []int32
+	// near is the pair loop's heap over one rider's candidates. It is a
+	// copy: heapq.Pop overwrites the cells it vacates, and the list must
+	// reach the next build intact. With a batch coster, candAt[id] is
+	// the index in cand, and in pairCost, of driver id's entry in the
+	// rider's list.
+	near   []geo.Neighbor
+	candAt []int32
 	// targets (rider pickups) and sources (unique candidate drivers'
-	// positions) are the cost matrix's columns and rows; sourceSlot is
+	// positions) are the CostPairs call's columns and rows; sourceSlot is
 	// each source's driver slot, and driverRow maps a driver slot to its
 	// row, -1 when it is nobody's candidate — kept -1 everywhere but at
 	// sourceSlot's cells, across batches, so a batch resets only those.
 	targets, sources []geo.Point
 	sourceSlot       []int32
 	driverRow        []int32
-	// rows are the batch's sparse cost rows, nil until first touched and
-	// then carved from slab. A batch coster fills them from one CostPairs
-	// call: pairSrc (source row) and pairTgt (rider) list the candidate
-	// pairs, pairCost receives their prices.
-	rows             [][]float64
-	slab             []float64
+	// A batch coster prices the candidate pairs in one CostPairs call:
+	// pairSrc (source row) and pairTgt (rider) list them in cand's
+	// order, pairCost receives their prices.
 	pairSrc, pairTgt []int32
 	pairCost         []float64
 	pairs            []Pair
@@ -76,21 +84,6 @@ func newBatchArena(numRegions int) batchArena {
 		waitingPerRegion:   make([]int, numRegions),
 		availablePerRegion: make([]int, numRegions),
 	}
-}
-
-// costRow carves one NaN-filled (unpriced) cost row of the given width
-// from the slab. A full slab is replaced, not grown in place: rows
-// already handed out this batch keep pointing into the old one.
-func (a *batchArena) costRow(width int) []float64 {
-	if len(a.slab)+width > cap(a.slab) {
-		a.slab = make([]float64, 0, max(2*cap(a.slab), 16*width))
-	}
-	row := a.slab[len(a.slab) : len(a.slab)+width]
-	a.slab = a.slab[:len(a.slab)+width]
-	for j := range row {
-		row[j] = math.NaN()
-	}
-	return row
 }
 
 // densePairs adapts a BatchCoster that has only Costs to the one

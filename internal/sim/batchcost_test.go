@@ -269,9 +269,19 @@ func TestApplyPricesUnpairedTrip(t *testing.T) {
 	}
 }
 
-// TestContextPickupCostMatrixAndFallback covers the costMatrix accessors
-// and the Coster fallback for pairs outside the priced candidate set.
-func TestContextPickupCostMatrixAndFallback(t *testing.T) {
+// countedCoster counts the Cost queries it answers.
+type countedCoster struct {
+	roadnet.Coster
+	calls *int
+}
+
+func (c countedCoster) Cost(a, b geo.Point) float64 { *c.calls++; return c.Coster.Cost(a, b) }
+
+// TestContextPickupCostPairsAndFallback holds PickupCost to its
+// contract: a valid pair's cost is the Pair's, equal to Coster.Cost and
+// read without a query; any other cell — here a driver no patience
+// radius reaches — is one Coster query with the same answer.
+func TestContextPickupCostPairsAndFallback(t *testing.T) {
 	pickup := center()
 	orders := []trace.Order{{
 		ID: 0, PostTime: 10, Pickup: pickup,
@@ -280,28 +290,22 @@ func TestContextPickupCostMatrixAndFallback(t *testing.T) {
 	}}
 	near := offset(pickup, 400)
 	far := offset(pickup, 30000) // outside any patience radius
-	e := NewWithSource(simpleConfig(), NewSliceSource(orders), []geo.Point{near, far})
+	calls := 0
+	cfg := simpleConfig()
+	cfg.Coster = countedCoster{roadnet.NewDefaultCoster(), &calls}
+	e := NewWithSource(cfg, NewSliceSource(orders), []geo.Point{near, far})
 	e.admitOrders(11)
 	ctx := e.buildContext(11)
-	if len(ctx.Riders) != 1 || len(ctx.Drivers) != 2 {
-		t.Fatalf("context has %d riders / %d drivers", len(ctx.Riders), len(ctx.Drivers))
+	if len(ctx.Riders) != 1 || len(ctx.Drivers) != 2 || len(ctx.Pairs) != 1 || ctx.Pairs[0].D != 0 {
+		t.Fatalf("context has %d riders / %d drivers / pairs %+v", len(ctx.Riders), len(ctx.Drivers), ctx.Pairs)
 	}
-	// The near driver is priced in the matrix.
-	want := ctx.Coster.Cost(near, pickup)
-	if got, ok := ctx.pickupCosts.cost(0, 0); !ok || got != want {
-		t.Fatalf("matrix cost = %v (ok=%v), want %v", got, ok, want)
-	}
-	if row := ctx.pickupCosts.row(0); len(row) != 1 || row[0] != want {
-		t.Fatalf("matrix row = %v, want [%v]", row, want)
-	}
-	// The far driver never became a candidate: no row, and PickupCost
-	// falls back to a live Coster query with the same answer.
-	if row := ctx.pickupCosts.row(1); row != nil {
-		t.Fatalf("far driver has matrix row %v, want none", row)
-	}
-	// (The engine clamps starts to the grid, so compare against the
-	// driver's actual position, not the raw far point.)
-	if got := ctx.PickupCost(1, 0); got != ctx.Coster.Cost(ctx.Drivers[1].Pos, pickup) {
-		t.Fatalf("fallback pickup cost = %v", got)
+	// (The engine clamps starts to the grid, so the costs are taken from
+	// the drivers' actual positions, not the raw points.)
+	for d, wantCalls := range []int{0, 1} {
+		want := roadnet.NewDefaultCoster().Cost(ctx.Drivers[d].Pos, pickup)
+		calls = 0
+		if got := ctx.PickupCost(int32(d), 0); got != want || calls != wantCalls {
+			t.Errorf("PickupCost(%d, 0) = %v after %d Coster queries, want %v after %d", d, got, calls, want, wantCalls)
+		}
 	}
 }

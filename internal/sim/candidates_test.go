@@ -76,3 +76,40 @@ func TestCandidatePairsPinned(t *testing.T) {
 		})
 	}
 }
+
+// riderCount hands each batch on after counting the riders it holds:
+// every rider-batch, and every distinct rider.
+type riderCount struct {
+	sim.Dispatcher
+	seen         map[*sim.Rider]bool
+	riderBatches int
+}
+
+func (c *riderCount) Assign(ctx *sim.Context) []sim.Assignment {
+	for _, r := range ctx.Riders {
+		c.seen[r] = true
+	}
+	c.riderBatches += len(ctx.Riders)
+	return c.Dispatcher.Assign(ctx)
+}
+
+// TestGridScansOncePerAdmission pins the candidate search's work in
+// radius mode: a rider's list carries from batch to batch, so the
+// engine scans the grid once per rider that reaches a batch — not once
+// per batch each rider waits, which is how often a search that
+// rebuilds every list scans it.
+func TestGridScansOncePerAdmission(t *testing.T) {
+	orders, starts, grid := peakHour(28000, 600, 800)
+	e := sim.New(sim.Config{Grid: grid, Delta: 3, TC: 1200, Horizon: 2 * 3600}, orders, starts)
+	c := &riderCount{Dispatcher: &dispatch.IRG{}, seen: map[*sim.Rider]bool{}}
+	if _, err := e.Run(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	if e.GridScans() != len(c.seen) {
+		t.Errorf("%d grid scans for %d riders that reached a batch, want one each", e.GridScans(), len(c.seen))
+	}
+	if c.riderBatches <= 2*len(c.seen) {
+		t.Errorf("%d rider-batches for %d riders: too few riders wait a second batch to show the carry", c.riderBatches, len(c.seen))
+	}
+	t.Logf("%d grid scans for %d orders; rebuilding every list would scan %d times", e.GridScans(), len(orders), c.riderBatches)
+}

@@ -1,44 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"mrvd/internal/geo"
 	"mrvd/internal/pool"
 	"mrvd/internal/roadnet"
 )
-
-// costMatrix is a batch's driver-to-pickup travel-cost matrix, sparse:
-// it holds the pairs the batch priced — every rider's candidate
-// drivers, in one roadnet.PairCoster call for a batch coster; the cells
-// the pair loop read, for a plain Coster — instead of per-pair Coster
-// calls in inner loops. Rows are the batch's candidate drivers, columns
-// its waiting riders (column index = rider index).
-type costMatrix struct {
-	rows      [][]float64
-	driverRow []int32 // driver slot -> row index, -1 when not a candidate
-}
-
-// row returns driver slot d's cost row over the batch's riders, or nil
-// when d was not a pricing candidate for any rider. Cells the batch
-// didn't price (a driver that is some other rider's candidate, not
-// this one's) hold NaN.
-func (m *costMatrix) row(d int32) []float64 {
-	if m == nil || d < 0 || int(d) >= len(m.driverRow) || m.driverRow[d] < 0 {
-		return nil
-	}
-	return m.rows[m.driverRow[d]]
-}
-
-// cost returns the priced pickup cost for (driver slot d, rider r) and
-// whether the matrix covers that pair.
-func (m *costMatrix) cost(d, r int32) (float64, bool) {
-	row := m.row(d)
-	if row == nil || r < 0 || int(r) >= len(row) || math.IsNaN(row[r]) {
-		return 0, false
-	}
-	return row[r], true
-}
 
 // Context is the batch snapshot handed to a Dispatcher: the waiting
 // riders, available drivers, precomputed valid pairs, per-region counts,
@@ -47,23 +17,18 @@ func (m *costMatrix) cost(d, r int32) (float64, bool) {
 //
 // Lifetime: the engine allocates the Context itself fresh every batch
 // (a *Context identifies its batch, so per-batch caches may key on it)
-// but every slice it carries, the pickup cost matrix's rows and the
-// Forecast's per-region memo live in the engine and are overwritten by
-// the next batch. A Context and everything reachable from it are valid
-// only until the call it was passed to returns; copy what must outlive
-// that.
+// but every slice it carries and the Forecast's per-region memo live
+// in the engine and are overwritten by the next batch. A Context and
+// everything reachable from it are valid only until the call it was
+// passed to returns; copy what must outlive that.
 type Context struct {
 	Now  float64
 	TC   float64 // scheduling window length t_c in seconds
 	Grid *geo.Grid
 	// Coster prices travel for what-if costs the batch didn't cover;
-	// every valid pair already carries its two legs, and candidate
-	// pickup costs are precomputed — prefer PickupCost over calling
-	// Coster.Cost in inner loops.
+	// every valid pair already carries its two legs — prefer a Pair's
+	// costs, or PickupCost, over calling Coster.Cost in inner loops.
 	Coster roadnet.Coster
-	// pickupCosts is the batch's precomputed driver-to-pickup cost
-	// matrix; PickupCost is the checked accessor over it.
-	pickupCosts *costMatrix
 
 	// Riders are the batch's waiting riders; Drivers its available
 	// drivers. Dispatchers must treat both as read-only.
@@ -157,11 +122,16 @@ type Dispatcher interface {
 }
 
 // PickupCost returns the travel cost from driver slot d to rider r's
-// pickup. Pairs the batch matrix covers are O(1) lookups; anything else
-// falls back to a single-pair Coster query.
+// pickup: the Pair's PickupCost when (r, d) is a valid pair of the
+// batch — found in r's group of Pairs, at most maxCandidatesPerRider
+// long — and otherwise a single-pair Coster query, which prices it
+// bitwise the same.
 func (ctx *Context) PickupCost(d, r int32) float64 {
-	if v, ok := ctx.pickupCosts.cost(d, r); ok {
-		return v
+	i, _ := slices.BinarySearchFunc(ctx.Pairs, r, func(p Pair, r int32) int { return cmp.Compare(p.R, r) })
+	for ; i < len(ctx.Pairs) && ctx.Pairs[i].R == r; i++ {
+		if ctx.Pairs[i].D == d {
+			return ctx.Pairs[i].PickupCost
+		}
 	}
 	return ctx.Coster.Cost(ctx.Drivers[d].Pos, ctx.Riders[r].Order.Pickup)
 }

@@ -1,13 +1,13 @@
 // Package sim is the dynamic car-hailing simulator: it replays an order
 // trace against a fleet of drivers under the paper's batch-based
 // processing model (Algorithm 1). Every Delta seconds the engine collects
-// waiting riders and available drivers, prunes candidate drivers per
-// rider on the spatial index (patience radius, optional k-nearest cap),
-// prices every rider's candidate drivers in one roadnet.PairCoster
-// call (a sparse driver×rider pickup-cost matrix), and derives the valid rider-and-driver
-// pairs of Definition 3 (driver can reach the pickup before the rider's
-// deadline) as feasibility-filtered matrix lookups. The batch Context —
-// pairs, matrix, per-region counts and predictions — goes to a
+// waiting riders and available drivers, keeps each rider's candidate
+// drivers on the spatial index (patience radius, optional k-nearest
+// cap; scanned once per rider and then patched from the index's change
+// log), prices them — in one roadnet.PairCoster call for a batch
+// coster — and derives the valid rider-and-driver pairs of Definition 3
+// (driver can reach the pickup before the rider's deadline). The batch
+// Context — pairs, per-region counts and predictions — goes to a
 // pluggable Dispatcher. Committed assignments make drivers busy for the
 // pickup leg plus the trip; riders not picked before their deadline
 // renege.

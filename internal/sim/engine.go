@@ -197,6 +197,10 @@ type Engine struct {
 
 	// arena is the per-batch scratch buildContext and apply reuse.
 	arena batchArena
+	// builds numbers the buildContext calls, from 1; scans counts the
+	// grid scans candidates made.
+	builds uint32
+	scans  int
 
 	// scen is the disruption machinery, nil when Config.Scenario is
 	// zero-valued — the scenario-free path pays no draws and no checks
@@ -710,19 +714,16 @@ func (e *Engine) renegeExpired(now float64) {
 	e.waiting = kept
 }
 
-// buildContext snapshots the batch state, prices the batch's candidate
-// driver-to-pickup pairs in one PairCoster call, precomputes valid
-// pairs as matrix lookups, and prices the trips their riders hold for
-// the first time (priceTrips). Every slice is the arena's; the header
-// (Context plus costMatrix, one object) must stay fresh — dispatchers
-// key per-batch caches on the *Context they were handed.
+// buildContext snapshots the batch state, gathers each waiting rider's
+// candidate drivers (Engine.candidates), prices the candidate
+// driver-to-pickup pairs — in one PairCoster call for a batch coster —
+// precomputes the valid pairs, and prices the trips their riders hold
+// for the first time (priceTrips). Every slice is the arena's; the
+// Context itself must stay fresh — dispatchers key per-batch caches on
+// the *Context they were handed.
 func (e *Engine) buildContext(now float64) *Context {
 	grid := e.cfg.Grid
 	a := &e.arena
-	frame := &struct {
-		ctx   Context
-		costs costMatrix
-	}{}
 	e.fc.begin(now)
 	// The last batch's riders are uncounted instead of clearing every
 	// region.
@@ -730,121 +731,105 @@ func (e *Engine) buildContext(now float64) *Context {
 		a.waitingPerRegion[k]--
 	}
 
-	// Available drivers, in id order for determinism.
+	// Available drivers, in id order for determinism. The change log the
+	// patch drains names the drivers every carried list must re-test.
+	e.builds++
 	e.patchDriverTable()
+	regions := e.idx.Regions()
+	a.joined = a.joined[:0]
+	for _, id := range a.changed {
+		a.drained[id] = e.builds
+		if regions[id] >= 0 {
+			a.joined = append(a.joined, id)
+		}
+	}
 
-	// Waiting riders and their candidate drivers. Candidates come from
-	// the spatial index — every available driver within the radius the
-	// rider's remaining patience allows, optionally pre-filtered to the
-	// CandidateCap nearest — and are priced below in one many-to-many
-	// batch instead of per-pair Coster calls. The pair loop reads each
-	// rider's candidates nearest-first through a heap, so they are
-	// gathered unsorted; lazy pricing stops reading once the rider's
-	// pairs are found, a batch coster prices them all (per pair, so in
-	// any order).
+	// Waiting riders and their candidate drivers, in no particular
+	// order: the pair loop reads each rider's nearest-first through a
+	// heap, and a batch coster prices them all (per pair, so in any
+	// order).
 	a.riders, a.riderRegion = a.riders[:0], a.riderRegion[:0]
-	a.cand, a.candEnd, a.targets = a.cand[:0], a.candEnd[:0], a.targets[:0]
+	a.cand, a.prevCand = a.prevCand[:0], a.cand
+	a.targets = a.targets[:0]
 	for _, r := range e.waiting {
 		a.riders = append(a.riders, r)
 		a.riderRegion = append(a.riderRegion, r.PickupRegion)
 		a.waitingPerRegion[r.PickupRegion]++
-
-		slack := r.Order.Deadline - now
-		radius := slack * radiusSpeedMPS
-		if e.cfg.CandidateCap > 0 {
-			a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, r.scan, e.cfg.CandidateCap, radius)
-		} else {
-			a.cand = e.idx.AppendInRadius(a.cand, r.Order.Pickup, r.scan, radius)
-		}
-		a.candEnd = append(a.candEnd, len(a.cand))
+		lo := len(a.cand)
+		e.candidates(r, (r.Order.Deadline-now)*radiusSpeedMPS)
+		r.candLo, r.candHi, r.candBuild = int32(lo), int32(len(a.cand)), e.builds
 		a.targets = append(a.targets, r.Order.Pickup)
 	}
 
-	// The batch's unique candidate drivers, in first-appearance order,
-	// form the cost matrix's source rows. driverRow is -1 but at the
-	// slots the last batch's sources held, which are cleared first.
-	for _, slot := range a.sourceSlot {
-		a.driverRow[slot] = -1
-	}
-	for len(a.driverRow) < len(a.drivers) {
-		a.driverRow = append(a.driverRow, -1)
-	}
-	a.sources, a.sourceSlot = a.sources[:0], a.sourceSlot[:0]
-	for _, nb := range a.cand {
-		if slot := a.driverSlot[nb.ID]; a.driverRow[slot] == -1 {
-			a.driverRow[slot] = int32(len(a.sources))
-			a.sources = append(a.sources, a.drivers[slot].Pos)
-			a.sourceSlot = append(a.sourceSlot, slot)
-		}
-	}
-
-	// Price the matrix: sparse rows, NaN where nobody priced (costMatrix
-	// reports such a cell as uncovered), carved from the arena's slab
-	// on first touch. Batched mode (see Engine.dense) issues the one
-	// call per batch the API documents, over every rider's candidates
-	// — what lets a graph coster run one Dijkstra per unique source,
-	// truncated at that driver's own farthest candidate rider, or a
-	// remote coster batch its round-trips. Lazy mode (plain Costers —
-	// closed forms, nothing to amortize) prices in the pair loop below
-	// exactly the cells it reads. Either way the priced values are
-	// bitwise-identical to per-pair Coster queries.
-	a.rows = slices.Grow(a.rows[:0], len(a.sources))[:len(a.sources)]
-	clear(a.rows)
-	a.slab = a.slab[:0]
-	costs := a.rows
+	// A batch coster (see Engine.dense) prices every rider's candidates
+	// in the one call per batch the API documents — what lets a graph
+	// coster run one Dijkstra per unique source, truncated at that
+	// driver's own farthest candidate rider, or a remote coster batch its
+	// round-trips. The batch's unique candidate drivers, in
+	// first-appearance order, are its sources; driverRow is -1 but at
+	// the slots the last batch's sources held, which are cleared first.
+	// A plain Coster (closed forms, nothing to amortize) prices in the
+	// pair loop below exactly the cells it reads. Either way the prices
+	// are bitwise-identical to per-pair Coster queries.
 	if e.dense != nil {
+		for _, slot := range a.sourceSlot {
+			a.driverRow[slot] = -1
+		}
+		for len(a.driverRow) < len(a.drivers) {
+			a.driverRow = append(a.driverRow, -1)
+		}
+		a.sources, a.sourceSlot = a.sources[:0], a.sourceSlot[:0]
 		a.pairSrc, a.pairTgt = a.pairSrc[:0], a.pairTgt[:0]
-		lo := 0
-		for wi, end := range a.candEnd {
-			for _, nb := range a.cand[lo:end] {
-				a.pairSrc = append(a.pairSrc, a.driverRow[a.driverSlot[nb.ID]])
+		for wi, r := range e.waiting {
+			for _, nb := range a.cand[r.candLo:r.candHi] {
+				slot := a.driverSlot[nb.ID]
+				if a.driverRow[slot] == -1 {
+					a.driverRow[slot] = int32(len(a.sources))
+					a.sources = append(a.sources, a.drivers[slot].Pos)
+					a.sourceSlot = append(a.sourceSlot, slot)
+				}
+				a.pairSrc = append(a.pairSrc, a.driverRow[slot])
 				a.pairTgt = append(a.pairTgt, int32(wi))
 			}
-			lo = end
 		}
 		a.pairCost = slices.Grow(a.pairCost[:0], len(a.pairSrc))[:len(a.pairSrc)]
 		e.dense.CostPairs(a.sources, a.targets, a.pairSrc, a.pairTgt, a.pairCost)
-		for k, row := range a.pairSrc {
-			if costs[row] == nil {
-				costs[row] = a.costRow(len(a.targets))
-			}
-			costs[row][a.pairTgt[k]] = a.pairCost[k]
-		}
 	}
-	frame.costs = costMatrix{rows: costs, driverRow: a.driverRow[:len(a.drivers)]}
 
-	// Valid pairs (Definition 3) become matrix lookups: candidates are
-	// taken nearest-first and kept while the driver can reach the
-	// pickup before the deadline, up to maxCandidatesPerRider feasible
-	// pairs per rider. Lazily priced cells preserve the per-pair path's
-	// work profile — pricing stops with the cap, not at the radius. The
-	// heap yields Within's order whether or not the candidates arrived
-	// sorted, and leaves a.cand permuted.
+	// Valid pairs (Definition 3): candidates are taken nearest-first and
+	// kept while the driver can reach the pickup before the deadline, up
+	// to maxCandidatesPerRider feasible pairs per rider. Lazily priced
+	// cells preserve the per-pair path's work profile — pricing stops
+	// with the cap, not at the radius. The heap runs on a copy of the
+	// rider's list (see arena.near); a batch coster's prices are found
+	// through candAt.
 	a.pairs, a.unpriced = a.pairs[:0], a.unpriced[:0]
-	lo := 0
 	for wi, r := range e.waiting {
-		found := 0
-		near := a.cand[lo:a.candEnd[wi]]
+		list := a.cand[r.candLo:r.candHi]
+		if e.dense != nil {
+			for k, nb := range list {
+				a.candAt[nb.ID] = int32(r.candLo) + int32(k)
+			}
+		}
+		near := append(a.near[:0], list...)
+		a.near = near
 		heapq.Init(near, geo.NearLess)
+		found := 0
 		for found < maxCandidatesPerRider && len(near) > 0 {
 			nb := heapq.Pop(&near, geo.NearLess)
-			slot := a.driverSlot[nb.ID]
-			row := costs[a.driverRow[slot]]
-			if row == nil {
-				row = a.costRow(len(a.targets))
-				costs[a.driverRow[slot]] = row
+			pc := math.NaN()
+			if e.dense != nil {
+				pc = a.pairCost[a.candAt[nb.ID]]
 			}
-			pc := row[wi]
 			if math.IsNaN(pc) {
 				pc = e.cfg.Coster.Cost(e.drivers[nb.ID].Pos, a.targets[wi])
-				row[wi] = pc
 			}
 			if now+pc > r.Order.Deadline {
 				continue
 			}
 			a.pairs = append(a.pairs, Pair{
 				R:          int32(wi),
-				D:          slot,
+				D:          a.driverSlot[nb.ID],
 				PickupCost: pc,
 				DestRegion: r.DestRegion,
 			})
@@ -853,7 +838,6 @@ func (e *Engine) buildContext(now float64) *Context {
 		if found > 0 && math.IsNaN(r.TripCost) {
 			a.unpriced = append(a.unpriced, r)
 		}
-		lo = a.candEnd[wi]
 	}
 	// Pairs are naturally grouped by rider; sort each rider's group by
 	// pickup cost (Within already yields distance order, but the coster
@@ -864,12 +848,11 @@ func (e *Engine) buildContext(now float64) *Context {
 		}
 		return cmp.Compare(x.PickupCost, y.PickupCost)
 	})
-	frame.ctx = Context{
+	ctx := &Context{
 		Now:                now,
 		TC:                 e.cfg.TC,
 		Grid:               grid,
 		Coster:             e.cfg.Coster,
-		pickupCosts:        &frame.costs,
 		Riders:             a.riders,
 		Drivers:            a.drivers,
 		Pairs:              a.pairs,
@@ -888,9 +871,68 @@ func (e *Engine) buildContext(now float64) *Context {
 	}
 	e.priceTrips()
 	if e.ps != nil {
-		e.buildPoolOptions(&frame.ctx, plans, cands)
+		e.buildPoolOptions(ctx, plans, cands)
 	}
-	return &frame.ctx
+	return ctx
+}
+
+// candidates appends to the arena's cand rider r's candidate drivers:
+// every available driver within radius of the pickup — the distance the
+// rider's remaining patience allows — or, with a CandidateCap, the
+// CandidateCap nearest of them in nearest-first order. A rider the last
+// build listed carries its list forward, patched from this build's
+// change log (arena.changed, its indexed ids arena.joined); any other
+// scans the index.
+//
+// The patch is exact, for four reasons. The deadline is fixed at
+// admission and now only grows, so the radius only shrinks: an entry
+// stays a candidate exactly when its distance, which has not changed,
+// is still within it. The index holds exactly the available drivers,
+// and an indexed driver's membership and position change only through
+// logged operations (geo.Index.Move logs a move within a region too):
+// a driver the log does not name is where it was, and a driver that
+// was no candidate and is not named still is none. The log's indexed
+// drivers are tested afresh, by the scan's own per-item test
+// (AppendListed). And a list is carried only from the build
+// immediately before, whose index state the log is a diff from.
+//
+// A capped list is the nearest-first prefix of the in-radius drivers.
+// Entries the shrunken radius drops are its farthest, so what remains
+// is still a prefix; joiners are sorted into it and the list is cut
+// back to the cap. Only a full list that lost a logged member rescans:
+// a driver beyond the cap may now belong in it.
+func (e *Engine) candidates(r *Rider, radius float64) {
+	a := &e.arena
+	k := e.cfg.CandidateCap
+	lo := len(a.cand)
+	if r.candBuild != 0 && r.candBuild == e.builds-1 {
+		lost := false
+		for _, nb := range a.prevCand[r.candLo:r.candHi] {
+			if a.drained[nb.ID] == e.builds {
+				lost = true
+			} else if nb.Distance <= radius {
+				a.cand = append(a.cand, nb)
+			}
+		}
+		if k <= 0 || !lost || int(r.candHi-r.candLo) < k {
+			kept := len(a.cand)
+			if len(a.joined) > 0 {
+				a.cand = e.idx.AppendListed(a.cand, r.Order.Pickup, r.scan, radius, a.joined)
+			}
+			if k > 0 && len(a.cand) > kept {
+				slices.SortFunc(a.cand[lo:], geo.NearCmp)
+				a.cand = a.cand[:min(lo+k, len(a.cand))]
+			}
+			return
+		}
+		a.cand = a.cand[:lo]
+	}
+	e.scans++
+	if k > 0 {
+		a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, r.scan, k, radius)
+	} else {
+		a.cand = e.idx.AppendInRadius(a.cand, r.Order.Pickup, r.scan, radius)
+	}
 }
 
 // priceTrips prices the trips the batch reads that no earlier batch
@@ -931,18 +973,21 @@ func (e *Engine) priceTrips() {
 // patchDriverTable brings the driver table — Drivers, DriverRegion,
 // the slot table and AvailablePerRegion — up to date with the index,
 // which holds exactly the available fleet: no Driver is loaded to
-// learn it is busy. The index logs every id whose membership or region
-// changed since the last drain. Their old regions are uncounted, the
-// ids sorted and merged into the id-ordered table from the first slot
-// at or past the lowest of them — the prefix below it stands — and
-// their new regions counted. Positions are read through the table's
-// pointers, so a move within a region needs no patch. A grown fleet
-// (AddDriver) may have moved e.drivers, whose elements the table
-// points at: the pointers are re-seated.
+// learn it is busy. The index logs every id whose membership or
+// position changed since the last drain. Their old regions are
+// uncounted, the ids sorted and merged into the id-ordered table from
+// the first slot at or past the lowest of them — the prefix below it
+// stands — and their new regions counted: an id logged for a move
+// within its region keeps its slot, region and count. Positions are
+// read through the table's pointers. A grown fleet (AddDriver) may
+// have moved e.drivers, whose elements the table points at: the
+// pointers are re-seated.
 func (e *Engine) patchDriverTable() {
 	a := &e.arena
 	if n := len(e.drivers); len(a.driverSlot) != n {
 		a.driverSlot = slices.Grow(a.driverSlot, n-len(a.driverSlot))[:n]
+		a.drained = slices.Grow(a.drained, n-len(a.drained))[:n]
+		a.candAt = slices.Grow(a.candAt, n-len(a.candAt))[:n]
 		for slot, id := range a.driverID {
 			a.drivers[slot] = &e.drivers[id]
 		}
@@ -1031,9 +1076,9 @@ func (e *Engine) apply(now float64, ctx *Context, assignments []Assignment) erro
 
 		pickupCost := 0.0
 		if !a.IgnorePickup {
-			// The batch matrix already priced every candidate pair; only
-			// assignments outside it (custom dispatchers straying from
-			// ctx.Pairs) fall back to a fresh Coster query.
+			// The batch already priced every valid pair; only assignments
+			// outside ctx.Pairs (custom dispatchers straying from them)
+			// fall back to a fresh Coster query.
 			pickupCost = ctx.PickupCost(a.D, a.R)
 			if now+pickupCost > rider.Order.Deadline {
 				return fmt.Errorf("sim: driver %d cannot reach rider %d before deadline (%.1f > %.1f)",

@@ -11,3 +11,7 @@ func (e *Engine) RejoinTimes() [][]float64 {
 	}
 	return out
 }
+
+// GridScans returns how many grid scans the engine's candidate search
+// has made.
+func (e *Engine) GridScans() int { return e.scans }

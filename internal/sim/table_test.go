@@ -127,3 +127,33 @@ func TestDriverTableReuseMatchesRebuild(t *testing.T) {
 	}
 	t.Logf("%d batches reused the driver table, %d patched it (%d in waves); AddDriver moved the fleet %d times", reused, patched, waves, moved)
 }
+
+// TestDriverTablePatchIgnoresInRegionMove: a driver the index logs for
+// a move within its region — the log names every change of position —
+// keeps its slot, its region and its region's count when the table is
+// patched, and every other driver keeps theirs.
+func TestDriverTablePatchIgnoresInRegionMove(t *testing.T) {
+	grid := geo.NewNYCGrid()
+	drivers := []geo.Point{grid.Center(40), grid.Center(120), grid.Center(200)}
+	e := New(simpleConfig(), nil, drivers)
+	e.patchDriverTable()
+	a := &e.arena
+	ids, slots := slices.Clone(a.driverID), slices.Clone(a.driverSlot)
+	table, regions, avail := slices.Clone(a.drivers), slices.Clone(a.driverRegion), slices.Clone(a.availablePerRegion)
+
+	p, _ := e.idx.Position(1)
+	moved := geo.Point{Lng: p.Lng + 1e-4, Lat: p.Lat}
+	if r, _ := e.idx.RegionOf(1); e.cfg.Grid.Region(moved) != r {
+		t.Fatal("the move leaves the driver's region")
+	}
+	e.idx.Move(1, moved)
+	e.patchDriverTable()
+	if !slices.Equal(a.changed, []int32{1}) {
+		t.Fatalf("the patch drained %v, want the moved driver [1]", a.changed)
+	}
+	if !slices.Equal(a.driverID, ids) || !slices.Equal(a.driverSlot, slots) || !slices.Equal(a.drivers, table) ||
+		!slices.Equal(a.driverRegion, regions) || !slices.Equal(a.availablePerRegion, avail) {
+		t.Fatalf("an in-region move changed the table: ids %v slots %v regions %v, want %v %v %v",
+			a.driverID, a.driverSlot, a.driverRegion, ids, slots, regions)
+	}
+}

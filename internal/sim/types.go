@@ -84,9 +84,13 @@ type Rider struct {
 	// patience model. 0 means the rider waits to the deadline.
 	CancelAt float64
 	// scan is the pickup's geometry prepared for the available-driver
-	// index at admission: the rider's candidate scan runs once per
-	// batch it waits, the pickup never moves.
+	// index at admission: the pickup never moves.
 	scan geo.Query
+	// candLo and candHi delimit the rider's candidate drivers in the
+	// arena's cand of the build numbered candBuild (0: no build yet),
+	// which the next build carries forward (Engine.candidates).
+	candLo, candHi int32
+	candBuild      uint32
 }
 
 // Pair is one valid rider-and-driver dispatching pair of Definition 3,
