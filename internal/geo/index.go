@@ -202,21 +202,11 @@ func (ix *Index) Prepare(p Point) Query {
 // then id (for determinism). It scans only the grid cells intersecting
 // the query circle.
 func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
-	ns := ix.scan(nil, p, ix.Prepare(p), scanAll, radiusMeters)
-	slices.SortFunc(ns, NearCmp)
-	return ns
+	return ix.AppendNearest(nil, p, ix.Prepare(p), scanAll, radiusMeters)
 }
 
-// AppendInRadius appends Within's items to dst unordered, for a caller
-// that keeps the buffer across queries and reads the items
-// nearest-first: a heapq on NearLess yields Within's order one item at
-// a time without sorting a tail the caller never reaches. q is p's Query.
-func (ix *Index) AppendInRadius(dst []Neighbor, p Point, q Query, radiusMeters float64) []Neighbor {
-	return ix.scan(dst, p, q, scanAll, radiusMeters)
-}
-
-// AppendListed appends, in ids' order, each of ids that AppendInRadius
-// would append: the indexed ones within radiusMeters of p, by the same
+// AppendListed appends, in ids' order, each of ids that Within would
+// return: the indexed ones within radiusMeters of p, by the same
 // test and distance. It is how a caller that keeps a query's result
 // while the index changes brings it up to date from DrainChanges' ids
 // without visiting a cell.
@@ -233,23 +223,29 @@ func (ix *Index) AppendListed(dst []Neighbor, p Point, q Query, radiusMeters flo
 }
 
 // Nearest returns up to k nearest items to p found within radiusMeters,
-// closest first (ties by id). It keeps the k best in a bounded
-// max-heap while scanning — O(n log k) against Within's O(n log n)
-// full sort, which matters when a dense fleet puts hundreds of
-// candidates in radius and the dispatcher caps at a dozen. The result
-// is identical to Within(p, radius)[:k].
+// closest first (ties by id), and nothing for k <= 0. It keeps the k
+// best in a bounded max-heap while scanning — O(n log k) against
+// Within's O(n log n) full sort, which matters when a dense fleet puts
+// hundreds of candidates in radius and the dispatcher caps at a dozen.
+// The result is identical to Within(p, radius)[:k].
 func (ix *Index) Nearest(p Point, k int, radiusMeters float64) []Neighbor {
+	if k <= 0 {
+		return nil
+	}
 	return ix.AppendNearest(nil, p, ix.Prepare(p), k, radiusMeters)
 }
 
-// AppendNearest appends Nearest's result for p, prepared as q, to dst
-// and returns the extended slice; the heap lives in dst's spare
-// capacity.
+// AppendNearest appends to dst, nearest-first, the k nearest items to
+// p, prepared as q, within radiusMeters — every one in radius for
+// k <= 0 — and returns the extended slice: Nearest's result for k > 0,
+// Within's for k <= 0. The bounded heap lives in dst's spare capacity.
 func (ix *Index) AppendNearest(dst []Neighbor, p Point, q Query, k int, radiusMeters float64) []Neighbor {
+	base := len(dst)
 	if k <= 0 {
+		dst = ix.scan(dst, p, q, scanAll, radiusMeters)
+		slices.SortFunc(dst[base:], NearCmp)
 		return dst
 	}
-	base := len(dst)
 	dst = ix.scan(slices.Grow(dst, k), p, q, k, radiusMeters)
 	// Drain the max-heap back-to-front for ascending order.
 	for h := dst[base:]; len(h) > 1; {
@@ -332,7 +328,7 @@ func (ix *Index) visit(dst []Neighbor, base int, ids []int32, p Point, kx float6
 		if len(h) < k {
 			heapq.Push(&h, nb, farther)
 			dst = dst[:base+len(h)]
-		} else if NearLess(nb, h[0]) {
+		} else if NearCmp(nb, h[0]) < 0 {
 			h[0] = nb
 			heapq.Down(h, 0, farther)
 		} else {
@@ -357,10 +353,6 @@ func NearCmp(a, b Neighbor) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// NearLess is NearCmp as a heapq order: a min-heap on it over a
-// neighbour slice pops exactly Within's sequence.
-func NearLess(a, b Neighbor) bool { return NearCmp(a, b) < 0 }
-
-// farther is NearLess reversed, the order of scan's bounded max-heap:
-// its root is the worst of the k best seen so far.
+// farther is NearCmp reversed as a heapq order, that of scan's bounded
+// max-heap: its root is the worst of the k best seen so far.
 func farther(a, b Neighbor) bool { return NearCmp(b, a) < 0 }

@@ -222,7 +222,7 @@ func TestIndexChangeLog(t *testing.T) {
 }
 
 // TestAppendListedMatchesScan: for any ids, AppendListed appends, in
-// ids' order, exactly the listed items AppendInRadius appends — the
+// ids' order, exactly the listed items Within returns — the
 // indexed ones within the radius, with the same distances — so a kept
 // radius result patched from the change log equals a fresh scan.
 func TestAppendListedMatchesScan(t *testing.T) {
@@ -247,7 +247,7 @@ func TestAppendListedMatchesScan(t *testing.T) {
 		q := ix.Prepare(p)
 		radius := rng.Float64() * 12000
 		in := make(map[int32]Neighbor)
-		for _, nb := range ix.AppendInRadius(nil, p, q, radius) {
+		for _, nb := range ix.Within(p, radius) {
 			in[nb.ID] = nb
 		}
 		var want []Neighbor

@@ -7,12 +7,12 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-
-	"mrvd/internal/heapq"
 )
 
 // TestNearestMatchesWithinTruncation: the bounded-heap selection must
-// return exactly Within's sorted prefix — same order, same ties.
+// return exactly Within's sorted prefix — same order, same ties — and
+// AppendNearest with k <= 0 all of Within's items, while Nearest with
+// k <= 0 returns nothing.
 func TestNearestMatchesWithinTruncation(t *testing.T) {
 	grid := NewNYCGrid()
 	ix := NewIndex(grid)
@@ -41,18 +41,19 @@ func TestNearestMatchesWithinTruncation(t *testing.T) {
 			Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
 		}
 		radius := rng.Float64() * 8000
-		buf = ix.AppendInRadius(buf[:1], p, ix.Prepare(p), radius)
-		slices.SortFunc(buf[1:], NearCmp)
-		appended("AppendInRadius, sorted,", trial, ix.Within(p, radius))
-		for _, k := range []int{0, 1, 5, 12, 100, 1000} {
+		for _, k := range []int{-1, 0} {
+			buf = ix.AppendNearest(buf[:1], p, ix.Prepare(p), k, radius)
+			appended(fmt.Sprintf("AppendNearest(k=%d)", k), trial, ix.Within(p, radius))
+			if got := ix.Nearest(p, k, radius); len(got) != 0 {
+				t.Fatalf("trial %d: Nearest(k=%d) = %v, want nothing", trial, k, got)
+			}
+		}
+		for _, k := range []int{1, 5, 12, 100, 1000} {
 			buf = ix.AppendNearest(buf[:1], p, ix.Prepare(p), k, radius)
 			appended("AppendNearest", trial, ix.Nearest(p, k, radius))
 			want := ix.Within(p, radius)
 			if len(want) > k {
 				want = want[:k]
-			}
-			if k == 0 {
-				want = nil
 			}
 			got := ix.Nearest(p, k, radius)
 			if len(got) == 0 && len(want) == 0 {
@@ -85,10 +86,12 @@ func TestNearestAfterRemovals(t *testing.T) {
 // TestQueriesMatchBruteForce: the scan's lower bound may only skip
 // items the real distance would reject. Over random fleets and queries
 // — query points outside the grid box and past the poles, items on cell
-// borders and stacked on one point, radius 0, a radius that is exactly
-// some item's distance, k beyond the fleet — Within and Nearest must
-// equal a brute-force Equirect scan sorted by NearCmp, element for
-// element, Distance bits included.
+// borders and stacked on one point (inserted in shuffled id order, so
+// no bucket lists ids ascending and ties are broken by id alone), query
+// points on an item, radius 0, a radius that is exactly some item's
+// distance, k beyond the fleet — Within and Nearest must equal a
+// brute-force Equirect scan sorted by NearCmp, element for element,
+// Distance bits included.
 func TestQueriesMatchBruteForce(t *testing.T) {
 	boxes := []BBox{
 		NYCBBox,
@@ -120,9 +123,10 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 				default:
 					p = Point{Lng: box.MinLng + rng.Float64()*w, Lat: box.MinLat + rng.Float64()*h}
 				}
-				p = box.Clamp(p) // what Insert stores
-				pts[id] = p
-				ix.Insert(int32(id), p)
+				pts[id] = box.Clamp(p) // what Insert stores
+			}
+			for _, id := range rng.Perm(len(pts)) {
+				ix.Insert(int32(id), pts[id])
 			}
 			for trial := 0; trial < 60; trial++ {
 				q := Point{Lng: box.MinLng + (rng.Float64()*1.6-0.3)*w, Lat: box.MinLat + (rng.Float64()*1.6-0.3)*h}
@@ -168,8 +172,8 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 // point is first seen serves every later scan of that point — the
 // fleet moving, joining and leaving in between, the radius shrinking —
 // with the results of the point forms, which prepare afresh, in both
-// modes: AppendInRadius, sorted, equals Within, and AppendNearest
-// equals Nearest. Points fall inside and outside the box and past ±89°
+// modes: AppendNearest equals Within with k = 0 and Nearest with
+// k > 0. Points fall inside and outside the box and past ±89°
 // of latitude; radii include 0, NaN and +Inf. The prepared field is
 // bitwise the expression a scan used to evaluate per call.
 func TestPreparedQueriesMatchPointForms(t *testing.T) {
@@ -221,9 +225,8 @@ func TestPreparedQueriesMatchPointForms(t *testing.T) {
 				for _, radius := range []float64{0, math.NaN(), math.Inf(1), rng.Float64() * 4000, rng.Float64() * 40000} {
 					where := fmt.Sprintf("round %d p=%v radius=%v", round, pp.p, radius)
 					want := ix.Within(pp.p, radius)
-					buf = ix.AppendInRadius(buf[:0], pp.p, pp.q, radius)
-					if slices.SortFunc(buf, NearCmp); !sameNeighbors(buf, want) {
-						t.Fatalf("%s: AppendInRadius: %s", where, firstDiff(buf, want))
+					if buf = ix.AppendNearest(buf[:0], pp.p, pp.q, 0, radius); !sameNeighbors(buf, want) {
+						t.Fatalf("%s: AppendNearest(0): %s", where, firstDiff(buf, want))
 					}
 					for _, k := range []int{1, 5, 16} {
 						want := ix.Nearest(pp.p, k, radius)
@@ -276,53 +279,5 @@ func TestQueriesAnyRadius(t *testing.T) {
 		if got := len(ix.grid.RegionsWithin(c, tc.radius)); tc.radius >= 1e12 && got != ix.grid.NumRegions() {
 			t.Errorf("RegionsWithin(radius %v) spans %d regions, want all %d", tc.radius, got, ix.grid.NumRegions())
 		}
-	}
-}
-
-// TestNearestFirstDrainsWithinOrder: AppendInRadius gathers Within's
-// items unordered, and draining a heapq on NearLess over them yields
-// Within's exact order — equal distances (stacked items, items on the
-// query point) broken by id, whatever order the buckets hold them in.
-func TestNearestFirstDrainsWithinOrder(t *testing.T) {
-	grid := NewNYCGrid()
-	ix := NewIndex(grid)
-	box := grid.Bounds()
-	rng := rand.New(rand.NewSource(11))
-	q := box.Center()
-	var pts []Point
-	for i := 0; i < 300; i++ {
-		pts = append(pts, Point{
-			Lng: q.Lng + (rng.Float64()-0.5)*0.05,
-			Lat: q.Lat + (rng.Float64()-0.5)*0.05,
-		})
-	}
-	// Stacks of three items on one spot, and three on the query point.
-	for i := 0; i < 60; i += 3 {
-		pts[i+1], pts[i+2] = pts[i], pts[i]
-	}
-	pts[297], pts[298], pts[299] = q, q, q
-	// Insert in a shuffled id order, so no bucket lists ids ascending.
-	for _, id := range rng.Perm(len(pts)) {
-		ix.Insert(int32(id), pts[id])
-	}
-	sentinel := Neighbor{ID: -1, Distance: -1}
-	for _, radius := range []float64{0, 150, 600, 1500, 3000, math.Inf(1)} {
-		want := ix.Within(q, radius)
-		buf := ix.AppendInRadius([]Neighbor{sentinel}, q, ix.Prepare(q), radius)
-		if buf[0] != sentinel || len(buf)-1 != len(want) {
-			t.Fatalf("radius %v: AppendInRadius = %d items after %v, want %d after the sentinel", radius, len(buf)-1, buf[0], len(want))
-		}
-		h := buf[1:]
-		heapq.Init(h, NearLess)
-		var got []Neighbor
-		for len(h) > 0 {
-			got = append(got, heapq.Pop(&h, NearLess))
-		}
-		if len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("radius %v: a heap on NearLess drains\n%v\nwant Within's\n%v", radius, got, want)
-		}
-	}
-	if n := len(ix.Within(q, 0)); n != 3 {
-		t.Fatalf("Within(q, 0) = %d items, want the 3 on the query point", n)
 	}
 }

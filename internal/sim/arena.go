@@ -36,22 +36,15 @@ type batchArena struct {
 	riderRegion  []geo.RegionID
 
 	// cand holds every waiting rider's candidate drivers back to back,
-	// rider r's at cand[r.candLo:r.candHi]. prevCand is the last build's
-	// cand, whose lists this build's riders carry forward
-	// (Engine.candidates); the two swap every build. drained[id] is the
-	// number of the last build whose change log named driver id, and
-	// joined lists the drivers this build's log names that the index
-	// holds.
+	// rider r's at cand[r.candLo:r.candHi], nearest-first. prevCand is
+	// the last build's cand, whose lists this build's riders carry
+	// forward (Engine.candidates); the two swap every build.
+	// drained[id] is the number of the last build whose change log
+	// named driver id, and joined lists the drivers this build's log
+	// names that the index holds.
 	cand, prevCand []geo.Neighbor
 	drained        []uint32
 	joined         []int32
-	// near is the pair loop's heap over one rider's candidates. It is a
-	// copy: heapq.Pop overwrites the cells it vacates, and the list must
-	// reach the next build intact. With a batch coster, candAt[id] is
-	// the index in cand, and in pairCost, of driver id's entry in the
-	// rider's list.
-	near   []geo.Neighbor
-	candAt []int32
 	// targets (rider pickups) and sources (unique candidate drivers'
 	// positions) are the CostPairs call's columns and rows; sourceSlot is
 	// each source's driver slot, and driverRow maps a driver slot to its

@@ -14,8 +14,8 @@ import (
 
 // carryCheck hands each batch on to a dispatcher after comparing every
 // rider's candidate list in the engine's arena — carried from the last
-// build or scanned afresh — with a fresh scan of the index: as sets in
-// radius mode, in order with a CandidateCap.
+// build or scanned afresh — with a fresh scan of the index, in order:
+// every list is nearest-first in radius mode and with a CandidateCap.
 type carryCheck struct {
 	Dispatcher
 	t       *testing.T
@@ -27,16 +27,9 @@ type carryCheck struct {
 func (c *carryCheck) Assign(ctx *Context) []Assignment {
 	e := c.e
 	for _, r := range ctx.Riders {
-		got := slices.Clone(e.arena.cand[r.candLo:r.candHi])
+		got := e.arena.cand[r.candLo:r.candHi]
 		radius := (r.Order.Deadline - ctx.Now) * radiusSpeedMPS
-		var want []geo.Neighbor
-		if k := e.cfg.CandidateCap; k > 0 {
-			want = e.idx.AppendNearest(nil, r.Order.Pickup, r.scan, k, radius)
-		} else {
-			want = e.idx.AppendInRadius(nil, r.Order.Pickup, r.scan, radius)
-			slices.SortFunc(got, geo.NearCmp)
-			slices.SortFunc(want, geo.NearCmp)
-		}
+		want := e.idx.AppendNearest(nil, r.Order.Pickup, r.scan, e.cfg.CandidateCap, radius)
 		if !slices.Equal(got, want) {
 			c.t.Fatalf("t=%v order %d: candidates %v, a fresh scan finds %v", ctx.Now, r.Order.ID, got, want)
 		}
@@ -74,8 +67,9 @@ func contestedInstance(rng *rand.Rand) ([]trace.Order, []geo.Point) {
 }
 
 // TestCarriedCandidatesMatchFreshScan checks, on every batch, that the
-// list each waiting rider carries from the last build equals what a
-// fresh scan of the index returns, in radius mode and with a small cap
+// list each waiting rider carries from the last build equals, element
+// for element and in order, what a fresh scan of the index returns —
+// the nearest-first order the pair loop reads it in — in radius mode and with a small cap
 // (so full lists lose members and rescan), plain and under scenario
 // declines and cancels, drivers repositioning, pooling, and a
 // two-engine lockstep run that re-homes drivers through

@@ -744,10 +744,8 @@ func (e *Engine) buildContext(now float64) *Context {
 		}
 	}
 
-	// Waiting riders and their candidate drivers, in no particular
-	// order: the pair loop reads each rider's nearest-first through a
-	// heap, and a batch coster prices them all (per pair, so in any
-	// order).
+	// Waiting riders and their candidate drivers, each rider's list
+	// nearest-first (Engine.candidates).
 	a.riders, a.riderRegion = a.riders[:0], a.riderRegion[:0]
 	a.cand, a.prevCand = a.prevCand[:0], a.cand
 	a.targets = a.targets[:0]
@@ -800,26 +798,16 @@ func (e *Engine) buildContext(now float64) *Context {
 	// kept while the driver can reach the pickup before the deadline, up
 	// to maxCandidatesPerRider feasible pairs per rider. Lazily priced
 	// cells preserve the per-pair path's work profile — pricing stops
-	// with the cap, not at the radius. The heap runs on a copy of the
-	// rider's list (see arena.near); a batch coster's prices are found
-	// through candAt.
+	// with the cap, not at the radius. A batch coster's price for
+	// cand[c] is pairCost[c]: pairSrc lists the pairs in cand's order.
 	a.pairs, a.unpriced = a.pairs[:0], a.unpriced[:0]
 	for wi, r := range e.waiting {
-		list := a.cand[r.candLo:r.candHi]
-		if e.dense != nil {
-			for k, nb := range list {
-				a.candAt[nb.ID] = int32(r.candLo) + int32(k)
-			}
-		}
-		near := append(a.near[:0], list...)
-		a.near = near
-		heapq.Init(near, geo.NearLess)
 		found := 0
-		for found < maxCandidatesPerRider && len(near) > 0 {
-			nb := heapq.Pop(&near, geo.NearLess)
+		for c := r.candLo; c < r.candHi && found < maxCandidatesPerRider; c++ {
+			nb := a.cand[c]
 			pc := math.NaN()
 			if e.dense != nil {
-				pc = a.pairCost[a.candAt[nb.ID]]
+				pc = a.pairCost[c]
 			}
 			if math.IsNaN(pc) {
 				pc = e.cfg.Coster.Cost(e.drivers[nb.ID].Pos, a.targets[wi])
@@ -876,13 +864,13 @@ func (e *Engine) buildContext(now float64) *Context {
 	return ctx
 }
 
-// candidates appends to the arena's cand rider r's candidate drivers:
-// every available driver within radius of the pickup — the distance the
-// rider's remaining patience allows — or, with a CandidateCap, the
-// CandidateCap nearest of them in nearest-first order. A rider the last
-// build listed carries its list forward, patched from this build's
-// change log (arena.changed, its indexed ids arena.joined); any other
-// scans the index.
+// candidates appends to the arena's cand rider r's candidate drivers
+// in nearest-first (geo.NearCmp) order: every available driver within
+// radius of the pickup — the distance the rider's remaining patience
+// allows — or, with a CandidateCap, the CandidateCap nearest of them. A
+// rider the last build listed carries its list forward, patched from
+// this build's change log (arena.changed, its indexed ids
+// arena.joined); any other scans the index.
 //
 // The patch is exact, for four reasons. The deadline is fixed at
 // admission and now only grows, so the radius only shrinks: an entry
@@ -896,11 +884,12 @@ func (e *Engine) buildContext(now float64) *Context {
 // (AppendListed). And a list is carried only from the build
 // immediately before, whose index state the log is a diff from.
 //
-// A capped list is the nearest-first prefix of the in-radius drivers.
-// Entries the shrunken radius drops are its farthest, so what remains
-// is still a prefix; joiners are sorted into it and the list is cut
-// back to the cap. Only a full list that lost a logged member rescans:
-// a driver beyond the cap may now belong in it.
+// A list is the nearest-first prefix of the in-radius drivers, all of
+// them without a cap. Entries the shrunken radius drops are its
+// farthest, so what remains is still a prefix, in order; joiners are
+// sorted into it and, with a cap, the list is cut back to it. Only a
+// full capped list that lost a logged member rescans: a driver beyond
+// the cap may now belong in it.
 func (e *Engine) candidates(r *Rider, radius float64) {
 	a := &e.arena
 	k := e.cfg.CandidateCap
@@ -919,20 +908,18 @@ func (e *Engine) candidates(r *Rider, radius float64) {
 			if len(a.joined) > 0 {
 				a.cand = e.idx.AppendListed(a.cand, r.Order.Pickup, r.scan, radius, a.joined)
 			}
-			if k > 0 && len(a.cand) > kept {
+			if len(a.cand) > kept {
 				slices.SortFunc(a.cand[lo:], geo.NearCmp)
-				a.cand = a.cand[:min(lo+k, len(a.cand))]
+				if k > 0 {
+					a.cand = a.cand[:min(lo+k, len(a.cand))]
+				}
 			}
 			return
 		}
 		a.cand = a.cand[:lo]
 	}
 	e.scans++
-	if k > 0 {
-		a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, r.scan, k, radius)
-	} else {
-		a.cand = e.idx.AppendInRadius(a.cand, r.Order.Pickup, r.scan, radius)
-	}
+	a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, r.scan, k, radius)
 }
 
 // priceTrips prices the trips the batch reads that no earlier batch
@@ -987,7 +974,6 @@ func (e *Engine) patchDriverTable() {
 	if n := len(e.drivers); len(a.driverSlot) != n {
 		a.driverSlot = slices.Grow(a.driverSlot, n-len(a.driverSlot))[:n]
 		a.drained = slices.Grow(a.drained, n-len(a.drained))[:n]
-		a.candAt = slices.Grow(a.candAt, n-len(a.candAt))[:n]
 		for slot, id := range a.driverID {
 			a.drivers[slot] = &e.drivers[id]
 		}

@@ -121,7 +121,7 @@ func newObsState(cfg ObsConfig, clock *stopwatch) *obsState {
 		r = obs.NewRegistry()
 	}
 	phases := r.HistogramVec("mrvd_dispatch_phase_seconds",
-		"Wall time of one engine batch round, broken into admit, build (context + coster matrix), dispatch (the dispatcher's Assign) and apply phases.",
+		"Wall time of one engine batch round, broken into admit, build (the context, the candidate lists and the pair prices), dispatch (the dispatcher's Assign) and apply phases.",
 		obs.DefBuckets, "phase")
 	clock.phases[phaseAdmit] = phases.With("admit")
 	clock.phases[phaseBuild] = phases.With("build")
