@@ -75,3 +75,7 @@ var pinnedPaperDay = map[string]pinned{
 	"NEAR": {Summary: sim.Summary{Revenue: 1.2388914778453076e+08, Served: 218195, Reneged: 106584, Canceled: 0, Declines: 0, TotalOrders: 324978, Batches: 28800, PickupSeconds: 1.0142394931931436e+07, IdleClosed: 218195, IdleSeconds: 1.2136576944726641e+08, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 0, InfEstimates: 0, TravelRecords: 0},
 	"RAND": {Summary: sim.Summary{Revenue: 1.2829862933673577e+08, Served: 225812, Reneged: 99002, Canceled: 0, Declines: 0, TotalOrders: 324978, Batches: 28800, PickupSeconds: 1.545853486989675e+07, IdleClosed: 225812, IdleSeconds: 1.1430788408367673e+08, TravelSamples: 0, TravelAbsErrSeconds: 0, SharedServed: 0, DetourSeconds: 0}, EstimateSum: 0, InfEstimates: 0, TravelRecords: 0},
 }
+
+// pinnedPaperDayPairs is the digest of every batch's valid pairs in
+// TestPaperScaleDayPinned's IRG replay, recorded at commit 637d1e0.
+var pinnedPaperDayPairs = "1384942 pairs 87fc4645a6ec3958"

@@ -2,6 +2,10 @@ package mrvd
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -208,7 +212,10 @@ func TestPinnedRoadTripReaders(t *testing.T) {
 // `mrvd-sim -orders 282255 -drivers 3000` runs — with IRG, LS, NEAR and
 // RAND, and pins each Summary to the bit. It is the one pin where
 // riders contest drivers across a whole day at the paper's fleet size:
-// the peak-hour pins above run a smaller city for an hour.
+// the peak-hour pins above run a smaller city for an hour. The IRG
+// replay also pins every batch's valid pairs (irgPairDigest): here
+// candidate lists run long (a fresh one averages about 35 drivers), so
+// the pin covers the order the candidate search hands the pair loop.
 func TestPaperScaleDayPinned(t *testing.T) {
 	city := workload.NewCity(workload.CityConfig{OrdersPerDay: 282255, Seed: 31})
 	r := core.NewRunner(core.Options{City: city, NumDrivers: 3000, Seed: 1})
@@ -217,6 +224,11 @@ func TestPaperScaleDayPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var digest *irgPairDigest
+		if alg == "IRG" {
+			digest = &irgPairDigest{IRG: d.(*dispatch.IRG), h: fnv.New64a()}
+			d = digest
+		}
 		m, err := r.Run(context.Background(), d, core.PredictOracle, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -224,5 +236,34 @@ func TestPaperScaleDayPinned(t *testing.T) {
 		if got, want := pin(m), pinnedPaperDay[alg]; got != want {
 			t.Errorf("%s no longer reproduces the pinned paper-scale day:\n  got:  %#v\n  want: %#v", alg, got, want)
 		}
+		if digest != nil {
+			if got := fmt.Sprintf("%d pairs %016x", digest.pairs, digest.h.Sum64()); got != pinnedPaperDayPairs {
+				t.Errorf("IRG's valid pairs on the paper-scale day digest to %s, want %s", got, pinnedPaperDayPairs)
+			}
+		}
 	}
+}
+
+// irgPairDigest is IRG, idle estimates included, behind a hash of every
+// batch's Context.Pairs — rider, driver slot and the bits of both legs'
+// costs, as internal/sim's TestCandidatePairsPinned digests them.
+type irgPairDigest struct {
+	*dispatch.IRG
+	h     hash.Hash64
+	pairs int
+}
+
+func (p *irgPairDigest) Assign(ctx *sim.Context) []sim.Assignment {
+	var buf [24]byte
+	binary.LittleEndian.PutUint64(buf[:8], uint64(len(ctx.Pairs)))
+	p.h.Write(buf[:8])
+	for _, pr := range ctx.Pairs {
+		binary.LittleEndian.PutUint32(buf[0:], uint32(pr.R))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(pr.D))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(pr.PickupCost))
+		binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(pr.TripCost))
+		p.h.Write(buf[:])
+	}
+	p.pairs += len(ctx.Pairs)
+	return p.IRG.Assign(ctx)
 }
