@@ -205,6 +205,13 @@ func (ix *Index) Within(p Point, radiusMeters float64) []Neighbor {
 	return ix.AppendNearest(nil, p, ix.Prepare(p), scanAll, radiusMeters)
 }
 
+// AppendWithin appends to dst every item within radiusMeters of p,
+// prepared as q, in no particular order: Within's items, unsorted, for
+// a caller that orders only as much of them as it reads.
+func (ix *Index) AppendWithin(dst []Neighbor, p Point, q Query, radiusMeters float64) []Neighbor {
+	return ix.scan(dst, p, q, scanAll, radiusMeters)
+}
+
 // AppendListed appends, in ids' order, each of ids that Within would
 // return: the indexed ones within radiusMeters of p, by the same
 // test and distance. It is how a caller that keeps a query's result
@@ -242,7 +249,7 @@ func (ix *Index) Nearest(p Point, k int, radiusMeters float64) []Neighbor {
 func (ix *Index) AppendNearest(dst []Neighbor, p Point, q Query, k int, radiusMeters float64) []Neighbor {
 	base := len(dst)
 	if k <= 0 {
-		dst = ix.scan(dst, p, q, scanAll, radiusMeters)
+		dst = ix.AppendWithin(dst, p, q, radiusMeters)
 		slices.SortFunc(dst[base:], NearCmp)
 		return dst
 	}
@@ -269,13 +276,14 @@ const metersPerDegree = EarthRadiusMeters * math.Pi / 180
 // item through that a cosine then has to reject.
 const boundMargin = 1e-9
 
-// scan is the one loop behind Within and Nearest: it walks, row-major,
-// the cells an item within radiusMeters of p can lie in, and returns
-// dst extended per the mode k selects. The cells span the radius over
-// metersPerDegree in latitude and over q.kx — no more than Equirect's
-// scale for any item — in longitude, so the cell walk decides no
-// membership: in radius mode scan returns exactly the indexed items
-// visit accepts, and AppendListed agrees with it item for item.
+// scan is the one loop behind Within, AppendWithin and Nearest: it
+// walks, row-major, the cells an item within radiusMeters of p can lie
+// in, and returns dst extended per the mode k selects. The cells span
+// the radius over metersPerDegree in latitude and over q.kx — no more
+// than Equirect's scale for any item — in longitude, so the cell walk
+// decides no membership: in radius mode scan returns exactly the
+// indexed items visit accepts, and AppendListed agrees with it item
+// for item.
 func (ix *Index) scan(dst []Neighbor, p Point, q Query, k int, radiusMeters float64) []Neighbor {
 	if !(radiusMeters >= 0) {
 		return dst
@@ -306,7 +314,8 @@ func (ix *Index) scan(dst []Neighbor, p Point, q Query, k int, radiusMeters floa
 // prepared point where Equirect takes one per item) — and skipped when
 // even that exceeds the limit: the radius, or, once the heap holds k,
 // its worst entry. Only survivors pay for the real distance, which
-// alone decides membership and is what the Neighbor carries.
+// alone decides membership and is what the Neighbor carries: never NaN,
+// as a NaN distance fails the test.
 func (ix *Index) visit(dst []Neighbor, base int, ids []int32, p Point, kx float64, k int, limit float64) ([]Neighbor, float64) {
 	limit2 := limit * limit * (1 + boundMargin)
 	for _, id := range ids {

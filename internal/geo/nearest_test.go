@@ -11,8 +11,8 @@ import (
 
 // TestNearestMatchesWithinTruncation: the bounded-heap selection must
 // return exactly Within's sorted prefix — same order, same ties — and
-// AppendNearest with k <= 0 all of Within's items, while Nearest with
-// k <= 0 returns nothing.
+// AppendNearest with k <= 0 all of Within's items, AppendWithin the
+// same items in any order, while Nearest with k <= 0 returns nothing.
 func TestNearestMatchesWithinTruncation(t *testing.T) {
 	grid := NewNYCGrid()
 	ix := NewIndex(grid)
@@ -41,6 +41,9 @@ func TestNearestMatchesWithinTruncation(t *testing.T) {
 			Lat: box.MinLat + rng.Float64()*(box.MaxLat-box.MinLat),
 		}
 		radius := rng.Float64() * 8000
+		buf = ix.AppendWithin(buf[:1], p, ix.Prepare(p), radius)
+		slices.SortFunc(buf[1:], NearCmp)
+		appended("AppendWithin, sorted", trial, ix.Within(p, radius))
 		for _, k := range []int{-1, 0} {
 			buf = ix.AppendNearest(buf[:1], p, ix.Prepare(p), k, radius)
 			appended(fmt.Sprintf("AppendNearest(k=%d)", k), trial, ix.Within(p, radius))

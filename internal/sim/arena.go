@@ -36,9 +36,12 @@ type batchArena struct {
 	riderRegion  []geo.RegionID
 
 	// cand holds every waiting rider's candidate drivers back to back,
-	// rider r's at cand[r.candLo:r.candHi], nearest-first. prevCand is
-	// the last build's cand, whose lists this build's riders carry
-	// forward (Engine.candidates); the two swap every build.
+	// rider r's at cand[r.candLo:r.candHi]: its first r.candSorted
+	// entries nearest-first (geo.NearCmp), the rest, all farther than
+	// the last of those, in no order — ordered only as far as the pair
+	// loop reads (Engine.candidates, buildContext). prevCand is the
+	// last build's cand, whose lists this build's riders carry forward;
+	// the two swap every build.
 	// drained[id] is the number of the last build whose change log
 	// named driver id, and joined lists the drivers this build's log
 	// names that the index holds.

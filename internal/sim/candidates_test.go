@@ -46,18 +46,22 @@ func (p *pairDigest) Assign(ctx *sim.Context) []sim.Assignment {
 // so the order candidates are read in decides which pairs exist. The
 // digests were recorded when every path still fully sorted its
 // candidates; a change to how candidates are gathered or ordered must
-// leave them unchanged.
+// leave them unchanged. Each case also pins the candidate work: the
+// entries scans and change logs gathered into lists, and those put in
+// nearest-first order — in the lazy case the pair loop's reach, not the
+// lists' length.
 func TestCandidatePairsPinned(t *testing.T) {
 	g := roadnet.GenerateGridNetwork(roadnet.GridNetworkConfig{Rows: 16, Cols: 16, Seed: 23})
 	cases := []struct {
-		name   string
-		coster roadnet.Coster
-		cap    int
-		want   string
+		name              string
+		coster            roadnet.Coster
+		cap               int
+		want              string
+		gathered, ordered int
 	}{
-		{"lazy", roadnet.NewDefaultCoster(), 0, "5062 pairs a0d2d41d50a99712"},
-		{"cap", roadnet.NewDefaultCoster(), 5, "2635 pairs 7c2da93b55968dc2"},
-		{"batch", roadnet.NewGraphCoster(g), 0, "1602 pairs 5ceeaad52d922900"},
+		{"lazy", roadnet.NewDefaultCoster(), 0, "5062 pairs a0d2d41d50a99712", 11370, 7847},
+		{"cap", roadnet.NewDefaultCoster(), 5, "2635 pairs 7c2da93b55968dc2", 2806, 2806},
+		{"batch", roadnet.NewGraphCoster(g), 0, "1602 pairs 5ceeaad52d922900", 12208, 12208},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -67,11 +71,15 @@ func TestCandidatePairsPinned(t *testing.T) {
 				Coster: c.coster, CandidateCap: c.cap,
 			}
 			d := &pairDigest{Dispatcher: &dispatch.IRG{}, h: fnv.New64a()}
-			if _, err := sim.New(cfg, orders, starts).Run(context.Background(), d); err != nil {
+			e := sim.New(cfg, orders, starts)
+			if _, err := e.Run(context.Background(), d); err != nil {
 				t.Fatal(err)
 			}
 			if got := fmt.Sprintf("%d pairs %016x", d.pairs, d.h.Sum64()); got != c.want {
 				t.Errorf("pair digest %s, want %s", got, c.want)
+			}
+			if g, o := e.CandidatesGathered(), e.CandidatesOrdered(); g != c.gathered || o != c.ordered {
+				t.Errorf("%d candidate entries gathered and %d ordered, want %d and %d", g, o, c.gathered, c.ordered)
 			}
 		})
 	}

@@ -198,9 +198,11 @@ type Engine struct {
 	// arena is the per-batch scratch buildContext and apply reuse.
 	arena batchArena
 	// builds numbers the buildContext calls, from 1; scans counts the
-	// grid scans candidates made.
-	builds uint32
-	scans  int
+	// grid scans candidates made, gathered the entries scans and change
+	// logs added to candidate lists, and ordered the entries a sort,
+	// a selection or a joiner's insertion put in nearest-first order.
+	builds                   uint32
+	scans, gathered, ordered int
 
 	// scen is the disruption machinery, nil when Config.Scenario is
 	// zero-valued — the scenario-free path pays no draws and no checks
@@ -744,8 +746,8 @@ func (e *Engine) buildContext(now float64) *Context {
 		}
 	}
 
-	// Waiting riders and their candidate drivers, each rider's list
-	// nearest-first (Engine.candidates).
+	// Waiting riders and their candidate drivers, each rider's list a
+	// nearest-first prefix over an unordered tail (Engine.candidates).
 	a.riders, a.riderRegion = a.riders[:0], a.riderRegion[:0]
 	a.cand, a.prevCand = a.prevCand[:0], a.cand
 	a.targets = a.targets[:0]
@@ -754,8 +756,8 @@ func (e *Engine) buildContext(now float64) *Context {
 		a.riderRegion = append(a.riderRegion, r.PickupRegion)
 		a.waitingPerRegion[r.PickupRegion]++
 		lo := len(a.cand)
-		e.candidates(r, (r.Order.Deadline-now)*radiusSpeedMPS)
-		r.candLo, r.candHi, r.candBuild = int32(lo), int32(len(a.cand)), e.builds
+		sorted := e.candidates(r, (r.Order.Deadline-now)*radiusSpeedMPS)
+		r.candLo, r.candHi, r.candSorted, r.candBuild = int32(lo), int32(len(a.cand)), int32(sorted), e.builds
 		a.targets = append(a.targets, r.Order.Pickup)
 	}
 
@@ -798,12 +800,25 @@ func (e *Engine) buildContext(now float64) *Context {
 	// kept while the driver can reach the pickup before the deadline, up
 	// to maxCandidatesPerRider feasible pairs per rider. Lazily priced
 	// cells preserve the per-pair path's work profile — pricing stops
-	// with the cap, not at the radius. A batch coster's price for
-	// cand[c] is pairCost[c]: pairSrc lists the pairs in cand's order.
+	// with the cap, not at the radius. The loop walks a list's ordered
+	// prefix in place; reaching its end with found feasible pairs, it
+	// orders the tail's maxCandidatesPerRider-found nearest onto it
+	// (orderNearest) — the tail's entries all follow the prefix's, so
+	// the extended prefix is still the list's nearest-first prefix, and
+	// the rider carries it to the next build. A batch coster's lists
+	// are ordered whole, so its price for cand[c] is pairCost[c]:
+	// pairSrc lists the pairs in cand's order.
 	a.pairs, a.unpriced = a.pairs[:0], a.unpriced[:0]
 	for wi, r := range e.waiting {
 		found := 0
+		sorted := r.candLo + r.candSorted
 		for c := r.candLo; c < r.candHi && found < maxCandidatesPerRider; c++ {
+			if c == sorted {
+				n := orderNearest(a.cand[c:r.candHi], maxCandidatesPerRider-found)
+				sorted += int32(n)
+				r.candSorted += int32(n)
+				e.ordered += n
+			}
 			nb := a.cand[c]
 			pc := math.NaN()
 			if e.dense != nil {
@@ -864,13 +879,20 @@ func (e *Engine) buildContext(now float64) *Context {
 	return ctx
 }
 
-// candidates appends to the arena's cand rider r's candidate drivers
-// in nearest-first (geo.NearCmp) order: every available driver within
-// radius of the pickup — the distance the rider's remaining patience
-// allows — or, with a CandidateCap, the CandidateCap nearest of them. A
-// rider the last build listed carries its list forward, patched from
-// this build's change log (arena.changed, its indexed ids
-// arena.joined); any other scans the index.
+// candidates appends to the arena's cand rider r's candidate drivers —
+// every available driver within radius of the pickup, the distance the
+// rider's remaining patience allows, or with a CandidateCap the
+// CandidateCap nearest of them — and returns the length of the list's
+// ordered prefix. A rider the last build listed carries its list
+// forward, patched from this build's change log (arena.changed, its
+// indexed ids arena.joined); any other scans the index.
+//
+// The list is a nearest-first (geo.NearCmp) prefix over an unordered
+// tail, every tail entry after the prefix's last. A fresh radius list
+// orders only its maxCandidatesPerRider nearest (orderNearest) — what
+// the pair loop reads unless too few are feasible, when it orders more
+// (buildContext). With a CandidateCap or a batch coster, which prices
+// every entry in list order, a list is ordered whole: all prefix.
 //
 // The patch is exact, for four reasons. The deadline is fixed at
 // admission and now only grows, so the radius only shrinks: an entry
@@ -884,43 +906,123 @@ func (e *Engine) buildContext(now float64) *Context {
 // (AppendListed). And a list is carried only from the build
 // immediately before, whose index state the log is a diff from.
 //
-// A list is the nearest-first prefix of the in-radius drivers, all of
-// them without a cap. Entries the shrunken radius drops are its
-// farthest, so what remains is still a prefix, in order; joiners are
-// sorted into it and, with a cap, the list is cut back to it. Only a
-// full capped list that lost a logged member rescans: a driver beyond
-// the cap may now belong in it.
-func (e *Engine) candidates(r *Rider, radius float64) {
+// The patch keeps the prefix/tail shape. Dropping logged entries
+// leaves a subsequence of each part: the prefix stays ordered, and its
+// last entry can only move nearer. Entries the shrunken radius drops
+// are the farthest — a dropped prefix entry takes every later one and
+// the whole tail with it, as none is nearer — so what is kept of the
+// prefix is the kept list's ordered prefix. A joiner nearer than the
+// prefix's last entry is inserted into the prefix, whose last entry
+// stays; any other follows that entry, and joins the tail unordered.
+// A whole-ordered list then orders its tail of joiners and, with a
+// cap, is cut back to it. Only a full capped list that lost a logged
+// member rescans: a driver beyond the cap may now belong in it.
+func (e *Engine) candidates(r *Rider, radius float64) int {
 	a := &e.arena
 	k := e.cfg.CandidateCap
+	whole := k > 0 || e.dense != nil
 	lo := len(a.cand)
 	if r.candBuild != 0 && r.candBuild == e.builds-1 {
-		lost := false
-		for _, nb := range a.prevCand[r.candLo:r.candHi] {
+		lost, n := false, 0
+		for i, nb := range a.prevCand[r.candLo:r.candHi] {
 			if a.drained[nb.ID] == e.builds {
 				lost = true
 			} else if nb.Distance <= radius {
 				a.cand = append(a.cand, nb)
+				if i < int(r.candSorted) {
+					n++
+				}
 			}
 		}
 		if k <= 0 || !lost || int(r.candHi-r.candLo) < k {
 			kept := len(a.cand)
 			if len(a.joined) > 0 {
 				a.cand = e.idx.AppendListed(a.cand, r.Order.Pickup, r.scan, radius, a.joined)
+				e.gathered += len(a.cand) - kept
 			}
-			if len(a.cand) > kept {
-				slices.SortFunc(a.cand[lo:], geo.NearCmp)
-				if k > 0 {
-					a.cand = a.cand[:min(lo+k, len(a.cand))]
+			list := a.cand[lo:]
+			for i := kept - lo; i < len(list); i++ {
+				if x := list[i]; n > 0 && nearer(x, list[n-1]) {
+					list[i] = list[n] // the tail's first entry takes x's cell
+					insertNearest(list[:n+1], x)
+					n++
+					e.ordered++
 				}
 			}
-			return
+			if whole {
+				slices.SortFunc(list[n:], geo.NearCmp)
+				e.ordered += len(list) - n
+				n = len(list)
+				if k > 0 && n > k {
+					a.cand, n = a.cand[:lo+k], k
+				}
+			}
+			return n
 		}
 		a.cand = a.cand[:lo]
 	}
 	e.scans++
-	a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, r.scan, k, radius)
+	n := 0
+	if whole {
+		a.cand = e.idx.AppendNearest(a.cand, r.Order.Pickup, r.scan, k, radius)
+		n = len(a.cand) - lo
+	} else {
+		a.cand = e.idx.AppendWithin(a.cand, r.Order.Pickup, r.scan, radius)
+		n = orderNearest(a.cand[lo:], maxCandidatesPerRider)
+	}
+	e.gathered += len(a.cand) - lo
+	e.ordered += n
+	return n
 }
+
+// orderNearest moves the m nearest entries of list (all of them when
+// it holds fewer) to its front in nearest-first order, leaving every
+// other entry behind them in no particular order, and returns how many
+// it ordered: all of list when it holds at most 2m entries, and
+// otherwise m, selected by a bounded max-heap — an entry nearer than
+// the root, the farthest of the m nearest seen so far, swaps places
+// with it — before an insertion sort orders them. m must be positive.
+// Entries past the ordered ones follow the last of them: each was
+// farther than some root, and the root only moves nearer.
+func orderNearest(list []geo.Neighbor, m int) int {
+	n := len(list)
+	if n > 2*m {
+		h := list[:m]
+		heapq.Init(h, farther)
+		for i := m; i < len(list); i++ {
+			if nearer(list[i], h[0]) {
+				h[0], list[i] = list[i], h[0]
+				heapq.Down(h, 0, farther)
+			}
+		}
+		n = m
+	}
+	for i := 1; i < n; i++ {
+		insertNearest(list[:i+1], list[i])
+	}
+	return n
+}
+
+// insertNearest writes x into list, whose entries but the last are
+// nearest-first, where it keeps the whole list so; the last cell's
+// entry is overwritten.
+func insertNearest(list []geo.Neighbor, x geo.Neighbor) {
+	j := len(list) - 1
+	for ; j > 0 && nearer(x, list[j-1]); j-- {
+		list[j] = list[j-1]
+	}
+	list[j] = x
+}
+
+// nearer is geo.NearCmp's order, distance then id, as a less function.
+// Plain comparisons decide it exactly: an index query never returns a
+// NaN distance.
+func nearer(a, b geo.Neighbor) bool {
+	return a.Distance < b.Distance || a.Distance == b.Distance && a.ID < b.ID
+}
+
+// farther is nearer reversed, the order of orderNearest's max-heap.
+func farther(a, b geo.Neighbor) bool { return nearer(b, a) }
 
 // priceTrips prices the trips the batch reads that no earlier batch
 // priced — a.unpriced, the riders holding their first valid pair or

@@ -15,3 +15,11 @@ func (e *Engine) RejoinTimes() [][]float64 {
 // GridScans returns how many grid scans the engine's candidate search
 // has made.
 func (e *Engine) GridScans() int { return e.scans }
+
+// CandidatesGathered returns how many entries grid scans and change
+// logs have added to the engine's candidate lists.
+func (e *Engine) CandidatesGathered() int { return e.gathered }
+
+// CandidatesOrdered returns how many candidate entries the engine has
+// put in nearest-first order.
+func (e *Engine) CandidatesOrdered() int { return e.ordered }

@@ -88,9 +88,10 @@ type Rider struct {
 	scan geo.Query
 	// candLo and candHi delimit the rider's candidate drivers in the
 	// arena's cand of the build numbered candBuild (0: no build yet),
-	// which the next build carries forward (Engine.candidates).
-	candLo, candHi int32
-	candBuild      uint32
+	// which the next build carries forward (Engine.candidates);
+	// candSorted is the length of the list's nearest-first prefix.
+	candLo, candHi, candSorted int32
+	candBuild                  uint32
 }
 
 // Pair is one valid rider-and-driver dispatching pair of Definition 3,
