@@ -24,7 +24,7 @@ func testDump() obs.TimeSeries {
 				Kind: "counter", Stat: obs.StatRate, Points: []*float64{nil, fp(1), fp(3), fp(2)}},
 			{Family: "mrvd_submit_terminal_seconds", Kind: "histogram", Stat: obs.StatP95,
 				Points: []*float64{nil, fp(0.8), fp(1.2), fp(0.9)}},
-			{Family: "mrvd_queue_depth", Labels: map[string]string{"shard": "0"},
+			{Family: "mrvd_queue_depth",
 				Kind: "gauge", Stat: obs.StatValue, Points: []*float64{fp(5), fp(9), fp(7), fp(6)}},
 		},
 		Health: obs.Health{

@@ -89,7 +89,8 @@ type Options struct {
 	// across Shards engines, each owning the fleet slice starting in its
 	// territory. bench/'s peak_shard2 workload and tests are its only
 	// callers; every other run is one engine. Values below 1 are
-	// rejected when the harness is built.
+	// rejected when the harness is built, as are Scenario, Pooling,
+	// Repositioner and Obs, which it does not serve.
 	Shards int
 	// Obs wires the observability layer (metrics registry and order
 	// tracer, see sim.ObsConfig) into every engine the runner builds.
@@ -435,27 +436,15 @@ func (r *Runner) RunSource(ctx context.Context, d sim.Dispatcher, mode Predictio
 // ShardSession builds — but does not run — the Options.Shards-engine
 // lockstep harness (internal/shard) over src with Session's stop rule.
 // Only bench/'s peak_shard2 workload and tests use it; run the returned
-// runtime with ShardDispatchers. The partition is demand-weighted: by
-// the trace's pickup counts when the instance has one, else by the
-// city's expected intensities — equal-area stripes would leave one
-// shard with most of a hotspot city's load.
+// runtime with ShardDispatchers. The partition is weighted by the
+// trace's pickup counts — equal-area stripes would leave one shard with
+// most of a hotspot city's load.
 func (r *Runner) ShardSession(src sim.OrderSource, starts []geo.Point, mode PredictionMode, model predict.Predictor) (*shard.Runtime, error) {
 	cfg, starts, err := r.config(starts, mode, model, true)
 	if err != nil {
 		return nil, err
 	}
-	grid := r.opts.City.Grid()
-	var w []float64
-	if len(r.orders) > 0 {
-		w = shard.OrderWeights(grid, r.orders)
-	} else {
-		w = make([]float64, grid.NumRegions())
-		for _, row := range r.expected {
-			for k, v := range row {
-				w[k] += v
-			}
-		}
-	}
+	w := shard.OrderWeights(r.opts.City.Grid(), r.orders)
 	return shard.New(shard.Config{Sim: cfg, Shards: r.opts.Shards, Weights: w}, src, starts)
 }
 

@@ -6,7 +6,7 @@
 // The registry is built for the engine's nil-gate contract: every
 // instrumented layer holds a nil *Registry when observability is off
 // and pays only a pointer check. Enabled, all writers are lock-free
-// atomics (histograms take no lock on Observe), so shard engines and
+// atomics (histograms take no lock on Observe), so the engine and
 // HTTP handlers can share one registry without contending.
 package obs
 
@@ -122,7 +122,7 @@ type family struct {
 // Registry is a concurrency-safe collection of metric families.
 // Registration is get-or-create and idempotent: asking twice for the
 // same name returns the same metric object, so independent layers
-// (e.g. per-shard engines) can share one registry without
+// (e.g. the engine and the HTTP gateway) can share one registry without
 // coordination. Registering an existing name with a different kind or
 // label arity panics — that is a programming error.
 type Registry struct {

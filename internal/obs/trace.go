@@ -15,7 +15,6 @@ import (
 type Span struct {
 	Order   int64  `json:"order"`
 	Outcome string `json:"outcome"` // served | canceled | reneged
-	Shard   int    `json:"shard"`
 	// Driver is the serving driver for served spans, -1 otherwise.
 	Driver int64 `json:"driver"`
 	// Shared marks a pooled insertion into an active route plan.
@@ -89,9 +88,7 @@ func appendSpan(b []byte, s *Span) []byte {
 	b = strconv.AppendInt(b, s.Order, 10)
 	b = append(b, `,"outcome":"`...)
 	b = append(b, s.Outcome...)
-	b = append(b, `","shard":`...)
-	b = strconv.AppendInt(b, int64(s.Shard), 10)
-	b = append(b, `,"driver":`...)
+	b = append(b, `","driver":`...)
 	b = strconv.AppendInt(b, s.Driver, 10)
 	if s.Shared {
 		b = append(b, `,"shared":true`...)

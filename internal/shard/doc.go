@@ -9,12 +9,17 @@
 // what a dispatcher can see (a rider's candidates are its shard's
 // drivers), not how many cores a round uses.
 //
+// The harness serves the one configuration peak_shard2 runs: a plain
+// replay with demand weights, an optional Observer and the k-nearest
+// candidate cap. New returns an error for a cancelable order source, a
+// scenario, pooling, a repositioner or the obs layer.
+//
 // The pieces compose bottom-up:
 //
 //   - Partition deterministically assigns every region to exactly one
-//     shard, balanced within one region, in contiguous row-major
-//     stripes (the paper's queueing model is already per-region, so a
-//     region is the natural unit of ownership).
+//     shard, in contiguous row-major stripes balanced by demand weight
+//     (the paper's queueing model is already per-region, so a region is
+//     the natural unit of ownership).
 //   - Runtime owns the engines, admits each order to the shard owning
 //     its pickup region, drives the lockstep rounds, forwards
 //     per-shard Observer events as one city-wide stream (driver
@@ -30,6 +35,6 @@
 //
 // A 1-shard Runtime is equivalent to sim.Engine.Run: same admissions,
 // same events in the same order, same deterministic Metrics projection
-// (see TestOneShardParity and its scenario and pooling siblings).
-// bench/'s one_shard check relies on that equality.
+// (see TestOneShardParity). bench/'s one_shard check relies on that
+// equality.
 package shard

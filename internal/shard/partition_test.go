@@ -2,32 +2,51 @@ package shard
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"mrvd/internal/geo"
 )
 
+// uniform weighs every region of grid alike.
+func uniform(grid *geo.Grid) []float64 {
+	w := make([]float64, grid.NumRegions())
+	for k := range w {
+		w[k] = 1
+	}
+	return w
+}
+
+// shardSizes counts the regions each of n shards owns.
+func shardSizes(p *Partition, n int) []int {
+	sizes := make([]int, n)
+	for _, s := range p.owner {
+		sizes[s]++
+	}
+	return sizes
+}
+
 func TestPartitionCoversEveryRegionExactlyOnce(t *testing.T) {
 	grid := geo.NewNYCGrid()
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16, 256} {
-		p, err := NewPartition(grid, n)
+		p, err := NewWeightedPartition(grid, n, uniform(grid))
 		if err != nil {
-			t.Fatalf("NewPartition(%d): %v", n, err)
+			t.Fatalf("NewWeightedPartition(%d): %v", n, err)
 		}
-		seen := make(map[geo.RegionID]ID)
-		for s := 0; s < n; s++ {
-			for _, k := range p.Regions(ID(s)) {
-				if prev, dup := seen[k]; dup {
-					t.Fatalf("n=%d: region %d owned by shards %d and %d", n, k, prev, s)
-				}
-				seen[k] = ID(s)
-				if p.Owner(k) != ID(s) {
-					t.Fatalf("n=%d: Owner(%d)=%d, Regions says %d", n, k, p.Owner(k), s)
-				}
+		if len(p.owner) != grid.NumRegions() {
+			t.Fatalf("n=%d: %d regions assigned, want %d", n, len(p.owner), grid.NumRegions())
+		}
+		// Row-major stripes: owners never decrease along the sweep, and
+		// every shard holds territory.
+		for k := 1; k < len(p.owner); k++ {
+			if p.owner[k] < p.owner[k-1] {
+				t.Fatalf("n=%d: region %d owned by shard %d after region %d's shard %d", n, k, p.owner[k], k-1, p.owner[k-1])
 			}
 		}
-		if len(seen) != grid.NumRegions() {
-			t.Fatalf("n=%d: %d regions assigned, want %d", n, len(seen), grid.NumRegions())
+		for s, size := range shardSizes(p, n) {
+			if size == 0 {
+				t.Fatalf("n=%d: shard %d owns no territory", n, s)
+			}
 		}
 	}
 }
@@ -35,81 +54,29 @@ func TestPartitionCoversEveryRegionExactlyOnce(t *testing.T) {
 func TestPartitionBalancedWithinOneRegion(t *testing.T) {
 	grid := geo.NewNYCGrid()
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 100} {
-		p, err := NewPartition(grid, n)
+		p, err := NewWeightedPartition(grid, n, uniform(grid))
 		if err != nil {
 			t.Fatal(err)
 		}
-		min, max := grid.NumRegions(), 0
-		for s := 0; s < n; s++ {
-			size := len(p.Regions(ID(s)))
-			if size < min {
-				min = size
-			}
-			if size > max {
-				max = size
-			}
-		}
-		if max-min > 1 {
-			t.Fatalf("n=%d: shard sizes range [%d, %d], want spread <= 1", n, min, max)
+		sizes := shardSizes(p, n)
+		if lo, hi := slices.Min(sizes), slices.Max(sizes); hi-lo > 1 {
+			t.Fatalf("n=%d: shard sizes range [%d, %d], want spread <= 1", n, lo, hi)
 		}
 	}
 }
 
 func TestPartitionDeterministic(t *testing.T) {
 	grid := geo.NewNYCGrid()
-	a, err := NewPartition(grid, 6)
+	a, err := NewWeightedPartition(grid, 6, uniform(grid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewPartition(grid, 6)
+	b, err := NewWeightedPartition(grid, 6, uniform(grid))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.owner, b.owner) {
 		t.Fatal("same (grid, n) produced different assignments")
-	}
-}
-
-func TestPartitionRejectsBadShardCounts(t *testing.T) {
-	grid := geo.NewGrid(geo.BBox{MinLng: 0, MinLat: 0, MaxLng: 1, MaxLat: 1}, 2, 2)
-	for _, n := range []int{0, -1, 5} {
-		if _, err := NewPartition(grid, n); err == nil {
-			t.Fatalf("NewPartition(%d) on 4 regions: want error", n)
-		}
-	}
-	if _, err := NewPartition(nil, 1); err == nil {
-		t.Fatal("NewPartition(nil grid): want error")
-	}
-}
-
-func TestPartitionFrontier(t *testing.T) {
-	// 4x4 grid, 2 shards: rows 0-1 belong to shard 0, rows 2-3 to
-	// shard 1 (row-major stripes of 8). Frontier = rows 1 and 2.
-	grid := geo.NewGrid(geo.BBox{MinLng: 0, MinLat: 0, MaxLng: 1, MaxLat: 1}, 4, 4)
-	p, err := NewPartition(grid, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < grid.NumRegions(); k++ {
-		row, _ := grid.RowCol(geo.RegionID(k))
-		wantFrontier := row == 1 || row == 2
-		if p.IsFrontier(geo.RegionID(k)) != wantFrontier {
-			t.Errorf("region %d (row %d): IsFrontier=%v, want %v",
-				k, row, p.IsFrontier(geo.RegionID(k)), wantFrontier)
-		}
-	}
-	if got := p.FrontierCount(0); got != 4 {
-		t.Errorf("shard 0 frontier count = %d, want 4", got)
-	}
-	// A 1-shard partition has no frontier anywhere.
-	solo, err := NewPartition(grid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < grid.NumRegions(); k++ {
-		if solo.IsFrontier(geo.RegionID(k)) {
-			t.Fatalf("1-shard partition reports frontier region %d", k)
-		}
 	}
 }
 
@@ -128,16 +95,11 @@ func TestWeightedPartitionCoversAndBalances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Coverage: every region exactly once, every shard non-empty.
-		total := 0
-		for s := 0; s < n; s++ {
-			if len(p.Regions(ID(s))) == 0 {
+		// Coverage: every shard non-empty.
+		for s, size := range shardSizes(p, n) {
+			if size == 0 {
 				t.Fatalf("n=%d: shard %d owns no territory", n, s)
 			}
-			total += len(p.Regions(ID(s)))
-		}
-		if total != grid.NumRegions() {
-			t.Fatalf("n=%d: %d regions assigned, want %d", n, total, grid.NumRegions())
 		}
 		// Balance: no shard carries more than a fair share plus the
 		// weight of one region stripe boundary can shift.
@@ -173,26 +135,9 @@ func TestWeightedPartitionDeterministic(t *testing.T) {
 	}
 }
 
-func TestWeightedPartitionRejectsBadWeights(t *testing.T) {
-	grid := geo.NewNYCGrid()
-	if _, err := NewWeightedPartition(grid, 2, make([]float64, 3)); err == nil {
-		t.Fatal("short weight vector accepted")
-	}
-	// Degenerate (all-zero) weights fall back to the uniform split.
-	p, err := NewWeightedPartition(grid, 4, make([]float64, grid.NumRegions()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 4; s++ {
-		if got := len(p.Regions(ID(s))); got != 64 {
-			t.Fatalf("zero-weight fallback: shard %d owns %d regions, want 64", s, got)
-		}
-	}
-}
-
 func TestPartitionOwnerOfClampsOutsidePoints(t *testing.T) {
 	grid := geo.NewNYCGrid()
-	p, err := NewPartition(grid, 4)
+	p, err := NewWeightedPartition(grid, 4, uniform(grid))
 	if err != nil {
 		t.Fatal(err)
 	}

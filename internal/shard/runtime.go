@@ -7,54 +7,38 @@ import (
 
 	"mrvd/internal/geo"
 	"mrvd/internal/sim"
-	"mrvd/internal/stats"
 	"mrvd/internal/trace"
 )
 
 // Config parameterizes a partitioned runtime.
 type Config struct {
 	// Sim is the per-engine template: grid, coster, batch timing,
-	// horizon, prediction callback, repositioner, observer and pacing
+	// horizon, candidate cap, prediction callback, observer and pacing
 	// all mean what they mean for one sim.Engine, and every shard's
 	// engine shares them. The Observer receives the aggregated city-wide
-	// stream (driver ids are global fleet ids).
+	// stream (driver ids are global fleet ids). New refuses the engine
+	// layers the harness does not serve: Scenario, Pooling, Repositioner
+	// and Obs.
 	Sim sim.Config
 	// Shards is the engine count (required, >= 1).
 	Shards int
-	// Weights optionally balances the partition by expected per-region
-	// load instead of region count (see NewWeightedPartition) — use
-	// OrderWeights over the trace, or a demand model's intensities.
-	// Essential for hotspot-concentrated cities, where equal-area
-	// stripes would give one shard most of the work.
+	// Weights balances the partition by expected per-region load
+	// (required, see NewWeightedPartition): use OrderWeights over the
+	// trace. Equal-area stripes would give one shard of a
+	// hotspot-concentrated city most of the work.
 	Weights []float64
 }
 
-// Stats is one shard's counters at the end of a run: the orders routed
-// to it, its fleet after re-homing, the lifecycle tallies (copies of its
-// engine's own Metrics, not a second count) and its dispatch wall time.
+// Stats is one shard's counters at the end of a run: what re-homing
+// moved into it and its dispatch wall time.
 type Stats struct {
-	Drivers int
-	// Admitted counts orders routed to this shard. BorrowedIn is always
-	// 0: orders go to the shard owning their pickup region. It leaves
-	// with bench/'s peak_shard2 workload, which still reads it.
-	Admitted   int
+	// BorrowedIn is always 0: orders go to the shard owning their pickup
+	// region. It leaves with bench/'s peak_shard2 workload, which still
+	// reads it.
 	BorrowedIn int
 	// RehomedIn counts drivers migrated into this shard by fleet
 	// re-homing (trips whose dropoff crossed a frontier).
 	RehomedIn int
-	Served    int
-	Reneged   int
-	// Canceled counts rider-initiated cancellations admitted by this
-	// shard; Declined counts driver-declined assignments here.
-	Canceled int
-	Declined int
-	// SharedServed counts pooled riders dropped off by this shard's
-	// fleet; PickedUp/DroppedOff count pooled stop completions. All
-	// three stay zero with pooling disabled.
-	SharedServed int
-	PickedUp     int
-	DroppedOff   int
-	Batches      int
 	// AvgBatchMS is the mean wall time of this shard's StepDispatch per
 	// round, ms.
 	AvgBatchMS float64
@@ -71,14 +55,6 @@ type Runtime struct {
 
 	engines []*sim.Engine
 	feeds   []*feedSource
-	// cancelSrc is the city-wide source's cancellation feed, nil when it
-	// has none.
-	cancelSrc sim.CancelableSource
-	// routed records which shard admitted each order — the address book
-	// rider-initiated cancels are routed by. Only built for cancelable
-	// sources over two or more shards: a 1-shard runtime has one
-	// possible addressee and keeps no book.
-	routed map[trace.OrderID]ID
 	// global[i][local] is the fleet-wide driver id of shard i's local
 	// driver index — the remap the event aggregator applies.
 	global [][]sim.DriverID
@@ -87,19 +63,33 @@ type Runtime struct {
 	// events).
 	downstream sim.Observer
 
-	// stats holds the columns routing, re-homing and the dispatch
-	// timing write; batchSumMS sums each shard's dispatch wall time.
-	stats      []Stats
+	// rehomedIn counts each shard's re-homed arrivals; batchSumMS sums
+	// each shard's dispatch wall time over the run's rounds.
+	rehomedIn  []int
 	batchSumMS []float64
+	rounds     int
 }
 
 // New partitions the grid, splits the fleet by start region, and builds
-// one engine per shard. src supplies the city-wide order stream —
-// anything a bare engine accepts (a SliceSource trace, a live
-// ChannelSource) — and is polled only from the goroutine that calls Run.
+// one engine per shard. src supplies the city-wide order stream — a
+// replay such as a SliceSource; a cancelable source is refused — and is
+// polled only from the goroutine that calls Run.
 func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) {
 	if src == nil {
 		return nil, fmt.Errorf("shard: nil order source")
+	}
+	if _, ok := src.(sim.CancelableSource); ok {
+		return nil, fmt.Errorf("shard: cancelable order source %T is not served", src)
+	}
+	switch {
+	case cfg.Sim.Scenario.Enabled():
+		return nil, fmt.Errorf("shard: Scenario is not served")
+	case cfg.Sim.Pooling.Enabled():
+		return nil, fmt.Errorf("shard: Pooling is not served")
+	case cfg.Sim.Repositioner != nil:
+		return nil, fmt.Errorf("shard: Repositioner is not served")
+	case cfg.Sim.Obs.Enabled():
+		return nil, fmt.Errorf("shard: Obs is not served")
 	}
 	cfg.Sim = cfg.Sim.WithDefaults()
 	part, err := NewWeightedPartition(cfg.Sim.Grid, cfg.Shards, cfg.Weights)
@@ -116,7 +106,7 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		feeds:      make([]*feedSource, cfg.Shards),
 		global:     make([][]sim.DriverID, cfg.Shards),
 		downstream: cfg.Sim.Observer,
-		stats:      make([]Stats, cfg.Shards),
+		rehomedIn:  make([]int, cfg.Shards),
 		batchSumMS: make([]float64, cfg.Shards),
 	}
 	if sized, ok := src.(sim.SizedSource); ok {
@@ -132,13 +122,6 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		shardStarts[s] = append(shardStarts[s], p)
 	}
 
-	if cs, ok := src.(sim.CancelableSource); ok {
-		rt.cancelSrc = cs
-		if cfg.Shards > 1 {
-			rt.routed = make(map[trace.OrderID]ID)
-		}
-	}
-
 	for s := 0; s < cfg.Shards; s++ {
 		ecfg := cfg.Sim
 		if rt.downstream != nil {
@@ -146,16 +129,8 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 		}
 		ecfg.PaceFactor = 0          // Run paces the rounds
 		ecfg.StopWhenDrained = false // Run decides drain city-wide
-		ecfg.Obs.Shard = s
-		if cfg.Shards > 1 && ecfg.Scenario.Enabled() {
-			// Decorrelate the per-shard disruption streams. A 1-shard
-			// runtime keeps the parent seed so it reproduces the
-			// bare engine's draws — and hence its events — exactly.
-			ecfg.Scenario.Seed = stats.SplitSeed(cfg.Sim.Scenario.Seed, s)
-		}
 		rt.feeds[s] = &feedSource{}
 		rt.engines[s] = sim.NewWithSource(ecfg, rt.feeds[s], shardStarts[s])
-		rt.stats[s].Drivers = len(shardStarts[s])
 	}
 	return rt, nil
 }
@@ -167,8 +142,7 @@ func New(cfg Config, src sim.OrderSource, starts []geo.Point) (*Runtime, error) 
 // dispatch phase (shard 0..N-1). newDispatcher builds shard i's
 // dispatcher — one instance per shard, since dispatchers are stateful.
 // The rounds tick on sim.RunBatches, the clock Engine.Run uses, so
-// cancellation and pacing are the same code (a live source yields the
-// processor in its Poll, once per round). Unlike Engine.Run it never
+// cancellation and pacing are the same code. Unlike Engine.Run it never
 // parks: no live session runs here. A runtime is single-use.
 func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.Dispatcher, error)) (*sim.Metrics, error) {
 	n := rt.cfg.Shards
@@ -186,25 +160,18 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 		}
 	}
 
-	round := 0
 	err := sim.RunBatches(ctx, rt.cfg.Sim, func(now float64) (bool, error) {
 		// Route this round's newly posted orders to the shards owning
 		// their pickup regions.
 		ready, done := rt.src.Poll(now)
 		for _, o := range ready {
-			s := rt.part.OwnerOf(o.Pickup)
-			rt.feeds[s].push(o)
-			if rt.routed != nil {
-				rt.routed[o.ID] = s
-			}
-			rt.stats[s].Admitted++
+			rt.feeds[rt.part.OwnerOf(o.Pickup)].push(o)
 		}
 		if done {
 			for _, f := range rt.feeds {
 				f.markDone()
 			}
 		}
-		rt.routeCancels()
 
 		for _, e := range rt.engines {
 			e.StepAdmit(now)
@@ -225,7 +192,7 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 			}
 			rt.downstream.OnBatchStart(sim.BatchStartEvent{
 				Now:       now,
-				Batch:     round,
+				Batch:     rt.rounds,
 				Waiting:   waiting,
 				Available: available,
 			})
@@ -235,12 +202,11 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 			start := time.Now() //mrvdlint:ignore wallclock per-shard round timing measures real dispatch time, not simulated time
 			err := e.StepDispatch(now, dispatchers[i])
 			rt.batchSumMS[i] += time.Since(start).Seconds() * 1000 //mrvdlint:ignore wallclock per-shard round timing measures real dispatch time, not simulated time
-			rt.stats[i].Batches++
 			if err != nil {
 				return false, err
 			}
 		}
-		round++
+		rt.rounds++
 		return false, nil
 	})
 	if err != nil {
@@ -252,27 +218,6 @@ func (rt *Runtime) Run(ctx context.Context, newDispatcher func(shard int) (sim.D
 		ms[i] = e.Finish()
 	}
 	return rt.aggregate(ms), nil
-}
-
-// routeCancels forwards rider-initiated cancellation requests from the
-// city-wide source to the shard that admitted each order. The source
-// holds a cancel until it has released the order
-// (sim.CancelableSource), and Run routes a round's orders before its
-// cancels, so an id the book lacks names no order and is dropped; the
-// admitting shard's engine drops cancels for already-terminal orders.
-// One shard needs no book: its engine is the only addressee and drops
-// what it holds no rider for.
-func (rt *Runtime) routeCancels() {
-	if rt.cancelSrc == nil {
-		return
-	}
-	for _, id := range rt.cancelSrc.PollCancels() {
-		if rt.routed == nil {
-			rt.feeds[0].pushCancel(id)
-		} else if s, ok := rt.routed[id]; ok {
-			rt.feeds[s].pushCancel(id)
-		}
-	}
 }
 
 // rehomeFleet migrates every available driver standing in territory
@@ -312,9 +257,7 @@ func (rt *Runtime) rehomeFleet() {
 			// The new local id is always the next slot, so the global
 			// mapping grows in lockstep with the receiving engine.
 			rt.global[mv.to] = append(rt.global[mv.to], rt.global[i][mv.id])
-			rt.stats[i].Drivers--
-			rt.stats[mv.to].Drivers++
-			rt.stats[mv.to].RehomedIn++
+			rt.rehomedIn[mv.to]++
 		}
 	}
 }
@@ -330,17 +273,13 @@ func (rt *Runtime) allDrained() bool {
 	return true
 }
 
-// Stats returns every shard's counters, with the lifecycle tallies read
-// from its engine. Call it after Run returns.
+// Stats returns every shard's counters. Call it after Run returns.
 func (rt *Runtime) Stats() []Stats {
-	out := make([]Stats, len(rt.stats))
-	copy(out, rt.stats)
-	for i, e := range rt.engines {
-		m, s := e.Tally(), &out[i]
-		s.Served, s.Reneged, s.Canceled, s.Declined = m.Served, m.Reneged, m.Canceled, m.Declines
-		s.SharedServed, s.PickedUp, s.DroppedOff = m.SharedServed, m.PickedUp, m.DroppedOff
-		if s.Batches > 0 {
-			s.AvgBatchMS = rt.batchSumMS[i] / float64(s.Batches)
+	out := make([]Stats, len(rt.engines))
+	for i := range out {
+		out[i].RehomedIn = rt.rehomedIn[i]
+		if rt.rounds > 0 {
+			out[i].AvgBatchMS = rt.batchSumMS[i] / float64(rt.rounds)
 		}
 	}
 	return out
@@ -351,7 +290,9 @@ func (rt *Runtime) Stats() []Stats {
 // the union would report. DispatchPhase merges the shards' histograms,
 // so its count is shard-batches and its mean and quantiles are per
 // shard-batch, not per round. IdleRecords concatenate shard-major with
-// driver ids remapped to the global fleet numbering.
+// driver ids remapped to the global fleet numbering. The counters New's
+// refusals keep at zero (cancels, declines, pooling, travel noise) are
+// not summed.
 func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 	if len(ms) == 1 {
 		m := ms[0]
@@ -366,14 +307,8 @@ func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 		agg.Revenue += m.Revenue
 		agg.Served += m.Served
 		agg.Reneged += m.Reneged
-		agg.Canceled += m.Canceled
-		agg.Declines += m.Declines
 		agg.TotalOrders += m.TotalOrders
 		agg.PickupSeconds += m.PickupSeconds
-		agg.SharedServed += m.SharedServed
-		agg.DetourSeconds += m.DetourSeconds
-		agg.PickedUp += m.PickedUp
-		agg.DroppedOff += m.DroppedOff
 		agg.DispatchPhase.Merge(m.DispatchPhase)
 		if m.Batches > rounds {
 			rounds = m.Batches
@@ -385,10 +320,6 @@ func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 			rec.Driver = rt.global[i][rec.Driver]
 			agg.IdleRecords = append(agg.IdleRecords, rec)
 		}
-		for _, rec := range m.TravelRecords {
-			rec.Driver = rt.global[i][rec.Driver]
-			agg.TravelRecords = append(agg.TravelRecords, rec)
-		}
 	}
 	if rt.sized >= 0 {
 		agg.TotalOrders = rt.sized
@@ -397,10 +328,13 @@ func (rt *Runtime) aggregate(ms []*sim.Metrics) *sim.Metrics {
 }
 
 // tap is the per-shard observer, installed only when the session has a
-// downstream observer: it forwards engine events to it with driver ids
-// remapped to the global fleet numbering. Per-shard BatchStart events
-// are absorbed — Run synthesizes the city-wide one.
+// downstream observer: it forwards the events a plain run fires to it,
+// driver ids remapped to the global fleet numbering. Per-shard
+// BatchStart events are absorbed — Run synthesizes the city-wide one —
+// and the embedded ObserverFuncs drops the events New's refusals keep
+// from firing.
 type tap struct {
+	sim.ObserverFuncs
 	rt    *Runtime
 	shard ID
 }
@@ -414,40 +348,16 @@ func (t *tap) OnAssigned(e sim.AssignedEvent) {
 
 func (t *tap) OnExpired(e sim.ExpiredEvent) { t.rt.downstream.OnExpired(e) }
 
-func (t *tap) OnCanceled(e sim.CanceledEvent) { t.rt.downstream.OnCanceled(e) }
-
-func (t *tap) OnDeclined(e sim.DeclinedEvent) {
-	e.Driver = t.rt.global[t.shard][e.Driver]
-	t.rt.downstream.OnDeclined(e)
-}
-
-func (t *tap) OnPickedUp(e sim.PickedUpEvent) {
-	e.Driver = t.rt.global[t.shard][e.Driver]
-	t.rt.downstream.OnPickedUp(e)
-}
-
-func (t *tap) OnDroppedOff(e sim.DroppedOffEvent) {
-	e.Driver = t.rt.global[t.shard][e.Driver]
-	t.rt.downstream.OnDroppedOff(e)
-}
-
-func (t *tap) OnRepositioned(e sim.RepositionedEvent) {
-	e.Driver = t.rt.global[t.shard][e.Driver]
-	t.rt.downstream.OnRepositioned(e)
-}
-
 // feedSource is the runtime-owned per-shard order queue: Run pushes
 // routed orders at the top of a round, the shard's engine drains them
 // at its StepAdmit.
 type feedSource struct {
-	staged  []trace.Order
-	cancels []trace.OrderID
-	done    bool
+	staged []trace.Order
+	done   bool
 }
 
-func (f *feedSource) push(o trace.Order)          { f.staged = append(f.staged, o) }
-func (f *feedSource) pushCancel(id trace.OrderID) { f.cancels = append(f.cancels, id) }
-func (f *feedSource) markDone()                   { f.done = true }
+func (f *feedSource) push(o trace.Order) { f.staged = append(f.staged, o) }
+func (f *feedSource) markDone()          { f.done = true }
 
 // Poll implements sim.OrderSource: everything staged is already due
 // (only orders the city-wide source released are routed).
@@ -458,12 +368,4 @@ func (f *feedSource) Poll(float64) ([]trace.Order, bool) {
 	ready := f.staged
 	f.staged = f.staged[:0]
 	return ready, f.done
-}
-
-// PollCancels implements sim.CancelableSource the same way: routed
-// cancels are pushed at the top of a round and drained at StepAdmit.
-func (f *feedSource) PollCancels() []trace.OrderID {
-	ids := f.cancels
-	f.cancels = f.cancels[:0]
-	return ids
 }

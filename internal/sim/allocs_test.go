@@ -65,10 +65,10 @@ func steadyStateAllocs(t *testing.T, d sim.Dispatcher, fleet, gridSide, backlog 
 	// AllocsPerRun divides as integers, so the ledger that grows with
 	// every rejoin (IdleRecords) adds its few amortized doublings
 	// without moving the count.
-	before := e.Tally().Served
+	before := e.Served()
 	allocs := testing.AllocsPerRun(200, step)
 	waiting, _ := e.Counts()
-	return steadyState{allocs: allocs, served: e.Tally().Served - before, waiting: waiting}
+	return steadyState{allocs: allocs, served: e.Served() - before, waiting: waiting}
 }
 
 // TestBatchSteadyStateAllocs pins the fixed cost of a batch in objects:

@@ -35,5 +35,5 @@
 // events: Config.Observer, the ObsConfig counters and spans (composed in
 // front of it) and StateStore are folds over that stream; only wall-clock
 // data (phase timings, the admission stamp) reaches the obs layer
-// directly. Metrics is the engine's own tally, which shard.Stats copies.
+// directly. Metrics is the engine's own tally.
 package sim

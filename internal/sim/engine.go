@@ -222,7 +222,7 @@ type Engine struct {
 	// Config.Observer, either alone, or nil (no event is constructed).
 	observer Observer
 	// cancelSrc is the order source's cancellation feed when it has one
-	// (ChannelSource, the shard runtime's feedSource); nil otherwise.
+	// (ChannelSource); nil otherwise.
 	cancelSrc CancelableSource
 	// byID indexes the waiting riders by order id for explicit-cancel
 	// lookup: an entry leaves with its rider's exit from the waiting
@@ -466,17 +466,6 @@ func (e *Engine) Finish() *Metrics {
 // event across shards.
 func (e *Engine) Counts() (waiting, available int) {
 	return len(e.waiting), e.idx.Len()
-}
-
-// Tally reports the lifecycle counters so far, as a Metrics value that
-// carries nothing else — what a lockstep coordinator copies into its
-// per-shard stats.
-func (e *Engine) Tally() Metrics {
-	m := &e.metrics
-	return Metrics{
-		Served: m.Served, Reneged: m.Reneged, Canceled: m.Canceled, Declines: m.Declines,
-		SharedServed: m.SharedServed, PickedUp: m.PickedUp, DroppedOff: m.DroppedOff,
-	}
 }
 
 // EachJoined visits, in ascending id order, every driver that became

@@ -23,3 +23,6 @@ func (e *Engine) CandidatesGathered() int { return e.gathered }
 // CandidatesOrdered returns how many candidate entries the engine has
 // put in nearest-first order.
 func (e *Engine) CandidatesOrdered() int { return e.ordered }
+
+// Served returns how many riders the engine has served so far.
+func (e *Engine) Served() int { return e.metrics.Served }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strconv"
 	"time"
 
 	"mrvd/internal/obs"
@@ -13,7 +12,7 @@ import (
 // order, both folds over the engine's Observer stream plus the
 // wall-clock timings no event carries. The zero value disables both;
 // enabled, only wall-clock data that never feeds a Summary is touched,
-// so determinism contracts (Sweep, 1-shard parity) hold either way.
+// so determinism contracts (Sweep) hold either way.
 type ObsConfig struct {
 	// Registry collects counters and histograms; nil records nothing.
 	Registry *obs.Registry
@@ -21,9 +20,6 @@ type ObsConfig struct {
 	// tracer without a Registry still pays the counter updates, against
 	// a private registry nobody reads.
 	Tracer *obs.Tracer
-	// Shard attributes this engine's spans to its shard of the session
-	// runtime (0 with one shard, and for a bare engine).
-	Shard int
 }
 
 // Enabled reports whether any observability sink is configured.
@@ -141,13 +137,10 @@ func newObsState(cfg ObsConfig, clock *stopwatch) *obsState {
 		"Pooled insertion candidates that were feasible under capacity and detour bounds.")
 	s.poolCommitted = r.Counter("mrvd_pool_committed_total",
 		"Pooled insertions committed by the dispatcher.")
-	shard := strconv.Itoa(cfg.Shard)
 	s.queueDepth = r.GaugeVec("mrvd_queue_depth",
-		"Waiting riders entering the current batch round, by shard.",
-		"shard").With(shard)
+		"Waiting riders entering the current batch round.").With()
 	s.driversAvail = r.GaugeVec("mrvd_drivers_available",
-		"Available drivers entering the current batch round, by shard.",
-		"shard").With(shard)
+		"Available drivers entering the current batch round.").With()
 	if cfg.Tracer != nil {
 		s.spans = make(map[trace.OrderID]*spanDraft)
 	}
@@ -165,7 +158,6 @@ func (s *obsState) admit(o trace.Order, now float64) {
 		s.spans[o.ID] = &spanDraft{
 			span: obs.Span{
 				Order:    int64(o.ID),
-				Shard:    s.cfg.Shard,
 				Driver:   -1,
 				SubmitAt: o.PostTime,
 				AdmitAt:  now,

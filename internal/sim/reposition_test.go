@@ -9,9 +9,8 @@ import (
 )
 
 // TestRepositionAfterDefaults: an unset RepositionAfter resolves to
-// 300 s in the config's defaults — the resolved config internal/shard
-// hands its engines too — and the engine first offers an idle driver
-// to the Repositioner once it has waited that long.
+// 300 s in the config's defaults, and the engine first offers an idle
+// driver to the Repositioner once it has waited that long.
 func TestRepositionAfterDefaults(t *testing.T) {
 	if got := (Config{}).WithDefaults().RepositionAfter; got != 300 {
 		t.Fatalf("default RepositionAfter = %v, want 300", got)

@@ -207,8 +207,8 @@ var internalExportAllowList = map[string]string{
 // back code no program runs. It type-checks every non-test package of
 // the tree, bench/ included, and walks references out from what a
 // program or a caller outside internal/ can reach: every declaration
-// outside internal/, internal/shard (which goes whole once bench/'s
-// peak_shard2 retires), package-level variables, init functions and
+// outside internal/ (bench/'s among them, which is what reaches
+// internal/shard), package-level variables, init functions and
 // internalExportAllowList. A method is also reached when its type is
 // and reached code calls an interface method it implements, or, for a
 // String or Error method, passes a value of its type to any call (fmt's
@@ -242,7 +242,7 @@ func TestInternalExportsHaveUsers(t *testing.T) {
 		}
 	}
 	for _, p := range pkgs {
-		internal := strings.HasPrefix(p.path, "mrvd/internal/") && p.path != "mrvd/internal/shard"
+		internal := strings.HasPrefix(p.path, "mrvd/internal/")
 		add := func(decl ast.Node, obj types.Object, exported bool) {
 			n := &node{pkg: p, decl: decl, obj: obj, exported: internal && exported}
 			nodes = append(nodes, n)
