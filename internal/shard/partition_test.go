@@ -135,6 +135,38 @@ func TestWeightedPartitionDeterministic(t *testing.T) {
 	}
 }
 
+func TestPartitionRejectsBadShardCounts(t *testing.T) {
+	grid := geo.NewGrid(geo.BBox{MinLng: 0, MinLat: 0, MaxLng: 1, MaxLat: 1}, 2, 2)
+	for _, n := range []int{0, -1, 5} {
+		if _, err := NewWeightedPartition(grid, n, uniform(grid)); err == nil {
+			t.Fatalf("NewWeightedPartition(%d) on 4 regions: want error", n)
+		}
+	}
+}
+
+// TestWeightedPartitionRejectsBadWeights: a weight vector that does not
+// cover the grid, or that carries no load, is an error — there is no
+// uniform fallback to hide a wrong trace behind.
+func TestWeightedPartitionRejectsBadWeights(t *testing.T) {
+	grid := geo.NewNYCGrid()
+	for name, w := range map[string][]float64{
+		"nil":      nil,
+		"short":    make([]float64, 3),
+		"all zero": make([]float64, grid.NumRegions()),
+		"all negative": func() []float64 {
+			w := uniform(grid)
+			for k := range w {
+				w[k] = -1
+			}
+			return w
+		}(),
+	} {
+		if _, err := NewWeightedPartition(grid, 2, w); err == nil {
+			t.Fatalf("%s weights accepted", name)
+		}
+	}
+}
+
 func TestPartitionOwnerOfClampsOutsidePoints(t *testing.T) {
 	grid := geo.NewNYCGrid()
 	p, err := NewWeightedPartition(grid, 4, uniform(grid))

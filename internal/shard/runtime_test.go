@@ -76,11 +76,7 @@ func TestNewRefusesUnservedSettings(t *testing.T) {
 		{name: "Repositioner", edit: func(c *Config) { c.Sim.Repositioner = &dispatch.QueueReposition{} }, want: "Repositioner"},
 		{name: "Obs", edit: func(c *Config) { c.Sim.Obs = sim.ObsConfig{Registry: obs.NewRegistry()} }, want: "Obs"},
 		{name: "nil weights", edit: func(c *Config) { c.Weights = nil }, want: "weights"},
-		{name: "short weights", edit: func(c *Config) { c.Weights = weights[:3] }, want: "weights"},
-		{name: "weightless", edit: func(c *Config) { c.Weights = make([]float64, len(weights)) }, want: "weights"},
 		{name: "zero shards", edit: func(c *Config) { c.Shards = 0 }, want: "shards"},
-		{name: "negative shards", edit: func(c *Config) { c.Shards = -1 }, want: "shards"},
-		{name: "more shards than regions", edit: func(c *Config) { c.Shards = grid.NumRegions() + 1 }, want: "shards"},
 		{name: "plain replay"},
 	}
 	for _, c := range cases {
