@@ -74,6 +74,7 @@ type costerCounters struct {
 	resumed   atomic.Int64
 	settled   atomic.Int64
 	cacheHits atomic.Int64
+	snaps     atomic.Int64
 }
 
 // CosterStats snapshots a GraphCoster's cumulative query counters.
@@ -99,6 +100,8 @@ type CosterStats struct {
 	// Evictions is always 0: every source node keeps its tree. It
 	// stays for readers of the field.
 	Evictions int64
+	// Snaps counts nearest-node searches, that is, snap memo misses.
+	Snaps int64
 }
 
 // Stats snapshots the coster's cumulative counters.
@@ -109,6 +112,7 @@ func (c *GraphCoster) Stats() CosterStats {
 		Resumed:      c.stats.resumed.Load(),
 		SettledNodes: c.stats.settled.Load(),
 		CacheHits:    c.stats.cacheHits.Load(),
+		Snaps:        c.stats.snaps.Load(),
 	}
 }
 
@@ -116,6 +120,8 @@ func (c *GraphCoster) Stats() CosterStats {
 // of each extra worker it fans out to (which uses needed only). Between
 // uses needed and rowOf are blank, whatever graph they last served.
 type costScratch struct {
+	// src and tgt hold the call's endpoints' snaps, unsnapped until a
+	// pair names the endpoint.
 	src, tgt       []snapped
 	allSrc, allTgt []int32 // the pair list Costs stands for
 	// needed is a run's stop mask, one cell per graph node; rowOf maps a
@@ -131,6 +137,10 @@ type costScratch struct {
 	trees            []spTree
 }
 
+// unsnapped marks a scratch endpoint no pair has named yet; no snap
+// returns it.
+const unsnapped NodeID = InvalidNode - 1
+
 var scratchPool = sync.Pool{New: func() any { return new(costScratch) }}
 
 // getScratch borrows a scratch for nS sources, nT targets, nodes nodes.
@@ -138,6 +148,11 @@ func getScratch(nS, nT, nodes int) *costScratch {
 	sc := scratchPool.Get().(*costScratch)
 	sc.src = slices.Grow(sc.src[:0], nS)[:nS]
 	sc.tgt = slices.Grow(sc.tgt[:0], nT)[:nT]
+	for _, ends := range [2][]snapped{sc.src, sc.tgt} {
+		for i := range ends {
+			ends[i].node = unsnapped
+		}
+	}
 	if len(sc.rowOf) < nodes {
 		sc.needed, sc.rowOf = make([]bool, nodes), make([]int32, nodes)
 	}
@@ -155,13 +170,21 @@ func (sc *costScratch) put() {
 	scratchPool.Put(sc)
 }
 
-// group fills uniq, want and wantEnd from the pair list: a counting
-// sort of the pairs' target nodes by unique source. Pairs with an
-// unsnappable endpoint need no tree and are left out.
-func (sc *costScratch) group(src, tgt []int32) {
+// group snaps, through c's memo, each endpoint the pair list names,
+// once, and fills uniq, want and wantEnd: a counting sort of the pairs'
+// target nodes by unique source. Pairs with an unsnappable endpoint
+// need no tree and are left out. Callers hold c.mu.
+func (sc *costScratch) group(c *GraphCoster, sources, targets []geo.Point, src, tgt []int32) {
 	for k, i := range src {
+		j := tgt[k]
+		if sc.src[i].node == unsnapped {
+			sc.src[i] = c.snapped(sources[i])
+		}
+		if sc.tgt[j].node == unsnapped {
+			sc.tgt[j] = c.snapped(targets[j])
+		}
 		sn := sc.src[i].node
-		if sn == InvalidNode || sc.tgt[tgt[k]].node == InvalidNode {
+		if sn == InvalidNode || sc.tgt[j].node == InvalidNode {
 			continue
 		}
 		if sc.rowOf[sn] == 0 {
@@ -208,8 +231,10 @@ func (c *GraphCoster) CostPairs(sources, targets []geo.Point, src, tgt []int32, 
 
 // price is the one batched query path. It writes to out the cost of
 // every listed pair (sources[src[k]], targets[tgt[k]]) — with nil src
-// and tgt, of every pair, row-major. Every endpoint is snapped once
-// (see snapped), source nodes are deduplicated, and one Dijkstra run
+// and tgt, of every pair, row-major. An endpoint is snapped once, and
+// only if a pair names it (see group and snapped: a waiting rider no
+// candidate reaches is not searched for), source nodes are
+// deduplicated, and one Dijkstra run
 // per unique source its published tree does not cover is fanned over a
 // worker pool. The coster's mutex is taken twice — to snap and read the
 // published trees up front, and to publish new trees — rather than once per
@@ -246,13 +271,7 @@ func (c *GraphCoster) price(sources, targets []geo.Point, src, tgt []int32, out 
 	// queued, trees[u] the tree to continue (none if first seen).
 	var resumed int64
 	c.mu.Lock()
-	for i, p := range sources {
-		sc.src[i] = c.snapped(p)
-	}
-	for j, p := range targets {
-		sc.tgt[j] = c.snapped(p)
-	}
-	sc.group(src, tgt)
+	sc.group(c, sources, targets, src, tgt)
 	sc.trees = slices.Grow(sc.trees[:0], len(sc.uniq))[:len(sc.uniq)]
 	for u, n := range sc.uniq {
 		t := c.trees[n]

@@ -81,8 +81,9 @@ type GraphCoster struct {
 	// until the node is first queried as a source. Guarded by mu.
 	trees []spTree
 	// snaps memoizes snap.nearest by query point: a stationary driver
-	// or a waiting rider is snapped once. Guarded by mu.
-	snaps map[geo.Point]snapped
+	// or a waiting rider is snapped once, when a priced pair first
+	// names it. Guarded by mu.
+	snaps snapMemo
 
 	stats costerCounters
 }
@@ -93,7 +94,7 @@ func NewGraphCoster(g *Graph) *GraphCoster {
 		g:     g,
 		snap:  newSnapIndex(g),
 		trees: make([]spTree, g.NumNodes()),
-		snaps: make(map[geo.Point]snapped),
+		snaps: snapMemo{slots: make([]snapSlot, 2*snapMemoCap), gen: 1},
 	}
 }
 
@@ -112,20 +113,59 @@ type snapped struct {
 	approach float64 // meters from the query point to node
 }
 
-// snapMemoCap bounds GraphCoster.snaps. Every order brings two new
-// points (its pickup, and its dropoff as a driver's next position), so
-// the memo is wiped when full: a fleet of re-snaps per 4K orders.
+// snapMemoCap bounds GraphCoster.snaps. Every order brings at most two
+// new points (its pickup, and its dropoff as a driver's next position),
+// snapped once a pair names them, so the memo is wiped when full: a
+// fleet of re-snaps per 4K orders at most.
 const snapMemoCap = 8192
 
-// snapped returns snap.nearest(p) through the memo. Callers hold mu.
+// snapMemo is an open-addressed table of snapIndex.nearest results keyed
+// on a point's coordinate bits: at most snapMemoCap points in twice as
+// many slots (a power of two), probed linearly. A slot holds a point
+// only while its stamp equals gen, so a wipe is one increment.
+type snapMemo struct {
+	slots []snapSlot
+	gen   uint32
+	n     int // points stamped gen
+}
+
+type snapSlot struct {
+	lng, lat uint64 // the point's coordinate bits
+	approach float64
+	node     NodeID
+	gen      uint32
+}
+
+// snapped returns snap.nearest(p) through the memo. A point with a NaN
+// coordinate equals no point, as a map key would, so it is searched
+// every time and never stored. Callers hold mu.
 func (c *GraphCoster) snapped(p geo.Point) snapped {
-	s, ok := c.snaps[p]
-	if !ok {
-		if len(c.snaps) >= snapMemoCap {
-			clear(c.snaps)
+	m := &c.snaps
+	lng, lat := math.Float64bits(p.Lng), math.Float64bits(p.Lat)
+	stored := !math.IsNaN(p.Lng) && !math.IsNaN(p.Lat)
+	h := lng ^ lat*0x9e3779b97f4a7c15 // mixed by splitmix64's finalizer
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	home := int(h>>32) & (len(m.slots) - 1)
+	i := home
+	for ; stored && m.slots[i].gen == m.gen; i = (i + 1) & (len(m.slots) - 1) {
+		if e := &m.slots[i]; e.lng == lng && e.lat == lat {
+			return snapped{e.node, e.approach}
 		}
-		s.node, s.approach = c.snap.nearest(p)
-		c.snaps[p] = s
+	}
+	var s snapped
+	s.node, s.approach = c.snap.nearest(p)
+	c.stats.snaps.Add(1)
+	if stored {
+		if m.n >= snapMemoCap {
+			if m.gen++; m.gen == 0 { // stamps wrapped: an old one could read live
+				clear(m.slots)
+				m.gen = 1
+			}
+			m.n, i = 0, home
+		}
+		m.slots[i] = snapSlot{lng: lng, lat: lat, approach: s.approach, node: s.node, gen: m.gen}
+		m.n++
 	}
 	return s
 }

@@ -23,8 +23,9 @@
 // matrix in one call and its optional extension PairCoster a list of
 // (source, target) pairs — the shape of a dispatch batch, where each
 // rider's candidates are the few drivers in its own reach. GraphCoster
-// serves both from one core: every endpoint snapped once (and the snap
-// memoized, so a stationary driver is not re-snapped next batch),
+// serves both from one core: an endpoint snapped once per call, and
+// only if a pair names it (through a flat memo keyed on the point's
+// coordinate bits, so a stationary driver is not re-snapped next batch),
 // source nodes deduplicated, and each unique source's cached
 // shortest-path tree extended just far enough to cover that source's
 // own targets, on a parallel worker pool — bitwise-identical to

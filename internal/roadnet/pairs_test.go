@@ -163,9 +163,10 @@ func TestCostPairsConcurrent(t *testing.T) {
 	for _, p := range fill {
 		c.snapped(p)
 	}
+	gen, n := c.snaps.gen, memoLive(&c.snaps)
 	c.mu.Unlock()
-	if len(c.snaps) != snapMemoCap-3 {
-		t.Fatalf("memo holds %d points, want %d", len(c.snaps), snapMemoCap-3)
+	if n != snapMemoCap-3 {
+		t.Fatalf("memo holds %d points, want %d", n, snapMemoCap-3)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -195,10 +196,59 @@ func TestCostPairsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	c.mu.Lock()
-	n := len(c.snaps)
+	wipes, n := c.snaps.gen-gen, memoLive(&c.snaps)
 	c.mu.Unlock()
-	if n == 0 || n >= snapMemoCap {
-		t.Errorf("memo holds %d points after the run, want it wiped once and refilled below %d", n, snapMemoCap)
+	if wipes != 1 || n == 0 || n >= snapMemoCap {
+		t.Errorf("memo wiped %d times and holds %d points after the run, want it wiped once and refilled below %d", wipes, n, snapMemoCap)
+	}
+}
+
+// TestCostPairsSnapsOnlyNamedEndpoints: a CostPairs call snaps the
+// sources and targets its pairs name, once each, and leaves the others
+// out of the memo; a dense Costs call names, and snaps, every endpoint.
+// Every price stays bitwise equal to Cost.
+func TestCostPairsSnapsOnlyNamedEndpoints(t *testing.T) {
+	g := GenerateGridNetwork(GridNetworkConfig{Rows: 12, Cols: 12, Seed: 5})
+	c, ref := NewGraphCoster(g), NewGraphCoster(g)
+	rng := rand.New(rand.NewSource(3))
+	sources, targets := randomPoints(20, geo.NYCBBox, rng), randomPoints(30, geo.NYCBBox, rng)
+	namedSrc := func(i int) bool { return i%2 == 0 }
+	namedTgt := func(j int) bool { return j < 12 && j%3 == 0 }
+	var src, tgt []int32
+	for i := range sources {
+		for j := range targets {
+			if namedSrc(i) && namedTgt(j) {
+				src, tgt = append(src, int32(i)), append(tgt, int32(j))
+			}
+		}
+	}
+	checkPairs(t, c, ref, sources, targets, src, tgt)
+	if n := c.Stats().Snaps; n != 10+4 {
+		t.Errorf("%d searches, want one per named endpoint, 14", n)
+	}
+	c.mu.Lock()
+	for i, p := range sources {
+		if held := memoHolds(&c.snaps, p); held != namedSrc(i) {
+			t.Errorf("source %d: named by a pair %v, in the memo %v", i, namedSrc(i), held)
+		}
+	}
+	for j, p := range targets {
+		if held := memoHolds(&c.snaps, p); held != namedTgt(j) {
+			t.Errorf("target %d: named by a pair %v, in the memo %v", j, namedTgt(j), held)
+		}
+	}
+	c.mu.Unlock()
+
+	mat := c.Costs(sources, targets)
+	for i := range sources {
+		for j := range targets {
+			if want := ref.Cost(sources[i], targets[j]); mat[i][j] != want {
+				t.Fatalf("dense cell (%d,%d) = %v, Cost = %v", i, j, mat[i][j], want)
+			}
+		}
+	}
+	if n := c.Stats().Snaps; n != int64(len(sources)+len(targets)) {
+		t.Errorf("%d searches after the dense call, want every endpoint once, %d", n, len(sources)+len(targets))
 	}
 }
 
@@ -211,5 +261,6 @@ func statsSince(c *GraphCoster, before CosterStats) CosterStats {
 		Resumed:      now.Resumed - before.Resumed,
 		SettledNodes: now.SettledNodes - before.SettledNodes,
 		CacheHits:    now.CacheHits - before.CacheHits,
+		Snaps:        now.Snaps - before.Snaps,
 	}
 }

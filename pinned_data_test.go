@@ -57,8 +57,11 @@ const pinnedRoadWorkSettled = 991807.0
 // as far as each batch reads, and each trip priced the first batch its
 // rider holds a valid pair. Resumed and CacheHits, recorded at commit
 // 4f48c0a, count the trees reused across batches: a coster that drops
-// a tree or fails to republish one reads fewer.
-var pinnedRoadWorkExact = roadnet.CosterStats{PartialTrees: 960, Resumed: 514, SettledNodes: 149873, CacheHits: 7042}
+// a tree or fails to republish one reads fewer. Snaps counts the
+// nearest-node searches with each endpoint snapped only once a pair
+// names it (1,778 at commit 7e4b980, which snapped every endpoint of a
+// call).
+var pinnedRoadWorkExact = roadnet.CosterStats{PartialTrees: 960, Resumed: 514, SettledNodes: 149873, CacheHits: 7042, Snaps: 1540}
 
 // pinnedRoadTripReaders holds TestPinnedRoadTripReaders' expectations,
 // recorded at commit 4356c6f.
